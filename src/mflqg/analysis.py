@@ -20,7 +20,8 @@ import numpy as np
 from .consistency import CCSolution, solve_cc
 from .convexity import check_psd_case
 from .model import AugmentedCoeffs, ModelParams
-from .ode import TimeGrid, Trajectory, integrate_rk4
+from .errors import NonFiniteError
+from .ode import TimeGrid, Trajectory, integrate_rk4, interp
 from .riccati import FeedbackLaw, solve_oracle
 from .montecarlo import NoiseBank, simulate_centralized, simulate_decentralized
 
@@ -113,8 +114,8 @@ class LambdaPair:
 @dataclass
 class LambdaReport:
     pairs: list
-    bound1: Trajectory
-    bound2: Trajectory
+    bound1: Trajectory | None   # None when the bound sweep overflowed
+    bound2: Trajectory | None
     L: float
     dominated: bool
     uniform: bool
@@ -153,8 +154,11 @@ def lambda_boundedness(params: ModelParams, law: FeedbackLaw, N_list) -> LambdaR
 
     All coefficients are nonnegative, so the pair is a majorant:
     |Lam1| <= B1 and |Lam2| <= B2 element-wise for every N.  It grows like
-    exp(c L^2 T); past BLOWUP_NORM the sweep raises NonFiniteError, which for
-    n = 2, T = 1 starts near L = 1.3.
+    exp(c L^2 T) and passes BLOWUP_NORM (for n = 2, T = 1 from about
+    L = 1.3).  That overflow is not an error of the kernels: the report then
+    carries bound1 = bound2 = None and dominated = False, and keeps the
+    kernels, their spreads and `uniform`.  An overflow of a kernel sweep
+    still raises NonFiniteError.
 
     `dominated` checks the majorant element-wise at every node and every N.
     `uniform` asks that the sup norms vary by less than 10% across N, with
@@ -175,30 +179,18 @@ def lambda_boundedness(params: ModelParams, law: FeedbackLaw, N_list) -> LambdaR
     tabs = {k: params.node_table(k) for k in ("A", "B", "C", "D", "F", "Ftilde", "Q")}
     Th1 = law.Theta1.values
 
-    def interp(tab, t):
-        u = t / grid.dt
-        i = min(max(int(np.floor(u)), 0), grid.steps - 1)
-        w = u - i
-        if w == 0.0:
-            return tab[i]
-        return (1.0 - w) * tab[i] + w * tab[i + 1]
-
     bth = np.einsum("kij,kjl->kil", tabs["B"], Th1)
     dth = np.einsum("kij,kjl->kil", tabs["D"], Th1)
     L = max(_coeff_maxnorm(tabs[k]) for k in ("A", "F", "C", "Ftilde", "Q"))
     L = max(L, _coeff_maxnorm(bth), _coeff_maxnorm(dth))
+    coeffs = np.stack([tabs["A"], tabs["F"], tabs["C"], tabs["Ftilde"], tabs["Q"], bth, dth],
+                      axis=1)
 
     pairs = []
     for N in N_list:
         def rhs(t, lam, N=N):
             lam1, lam2 = lam[0], lam[1]
-            A = interp(tabs["A"], t)
-            F = interp(tabs["F"], t)
-            C = interp(tabs["C"], t)
-            Ft = interp(tabs["Ftilde"], t)
-            Q = interp(tabs["Q"], t)
-            BTh = interp(bth, t)
-            DTh = interp(dth, t)
+            A, F, C, Ft, Q, BTh, DTh = interp(coeffs, grid.dt, t)
             closed = A + BTh
             d1 = -(lam1 @ (closed + F / N) + A.T @ lam1
                    - C.T @ lam1 @ (C + DTh + Ft / N) + (lam2 / N) @ F + Q)
@@ -223,12 +215,16 @@ def lambda_boundedness(params: ModelParams, law: FeedbackLaw, N_list) -> LambdaR
         return np.stack([d1, d2])
 
     bterm = np.stack([np.abs(params.G), np.zeros((n, n))])
-    bounds = integrate_rk4(bound_rhs, bterm, grid, "backward")
-    bound1 = Trajectory(grid, bounds.values[:, 0])
-    bound2 = Trajectory(grid, bounds.values[:, 1])
+    try:
+        bounds = integrate_rk4(bound_rhs, bterm, grid, "backward")
+    except NonFiniteError:
+        bound1 = bound2 = None
+    else:
+        bound1 = Trajectory(grid, bounds.values[:, 0])
+        bound2 = Trajectory(grid, bounds.values[:, 1])
 
     slack = 1e-12
-    dominated = all(
+    dominated = bound1 is not None and all(
         np.all(np.abs(p.lam1.values) <= bound1.values + slack)
         and np.all(np.abs(p.lam2.values) <= bound2.values + slack)
         for p in pairs

@@ -16,6 +16,11 @@ terms, and the mean fields xhat, y1hat, y2hat, beta1hat fall out of the block
 bookkeeping.  The extraction is cross-validated by re-solving the affine
 adjoint directly from the extracted mean fields and comparing: both routes
 must produce the same phi.
+
+Everything runs on the master grid of the model.  The blocks are assembled
+on all nodes at once from the batched R + D'PD kernel of the riccati module,
+and stored as two stacks (3n and 6n blocks) that each sweep interpolates
+once per RK4 stage.
 """
 
 from __future__ import annotations
@@ -31,21 +36,20 @@ from .errors import (
     NotReducedCaseError,
 )
 from .model import ModelParams
-from .ode import TimeGrid, Trajectory, integrate_rk4
-from .riccati import FeedbackLaw, _Coeffs, solve_P, solve_phi, theta1, theta2
+from .ode import TimeGrid, Trajectory, integrate_rk4, interp
+from .riccati import (
+    FeedbackLaw,
+    gain_terms,
+    node_solve,
+    solve_P,
+    solve_phi,
+    theta1,
+    theta2,
+)
 
 COND37_DET_TOL = 1e-8
 REDUCED_SV_TOL = 1e-8
 BLOCK_IDENTITY_TOL = 1e-10
-
-
-def _interp(table: np.ndarray, grid: TimeGrid, t: float) -> np.ndarray:
-    u = t / grid.dt
-    i = min(max(int(np.floor(u)), 0), grid.steps - 1)
-    w = u - i
-    if w == 0.0:
-        return table[i]
-    return (1.0 - w) * table[i] + w * table[i + 1]
 
 
 @dataclass
@@ -56,10 +60,19 @@ class CCMatrices:
     mean-field FBSDE; the *_t fields the 6n blocks of the stacked
     (mean, fluctuation) system.  K_terminal / kappa_terminal are the terminal
     data of the decoupling pair.
+
+    ``mean`` (nodes, 12, 3n, 3n) stacks the 3n blocks in the order a1, b1,
+    a2, b2, a1bar, a1p, a1pbar, b1p, a2bar, b2bar, c2, c2bar, and ``tilde``
+    (nodes, 8, 6n, 6n) the 6n blocks in the order a1_t, b1_t, a1p_t, b1p_t,
+    a2_t, b2_t, c2_t, c2bar_t, so a sweep reads every block it needs with one
+    interpolation per stage.  The named block fields are views into these
+    stacks, not copies.
     """
 
     grid: TimeGrid
     n: int
+    mean: np.ndarray
+    tilde: np.ndarray
     # n x n pieces
     pi1: np.ndarray
     pi2: np.ndarray
@@ -100,95 +113,88 @@ class CCMatrices:
     kappa_terminal: np.ndarray
     xi_t: np.ndarray
 
-    def at(self, name: str, t: float) -> np.ndarray:
-        return _interp(getattr(self, name), self.grid, t)
+
+def _stack(layout: dict, nodes: int, size: int, side: int) -> tuple[np.ndarray, dict]:
+    """Zero (nodes, len(layout), side*size, side*size) stack with each entry's
+    {(i, j): table} sub-blocks written in; also returns name -> view."""
+    out = np.zeros((nodes, len(layout), side * size, side * size))
+    for b, blocks in enumerate(layout.values()):
+        for (i, j), tab in blocks.items():
+            out[:, b, i * size:(i + 1) * size, j * size:(j + 1) * size] = tab
+    return out, dict(zip(layout, np.moveaxis(out, 1, 0)))
 
 
-def _embed(block_tables: dict[tuple[int, int], np.ndarray], nodes: int, side: int,
-           n: int, cols: int | None = None) -> np.ndarray:
-    cols = side if cols is None else cols
-    out = np.zeros((nodes, side * n, cols * n))
-    for (i, j), tab in block_tables.items():
-        out[:, i * n:(i + 1) * n, j * n:(j + 1) * n] = tab
-    return out
+def _T(X: np.ndarray) -> np.ndarray:
+    return X.swapaxes(-1, -2)
 
 
 def build_cc(params: ModelParams, P: Trajectory) -> CCMatrices:
-    """Assemble every block of the consistency-condition system from P.
+    """Assemble every block of the consistency-condition system from P, on
+    all nodes at once.
 
     The closed-loop pieces satisfy pi1 = A + B Theta1 and pi1p = C + D Theta1
     identically; both identities are asserted to 1e-10 as a bookkeeping guard.
     """
     grid = P.grid
     n = params.n
-    c = _Coeffs(params)
     nodes = grid.steps + 1
     eye = np.eye(n)
+    A, B, C, D, Q, R, F, Ft, Gam, eta = (params.node_table(k) for k in (
+        "A", "B", "C", "D", "Q", "R", "F", "Ftilde", "Gamma", "eta"))
+    Pv = P.values
 
-    pi = {k: np.empty((nodes, n, n)) for k in
-          ("pi1", "pi2", "pi3", "pi4", "pi1p", "pi2p", "pi3p")}
-    th1 = np.empty((nodes, params.m, n))
-    qg = np.empty((nodes, n, n))       # Q Gamma
-    gqig = np.empty((nodes, n, n))     # Gamma'Q(I - Gamma)
-    qmat = np.empty((nodes, n, n))
-    f_vec = np.empty((nodes, 3 * n))
-
-    for k, t in enumerate(grid.nodes):
-        A, B, C, D, Q, R, F, Ft, Gam, eta = c.at(
-            t, "A", "B", "C", "D", "Q", "R", "F", "Ftilde", "Gamma", "eta")
-        Pk = P.values[k]
-        S = R + D.T @ Pk @ D
-        W = Pk @ B + C.T @ Pk @ D           # PB + C'PD
-        BtP_DtPC = B.T @ Pk + D.T @ Pk @ C  # B'P + D'PC
-        Sinv_BtP = np.linalg.solve(S, BtP_DtPC)
-        Sinv_Bt = np.linalg.solve(S, B.T)
-        Sinv_Dt = np.linalg.solve(S, D.T)
-        PFt = Pk @ Ft
-        th1[k] = -Sinv_BtP
-        pi["pi1"][k] = A - B @ Sinv_BtP
-        pi["pi2"][k] = F - B @ (Sinv_Dt @ PFt)
-        pi["pi3"][k] = -B @ Sinv_Bt
-        pi["pi1p"][k] = C - D @ Sinv_BtP
-        pi["pi2p"][k] = Ft - D @ (Sinv_Dt @ PFt)
-        pi["pi3p"][k] = -D @ Sinv_Bt
-        pi["pi4"][k] = (W @ (Sinv_Dt @ PFt) - C.T @ PFt - Pk @ F
-                        + Q @ Gam + Gam.T @ Q @ (eye - Gam))
-        qg[k] = Q @ Gam
-        gqig[k] = Gam.T @ Q @ (eye - Gam)
-        qmat[k] = Q
-        Qeta = Q @ eta
-        GtQeta = Gam.T @ Qeta
-        f_vec[k] = np.concatenate([Qeta - GtQeta, Qeta, -GtQeta])
+    S, BtP_DtPC = gain_terms(Pv, B, C, D, R)
+    W = Pv @ B + _T(C) @ Pv @ D               # PB + C'PD
+    Sinv_BtP = node_solve(S, BtP_DtPC)
+    Sinv_Bt = node_solve(S, _T(B))
+    Sinv_Dt = node_solve(S, _T(D))
+    PFt = Pv @ Ft
+    th1 = -Sinv_BtP
+    pi1 = A - B @ Sinv_BtP
+    pi2 = F - B @ (Sinv_Dt @ PFt)
+    pi3 = -B @ Sinv_Bt
+    pi1p = C - D @ Sinv_BtP
+    pi2p = Ft - D @ (Sinv_Dt @ PFt)
+    pi3p = -D @ Sinv_Bt
+    qg = Q @ Gam                              # Q Gamma
+    gqig = _T(Gam) @ Q @ (eye - Gam)          # Gamma'Q(I - Gamma)
+    pi4 = W @ (Sinv_Dt @ PFt) - _T(C) @ PFt - Pv @ F + qg + gqig
+    Qeta = (Q @ eta[..., None])[..., 0]
+    GtQeta = (_T(Gam) @ Qeta[..., None])[..., 0]
+    f_vec = np.concatenate([Qeta - GtQeta, Qeta, -GtQeta], axis=1)
 
     # closed-loop identities, asserted as a guard on the block bookkeeping
-    for k, t in enumerate(grid.nodes):
-        A, B, C, D = c.at(t, "A", "B", "C", "D")
-        err1 = np.max(np.abs(pi["pi1"][k] - (A + B @ th1[k])))
-        err2 = np.max(np.abs(pi["pi1p"][k] - (C + D @ th1[k])))
-        if max(err1, err2) > BLOCK_IDENTITY_TOL * (1.0 + np.max(np.abs(pi["pi1"][k]))):
-            raise MFLQGError(f"closed-loop block identity violated at node {k}")
+    err = np.maximum(np.abs(pi1 - (A + B @ th1)).max(axis=(1, 2)),
+                     np.abs(pi1p - (C + D @ th1)).max(axis=(1, 2)))
+    bad = np.flatnonzero(err > BLOCK_IDENTITY_TOL * (1.0 + np.abs(pi1).max(axis=(1, 2))))
+    if bad.size:
+        raise MFLQGError(f"closed-loop block identity violated at node {bad[0]}")
 
-    Ftab = params.node_table("F")
-    Fttab = params.node_table("Ftilde")
-    Atab = params.node_table("A")
-    FT = np.swapaxes(Ftab, -1, -2)
-    FtT = np.swapaxes(Fttab, -1, -2)
-    AT = np.swapaxes(Atab, -1, -2)
-
-    a1 = _embed({(0, 0): pi["pi1"]}, nodes, 3, n)
-    a1bar = _embed({(0, 0): pi["pi2"]}, nodes, 3, n)
-    b1 = _embed({(0, 0): pi["pi3"]}, nodes, 3, n)
-    a1p = _embed({(0, 0): pi["pi1p"]}, nodes, 3, n)
-    a1pbar = _embed({(0, 0): pi["pi2p"]}, nodes, 3, n)
-    b1p = _embed({(0, 0): pi["pi3p"]}, nodes, 3, n)
-    a2 = _embed({(1, 0): -qmat}, nodes, 3, n)
-    a2bar = _embed({(0, 0): pi["pi4"], (1, 0): qg, (2, 0): gqig}, nodes, 3, n)
-    b2 = _embed({(0, 0): -np.swapaxes(pi["pi1"], -1, -2), (0, 2): -FT,
-                 (1, 1): -AT, (2, 2): -(AT + FT)}, nodes, 3, n)
-    b2bar = _embed({(0, 1): -FT, (2, 1): -FT}, nodes, 3, n)
-    Ctab = params.node_table("C")
-    c2 = _embed({(1, 1): -np.swapaxes(Ctab, -1, -2)}, nodes, 3, n)
-    c2bar = _embed({(0, 1): -FtT, (2, 1): -FtT}, nodes, 3, n)
+    FT, FtT, AT = _T(F), _T(Ft), _T(A)
+    mean, m = _stack({
+        "a1": {(0, 0): pi1},
+        "b1": {(0, 0): pi3},
+        "a2": {(1, 0): -Q},
+        "b2": {(0, 0): -_T(pi1), (0, 2): -FT, (1, 1): -AT, (2, 2): -(AT + FT)},
+        "a1bar": {(0, 0): pi2},
+        "a1p": {(0, 0): pi1p},
+        "a1pbar": {(0, 0): pi2p},
+        "b1p": {(0, 0): pi3p},
+        "a2bar": {(0, 0): pi4, (1, 0): qg, (2, 0): gqig},
+        "b2bar": {(0, 1): -FT, (2, 1): -FT},
+        "c2": {(1, 1): -_T(C)},
+        "c2bar": {(0, 1): -FtT, (2, 1): -FtT},
+    }, nodes, n, 3)
+    tilde, mt = _stack({
+        "a1_t": {(0, 0): m["a1"] + m["a1bar"], (1, 1): m["a1"]},
+        "b1_t": {(0, 0): m["b1"], (1, 1): m["b1"]},
+        "a1p_t": {(1, 0): m["a1p"] + m["a1pbar"], (1, 1): m["a1p"]},
+        "b1p_t": {(1, 0): m["b1p"], (1, 1): m["b1p"]},
+        "a2_t": {(0, 0): m["a2"] + m["a2bar"], (1, 1): m["a2"]},
+        "b2_t": {(0, 0): m["b2"] + m["b2bar"], (1, 1): m["b2"]},
+        "c2_t": {(1, 1): m["c2"]},
+        "c2bar_t": {(0, 1): m["c2"] + m["c2bar"], (1, 1): -m["c2"]},
+    }, nodes, 3 * n, 2)
 
     G, Gb, eb = params.G, params.GammaBar, params.etaBar
     GGb = G @ Gb
@@ -204,22 +210,6 @@ def build_cc(params: ModelParams, P: Trajectory) -> CCMatrices:
     g_vec = np.concatenate([GbtGeb - Geb, -Geb, GbtGeb])
     xi_bar = np.concatenate([params.xi0, np.zeros(2 * n)])
 
-    z3 = np.zeros((nodes, 3 * n, 3 * n))
-
-    def two(b11, b12, b21, b22):
-        return np.concatenate([
-            np.concatenate([b11, b12], axis=2),
-            np.concatenate([b21, b22], axis=2),
-        ], axis=1)
-
-    a1_t = two(a1 + a1bar, z3, z3, a1)
-    b1_t = two(b1, z3, z3, b1)
-    a1p_t = two(z3, z3, a1p + a1pbar, a1p)
-    b1p_t = two(z3, z3, b1p, b1p)
-    a2_t = two(a2 + a2bar, z3, z3, a2)
-    b2_t = two(b2 + b2bar, z3, z3, b2)
-    c2_t = two(z3, z3, z3, c2)
-    c2bar_t = two(z3, c2 + c2bar, z3, -c2)
     K_terminal = np.zeros((6 * n, 6 * n))
     K_terminal[:3 * n, :3 * n] = Gbar + Gbar_prime
     K_terminal[3 * n:, 3 * n:] = Gbar
@@ -227,17 +217,14 @@ def build_cc(params: ModelParams, P: Trajectory) -> CCMatrices:
     kappa_terminal = np.concatenate([g_vec, np.zeros(3 * n)])
     xi_t = np.concatenate([xi_bar, np.zeros(3 * n)])
 
-    return CCMatrices(grid=grid, n=n, pi1=pi["pi1"], pi2=pi["pi2"], pi3=pi["pi3"],
-                      pi4=pi["pi4"], pi1p=pi["pi1p"], pi2p=pi["pi2p"], pi3p=pi["pi3p"],
-                      a1=a1, a1bar=a1bar, b1=b1, a1p=a1p, a1pbar=a1pbar, b1p=b1p,
-                      a2=a2, a2bar=a2bar, b2=b2, b2bar=b2bar, c2=c2, c2bar=c2bar,
+    return CCMatrices(grid=grid, n=n, mean=mean, tilde=tilde, pi1=pi1, pi2=pi2,
+                      pi3=pi3, pi4=pi4, pi1p=pi1p, pi2p=pi2p, pi3p=pi3p, **m, **mt,
                       f_vec=f_vec, Gbar=Gbar, Gbar_prime=Gbar_prime, g_vec=g_vec,
-                      xi_bar=xi_bar, a1_t=a1_t, b1_t=b1_t, a1p_t=a1p_t, b1p_t=b1p_t,
-                      a2_t=a2_t, b2_t=b2_t, c2_t=c2_t, c2bar_t=c2bar_t, f_t=f_t,
-                      K_terminal=K_terminal, kappa_terminal=kappa_terminal, xi_t=xi_t)
+                      xi_bar=xi_bar, f_t=f_t, K_terminal=K_terminal,
+                      kappa_terminal=kappa_terminal, xi_t=xi_t)
 
 
-def solve_K(cc: CCMatrices, grid: TimeGrid | None = None) -> Trajectory:
+def solve_K(cc: CCMatrices) -> Trajectory:
     """Backward solve of the non-symmetric decoupling Riccati equation
 
     dK/dt = A2t + B2t K - K (A1t + B1t K) + (C2t + C2bart) K (A1pt + B1pt K),
@@ -246,40 +233,34 @@ def solve_K(cc: CCMatrices, grid: TimeGrid | None = None) -> Trajectory:
     Blow-up raises NonFiniteError: the equation is not symmetric and need not
     be solvable on all of [0, T].
     """
-    grid = grid or cc.grid
+    dt = cc.grid.dt
 
     def rhs(t, K):
-        a1t = cc.at("a1_t", t)
-        b1t = cc.at("b1_t", t)
-        a1pt = cc.at("a1p_t", t)
-        b1pt = cc.at("b1p_t", t)
-        a2t = cc.at("a2_t", t)
-        b2t = cc.at("b2_t", t)
-        csum = cc.at("c2_t", t) + cc.at("c2bar_t", t)
+        a1t, b1t, a1pt, b1pt, a2t, b2t, c2t, c2bart = interp(cc.tilde, dt, t)
         return (a2t + b2t @ K - K @ (a1t + b1t @ K)
-                + csum @ (K @ (a1pt + b1pt @ K)))
+                + (c2t + c2bart) @ (K @ (a1pt + b1pt @ K)))
 
-    return integrate_rk4(rhs, cc.K_terminal, grid, "backward")
+    return integrate_rk4(rhs, cc.K_terminal, cc.grid, "backward")
 
 
-def solve_kappa(cc: CCMatrices, K: Trajectory, grid: TimeGrid | None = None) -> Trajectory:
+def solve_kappa(cc: CCMatrices, K: Trajectory) -> Trajectory:
     """Backward affine companion of K:
 
     dkappa/dt = [B2t + (C2t + C2bart) K B1pt - K B1t] kappa + f_t,
     kappa(T) = kappa_terminal.
     """
-    grid = grid or cc.grid
+    dt = cc.grid.dt
 
     def rhs(t, kappa):
         Kt = K(t)
-        csum = cc.at("c2_t", t) + cc.at("c2bar_t", t)
-        bracket = cc.at("b2_t", t) + csum @ (Kt @ cc.at("b1p_t", t)) - Kt @ cc.at("b1_t", t)
-        return bracket @ kappa + cc.at("f_t", t)
+        _, b1t, _, b1pt, _, b2t, c2t, c2bart = interp(cc.tilde, dt, t)
+        bracket = b2t + (c2t + c2bart) @ (Kt @ b1pt) - Kt @ b1t
+        return bracket @ kappa + interp(cc.f_t, dt, t)
 
-    return integrate_rk4(rhs, cc.kappa_terminal, grid, "backward")
+    return integrate_rk4(rhs, cc.kappa_terminal, cc.grid, "backward")
 
 
-def check_condition_37(cc: CCMatrices, grid: TimeGrid | None = None) -> dict:
+def check_condition_37(cc: CCMatrices) -> dict:
     """Non-degeneracy certificate for the fluctuation-mean system.
 
     Integrates the 6n-dimensional transition matrix of
@@ -289,27 +270,24 @@ def check_condition_37(cc: CCMatrices, grid: TimeGrid | None = None) -> dict:
     forward over [0, T] and reports the determinant of its lower-right 3n x 3n
     block; the certificate holds when |det| > 1e-8.
     """
-    grid = grid or cc.grid
+    dt = cc.grid.dt
     n3 = 3 * cc.n
     Gb = cc.Gbar
 
     def rhs(t, Phi):
-        a1 = cc.at("a1", t)
-        b1 = cc.at("b1", t)
-        a2 = cc.at("a2", t)
-        b2 = cc.at("b2", t)
+        a1, b1, a2, b2 = interp(cc.mean, dt, t)[:4]
         top = np.concatenate([a1, b1], axis=1)
         low_left = a2 - Gb @ a1 + (b2 - Gb @ b1) @ Gb
         low = np.concatenate([low_left, b2 - Gb @ b1], axis=1)
         return np.concatenate([top, low], axis=0) @ Phi
 
-    Phi = integrate_rk4(rhs, np.eye(2 * n3), grid, "forward")
+    Phi = integrate_rk4(rhs, np.eye(2 * n3), cc.grid, "forward")
     block = Phi.terminal[n3:, n3:]
     det = float(np.linalg.det(block))
     return {"holds": bool(abs(det) > COND37_DET_TOL), "determinant": det}
 
 
-def explicit_K_reduced(cc: CCMatrices, grid: TimeGrid | None = None) -> Trajectory:
+def explicit_K_reduced(cc: CCMatrices) -> Trajectory:
     """Closed-form K for the reduced case (no state/average noise feedthrough
     into the adjoints: C = Ftilde = 0) with zero terminal data.
 
@@ -317,7 +295,7 @@ def explicit_K_reduced(cc: CCMatrices, grid: TimeGrid | None = None) -> Trajecto
     transition matrix of [[A1t, B1t], [A2t, B2t]].  The inverted block's
     smallest singular value is monitored at every node.
     """
-    grid = grid or cc.grid
+    grid = cc.grid
     n6 = 6 * cc.n
     if np.max(np.abs(cc.c2_t + cc.c2bar_t)) > 0.0:
         raise NotReducedCaseError("closed-form K requires C = Ftilde = 0")
@@ -325,8 +303,9 @@ def explicit_K_reduced(cc: CCMatrices, grid: TimeGrid | None = None) -> Trajecto
         raise NotReducedCaseError("closed-form K is anchored at zero terminal data (G = 0)")
 
     def rhs(t, Psi):
-        top = np.concatenate([cc.at("a1_t", t), cc.at("b1_t", t)], axis=1)
-        low = np.concatenate([cc.at("a2_t", t), cc.at("b2_t", t)], axis=1)
+        a1t, b1t, _, _, a2t, b2t, _, _ = interp(cc.tilde, grid.dt, t)
+        top = np.concatenate([a1t, b1t], axis=1)
+        low = np.concatenate([a2t, b2t], axis=1)
         M = np.concatenate([top, low], axis=0)
         # d/dt Psi(T, t) = -Psi(T, t) M(t), Psi(T, T) = I
         return -Psi @ M
@@ -380,7 +359,8 @@ def extract_mean_fields(cc: CCMatrices, K: Trajectory, kappa: Trajectory,
         return Kt[:n3, :n3] @ X1 + kappa(t)[:n3]
 
     def rhs(t, X1):
-        return (cc.at("a1", t) + cc.at("a1bar", t)) @ X1 + cc.at("b1", t) @ Y1_of(t, X1)
+        a1, b1, _, _, a1bar = interp(cc.mean, grid.dt, t)[:5]
+        return (a1 + a1bar) @ X1 + b1 @ Y1_of(t, X1)
 
     X1 = integrate_rk4(rhs, cc.xi_bar, grid, "forward")
 
@@ -421,7 +401,7 @@ def extract_mean_fields(cc: CCMatrices, K: Trajectory, kappa: Trajectory,
                       y2hat=y2hat, beta1hat=beta1hat, phi=phi, diagnostics=diagnostics)
 
 
-def solve_cc(params: ModelParams, grid: TimeGrid | None = None) -> tuple[CCSolution, FeedbackLaw]:
+def solve_cc(params: ModelParams) -> tuple[CCSolution, FeedbackLaw]:
     """End-to-end decentralized synthesis.
 
     Pipeline: P Riccati -> block assembly -> K Riccati -> kappa -> determinant
@@ -431,7 +411,7 @@ def solve_cc(params: ModelParams, grid: TimeGrid | None = None) -> tuple[CCSolut
     """
     stage = "solve_P"
     try:
-        P, margin = solve_P(params, grid)
+        P, margin = solve_P(params)
         stage = "build_cc"
         cc = build_cc(params, P)
         stage = "solve_K"

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import InvalidNError, ParseError, SchemaError
-from .ode import TimeGrid, symmetrize
+from .ode import TimeGrid, interp, symmetrize
 
 # name -> (shape in terms of (n, m), may be time-varying, must be symmetric)
 COEFF_SPEC = {
@@ -104,16 +104,9 @@ class ModelParams:
 
     def coeff_at(self, name: str, t: float) -> np.ndarray:
         arr = getattr(self, name)
-        if not self.is_time_varying(name):
+        if arr.ndim == len(COEFF_SPEC[name][0]):   # constant
             return arr
-        dt = self.T / self.steps
-        u = t / dt
-        i = int(np.floor(u))
-        i = min(max(i, 0), self.steps - 1)
-        w = u - i
-        if w == 0.0:
-            return arr[i]
-        return (1.0 - w) * arr[i] + w * arr[i + 1]
+        return interp(arr, self.T / self.steps, t)
 
     def equals(self, other: "ModelParams") -> bool:
         if (self.n, self.m, self.T, self.steps) != (other.n, other.m, other.T, other.steps):

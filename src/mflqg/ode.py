@@ -6,6 +6,12 @@ classical fourth-order Runge-Kutta in either direction.  The step is fixed on
 purpose: reproducibility and exact node alignment with the Euler-Maruyama
 simulator matter more here than adaptive efficiency.
 
+Every node-sampled quantity (trajectories, time-varying coefficients, the
+consistency-condition blocks) is read between nodes through the one
+piecewise-linear routine :func:`interp`.  A right-hand side that needs several
+same-shaped blocks stacks them on an axis after time and interpolates the
+stack once per stage.
+
 Blow-up (NaN/Inf or max-norm past BLOWUP_NORM) raises NonFiniteError instead
 of being clipped; a diverging backward Riccati solve is how non-solvability
 on [0, T] manifests and callers need to see it.
@@ -46,6 +52,21 @@ class TimeGrid:
         return np.linspace(0.0, self.T, self.steps + 1)
 
 
+def interp(table: np.ndarray, dt: float, t: float) -> np.ndarray:
+    """Piecewise-linear interpolant at time t of node samples ``table[k]``.
+
+    ``table`` holds the samples at t_k = k dt along axis 0; every other axis is
+    carried along.  Exact (a view of the sample) at the nodes; t outside
+    [0, T] extrapolates from the first or last interval.
+    """
+    u = t / dt
+    i = min(max(int(np.floor(u)), 0), table.shape[0] - 2)
+    w = u - i
+    if w == 0.0:
+        return table[i]
+    return (1.0 - w) * table[i] + w * table[i + 1]
+
+
 class Trajectory:
     """Values sampled at every grid node, linearly interpolated in between.
 
@@ -81,13 +102,7 @@ class Trajectory:
         return self.values[-1]
 
     def __call__(self, t: float) -> np.ndarray:
-        u = t / self.grid.dt
-        i = int(np.floor(u))
-        i = min(max(i, 0), self.grid.steps - 1)
-        w = u - i
-        if w == 0.0:
-            return self.values[i]
-        return (1.0 - w) * self.values[i] + w * self.values[i + 1]
+        return interp(self.values, self.grid.dt, t)
 
 
 def _check_state(y: np.ndarray, where: str):
@@ -147,7 +162,8 @@ def trapezoid_nodes(values: np.ndarray, grid: TimeGrid):
 
 
 def symmetrize(S: np.ndarray) -> np.ndarray:
-    return 0.5 * (S + S.T)
+    """(S + S')/2 of a matrix or of a stack of matrices (last two axes)."""
+    return 0.5 * (S + np.swapaxes(S, -1, -2))
 
 
 def _require_symmetric(S: np.ndarray) -> np.ndarray:

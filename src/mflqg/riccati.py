@@ -15,6 +15,12 @@ Two layers live here:
 
 Regularity (R + D'PD strictly positive definite along the whole horizon) is
 always measured and enforced; the decentralized law is meaningless without it.
+
+R + D'PD and B'P + D'PC are formed by one kernel, :func:`gain_terms`, which
+broadcasts over a time axis: the margin and the gains Theta1, Theta2 take it
+on all nodes at once, the P and phi right-hand sides on one matrix.  The
+auxiliary problem is always solved on the master grid of the model, where
+time-varying coefficients are sampled; only the oracle takes another grid.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import numpy as np
 
 from .errors import GridMismatchError, RegularityLostError, StationarityError
 from .model import AugmentedCoeffs, ModelParams
-from .ode import TimeGrid, Trajectory, integrate_rk4, quadrature, symmetrize
+from .ode import TimeGrid, Trajectory, integrate_rk4, interp, quadrature, symmetrize
 
 REGULARITY_TOL = 1e-10
 
@@ -49,47 +55,44 @@ def _check_grids(grid: TimeGrid, *trajs: Trajectory):
             raise GridMismatchError("trajectory grids do not match")
 
 
-class _Coeffs:
-    """Fast interpolated access to the model coefficients."""
+def gain_terms(P: np.ndarray, B, C, D, R) -> tuple[np.ndarray, np.ndarray]:
+    """The gain denominator S = R + D'PD and numerator B'P + D'PC.
 
-    NAMES = ("A", "B", "C", "D", "F", "Ftilde", "Q", "R", "Gamma", "eta")
+    Works on one matrix P or on a stack of them along leading (time) axes, the
+    coefficients broadcasting against it; every regularity measure and gain
+    of the auxiliary problem is formed here.
+    """
+    DtP = D.swapaxes(-1, -2) @ P
+    return R + DtP @ D, B.swapaxes(-1, -2) @ P + DtP @ C
 
-    def __init__(self, params: ModelParams):
-        self.params = params
-        self.dt = params.T / params.steps
-        self.steps = params.steps
-        self.tables = {k: params.node_table(k) for k in self.NAMES}
-        self.varying = {k for k in self.NAMES if params.is_time_varying(k)}
 
-    def at(self, t: float, *names: str):
-        if not self.varying:
-            return tuple(self.tables[k][0] for k in names)
-        u = t / self.dt
-        i = min(max(int(np.floor(u)), 0), self.steps - 1)
-        w = u - i
-        out = []
-        for k in names:
-            tab = self.tables[k]
-            if k not in self.varying or w == 0.0:
-                out.append(tab[i])
-            else:
-                out.append((1.0 - w) * tab[i] + w * tab[i + 1])
-        return tuple(out)
+def node_gain_terms(P: Trajectory, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`gain_terms` at every node of P, which lives on the master grid."""
+    return gain_terms(P.values, *(params.node_table(k) for k in ("B", "C", "D", "R")))
+
+
+def node_solve(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve S[k] x[k] = rhs[k] at every node; a singular S[k] is named by k."""
+    try:
+        return np.linalg.solve(S, rhs)
+    except np.linalg.LinAlgError as exc:
+        for k, Sk in enumerate(S):
+            try:
+                np.linalg.inv(Sk)
+            except np.linalg.LinAlgError:
+                raise RegularityLostError(f"R + D'PD singular at node {k}") from exc
+        raise
 
 
 def regularity_margin(P: Trajectory, params: ModelParams) -> float:
     """min over nodes of lambda_min(R + D'PD)."""
-    margins = []
-    Rt = params.node_table("R")
-    Dt = params.node_table("D")
-    for k in range(params.steps + 1):
-        S = Rt[k] + Dt[k].T @ P.values[k] @ Dt[k]
-        margins.append(np.linalg.eigvalsh(symmetrize(S))[0])
-    return float(min(margins))
+    S, _ = node_gain_terms(P, params)
+    return float(np.linalg.eigvalsh(symmetrize(S))[:, 0].min())
 
 
-def solve_P(params: ModelParams, grid: TimeGrid | None = None) -> tuple[Trajectory, float]:
-    """Backward solve of the regular Riccati equation for P, P(T) = G.
+def solve_P(params: ModelParams) -> tuple[Trajectory, float]:
+    """Backward solve of the regular Riccati equation for P, P(T) = G, on the
+    master grid.
 
     dP/dt = -[PA + A'P + C'PC + Q - (PB + C'PD)(R + D'PD)^{-1}(B'P + D'PC)]
 
@@ -97,51 +100,26 @@ def solve_P(params: ModelParams, grid: TimeGrid | None = None) -> tuple[Trajecto
     the minimal node-wise lambda_min(R + D'PD); RegularityLostError if the
     margin falls to the tolerance, NonFiniteError on blow-up.
     """
-    grid = _grid_for(params, grid)
-    c = _Coeffs(params)
-
     def rhs(t, P):
-        A, B, C, D, Q, R = c.at(t, "A", "B", "C", "D", "Q", "R")
-        PD = P @ D
-        S = R + D.T @ PD
-        W = P @ B + C.T @ PD
+        A, B, C, D, Q, R = (params.coeff_at(k, t) for k in ("A", "B", "C", "D", "Q", "R"))
+        S, num = gain_terms(P, B, C, D, R)
         try:
-            gain = np.linalg.solve(S, W.T)
+            gain = np.linalg.solve(S, num)
         except np.linalg.LinAlgError as exc:
             raise RegularityLostError(f"R + D'PD singular at t={t:.6g}") from exc
-        return -(P @ A + A.T @ P + C.T @ (P @ C) + Q - W @ gain)
+        return -(P @ A + A.T @ P + C.T @ (P @ C) + Q - num.T @ gain)
 
-    P = integrate_rk4(rhs, symmetrize(params.G), grid, "backward", project=symmetrize)
-    margin = regularity_margin(P, params) if grid.steps == params.steps else _margin_on(P, params, grid)
+    P = integrate_rk4(rhs, symmetrize(params.G), params.grid(), "backward", project=symmetrize)
+    margin = regularity_margin(P, params)
     if margin <= REGULARITY_TOL:
         raise RegularityLostError(f"regularity margin {margin:.3e} <= {REGULARITY_TOL}")
     return P, margin
 
 
-def _margin_on(P: Trajectory, params: ModelParams, grid: TimeGrid) -> float:
-    c = _Coeffs(params)
-    margins = []
-    for k, t in enumerate(grid.nodes):
-        D, R = c.at(t, "D", "R")
-        S = R + D.T @ P.values[k] @ D
-        margins.append(np.linalg.eigvalsh(symmetrize(S))[0])
-    return float(min(margins))
-
-
 def theta1(P: Trajectory, params: ModelParams) -> Trajectory:
     """State-feedback gain Theta1 = -(R + D'PD)^{-1}(B'P + D'PC), node-wise."""
-    grid = P.grid
-    c = _Coeffs(params)
-    out = np.empty((grid.steps + 1, params.m, params.n))
-    for k, t in enumerate(grid.nodes):
-        A, B, C, D, R = c.at(t, "A", "B", "C", "D", "R")
-        Pk = P.values[k]
-        S = R + D.T @ Pk @ D
-        try:
-            out[k] = -np.linalg.solve(S, B.T @ Pk + D.T @ Pk @ C)
-        except np.linalg.LinAlgError as exc:
-            raise RegularityLostError(f"R + D'PD singular at node {k}") from exc
-    return Trajectory(grid, out)
+    S, num = node_gain_terms(P, params)
+    return Trajectory(P.grid, -node_solve(S, num))
 
 
 def solve_phi(P: Trajectory, params: ModelParams, xhat: Trajectory,
@@ -159,24 +137,23 @@ def solve_phi(P: Trajectory, params: ModelParams, xhat: Trajectory,
     """
     grid = P.grid
     _check_grids(grid, xhat, yhat1, yhat2, betahat1)
-    c = _Coeffs(params)
-    n = params.n
-    eye = np.eye(n)
-
-    def q1(t, xh, y1, y2, b1):
-        Q, Gamma, eta, F, Ft = c.at(t, "Q", "Gamma", "eta", "F", "Ftilde")
-        return (-Q @ (Gamma @ xh + eta) - Gamma.T @ (Q @ ((eye - Gamma) @ xh - eta))
-                + F.T @ y2 + F.T @ y1 + Ft.T @ b1)
+    eye = np.eye(params.n)
+    names = ("A", "B", "C", "D", "R", "F", "Ftilde", "Q", "Gamma", "eta")
+    fields = np.stack([xhat.values, yhat1.values, yhat2.values, betahat1.values], axis=1)
 
     def rhs(t, phi):
-        A, B, C, D, R, F, Ft = c.at(t, "A", "B", "C", "D", "R", "F", "Ftilde")
+        A, B, C, D, R, F, Ft, Q, Gamma, eta = (params.coeff_at(k, t) for k in names)
         Pk = P(t)
-        S = R + D.T @ Pk @ D
-        W = Pk @ B + C.T @ Pk @ D
-        gain = np.linalg.solve(S, np.column_stack([B.T @ phi, D.T @ (Pk @ (Ft @ xhat(t)))]))
+        xh, y1, y2, b1 = interp(fields, grid.dt, t)
+        S, num = gain_terms(Pk, B, C, D, R)
+        W = num.T                             # PB + C'PD, P symmetric
+        PFx = Pk @ (Ft @ xh)
+        gain = np.linalg.solve(S, np.column_stack([B.T @ phi, D.T @ PFx]))
         closed = A.T @ phi - W @ gain[:, 0]
-        drive = (W @ gain[:, 1] - C.T @ (Pk @ (Ft @ xhat(t)))) - Pk @ (F @ xhat(t))
-        return -(closed) + drive - q1(t, xhat(t), yhat1(t), yhat2(t), betahat1(t))
+        drive = (W @ gain[:, 1] - C.T @ PFx) - Pk @ (F @ xh)
+        q1 = (-Q @ (Gamma @ xh + eta) - Gamma.T @ (Q @ ((eye - Gamma) @ xh - eta))
+              + F.T @ y2 + F.T @ y1 + Ft.T @ b1)
+        return -(closed) + drive - q1
 
     xT = xhat.terminal
     G, Gb, eb = params.G, params.GammaBar, params.etaBar
@@ -186,19 +163,13 @@ def solve_phi(P: Trajectory, params: ModelParams, xhat: Trajectory,
 
 def theta2(P: Trajectory, phi: Trajectory, xhat: Trajectory, params: ModelParams) -> Trajectory:
     """Affine gain Theta2 = -(R + D'PD)^{-1}(B'phi + D'P Ftilde xhat), node-wise."""
-    grid = P.grid
-    _check_grids(grid, phi, xhat)
-    c = _Coeffs(params)
-    out = np.empty((grid.steps + 1, params.m))
-    for k, t in enumerate(grid.nodes):
-        B, D, R, Ft = c.at(t, "B", "D", "R", "Ftilde")
-        Pk = P.values[k]
-        S = R + D.T @ Pk @ D
-        try:
-            out[k] = -np.linalg.solve(S, B.T @ phi.values[k] + D.T @ (Pk @ (Ft @ xhat.values[k])))
-        except np.linalg.LinAlgError as exc:
-            raise RegularityLostError(f"R + D'PD singular at node {k}") from exc
-    return Trajectory(grid, out)
+    _check_grids(P.grid, phi, xhat)
+    S, _ = node_gain_terms(P, params)
+    Dt = params.node_table("D").swapaxes(-1, -2)
+    Bt = params.node_table("B").swapaxes(-1, -2)
+    PFx = P.values @ (params.node_table("Ftilde") @ xhat.values[..., None])
+    rhs = Bt @ phi.values[..., None] + Dt @ PFx
+    return Trajectory(P.grid, -node_solve(S, rhs)[..., 0])
 
 
 @dataclass

@@ -234,3 +234,20 @@ def test_lambda_bound_dominates_when_L_exceeds_one():
     assert rep.L == 40.0
     assert abs(rep.pairs[0].lam1.initial[0, 0]) == pytest.approx(0.740, abs=1e-3)
     assert rep.dominated
+
+
+def test_lambda_report_survives_bound_overflow():
+    # L = 1.47 here: the bound pair passes the blow-up norm, which must not
+    # throw away the kernels and their uniformity verdict
+    p = repro_instance(steps=300)
+    p.F = 2.8 * p.F
+    p.Ftilde = 2.8 * p.Ftilde
+    sol, law = solve_cc(p)
+    rep = lambda_boundedness(p, law, [10, 100, 1000])
+    assert rep.bound1 is None and rep.bound2 is None
+    assert rep.dominated is False
+    assert [pr.N for pr in rep.pairs] == [10, 100, 1000]
+    assert all(np.isfinite(pr.sup1) and np.isfinite(pr.sup2) for pr in rep.pairs)
+    assert 0.0 < rep.max_spread1 < 0.10
+    assert rep.max_spread2 > 0.10
+    assert rep.uniform is False

@@ -246,18 +246,59 @@ def test_phi_dual_route_on_random_instances(rng):
 
 def test_extraction_consistent_with_mean_ode(rng):
     # xhat must solve d xhat = (A + F + B Th1) xhat + B Th2; integrate the
-    # right side with the extracted Th2 and compare
+    # right side with the extracted Th2 and compare, on a constant instance
+    # and on the same instance with A(t) = A (1 + t)
+    import copy
+
     from mflqg.ode import integrate_rk4
 
     p = rand_params(rng, n=2, m=2, steps=300)
-    sol, law = solve_cc(p)
-    grid = law.grid
+    varying = copy.copy(p)
+    varying.A = p.A[None] * (1.0 + p.grid().nodes)[:, None, None]
+    for q in (p, varying):
+        sol, law = solve_cc(q)
+        grid = law.grid
 
-    def rhs(t, x):
-        A = p.coeff_at("A", t)
-        F = p.coeff_at("F", t)
-        B = p.coeff_at("B", t)
-        return (A + F) @ x + B @ (law.Theta1(t) @ x + law.Theta2(t))
+        def rhs(t, x):
+            A = q.coeff_at("A", t)
+            F = q.coeff_at("F", t)
+            B = q.coeff_at("B", t)
+            return (A + F) @ x + B @ (law.Theta1(t) @ x + law.Theta2(t))
 
-    xx = integrate_rk4(rhs, p.xi0, grid, "forward")
-    assert np.max(np.abs(xx.values - sol.xhat.values)) < 1e-5
+        xx = integrate_rk4(rhs, q.xi0, grid, "forward")
+        assert np.max(np.abs(xx.values - sol.xhat.values)) < 1e-5
+
+
+def test_constant_copies_as_time_varying_tables_match_constant_instance():
+    # the time-varying branch (every capable coefficient sampled per node)
+    # must reproduce the constant instance through solve_cc and the Lyapunov
+    # kernels and bounds
+    from mflqg.analysis import lambda_boundedness
+    from mflqg.model import COEFF_SPEC
+
+    const = repro_instance(steps=200)
+    tv = repro_instance(steps=200)
+    nodes = tv.steps + 1
+    for name, (_, tv_ok, _) in COEFF_SPEC.items():
+        if tv_ok:
+            arr = getattr(tv, name)
+            setattr(tv, name, np.broadcast_to(arr, (nodes,) + arr.shape).copy())
+            assert tv.is_time_varying(name)
+
+    def close(old, new):
+        return np.max(np.abs(new - old)) <= 1e-12 * (1.0 + np.max(np.abs(old)))
+
+    (s0, l0), (s1, l1) = solve_cc(const), solve_cc(tv)
+    for f in ("K", "kappa", "X1", "xhat", "y1hat", "y2hat", "beta1hat", "phi"):
+        assert close(getattr(s0, f).values, getattr(s1, f).values), f
+    for f in ("P", "phi", "Theta1", "Theta2"):
+        assert close(getattr(l0, f).values, getattr(l1, f).values), f
+    for key, val in s0.diagnostics.items():
+        if isinstance(val, float):
+            assert close(val, s1.diagnostics[key]), key
+    r0, r1 = lambda_boundedness(const, l0, [10, 100]), lambda_boundedness(tv, l1, [10, 100])
+    for a, b in zip(r0.pairs, r1.pairs):
+        assert close(a.lam1.values, b.lam1.values) and close(a.lam2.values, b.lam2.values)
+    assert close(r0.bound1.values, r1.bound1.values)
+    assert close(r0.bound2.values, r1.bound2.values)
+    assert (r0.dominated, r0.uniform) == (r1.dominated, r1.uniform)
