@@ -35,7 +35,11 @@ class InvalidNError(MFLQGError):
 
 
 class ConfigError(MFLQGError):
-    """Base class for configuration-file problems."""
+    """Base class for bad input: configuration files and run settings."""
+
+
+class SettingError(ConfigError):
+    """A run setting (path or agent count, MFLQG_THREADS) is out of range."""
 
 
 class ParseError(ConfigError):
@@ -60,3 +64,7 @@ class StationarityError(MFLQGError):
 
 class MissingTrajectoriesError(MFLQGError):
     """Full trajectories were thinned away but are required for this call."""
+
+
+class StorageBudgetError(MFLQGError):
+    """A request would hold more scalars in memory than the storage budget."""

@@ -89,9 +89,6 @@ class ModelParams:
     def grid(self) -> TimeGrid:
         return TimeGrid(self.T, self.steps)
 
-    def base_shape(self, name: str):
-        return _shape_of(COEFF_SPEC[name][0], self.n, self.m)
-
     def is_time_varying(self, name: str) -> bool:
         return getattr(self, name).ndim == len(COEFF_SPEC[name][0]) + 1
 
@@ -263,11 +260,6 @@ class AugmentedCoeffs:
             p.coeff_at("Ftilde", t), p.coeff_at("Q", t), p.coeff_at("R", t),
             p.G, p.coeff_at("Gamma", t), p.GammaBar, p.coeff_at("eta", t),
             p.etaBar, p.xi0)
-
-    def at_node(self, k: int) -> AugmentedSystem:
-        if self._constant:
-            return self._cache
-        return build_augmented(self.params, self.N, k)
 
 
 # ---------------------------------------------------------------------------

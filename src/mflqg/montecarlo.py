@@ -2,16 +2,21 @@
 counter-based noise and cost evaluation.
 
 Brownian increments come from one Philox stream per (seed, path, agent), so
-any (path, agent, step) increment regenerates bit-identically no matter how
-work is chunked or how many worker threads run.  Paths are independent work
-units; reductions are ordered by path index, which keeps every simulation
-bit-deterministic for a fixed seed regardless of MFLQG_THREADS.
+any increment regenerates bit-identically however work is chunked.  Chunk
+boundaries depend on sizes alone and each chunk writes its own slice of the
+output, so results are bit-identical under any MFLQG_THREADS.
 
-The state-average uses the same-step (explicit) value in both drift and
-diffusion.  Costs are accumulated online with trapezoid weights so that huge
-runs never need to store full trajectories; when trajectories do fit in the
-storage budget they are kept and :func:`social_cost` can recompute the same
-numbers from them.
+One kernel, :func:`_em`, steps every simulation on state planes, one
+(..., paths, agents) array per coordinate, with the n x n and n x m products
+unrolled into multiply-adds.  Each agent follows its own dynamics
+x_i += (A x_i + B u_i + F xavg) dt + (C x_i + D u_i + Ftilde xavg) dW_i, the
+same-step state-average in drift and diffusion, and its trapezoid cost
+accumulates online on the same planes.  Callers pass only the control: the
+decentralized u_i = Theta1 x_i + Theta2, or the centralized u = gain x +
+affine of the stacked system (the same agents in nN coordinates).  Leading
+plane axes carry variants, so the oracle's stationarity check runs a law and
+its perturbations as one pass over one bank.  Full trajectories are kept
+only within the storage budget; :func:`social_cost` recomputes costs from them.
 """
 
 from __future__ import annotations
@@ -19,31 +24,39 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
-from .errors import GridMismatchError, MissingTrajectoriesError, NonFiniteError
-from .model import AugmentedCoeffs, ModelParams
+from .errors import (GridMismatchError, MissingTrajectoriesError, NonFiniteError,
+                     SettingError, StorageBudgetError)
+from .model import AugmentedCoeffs, ModelParams, build_augmented
 from .ode import TimeGrid, trapezoid_nodes
 from .riccati import FeedbackLaw, OracleLaw
 
 # full trajectory storage cap, in scalars (states + controls combined)
 STORE_BUDGET = 2**28
+# chunk caps in scalars: the noise of one chunk, and one state plane of a
+# multi-variant pass (small enough to stay in cache)
+NOISE_CHUNK_SCALARS = 2**24
+PLANE_CHUNK_SCALARS = 2**14
 
 
 def worker_count() -> int:
     env = os.environ.get("MFLQG_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    try:
+        return max(1, int(env)) if env else os.cpu_count() or 1
+    except ValueError:
+        raise SettingError(f"MFLQG_THREADS must be an integer, got {env!r}") from None
 
 
 @dataclass(frozen=True)
 class NoiseBank:
     """Reproducible Brownian increments keyed by (seed, path, agent).
 
-    Each (path, agent) pair owns an independent Philox stream; increments are
-    N(0, dt) along the grid steps.
+    Each (path, agent) pair owns an independent Philox stream keyed by the
+    64-bit words (seed, path << 32 | agent); increments are N(0, dt) along
+    the grid steps.
     """
 
     seed: int
@@ -53,26 +66,29 @@ class NoiseBank:
 
     def __post_init__(self):
         if self.n_paths < 1 or self.n_agents < 1:
-            raise ValueError("need at least one path and one agent")
+            raise SettingError(f"need at least one path and one agent, got "
+                               f"{self.n_paths} paths and {self.n_agents} agents")
         if self.n_paths >= 2**32 or self.n_agents >= 2**32:
-            raise ValueError("path/agent indices must fit in 32 bits")
-
-    def _normals(self, path: int, agent: int) -> np.ndarray:
-        key = [self.seed & (2**64 - 1), ((path << 32) | agent) & (2**64 - 1)]
-        gen = np.random.Generator(np.random.Philox(key=key))
-        return gen.standard_normal(self.grid.steps)
+            raise SettingError("path/agent indices must fit in 32 bits")
 
     def increments(self, path: int) -> np.ndarray:
         """(n_agents, steps) array of Brownian increments for one path."""
-        out = np.empty((self.n_agents, self.grid.steps))
-        for agent in range(self.n_agents):
-            out[agent] = self._normals(path, agent)
-        return out * np.sqrt(self.grid.dt)
+        return self.increments_block(range(path, path + 1))[0]
 
     def increments_block(self, paths) -> np.ndarray:
+        """(paths, n_agents, steps) increments.  One bit generator serves the
+        call: rewound to counter 0 under a stream's key, it is that stream."""
+        bits = np.random.Philox(key=0)
+        gen = np.random.Generator(bits)
+        key = np.array([self.seed & (2**64 - 1), 0], dtype=np.uint64)
+        state = {**bits.state, "state": {"counter": np.zeros(4, np.uint64), "key": key}}
         out = np.empty((len(paths), self.n_agents, self.grid.steps))
-        for j, p in enumerate(paths):
-            out[j] = self.increments(p)
+        for j, path in enumerate(paths):
+            for agent in range(self.n_agents):
+                key[1] = ((path << 32) | agent) & (2**64 - 1)
+                bits.state = state
+                gen.standard_normal(out=out[j, agent])
+        out *= np.sqrt(self.grid.dt)
         return out
 
     def materialized(self) -> "MaterializedNoise":
@@ -90,7 +106,8 @@ class MaterializedNoise:
     def __init__(self, bank: NoiseBank):
         scalars = bank.n_paths * bank.n_agents * bank.grid.steps
         if scalars > STORE_BUDGET:
-            raise ValueError(f"refusing to materialize {scalars} noise scalars")
+            raise StorageBudgetError(f"refusing to materialize {scalars} noise scalars "
+                                     f"(budget {STORE_BUDGET})")
         self.seed = bank.seed
         self.n_paths = bank.n_paths
         self.n_agents = bank.n_agents
@@ -126,61 +143,115 @@ class CostSummary:
     j_i_paths: np.ndarray
 
 
-def _trap_weights(grid: TimeGrid) -> np.ndarray:
-    w = np.full(grid.steps + 1, grid.dt)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
-
-
 def _quad(dev: np.ndarray, M: np.ndarray) -> np.ndarray:
     # dev: (..., d), M: (d, d) -> (...)
     return ((dev @ M) * dev).sum(axis=-1)
 
 
-class _CostAccumulator:
-    """Online trapezoid accumulation of the per-agent individual costs."""
-
-    def __init__(self, params: ModelParams, grid: TimeGrid, n_paths: int, N: int):
-        self.p = params
-        self.w = _trap_weights(grid)
-        self.run = np.zeros((n_paths, N))
-        self.tabs = {k: params.node_table(k) for k in ("Q", "R", "Gamma", "eta")}
-
-    def update(self, k: int, X: np.ndarray, U: np.ndarray, xb: np.ndarray):
-        Q, R = self.tabs["Q"][k], self.tabs["R"][k]
-        Gam, eta = self.tabs["Gamma"][k], self.tabs["eta"][k]
-        dev = X - (xb @ Gam.T)[:, None, :] - eta
-        self.run += self.w[k] * (_quad(dev, Q) + _quad(U, R))
-
-    def finalize(self, X: np.ndarray, xb: np.ndarray) -> np.ndarray:
-        devT = X - (xb @ self.p.GammaBar.T)[:, None, :] - self.p.etaBar
-        return 0.5 * (self.run + _quad(devT, self.p.G))
-
-
-def _chunks(n_paths: int, per_path_scalars: int) -> list[range]:
-    # Chunk boundaries depend only on the memory cap, never on the worker
-    # count: BLAS kernels are not bit-stable across batch shapes, so the
-    # shapes must be pinned for thread-count-independent output.
-    mem_cap = max(1, 2**24 // max(1, per_path_scalars))
-    size = max(1, min(n_paths, mem_cap))
+def _chunks(n_paths: int, per_path_scalars: int, cap: int | None = None) -> list[range]:
+    # Chunk boundaries depend only on sizes, never on the worker count: BLAS
+    # kernels are not bit-stable across batch shapes, so the shapes must be
+    # pinned for thread-count-independent output.
+    size = max(1, min(n_paths, (cap or NOISE_CHUNK_SCALARS) // max(1, per_path_scalars)))
     return [range(a, min(a + size, n_paths)) for a in range(0, n_paths, size)]
 
 
 def _run_chunks(fn, chunks):
     workers = worker_count()
     if workers == 1 or len(chunks) == 1:
-        for c in chunks:
-            fn(c)
-        return
+        return [fn(c) for c in chunks]
     with ThreadPoolExecutor(max_workers=workers) as ex:
         list(ex.map(fn, chunks))
 
 
-def _should_store(store, n_paths, N, grid, n, m) -> bool:
-    if store is not None:
-        return bool(store)
-    return n_paths * N * (grid.steps + 1) * (n + m) <= STORE_BUDGET
+def _bank_paths(noise, grid: TimeGrid, N: int, paths: int | None) -> int:
+    if grid.steps != noise.grid.steps or grid.T != noise.grid.T:
+        raise GridMismatchError("law grid does not match the noise grid")
+    if noise.n_agents < N:
+        raise GridMismatchError(f"noise bank holds {noise.n_agents} agents, need {N}")
+    n_paths = noise.n_paths if paths is None else paths
+    if n_paths > noise.n_paths:
+        raise GridMismatchError(f"noise bank holds {noise.n_paths} paths, need {n_paths}")
+    return n_paths
+
+
+def _apply(M: np.ndarray, planes: list) -> list:
+    """M x on planes: row r is sum_c M[r, c] planes[c], as unrolled axpys."""
+    return [reduce(np.add, [coef * plane for coef, plane in zip(row, planes)]) for row in M]
+
+
+def _form(M: np.ndarray, planes: list) -> np.ndarray:
+    """The quadratic form x'Mx on planes."""
+    return reduce(np.add, [p * q for p, q in zip(planes, _apply(M, planes))])
+
+
+def _em(params: ModelParams, grid: TimeGrid, dW: np.ndarray, lead: tuple, control,
+        kind: str, record=None) -> np.ndarray:
+    """The Euler-Maruyama kernel: the costs J_i, shape (*lead, P, N), of one chunk.
+
+    dW is the chunk's (P, N, steps) increments; every agent starts at xi0.
+    control(k, X) gives the m control planes at node k from the n state
+    planes; record(k, X, U, xavg) sees every node.  A non-finite state shows
+    in its agent mean, which is checked at every node.
+    """
+    M, dt = grid.steps, grid.dt
+    A, B, C, D, F, Ft, Q, R, Gam, eta = (params.node_table(name) for name in (
+        "A", "B", "C", "D", "F", "Ftilde", "Q", "R", "Gamma", "eta"))
+    w = np.full(M + 1, dt)
+    w[[0, -1]] *= 0.5
+    X = [np.full(lead + dW.shape[:2], v) for v in params.xi0]
+    run = 0.0
+    for k in range(M + 1):
+        xb = [x.mean(axis=-1, keepdims=True) for x in X]
+        if not all(np.isfinite(v).all() for v in xb):
+            raise NonFiniteError(f"{kind} simulation blew up at step {k}")
+        U = control(k, X)
+        if record is not None:
+            record(k, X, U, xb)
+        dev = [x - (g + e) for x, g, e in zip(X, _apply(Gam[k], xb), eta[k])]
+        run = run + w[k] * (_form(Q[k], dev) + _form(R[k], U))
+        if k == M:
+            break
+        dWk = dW[..., k]
+        X = [x + dt * (ax + bu + fx) + (cx + du + ftx) * dWk
+             for x, ax, bu, fx, cx, du, ftx in zip(
+                 X, _apply(A[k], X), _apply(B[k], U), _apply(F[k], xb),
+                 _apply(C[k], X), _apply(D[k], U), _apply(Ft[k], xb))]
+    devT = [x - (g + e) for x, g, e in zip(X, _apply(params.GammaBar, xb), params.etaBar)]
+    return 0.5 * (run + _form(params.G, devT))
+
+
+def _run(params, noise, N, chunks, control, kind, lead=(), recorder=None) -> np.ndarray:
+    """J_i, shape (*lead, paths, N), of the kernel over the bank's chunks."""
+    J_i = np.empty(lead + (chunks[-1].stop, N))
+
+    def run(chunk: range):
+        sl = slice(chunk.start, chunk.stop)
+        J_i[..., sl, :] = _em(params, noise.grid, noise.increments_block(chunk)[:, :N, :],
+                              lead, control, kind, recorder and recorder(sl))
+
+    _run_chunks(run, chunks)
+    return J_i
+
+
+def _simulate(params, noise, N, n_paths, store, kind, control) -> SimResult:
+    n, m, M = params.n, params.m, noise.grid.steps
+    storing = n_paths * N * (M + 1) * (n + m) <= STORE_BUDGET if store is None else bool(store)
+    xavg = np.empty((n_paths, M + 1, n))
+    xs = np.empty((n_paths, N, M + 1, n)) if storing else None
+    us = np.empty((n_paths, N, M + 1, m)) if storing else None
+
+    def recorder(sl):
+        def record(k, X, U, xb):
+            xavg[sl, k] = np.concatenate(xb, axis=-1)
+            if storing:
+                xs[sl, :, k] = np.stack(X, axis=-1)
+                us[sl, :, k] = np.stack(U, axis=-1)
+        return record
+
+    J_i = _run(params, noise, N, _chunks(n_paths, N * M), control, kind, recorder=recorder)
+    return SimResult(grid=noise.grid, N=N, n_paths=n_paths, seed=noise.seed, xavg=xavg,
+                     J_i=J_i, J_soc=J_i.sum(axis=1), xs=xs, us=us, meta={"kind": kind})
 
 
 def simulate_decentralized(params: ModelParams, law: FeedbackLaw, N: int,
@@ -191,125 +262,58 @@ def simulate_decentralized(params: ModelParams, law: FeedbackLaw, N: int,
     The state-average is recomputed from the current states at every step and
     feeds both drift and diffusion.
     """
-    grid = noise.grid
-    if law.grid.steps != grid.steps or law.grid.T != grid.T:
-        raise GridMismatchError("law grid does not match the noise grid")
-    if noise.n_agents < N:
-        raise GridMismatchError(f"noise bank holds {noise.n_agents} agents, need {N}")
-    n_paths = noise.n_paths if paths is None else paths
-    if n_paths > noise.n_paths:
-        raise GridMismatchError(f"noise bank holds {noise.n_paths} paths, need {n_paths}")
-    n, m, M = params.n, params.m, grid.steps
-    dt = grid.dt
-    storing = _should_store(store, n_paths, N, grid, n, m)
-
-    tabs = {k: params.node_table(k) for k in ("A", "B", "C", "D", "F", "Ftilde")}
+    n_paths = _bank_paths(noise, law.grid, N, paths)
     Th1, Th2 = law.Theta1.values, law.Theta2.values
 
-    xavg = np.empty((n_paths, M + 1, n))
-    J_i = np.empty((n_paths, N))
-    xs = np.empty((n_paths, N, M + 1, n)) if storing else None
-    us = np.empty((n_paths, N, M + 1, m)) if storing else None
+    def control(k, X):
+        return [u + th for u, th in zip(_apply(Th1[k], X), Th2[k])]
 
-    def run(chunk: range):
-        P = len(chunk)
-        X = np.broadcast_to(params.xi0, (P, N, n)).copy()
-        dW = noise.increments_block(chunk)[:, :N, :]
-        acc = _CostAccumulator(params, grid, P, N)
-        sl = slice(chunk.start, chunk.stop)
-        for k in range(M + 1):
-            xb = X.mean(axis=1)
-            U = X @ Th1[k].T + Th2[k]
-            xavg[sl, k] = xb
-            if storing:
-                xs[sl, :, k] = X
-                us[sl, :, k] = U
-            acc.update(k, X, U, xb)
-            if k == M:
-                J_i[sl] = acc.finalize(X, xb)
-                break
-            A, B = tabs["A"][k], tabs["B"][k]
-            C, D = tabs["C"][k], tabs["D"][k]
-            F, Ft = tabs["F"][k], tabs["Ftilde"][k]
-            drift = X @ A.T + U @ B.T + (xb @ F.T)[:, None, :]
-            diff = X @ C.T + U @ D.T + (xb @ Ft.T)[:, None, :]
-            X = X + dt * drift + diff * dW[:, :, k, None]
-            if not np.all(np.isfinite(X)):
-                raise NonFiniteError(f"decentralized simulation blew up at step {k + 1}")
+    return _simulate(params, noise, N, n_paths, store, "decentralized", control)
 
-    _run_chunks(run, _chunks(n_paths, N * M))
-    return SimResult(grid=grid, N=N, n_paths=n_paths, seed=noise.seed, xavg=xavg,
-                     J_i=J_i, J_soc=J_i.sum(axis=1), xs=xs, us=us,
-                     meta={"kind": "decentralized"})
+
+def _centralized_control(aug: AugmentedCoeffs, gain: np.ndarray, affine: np.ndarray):
+    """u = gain x + affine on planes; affine is (*variants, steps+1, Nm).
+
+    Block (r, c) of the gain, the weight of coordinate c of agent j in
+    control r of agent i, is one (paths, N) @ (N, N) product per node.
+    """
+    N, n, m = aug.N, aug.params.n, aug.params.m
+    blocks = np.ascontiguousarray(gain.reshape(len(gain), N, m, N, n).transpose(0, 2, 4, 3, 1))
+    aff = np.moveaxis(affine.reshape(affine.shape[:-1] + (N, m)), (-3, -1), (0, 1))[..., None, :]
+
+    def control(k, Y):
+        flat = [y.reshape(-1, N) for y in Y]
+        return [reduce(np.add, [f @ blocks[k, r, c] for c, f in enumerate(flat)]).reshape(
+            Y[0].shape) + aff[k, r] for r in range(m)]
+
+    return control
 
 
 def simulate_centralized(aug: AugmentedCoeffs, law: OracleLaw, noise: NoiseBank,
                          paths: int | None = None, store: bool | None = None) -> SimResult:
     """Simulate the stacked system under the centralized law u = gain x + affine.
 
-    The stacked trajectory is unstacked into per-agent paths for cost
-    evaluation, so costs are directly comparable with the decentralized run
-    under the same noise bank.
+    The stacked state is the per-agent state in nN coordinates, so the
+    per-agent kernel runs it, and its costs are directly comparable with the
+    decentralized run under the same noise bank.
     """
-    grid = noise.grid
-    if law.grid.steps != grid.steps or law.grid.T != grid.T:
-        raise GridMismatchError("oracle grid does not match the noise grid")
-    params, N = aug.params, aug.N
-    if noise.n_agents < N:
-        raise GridMismatchError(f"noise bank holds {noise.n_agents} agents, need {N}")
-    n_paths = noise.n_paths if paths is None else paths
-    if n_paths > noise.n_paths:
-        raise GridMismatchError(f"noise bank holds {noise.n_paths} paths, need {n_paths}")
-    n, m, M = params.n, params.m, grid.steps
-    dt = grid.dt
-    storing = _should_store(store, n_paths, N, grid, n, m)
+    n_paths = _bank_paths(noise, law.grid, aug.N, paths)
+    control = _centralized_control(aug, law.gain.values, law.affine.values)
+    return _simulate(aug.params, noise, aug.N, n_paths, store, "centralized", control)
 
-    gains, affs = law.gain.values, law.affine.values
 
-    def diffusion_mats(s):
-        # column-stacked transposes so the per-agent diffusion rows come from
-        # two plain matmuls: (Y @ CT + U @ DT).reshape(P, N, Nn)
-        CT = np.concatenate([s.C[i].T for i in range(N)], axis=1)
-        DT = np.concatenate([s.D[i].T for i in range(N)], axis=1)
-        return s.A.T, s.B.T, CT, DT
+def centralized_variant_costs(aug: AugmentedCoeffs, law: OracleLaw,
+                              affines: np.ndarray, noise) -> np.ndarray:
+    """J_soc, shape (V, paths), under u = gain x + affines[v] for each variant.
 
-    const_mats = diffusion_mats(aug.at_node(0)) if aug._constant else None
-
-    xavg = np.empty((n_paths, M + 1, n))
-    J_i = np.empty((n_paths, N))
-    xs = np.empty((n_paths, N, M + 1, n)) if storing else None
-    us = np.empty((n_paths, N, M + 1, m)) if storing else None
-
-    def run(chunk: range):
-        P = len(chunk)
-        Y = np.broadcast_to(aug.at_node(0).Xi, (P, N * n)).copy()
-        dW = noise.increments_block(chunk)[:, :N, :]
-        acc = _CostAccumulator(params, grid, P, N)
-        sl = slice(chunk.start, chunk.stop)
-        for k in range(M + 1):
-            U = Y @ gains[k].T + affs[k]
-            Xag = Y.reshape(P, N, n)
-            Uag = U.reshape(P, N, m)
-            xb = Xag.mean(axis=1)
-            xavg[sl, k] = xb
-            if storing:
-                xs[sl, :, k] = Xag
-                us[sl, :, k] = Uag
-            acc.update(k, Xag, Uag, xb)
-            if k == M:
-                J_i[sl] = acc.finalize(Xag, xb)
-                break
-            AT, BT, CT, DT = const_mats if const_mats is not None else diffusion_mats(aug.at_node(k))
-            drift = Y @ AT + U @ BT
-            diffs = (Y @ CT + U @ DT).reshape(P, N, N * n)
-            Y = Y + dt * drift + (diffs * dW[:, :, k, None]).sum(axis=1)
-            if not np.all(np.isfinite(Y)):
-                raise NonFiniteError(f"centralized simulation blew up at step {k + 1}")
-
-    _run_chunks(run, _chunks(n_paths, N * M))
-    return SimResult(grid=grid, N=N, n_paths=n_paths, seed=noise.seed, xavg=xavg,
-                     J_i=J_i, J_soc=J_i.sum(axis=1), xs=xs, us=us,
-                     meta={"kind": "centralized"})
+    affines is (V, steps+1, Nm).  The variants share every increment of the
+    bank and run as one pass, which equals V simulate_centralized calls.
+    """
+    n_paths = _bank_paths(noise, law.grid, aug.N, None)
+    V = len(affines)
+    return _run(aug.params, noise, aug.N, _chunks(n_paths, V * aug.N, PLANE_CHUNK_SCALARS),
+                _centralized_control(aug, law.gain.values, affines), "centralized",
+                lead=(V,)).sum(axis=-1)
 
 
 def social_cost(result: SimResult, params: ModelParams) -> CostSummary:
@@ -351,7 +355,6 @@ def stacked_social_cost(params: ModelParams, N: int, xs: np.ndarray,
     with the stacked weight matrices; used as the cross-check that the lifted
     cost really is the sum of the per-agent costs.
     """
-    aug = AugmentedCoeffs(params, N)
     P, _, nodes, n = xs.shape
     x_st = np.swapaxes(xs, 1, 2).reshape(P, nodes, N * n)
     u_st = np.swapaxes(us, 1, 2).reshape(P, nodes, N * us.shape[-1])
@@ -359,12 +362,11 @@ def stacked_social_cost(params: ModelParams, N: int, xs: np.ndarray,
     Qt = params.node_table("Q")
     integ = np.empty((nodes, P))
     for k in range(nodes):
-        s = aug.at_node(k)
+        s = build_augmented(params, N, k)
         xk, uk = x_st[:, k], u_st[:, k]
         integ[k] = (_quad(xk, s.Q) + 2.0 * xk @ s.S1 + N * etat[k] @ Qt[k] @ etat[k]
                     + _quad(uk, s.R))
-    sT = aug.at_node(nodes - 1)
     xT = x_st[:, -1]
-    terminal = (_quad(xT, sT.G) + 2.0 * xT @ sT.S2
+    terminal = (_quad(xT, s.G) + 2.0 * xT @ s.S2
                 + N * params.etaBar @ params.G @ params.etaBar)
     return 0.5 * (trapezoid_nodes(integ, grid) + terminal)

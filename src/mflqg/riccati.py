@@ -10,8 +10,9 @@ Two layers live here:
 * the nN-dimensional brute-force oracle for small populations: the
   multi-noise Riccati for the stacked system plus its affine adjoint.  The
   oracle's affine term is validated at runtime by a finite-difference
-  stationarity test under common random numbers, so a bookkeeping mistake in
-  the derivation cannot silently corrupt the optimality-gap experiments.
+  stationarity test under common random numbers (the law and its perturbed
+  copies run as variants of one Monte Carlo pass over one noise bank), so a
+  bookkeeping mistake cannot silently corrupt the optimality-gap experiments.
 
 Regularity (R + D'PD strictly positive definite along the whole horizon) is
 always measured and enforced; the decentralized law is meaningless without it.
@@ -294,34 +295,34 @@ def _validate_stationarity(aug: AugmentedCoeffs, law: OracleLaw, *, paths: int,
                            seed: int, h: float, tol: float, n_dirs: int = 5) -> dict:
     """Finite-difference stationarity check under common random numbers.
 
-    The pathwise centered difference is exact (the cost is quadratic in the
-    control along a fixed noise path), so the estimate's only error is Monte
-    Carlo; an over-threshold reading that 3 standard errors could explain is
-    re-measured once with more paths before it counts as a failure.
+    The law and its 2 n_dirs perturbations run as one batched simulation on
+    one materialized bank.  The pathwise centered difference is exact (the
+    cost is quadratic in the control along a fixed noise path), so the
+    estimate's only error is Monte Carlo; an over-threshold reading that 3
+    standard errors could explain is re-measured once with more paths before
+    it counts as a failure.
     """
-    from .montecarlo import NoiseBank, simulate_centralized
+    from .montecarlo import NoiseBank, centralized_variant_costs
 
     grid = law.grid
     rng = np.random.default_rng(seed ^ 0x5EED)
     dim_u = aug.N * aug.params.m
     deltas = [rng.uniform(-1.0, 1.0, size=(grid.steps + 1, dim_u)) for _ in range(n_dirs)]
+    norms = [float(np.sqrt(quadrature(Trajectory(grid, (d**2).sum(axis=1))))) for d in deltas]
+    # variant 0 is the law itself, then +h delta and -h delta for each direction
+    affines = np.stack([law.affine.values] + [law.affine.values + s * (h * d)
+                                              for d in deltas for s in (1.0, -1.0)])
 
     def measure(n_paths: int):
         noise = NoiseBank(seed=seed, n_paths=n_paths, n_agents=aug.N, grid=grid).materialized()
-        base = simulate_centralized(aug, law, noise, store=False)
-        rows = []
-        for delta in deltas:
-            norm = float(np.sqrt(quadrature(Trajectory(grid, (delta**2).sum(axis=1)))))
-            Jp = simulate_centralized(aug, _perturbed(law, +h * delta), noise, store=False).J_soc
-            Jm = simulate_centralized(aug, _perturbed(law, -h * delta), noise, store=False).J_soc
-            dpath = (Jp - Jm) / (2.0 * h)
-            rows.append((float(dpath.mean()),
-                         float(dpath.std(ddof=1) / np.sqrt(n_paths)),
-                         norm, Jp - base.J_soc))
-        return base, rows
+        J = centralized_variant_costs(aug, law, affines, noise)
+        dpaths = (J[1::2] - J[2::2]) / (2.0 * h)
+        rows = [(float(dp.mean()), float(dp.std(ddof=1) / np.sqrt(n_paths)), norm, Jp - J[0])
+                for dp, norm, Jp in zip(dpaths, norms, J[1::2])]
+        return J[0], rows
 
     base, rows = measure(paths)
-    J0 = float(base.J_soc.mean())
+    J0 = float(base.mean())
     inconclusive = any(
         abs(d) > tol * norm * (1.0 + abs(J0)) and abs(d) - 3.0 * se <= tol * norm * (1.0 + abs(J0))
         for d, se, norm, _ in rows
@@ -330,9 +331,9 @@ def _validate_stationarity(aug: AugmentedCoeffs, law: OracleLaw, *, paths: int,
     if inconclusive and paths < MAX_VALIDATION_PATHS:
         used = MAX_VALIDATION_PATHS
         base, rows = measure(used)
-        J0 = float(base.J_soc.mean())
+        J0 = float(base.mean())
 
-    report = {"J": J0, "J_se": float(base.J_soc.std(ddof=1) / np.sqrt(used)),
+    report = {"J": J0, "J_se": float(base.std(ddof=1) / np.sqrt(used)),
               "paths": used, "derivatives": [], "derivative_ses": [],
               "thresholds": [], "ascent_ok": True}
     for d, se, norm, up in rows:
@@ -352,9 +353,3 @@ def _validate_stationarity(aug: AugmentedCoeffs, law: OracleLaw, *, paths: int,
                 f"oracle failed ascent check: mean dJ = {float(up.mean()):.3e} < -{slack:.3e}"
             )
     return report
-
-
-def _perturbed(law: OracleLaw, offset: np.ndarray) -> OracleLaw:
-    return OracleLaw(grid=law.grid, N=law.N, P=law.P, phi=law.phi, gain=law.gain,
-                     affine=Trajectory(law.grid, law.affine.values + offset),
-                     regularity_margin=law.regularity_margin)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mflqg import montecarlo, riccati
 from mflqg.cli import load_law, main
 from mflqg.model import load_config, save_config
 from mflqg.presets import repro_instance
@@ -139,12 +140,10 @@ def test_byte_identical_outputs_across_thread_counts(tmp_path):
     assert digests[0] == digests[1]
 
 
-def test_gap_subcommand_small_run(tmp_path):
+def scalar_config(tmp_path):
+    # scalar instance keeps the oracle cheap
     p = repro_instance(steps=100)
     p.n = p.m = 1
-    # scalar instance keeps the oracle cheap
-    import numpy as np
-
     for name, shape in (("A", (1, 1)), ("B", (1, 1)), ("C", (1, 1)), ("D", (1, 1)),
                         ("F", (1, 1)), ("Ftilde", (1, 1)), ("Q", (1, 1)), ("R", (1, 1)),
                         ("G", (1, 1)), ("Gamma", (1, 1)), ("GammaBar", (1, 1))):
@@ -155,6 +154,11 @@ def test_gap_subcommand_small_run(tmp_path):
     p.xi0 = np.array([1.0])
     cfg = tmp_path / "scalar.json"
     save_config(p, cfg)
+    return cfg
+
+
+def test_gap_subcommand_small_run(tmp_path):
+    cfg = scalar_config(tmp_path)
     out = tmp_path / "gap"
     r = run_cli(["gap", str(cfg), "--N-list", "2,3", "--paths", "150",
                  "--seed", "5", "--out", str(out)])
@@ -181,6 +185,32 @@ def test_repro_command_quick(tmp_path):
     # golden regression pin from the first validated run of this exact command
     assert summary["sup_norm_distance"] == pytest.approx(0.05614684004499537, rel=1e-9)
     assert summary["convergence_slope"] == pytest.approx(-0.7193565626851124, rel=1e-9)
+
+
+def test_bad_run_settings_are_validation_failures(tmp_path, monkeypatch, capsys):
+    cfg = small_config(tmp_path)
+    law_dir = tmp_path / "law"
+    assert main(["solve", str(cfg), "--out", str(law_dir)]) == 0
+    sim = ["simulate", str(cfg), "--law", str(law_dir), "--N", "2", "--seed", "1",
+           "--out", str(tmp_path / "sim")]
+    capsys.readouterr()
+    assert main(sim + ["--paths", "0"]) == 1
+    assert "validation failure: need at least one path" in capsys.readouterr().err
+    monkeypatch.setenv("MFLQG_THREADS", "two")
+    assert main(sim + ["--paths", "2"]) == 1
+    assert "validation failure: MFLQG_THREADS must be an integer" in capsys.readouterr().err
+
+
+def test_oversized_validation_bank_is_numerical_failure(tmp_path, monkeypatch, capsys):
+    # fd_tol = 0 leaves the first reading inconclusive, and the re-measurement's
+    # bank (16384 paths x 2 agents x 100 steps) exceeds the lowered budget
+    monkeypatch.setitem(riccati.solve_oracle.__kwdefaults__, "fd_tol", 0.0)
+    monkeypatch.setattr(montecarlo, "STORE_BUDGET", 10**6)
+    cfg = scalar_config(tmp_path)
+    assert main(["gap", str(cfg), "--N-list", "2", "--paths", "20", "--seed", "5",
+                 "--out", str(tmp_path / "gap")]) == 2
+    assert ("numerical failure: refusing to materialize 3276800 noise scalars"
+            in capsys.readouterr().err)
 
 
 def test_law_round_trip(tmp_path):

@@ -180,3 +180,27 @@ def test_augmented_coeffs_interpolates_time_varying():
     mid = aug.at(0.125)  # halfway between nodes 0 and 1
     want = 0.5 * (table[0] + table[1])
     assert np.allclose(mid.A[:2, :2], want + p.F / 2.0)
+
+
+@pytest.mark.parametrize("time_varying", [False, True])
+def test_augmented_lift_equals_per_agent_dynamics(rng, time_varying):
+    # The stacked A, B, C_i, D_i must reproduce every agent's drift
+    # A x_i + B u_i + F xavg and diffusion (C x_i + D u_i + Ftilde xavg) dW_i;
+    # the simulators step the per-agent form, so this is the lift's own check.
+    p = rand_params(rng, n=2, m=2, steps=20)
+    node = 13
+    if time_varying:
+        ramp = 1.0 + np.linspace(0.0, 1.0, p.steps + 1)
+        for name in ("A", "B", "C", "D", "F", "Ftilde"):
+            setattr(p, name, getattr(p, name) * ramp[:, None, None] ** 2)
+    N, n, m = 3, p.n, p.m
+    s = AugmentedCoeffs(p, N).at(p.grid().nodes[node])
+    A, B, C, D, F, Ft = (p.node_table(k)[node] for k in ("A", "B", "C", "D", "F", "Ftilde"))
+    Y, U, dW = rng.standard_normal(N * n), rng.standard_normal(N * m), rng.standard_normal(N)
+    X, Ua = Y.reshape(N, n), U.reshape(N, m)
+    xb = X.mean(axis=0)
+    drift = X @ A.T + Ua @ B.T + xb @ F.T
+    diffusion = dW[:, None] * (X @ C.T + Ua @ D.T + xb @ Ft.T)
+    assert np.max(np.abs(s.A @ Y + s.B @ U - drift.ravel())) < 1e-12
+    stacked = sum(dW[i] * (s.C[i] @ Y + s.D[i] @ U) for i in range(N))
+    assert np.max(np.abs(stacked - diffusion.ravel())) < 1e-12

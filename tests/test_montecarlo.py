@@ -5,16 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mflqg.errors import MissingTrajectoriesError
-from mflqg.model import AugmentedCoeffs
+from mflqg import montecarlo
+from mflqg.errors import MissingTrajectoriesError, SettingError, StorageBudgetError
+from mflqg.model import AugmentedCoeffs, build_augmented
 from mflqg.ode import TimeGrid, Trajectory, integrate_rk4
-from mflqg.riccati import FeedbackLaw, OracleLaw
+from mflqg.riccati import FeedbackLaw, OracleLaw, solve_oracle
 from mflqg.montecarlo import (
     NoiseBank,
+    centralized_variant_costs,
     simulate_centralized,
     simulate_decentralized,
     social_cost,
     stacked_social_cost,
+    worker_count,
 )
 
 from conftest import rand_params
@@ -62,6 +65,22 @@ def test_noise_streams_keyed_not_stateful(seed, path, agent):
     assert np.array_equal(a.increments(path)[agent], b.increments(path)[agent])
 
 
+@pytest.mark.parametrize("seed, path", [(9, 0), (9, 7), (2**40 + 3, 2**31 - 1),
+                                        (9, 2**31), (9, 2**32 - 3), (2**63 + 5, 4)])
+def test_noise_matches_fresh_philox_streams(seed, path):
+    # one reused bit generator must give what a freshly keyed Philox gives,
+    # also where a key word reaches 2**63 (paths >= 2**31, large seeds)
+    grid = TimeGrid(1.0, 37)
+    bank = NoiseBank(seed=seed, n_paths=2**32 - 1, n_agents=3, grid=grid)
+    block = bank.increments_block(range(path, path + 2))
+    assert np.array_equal(block[0], bank.increments(path))
+    for j in range(2):
+        for agent in range(3):
+            key = np.array([seed, ((path + j) << 32) | agent], dtype=np.uint64)
+            ref = np.random.Generator(np.random.Philox(key=key)).standard_normal(grid.steps)
+            assert np.array_equal(block[j, agent], ref * np.sqrt(grid.dt))
+
+
 def test_noise_increments_have_step_variance():
     grid = TimeGrid(2.0, 200)
     bank = NoiseBank(seed=1, n_paths=1, n_agents=200, grid=grid)
@@ -75,6 +94,21 @@ def test_materialized_noise_matches_bank():
     bank = NoiseBank(seed=4, n_paths=6, n_agents=2, grid=grid)
     mat = bank.materialized()
     assert np.array_equal(mat.increments_block(range(2, 5)), bank.increments_block(range(2, 5)))
+
+
+def test_bad_run_settings_raise_package_errors(monkeypatch):
+    grid = TimeGrid(1.0, 20)
+    for paths, agents in ((0, 2), (3, 0), (2**32, 1)):
+        with pytest.raises(SettingError):
+            NoiseBank(seed=1, n_paths=paths, n_agents=agents, grid=grid)
+    monkeypatch.setenv("MFLQG_THREADS", "two")
+    with pytest.raises(SettingError, match="MFLQG_THREADS"):
+        worker_count()
+    monkeypatch.setenv("MFLQG_THREADS", "3")
+    assert worker_count() == 3
+    monkeypatch.setattr(montecarlo, "STORE_BUDGET", 5 * 2 * 20 - 1)
+    with pytest.raises(StorageBudgetError, match="refusing to materialize 200"):
+        NoiseBank(seed=1, n_paths=5, n_agents=2, grid=grid).materialized()
 
 
 def test_zero_coefficients_keep_state_constant(rng):
@@ -230,3 +264,127 @@ def test_centralized_zero_gain_equals_uncontrolled_decentralized(rng):
     rd = simulate_decentralized(p, make_law(grid, 2, 1), 2, noise)
     rc = simulate_centralized(AugmentedCoeffs(p, 2), block_law(grid, 2, np.zeros((1, 2)), np.zeros(1)), noise)
     assert np.max(np.abs(rd.xs - rc.xs)) < 1e-10
+
+
+def exact_em_moments(p, N, gain, aff):
+    """Exact E[Y], E[YY'] of the stacked state under the discrete EM map and the
+    law U = gain_k Y + aff_k, with the exact E J_soc under trapezoid weights.
+
+    Y' = Phi Y + b + sum_i dW_i (M_i Y + c_i), Phi = I + dt(A + B gain),
+    b = dt B aff, M_i = C_i + D_i gain, c_i = D_i aff, Var dW_i = dt.
+    """
+    grid = p.grid()
+    dt, M = grid.dt, grid.steps
+    mu = np.tile(p.xi0, N)
+    S = np.outer(mu, mu)
+    means, second, run = [], [], 0.0
+    for k in range(M + 1):
+        s = build_augmented(p, N, k)
+        K, a = gain[k], aff[k]
+        Kmu = K @ mu
+        EUU = K @ S @ K.T + np.outer(Kmu, a) + np.outer(a, Kmu) + np.outer(a, a)
+        eta, Q = p.node_table("eta")[k], p.node_table("Q")[k]
+        cost = np.trace(s.Q @ S) + 2.0 * s.S1 @ mu + N * eta @ Q @ eta + np.trace(s.R @ EUU)
+        run += (0.5 if k in (0, M) else 1.0) * dt * cost
+        means.append(mu)
+        second.append(S)
+        if k == M:
+            break
+        Phi = np.eye(len(mu)) + dt * (s.A + s.B @ K)
+        b = dt * s.B @ a
+        Pm = Phi @ mu
+        S_next = Phi @ S @ Phi.T + np.outer(Pm, b) + np.outer(b, Pm) + np.outer(b, b)
+        for i in range(N):
+            Mi, ci = s.C[i] + s.D[i] @ K, s.D[i] @ a
+            Mm = Mi @ mu
+            S_next += dt * (Mi @ S @ Mi.T + np.outer(Mm, ci) + np.outer(ci, Mm) + np.outer(ci, ci))
+        mu, S = Pm + b, S_next
+    terminal = (np.trace(s.G @ S) + 2.0 * s.S2 @ mu
+                + N * p.etaBar @ p.G @ p.etaBar)
+    return np.array(means), np.array(second), 0.5 * (run + terminal)
+
+
+def test_simulators_match_exact_em_moments(rng):
+    # Both simulators' node-wise path means of xavg and their mean J_soc must
+    # sit within 5 standard errors of the exact moments of the discrete map.
+    # 84 comparisons at 5 SE give a family-wise false-alarm rate below 5e-5.
+    p = rand_params(rng, n=2, m=1, steps=40)
+    grid = p.grid()
+    nodes, paths = grid.steps + 1, 400
+    ramp = (1.0 + grid.nodes)[:, None, None]
+    Th1 = 0.4 * rng.standard_normal((1, 2)) * ramp
+    Th2 = 0.3 * rng.standard_normal((nodes, 1))
+    law = make_law(grid, 2, 1, Th1=Th1, Th2=Th2)
+    checked = range(4, nodes, 4)
+    worst = 0.0
+    for N in (2, 3):
+        noise = NoiseBank(seed=700 + N, n_paths=paths, n_agents=N, grid=grid)
+        Kc = 0.3 * rng.standard_normal((N, 2 * N)) * ramp
+        ac = 0.3 * rng.standard_normal((nodes, N))
+        cen_law = OracleLaw(grid=grid, N=N, P=Trajectory(grid, np.zeros((nodes, 2 * N, 2 * N))),
+                            phi=Trajectory(grid, np.zeros((nodes, 2 * N))),
+                            gain=Trajectory(grid, Kc), affine=Trajectory(grid, ac),
+                            regularity_margin=1.0)
+        runs = (
+            (simulate_decentralized(p, law, N, noise, store=False),
+             np.stack([np.kron(np.eye(N), Th1[k]) for k in range(nodes)]), np.tile(Th2, N)),
+            (simulate_centralized(AugmentedCoeffs(p, N), cen_law, noise, store=False), Kc, ac),
+        )
+        avg = np.kron(np.ones(N), np.eye(2)) / N
+        for res, gain, aff in runs:
+            mu, S, EJ = exact_em_moments(p, N, gain, aff)
+            for k in checked:
+                var = np.diag(avg @ (S[k] - np.outer(mu[k], mu[k])) @ avg.T)
+                z = (res.xavg[:, k].mean(axis=0) - avg @ mu[k]) / np.sqrt(var / paths)
+                worst = max(worst, float(np.max(np.abs(z))))
+            se = res.J_soc.std(ddof=1) / np.sqrt(paths)
+            worst = max(worst, abs(res.J_soc.mean() - EJ) / se)
+    assert worst < 5.0
+
+
+def random_oracle_law(rng, grid, N, n, m):
+    nodes = grid.steps + 1
+    ramp = (1.0 + grid.nodes)[:, None, None]
+    return OracleLaw(grid=grid, N=N, P=Trajectory(grid, np.zeros((nodes, N * n, N * n))),
+                     phi=Trajectory(grid, np.zeros((nodes, N * n))),
+                     gain=Trajectory(grid, 0.3 * rng.standard_normal((N * m, N * n)) * ramp),
+                     affine=Trajectory(grid, 0.3 * rng.standard_normal((nodes, N * m))),
+                     regularity_margin=1.0)
+
+
+def test_variant_pass_equals_separate_centralized_runs(rng, monkeypatch):
+    # eleven affine variants in one pass over one bank, chunked, against
+    # eleven simulate_centralized calls on the same bank
+    monkeypatch.setattr(montecarlo, "PLANE_CHUNK_SCALARS", 2**9)
+    p = rand_params(rng, n=2, m=2, steps=60)
+    grid, N = p.grid(), 3
+    aug = AugmentedCoeffs(p, N)
+    law = random_oracle_law(rng, grid, N, 2, 2)
+    affines = law.affine.values + 0.2 * rng.standard_normal((11,) + law.affine.values.shape)
+    noise = NoiseBank(seed=31, n_paths=50, n_agents=N, grid=grid).materialized()
+    J = centralized_variant_costs(aug, law, affines, noise)
+    for v, aff in enumerate(affines):
+        one = OracleLaw(grid=grid, N=N, P=law.P, phi=law.phi, gain=law.gain,
+                        affine=Trajectory(grid, aff), regularity_margin=1.0)
+        ref = simulate_centralized(aug, one, noise, store=False).J_soc
+        assert np.max(np.abs(J[v] - ref) / np.abs(ref)) < 1e-12
+
+
+def test_centralized_and_validation_identical_across_thread_counts(rng, monkeypatch):
+    # small chunk caps make every run span many chunks, so the threads matter
+    monkeypatch.setattr(montecarlo, "NOISE_CHUNK_SCALARS", 2**10)
+    monkeypatch.setattr(montecarlo, "PLANE_CHUNK_SCALARS", 2**9)
+    p = rand_params(rng, n=2, m=1, steps=50)
+    grid, N = p.grid(), 3
+    aug = AugmentedCoeffs(p, N)
+    law = random_oracle_law(rng, grid, N, 2, 1)
+    noise = NoiseBank(seed=23, n_paths=40, n_agents=N, grid=grid)
+    q = rand_params(rng, n=1, m=1, steps=100)
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("MFLQG_THREADS", threads)
+        res = simulate_centralized(aug, law, noise)
+        oracle = solve_oracle(AugmentedCoeffs(q, 2), validate=True, validation_paths=256)
+        runs.append([res.xs, res.us, res.xavg, res.J_i, oracle.validation])
+    for a, b in zip(*runs[:2]):
+        assert (a == b) if isinstance(a, dict) else a.tobytes() == b.tobytes()
