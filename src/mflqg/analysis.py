@@ -8,6 +8,13 @@ expected to scale like 1/N).  The gap study simulates the decentralized and
 centralized laws under common random numbers and reports the per-capita cost
 gap with its standard error; the gap must be nonnegative up to Monte Carlo
 noise (the oracle is the minimizer) and shrink as N grows.
+
+The Lyapunov kernels of every N run as one stagewise RK4 sweep with a
+leading N axis; it does per N exactly the operations of a sweep of its own,
+so each N's kernels are bit-identical to a single-N run.  Their N-free bound
+pair is a second stagewise sweep.  Both equations are linear, but they
+multiply the state from both sides, which the left-multiplying step maps of
+ode.integrate_linear do not cover.
 """
 
 from __future__ import annotations
@@ -17,11 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .consistency import CCSolution, solve_cc
+from .consistency import solve_cc
 from .convexity import check_psd_case
 from .model import AugmentedCoeffs, ModelParams
 from .errors import NonFiniteError
-from .ode import TimeGrid, Trajectory, integrate_rk4, interp
+from .ode import Trajectory, integrate_rk4, interp
 from .riccati import FeedbackLaw, solve_oracle
 from .montecarlo import NoiseBank, simulate_centralized, simulate_decentralized
 
@@ -186,25 +193,32 @@ def lambda_boundedness(params: ModelParams, law: FeedbackLaw, N_list) -> LambdaR
     coeffs = np.stack([tabs["A"], tabs["F"], tabs["C"], tabs["Ftilde"], tabs["Q"], bth, dth],
                       axis=1)
 
-    pairs = []
-    for N in N_list:
-        def rhs(t, lam, N=N):
-            lam1, lam2 = lam[0], lam[1]
-            A, F, C, Ft, Q, BTh, DTh = interp(coeffs, grid.dt, t)
-            closed = A + BTh
-            d1 = -(lam1 @ (closed + F / N) + A.T @ lam1
-                   - C.T @ lam1 @ (C + DTh + Ft / N) + (lam2 / N) @ F + Q)
-            d2 = -(lam2 @ (closed + (N - 1) / N * F) + A.T @ lam2
-                   + (N - 1) / N * (lam1 @ F - C.T @ lam1 @ Ft))
-            return np.stack([d1, d2])
+    # every N in one sweep: the state carries a leading N axis, and 1/N and
+    # (N-1)/N are (k, 1, 1) arrays, so each N's kernels are the same
+    # floating-point operations as in a sweep of its own
+    Ns = np.array(N_list, dtype=float).reshape(-1, 1, 1)
+    weight = (Ns - 1) / Ns
 
-        terminal = np.stack([params.G, np.zeros((n, n))])
-        lam = integrate_rk4(rhs, terminal, grid, "backward")
-        lam1 = Trajectory(grid, lam.values[:, 0])
-        lam2 = Trajectory(grid, lam.values[:, 1])
-        pairs.append(LambdaPair(N=N, lam1=lam1, lam2=lam2,
-                                sup1=float(np.max(np.abs(lam1.values))),
-                                sup2=float(np.max(np.abs(lam2.values)))))
+    def rhs(t, lam):
+        lam1, lam2 = lam[:, 0], lam[:, 1]
+        A, F, C, Ft, Q, BTh, DTh = interp(coeffs, grid.dt, t)
+        closed = A + BTh
+        d1 = -(lam1 @ (closed + F / Ns) + A.T @ lam1
+               - C.T @ lam1 @ (C + DTh + Ft / Ns) + (lam2 / Ns) @ F + Q)
+        d2 = -(lam2 @ (closed + weight * F) + A.T @ lam2
+               + weight * (lam1 @ F - C.T @ lam1 @ Ft))
+        return np.stack([d1, d2], axis=1)
+
+    pairs = []
+    if len(Ns):
+        terminal = np.broadcast_to(np.stack([params.G, np.zeros((n, n))]), (len(Ns), 2, n, n))
+        lam = integrate_rk4(rhs, terminal, grid, "backward").values
+        for j, N in enumerate(N_list):
+            lam1 = Trajectory(grid, lam[:, j, 0])
+            lam2 = Trajectory(grid, lam[:, j, 1])
+            pairs.append(LambdaPair(N=N, lam1=lam1, lam2=lam2,
+                                    sup1=float(np.max(np.abs(lam1.values))),
+                                    sup2=float(np.max(np.abs(lam2.values)))))
 
     E = np.ones((n, n))
 

@@ -29,7 +29,7 @@ from .model import ModelParams, load_config, save_config, validate
 from .ode import TimeGrid, Trajectory
 from .presets import repro_instance
 from .riccati import FeedbackLaw
-from .montecarlo import NoiseBank, simulate_decentralized, social_cost
+from .montecarlo import NoiseBank, simulate_decentralized
 
 
 def fmt(x: float) -> str:

@@ -19,8 +19,13 @@ must produce the same phi.
 
 Everything runs on the master grid of the model.  The blocks are assembled
 on all nodes at once from the batched R + D'PD kernel of the riccati module,
-and stored as two stacks (3n and 6n blocks) that each sweep interpolates
-once per RK4 stage.
+and stored as two stacks (3n and 6n blocks).  K is nonlinear and steps
+stagewise through ode.integrate_rk4, interpolating the 6n stack once per
+stage.  Everything after K is linear: kappa, the condition-37 transition
+matrix, the mean path X1 and the closed-form K of the reduced case are
+ode.integrate_linear sweeps, which sample the blocks they need for a chunk of
+steps at once; the node-wise read-off of the mean fields is batched over all
+nodes.
 """
 
 from __future__ import annotations
@@ -29,14 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    MFLQGError,
-    NearSingularError,
-    NonFiniteError,
-    NotReducedCaseError,
-)
+from .errors import MFLQGError, NearSingularError, NotReducedCaseError
 from .model import ModelParams
-from .ode import TimeGrid, Trajectory, integrate_rk4, interp
+from .ode import TimeGrid, Trajectory, integrate_linear, integrate_rk4, interp, matvec
 from .riccati import (
     FeedbackLaw,
     gain_terms,
@@ -159,8 +159,8 @@ def build_cc(params: ModelParams, P: Trajectory) -> CCMatrices:
     qg = Q @ Gam                              # Q Gamma
     gqig = _T(Gam) @ Q @ (eye - Gam)          # Gamma'Q(I - Gamma)
     pi4 = W @ (Sinv_Dt @ PFt) - _T(C) @ PFt - Pv @ F + qg + gqig
-    Qeta = (Q @ eta[..., None])[..., 0]
-    GtQeta = (_T(Gam) @ Qeta[..., None])[..., 0]
+    Qeta = matvec(Q, eta)
+    GtQeta = matvec(_T(Gam), Qeta)
     f_vec = np.concatenate([Qeta - GtQeta, Qeta, -GtQeta], axis=1)
 
     # closed-loop identities, asserted as a guard on the block bookkeeping
@@ -243,6 +243,12 @@ def solve_K(cc: CCMatrices) -> Trajectory:
     return integrate_rk4(rhs, cc.K_terminal, cc.grid, "backward")
 
 
+def _blocks(stack: np.ndarray, dt: float, ts: np.ndarray, *which: int) -> list:
+    """The chosen blocks of a CCMatrices stack interpolated at the times ts;
+    only these blocks are read, and only for these times."""
+    return [interp(stack[:, b], dt, ts) for b in which]
+
+
 def solve_kappa(cc: CCMatrices, K: Trajectory) -> Trajectory:
     """Backward affine companion of K:
 
@@ -251,13 +257,13 @@ def solve_kappa(cc: CCMatrices, K: Trajectory) -> Trajectory:
     """
     dt = cc.grid.dt
 
-    def rhs(t, kappa):
-        Kt = K(t)
-        _, b1t, _, b1pt, _, b2t, c2t, c2bart = interp(cc.tilde, dt, t)
+    def coeffs(ts):
+        Kt = K(ts)
+        b1t, b1pt, b2t, c2t, c2bart = _blocks(cc.tilde, dt, ts, 1, 3, 5, 6, 7)
         bracket = b2t + (c2t + c2bart) @ (Kt @ b1pt) - Kt @ b1t
-        return bracket @ kappa + interp(cc.f_t, dt, t)
+        return bracket, interp(cc.f_t, dt, ts)
 
-    return integrate_rk4(rhs, cc.kappa_terminal, cc.grid, "backward")
+    return integrate_linear(coeffs, cc.kappa_terminal, cc.grid, "backward")
 
 
 def check_condition_37(cc: CCMatrices) -> dict:
@@ -274,14 +280,12 @@ def check_condition_37(cc: CCMatrices) -> dict:
     n3 = 3 * cc.n
     Gb = cc.Gbar
 
-    def rhs(t, Phi):
-        a1, b1, a2, b2 = interp(cc.mean, dt, t)[:4]
-        top = np.concatenate([a1, b1], axis=1)
-        low_left = a2 - Gb @ a1 + (b2 - Gb @ b1) @ Gb
-        low = np.concatenate([low_left, b2 - Gb @ b1], axis=1)
-        return np.concatenate([top, low], axis=0) @ Phi
+    def coeffs(ts):
+        a1, b1, a2, b2 = _blocks(cc.mean, dt, ts, 0, 1, 2, 3)
+        b2g = b2 - Gb @ b1
+        return np.block([[a1, b1], [a2 - Gb @ a1 + b2g @ Gb, b2g]]), None
 
-    Phi = integrate_rk4(rhs, np.eye(2 * n3), cc.grid, "forward")
+    Phi = integrate_linear(coeffs, np.eye(2 * n3), cc.grid, "forward")
     block = Phi.terminal[n3:, n3:]
     det = float(np.linalg.det(block))
     return {"holds": bool(abs(det) > COND37_DET_TOL), "determinant": det}
@@ -302,25 +306,20 @@ def explicit_K_reduced(cc: CCMatrices) -> Trajectory:
     if np.max(np.abs(cc.K_terminal)) > 0.0:
         raise NotReducedCaseError("closed-form K is anchored at zero terminal data (G = 0)")
 
-    def rhs(t, Psi):
-        a1t, b1t, _, _, a2t, b2t, _, _ = interp(cc.tilde, grid.dt, t)
-        top = np.concatenate([a1t, b1t], axis=1)
-        low = np.concatenate([a2t, b2t], axis=1)
-        M = np.concatenate([top, low], axis=0)
-        # d/dt Psi(T, t) = -Psi(T, t) M(t), Psi(T, T) = I
-        return -Psi @ M
+    def coeffs(ts):
+        a1t, b1t, a2t, b2t = _blocks(cc.tilde, grid.dt, ts, 0, 1, 4, 5)
+        # d/dt Psi(T, t) = -Psi(T, t) M(t), Psi(T, T) = I; sweep the transpose
+        return -_T(np.block([[a1t, b1t], [a2t, b2t]])), None
 
-    Psi = integrate_rk4(rhs, np.eye(2 * n6), grid, "backward")
-    out = np.empty((grid.steps + 1, n6, n6))
-    for k in range(grid.steps + 1):
-        Pk = Psi.values[k]
-        lower_right = Pk[n6:, n6:]
-        sv = np.linalg.svd(lower_right, compute_uv=False)[-1]
-        if sv < REDUCED_SV_TOL:
-            raise NearSingularError(
-                f"transition block nearly singular at node {k}: sigma_min = {sv:.3e}")
-        out[k] = -np.linalg.solve(lower_right, Pk[n6:, :n6])
-    return Trajectory(grid, out)
+    Psi = _T(integrate_linear(coeffs, np.eye(2 * n6), grid, "backward").values)
+    lower_right = Psi[:, n6:, n6:]
+    sv = np.linalg.svd(lower_right, compute_uv=False)[:, -1]
+    bad = np.flatnonzero(sv < REDUCED_SV_TOL)
+    if bad.size:
+        k = bad[0]
+        raise NearSingularError(
+            f"transition block nearly singular at node {k}: sigma_min = {sv[k]:.3e}")
+    return Trajectory(grid, -np.linalg.solve(lower_right, Psi[:, n6:, :n6]))
 
 
 @dataclass
@@ -354,31 +353,23 @@ def extract_mean_fields(cc: CCMatrices, K: Trajectory, kappa: Trajectory,
     n = cc.n
     n3 = 3 * n
 
-    def Y1_of(t, X1):
-        Kt = K(t)
-        return Kt[:n3, :n3] @ X1 + kappa(t)[:n3]
+    def coeffs(ts):
+        # dX1/dt = (A1 + A1bar + B1 K11) X1 + B1 kappa1
+        a1, b1, a1bar = _blocks(cc.mean, grid.dt, ts, 0, 1, 4)
+        K11 = interp(K.values[:, :n3, :n3], grid.dt, ts)
+        kappa1 = interp(kappa.values[:, :n3], grid.dt, ts)
+        return a1 + a1bar + b1 @ K11, matvec(b1, kappa1)
 
-    def rhs(t, X1):
-        a1, b1, _, _, a1bar = interp(cc.mean, grid.dt, t)[:5]
-        return (a1 + a1bar) @ X1 + b1 @ Y1_of(t, X1)
+    X1 = integrate_linear(coeffs, cc.xi_bar, grid, "forward")
 
-    X1 = integrate_rk4(rhs, cc.xi_bar, grid, "forward")
-
-    nodes = grid.steps + 1
-    Y1 = np.empty((nodes, n3))
-    EZ = np.empty((nodes, n3))
-    ey2_resid = 0.0
-    for k in range(nodes):
-        Kk = K.values[k]
-        kap = kappa.values[k]
-        X1k = X1.values[k]
-        Xt = np.concatenate([X1k, np.zeros(n3)])
-        Yt = Kk @ Xt + kap
-        Y1[k] = Yt[:n3]
-        # consistency of the closure: the fluctuation-mean adjoint must vanish
-        ey2_resid = max(ey2_resid, float(np.max(np.abs(Yt[n3:]))))
-        Zt = Kk @ (cc.a1p_t[k] + cc.b1p_t[k] @ Kk) @ Xt + Kk @ cc.b1p_t[k] @ kap
-        EZ[k] = Zt[n3:]
+    Kv, kap = K.values, kappa.values
+    Xt = np.concatenate([X1.values, np.zeros_like(X1.values)], axis=1)
+    Yt = matvec(Kv, Xt) + kap
+    Y1 = Yt[:, :n3]
+    # consistency of the closure: the fluctuation-mean adjoint must vanish
+    ey2_resid = float(np.max(np.abs(Yt[:, n3:])))
+    # Z = K (A1pt X + B1pt Y) with Y = K X + kappa
+    EZ = matvec(Kv[:, n3:], matvec(cc.a1p_t, Xt) + matvec(cc.b1p_t, Yt))
 
     xhat = Trajectory(grid, X1.values[:, :n])
     phi = Trajectory(grid, Y1[:, :n])

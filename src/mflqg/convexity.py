@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import CouplingPresentError, NonFiniteError, RegularityLostError
 from .model import ModelParams
-from .ode import Trajectory, eigvals_sym, integrate_rk4, symmetrize
+from .ode import eigvals_sym, symmetrize
 
 UNIFORM_TOL = 1e-10
 

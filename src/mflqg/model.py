@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -6,11 +6,25 @@ classical fourth-order Runge-Kutta in either direction.  The step is fixed on
 purpose: reproducibility and exact node alignment with the Euler-Maruyama
 simulator matter more here than adaptive efficiency.
 
+Two sweeps share the grid and the stage times t_k, t_k + h/2, t_k + h:
+
+* :func:`integrate_rk4` calls a right-hand side at every stage.  The
+  nonlinear Riccati equations (P, K, the oracle's P) need it.  So do the
+  Lyapunov kernels and their bound pair, which multiply the state from both
+  sides, and the oracle's affine adjoint, kept as it is so that its
+  stationarity verdicts do not move.
+* :func:`integrate_linear` takes a linear equation dy/dt = M(t) y + s(t) as a
+  function that samples M and s on many stage times at once.  One RK4 step
+  of a linear equation is an affine map of the state, so the maps are built
+  in batched chunks and the step loop does one matrix product per step.  The
+  affine kappa, the condition-37 transition matrix, the mean path X1, the phi
+  cross-check and the closed-form K of the reduced case run on it.
+
 Every node-sampled quantity (trajectories, time-varying coefficients, the
 consistency-condition blocks) is read between nodes through the one
-piecewise-linear routine :func:`interp`.  A right-hand side that needs several
-same-shaped blocks stacks them on an axis after time and interpolates the
-stack once per stage.
+piecewise-linear routine :func:`interp`, at one time or at an array of times.
+A right-hand side that needs several same-shaped blocks stacks them on an
+axis after time and interpolates the stack once per stage.
 
 Blow-up (NaN/Inf or max-norm past BLOWUP_NORM) raises NonFiniteError instead
 of being clipped; a diverging backward Riccati solve is how non-solvability
@@ -27,6 +41,8 @@ from .errors import NonFiniteError, NotSymmetricError
 
 BLOWUP_NORM = 1e12
 SYM_TOL_SCALE = 1e-8
+# steps per batch of step maps in integrate_linear; bounds its tables' memory
+LINEAR_CHUNK_STEPS = 32
 
 
 @dataclass(frozen=True)
@@ -52,18 +68,25 @@ class TimeGrid:
         return np.linspace(0.0, self.T, self.steps + 1)
 
 
-def interp(table: np.ndarray, dt: float, t: float) -> np.ndarray:
+def interp(table: np.ndarray, dt: float, t) -> np.ndarray:
     """Piecewise-linear interpolant at time t of node samples ``table[k]``.
 
     ``table`` holds the samples at t_k = k dt along axis 0; every other axis is
     carried along.  Exact (a view of the sample) at the nodes; t outside
-    [0, T] extrapolates from the first or last interval.
+    [0, T] extrapolates from the first or last interval.  An array of times
+    gives the interpolants stacked on the leading axes of the result, in the
+    shape of t.
     """
     u = t / dt
-    i = min(max(int(np.floor(u)), 0), table.shape[0] - 2)
-    w = u - i
-    if w == 0.0:
-        return table[i]
+    last = table.shape[0] - 2
+    if np.ndim(u) == 0:
+        i = min(max(int(np.floor(u)), 0), last)
+        w = u - i
+        if w == 0.0:
+            return table[i]
+    else:
+        i = np.clip(np.floor(u).astype(np.intp), 0, last)
+        w = (u - i).reshape(u.shape + (1,) * (table.ndim - 1))
     return (1.0 - w) * table[i] + w * table[i + 1]
 
 
@@ -106,7 +129,8 @@ class Trajectory:
 
 
 def _check_state(y: np.ndarray, where: str):
-    if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > BLOWUP_NORM:
+    # a NaN or Inf entry makes the max NaN or Inf, which fails the comparison
+    if not np.max(np.abs(y)) <= BLOWUP_NORM:
         raise NonFiniteError(f"blow-up detected {where}")
 
 
@@ -144,6 +168,74 @@ def integrate_rk4(rhs, boundary_value, grid: TimeGrid, direction: str = "forward
     return Trajectory(grid, out, check=False)
 
 
+def _step_maps(M: np.ndarray, s: np.ndarray | None, h: float):
+    """Increment maps of RK4 steps of dy/dt = M y + s: y_next = y + D y + g.
+
+    M is (steps, 3, d, d) and s (steps, 3, d, c) or None, sampled at the stage
+    times t_k, t_k + h/2, t_k + h; the two middle stages share t_k + h/2.
+    """
+    M1, M2, M4 = M[:, 0], M[:, 1], M[:, 2]
+    K2 = M2 + (0.5 * h) * (M2 @ M1)
+    K3 = M2 + (0.5 * h) * (M2 @ K2)
+    K4 = M4 + h * (M4 @ K3)
+    D = (h / 6.0) * (M1 + 2.0 * K2 + 2.0 * K3 + K4)
+    if s is None:
+        return D, None
+    s1, s2, s4 = s[:, 0], s[:, 1], s[:, 2]
+    g2 = M2 @ ((0.5 * h) * s1) + s2
+    g3 = M2 @ ((0.5 * h) * g2) + s2
+    g4 = M4 @ (h * g3) + s4
+    return D, (h / 6.0) * (s1 + 2.0 * g2 + 2.0 * g3 + g4)
+
+
+def integrate_linear(coeffs, boundary_value, grid: TimeGrid,
+                     direction: str = "forward") -> Trajectory:
+    """Classical RK4 sweep of the linear equation dy/dt = M(t) y + s(t).
+
+    ``coeffs(ts)`` samples the equation at an array ``ts`` of shape
+    (steps, 3) holding each step's stage times t_k, t_k + h/2, t_k + h (formed
+    as :func:`integrate_rk4` forms them) and returns ``(M, s)``: M of shape
+    ts.shape + (d, d), and s of shape ts.shape + y.shape, or None when the
+    equation has no source.  The state y is a vector or a matrix that M
+    multiplies from the left.
+
+    One RK4 step of a linear equation is exactly an affine map
+    y -> y + D_k y + g_k, D_k a degree-4 polynomial in h M at the step's stage
+    times.  The maps are built LINEAR_CHUNK_STEPS steps at a time with batched
+    products, so the step loop makes one matrix product per step and holds
+    coefficient tables for one chunk only.  The result equals
+    :func:`integrate_rk4` on the same equation up to rounding, does not depend
+    on the chunk size, and is checked for blow-up at every node the same way.
+    """
+    if direction not in ("forward", "backward"):
+        raise ValueError(f"unknown direction {direction!r}")
+    y0 = np.asarray(boundary_value, dtype=float)
+    _check_state(y0, "in the boundary value")
+    steps = grid.steps
+    forward = direction == "forward"
+    h = grid.dt if forward else -grid.dt
+    nodes = grid.nodes
+    order = np.arange(steps) if forward else np.arange(steps, 0, -1)
+    shift = 1 if forward else -1
+    out = np.empty((steps + 1,) + y0.shape)
+    out[order[0]] = y0
+    cols = out.reshape(steps + 1, y0.shape[0], -1)   # a vector state as a column
+    y = cols[order[0]]
+    for start in range(0, steps, LINEAR_CHUNK_STEPS):
+        ks = order[start:start + LINEAR_CHUNK_STEPS]
+        t = nodes[ks]
+        ts = np.stack([t, t + 0.5 * h, t + h], axis=1)
+        M, s = coeffs(ts)
+        if s is not None:
+            s = np.reshape(s, ts.shape + y.shape)
+        D, g = _step_maps(M, s, h)
+        for j, k in enumerate(ks):
+            y = y + (D[j] @ y if g is None else D[j] @ y + g[j])
+            _check_state(y, f"at node {k + shift}")
+            cols[k + shift] = y
+    return Trajectory(grid, out, check=False)
+
+
 def quadrature(traj: Trajectory) -> float:
     """Composite trapezoid rule over the trajectory's grid.
 
@@ -159,6 +251,11 @@ def trapezoid_nodes(values: np.ndarray, grid: TimeGrid):
     """Trapezoid rule on node samples (time along axis 0)."""
     v = np.asarray(values, dtype=float)
     return grid.dt * (v.sum(axis=0) - 0.5 * (v[0] + v[-1]))
+
+
+def matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M x over leading axes: matrices (..., d, c) times vectors (..., c)."""
+    return (M @ x[..., None])[..., 0]
 
 
 def symmetrize(S: np.ndarray) -> np.ndarray:

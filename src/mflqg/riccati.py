@@ -18,10 +18,15 @@ Regularity (R + D'PD strictly positive definite along the whole horizon) is
 always measured and enforced; the decentralized law is meaningless without it.
 
 R + D'PD and B'P + D'PC are formed by one kernel, :func:`gain_terms`, which
-broadcasts over a time axis: the margin and the gains Theta1, Theta2 take it
-on all nodes at once, the P and phi right-hand sides on one matrix.  The
-auxiliary problem is always solved on the master grid of the model, where
-time-varying coefficients are sampled; only the oracle takes another grid.
+broadcasts over time axes: the margin and the gains Theta1, Theta2 take it
+on all nodes at once, the phi sweep on the RK4 stage times of a chunk of
+steps, the P right-hand side on one matrix.  P is a nonlinear Riccati
+equation and steps stagewise (ode.integrate_rk4); phi is linear and is an
+ode.integrate_linear sweep.  The oracle stays stagewise throughout: its
+affine feeds the stationarity verdicts, whose borderline cases a change in
+the last bits could move.  The auxiliary problem is always solved on the
+master grid of the model, where time-varying coefficients are sampled; only
+the oracle takes another grid.
 """
 
 from __future__ import annotations
@@ -32,7 +37,16 @@ import numpy as np
 
 from .errors import GridMismatchError, RegularityLostError, StationarityError
 from .model import AugmentedCoeffs, ModelParams
-from .ode import TimeGrid, Trajectory, integrate_rk4, interp, quadrature, symmetrize
+from .ode import (
+    TimeGrid,
+    Trajectory,
+    integrate_linear,
+    integrate_rk4,
+    interp,
+    matvec,
+    quadrature,
+    symmetrize,
+)
 
 REGULARITY_TOL = 1e-10
 
@@ -72,16 +86,20 @@ def node_gain_terms(P: Trajectory, params: ModelParams) -> tuple[np.ndarray, np.
     return gain_terms(P.values, *(params.node_table(k) for k in ("B", "C", "D", "R")))
 
 
-def node_solve(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve S[k] x[k] = rhs[k] at every node; a singular S[k] is named by k."""
+def node_solve(S: np.ndarray, rhs: np.ndarray, nodes=None) -> np.ndarray:
+    """Solve S[k] x[k] = rhs[k] over the leading axes of S; a singular S[k]
+    is named by its node, ``nodes[k]`` (by default its index k along a single
+    leading axis; a half-integer names the midpoint between two nodes)."""
     try:
         return np.linalg.solve(S, rhs)
     except np.linalg.LinAlgError as exc:
-        for k, Sk in enumerate(S):
+        flat = S.reshape((-1,) + S.shape[-2:])
+        labels = np.arange(len(flat)) if nodes is None else np.ravel(nodes)
+        for Sk, label in zip(flat, labels):
             try:
                 np.linalg.inv(Sk)
             except np.linalg.LinAlgError:
-                raise RegularityLostError(f"R + D'PD singular at node {k}") from exc
+                raise RegularityLostError(f"R + D'PD singular at node {label:g}") from exc
         raise
 
 
@@ -135,31 +153,42 @@ def solve_phi(P: Trajectory, params: ModelParams, xhat: Trajectory,
               + F' yhat2 + F' yhat1 + Ftilde' betahat1
     and phi(T) = -G(GammaBar xhat(T) + etaBar)
                  - GammaBar'G[(I - GammaBar) xhat(T) - etaBar].
+
+    R + D'PD is solved at every RK4 stage time; if it is singular there, the
+    stage is named by its node (a half-integer at a step's midpoint).
     """
     grid = P.grid
     _check_grids(grid, xhat, yhat1, yhat2, betahat1)
-    eye = np.eye(params.n)
+    n = params.n
+    eye = np.eye(n)
     names = ("A", "B", "C", "D", "R", "F", "Ftilde", "Q", "Gamma", "eta")
     fields = np.stack([xhat.values, yhat1.values, yhat2.values, betahat1.values], axis=1)
 
-    def rhs(t, phi):
-        A, B, C, D, R, F, Ft, Q, Gamma, eta = (params.coeff_at(k, t) for k in names)
-        Pk = P(t)
-        xh, y1, y2, b1 = interp(fields, grid.dt, t)
-        S, num = gain_terms(Pk, B, C, D, R)
-        W = num.T                             # PB + C'PD, P symmetric
-        PFx = Pk @ (Ft @ xh)
-        gain = np.linalg.solve(S, np.column_stack([B.T @ phi, D.T @ PFx]))
-        closed = A.T @ phi - W @ gain[:, 0]
-        drive = (W @ gain[:, 1] - C.T @ PFx) - Pk @ (F @ xh)
-        q1 = (-Q @ (Gamma @ xh + eta) - Gamma.T @ (Q @ ((eye - Gamma) @ xh - eta))
-              + F.T @ y2 + F.T @ y1 + Ft.T @ b1)
-        return -(closed) + drive - q1
+    def T(X):
+        return X.swapaxes(-1, -2)
+
+    def coeffs(ts):
+        A, B, C, D, R, F, Ft, Q, Gamma, eta = (params.coeff_at(k, ts) for k in names)
+        Pt = P(ts)
+        xh, y1, y2, b1 = np.moveaxis(interp(fields, grid.dt, ts), -2, 0)
+        S, num = gain_terms(Pt, B, C, D, R)
+        W = T(num)                            # PB + C'PD, P symmetric
+        PFx = matvec(Pt, matvec(Ft, xh))
+        # S^{-1} [B', D'P Ftilde xhat], each stage time named by its (half-)node
+        rhs = np.concatenate([np.broadcast_to(T(B), ts.shape + (params.m, n)),
+                              matvec(T(D), PFx)[..., None]], axis=-1)
+        gain = node_solve(S, rhs, nodes=np.round(2.0 * ts / grid.dt) / 2.0)
+        drive = (matvec(W, gain[..., n]) - matvec(T(C), PFx)) - matvec(Pt, matvec(F, xh))
+        q1 = (-matvec(Q, matvec(Gamma, xh) + eta)
+              - matvec(T(Gamma), matvec(Q, matvec(eye - Gamma, xh) - eta))
+              + matvec(T(F), y2) + matvec(T(F), y1) + matvec(T(Ft), b1))
+        # dphi/dt = -(A - B S^{-1} W')' phi + drive - q1
+        return W @ gain[..., :n] - T(A), drive - q1
 
     xT = xhat.terminal
     G, Gb, eb = params.G, params.GammaBar, params.etaBar
     q2 = -G @ (Gb @ xT + eb) - Gb.T @ (G @ ((eye - Gb) @ xT - eb))
-    return integrate_rk4(rhs, q2, grid, "backward")
+    return integrate_linear(coeffs, q2, grid, "backward")
 
 
 def theta2(P: Trajectory, phi: Trajectory, xhat: Trajectory, params: ModelParams) -> Trajectory:

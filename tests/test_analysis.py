@@ -146,6 +146,23 @@ def test_lambda_domination_on_repro():
     assert rep.max_spread2 < 0.10
 
 
+def test_lambda_batch_over_N_is_bit_equal_to_single_N_sweeps():
+    # the kernels of every N run as one sweep with a leading N axis; each N's
+    # kernels must be exactly those of a sweep of its own, in any order
+    p = repro_instance(steps=200)
+    p.A = p.A * (1.0 + p.grid().nodes / 4.0)[:, None, None]
+    _, law = solve_cc(p)
+    Ns = [10, 100, 1000]
+    for order in (Ns, Ns[::-1]):
+        rep = lambda_boundedness(p, law, order)
+        for pair in rep.pairs:
+            alone = lambda_boundedness(p, law, [pair.N]).pairs[0]
+            assert alone.N == pair.N
+            assert np.array_equal(pair.lam1.values, alone.lam1.values)
+            assert np.array_equal(pair.lam2.values, alone.lam2.values)
+            assert (pair.sup1, pair.sup2) == (alone.sup1, alone.sup2)
+
+
 def _scalar(v):
     return np.array([[float(v)]])
 

@@ -12,8 +12,9 @@ from mflqg.consistency import (
     solve_cc,
     solve_kappa,
 )
-from mflqg.errors import NotReducedCaseError
-from mflqg.ode import Trajectory
+from mflqg import consistency
+from mflqg.errors import NearSingularError, NotReducedCaseError
+from mflqg.ode import Trajectory, integrate_rk4, interp
 from mflqg.presets import repro_instance
 from mflqg.riccati import solve_P, solve_phi, theta1
 
@@ -102,6 +103,30 @@ def test_explicit_K_matches_backward_solve(rng):
         assert np.max(np.abs(K.values - Kx.values)) < 1e-5
         assert np.max(np.abs(Kx.terminal)) < 1e-12
         hits += 1
+
+
+def test_explicit_K_names_first_nearly_singular_node(rng, monkeypatch):
+    # a reference loop over the nodes of a stagewise transition-matrix sweep
+    # picks the first node under a raised tolerance; the batched check must
+    # name the same one
+    p = reduced_params(rng, n=1, m=1, steps=120)
+    P, _ = solve_P(p)
+    cc = build_cc(p, P)
+    n6 = 6 * cc.n
+
+    def rhs(t, Psi):
+        a1t, b1t, _, _, a2t, b2t, _, _ = interp(cc.tilde, cc.grid.dt, t)
+        return -Psi @ np.block([[a1t, b1t], [a2t, b2t]])
+
+    Psi = integrate_rk4(rhs, np.eye(2 * n6), cc.grid, "backward").values
+    sv = np.array([np.linalg.svd(Pk[n6:, n6:], compute_uv=False)[-1] for Pk in Psi])
+    ranked = np.sort(sv)
+    tol = float(0.5 * (ranked[40] + ranked[41]))
+    first = next(k for k, s in enumerate(sv) if s < tol)
+    assert np.min(np.abs(sv / tol - 1.0)) > 1e-9
+    monkeypatch.setattr(consistency, "REDUCED_SV_TOL", tol)
+    with pytest.raises(NearSingularError, match=rf"at node {first}: "):
+        explicit_K_reduced(cc)
 
 
 def test_explicit_K_rejects_unreduced(rng):

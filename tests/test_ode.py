@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mflqg import ode
 from mflqg.errors import NonFiniteError, NotSymmetricError
 from mflqg.ode import (
     TimeGrid,
     Trajectory,
     eigvals_sym,
+    integrate_linear,
     integrate_rk4,
+    interp,
     is_psd,
     quadrature,
     trapezoid_nodes,
@@ -80,6 +83,87 @@ def test_interpolation_exact_at_nodes_and_linear_between():
     assert traj(0.25) == 1.0
     assert traj(0.375) == pytest.approx(2.5)
     assert traj(1.0) == 16.0
+
+
+def test_interp_array_of_times_equals_scalar_calls():
+    rng = np.random.default_rng(11)
+    g = TimeGrid(1.5, 30)
+    table = rng.standard_normal((g.steps + 1, 3, 2))
+    ts = np.concatenate([g.nodes[::4], rng.uniform(-0.2, 1.7, 40)]).reshape(2, -1)
+    got = interp(table, g.dt, ts)
+    assert got.shape == ts.shape + (3, 2)
+    want = np.stack([[interp(table, g.dt, t) for t in row] for row in ts])
+    assert np.array_equal(got, want)
+
+
+def _linear_system(rng, d, cols, source):
+    """Random smooth time-varying dy/dt = M(t) y + s(t), callable on a time or
+    on an array of times; cols = None gives a vector state."""
+    M0, M1, M2 = (rng.standard_normal((d, d)) for _ in range(3))
+    shape = (d,) if cols is None else (d, cols)
+    s0, s1 = (rng.standard_normal(shape) for _ in range(2))
+
+    def M(t):
+        t = np.asarray(t)[..., None, None]
+        return M0 + t * M1 + np.sin(3.0 * t) * M2
+
+    def s(t):
+        t = np.asarray(t).reshape(np.shape(t) + (1,) * len(shape))
+        return np.cos(2.0 * t) * s0 + t * s1
+
+    def rhs(t, y):
+        dy = M(t) @ y
+        return dy + s(t) if source else dy
+
+    def coeffs(ts):
+        return M(ts), (s(ts) if source else None)
+
+    return rhs, coeffs, rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("source", [True, False], ids=["source", "homogeneous"])
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+@pytest.mark.parametrize("cols", [None, 3], ids=["vector", "matrix"])
+def test_integrate_linear_matches_stagewise_rk4(cols, direction, source):
+    rng = np.random.default_rng(17)
+    g = TimeGrid(1.3, 300)
+    for d in (1, 4):
+        rhs, coeffs, y0 = _linear_system(rng, d, cols, source)
+        old = integrate_rk4(rhs, y0, g, direction).values
+        new = integrate_linear(coeffs, y0, g, direction).values
+        assert new.shape == old.shape
+        assert np.max(np.abs(new - old)) <= 1e-12 * (1.0 + np.max(np.abs(old)))
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_integrate_linear_blowup_names_the_same_node(direction):
+    g = TimeGrid(1.0, 100)
+    rate = 40.0 if direction == "forward" else -40.0
+    y0 = np.array([1.0, 0.5])
+
+    def coeffs(ts):
+        return np.broadcast_to(rate * np.eye(2), ts.shape + (2, 2)), None
+
+    with pytest.raises(NonFiniteError) as old:
+        integrate_rk4(lambda t, y: rate * y, y0, g, direction)
+    with pytest.raises(NonFiniteError) as new:
+        integrate_linear(coeffs, y0, g, direction)
+    assert str(new.value) == str(old.value)
+    assert "blow-up detected at node" in str(new.value)
+
+
+@pytest.mark.parametrize("cols", [None, 2], ids=["vector", "matrix"])
+def test_integrate_linear_independent_of_chunk_size(monkeypatch, cols):
+    rng = np.random.default_rng(3)
+    g = TimeGrid(1.0, 100)   # the default chunk splits this into 4 chunks
+    _, coeffs, y0 = _linear_system(rng, 3, cols, source=True)
+    for direction in ("forward", "backward"):
+        ref = integrate_linear(coeffs, y0, g, direction).values
+        for chunk in (1, 7):
+            monkeypatch.setattr(ode, "LINEAR_CHUNK_STEPS", chunk)
+            got = integrate_linear(coeffs, y0, g, direction).values
+            assert np.array_equal(got, ref)
+        monkeypatch.undo()
 
 
 def test_quadrature_constant_and_linear_exact():

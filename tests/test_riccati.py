@@ -76,10 +76,10 @@ def test_theta1_hand_cases():
     assert np.max(np.abs(theta1(P, p2).values)) == 0.0
 
 
-@pytest.mark.parametrize("gain", ["theta1", "theta2"])
+@pytest.mark.parametrize("gain", ["theta1", "theta2", "solve_phi"])
 def test_singular_gain_denominator_names_its_node(gain):
     # R = I, D = I and P(t_7) = -diag(1, 1/2) make R + D'PD = diag(0, 1/2)
-    # singular at node 7 only
+    # singular at node 7 only; solve_phi meets it at the RK4 stages there
     p = rand_params(np.random.default_rng(0), n=2, m=2, steps=10)
     p.R = np.eye(2)
     p.D = np.eye(2)
@@ -89,7 +89,12 @@ def test_singular_gain_denominator_names_its_node(gain):
     P = Trajectory(grid, Pv)
     z = zero_traj(grid, (2,))
     with pytest.raises(RegularityLostError, match=r"singular at node 7$"):
-        theta1(P, p) if gain == "theta1" else theta2(P, z, z, p)
+        if gain == "theta1":
+            theta1(P, p)
+        elif gain == "theta2":
+            theta2(P, z, z, p)
+        else:
+            solve_phi(P, p, z, z, z, z)
 
 
 def zero_traj(grid, shape):
