@@ -9,12 +9,14 @@ centralized laws under common random numbers and reports the per-capita cost
 gap with its standard error; the gap must be nonnegative up to Monte Carlo
 noise (the oracle is the minimizer) and shrink as N grows.
 
-The Lyapunov kernels of every N run as one stagewise RK4 sweep with a
-leading N axis; it does per N exactly the operations of a sweep of its own,
-so each N's kernels are bit-identical to a single-N run.  Their N-free bound
-pair is a second stagewise sweep.  Both equations are linear, but they
-multiply the state from both sides, which the left-multiplying step maps of
-ode.integrate_linear do not cover.
+The Lyapunov kernels and their N-free bound pair are linear matrix equations
+with products on both sides of the state.  On the row-major vec of the pair,
+vec(X Lam Y) = (X (x) Y') vec Lam, so each becomes a 2n^2-dimensional
+equation with a generator that multiplies from the left, and both run as RK4
+step maps through ode.integrate_linear.  The kernels of every N share one
+sweep on a leading batch axis; it does per N exactly the operations of a
+sweep of its own, so each N's kernels are bit-identical to a single-N run.
+The bound pair is the same call with constant coefficients.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ import numpy as np
 
 from .consistency import solve_cc
 from .convexity import check_psd_case
-from .model import AugmentedCoeffs, ModelParams
+from .model import AugmentedCoeffs, ModelParams, check_population_size
 from .errors import NonFiniteError
-from .ode import Trajectory, integrate_rk4, interp
+from .ode import Trajectory, integrate_linear, interp
 from .riccati import FeedbackLaw, solve_oracle
 from .montecarlo import NoiseBank, simulate_centralized, simulate_decentralized
 
@@ -142,6 +144,40 @@ def _spread(sups) -> float:
     return float((sups.max() - sups.min()) / max(sups.max(), 1e-30))
 
 
+def _T(X):
+    return np.swapaxes(X, -1, -2)
+
+
+def _kron(X, Y):
+    """X (x) Y of stacked n x n matrices; leading axes broadcast.
+
+    On the row-major vec of an n x n state, vec(X Lam Y) = (X (x) Y') vec Lam.
+    """
+    n = X.shape[-1]
+    prod = X[..., :, None, :, None] * Y[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (n * n, n * n))
+
+
+def _right(X):
+    """Generator of Lam -> Lam X on the row-major vec of Lam."""
+    return _kron(np.eye(X.shape[-1]), _T(X))
+
+
+def _left(X):
+    """Generator of Lam -> X Lam on the row-major vec of Lam."""
+    return _kron(X, np.eye(X.shape[-1]))
+
+
+def _vec_pair(X1, X2):
+    """The vectorized state (vec X1, vec X2) of a pair of n x n matrices."""
+    return np.concatenate([X1.ravel(), X2.ravel()])
+
+
+def _unvec_pair(values, n):
+    """Inverse of _vec_pair along the last axis: (..., 2n^2) -> (..., 2, n, n)."""
+    return values.reshape(values.shape[:-1] + (2, n, n))
+
+
 def lambda_boundedness(params: ModelParams, law: FeedbackLaw, N_list) -> LambdaReport:
     """Integrate the coupled adjoint kernels and their N-free bound pair.
 
@@ -180,7 +216,19 @@ def lambda_boundedness(params: ModelParams, law: FeedbackLaw, N_list) -> LambdaR
     out of that spread: there Lam2 is identically zero and the weight
     vanishes.
     `LambdaPair.sup1` and `sup2` hold the raw sup norms.
+
+    Both sweeps are RK4 step maps of the vectorized pair (vec Lam1, vec Lam2),
+    with generator blocks Lam X -> I (x) X', X Lam -> X (x) I and
+    X Lam Y -> X (x) Y'.  Building a step map costs O(n^6) against O(n^3) for
+    a stagewise step.  Over 1000 steps with N in {10, 100, 1000}, on one core
+    of a 2-core x86 host, the call was 11x faster than stagewise sweeps at
+    n = 1, 9x at n = 2, 1.5x at n = 4, and 3x slower at n = 6.  Every N
+    entry must be a positive integer (InvalidNError, raised before any
+    sweep).
     """
+    N_list = list(N_list)
+    for N in N_list:
+        check_population_size(N)
     grid = law.grid
     n = params.n
     tabs = {k: params.node_table(k) for k in ("A", "B", "C", "D", "F", "Ftilde", "Q")}
@@ -193,26 +241,29 @@ def lambda_boundedness(params: ModelParams, law: FeedbackLaw, N_list) -> LambdaR
     coeffs = np.stack([tabs["A"], tabs["F"], tabs["C"], tabs["Ftilde"], tabs["Q"], bth, dth],
                       axis=1)
 
-    # every N in one sweep: the state carries a leading N axis, and 1/N and
-    # (N-1)/N are (k, 1, 1) arrays, so each N's kernels are the same
-    # floating-point operations as in a sweep of its own
+    # every N in one sweep, on a leading batch axis of the state; s = 1/N and
+    # w = (N-1)/N enter the generator elementwise as (N, 1, 1) arrays, so each
+    # N's kernels are the same floating-point operations as in a sweep alone
     Ns = np.array(N_list, dtype=float).reshape(-1, 1, 1)
-    weight = (Ns - 1) / Ns
+    s, w = 1.0 / Ns, (Ns - 1) / Ns
 
-    def rhs(t, lam):
-        lam1, lam2 = lam[:, 0], lam[:, 1]
-        A, F, C, Ft, Q, BTh, DTh = interp(coeffs, grid.dt, t)
-        closed = A + BTh
-        d1 = -(lam1 @ (closed + F / Ns) + A.T @ lam1
-               - C.T @ lam1 @ (C + DTh + Ft / Ns) + (lam2 / Ns) @ F + Q)
-        d2 = -(lam2 @ (closed + weight * F) + A.T @ lam2
-               + weight * (lam1 @ F - C.T @ lam1 @ Ft))
-        return np.stack([d1, d2], axis=1)
+    def kernel_tables(ts):
+        # each coefficient as (steps, 3, 1, n, n): a batch axis of size 1
+        A, F, C, Ft, Q, BTh, DTh = np.moveaxis(interp(coeffs, grid.dt, ts), 2, 0)[:, :, :, None]
+        base = _right(A + BTh) + _left(_T(A))
+        cross = _kron(_T(C), _T(C + DTh))
+        right_F = _right(F)
+        coupling = right_F - _kron(_T(C), _T(Ft))
+        gen = -np.block([[base - cross + s * coupling, s * right_F],
+                         [w * coupling, base + w * right_F]])
+        src = np.concatenate([-Q.reshape(ts.shape + (1, n * n)),
+                              np.zeros(ts.shape + (1, n * n))], axis=-1)
+        return gen, src
 
     pairs = []
-    if len(Ns):
-        terminal = np.broadcast_to(np.stack([params.G, np.zeros((n, n))]), (len(Ns), 2, n, n))
-        lam = integrate_rk4(rhs, terminal, grid, "backward").values
+    if N_list:
+        terminal = np.broadcast_to(_vec_pair(params.G, np.zeros((n, n))), (len(N_list), 2 * n * n))
+        lam = _unvec_pair(integrate_linear(kernel_tables, terminal, grid, "backward").values, n)
         for j, N in enumerate(N_list):
             lam1 = Trajectory(grid, lam[:, j, 0])
             lam2 = Trajectory(grid, lam[:, j, 1])
@@ -221,21 +272,24 @@ def lambda_boundedness(params: ModelParams, law: FeedbackLaw, N_list) -> LambdaR
                                     sup2=float(np.max(np.abs(lam2.values)))))
 
     E = np.ones((n, n))
+    right_E, left_E, EE = _right(E), _left(E), _kron(E, E)
+    bound_gen = -np.block([[3 * L * right_E + L * left_E + 3 * L**2 * EE, L * right_E],
+                           [L * right_E + L**2 * EE, 3 * L * right_E + L * left_E]])
+    bound_src = _vec_pair(-L * E, np.zeros((n, n)))
 
-    def bound_rhs(t, lam):
-        b1, b2 = lam[0], lam[1]
-        d1 = -(3 * L * b1 @ E + L * E @ b1 + 3 * L**2 * E @ b1 @ E + L * b2 @ E + L * E)
-        d2 = -(3 * L * b2 @ E + L * E @ b2 + L * b1 @ E + L**2 * E @ b1 @ E)
-        return np.stack([d1, d2])
+    def bound_tables(ts):
+        return (np.broadcast_to(bound_gen, ts.shape + bound_gen.shape),
+                np.broadcast_to(bound_src, ts.shape + bound_src.shape))
 
-    bterm = np.stack([np.abs(params.G), np.zeros((n, n))])
     try:
-        bounds = integrate_rk4(bound_rhs, bterm, grid, "backward")
+        bounds = integrate_linear(bound_tables, _vec_pair(np.abs(params.G), np.zeros((n, n))),
+                                  grid, "backward")
     except NonFiniteError:
         bound1 = bound2 = None
     else:
-        bound1 = Trajectory(grid, bounds.values[:, 0])
-        bound2 = Trajectory(grid, bounds.values[:, 1])
+        bvals = _unvec_pair(bounds.values, n)
+        bound1 = Trajectory(grid, bvals[:, 0])
+        bound2 = Trajectory(grid, bvals[:, 1])
 
     slack = 1e-12
     dominated = bound1 is not None and all(

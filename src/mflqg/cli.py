@@ -24,7 +24,7 @@ from . import __version__
 from .analysis import convergence_study, gap_study, lambda_boundedness
 from .consistency import solve_cc
 from .convexity import report_all, check_coupled_indefinite, check_decoupled_indefinite
-from .errors import ConfigError, MFLQGError
+from .errors import ConfigError, MFLQGError, SettingError
 from .model import ModelParams, load_config, save_config, validate
 from .ode import TimeGrid, Trajectory
 from .presets import repro_instance
@@ -119,6 +119,19 @@ def load_law(law_dir: Path) -> tuple[FeedbackLaw, Trajectory, str]:
     )
     xhat = Trajectory(grid, np.asarray(doc["xhat"]["samples"]))
     return law, xhat, sha256_of(path)
+
+
+def _parse_int_list(text: str, flag: str) -> list[int]:
+    """Comma-separated integers of a list option; empty entries are skipped."""
+    out = []
+    for entry in text.split(","):
+        if not entry:
+            continue
+        try:
+            out.append(int(entry))
+        except ValueError:
+            raise SettingError(f"{flag}: entry {entry!r} is not an integer") from None
+    return out
 
 
 def _verdict_doc(v) -> dict:
@@ -245,12 +258,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_converge(args) -> int:
     t0 = time.time()
+    N_list = _parse_int_list(args.N_list, "--N-list")
     params = load_config(args.config)
     law, xhat, law_hash = load_law(Path(args.law))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfg = _stash_config(Path(args.config), params, out)
-    N_list = [int(s) for s in args.N_list.split(",") if s]
     table = convergence_study(params, law, xhat, N_list, args.reps, args.seed)
     artifacts = [write_csv(out / "convergence.csv",
                            ["N", "replications", "estimate", "se"],
@@ -265,11 +278,11 @@ def cmd_converge(args) -> int:
 
 def cmd_gap(args) -> int:
     t0 = time.time()
+    N_list = _parse_int_list(args.N_list, "--N-list")
     params = load_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfg = _stash_config(Path(args.config), params, out)
-    N_list = [int(s) for s in args.N_list.split(",") if s]
     table = gap_study(params, N_list, args.paths, args.seed)
     artifacts = [write_csv(out / "gap.csv",
                            ["N", "J_dec_per_capita", "J_oracle_per_capita", "gap_per_capita", "se"],
@@ -286,6 +299,7 @@ def cmd_gap(args) -> int:
 
 def cmd_repro(args) -> int:
     t0 = time.time()
+    N_list = _parse_int_list(args.n_list, "--n-list")
     params = repro_instance(steps=args.steps)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -299,7 +313,6 @@ def cmd_repro(args) -> int:
     artifacts.append(write_csv(out / "trajectories.csv",
                                ["t", "xhat_1", "xhat_2", "xavg_1", "xavg_2"], rows))
 
-    N_list = [int(s) for s in args.n_list.split(",") if s]
     table = convergence_study(params, law, sol.xhat, N_list, args.reps, args.seed)
     artifacts.append(write_csv(out / "convergence.csv",
                                ["N", "replications", "estimate", "se"],

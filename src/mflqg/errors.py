@@ -30,16 +30,16 @@ class CouplingPresentError(MFLQGError):
     """An operation that requires F = Ftilde = 0 was called with coupling."""
 
 
-class InvalidNError(MFLQGError):
-    """Population size out of range for the requested operation."""
-
-
 class ConfigError(MFLQGError):
     """Base class for bad input: configuration files and run settings."""
 
 
 class SettingError(ConfigError):
     """A run setting (path or agent count, MFLQG_THREADS) is out of range."""
+
+
+class InvalidNError(SettingError):
+    """Population size out of range for the requested operation."""
 
 
 class ParseError(ConfigError):

@@ -211,9 +211,14 @@ def _assemble_augmented(N, n, m, A, B, C, D, F, Ftilde, Q, R, G, Gamma, GammaBar
                            Qhat=Qhat, Ghat=Ghat)
 
 
-def _check_population(params: ModelParams, N: int):
-    if not (isinstance(N, int) and N >= 1):
+def check_population_size(N):
+    """Raise InvalidNError unless N is a positive integer."""
+    if not (isinstance(N, (int, np.integer)) and N >= 1):
         raise InvalidNError(f"population size must be a positive integer, got {N!r}")
+
+
+def _check_population(params: ModelParams, N: int):
+    check_population_size(N)
     if N * params.n > MAX_AUGMENTED_DIM:
         raise InvalidNError(
             f"refusing to materialize an {N * params.n}-dimensional stacked system "

@@ -9,16 +9,19 @@ simulator matter more here than adaptive efficiency.
 Two sweeps share the grid and the stage times t_k, t_k + h/2, t_k + h:
 
 * :func:`integrate_rk4` calls a right-hand side at every stage.  The
-  nonlinear Riccati equations (P, K, the oracle's P) need it.  So do the
-  Lyapunov kernels and their bound pair, which multiply the state from both
-  sides, and the oracle's affine adjoint, kept as it is so that its
-  stationarity verdicts do not move.
+  nonlinear Riccati equations (P, K, the oracle's P) need it.  So does the
+  oracle's affine adjoint, kept as it is so that its stationarity verdicts
+  do not move.
 * :func:`integrate_linear` takes a linear equation dy/dt = M(t) y + s(t) as a
-  function that samples M and s on many stage times at once.  One RK4 step
-  of a linear equation is an affine map of the state, so the maps are built
-  in batched chunks and the step loop does one matrix product per step.  The
+  function that samples M and s on many stage times at once, optionally for
+  a batch of equations on leading axes of the state.  One RK4 step of a
+  linear equation is an affine map of the state, so the maps are built in
+  batched chunks and the step loop does one matrix product per step.  The
   affine kappa, the condition-37 transition matrix, the mean path X1, the phi
-  cross-check and the closed-form K of the reduced case run on it.
+  cross-check, the closed-form K of the reduced case, and the Lyapunov
+  kernels and their bound pair run on it.  The Lyapunov equations multiply
+  their matrix state from both sides; written on its row-major vec, with
+  vec(X Y Z) = (X (x) Z') vec Y, they multiply from the left only.
 
 Every node-sampled quantity (trajectories, time-varying coefficients, the
 consistency-condition blocks) is read between nodes through the one
@@ -171,8 +174,9 @@ def integrate_rk4(rhs, boundary_value, grid: TimeGrid, direction: str = "forward
 def _step_maps(M: np.ndarray, s: np.ndarray | None, h: float):
     """Increment maps of RK4 steps of dy/dt = M y + s: y_next = y + D y + g.
 
-    M is (steps, 3, d, d) and s (steps, 3, d, c) or None, sampled at the stage
-    times t_k, t_k + h/2, t_k + h; the two middle stages share t_k + h/2.
+    M is (steps, 3, ..., d, d) and s (steps, 3, ..., d, c) or None, sampled at
+    the stage times t_k, t_k + h/2, t_k + h, with any batch axes in between;
+    the two middle stages share t_k + h/2.
     """
     M1, M2, M4 = M[:, 0], M[:, 1], M[:, 2]
     K2 = M2 + (0.5 * h) * (M2 @ M1)
@@ -195,17 +199,22 @@ def integrate_linear(coeffs, boundary_value, grid: TimeGrid,
     ``coeffs(ts)`` samples the equation at an array ``ts`` of shape
     (steps, 3) holding each step's stage times t_k, t_k + h/2, t_k + h (formed
     as :func:`integrate_rk4` forms them) and returns ``(M, s)``: M of shape
-    ts.shape + (d, d), and s of shape ts.shape + y.shape, or None when the
-    equation has no source.  The state y is a vector or a matrix that M
-    multiplies from the left.
+    ts.shape + batch + (d, d), and s of shape ts.shape + y.shape, or None
+    when the equation has no source.  The state y has shape batch + (d,) or
+    batch + (d, c): a vector or a matrix that M multiplies from the left, for
+    each entry of the leading batch axes.  ``batch`` is read off M and may be
+    empty; a batch axis of s may be 1 where every entry shares the source.
 
     One RK4 step of a linear equation is exactly an affine map
     y -> y + D_k y + g_k, D_k a degree-4 polynomial in h M at the step's stage
     times.  The maps are built LINEAR_CHUNK_STEPS steps at a time with batched
-    products, so the step loop makes one matrix product per step and holds
-    coefficient tables for one chunk only.  The result equals
-    :func:`integrate_rk4` on the same equation up to rounding, does not depend
-    on the chunk size, and is checked for blow-up at every node the same way.
+    products, so the step loop makes one (batched) matrix product per step
+    and holds coefficient tables for one chunk only.  Building a map costs
+    O(d^3) against O(d^2 c) for one stage of :func:`integrate_rk4`.  The
+    result equals :func:`integrate_rk4` on the same equation up to rounding,
+    does not depend on the chunk size, gives each batch entry exactly the
+    operations of a sweep of its own, and is checked for blow-up (over all
+    batch entries) at every node the same way.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")
@@ -219,15 +228,18 @@ def integrate_linear(coeffs, boundary_value, grid: TimeGrid,
     shift = 1 if forward else -1
     out = np.empty((steps + 1,) + y0.shape)
     out[order[0]] = y0
-    cols = out.reshape(steps + 1, y0.shape[0], -1)   # a vector state as a column
-    y = cols[order[0]]
     for start in range(0, steps, LINEAR_CHUNK_STEPS):
         ks = order[start:start + LINEAR_CHUNK_STEPS]
         t = nodes[ks]
         ts = np.stack([t, t + 0.5 * h, t + h], axis=1)
         M, s = coeffs(ts)
+        if start == 0:
+            # node axis, then M's batch axes, then the state as (d, c); a
+            # vector state is a single column
+            cols = out.reshape(out.shape[:M.ndim - 3] + (M.shape[-1], -1))
+            y = cols[order[0]]
         if s is not None:
-            s = np.reshape(s, ts.shape + y.shape)
+            s = np.reshape(s, s.shape[:M.ndim - 2] + y.shape[-2:])
         D, g = _step_maps(M, s, h)
         for j, k in enumerate(ks):
             y = y + (D[j] @ y if g is None else D[j] @ y + g[j])

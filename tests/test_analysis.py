@@ -5,8 +5,9 @@ import pytest
 
 from mflqg.analysis import convergence_study, gap_study, lambda_boundedness
 from mflqg.consistency import solve_cc
+from mflqg.errors import InvalidNError
 from mflqg.model import ModelParams
-from mflqg.ode import Trajectory, integrate_rk4
+from mflqg.ode import Trajectory, integrate_rk4, interp
 from mflqg.presets import repro_instance
 from mflqg.riccati import FeedbackLaw
 
@@ -161,6 +162,103 @@ def test_lambda_batch_over_N_is_bit_equal_to_single_N_sweeps():
             assert np.array_equal(pair.lam1.values, alone.lam1.values)
             assert np.array_equal(pair.lam2.values, alone.lam2.values)
             assert (pair.sup1, pair.sup2) == (alone.sup1, alone.sup2)
+
+
+def _stagewise_lambda(params, law, N_list):
+    """Reference: the kernels of every N and the bound pair as stagewise RK4
+    sweeps of the matrix equations (two-sided products, no vectorization).
+
+    Returns the kernels as (nodes, N, 2, n, n) and the bound pair as
+    (nodes, 2, n, n).
+    """
+    grid = law.grid
+    n = params.n
+    tabs = {k: params.node_table(k) for k in ("A", "B", "C", "D", "F", "Ftilde", "Q")}
+    bth = np.einsum("kij,kjl->kil", tabs["B"], law.Theta1.values)
+    dth = np.einsum("kij,kjl->kil", tabs["D"], law.Theta1.values)
+    L = max(np.max(np.abs(t)) for t in
+            (tabs["A"], tabs["F"], tabs["C"], tabs["Ftilde"], tabs["Q"], bth, dth))
+    coeffs = np.stack([tabs["A"], tabs["F"], tabs["C"], tabs["Ftilde"], tabs["Q"], bth, dth],
+                      axis=1)
+    Ns = np.array(N_list, dtype=float).reshape(-1, 1, 1)
+    weight = (Ns - 1) / Ns
+
+    def rhs(t, lam):
+        lam1, lam2 = lam[:, 0], lam[:, 1]
+        A, F, C, Ft, Q, BTh, DTh = interp(coeffs, grid.dt, t)
+        closed = A + BTh
+        d1 = -(lam1 @ (closed + F / Ns) + A.T @ lam1
+               - C.T @ lam1 @ (C + DTh + Ft / Ns) + (lam2 / Ns) @ F + Q)
+        d2 = -(lam2 @ (closed + weight * F) + A.T @ lam2
+               + weight * (lam1 @ F - C.T @ lam1 @ Ft))
+        return np.stack([d1, d2], axis=1)
+
+    terminal = np.broadcast_to(np.stack([params.G, np.zeros((n, n))]), (len(Ns), 2, n, n))
+    lam = integrate_rk4(rhs, terminal, grid, "backward").values
+
+    E = np.ones((n, n))
+
+    def bound_rhs(t, b):
+        b1, b2 = b[0], b[1]
+        d1 = -(3 * L * b1 @ E + L * E @ b1 + 3 * L**2 * E @ b1 @ E + L * b2 @ E + L * E)
+        d2 = -(3 * L * b2 @ E + L * E @ b2 + L * b1 @ E + L**2 * E @ b1 @ E)
+        return np.stack([d1, d2])
+
+    bounds = integrate_rk4(bound_rhs, np.stack([np.abs(params.G), np.zeros((n, n))]),
+                           grid, "backward").values
+    return lam, bounds
+
+
+def _time_varying_repro(steps):
+    p = repro_instance(steps=steps)
+    t = p.grid().nodes
+    p.A = p.A * (1.0 + t / 4.0)[:, None, None]
+    p.B = p.B * (1.0 - t / 5.0)[:, None, None]
+    p.Q = p.Q * (1.0 + t)[:, None, None]
+    p.Ftilde = p.Ftilde * (1.0 - 0.3 * t)[:, None, None]
+    p.eta = p.eta * np.cos(t)[:, None]
+    return p
+
+
+@pytest.mark.parametrize("instance", ["repro", "time_varying", "random_n3"])
+def test_lambda_step_maps_match_stagewise_reference(instance):
+    # the vectorized step-map sweeps must reproduce the stagewise matrix
+    # equations to rounding: every kernel and both bounds, at every node
+    if instance == "repro":
+        p = repro_instance(steps=300)
+    elif instance == "time_varying":
+        p = _time_varying_repro(300)
+    else:
+        # at n = 3 the bound pair overflows beyond T of about 0.3
+        p = rand_params(np.random.default_rng(31), n=3, m=2, T=0.2, steps=200)
+    _, law = solve_cc(p)
+    Ns = [1, 10, 100, 1000]
+    rep = lambda_boundedness(p, law, Ns)
+    lam, bounds = _stagewise_lambda(p, law, Ns)
+
+    def close(ref, got):
+        return np.max(np.abs(got - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
+
+    for j, pair in enumerate(rep.pairs):
+        assert close(lam[:, j, 0], pair.lam1.values)
+        assert close(lam[:, j, 1], pair.lam2.values)
+    assert close(bounds[:, 0], rep.bound1.values)
+    assert close(bounds[:, 1], rep.bound2.values)
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.5])
+def test_lambda_rejects_bad_population_before_sweeping(bad, monkeypatch):
+    from mflqg import analysis
+
+    p = repro_instance(steps=100)
+    _, law = solve_cc(p)
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran before the N list was validated")
+
+    monkeypatch.setattr(analysis, "integrate_linear", no_sweep)
+    with pytest.raises(InvalidNError, match="population size must be a positive integer"):
+        lambda_boundedness(p, law, [10, bad])
 
 
 def _scalar(v):

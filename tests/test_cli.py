@@ -201,6 +201,26 @@ def test_bad_run_settings_are_validation_failures(tmp_path, monkeypatch, capsys)
     assert "validation failure: MFLQG_THREADS must be an integer" in capsys.readouterr().err
 
 
+def test_bad_population_is_validation_failure(tmp_path):
+    r = run_cli(["gap", str(CONFIG), "--N-list", "0", "--paths", "10", "--seed", "1",
+                 "--out", str(tmp_path / "gap")])
+    assert r.returncode == 1
+    assert "validation failure: population size must be a positive integer" in r.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["gap", str(CONFIG), "--N-list", "2,x", "--paths", "10"],
+    ["converge", str(CONFIG), "--law", "nolaw", "--N-list", "2,x", "--reps", "2"],
+    ["repro-sec7", "--n-list", "10,x"],
+], ids=["gap", "converge", "repro-sec7"])
+def test_unparsable_N_list_is_validation_failure(tmp_path, command):
+    r = run_cli(command + ["--seed", "1", "--out", str(tmp_path / "out")])
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    assert "entry 'x' is not an integer" in r.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_oversized_validation_bank_is_numerical_failure(tmp_path, monkeypatch, capsys):
     # fd_tol = 0 leaves the first reading inconclusive, and the re-measurement's
     # bank (16384 paths x 2 agents x 100 steps) exceeds the lowered budget

@@ -153,6 +153,35 @@ def test_integrate_linear_blowup_names_the_same_node(direction):
 
 
 @pytest.mark.parametrize("cols", [None, 2], ids=["vector", "matrix"])
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_integrate_linear_batch_axes_equal_per_entry_sweeps(direction, cols):
+    # a (2, 3) batch of equations in one sweep: each entry's trajectory must
+    # be bit-equal to a sweep of that entry alone; the source is shared by
+    # the second batch axis (size 1 there)
+    rng = np.random.default_rng(11)
+    g = TimeGrid(1.0, 100)
+    d = 3
+    shape = (d,) if cols is None else (d, cols)
+    M0 = rng.standard_normal((2, 3, d, d))
+    M1 = rng.standard_normal((2, 3, d, d))
+    s0 = rng.standard_normal((2, 1) + shape)
+    y0 = rng.standard_normal((2, 3) + shape)
+
+    def tables(ts, M0, M1, s0):
+        def times(x):
+            return ts.reshape(ts.shape + (1,) * x.ndim)
+        return M0 + np.sin(times(M0)) * M1, np.cos(times(s0)) * s0
+
+    batched = integrate_linear(lambda ts: tables(ts, M0, M1, s0), y0, g, direction).values
+    assert batched.shape == (g.steps + 1, 2, 3) + shape
+    for i in range(2):
+        for j in range(3):
+            alone = integrate_linear(lambda ts: tables(ts, M0[i, j], M1[i, j], s0[i, 0]),
+                                     y0[i, j], g, direction).values
+            assert np.array_equal(batched[:, i, j], alone)
+
+
+@pytest.mark.parametrize("cols", [None, 2], ids=["vector", "matrix"])
 def test_integrate_linear_independent_of_chunk_size(monkeypatch, cols):
     rng = np.random.default_rng(3)
     g = TimeGrid(1.0, 100)   # the default chunk splits this into 4 chunks
