@@ -45,8 +45,9 @@ def write_csv(path: Path, header: list[str], rows) -> Path:
 
 
 def write_json(path: Path, doc: dict) -> Path:
+    """Strict JSON: a NaN or infinity raises instead of being written bare."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return path
 
@@ -200,6 +201,11 @@ def _solve_into(params: ModelParams, out: Path, config_src: Path | None,
     return sol, law, cfg, artifacts
 
 
+def _fitted(x: float) -> float | None:
+    """A fitted coefficient, or None (JSON null) when it could not be fitted."""
+    return float(x) if np.isfinite(x) else None
+
+
 def _json_safe(doc):
     if isinstance(doc, dict):
         return {k: _json_safe(v) for k, v in doc.items()}
@@ -269,7 +275,8 @@ def cmd_converge(args) -> int:
                            ["N", "replications", "estimate", "se"],
                            [[str(N), str(reps), est, se] for N, reps, est, se in table.rows])]
     artifacts.append(write_json(out / "summary.json",
-                                {"slope": table.slope, "intercept": table.intercept}))
+                                {"slope": _fitted(table.slope),
+                                 "intercept": _fitted(table.intercept)}))
     _write_manifest(out, "converge", cfg, args.seed, law.grid, artifacts, t0,
                     extra={"law_sha256": law_hash, "replications": args.reps})
     print(f"slope {table.slope:.4f} written to {out}")
@@ -323,7 +330,7 @@ def cmd_repro(args) -> int:
         "sup_norm_distance": float(np.max(np.abs(res.xavg.mean(axis=0) - sol.xhat.values))),
         "sup_sq_distance_mean": float(np.mean(np.max(
             np.sum((res.xavg - sol.xhat.values) ** 2, axis=2), axis=1))),
-        "convergence_slope": table.slope,
+        "convergence_slope": _fitted(table.slope),
         "convexity": {k: _verdict_doc(v) for k, v in report_all(params).items()},
         "lyapunov": {"dominated": lam.dominated, "uniform": lam.uniform,
                      "spread_lam1": lam.max_spread1, "spread_lam2": lam.max_spread2},

@@ -6,17 +6,33 @@ any increment regenerates bit-identically however work is chunked.  Chunk
 boundaries depend on sizes alone and each chunk writes its own slice of the
 output, so results are bit-identical under any MFLQG_THREADS.
 
-One kernel, :func:`_em`, steps every simulation on state planes, one
-(..., paths, agents) array per coordinate, with the n x n and n x m products
-unrolled into multiply-adds.  Each agent follows its own dynamics
-x_i += (A x_i + B u_i + F xavg) dt + (C x_i + D u_i + Ftilde xavg) dW_i, the
-same-step state-average in drift and diffusion, and its trapezoid cost
-accumulates online on the same planes.  Callers pass only the control: the
-decentralized u_i = Theta1 x_i + Theta2, or the centralized u = gain x +
-affine of the stacked system (the same agents in nN coordinates).  Leading
-plane axes carry variants, so the oracle's stationarity check runs a law and
-its perturbations as one pass over one bank.  Full trajectories are kept
-only within the storage budget; :func:`social_cost` recomputes costs from them.
+Every control law here is affine in the state, so one kernel, :func:`_em`,
+steps a law folded into per-node tables before the loop: the drift
+increment map dt(A + B gain), the diffusion map C + D gain, their offsets
+dt B affine and D affine, and the cost as one quadratic form z'Hz + 2 l'z + c
+(the Q part plus gain' R gain; trapezoid weights and the terminal cost
+folded in).  The state lives on coordinate-major planes, paths innermost;
+at each node one product of the maps table with the state gives all of
+that, and a few plane-wide multiply-adds finish the step
+x_i += (A x_i + B u_i + F xavg) dt + (C x_i + D u_i + Ftilde xavg) dW_i and
+the cost.  Two folds share the loop:
+
+* the decentralized u_i = Theta1 x_i + Theta2 folds per agent into n x n
+  maps on the agents' planes; the rank-one xavg terms act on the agent
+  means, one column per path, and the costs come out per agent;
+* the centralized u = gain x + affine of the stacked system (the same agents
+  in nN coordinates) folds F/N 11' and Ftilde/N 11' into Nn x Nn maps and
+  gives the social cost.  Leading plane axes carry affine variants, so the
+  oracle's stationarity check runs a law and its perturbations as one pass
+  over one bank.
+
+An offset that is the same on every path is added to the dt-scale drift
+increment, never to the state: a path-constant addend rounds alike on every
+path, and at the state's scale that bias would move the oracle's finite
+differences.  Controls are formed only for stored trajectories, and a
+centralized run's per-agent costs only from them; full trajectories are
+kept within the storage budget, and :func:`social_cost` recomputes costs
+from them.
 """
 
 from __future__ import annotations
@@ -24,14 +40,13 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
 from .errors import (GridMismatchError, MissingTrajectoriesError, NonFiniteError,
                      SettingError, StorageBudgetError)
 from .model import AugmentedCoeffs, ModelParams, build_augmented
-from .ode import TimeGrid, trapezoid_nodes
+from .ode import TimeGrid, matvec, trapezoid_nodes
 from .riccati import FeedbackLaw, OracleLaw
 
 # full trajectory storage cap, in scalars (states + controls combined)
@@ -40,6 +55,7 @@ STORE_BUDGET = 2**28
 # multi-variant pass (small enough to stay in cache)
 NOISE_CHUNK_SCALARS = 2**24
 PLANE_CHUNK_SCALARS = 2**14
+COEFFS = ("A", "B", "C", "D", "F", "Ftilde", "Q", "R", "Gamma", "eta")
 
 
 def worker_count() -> int:
@@ -127,7 +143,7 @@ class SimResult:
     n_paths: int
     seed: int
     xavg: np.ndarray                 # (paths, steps+1, n)
-    J_i: np.ndarray                  # (paths, N)
+    J_i: np.ndarray | None           # (paths, N); centralized: only with xs stored
     J_soc: np.ndarray                # (paths,)
     xs: np.ndarray | None = None     # (paths, N, steps+1, n)
     us: np.ndarray | None = None     # (paths, N, steps+1, m)
@@ -175,66 +191,209 @@ def _bank_paths(noise, grid: TimeGrid, N: int, paths: int | None) -> int:
     return n_paths
 
 
-def _apply(M: np.ndarray, planes: list) -> list:
-    """M x on planes: row r is sum_c M[r, c] planes[c], as unrolled axpys."""
-    return [reduce(np.add, [coef * plane for coef, plane in zip(row, planes)]) for row in M]
+def _node_tables(params: ModelParams, nodes: int, *names) -> list:
+    """Coefficient samples at the law's nodes; sampled ones must sit on them."""
+    out = []
+    for name in names:
+        table = params.node_table(name)
+        if params.is_time_varying(name) and len(table) != nodes:
+            raise GridMismatchError(f"{name} is sampled on {len(table) - 1} steps, "
+                                    f"the law on {nodes - 1}")
+        out.append(np.broadcast_to(table[0], (nodes,) + table.shape[1:])
+                   if not params.is_time_varying(name) else table)
+    return out
 
 
-def _form(M: np.ndarray, planes: list) -> np.ndarray:
-    """The quadratic form x'Mx on planes."""
-    return reduce(np.add, [p * q for p, q in zip(planes, _apply(M, planes))])
+def _quadratic(E, eta, W, K=None, a=None, R=None):
+    """(H, l, c) with ||E z - eta||_W^2 + ||K z + a||_R^2 = z'Hz + 2 l'z + c,
+    broadcast over leading axes."""
+    Et, We = E.swapaxes(-1, -2), matvec(W, eta)
+    H, l, c = Et @ W @ E, -matvec(Et, We), (eta * We).sum(axis=-1)
+    if K is not None:
+        Kt, Ra = K.swapaxes(-1, -2), matvec(R, a)
+        H, l, c = H + Kt @ R @ K, l + matvec(Kt, Ra), c + (a * Ra).sum(axis=-1)
+    return H, l, c
 
 
-def _em(params: ModelParams, grid: TimeGrid, dW: np.ndarray, lead: tuple, control,
-        kind: str, record=None) -> np.ndarray:
-    """The Euler-Maruyama kernel: the costs J_i, shape (*lead, P, N), of one chunk.
+def _half_costs(grid: TimeGrid, running: tuple, terminal: tuple) -> list:
+    """(H, l, c) node tables (node axis first) of half the trapezoid-weighted
+    running cost, plus half the terminal cost at the last node."""
+    w = np.full(grid.steps + 1, 0.5 * grid.dt)
+    w[[0, -1]] *= 0.5
+    tables = []
+    for run, end in zip(_quadratic(*running), _quadratic(*terminal)):
+        run = w.reshape((-1,) + (1,) * (run.ndim - 1)) * run
+        run[-1] += 0.5 * end
+        tables.append(run)
+    return tables
+
+
+class _AgentFold:
+    """The decentralized law u_i = Theta1 x_i + Theta2, folded per agent.
+
+    The state is n planes of shape (N, P), one per coordinate.  In
+    z = (x_i, xavg) agent i's cost at node k is z'Hz + 2 l'z + c.  maps[k]
+    holds the drift increment map dt(A + B Theta1), the diffusion map
+    C + D Theta1 and the x block of H; the xavg terms act on the agent means,
+    one column per path: mean_maps[k] = [dt F; Ftilde; 2 H_x,avg; H_avg,avg]
+    with offsets[k] = [dt B Theta2; D Theta2; 2 l].
+    """
+
+    def __init__(self, params: ModelParams, grid: TimeGrid, N: int, Th1, Th2):
+        K, (m, n) = len(Th1), Th1.shape[1:]
+        A, B, C, D, F, Ft, Q, R, Gam, eta = _node_tables(params, K, *COEFFS)
+        eye = np.broadcast_to(np.eye(n), (K, n, n))
+        H, l, self.c = _half_costs(
+            grid, (np.concatenate([eye, -Gam], -1), eta, Q,
+                   np.concatenate([Th1, np.zeros_like(Th1)], -1), Th2, R),
+            (np.hstack([np.eye(n), -params.GammaBar]), params.etaBar, params.G))
+        self.maps = np.concatenate([grid.dt * (A + B @ Th1), C + D @ Th1,
+                                    H[:, :n, :n]], axis=1)
+        self.mean_maps = np.concatenate([grid.dt * F, Ft, 2.0 * H[:, :n, n:],
+                                         H[:, n:, n:]], axis=1)
+        self.offsets = np.concatenate([grid.dt * matvec(B, Th2), matvec(D, Th2), 2.0 * l],
+                                      axis=1)[..., None]
+        self.Th1, self.Th2, self.xi0, self.N = Th1, Th2, params.xi0, N
+        self.cost_shape = (N,)
+
+    def increment(self, dWk):
+        return np.ascontiguousarray(dWk.T)
+
+    def initial(self, P: int) -> np.ndarray:
+        return np.repeat(self.xi0, self.N * P).reshape(-1, self.N, P)
+
+    def node(self, k: int, X, Z):
+        n = len(X)
+        xb = X.mean(axis=1)
+        Zb = self.mean_maps[k] @ xb + self.offsets[k]
+        cost = np.einsum("j...,j...->...", Z[2 * n:] + Zb[2 * n:3 * n, None], X)
+        cost += np.einsum("jp,jp->p", Zb[3 * n:], xb) + self.c[k]
+        return xb, Zb[:n, None], Zb[n:2 * n, None], cost
+
+    def states(self, X):
+        return X.transpose(2, 1, 0)
+
+    def controls(self, k: int, X):
+        U = (self.Th1[k] @ X.reshape(len(X), -1)).reshape((-1,) + X.shape[1:])
+        return (U + self.Th2[k][:, None, None]).transpose(2, 1, 0)
+
+
+class _StackedFold:
+    """A centralized law u = gain x + affine, folded on the stacked state.
+
+    The state is one plane of shape (*lead, P) per stacked coordinate, agent
+    by agent; the lead axes carry affine variants.  With F/N 11' and
+    Ftilde/N 11' in them, maps[k] holds the Nn x Nn drift increment map
+    dt(A + B gain) and diffusion map C + D gain, the sums of each coordinate
+    over the agents, and the form H of the social cost z'Hz + 2 l'z + c.
+    The offsets dt B affine, D affine, 2 l and c carry the lead axes.
+    """
+
+    def __init__(self, params: ModelParams, grid: TimeGrid, N: int, gain, affine):
+        K, n = len(gain), params.n
+        Nn, lead = N * n, affine.shape[1:-1]
+        A, B, C, D, F, Ft, Q, R, Gam, eta = _node_tables(params, K, *COEFFS)
+        ones = np.eye(N)
+
+        def diag(X):     # I (x) X
+            return np.einsum("ij,...ab->...iajb", ones, X).reshape(
+                X.shape[:-2] + (N * X.shape[-2], N * X.shape[-1]))
+
+        def mean(X):     # 11' (x) X / N
+            return np.tile(X / N, (1,) * (X.ndim - 2) + (N, N))
+
+        def wide(X):     # node tables against the lead axes
+            return X.reshape((K,) + (1,) * len(lead) + X.shape[1:])
+
+        H, l, c = _half_costs(
+            grid, (wide(np.eye(Nn) - mean(Gam)), wide(np.tile(eta, N)), wide(diag(Q)),
+                   wide(gain), affine, wide(diag(R))),
+            (np.eye(Nn) - mean(params.GammaBar), np.tile(params.etaBar, N), diag(params.G)))
+        self.maps = np.concatenate([grid.dt * (diag(A) + mean(F) + diag(B) @ gain),
+                                    diag(C) + mean(Ft) + diag(D) @ gain,
+                                    np.broadcast_to(np.tile(np.eye(n), N), (K, n, Nn)),
+                                    H.reshape(K, Nn, Nn)], axis=1)
+
+        def planes(x):   # (K, *lead, r) -> (K, r, *lead, 1)
+            return np.moveaxis(x, -1, 1)[..., None]
+
+        self.drift = planes(grid.dt * matvec(wide(diag(B)), affine))
+        self.diff = planes(matvec(wide(diag(D)), affine))
+        self.lin, self.c = planes(2.0 * l), c[..., None]
+        self.gain, self.affine, self.N, self.n = gain, affine, N, n
+        self.start = np.tile(params.xi0, N).reshape((Nn,) + (1,) * (len(lead) + 1))
+        self.cost_shape = lead
+
+    def increment(self, dWk):
+        dWk = np.repeat(dWk.T, self.n, axis=0)
+        return dWk.reshape(dWk.shape[:1] + (1,) * len(self.cost_shape) + dWk.shape[1:])
+
+    def initial(self, P: int) -> np.ndarray:
+        return np.broadcast_to(self.start, self.start.shape[:1] + self.cost_shape + (P,)).copy()
+
+    def node(self, k: int, X, Z):
+        d = len(X)
+        xb = Z[2 * d:2 * d + self.n] / self.N
+        # x'Hx and 2 l'x as separate sums: adding the path-constant l to Hx
+        # would round alike on every path
+        cost = np.einsum("j...,j...->...", Z[2 * d + self.n:], X)
+        cost += np.einsum("j...,j...->...", self.lin[k], X)
+        return xb, self.drift[k], self.diff[k], cost + self.c[k]
+
+    def states(self, X):
+        return X.reshape(self.N, self.n, -1).transpose(2, 0, 1)
+
+    def controls(self, k: int, X):
+        U = self.gain[k] @ X + self.affine[k][:, None]
+        return U.reshape(self.N, -1, U.shape[-1]).transpose(2, 0, 1)
+
+
+def _em(fold, dW: np.ndarray, kind: str, record=None) -> np.ndarray:
+    """The Euler-Maruyama kernel: the costs, shape (*fold.cost_shape, P), of one chunk.
 
     dW is the chunk's (P, N, steps) increments; every agent starts at xi0.
-    control(k, X) gives the m control planes at node k from the n state
-    planes; record(k, X, U, xavg) sees every node.  A non-finite state shows
-    in its agent mean, which is checked at every node.
+    At node k the product Z = maps[k] X holds the drift increments, the
+    diffusion coefficients and the cost forms without their offsets;
+    fold.node(k, X, Z) gives the agent means, the two offsets and the node's
+    cost.  record(k, X, xavg) sees every node.  A non-finite state shows in
+    its agent mean, which is checked at every node.
     """
-    M, dt = grid.steps, grid.dt
-    A, B, C, D, F, Ft, Q, R, Gam, eta = (params.node_table(name) for name in (
-        "A", "B", "C", "D", "F", "Ftilde", "Q", "R", "Gamma", "eta"))
-    w = np.full(M + 1, dt)
-    w[[0, -1]] *= 0.5
-    X = [np.full(lead + dW.shape[:2], v) for v in params.xi0]
-    run = 0.0
-    for k in range(M + 1):
-        xb = [x.mean(axis=-1, keepdims=True) for x in X]
-        if not all(np.isfinite(v).all() for v in xb):
+    X = fold.initial(len(dW))
+    d = len(X)
+    run = np.zeros(fold.cost_shape + X.shape[-1:])
+    for k in range(dW.shape[-1] + 1):
+        Z = (fold.maps[k] @ X.reshape(d, -1)).reshape((-1,) + X.shape[1:])
+        xb, drift, diff, cost = fold.node(k, X, Z)
+        if not np.isfinite(xb).all():
             raise NonFiniteError(f"{kind} simulation blew up at step {k}")
-        U = control(k, X)
         if record is not None:
-            record(k, X, U, xb)
-        dev = [x - (g + e) for x, g, e in zip(X, _apply(Gam[k], xb), eta[k])]
-        run = run + w[k] * (_form(Q[k], dev) + _form(R[k], U))
-        if k == M:
-            break
-        dWk = dW[..., k]
-        X = [x + dt * (ax + bu + fx) + (cx + du + ftx) * dWk
-             for x, ax, bu, fx, cx, du, ftx in zip(
-                 X, _apply(A[k], X), _apply(B[k], U), _apply(F[k], xb),
-                 _apply(C[k], X), _apply(D[k], U), _apply(Ft[k], xb))]
-    devT = [x - (g + e) for x, g, e in zip(X, _apply(params.GammaBar, xb), params.etaBar)]
-    return 0.5 * (run + _form(params.G, devT))
+            record(k, X, xb)
+        run += cost
+        if k < dW.shape[-1]:
+            inc, kick = Z[:d], Z[d:2 * d]
+            inc += drift
+            kick += diff
+            kick *= fold.increment(dW[..., k])
+            inc += kick
+            X += inc
+    return run
 
 
-def _run(params, noise, N, chunks, control, kind, lead=(), recorder=None) -> np.ndarray:
-    """J_i, shape (*lead, paths, N), of the kernel over the bank's chunks."""
-    J_i = np.empty(lead + (chunks[-1].stop, N))
+def _run(fold, noise, N, chunks, kind, recorder=None) -> np.ndarray:
+    """The kernel's costs, shape (*fold.cost_shape, paths), over the bank's chunks."""
+    J = np.empty(fold.cost_shape + (chunks[-1].stop,))
 
     def run(chunk: range):
         sl = slice(chunk.start, chunk.stop)
-        J_i[..., sl, :] = _em(params, noise.grid, noise.increments_block(chunk)[:, :N, :],
-                              lead, control, kind, recorder and recorder(sl))
+        J[..., sl] = _em(fold, noise.increments_block(chunk)[:, :N, :], kind,
+                         recorder and recorder(sl))
 
     _run_chunks(run, chunks)
-    return J_i
+    return J
 
 
-def _simulate(params, noise, N, n_paths, store, kind, control) -> SimResult:
+def _simulate(params, noise, N, n_paths, store, kind, fold) -> tuple[SimResult, np.ndarray]:
+    """The run's result, its costs left unset, and the kernel's costs."""
     n, m, M = params.n, params.m, noise.grid.steps
     storing = n_paths * N * (M + 1) * (n + m) <= STORE_BUDGET if store is None else bool(store)
     xavg = np.empty((n_paths, M + 1, n))
@@ -242,16 +401,16 @@ def _simulate(params, noise, N, n_paths, store, kind, control) -> SimResult:
     us = np.empty((n_paths, N, M + 1, m)) if storing else None
 
     def recorder(sl):
-        def record(k, X, U, xb):
-            xavg[sl, k] = np.concatenate(xb, axis=-1)
+        def record(k, X, xb):
+            xavg[sl, k] = xb.T
             if storing:
-                xs[sl, :, k] = np.stack(X, axis=-1)
-                us[sl, :, k] = np.stack(U, axis=-1)
+                xs[sl, :, k] = fold.states(X)
+                us[sl, :, k] = fold.controls(k, X)
         return record
 
-    J_i = _run(params, noise, N, _chunks(n_paths, N * M), control, kind, recorder=recorder)
+    J = _run(fold, noise, N, _chunks(n_paths, N * M), kind, recorder)
     return SimResult(grid=noise.grid, N=N, n_paths=n_paths, seed=noise.seed, xavg=xavg,
-                     J_i=J_i, J_soc=J_i.sum(axis=1), xs=xs, us=us, meta={"kind": kind})
+                     J_i=None, J_soc=None, xs=xs, us=us, meta={"kind": kind}), J
 
 
 def simulate_decentralized(params: ModelParams, law: FeedbackLaw, N: int,
@@ -263,43 +422,28 @@ def simulate_decentralized(params: ModelParams, law: FeedbackLaw, N: int,
     feeds both drift and diffusion.
     """
     n_paths = _bank_paths(noise, law.grid, N, paths)
-    Th1, Th2 = law.Theta1.values, law.Theta2.values
-
-    def control(k, X):
-        return [u + th for u, th in zip(_apply(Th1[k], X), Th2[k])]
-
-    return _simulate(params, noise, N, n_paths, store, "decentralized", control)
-
-
-def _centralized_control(aug: AugmentedCoeffs, gain: np.ndarray, affine: np.ndarray):
-    """u = gain x + affine on planes; affine is (*variants, steps+1, Nm).
-
-    Block (r, c) of the gain, the weight of coordinate c of agent j in
-    control r of agent i, is one (paths, N) @ (N, N) product per node.
-    """
-    N, n, m = aug.N, aug.params.n, aug.params.m
-    blocks = np.ascontiguousarray(gain.reshape(len(gain), N, m, N, n).transpose(0, 2, 4, 3, 1))
-    aff = np.moveaxis(affine.reshape(affine.shape[:-1] + (N, m)), (-3, -1), (0, 1))[..., None, :]
-
-    def control(k, Y):
-        flat = [y.reshape(-1, N) for y in Y]
-        return [reduce(np.add, [f @ blocks[k, r, c] for c, f in enumerate(flat)]).reshape(
-            Y[0].shape) + aff[k, r] for r in range(m)]
-
-    return control
+    fold = _AgentFold(params, law.grid, N, law.Theta1.values, law.Theta2.values)
+    res, J = _simulate(params, noise, N, n_paths, store, "decentralized", fold)
+    res.J_i = np.ascontiguousarray(J.T)
+    res.J_soc = res.J_i.sum(axis=1)
+    return res
 
 
 def simulate_centralized(aug: AugmentedCoeffs, law: OracleLaw, noise: NoiseBank,
                          paths: int | None = None, store: bool | None = None) -> SimResult:
     """Simulate the stacked system under the centralized law u = gain x + affine.
 
-    The stacked state is the per-agent state in nN coordinates, so the
-    per-agent kernel runs it, and its costs are directly comparable with the
-    decentralized run under the same noise bank.
+    The stacked state is the per-agent state in nN coordinates, so its social
+    cost is directly comparable with the decentralized run under the same
+    noise bank.  Per-agent costs J_i are recomputed from stored trajectories.
     """
     n_paths = _bank_paths(noise, law.grid, aug.N, paths)
-    control = _centralized_control(aug, law.gain.values, law.affine.values)
-    return _simulate(aug.params, noise, aug.N, n_paths, store, "centralized", control)
+    fold = _StackedFold(aug.params, law.grid, aug.N, law.gain.values, law.affine.values)
+    res, J_soc = _simulate(aug.params, noise, aug.N, n_paths, store, "centralized", fold)
+    res.J_soc = J_soc
+    if res.xs is not None:
+        res.J_i = social_cost(res, aug.params).j_i_paths
+    return res
 
 
 def centralized_variant_costs(aug: AugmentedCoeffs, law: OracleLaw,
@@ -310,10 +454,9 @@ def centralized_variant_costs(aug: AugmentedCoeffs, law: OracleLaw,
     bank and run as one pass, which equals V simulate_centralized calls.
     """
     n_paths = _bank_paths(noise, law.grid, aug.N, None)
-    V = len(affines)
-    return _run(aug.params, noise, aug.N, _chunks(n_paths, V * aug.N, PLANE_CHUNK_SCALARS),
-                _centralized_control(aug, law.gain.values, affines), "centralized",
-                lead=(V,)).sum(axis=-1)
+    fold = _StackedFold(aug.params, law.grid, aug.N, law.gain.values, np.moveaxis(affines, 0, 1))
+    return _run(fold, noise, aug.N, _chunks(n_paths, len(affines) * aug.N, PLANE_CHUNK_SCALARS),
+                "centralized")
 
 
 def social_cost(result: SimResult, params: ModelParams) -> CostSummary:

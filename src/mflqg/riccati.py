@@ -22,11 +22,12 @@ broadcasts over time axes: the margin and the gains Theta1, Theta2 take it
 on all nodes at once, the phi sweep on the RK4 stage times of a chunk of
 steps, the P right-hand side on one matrix.  P is a nonlinear Riccati
 equation and steps stagewise (ode.integrate_rk4); phi is linear and is an
-ode.integrate_linear sweep.  The oracle stays stagewise throughout: its
+ode.integrate_linear sweep.  The oracle's two sweeps stay stagewise: its
 affine feeds the stationarity verdicts, whose borderline cases a change in
-the last bits could move.  The auxiliary problem is always solved on the
-master grid of the model, where time-varying coefficients are sampled; only
-the oracle takes another grid.
+the last bits could move.  Its node-wise margin, gain and affine solves run
+batched over chunks of nodes, bit-identical to a loop over the nodes.  The
+auxiliary problem is always solved on the master grid of the model, where
+time-varying coefficients are sampled; only the oracle takes another grid.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ from .ode import (
 )
 
 REGULARITY_TOL = 1e-10
+# scalars of one chunk of the oracle's batched node-wise products
+ORACLE_CHUNK_SCALARS = 2**14
 
 
 def _grid_for(params: ModelParams, grid: TimeGrid | None) -> TimeGrid:
@@ -263,39 +266,44 @@ def solve_oracle(aug: AugmentedCoeffs, grid: TimeGrid | None = None, *,
     grid = _grid_for(aug.params, grid)
     dim = aug.dim
 
-    def parts(t, P):
-        s = aug.at(t)
-        PC = np.einsum("ij,njk->nik", P, s.C)
-        PD = np.einsum("ij,njk->nik", P, s.D)
-        CtPC = np.einsum("nji,njk->ik", s.C, PC)
-        CtPD = np.einsum("nji,njk->ik", s.C, PD)
-        DtPD = np.einsum("nji,njk->ik", s.D, PD)
-        DtPC = np.einsum("nji,njk->ik", s.D, PC)
-        S = s.R + DtPD
-        return s, CtPC, CtPD, DtPC, S
+    def parts(P, C, D):
+        # C'PC, C'PD, D'PC, D'PD summed over the noises, over leading node axes
+        PC = np.einsum("...ij,...njk->...nik", P, C)
+        PD = np.einsum("...ij,...njk->...nik", P, D)
+        return [np.einsum("...nji,...njk->...ik", X, PY) for X in (C, D) for PY in (PC, PD)]
 
     def rhs(t, P):
-        s, CtPC, CtPD, DtPC, S = parts(t, P)
+        s = aug.at(t)
+        CtPC, CtPD, DtPC, DtPD = parts(P, s.C, s.D)
         W = P @ s.B + CtPD
         try:
-            sol = np.linalg.solve(S, s.B.T @ P + DtPC)
+            sol = np.linalg.solve(s.R + DtPD, s.B.T @ P + DtPC)
         except np.linalg.LinAlgError as exc:
             raise RegularityLostError(f"oracle R + sum D'PD singular at t={t:.6g}") from exc
         return -(P @ s.A + s.A.T @ P + CtPC + s.Q - W @ sol)
 
     terminal = symmetrize(aug.at(grid.T).G)
     P = integrate_rk4(rhs, terminal, grid, "backward", project=symmetrize)
+    # the node-wise solves run batched, in chunks of nodes that bound the
+    # (nodes, N, Nn, Nn) products of parts
+    chunk = max(1, ORACLE_CHUNK_SCALARS // (aug.N * dim * dim))
+    chunks = [slice(a, a + chunk) for a in range(0, grid.steps + 1, chunk)]
 
-    gains = np.empty((grid.steps + 1, aug.N * aug.params.m, dim))
-    margins = np.empty(grid.steps + 1)
-    for k, t in enumerate(grid.nodes):
-        s, _, CtPD, DtPC, S = parts(t, P.values[k])
-        margins[k] = np.linalg.eigvalsh(symmetrize(S))[0]
-        gains[k] = -np.linalg.solve(S, s.B.T @ P.values[k] + DtPC)
-    margin = float(margins.min())
+    def node_terms(ks):
+        systems = [aug.at(t) for t in grid.nodes[ks]]
+        B, C, D, R = (np.stack([getattr(x, f) for x in systems]) for f in "BCDR")
+        _, _, DtPC, DtPD = parts(P.values[ks], C, D)
+        return R + DtPD, B.swapaxes(-1, -2), DtPC
+
+    margins, gains = [], []
+    for ks in chunks:
+        S, Bt, DtPC = node_terms(ks)
+        margins.append(np.linalg.eigvalsh(symmetrize(S))[:, 0])
+        gains.append(-np.linalg.solve(S, Bt @ P.values[ks] + DtPC))
+    margin = float(np.concatenate(margins).min())
     if margin <= REGULARITY_TOL:
         raise RegularityLostError(f"oracle regularity margin {margin:.3e}")
-    gain = Trajectory(grid, gains)
+    gain = Trajectory(grid, np.concatenate(gains))
 
     def phi_rhs(t, phi):
         s = aug.at(t)
@@ -304,10 +312,11 @@ def solve_oracle(aug: AugmentedCoeffs, grid: TimeGrid | None = None, *,
 
     phi = integrate_rk4(phi_rhs, aug.at(grid.T).S2, grid, "backward")
 
-    affines = np.empty((grid.steps + 1, aug.N * aug.params.m))
-    for k, t in enumerate(grid.nodes):
-        s, _, _, _, S = parts(t, P.values[k])
-        affines[k] = -np.linalg.solve(S, s.B.T @ phi.values[k])
+    affines = []
+    for ks in chunks:
+        S, Bt, _ = node_terms(ks)
+        affines.append(-np.linalg.solve(S, Bt @ phi.values[ks][..., None])[..., 0])
+    affines = np.concatenate(affines)
     law = OracleLaw(grid=grid, N=aug.N, P=P, phi=phi, gain=gain,
                     affine=Trajectory(grid, affines), regularity_margin=margin)
     if validate:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mflqg import montecarlo, riccati
-from mflqg.cli import load_law, main
+from mflqg.cli import load_law, main, write_json
 from mflqg.model import load_config, save_config
 from mflqg.presets import repro_instance
 
@@ -185,6 +185,34 @@ def test_repro_command_quick(tmp_path):
     # golden regression pin from the first validated run of this exact command
     assert summary["sup_norm_distance"] == pytest.approx(0.05614684004499537, rel=1e-9)
     assert summary["convergence_slope"] == pytest.approx(-0.7193565626851124, rel=1e-9)
+
+
+def strict_json(path):
+    """Parse as strict JSON: Python's json accepts bare NaN and Infinity, JSON does not."""
+    def reject(token):
+        raise ValueError(f"{path.name}: non-JSON literal {token}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_unfittable_slope_is_written_as_null(tmp_path):
+    # one N leaves no slope to fit; both summaries must still be valid JSON
+    cfg = small_config(tmp_path)
+    law_dir = tmp_path / "law"
+    assert main(["solve", str(cfg), "--out", str(law_dir)]) == 0
+    assert main(["converge", str(cfg), "--law", str(law_dir), "--N-list", "5", "--reps", "2",
+                 "--seed", "1", "--out", str(tmp_path / "conv")]) == 0
+    assert strict_json(tmp_path / "conv" / "summary.json") == {"slope": None, "intercept": None}
+    assert main(["repro-sec7", "--out", str(tmp_path / "repro"), "--steps", "100", "--N", "5",
+                 "--paths", "2", "--reps", "2", "--n-list", "10"]) == 0
+    summary = strict_json(tmp_path / "repro" / "summary.json")
+    assert summary["convergence_slope"] is None
+    assert np.isfinite(summary["sup_norm_distance"])
+
+
+def test_write_json_refuses_non_finite_floats(tmp_path):
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "doc.json", {"x": bad})
 
 
 def test_bad_run_settings_are_validation_failures(tmp_path, monkeypatch, capsys):

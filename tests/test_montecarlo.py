@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mflqg import montecarlo
-from mflqg.errors import MissingTrajectoriesError, SettingError, StorageBudgetError
+from mflqg.errors import (GridMismatchError, MissingTrajectoriesError, NonFiniteError,
+                          SettingError, StorageBudgetError)
 from mflqg.model import AugmentedCoeffs, build_augmented
 from mflqg.ode import TimeGrid, Trajectory, integrate_rk4
 from mflqg.riccati import FeedbackLaw, OracleLaw, solve_oracle
@@ -388,3 +389,131 @@ def test_centralized_and_validation_identical_across_thread_counts(rng, monkeypa
         runs.append([res.xs, res.us, res.xavg, res.J_i, oracle.validation])
     for a, b in zip(*runs[:2]):
         assert (a == b) if isinstance(a, dict) else a.tobytes() == b.tobytes()
+
+
+def time_varying_params(rng, steps=40):
+    """n = 2, m = 1 instance whose every node-sampled coefficient moves in time."""
+    p = rand_params(rng, n=2, m=1, steps=steps)
+    t = p.grid().nodes
+    for name, f in (("A", 1 + t / 4), ("B", 1 - t / 5), ("C", 1 + 0.2 * t), ("D", 1 + 0.5 * t),
+                    ("F", 1 - 0.1 * t), ("Ftilde", 1 - 0.3 * t), ("Q", 1 + t), ("R", 1 + 0.3 * t),
+                    ("Gamma", 1 - 0.2 * t)):
+        setattr(p, name, getattr(p, name)[None] * f[:, None, None])
+    p.eta = p.eta[None] * np.cos(t)[:, None]
+    return p
+
+
+def reference_em(p, N, dW, control):
+    """Euler-Maruyama written from the model equations, one path and agent at a time.
+
+    x_i <- x_i + (A x_i + B u_i + F xavg) dt + (C x_i + D u_i + Ftilde xavg) dW_i,
+    J_i = 1/2 [sum_k w_k (|x_i - Gamma xavg - eta|_Q^2 + |u_i|_R^2)
+               + |x_i(T) - GammaBar xavg(T) - etaBar|_G^2] with trapezoid weights w_k.
+    control(k, x) gives the (N, m) controls from the (N, n) states.  Returns xs
+    (paths, N, nodes, n), us (paths, N, nodes, m), xavg (paths, nodes, n), J_i.
+    """
+    grid = p.grid()
+    dt, M = grid.dt, grid.steps
+    A, B, C, D, F, Ft, Q, R, Gam, eta = (p.node_table(name) for name in (
+        "A", "B", "C", "D", "F", "Ftilde", "Q", "R", "Gamma", "eta"))
+    paths = len(dW)
+    xs, us = np.empty((paths, N, M + 1, p.n)), np.empty((paths, N, M + 1, p.m))
+    J = np.zeros((paths, N))
+    for path in range(paths):
+        x = np.tile(p.xi0, (N, 1))
+        for k in range(M + 1):
+            xbar = x.mean(axis=0)
+            u = control(k, x)
+            xs[path, :, k], us[path, :, k] = x, u
+            w = dt / 2 if k in (0, M) else dt
+            for i in range(N):
+                dev = x[i] - Gam[k] @ xbar - eta[k]
+                J[path, i] += 0.5 * w * (dev @ Q[k] @ dev + u[i] @ R[k] @ u[i])
+            if k == M:
+                break
+            x = np.array([x[i] + (A[k] @ x[i] + B[k] @ u[i] + F[k] @ xbar) * dt
+                          + (C[k] @ x[i] + D[k] @ u[i] + Ft[k] @ xbar) * dW[path, i, k]
+                          for i in range(N)])
+    for path in range(paths):
+        x = xs[path, :, M]
+        for i in range(N):
+            dev = x[i] - p.GammaBar @ x.mean(axis=0) - p.etaBar
+            J[path, i] += 0.5 * dev @ p.G @ dev
+    return xs, us, xs.mean(axis=1), J
+
+
+def decentralized_control(Th1, Th2):
+    return lambda k, x: x @ Th1[k].T + Th2[k]
+
+
+def centralized_control(gain, affine):
+    return lambda k, x: (gain[k] @ x.ravel() + affine[k]).reshape(len(x), -1)
+
+
+def assert_close(new, ref, rel=1e-12):
+    assert np.max(np.abs(new - ref)) <= rel * np.max(np.abs(ref))
+
+
+def test_simulators_match_reference_em_loop(rng):
+    # time-varying coefficients and laws, where a constant-coefficient
+    # workload would not notice a node taken from the wrong table
+    p = time_varying_params(rng)
+    grid, N = p.grid(), 3
+    ramp = (1.0 + grid.nodes)[:, None, None]
+    Th1 = 0.4 * rng.standard_normal((1, 2)) * ramp
+    Th2 = 0.3 * rng.standard_normal((grid.steps + 1, 1))
+    cen = random_oracle_law(rng, grid, N, 2, 1)
+    noise = NoiseBank(seed=41, n_paths=5, n_agents=N, grid=grid)
+    dW = noise.increments_block(range(5))
+    runs = ((simulate_decentralized(p, make_law(grid, 2, 1, Th1=Th1, Th2=Th2), N, noise, store=True),
+             decentralized_control(Th1, Th2)),
+            (simulate_centralized(AugmentedCoeffs(p, N), cen, noise, store=True),
+             centralized_control(cen.gain.values, cen.affine.values)))
+    for res, control in runs:
+        xs, us, xavg, J_i = reference_em(p, N, dW, control)
+        for new, ref in ((res.xs, xs), (res.us, us), (res.xavg, xavg), (res.J_i, J_i),
+                         (res.J_soc, J_i.sum(axis=1))):
+            assert_close(new, ref)
+    affines = cen.affine.values + 0.2 * rng.standard_normal((4,) + cen.affine.values.shape)
+    J = centralized_variant_costs(AugmentedCoeffs(p, N), cen, affines, noise.materialized())
+    for v, aff in enumerate(affines):
+        ref = reference_em(p, N, dW, centralized_control(cen.gain.values, aff))[3].sum(axis=1)
+        assert_close(J[v], ref)
+
+
+def blowup_params():
+    # with dt = 1 every agent grows about sevenfold per step, so the states
+    # overflow near step 365; no term of the drift overflows before the state
+    p = rand_params(np.random.default_rng(3), n=1, m=1, T=400.0, steps=400)
+    p.A, p.C, p.F = np.array([[6.0]]), np.array([[0.5]]), np.array([[0.1]])
+    p.xi0 = np.array([1.0])
+    return p
+
+
+@pytest.mark.parametrize("kind", ["decentralized", "centralized"])
+def test_blowup_names_first_step_with_non_finite_agent_mean(kind):
+    p = blowup_params()
+    grid, N = p.grid(), 3
+    noise = NoiseBank(seed=8, n_paths=4, n_agents=N, grid=grid)
+    zero = np.zeros((grid.steps + 1, 1, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        xavg = reference_em(p, N, noise.increments_block(range(4)),
+                            decentralized_control(zero, zero[..., 0]))[2]
+        first = int(np.argmin(np.isfinite(xavg).all(axis=(0, 2))))
+        assert 0 < first < grid.steps
+        with pytest.raises(NonFiniteError, match=f"^{kind} simulation blew up at step {first}$"):
+            if kind == "decentralized":
+                simulate_decentralized(p, make_law(grid, 1, 1), N, noise, store=False)
+            else:
+                simulate_centralized(AugmentedCoeffs(p, N),
+                                     block_law(grid, N, np.zeros((1, 1)), np.zeros(1)), noise,
+                                     store=False)
+
+
+def test_sampled_coefficients_must_sit_on_the_law_grid(rng):
+    # a law on 20 steps cannot read coefficients sampled on 40
+    p = time_varying_params(rng, steps=40)
+    grid = TimeGrid(1.0, 20)
+    noise = NoiseBank(seed=1, n_paths=2, n_agents=2, grid=grid)
+    with pytest.raises(GridMismatchError, match="A is sampled on 40 steps, the law on 20"):
+        simulate_decentralized(p, make_law(grid, 2, 1), 2, noise)

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from mflqg import riccati
 from mflqg.errors import RegularityLostError
 from mflqg.model import AugmentedCoeffs
-from mflqg.ode import TimeGrid, Trajectory
+from mflqg.ode import TimeGrid, Trajectory, symmetrize
 from mflqg.riccati import (
     OracleLaw,
     solve_P,
@@ -18,6 +19,7 @@ from mflqg.montecarlo import NoiseBank, simulate_centralized
 from mflqg.presets import repro_instance
 
 from conftest import rand_params
+from test_montecarlo import time_varying_params
 
 
 def scalar_params(rng=None, steps=1000, **over):
@@ -253,3 +255,22 @@ def test_oracle_dominates_random_laws(rng):
         diff = res.J_soc - base.J_soc
         se = diff.std(ddof=1) / np.sqrt(len(diff))
         assert diff.mean() >= -2.0 * se
+
+
+@pytest.mark.parametrize("chunk_scalars", [2**14, 300], ids=["one_chunk", "chunks_of_2_nodes"])
+def test_oracle_node_solves_bit_equal_to_node_loop(rng, monkeypatch, chunk_scalars):
+    # the batched node-wise margin, gain and affine, whole or in chunks of
+    # nodes, equal a node-by-node loop bit for bit on a time-varying instance
+    monkeypatch.setattr(riccati, "ORACLE_CHUNK_SCALARS", chunk_scalars)
+    aug = AugmentedCoeffs(time_varying_params(rng, steps=30), 3)
+    law = solve_oracle(aug, validate=False)
+    margins = []
+    for k, t in enumerate(law.grid.nodes):
+        s, P = aug.at(t), law.P.values[k]
+        PC, PD = (np.einsum("ij,njk->nik", P, X) for X in (s.C, s.D))
+        S = s.R + np.einsum("nji,njk->ik", s.D, PD)
+        margins.append(np.linalg.eigvalsh(symmetrize(S))[0])
+        gain = -np.linalg.solve(S, s.B.T @ P + np.einsum("nji,njk->ik", s.D, PC))
+        assert np.array_equal(law.gain.values[k], gain)
+        assert np.array_equal(law.affine.values[k], -np.linalg.solve(S, s.B.T @ law.phi.values[k]))
+    assert law.regularity_margin == min(margins)
