@@ -9,14 +9,15 @@ centralized laws under common random numbers and reports the per-capita cost
 gap with its standard error; the gap must be nonnegative up to Monte Carlo
 noise (the oracle is the minimizer) and shrink as N grows.
 
-The Lyapunov kernels and their N-free bound pair are linear matrix equations
-with products on both sides of the state.  On the row-major vec of the pair,
-vec(X Lam Y) = (X (x) Y') vec Lam, so each becomes a 2n^2-dimensional
-equation with a generator that multiplies from the left, and both run as RK4
-step maps through ode.integrate_linear.  The kernels of every N share one
-sweep on a leading batch axis; it does per N exactly the operations of a
-sweep of its own, so each N's kernels are bit-identical to a single-N run.
-The bound pair is the same call with constant coefficients.
+The Lyapunov kernels are linear matrix equations with products on both
+sides of the state.  On the row-major vec of the kernel pair,
+vec(X Lam Y) = (X (x) Y') vec Lam, so they become one 2n^2-dimensional
+equation with a generator that multiplies from the left, run as RK4 step
+maps through ode.integrate_linear.  The kernels of every N share one sweep on
+a leading batch axis; it does per N exactly the operations of a sweep of its
+own, so each N's kernels are bit-identical to a single-N run.  Their N-free
+bound needs no sweep: a Gronwall recurrence on the max-norm logarithmic norm
+of the same generator at s = 1/N = 0 and 1.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ import numpy as np
 from .consistency import solve_cc
 from .convexity import check_psd_case
 from .model import AugmentedCoeffs, ModelParams, check_population_size
-from .errors import NonFiniteError
-from .ode import Trajectory, integrate_linear, interp
+from .ode import LINEAR_CHUNK_STEPS, Trajectory, integrate_linear, interp
 from .riccati import FeedbackLaw, solve_oracle
 from .montecarlo import NoiseBank, simulate_centralized, simulate_decentralized
 
@@ -123,17 +123,11 @@ class LambdaPair:
 @dataclass
 class LambdaReport:
     pairs: list
-    bound1: Trajectory | None   # None when the bound sweep overflowed
-    bound2: Trajectory | None
-    L: float
+    bound: np.ndarray  # b(t_k) at every node: an N-free majorant, inf past overflow
     dominated: bool
     uniform: bool
     max_spread1: float
     max_spread2: float
-
-
-def _coeff_maxnorm(table: np.ndarray) -> float:
-    return float(np.max(np.abs(table)))
 
 
 def _spread(sups) -> float:
@@ -168,18 +162,14 @@ def _left(X):
     return _kron(X, np.eye(X.shape[-1]))
 
 
-def _vec_pair(X1, X2):
-    """The vectorized state (vec X1, vec X2) of a pair of n x n matrices."""
-    return np.concatenate([X1.ravel(), X2.ravel()])
-
-
-def _unvec_pair(values, n):
-    """Inverse of _vec_pair along the last axis: (..., 2n^2) -> (..., 2, n, n)."""
-    return values.reshape(values.shape[:-1] + (2, n, n))
+def _log_norm_inf(M):
+    """mu_inf(M) = max_i (m_ii + sum_{j != i} |m_ij|) over the last two axes."""
+    diag = np.diagonal(M, axis1=-2, axis2=-1)
+    return np.max(np.sum(np.abs(M), axis=-1) - np.abs(diag) + diag, axis=-1)
 
 
 def lambda_boundedness(params: ModelParams, law: FeedbackLaw, N_list) -> LambdaReport:
-    """Integrate the coupled adjoint kernels and their N-free bound pair.
+    """Integrate the coupled adjoint kernels and bound them for every N at once.
 
     For each N (backward, terminal (G, 0)):
 
@@ -188,43 +178,38 @@ def lambda_boundedness(params: ModelParams, law: FeedbackLaw, N_list) -> LambdaR
         dLam2/dt = -[Lam2 (A + B Th1 + (N-1)/N F) + A'Lam2
                      + (N-1)/N (Lam1 F - C'Lam1 Ftilde)]
 
-    The bound pair replaces every coefficient by the scalar L (the max of the
-    coefficient max-norms) times the all-ones matrix E and takes absolute
-    values, so |X M| <= |X| L E bounds each product element-wise:
+    On the row-major vec y = (vec Lam1, vec Lam2) this is
+    dy/dt = -M_s(t) y - (vec Q, 0) with s = 1/N and a 2n^2 x 2n^2 generator
+    M_s affine in s (the weight (N-1)/N is 1 - s).  The kernels of every N
+    run as one RK4 step-map sweep of y through ode.integrate_linear (O(n^6)
+    per step map, against O(n^3) per stagewise step).
 
-        dB1/dt = -[3L B1 E + L E B1 + 3L^2 E B1 E + L B2 E + L E],  B1(T) = |G|
-        dB2/dt = -[3L B2 E + L E B2 + L B1 E + L^2 E B1 E],         B2(T) = 0.
+    The bound b(t) majorizes max|Lam1^N(t)| and max|Lam2^N(t)| for every
+    N >= 1.  The max-norm logarithmic norm mu(M) = max_i (m_ii +
+    sum_{j != i} |m_ij|) (Dahlquist 1958; Soederlind, BIT 46, 2006) is
+    convex, so mu(M_s) <= max(mu(M_0), mu(M_1)) for s in [0, 1], and
+    Gronwall backward in time gives, with mu_k and q_k the maxima of that
+    bound and of max|Q| over the RK4 stage times of the step k -> k-1,
 
-    All coefficients are nonnegative, so the pair is a majorant:
-    |Lam1| <= B1 and |Lam2| <= B2 element-wise for every N.  It grows like
-    exp(c L^2 T) and passes BLOWUP_NORM (for n = 2, T = 1 from about
-    L = 1.3).  That overflow is not an error of the kernels: the report then
-    carries bound1 = bound2 = None and dominated = False, and keeps the
-    kernels, their spreads and `uniform`.  An overflow of a kernel sweep
-    still raises NonFiniteError.
+        b(T) = max|G|,
+        b(t_{k-1}) = e^{dt mu_k} b(t_k) + dt q_k max(1, e^{dt mu_k}).
 
-    `dominated` checks the majorant element-wise at every node and every N.
+    The stage samples bound the whole step when the generator is affine in t
+    on it, as it is when B, C and D are constant.  b needs no sweep and does
+    not depend on N_list; it is inf (or NaN) once it overflows, as it can on
+    strongly non-normal generators whose kernels stay small.
+
+    `dominated` asks max|Lam1^N| and max|Lam2^N| to stay within b, with a
+    slack of 1e-12 (1 + b), at every node and every N, and b to be finite.
     `uniform` asks that the sup norms vary by less than 10% across N, with
-    spread = (max - min) / max.  The first kernel's spread is that of
-    sup_t |Lam1^N|.  The second kernel is linear with zero terminal value and
-    its only source carries the explicit weight (N-1)/N, so
-    Lam2^N = (N-1)/N M^N exactly, where M^N solves the same equation (with
-    Lam1^N as its input) with that weight set to 1.  The weight lies in
-    [1/2, 1) and cannot break uniform boundedness, yet over N in
-    {10, 100, 1000} it alone moves sup_t |Lam2^N| by 9.9%; so `max_spread2`
-    is the spread of sup_t |Lam2^N| * N/(N-1) = sup_t |M^N|.  N = 1 is left
-    out of that spread: there Lam2 is identically zero and the weight
-    vanishes.
-    `LambdaPair.sup1` and `sup2` hold the raw sup norms.
-
-    Both sweeps are RK4 step maps of the vectorized pair (vec Lam1, vec Lam2),
-    with generator blocks Lam X -> I (x) X', X Lam -> X (x) I and
-    X Lam Y -> X (x) Y'.  Building a step map costs O(n^6) against O(n^3) for
-    a stagewise step.  Over 1000 steps with N in {10, 100, 1000}, on one core
-    of a 2-core x86 host, the call was 11x faster than stagewise sweeps at
-    n = 1, 9x at n = 2, 1.5x at n = 4, and 3x slower at n = 6.  Every N
-    entry must be a positive integer (InvalidNError, raised before any
-    sweep).
+    spread = (max - min) / max: of sup_t |Lam1^N| for the first kernel, and
+    of sup_t |Lam2^N| * N/(N-1) over N > 1 for the second.  Lam2 is linear
+    with zero terminal value and its only source carries the weight (N-1)/N,
+    so Lam2^N = (N-1)/N M^N exactly, with M^N the solution under weight 1.
+    That weight lies in [1/2, 1) and cannot break uniform boundedness, yet
+    over N in {10, 100, 1000} it alone moves sup_t |Lam2^N| by 9.9%.
+    `LambdaPair.sup1` and `sup2` hold the raw sup norms.  Every N entry must
+    be a positive integer (InvalidNError, raised before any sweep).
     """
     N_list = list(N_list)
     for N in N_list:
@@ -236,19 +221,13 @@ def lambda_boundedness(params: ModelParams, law: FeedbackLaw, N_list) -> LambdaR
 
     bth = np.einsum("kij,kjl->kil", tabs["B"], Th1)
     dth = np.einsum("kij,kjl->kil", tabs["D"], Th1)
-    L = max(_coeff_maxnorm(tabs[k]) for k in ("A", "F", "C", "Ftilde", "Q"))
-    L = max(L, _coeff_maxnorm(bth), _coeff_maxnorm(dth))
     coeffs = np.stack([tabs["A"], tabs["F"], tabs["C"], tabs["Ftilde"], tabs["Q"], bth, dth],
                       axis=1)
 
-    # every N in one sweep, on a leading batch axis of the state; s = 1/N and
-    # w = (N-1)/N enter the generator elementwise as (N, 1, 1) arrays, so each
-    # N's kernels are the same floating-point operations as in a sweep alone
-    Ns = np.array(N_list, dtype=float).reshape(-1, 1, 1)
-    s, w = 1.0 / Ns, (Ns - 1) / Ns
-
-    def kernel_tables(ts):
-        # each coefficient as (steps, 3, 1, n, n): a batch axis of size 1
+    def kernel_tables(ts, s, w):
+        # s and w = 1 - s (1/N and (N-1)/N for the kernels) enter the
+        # generator elementwise as (batch, 1, 1) arrays; each coefficient is
+        # (steps, 3, 1, n, n), a batch axis of size 1
         A, F, C, Ft, Q, BTh, DTh = np.moveaxis(interp(coeffs, grid.dt, ts), 2, 0)[:, :, :, None]
         base = _right(A + BTh) + _left(_T(A))
         cross = _kron(_T(C), _T(C + DTh))
@@ -260,10 +239,16 @@ def lambda_boundedness(params: ModelParams, law: FeedbackLaw, N_list) -> LambdaR
                               np.zeros(ts.shape + (1, n * n))], axis=-1)
         return gen, src
 
+    # every N in one sweep, on a leading batch axis of the state, so each N's
+    # kernels are the same floating-point operations as in a sweep alone
     pairs = []
     if N_list:
-        terminal = np.broadcast_to(_vec_pair(params.G, np.zeros((n, n))), (len(N_list), 2 * n * n))
-        lam = _unvec_pair(integrate_linear(kernel_tables, terminal, grid, "backward").values, n)
+        Ns = np.array(N_list, dtype=float).reshape(-1, 1, 1)
+        s, w = 1.0 / Ns, (Ns - 1) / Ns
+        terminal = np.broadcast_to(np.concatenate([params.G.ravel(), np.zeros(n * n)]),
+                                   (len(N_list), 2 * n * n))
+        lam = integrate_linear(lambda ts: kernel_tables(ts, s, w), terminal, grid,
+                               "backward").values.reshape(grid.steps + 1, len(N_list), 2, n, n)
         for j, N in enumerate(N_list):
             lam1 = Trajectory(grid, lam[:, j, 0])
             lam2 = Trajectory(grid, lam[:, j, 1])
@@ -271,34 +256,31 @@ def lambda_boundedness(params: ModelParams, law: FeedbackLaw, N_list) -> LambdaR
                                     sup1=float(np.max(np.abs(lam1.values))),
                                     sup2=float(np.max(np.abs(lam2.values)))))
 
-    E = np.ones((n, n))
-    right_E, left_E, EE = _right(E), _left(E), _kron(E, E)
-    bound_gen = -np.block([[3 * L * right_E + L * left_E + 3 * L**2 * EE, L * right_E],
-                           [L * right_E + L**2 * EE, 3 * L * right_E + L * left_E]])
-    bound_src = _vec_pair(-L * E, np.zeros((n, n)))
+    # the generator at s = 0 and s = 1, at the stage times of the backward
+    # steps k -> k-1 (k = 1..steps, formed as integrate_linear forms them), a
+    # chunk of steps at a time to bound the tables' memory
+    t, h = grid.nodes[1:], -grid.dt
+    ends = np.array([0.0, 1.0]).reshape(-1, 1, 1)
+    mu, q = np.empty(grid.steps), np.empty(grid.steps)
+    for start in range(0, grid.steps, LINEAR_CHUNK_STEPS):
+        tk = t[start:start + LINEAR_CHUNK_STEPS]
+        gen, src = kernel_tables(np.stack([tk, tk + 0.5 * h, tk + h], axis=1), ends, 1.0 - ends)
+        mu[start:start + tk.size] = np.max(_log_norm_inf(-gen), axis=(1, 2))
+        q[start:start + tk.size] = np.max(np.abs(src), axis=(1, 2, 3))
+    with np.errstate(over="ignore"):
+        growth = np.exp(grid.dt * mu)
+    # Python floats overflow to inf (and inf * 0 to NaN) without warnings
+    bound = [float(np.max(np.abs(params.G)))]
+    for g, qk in zip(growth[::-1].tolist(), (grid.dt * q[::-1]).tolist()):
+        bound.append(g * bound[-1] + qk * max(1.0, g))
+    bound = np.array(bound[::-1])
 
-    def bound_tables(ts):
-        return (np.broadcast_to(bound_gen, ts.shape + bound_gen.shape),
-                np.broadcast_to(bound_src, ts.shape + bound_src.shape))
-
-    try:
-        bounds = integrate_linear(bound_tables, _vec_pair(np.abs(params.G), np.zeros((n, n))),
-                                  grid, "backward")
-    except NonFiniteError:
-        bound1 = bound2 = None
-    else:
-        bvals = _unvec_pair(bounds.values, n)
-        bound1 = Trajectory(grid, bvals[:, 0])
-        bound2 = Trajectory(grid, bvals[:, 1])
-
-    slack = 1e-12
-    dominated = bound1 is not None and all(
-        np.all(np.abs(p.lam1.values) <= bound1.values + slack)
-        and np.all(np.abs(p.lam2.values) <= bound2.values + slack)
-        for p in pairs
-    )
+    ceiling = bound + 1e-12 * (1.0 + bound)
+    dominated = bool(np.all(np.isfinite(bound))) and all(
+        np.all(np.max(np.abs(v), axis=(1, 2)) <= ceiling)
+        for p in pairs for v in (p.lam1.values, p.lam2.values))
     spread1 = _spread([p.sup1 for p in pairs])
     spread2 = _spread([p.sup2 * p.N / (p.N - 1) for p in pairs if p.N > 1])
-    return LambdaReport(pairs=pairs, bound1=bound1, bound2=bound2, L=float(L),
-                        dominated=dominated, uniform=(spread1 < 0.10 and spread2 < 0.10),
+    return LambdaReport(pairs=pairs, bound=bound, dominated=dominated,
+                        uniform=(spread1 < 0.10 and spread2 < 0.10),
                         max_spread1=spread1, max_spread2=spread2)

@@ -24,7 +24,7 @@ from . import __version__
 from .analysis import convergence_study, gap_study, lambda_boundedness
 from .consistency import solve_cc
 from .convexity import report_all, check_coupled_indefinite, check_decoupled_indefinite
-from .errors import ConfigError, MFLQGError, SettingError
+from .errors import ConfigError, MFLQGError, NonFiniteError, SettingError
 from .model import ModelParams, load_config, save_config, validate
 from .ode import TimeGrid, Trajectory
 from .presets import repro_instance
@@ -109,16 +109,28 @@ def load_law(law_dir: Path) -> tuple[FeedbackLaw, Trajectory, str]:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    grid = TimeGrid(float(doc["T"]), int(doc["steps"]))
-    law = FeedbackLaw(
-        grid=grid,
-        P=Trajectory(grid, np.asarray(doc["P"]["samples"])),
-        phi=Trajectory(grid, np.asarray(doc["phi"]["samples"])),
-        Theta1=Trajectory(grid, np.asarray(doc["Theta1"]["samples"])),
-        Theta2=Trajectory(grid, np.asarray(doc["Theta2"]["samples"])),
-        regularity_margin=float(doc["regularity_margin"]),
-    )
-    xhat = Trajectory(grid, np.asarray(doc["xhat"]["samples"]))
+
+    def field(name, read):
+        try:
+            return read(doc[name])
+        except KeyError as exc:
+            raise ConfigError(f"{path}: field {name!r}: missing key {exc}") from None
+        except (TypeError, ValueError, NonFiniteError) as exc:
+            raise ConfigError(f"{path}: field {name!r}: {exc}") from None
+
+    T, steps = field("T", float), field("steps", int)
+    try:
+        grid = TimeGrid(T, steps)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: fields 'T' and 'steps': {exc}") from None
+
+    def samples(name):
+        return field(name, lambda entry: Trajectory(grid, np.asarray(entry["samples"])))
+
+    law = FeedbackLaw(grid=grid, P=samples("P"), phi=samples("phi"), Theta1=samples("Theta1"),
+                      Theta2=samples("Theta2"),
+                      regularity_margin=field("regularity_margin", float))
+    xhat = samples("xhat")
     return law, xhat, sha256_of(path)
 
 
@@ -307,6 +319,8 @@ def cmd_gap(args) -> int:
 def cmd_repro(args) -> int:
     t0 = time.time()
     N_list = _parse_int_list(args.n_list, "--n-list")
+    if args.steps < 2:
+        raise SettingError(f"--steps: need at least 2 steps, got {args.steps}")
     params = repro_instance(steps=args.steps)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -61,9 +61,12 @@ COEFFS = ("A", "B", "C", "D", "F", "Ftilde", "Q", "R", "Gamma", "eta")
 def worker_count() -> int:
     env = os.environ.get("MFLQG_THREADS")
     try:
-        return max(1, int(env)) if env else os.cpu_count() or 1
+        count = int(env) if env else os.cpu_count() or 1
     except ValueError:
-        raise SettingError(f"MFLQG_THREADS must be an integer, got {env!r}") from None
+        count = 0
+    if count < 1:
+        raise SettingError(f"MFLQG_THREADS must be an integer >= 1, got {env!r}")
+    return count
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ Two sweeps share the grid and the stage times t_k, t_k + h/2, t_k + h:
   batched chunks and the step loop does one matrix product per step.  The
   affine kappa, the condition-37 transition matrix, the mean path X1, the phi
   cross-check, the closed-form K of the reduced case, and the Lyapunov
-  kernels and their bound pair run on it.  The Lyapunov equations multiply
-  their matrix state from both sides; written on its row-major vec, with
+  kernels of every N run on it.  The Lyapunov equations multiply their
+  matrix state from both sides; written on its row-major vec, with
   vec(X Y Z) = (X (x) Z') vec Y, they multiply from the left only.
 
 Every node-sampled quantity (trajectories, time-varying coefficients, the

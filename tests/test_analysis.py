@@ -1,5 +1,7 @@
 """Convergence table, gap study plumbing, Lyapunov-pair boundedness."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -165,19 +167,13 @@ def test_lambda_batch_over_N_is_bit_equal_to_single_N_sweeps():
 
 
 def _stagewise_lambda(params, law, N_list):
-    """Reference: the kernels of every N and the bound pair as stagewise RK4
-    sweeps of the matrix equations (two-sided products, no vectorization).
-
-    Returns the kernels as (nodes, N, 2, n, n) and the bound pair as
-    (nodes, 2, n, n).
-    """
+    """Reference: the kernels of every N as stagewise RK4 sweeps of the
+    matrix equations (two-sided products, no vectorization), as
+    (nodes, N, 2, n, n)."""
     grid = law.grid
-    n = params.n
     tabs = {k: params.node_table(k) for k in ("A", "B", "C", "D", "F", "Ftilde", "Q")}
     bth = np.einsum("kij,kjl->kil", tabs["B"], law.Theta1.values)
     dth = np.einsum("kij,kjl->kil", tabs["D"], law.Theta1.values)
-    L = max(np.max(np.abs(t)) for t in
-            (tabs["A"], tabs["F"], tabs["C"], tabs["Ftilde"], tabs["Q"], bth, dth))
     coeffs = np.stack([tabs["A"], tabs["F"], tabs["C"], tabs["Ftilde"], tabs["Q"], bth, dth],
                       axis=1)
     Ns = np.array(N_list, dtype=float).reshape(-1, 1, 1)
@@ -193,20 +189,9 @@ def _stagewise_lambda(params, law, N_list):
                + weight * (lam1 @ F - C.T @ lam1 @ Ft))
         return np.stack([d1, d2], axis=1)
 
+    n = params.n
     terminal = np.broadcast_to(np.stack([params.G, np.zeros((n, n))]), (len(Ns), 2, n, n))
-    lam = integrate_rk4(rhs, terminal, grid, "backward").values
-
-    E = np.ones((n, n))
-
-    def bound_rhs(t, b):
-        b1, b2 = b[0], b[1]
-        d1 = -(3 * L * b1 @ E + L * E @ b1 + 3 * L**2 * E @ b1 @ E + L * b2 @ E + L * E)
-        d2 = -(3 * L * b2 @ E + L * E @ b2 + L * b1 @ E + L**2 * E @ b1 @ E)
-        return np.stack([d1, d2])
-
-    bounds = integrate_rk4(bound_rhs, np.stack([np.abs(params.G), np.zeros((n, n))]),
-                           grid, "backward").values
-    return lam, bounds
+    return integrate_rk4(rhs, terminal, grid, "backward").values
 
 
 def _time_varying_repro(steps):
@@ -222,19 +207,18 @@ def _time_varying_repro(steps):
 
 @pytest.mark.parametrize("instance", ["repro", "time_varying", "random_n3"])
 def test_lambda_step_maps_match_stagewise_reference(instance):
-    # the vectorized step-map sweeps must reproduce the stagewise matrix
-    # equations to rounding: every kernel and both bounds, at every node
+    # the vectorized step-map sweep must reproduce the stagewise matrix
+    # equations to rounding: every kernel at every node
     if instance == "repro":
         p = repro_instance(steps=300)
     elif instance == "time_varying":
         p = _time_varying_repro(300)
     else:
-        # at n = 3 the bound pair overflows beyond T of about 0.3
         p = rand_params(np.random.default_rng(31), n=3, m=2, T=0.2, steps=200)
     _, law = solve_cc(p)
     Ns = [1, 10, 100, 1000]
     rep = lambda_boundedness(p, law, Ns)
-    lam, bounds = _stagewise_lambda(p, law, Ns)
+    lam = _stagewise_lambda(p, law, Ns)
 
     def close(ref, got):
         return np.max(np.abs(got - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
@@ -242,8 +226,6 @@ def test_lambda_step_maps_match_stagewise_reference(instance):
     for j, pair in enumerate(rep.pairs):
         assert close(lam[:, j, 0], pair.lam1.values)
         assert close(lam[:, j, 1], pair.lam2.values)
-    assert close(bounds[:, 0], rep.bound1.values)
-    assert close(bounds[:, 1], rep.bound2.values)
 
 
 @pytest.mark.parametrize("bad", [0, -3, 2.5])
@@ -319,19 +301,77 @@ def test_lambda_not_uniform_under_strong_coupling():
     assert not rep.uniform
 
 
+def _kernel_max(pair):
+    """max(max|Lam1|, max|Lam2|) at every node."""
+    return np.maximum(np.max(np.abs(pair.lam1.values), axis=(1, 2)),
+                      np.max(np.abs(pair.lam2.values), axis=(1, 2)))
+
+
+def _majorant_instance(name):
+    if name == "repro_varying_C":
+        p = _time_varying_repro(300)
+        p.C = p.C * (1.0 + p.grid().nodes)[:, None, None]
+        return p
+    n = int(name[-1])
+    return rand_params(np.random.default_rng(40 + n), n=n, m=2, steps=200)
+
+
+@pytest.mark.parametrize("instance", ["random_n1", "random_n2", "random_n3", "repro_varying_C"])
+def test_lambda_bound_majorizes_kernels_for_every_N(instance):
+    # b is one N-free bound: every kernel of every N sits at or below it at
+    # every node, and it is bit-equal whatever N list the call carries
+    p = _majorant_instance(instance)
+    _, law = solve_cc(p)
+    rep = lambda_boundedness(p, law, [1, 2, 10, 10**4])
+    assert np.all(np.isfinite(rep.bound))
+    for pair in rep.pairs:
+        assert np.all(_kernel_max(pair) <= rep.bound + 1e-12 * (1.0 + rep.bound)), pair.N
+    assert rep.dominated
+    for Ns in ([], [10**4], [7, 3]):
+        assert np.array_equal(lambda_boundedness(p, law, Ns).bound, rep.bound)
+
+
 def test_lambda_bound_terminal_is_abs_G():
-    # an indefinite-sign G: the bound must start from |G|, not G
+    # an indefinite-sign G: the bound must start from max|G|, not max G
     p = repro_instance(steps=200)
     p.G = np.array([[0.5, -0.2], [-0.2, 0.5]])
     sol, law = solve_cc(p)
     rep = lambda_boundedness(p, law, [10, 100, 1000])
-    assert np.array_equal(rep.bound1.terminal, np.abs(p.G))
+    assert rep.bound[-1] == 0.5
     assert rep.dominated
 
 
-def test_lambda_bound_dominates_when_L_exceeds_one():
-    # with L = 40 the C'Lam1(...) terms need the L^2 coefficient; a bound
-    # linear in L sits below |Lam1(0)| = 0.740 here
+def test_lambda_bound_follows_its_recurrence():
+    # a scalar instance whose generator is worked out by hand: with b = 1,
+    # c = 1, d = 0, f = 1 and ftilde = -1 its rows are
+    # (2a + th - 1 + 2s, s) and (2(1 - s), 2a + th + 1 - s), so mu_inf peaks
+    # at s = 0 with 2a + th + 3; th(t) = -t falls, so each backward step
+    # k -> k-1 takes its maximum at its far end t_{k-1}
+    p = ModelParams(
+        n=1, m=1, T=1.0, steps=100,
+        A=_scalar(0.2), B=_scalar(1), C=_scalar(1), D=_scalar(0),
+        F=_scalar(1), Ftilde=_scalar(-1), Q=_scalar(0.5), R=_scalar(1),
+        G=_scalar(-0.3), Gamma=_scalar(0), GammaBar=_scalar(0),
+        eta=np.zeros(1), etaBar=np.zeros(1), xi0=np.zeros(1))
+    grid = p.grid()
+    t = grid.nodes
+    law = FeedbackLaw(grid=grid, P=Trajectory(grid, np.zeros((t.size, 1, 1))),
+                      phi=Trajectory(grid, np.zeros((t.size, 1))),
+                      Theta1=Trajectory(grid, -t[:, None, None]),
+                      Theta2=Trajectory(grid, np.zeros((t.size, 1))),
+                      regularity_margin=1.0)
+    rep = lambda_boundedness(p, law, [1, 10])
+    want = [0.3]
+    for k in range(grid.steps, 0, -1):
+        growth = np.exp(grid.dt * (3.4 - t[k - 1]))
+        want.append(growth * want[-1] + grid.dt * 0.5 * max(1.0, growth))
+    assert np.max(np.abs(rep.bound / want[::-1] - 1.0)) < 1e-12
+    assert rep.dominated
+
+
+def test_lambda_bound_dominates_under_large_coefficients():
+    # coefficients of size 40: the C'Lam1(...) terms grow Lam1 to
+    # |Lam1(0)| = 0.740 within T = 0.005, and the bound must follow
     p = ModelParams(
         n=1, m=1, T=0.005, steps=400,
         A=_scalar(40), B=_scalar(1), C=_scalar(20), D=_scalar(1),
@@ -346,23 +386,47 @@ def test_lambda_bound_dominates_when_L_exceeds_one():
                       Theta2=Trajectory(grid, np.zeros((nodes, 1))),
                       regularity_margin=1.0)
     rep = lambda_boundedness(p, law, [10, 100, 1000])
-    assert rep.L == 40.0
     assert abs(rep.pairs[0].lam1.initial[0, 0]) == pytest.approx(0.740, abs=1e-3)
     assert rep.dominated
 
 
-def test_lambda_report_survives_bound_overflow():
-    # L = 1.47 here: the bound pair passes the blow-up norm, which must not
-    # throw away the kernels and their uniformity verdict
+def test_lambda_bound_finite_under_strong_coupling():
+    # repro with F and Ftilde x2.8: the kernels stay below 0.75 and the bound
+    # stays finite, while the second kernel's spread breaks uniformity
     p = repro_instance(steps=300)
     p.F = 2.8 * p.F
     p.Ftilde = 2.8 * p.Ftilde
     sol, law = solve_cc(p)
     rep = lambda_boundedness(p, law, [10, 100, 1000])
-    assert rep.bound1 is None and rep.bound2 is None
-    assert rep.dominated is False
-    assert [pr.N for pr in rep.pairs] == [10, 100, 1000]
-    assert all(np.isfinite(pr.sup1) and np.isfinite(pr.sup2) for pr in rep.pairs)
+    assert np.all(np.isfinite(rep.bound))
+    assert rep.dominated
     assert 0.0 < rep.max_spread1 < 0.10
     assert rep.max_spread2 > 0.10
     assert rep.uniform is False
+
+
+def test_lambda_report_survives_bound_overflow():
+    # a strongly non-normal A: mu_inf of the generator is about 1900, so b
+    # overflows, yet the kernels stay finite (sup 54.9); the report keeps
+    # them, says not dominated, and lets no overflow warning escape
+    z = np.zeros((2, 2))
+    p = ModelParams(
+        n=2, m=2, T=1.0, steps=1000,
+        A=np.array([[-50.0, 1000.0], [0.0, -50.0]]), B=np.eye(2), C=z, D=z, F=z, Ftilde=z,
+        Q=np.eye(2), R=np.eye(2), G=np.eye(2), Gamma=z, GammaBar=z,
+        eta=np.zeros(2), etaBar=np.zeros(2), xi0=np.zeros(2))
+    grid = p.grid()
+    nodes = grid.steps + 1
+    law = FeedbackLaw(grid=grid, P=Trajectory(grid, np.zeros((nodes, 2, 2))),
+                      phi=Trajectory(grid, np.zeros((nodes, 2))),
+                      Theta1=Trajectory(grid, np.zeros((nodes, 2, 2))),
+                      Theta2=Trajectory(grid, np.zeros((nodes, 2))),
+                      regularity_margin=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = lambda_boundedness(p, law, [10, 100, 1000])
+    assert not np.all(np.isfinite(rep.bound))
+    assert rep.dominated is False
+    assert [pr.N for pr in rep.pairs] == [10, 100, 1000]
+    assert all(pr.sup1 == pytest.approx(54.9, abs=0.05) for pr in rep.pairs)
+    assert all(pr.sup2 == 0.0 for pr in rep.pairs)

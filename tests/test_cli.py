@@ -73,6 +73,27 @@ def test_missing_field_is_validation_failure(tmp_path):
     assert "G" in r.stderr
 
 
+@pytest.mark.parametrize("field, edit", [
+    ("Theta1", lambda doc: doc.pop("Theta1")),
+    ("steps", lambda doc: doc.update(steps=1)),
+    ("P", lambda doc: doc["P"]["samples"].pop()),
+], ids=["missing_field", "one_step", "sample_count"])
+def test_malformed_law_is_validation_failure(tmp_path, field, edit):
+    cfg = small_config(tmp_path)
+    law_dir = tmp_path / "law"
+    assert main(["solve", str(cfg), "--out", str(law_dir)]) == 0
+    law = law_dir / "law.json"
+    doc = json.loads(law.read_text())
+    edit(doc)
+    law.write_text(json.dumps(doc))
+    r = run_cli(["simulate", str(cfg), "--law", str(law_dir), "--N", "2", "--paths", "1",
+                 "--seed", "1", "--out", str(tmp_path / "sim")])
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith(f"validation failure: {law}: ")
+    assert repr(field) in r.stderr
+
+
 def test_indefinite_R_without_noise_exits_two(tmp_path):
     p = repro_instance(steps=100)
     p.R = -np.eye(2)
@@ -227,6 +248,11 @@ def test_bad_run_settings_are_validation_failures(tmp_path, monkeypatch, capsys)
     monkeypatch.setenv("MFLQG_THREADS", "two")
     assert main(sim + ["--paths", "2"]) == 1
     assert "validation failure: MFLQG_THREADS must be an integer" in capsys.readouterr().err
+    monkeypatch.delenv("MFLQG_THREADS")
+    repro = tmp_path / "repro"
+    assert main(["repro-sec7", "--steps", "1", "--out", str(repro)]) == 1
+    assert "validation failure: --steps: need at least 2 steps, got 1" in capsys.readouterr().err
+    assert not repro.exists()
 
 
 def test_bad_population_is_validation_failure(tmp_path):

@@ -297,7 +297,7 @@ def test_extraction_consistent_with_mean_ode(rng):
 def test_constant_copies_as_time_varying_tables_match_constant_instance():
     # the time-varying branch (every capable coefficient sampled per node)
     # must reproduce the constant instance through solve_cc and the Lyapunov
-    # kernels and bounds
+    # kernels and their bound
     from mflqg.analysis import lambda_boundedness
     from mflqg.model import COEFF_SPEC
 
@@ -324,6 +324,5 @@ def test_constant_copies_as_time_varying_tables_match_constant_instance():
     r0, r1 = lambda_boundedness(const, l0, [10, 100]), lambda_boundedness(tv, l1, [10, 100])
     for a, b in zip(r0.pairs, r1.pairs):
         assert close(a.lam1.values, b.lam1.values) and close(a.lam2.values, b.lam2.values)
-    assert close(r0.bound1.values, r1.bound1.values)
-    assert close(r0.bound2.values, r1.bound2.values)
+    assert close(r0.bound, r1.bound)
     assert (r0.dominated, r0.uniform) == (r1.dominated, r1.uniform)

@@ -102,9 +102,10 @@ def test_bad_run_settings_raise_package_errors(monkeypatch):
     for paths, agents in ((0, 2), (3, 0), (2**32, 1)):
         with pytest.raises(SettingError):
             NoiseBank(seed=1, n_paths=paths, n_agents=agents, grid=grid)
-    monkeypatch.setenv("MFLQG_THREADS", "two")
-    with pytest.raises(SettingError, match="MFLQG_THREADS"):
-        worker_count()
+    for bad in ("two", "0", "-2"):
+        monkeypatch.setenv("MFLQG_THREADS", bad)
+        with pytest.raises(SettingError, match="MFLQG_THREADS"):
+            worker_count()
     monkeypatch.setenv("MFLQG_THREADS", "3")
     assert worker_count() == 3
     monkeypatch.setattr(montecarlo, "STORE_BUDGET", 5 * 2 * 20 - 1)
