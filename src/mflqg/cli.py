@@ -32,15 +32,15 @@ from .riccati import FeedbackLaw
 from .montecarlo import NoiseBank, simulate_decentralized
 
 
-def fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def write_csv(path: Path, header: list[str], rows) -> Path:
+    """Rows of string cells and numbers, the numbers printed as "%.17g".
+
+    Each row is one format call on a template of "%s" and "%.17g" fields.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(cell if isinstance(cell, str) else fmt(cell) for cell in row) + "\n")
+        fh.writelines(",".join(["%s" if isinstance(cell, str) else "%.17g" for cell in row])
+                      % tuple(row) + "\n" for row in rows)
     return path
 
 
@@ -101,7 +101,14 @@ def save_law(law: FeedbackLaw, xhat: Trajectory, out: Path) -> Path:
     return write_json(out / "law.json", doc)
 
 
-def load_law(law_dir: Path) -> tuple[FeedbackLaw, Trajectory, str]:
+def load_law(law_dir: Path, params: ModelParams | None = None
+             ) -> tuple[FeedbackLaw, Trajectory, str]:
+    """The law stored in ``law_dir``, its mean path xhat and the file's hash.
+
+    Every trajectory must hold one sample per node, shaped by the law's own
+    n and m; given ``params``, those must be the config's n and m.  A bad
+    file raises ConfigError naming the file and the field.
+    """
     path = Path(law_dir) / "law.json"
     try:
         doc = json.loads(path.read_text())
@@ -124,8 +131,20 @@ def load_law(law_dir: Path) -> tuple[FeedbackLaw, Trajectory, str]:
     except ValueError as exc:
         raise ConfigError(f"{path}: fields 'T' and 'steps': {exc}") from None
 
+    n, m = field("n", int), field("m", int)
+    if params is not None:
+        for name, have, want in (("n", n, params.n), ("m", m, params.m)):
+            if have != want:
+                raise ConfigError(f"{path}: field {name!r}: the law has {name} = {have}, "
+                                  f"the config {want}")
+    shapes = {"P": (n, n), "phi": (n,), "Theta1": (m, n), "Theta2": (m,), "xhat": (n,)}
+
     def samples(name):
-        return field(name, lambda entry: Trajectory(grid, np.asarray(entry["samples"])))
+        traj = field(name, lambda entry: Trajectory(grid, np.asarray(entry["samples"])))
+        if traj.shape != shapes[name]:
+            raise ConfigError(f"{path}: field {name!r}: samples of shape {traj.shape}, "
+                              f"expected {shapes[name]} for n = {n}, m = {m}")
+        return traj
 
     law = FeedbackLaw(grid=grid, P=samples("P"), phi=samples("phi"), Theta1=samples("Theta1"),
                       Theta2=samples("Theta2"),
@@ -240,7 +259,7 @@ def cmd_solve(args) -> int:
 def cmd_simulate(args) -> int:
     t0 = time.time()
     params = load_config(args.config)
-    law, _, law_hash = load_law(Path(args.law))
+    law, _, law_hash = load_law(Path(args.law), params)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfg = _stash_config(Path(args.config), params, out)
@@ -278,7 +297,7 @@ def cmd_converge(args) -> int:
     t0 = time.time()
     N_list = _parse_int_list(args.N_list, "--N-list")
     params = load_config(args.config)
-    law, xhat, law_hash = load_law(Path(args.law))
+    law, xhat, law_hash = load_law(Path(args.law), params)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfg = _stash_config(Path(args.config), params, out)

@@ -21,11 +21,12 @@ Everything runs on the master grid of the model.  The blocks are assembled
 on all nodes at once from the batched R + D'PD kernel of the riccati module,
 and stored as two stacks (3n and 6n blocks).  K is nonlinear and steps
 stagewise through ode.integrate_rk4, interpolating the 6n stack once per
-stage.  Everything after K is linear: kappa, the condition-37 transition
-matrix, the mean path X1 and the closed-form K of the reduced case are
-ode.integrate_linear sweeps, which sample the blocks they need for a chunk of
-steps at once; the node-wise read-off of the mean fields is batched over all
-nodes.
+stage and forming its right-hand side with two stacked matrix products on
+strided views of that stack.  Everything after K is linear: kappa, the
+condition-37 transition matrix, the mean path X1 and the closed-form K of
+the reduced case are ode.integrate_linear sweeps, which sample the blocks
+they need for a chunk of steps at once; the node-wise read-off of the mean
+fields is batched over all nodes.
 """
 
 from __future__ import annotations
@@ -230,15 +231,21 @@ def solve_K(cc: CCMatrices) -> Trajectory:
     dK/dt = A2t + B2t K - K (A1t + B1t K) + (C2t + C2bart) K (A1pt + B1pt K),
     K(T) = K_terminal.
 
-    Blow-up raises NonFiniteError: the equation is not symmetric and need not
-    be solvable on all of [0, T].
+    A stage interpolates the ``tilde`` stack once and forms the right-hand
+    side with two stacked products: [B1t, B1pt, B2t] K, read as a strided
+    view of the stack, and K [A1t + B1t K, A1pt + B1pt K].  Each matrix of a
+    stacked product is the product the matrix form makes, so K is bit-equal
+    to it.  Blow-up raises NonFiniteError: the equation is not symmetric and
+    need not be solvable on all of [0, T].
     """
     dt = cc.grid.dt
 
     def rhs(t, K):
-        a1t, b1t, a1pt, b1pt, a2t, b2t, c2t, c2bart = interp(cc.tilde, dt, t)
-        return (a2t + b2t @ K - K @ (a1t + b1t @ K)
-                + (c2t + c2bart) @ (K @ (a1pt + b1pt @ K)))
+        # a1t, b1t, a1pt, b1pt, a2t, b2t, c2t, c2bart
+        tl = interp(cc.tilde, dt, t)
+        bK = tl[1:6:2] @ K                   # b1t K, b1pt K, b2t K
+        KX = K @ (tl[0:3:2] + bK[:2])        # K (a1t + b1t K), K (a1pt + b1pt K)
+        return tl[4] + bK[2] - KX[0] + (tl[6] + tl[7]) @ KX[1]
 
     return integrate_rk4(rhs, cc.K_terminal, cc.grid, "backward")
 

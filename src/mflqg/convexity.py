@@ -48,17 +48,17 @@ class ConvexityVerdict:
         return self.status == UNIFORMLY_CONVEX
 
 
-def _node_eig_min(params: ModelParams, name: str) -> float:
-    table = params.node_table(name)
-    return float(min(np.linalg.eigvalsh(symmetrize(M))[0] for M in table))
+def _eig_min(S: np.ndarray) -> float:
+    """Smallest eigenvalue of a symmetrized matrix, or over a stack of them."""
+    return float(np.linalg.eigvalsh(symmetrize(S))[..., 0].min())
 
 
 def check_psd_case(params: ModelParams) -> ConvexityVerdict:
     """Semidefinite-weight certificate: Q, R, G >= 0 gives convexity, and
     additionally R strictly positive definite gives uniform convexity."""
-    lam_q = _node_eig_min(params, "Q")
-    lam_r = _node_eig_min(params, "R")
-    lam_g = float(np.linalg.eigvalsh(symmetrize(params.G))[0])
+    lam_q = _eig_min(params.node_table("Q"))
+    lam_r = _eig_min(params.node_table("R"))
+    lam_g = _eig_min(params.G)
     witness = {"lambda_min_Q": lam_q, "lambda_min_R": lam_r, "lambda_min_G": lam_g}
     if min(lam_q, lam_r, lam_g) < -UNIFORM_TOL:
         return ConvexityVerdict(NOT_VERIFIED, "psd-weights", witness)
@@ -100,18 +100,18 @@ def check_decoupled_indefinite(params: ModelParams, dQ=None, dG=None) -> Convexi
     n, steps = params.n, params.steps
     Qt = params.node_table("Q")
     qhat, ghat = _hat_tables(params)
-    q_gap = min(np.linalg.eigvalsh(symmetrize(M))[0] for M in (Qt - qhat))
-    g_gap = np.linalg.eigvalsh(symmetrize(params.G - ghat))[0]
-    witness = {"lambda_min_Q_minus_Qhat": float(q_gap), "lambda_min_G_minus_Ghat": float(g_gap)}
+    q_gap = _eig_min(Qt - qhat)
+    g_gap = _eig_min(params.G - ghat)
+    witness = {"lambda_min_Q_minus_Qhat": q_gap, "lambda_min_G_minus_Ghat": g_gap}
     if q_gap < -UNIFORM_TOL or g_gap < -UNIFORM_TOL:
         return ConvexityVerdict(NOT_VERIFIED, "decoupled-indefinite", witness)
 
     dQt = Qt - qhat if dQ is None else _as_table(dQ, steps, n, "dQ")
     dGm = params.G - ghat if dG is None else np.asarray(dG, dtype=float)
-    dq_ok = min(np.linalg.eigvalsh(symmetrize(M))[0] for M in (dQt - (Qt - qhat)))
-    dg_ok = np.linalg.eigvalsh(symmetrize(dGm - (params.G - ghat)))[0]
-    witness["lambda_min_dQ_gap"] = float(dq_ok)
-    witness["lambda_min_dG_gap"] = float(dg_ok)
+    dq_ok = _eig_min(dQt - (Qt - qhat))
+    dg_ok = _eig_min(dGm - (params.G - ghat))
+    witness["lambda_min_dQ_gap"] = dq_ok
+    witness["lambda_min_dG_gap"] = dg_ok
     if dq_ok < -UNIFORM_TOL:
         witness["failed"] = "dQ >= Q - Qhat"
         return ConvexityVerdict(NOT_VERIFIED, "decoupled-indefinite", witness)
@@ -145,23 +145,26 @@ def growth_constant(params: ModelParams) -> float:
                 sqrt(lam_max(D'(Ftilde Ftilde' + C Ftilde' + Ftilde C')D)
                      + lam_max(D'C C'D));
                 lam_max(D'D).
-    Time-varying coefficients take the max over grid nodes.
+    Time-varying coefficients take the max over grid nodes; every term is
+    formed on all nodes at once.
     """
-    tabs = {k: params.node_table(k) for k in ("A", "B", "C", "D", "F", "Ftilde")}
-    K = 0.0
-    for k in range(params.steps + 1):
-        A, B, C, D = tabs["A"][k], tabs["B"][k], tabs["C"][k], tabs["D"][k]
-        F, Ft = tabs["F"][k], tabs["Ftilde"][k]
-        terms = (
-            eigvals_sym(A.T + A)[-1] + eigvals_sym(F.T + F)[-1],
-            eigvals_sym(C.T @ C + (Ft + C).T @ (Ft + C))[-1],
-            np.sqrt(max(eigvals_sym(B.T @ B)[-1], 0.0)),
-            np.sqrt(max(eigvals_sym(D.T @ (Ft @ Ft.T + C @ Ft.T + Ft @ C.T) @ D)[-1], 0.0)
-                    + max(eigvals_sym(D.T @ (C @ C.T) @ D)[-1], 0.0)),
-            eigvals_sym(D.T @ D)[-1],
-        )
-        K = max(K, *terms)
-    return float(max(K, 0.0))
+    A, B, C, D, F, Ft = (params.node_table(k) for k in ("A", "B", "C", "D", "F", "Ftilde"))
+
+    def T(X):
+        return X.swapaxes(-1, -2)
+
+    def lam_max(S):
+        return eigvals_sym(S)[:, -1]
+
+    terms = (
+        lam_max(T(A) + A) + lam_max(T(F) + F),
+        lam_max(T(C) @ C + T(Ft + C) @ (Ft + C)),
+        np.sqrt(np.maximum(lam_max(T(B) @ B), 0.0)),
+        np.sqrt(np.maximum(lam_max(T(D) @ (Ft @ T(Ft) + C @ T(Ft) + Ft @ T(C)) @ D), 0.0)
+                + np.maximum(lam_max(T(D) @ (C @ T(C)) @ D), 0.0)),
+        lam_max(T(D) @ D),
+    )
+    return float(max(0.0, *(term.max() for term in terms)))
 
 
 def check_coupled_indefinite(params: ModelParams, dQ=None) -> ConvexityVerdict:
@@ -175,31 +178,31 @@ def check_coupled_indefinite(params: ModelParams, dQ=None) -> ConvexityVerdict:
     """
     n, steps = params.n, params.steps
     witness: dict = {}
-    lam_g = float(np.linalg.eigvalsh(symmetrize(params.G))[0])
+    lam_g = _eig_min(params.G)
     witness["lambda_min_G"] = lam_g
     if lam_g < -UNIFORM_TOL:
         witness["failed"] = "G >= 0"
         return ConvexityVerdict(NOT_VERIFIED, "coupled-indefinite", witness)
     Qt = params.node_table("Q")
     qhat, _ = _hat_tables(params)
-    q_gap = float(min(np.linalg.eigvalsh(symmetrize(M))[0] for M in (Qt - qhat)))
+    q_gap = _eig_min(Qt - qhat)
     witness["lambda_min_Q_minus_Qhat"] = q_gap
     if q_gap < -UNIFORM_TOL:
         witness["failed"] = "Q - Qhat >= 0"
         return ConvexityVerdict(NOT_VERIFIED, "coupled-indefinite", witness)
     dQt = Qt - qhat if dQ is None else _as_table(dQ, steps, n, "dQ")
-    dq_gap = float(min(np.linalg.eigvalsh(symmetrize(M))[0] for M in (dQt - (Qt - qhat))))
+    dq_gap = _eig_min(dQt - (Qt - qhat))
     witness["lambda_min_dQ_gap"] = dq_gap
     if dq_gap < -UNIFORM_TOL:
         witness["failed"] = "dQ >= Q - Qhat"
         return ConvexityVerdict(NOT_VERIFIED, "coupled-indefinite", witness)
-    lam_qd = float(min(np.linalg.eigvalsh(symmetrize(M))[0] for M in (Qt - dQt)))
+    lam_qd = _eig_min(Qt - dQt)
     witness["lambda_min_Q_minus_dQ"] = lam_qd
     if lam_qd > UNIFORM_TOL:
         witness["failed"] = "lam_min(Q - dQ) <= 0"
         return ConvexityVerdict(NOT_VERIFIED, "coupled-indefinite", witness)
     K = growth_constant(params)
-    lam_r = _node_eig_min(params, "R")
+    lam_r = _eig_min(params.node_table("R"))
     lhs = K * np.exp(2.0 * K * params.T) * lam_qd + 0.5 * lam_r
     witness.update({"K": K, "lambda_min_R": lam_r, "lhs": float(lhs)})
     if lhs > UNIFORM_TOL:

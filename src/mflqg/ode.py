@@ -11,7 +11,10 @@ Two sweeps share the grid and the stage times t_k, t_k + h/2, t_k + h:
 * :func:`integrate_rk4` calls a right-hand side at every stage.  The
   nonlinear Riccati equations (P, K, the oracle's P) need it.  So does the
   oracle's affine adjoint, kept as it is so that its stationarity verdicts
-  do not move.
+  do not move.  The right-hand side reads the stage's sample of the
+  equation: the stage time by default, or a row of a table that a sampler
+  builds for a chunk of steps at once (P's stacked operator, from
+  time-varying coefficients).
 * :func:`integrate_linear` takes a linear equation dy/dt = M(t) y + s(t) as a
   function that samples M and s on many stage times at once, optionally for
   a batch of equations on leading axes of the state.  One RK4 step of a
@@ -36,6 +39,7 @@ on [0, T] manifests and callers need to see it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +48,8 @@ from .errors import NonFiniteError, NotSymmetricError
 
 BLOWUP_NORM = 1e12
 SYM_TOL_SCALE = 1e-8
-# steps per batch of step maps in integrate_linear; bounds its tables' memory
+# steps per batch of step maps in integrate_linear and of stage samples in
+# integrate_rk4; bounds their tables' memory
 LINEAR_CHUNK_STEPS = 32
 
 
@@ -82,8 +87,9 @@ def interp(table: np.ndarray, dt: float, t) -> np.ndarray:
     """
     u = t / dt
     last = table.shape[0] - 2
-    if np.ndim(u) == 0:
-        i = min(max(int(np.floor(u)), 0), last)
+    # a float time (the RK4 stages' case) skips the slower np.ndim test
+    if isinstance(u, float) or np.ndim(u) == 0:
+        i = min(max(math.floor(u), 0), last)
         w = u - i
         if w == 0.0:
             return table[i]
@@ -131,43 +137,62 @@ class Trajectory:
         return interp(self.values, self.grid.dt, t)
 
 
-def _check_state(y: np.ndarray, where: str):
+def _check_state(y: np.ndarray, node: int | None = None):
+    """NonFiniteError naming the node (None: the boundary value) on blow-up;
+    the message is formatted only then."""
     # a NaN or Inf entry makes the max NaN or Inf, which fails the comparison
-    if not np.max(np.abs(y)) <= BLOWUP_NORM:
+    if not abs(y).max() <= BLOWUP_NORM:
+        where = "in the boundary value" if node is None else f"at node {node}"
         raise NonFiniteError(f"blow-up detected {where}")
 
 
+def _stage_times(nodes: np.ndarray, ks: np.ndarray, h: float) -> np.ndarray:
+    """(len(ks), 3) stage times t_k, t_k + h/2, t_k + h of the steps from ks."""
+    t = nodes[ks]
+    return np.stack([t, t + 0.5 * h, t + h], axis=1)
+
+
 def integrate_rk4(rhs, boundary_value, grid: TimeGrid, direction: str = "forward",
-                  project=None) -> Trajectory:
+                  project=None, coeffs=None) -> Trajectory:
     """Classical RK4 sweep over the grid, storing the value at every node.
 
-    rhs(t, y) -> dy/dt.  ``direction='backward'`` anchors the boundary value
-    at t_M and fills nodes down to t_0.  ``project`` is applied after each
-    step (used to re-symmetrize Riccati iterates).
+    rhs(c, y) -> dy/dt, where c is the equation's sample at the stage: by
+    default the stage time t_k, t_k + h/2 or t_k + h itself.  ``coeffs(ts)``
+    replaces that sample: it takes the (steps, 3) stage times of a chunk of
+    LINEAR_CHUNK_STEPS steps, as :func:`integrate_linear` does, and returns an
+    array whose leading (steps, 3) axes hold one sample per stage.  Sampling
+    a chunk at once keeps time-varying coefficient tables out of the stage.
+    ``direction='backward'`` anchors the boundary value at t_M and fills
+    nodes down to t_0.  ``project`` is applied after each step (used to
+    re-symmetrize Riccati iterates).
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")
     y0 = np.asarray(boundary_value, dtype=float)
-    _check_state(y0, "in the boundary value")
-    M = grid.steps
-    h = grid.dt if direction == "forward" else -grid.dt
+    _check_state(y0)
+    steps = grid.steps
+    forward = direction == "forward"
+    h = grid.dt if forward else -grid.dt
+    half, sixth = 0.5 * h, h / 6.0
     nodes = grid.nodes
-    out = np.empty((M + 1,) + y0.shape)
-    order = range(M) if direction == "forward" else range(M, 0, -1)
-    k0 = 0 if direction == "forward" else M
-    out[k0] = y0
+    order = np.arange(steps) if forward else np.arange(steps, 0, -1)
+    shift = 1 if forward else -1
+    out = np.empty((steps + 1,) + y0.shape)
+    out[order[0]] = y0
     y = y0
-    for k in order:
-        t = nodes[k]
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if project is not None:
-            y = project(y)
-        _check_state(y, f"at node {k + (1 if direction == 'forward' else -1)}")
-        out[k + (1 if direction == "forward" else -1)] = y
+    for start in range(0, steps, LINEAR_CHUNK_STEPS):
+        ks = order[start:start + LINEAR_CHUNK_STEPS]
+        ts = _stage_times(nodes, ks, h)
+        for k, (c1, c2, c4) in zip(ks.tolist(), ts if coeffs is None else coeffs(ts)):
+            k1 = rhs(c1, y)
+            k2 = rhs(c2, y + half * k1)
+            k3 = rhs(c2, y + half * k2)
+            k4 = rhs(c4, y + h * k3)
+            y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if project is not None:
+                y = project(y)
+            _check_state(y, k + shift)
+            out[k + shift] = y
     return Trajectory(grid, out, check=False)
 
 
@@ -219,7 +244,7 @@ def integrate_linear(coeffs, boundary_value, grid: TimeGrid,
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")
     y0 = np.asarray(boundary_value, dtype=float)
-    _check_state(y0, "in the boundary value")
+    _check_state(y0)
     steps = grid.steps
     forward = direction == "forward"
     h = grid.dt if forward else -grid.dt
@@ -230,9 +255,7 @@ def integrate_linear(coeffs, boundary_value, grid: TimeGrid,
     out[order[0]] = y0
     for start in range(0, steps, LINEAR_CHUNK_STEPS):
         ks = order[start:start + LINEAR_CHUNK_STEPS]
-        t = nodes[ks]
-        ts = np.stack([t, t + 0.5 * h, t + h], axis=1)
-        M, s = coeffs(ts)
+        M, s = coeffs(_stage_times(nodes, ks, h))
         if start == 0:
             # node axis, then M's batch axes, then the state as (d, c); a
             # vector state is a single column
@@ -241,9 +264,9 @@ def integrate_linear(coeffs, boundary_value, grid: TimeGrid,
         if s is not None:
             s = np.reshape(s, s.shape[:M.ndim - 2] + y.shape[-2:])
         D, g = _step_maps(M, s, h)
-        for j, k in enumerate(ks):
+        for j, k in enumerate(ks.tolist()):
             y = y + (D[j] @ y if g is None else D[j] @ y + g[j])
-            _check_state(y, f"at node {k + shift}")
+            _check_state(y, k + shift)
             cols[k + shift] = y
     return Trajectory(grid, out, check=False)
 
@@ -277,17 +300,23 @@ def symmetrize(S: np.ndarray) -> np.ndarray:
 
 def _require_symmetric(S: np.ndarray) -> np.ndarray:
     S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+    if S.ndim < 2 or S.shape[-1] != S.shape[-2]:
         raise NotSymmetricError(f"expected a square matrix, got shape {S.shape}")
-    tol = SYM_TOL_SCALE * (1.0 + np.max(np.abs(S)))
-    asym = np.max(np.abs(S - S.T)) if S.size else 0.0
-    if asym > tol:
-        raise NotSymmetricError(f"asymmetry {asym:.3e} exceeds tolerance {tol:.3e}")
+    if S.size:
+        # each matrix of a stack is held to its own tolerance
+        tol = SYM_TOL_SCALE * (1.0 + np.abs(S).max(axis=(-2, -1)))
+        asym = np.abs(S - np.swapaxes(S, -1, -2)).max(axis=(-2, -1))
+        bad = np.flatnonzero(asym > tol)
+        if bad.size:
+            i = bad[0]
+            raise NotSymmetricError(
+                f"asymmetry {asym.flat[i]:.3e} exceeds tolerance {tol.flat[i]:.3e}")
     return symmetrize(S)
 
 
 def eigvals_sym(S: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a (nearly) symmetric matrix.
+    """Ascending eigenvalues of a (nearly) symmetric matrix, or of each matrix
+    of a stack (last two axes).
 
     The input is symmetrized after a tolerance check; the contract is the
     Rayleigh bound lam_min ||x||^2 <= x'Sx <= lam_max ||x||^2.

@@ -20,11 +20,14 @@ always measured and enforced; the decentralized law is meaningless without it.
 R + D'PD and B'P + D'PC are formed by one kernel, :func:`gain_terms`, which
 broadcasts over time axes: the margin and the gains Theta1, Theta2 take it
 on all nodes at once, the phi sweep on the RK4 stage times of a chunk of
-steps, the P right-hand side on one matrix.  P is a nonlinear Riccati
-equation and steps stagewise (ode.integrate_rk4); phi is linear and is an
-ode.integrate_linear sweep.  The oracle's two sweeps stay stagewise: its
-affine feeds the stationarity verdicts, whose borderline cases a change in
-the last bits could move.  Its node-wise margin, gain and affine solves run
+steps, and the P right-hand side on the n^2 unit matrices.  P is a
+nonlinear Riccati equation and steps stagewise (ode.integrate_rk4), but
+everything in its right-hand side except the gain solve is linear in P: on
+y = (vec P, 1) it is one operator product per stage (:func:`p_operator`),
+built once for constant coefficients and per chunk of stage times for
+time-varying ones.  phi is linear and is an ode.integrate_linear sweep.
+The oracle's two sweeps stay stagewise: its affine feeds the stationarity
+verdicts, whose borderline cases a change in the last bits could move.  Its node-wise margin, gain and affine solves run
 batched over chunks of nodes, bit-identical to a loop over the nodes.  The
 auxiliary problem is always solved on the master grid of the model, where
 time-varying coefficients are sampled; only the oracle takes another grid.
@@ -112,26 +115,82 @@ def regularity_margin(P: Trajectory, params: ModelParams) -> float:
     return float(np.linalg.eigvalsh(symmetrize(S))[:, 0].min())
 
 
+def p_operator(A, B, C, D, Q, R) -> np.ndarray:
+    """The P right-hand side as one linear map of y = (vec P, 1), row-major vec.
+
+    Its rows give, in order: the linear part -(PA + A'P + C'PC + Q) (n^2
+    rows), a zero row that keeps the trailing 1, R + D'PD (m^2 rows) and
+    B'P + D'PC (mn rows).  Column j < n^2 is the image of the j-th unit
+    matrix, which by vec(XPY) = (X (x) Y') vec P makes the map
+    (-(I (x) A' + A' (x) I + C' (x) C'), D' (x) D', B' (x) I + D' (x) C');
+    R + D'PD is formed by :func:`gain_terms` as everywhere else.  The last
+    column holds the offsets -vec Q and vec R.  The coefficients share any
+    leading (time) axes, which the map carries in front of its
+    (n^2 + 1 + m^2 + mn, n^2 + 1) matrix.
+    """
+    n, m = B.shape[-2:]
+    lead = A.shape[:-2]
+    units = np.eye(n * n).reshape(n * n, n, n)
+    A, B, C, D = (X[..., None, :, :] for X in (A, B, C, D))
+    S, num = gain_terms(units, B, C, D, 0.0)
+    lin = -(units @ A + A.swapaxes(-1, -2) @ units + C.swapaxes(-1, -2) @ (units @ C))
+    images = [lin, np.zeros(lead + (n * n, 1)), S, num]
+    offsets = [-Q, np.zeros(lead + (1, 1)), R, np.zeros(lead + (1, m * n))]
+    columns = np.concatenate([
+        np.concatenate([X.reshape(lead + (n * n, -1)) for X in images], axis=-1),
+        np.concatenate([X.reshape(lead + (1, -1)) for X in offsets], axis=-1)], axis=-2)
+    return np.ascontiguousarray(columns.swapaxes(-1, -2))
+
+
 def solve_P(params: ModelParams) -> tuple[Trajectory, float]:
     """Backward solve of the regular Riccati equation for P, P(T) = G, on the
     master grid.
 
     dP/dt = -[PA + A'P + C'PC + Q - (PB + C'PD)(R + D'PD)^{-1}(B'P + D'PC)]
 
+    A stage is one product z = ops y of the :func:`p_operator` map with
+    y = (vec P, 1), one m x m solve gain = S^{-1} num with S and num read off
+    z, and dP/dt = z_lin + num' gain.  The map is built once for constant
+    coefficients; time-varying ones are sampled by ode.integrate_rk4 for a
+    chunk of stage times at once.  The product costs O(n^4) flops per stage
+    against O(n^3) for the matrix form; at the small n solved here a stage
+    costs its numpy calls, about ten against thirty for the matrix form.
+
     P is re-symmetrized after every step.  Returns (P, margin) where margin is
     the minimal node-wise lambda_min(R + D'PD); RegularityLostError if the
     margin falls to the tolerance, NonFiniteError on blow-up.
     """
-    def rhs(t, P):
-        A, B, C, D, Q, R = (params.coeff_at(k, t) for k in ("A", "B", "C", "D", "Q", "R"))
-        S, num = gain_terms(P, B, C, D, R)
+    n, m = params.n, params.m
+    n2, m2 = n * n, m * m
+    names = ("A", "B", "C", "D", "Q", "R")
+    if any(params.is_time_varying(k) for k in names):
+        def coeffs(ts):
+            return p_operator(*(np.broadcast_to(params.coeff_at(k, ts),
+                                                ts.shape + getattr(params, k).shape[-2:])
+                                for k in names))
+    else:
+        ops = p_operator(*(getattr(params, k) for k in names))
+
+        def coeffs(ts):
+            return np.broadcast_to(ops, ts.shape + ops.shape)
+
+    def rhs(ops, y):
+        z = ops @ y
+        S = z[n2 + 1:n2 + 1 + m2].reshape(m, m)
+        num = z[n2 + 1 + m2:].reshape(m, n)
         try:
             gain = np.linalg.solve(S, num)
         except np.linalg.LinAlgError as exc:
-            raise RegularityLostError(f"R + D'PD singular at t={t:.6g}") from exc
-        return -(P @ A + A.T @ P + C.T @ (P @ C) + Q - num.T @ gain)
+            raise RegularityLostError("R + D'PD singular at a stage of the P sweep") from exc
+        dy = z[:n2 + 1]
+        dy[:n2] += (num.T @ gain).ravel()
+        return dy
 
-    P = integrate_rk4(rhs, symmetrize(params.G), params.grid(), "backward", project=symmetrize)
+    # symmetrize on the vec: entry (i, j) meets entry (j, i), the 1 itself
+    swap = np.append(np.arange(n2).reshape(n, n).T.ravel(), n2)
+    y = integrate_rk4(rhs, np.append(symmetrize(params.G).ravel(), 1.0), params.grid(),
+                      "backward", project=lambda y: 0.5 * (y + y[swap]), coeffs=coeffs)
+    P = Trajectory(y.grid, np.ascontiguousarray(y.values[:, :n2]).reshape(-1, n, n))
     margin = regularity_margin(P, params)
     if margin <= REGULARITY_TOL:
         raise RegularityLostError(f"regularity margin {margin:.3e} <= {REGULARITY_TOL}")

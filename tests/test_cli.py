@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mflqg import montecarlo, riccati
-from mflqg.cli import load_law, main, write_json
+from mflqg.cli import load_law, main, write_csv, write_json
 from mflqg.model import load_config, save_config
 from mflqg.presets import repro_instance
 
@@ -77,7 +77,9 @@ def test_missing_field_is_validation_failure(tmp_path):
     ("Theta1", lambda doc: doc.pop("Theta1")),
     ("steps", lambda doc: doc.update(steps=1)),
     ("P", lambda doc: doc["P"]["samples"].pop()),
-], ids=["missing_field", "one_step", "sample_count"])
+    ("Theta1", lambda doc: doc["Theta1"].update(samples=[s[:1] for s in doc["Theta1"]["samples"]])),
+    ("m", lambda doc: doc.update(m=1)),
+], ids=["missing_field", "one_step", "sample_count", "sample_shape", "config_dims"])
 def test_malformed_law_is_validation_failure(tmp_path, field, edit):
     cfg = small_config(tmp_path)
     law_dir = tmp_path / "law"
@@ -92,6 +94,27 @@ def test_malformed_law_is_validation_failure(tmp_path, field, edit):
     assert "Traceback" not in r.stderr
     assert r.stderr.startswith(f"validation failure: {law}: ")
     assert repr(field) in r.stderr
+
+
+def test_converge_rejects_a_law_of_other_dimensions(tmp_path):
+    law_dir = tmp_path / "law"
+    assert main(["solve", str(scalar_config(tmp_path)), "--out", str(law_dir)]) == 0
+    r = run_cli(["converge", str(small_config(tmp_path)), "--law", str(law_dir),
+                 "--N-list", "2", "--reps", "2", "--seed", "1", "--out", str(tmp_path / "c")])
+    assert r.returncode == 1
+    assert r.stderr.startswith(f"validation failure: {law_dir / 'law.json'}: field 'n': ")
+
+
+def test_write_csv_prints_each_number_as_17_significant_digits(tmp_path):
+    rows = [["a", 0.1, -0.0, np.inf, -np.inf, 2],
+            ["7", 1e-300, 5e-324, np.finfo(float).max, -123456789.123456789, np.nan],
+            ["", np.float64(2.0 / 3.0), 1e22, 1e16 + 2.0, -1e-5, 12345678901234567890],
+            ["5%s%%", "%.17g", 1.5, "", 0.0, True]]
+    path = write_csv(tmp_path / "t.csv", ["s", "b", "c", "d", "e", "f"], rows)
+    expect = "s,b,c,d,e,f\n" + "".join(
+        ",".join(c if isinstance(c, str) else f"{float(c):.17g}" for c in row) + "\n"
+        for row in rows)
+    assert path.read_bytes() == expect.encode()
 
 
 def test_indefinite_R_without_noise_exits_two(tmp_path):

@@ -137,6 +137,41 @@ def test_explicit_K_rejects_unreduced(rng):
         explicit_K_reduced(cc)
 
 
+def _instance(name):
+    from test_montecarlo import time_varying_params
+
+    if name == "repro":
+        return repro_instance()
+    return time_varying_params(np.random.default_rng(7), steps=300)
+
+
+def _K_matrix_form(cc):
+    def rhs(t, K):
+        a1t, b1t, a1pt, b1pt, a2t, b2t, c2t, c2bart = interp(cc.tilde, cc.grid.dt, t)
+        return (a2t + b2t @ K - K @ (a1t + b1t @ K)
+                + (c2t + c2bart) @ (K @ (a1pt + b1pt @ K)))
+
+    return integrate_rk4(rhs, cc.K_terminal, cc.grid, "backward").values
+
+
+@pytest.mark.parametrize("instance", ["repro", "time_varying"])
+def test_solve_K_bit_equal_to_matrix_form(instance):
+    p = _instance(instance)
+    cc = build_cc(p, solve_P(p)[0])
+    assert np.array_equal(solve_K(cc).values, _K_matrix_form(cc))
+
+
+@pytest.mark.parametrize("instance", ["repro", "time_varying"])
+def test_K_lower_left_block_stays_exactly_zero(instance):
+    # the equation is homogeneous in K's lower-left 3n x 3n block, which
+    # starts from 0, so any block-order slip in the right-hand side shows
+    p = _instance(instance)
+    n3 = 3 * p.n
+    K = solve_K(build_cc(p, solve_P(p)[0])).values
+    assert np.max(np.abs(K[:, n3:, :n3])) == 0.0
+    assert np.max(np.abs(K[:, :n3, :n3])) > 0.0
+
+
 def _K_residual(steps):
     p = repro_instance(steps=steps)
     P, _ = solve_P(p)

@@ -12,10 +12,13 @@ from mflqg.convexity import (
     check_psd_case,
     growth_constant,
 )
+from mflqg.convexity import _hat_tables
 from mflqg.errors import CouplingPresentError
+from mflqg.ode import eigvals_sym, symmetrize
 from mflqg.presets import repro_instance
 
 from conftest import rand_params
+from test_montecarlo import time_varying_params
 
 
 def base_params(rng, **over):
@@ -119,6 +122,60 @@ def test_growth_constant_term_by_term(rng):
         lam(D.T @ D),
     ]
     assert growth_constant(p) == pytest.approx(max(terms), abs=1e-10)
+
+
+def _eig_min_per_node(table):
+    return float(min(np.linalg.eigvalsh(symmetrize(M))[0] for M in table))
+
+
+def _growth_constant_per_node(p):
+    tabs = {k: p.node_table(k) for k in ("A", "B", "C", "D", "F", "Ftilde")}
+    K = 0.0
+    for k in range(p.steps + 1):
+        A, B, C, D, F, Ft = (tabs[name][k] for name in ("A", "B", "C", "D", "F", "Ftilde"))
+        K = max(K,
+                eigvals_sym(A.T + A)[-1] + eigvals_sym(F.T + F)[-1],
+                eigvals_sym(C.T @ C + (Ft + C).T @ (Ft + C))[-1],
+                np.sqrt(max(eigvals_sym(B.T @ B)[-1], 0.0)),
+                np.sqrt(max(eigvals_sym(D.T @ (Ft @ Ft.T + C @ Ft.T + Ft @ C.T) @ D)[-1], 0.0)
+                        + max(eigvals_sym(D.T @ (C @ C.T) @ D)[-1], 0.0)),
+                eigvals_sym(D.T @ D)[-1])
+    return float(max(K, 0.0))
+
+
+def test_batched_certificates_equal_per_node_loops():
+    # every node-wise minimum or maximum is formed on all nodes at once; on a
+    # time-varying instance each verdict and witness equals a per-node loop
+    p = time_varying_params(np.random.default_rng(7), steps=300)
+    assert growth_constant(p) == _growth_constant_per_node(p)
+    psd = check_psd_case(p)
+    for name in ("Q", "R"):
+        assert psd.witness[f"lambda_min_{name}"] == _eig_min_per_node(p.node_table(name))
+
+    # Gamma = 0 gives Qhat = Q, so the shift dQ = Q + I/10 carries the coupled
+    # certificate through every hypothesis to the growth-constant test
+    p.Gamma = np.zeros_like(p.Gamma)
+    Qt = p.node_table("Q")
+    qhat, _ = _hat_tables(p)
+    dQ = Qt + 0.1 * np.eye(2)
+    v = check_coupled_indefinite(p, dQ=dQ)
+    assert v.witness["lambda_min_Q_minus_Qhat"] == _eig_min_per_node(Qt - qhat)
+    assert v.witness["lambda_min_dQ_gap"] == _eig_min_per_node(dQ - (Qt - qhat))
+    assert v.witness["lambda_min_Q_minus_dQ"] == _eig_min_per_node(Qt - dQ)
+    assert v.witness["K"] == _growth_constant_per_node(p)
+    assert v.witness["lambda_min_R"] == _eig_min_per_node(p.node_table("R"))
+
+    # decoupled, with GammaBar = 0 for Ghat = G: through to the shifted solve
+    p.F = np.zeros((2, 2))
+    p.Ftilde = np.zeros((2, 2))
+    p.GammaBar = np.zeros((2, 2))
+    qhat, ghat = _hat_tables(p)
+    d = check_decoupled_indefinite(p, dQ=dQ)
+    assert d.witness["lambda_min_Q_minus_Qhat"] == _eig_min_per_node(Qt - qhat)
+    assert d.witness["lambda_min_G_minus_Ghat"] == _eig_min_per_node([p.G - ghat])
+    assert d.witness["lambda_min_dQ_gap"] == _eig_min_per_node(dQ - (Qt - qhat))
+    assert d.witness["lambda_min_dG_gap"] == 0.0
+    assert "margin" in d.witness or "riccati" in d.witness
 
 
 def test_growth_constant_orthogonal_invariance(rng):

@@ -152,6 +152,49 @@ def test_integrate_linear_blowup_names_the_same_node(direction):
     assert "blow-up detected at node" in str(new.value)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_integrate_rk4_blowup_names_the_node(direction, bad):
+    # the right-hand side turns non-finite at the stage times past 0.555 in
+    # the sweep's direction: forward the step 55 -> 56 is the first to reach
+    # t = 0.56, backward the step 56 -> 55 the first to reach t = 0.55
+    g = TimeGrid(1.0, 100)
+    forward = direction == "forward"
+
+    def rhs(t, y):
+        past = t > 0.555 if forward else t < 0.555
+        return np.full_like(y, bad) if past else -y
+
+    node = 56 if forward else 55
+    with pytest.raises(NonFiniteError, match=rf"^blow-up detected at node {node}$"):
+        integrate_rk4(rhs, np.array([1.0, 2.0]), g, direction)
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_integrate_rk4_chunk_sampler_equals_stage_times(monkeypatch, direction):
+    # dy/dt = M(t) y + s(t) with polynomial M, s: sampled per chunk as [M | s]
+    # or evaluated at each stage time, the sweep is bit-equal, whatever the
+    # chunk size
+    rng = np.random.default_rng(9)
+    g = TimeGrid(1.3, 100)
+    M0, M1, M2 = (rng.standard_normal((3, 3)) for _ in range(3))
+    s0, s1 = (rng.standard_normal((3, 1)) for _ in range(2))
+    y0 = rng.standard_normal(3)
+
+    def table(t):
+        t = np.asarray(t)[..., None, None]
+        return np.concatenate([M0 + t * M1 + (t * t) * M2, s0 + t * s1], axis=-1)
+
+    def sampled_rhs(c, y):
+        return c[:, :3] @ y + c[:, 3]
+
+    ref = integrate_rk4(lambda t, y: sampled_rhs(table(t), y), y0, g, direction).values
+    for chunk in (1, 7, 32, 200):
+        monkeypatch.setattr(ode, "LINEAR_CHUNK_STEPS", chunk)
+        got = integrate_rk4(sampled_rhs, y0, g, direction, coeffs=table).values
+        assert np.array_equal(got, ref)
+
+
 @pytest.mark.parametrize("cols", [None, 2], ids=["vector", "matrix"])
 @pytest.mark.parametrize("direction", ["forward", "backward"])
 def test_integrate_linear_batch_axes_equal_per_entry_sweeps(direction, cols):
@@ -231,6 +274,26 @@ def test_eig_simple_cases():
 def test_eig_rejects_asymmetric():
     with pytest.raises(NotSymmetricError):
         eigvals_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_eigvals_sym_on_a_stack_equals_each_matrix():
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((50, 3, 3)) * np.logspace(-3, 3, 50)[:, None, None]
+    S = X + X.swapaxes(-1, -2)
+    assert np.array_equal(eigvals_sym(S), np.stack([eigvals_sym(M) for M in S]))
+    bad = S.copy()
+    bad[17, 0, 1] += 1e-3 * np.abs(S[17]).max()
+    with pytest.raises(NotSymmetricError):
+        eigvals_sym(bad[17])
+    with pytest.raises(NotSymmetricError):
+        eigvals_sym(bad)
+    # each matrix keeps its own tolerance: a large one beside it does not
+    # loosen that of a small one
+    small = np.array([[1.0, 1e-6], [0.0, 1.0]])
+    with pytest.raises(NotSymmetricError):
+        eigvals_sym(small)
+    with pytest.raises(NotSymmetricError):
+        eigvals_sym(np.stack([small, 1e6 * np.eye(2)]))
 
 
 def test_rayleigh_bounds_hold_on_random_matrices():

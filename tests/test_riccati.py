@@ -66,6 +66,52 @@ def test_regularity_lost_raises():
         solve_P(p)
 
 
+def _matrix_form_P(p):
+    """Stagewise RK4 of the matrix-form P equation, re-symmetrized per step."""
+    grid = p.grid()
+    h = -grid.dt
+
+    def rhs(t, P):
+        A, B, C, D, Q, R = (p.coeff_at(k, t) for k in ("A", "B", "C", "D", "Q", "R"))
+        S = R + D.T @ P @ D
+        num = B.T @ P + D.T @ P @ C
+        return -(P @ A + A.T @ P + C.T @ P @ C + Q - num.T @ np.linalg.solve(S, num))
+
+    out = np.empty((grid.steps + 1, p.n, p.n))
+    P = out[-1] = symmetrize(p.G)
+    for k in range(grid.steps, 0, -1):
+        t = grid.nodes[k]
+        k1 = rhs(t, P)
+        k2 = rhs(t + h / 2, P + h / 2 * k1)
+        k3 = rhs(t + h / 2, P + h / 2 * k2)
+        k4 = rhs(t + h, P + h * k3)
+        P = out[k - 1] = symmetrize(P + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
+    return out
+
+
+@pytest.mark.parametrize("instance", ["repro", "random_n3_m2", "time_varying"])
+def test_solve_P_operator_form_matches_matrix_form(instance):
+    p = {"repro": lambda: repro_instance(),
+         "random_n3_m2": lambda: rand_params(np.random.default_rng(5), n=3, m=2, steps=300),
+         "time_varying": lambda: time_varying_params(np.random.default_rng(7), steps=300),
+         }[instance]()
+    P, _ = solve_P(p)
+    ref = _matrix_form_P(p)
+    err = np.abs(P.values - ref).max(axis=(1, 2))
+    assert np.all(err <= 1e-13 * np.abs(ref).max(axis=(1, 2)))
+    # re-symmetrized after every step, so exactly symmetric at every node
+    assert np.array_equal(P.values, P.values.swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("time_varying", [False, True], ids=["constant", "time_varying"])
+def test_singular_gain_denominator_in_the_P_sweep_raises(time_varying):
+    p = scalar_params(steps=20, R=[[0.0]], D=[[0.0]])
+    if time_varying:
+        p.A = p.A * (1.0 + p.grid().nodes)[:, None, None]
+    with pytest.raises(RegularityLostError, match="singular"):
+        solve_P(p)
+
+
 def test_theta1_hand_cases():
     # R=1, D=1, P=1, B=1, C=0 -> Theta1 = -(1+1)^{-1} (1) = -1/2
     p = scalar_params(steps=10, B=[[1.0]], C=[[0.0]], D=[[1.0]], R=[[1.0]])
