@@ -23,7 +23,8 @@ import numpy as np
 from . import __version__
 from .analysis import convergence_study, gap_study, lambda_boundedness
 from .consistency import solve_cc
-from .convexity import report_all, check_coupled_indefinite, check_decoupled_indefinite
+from .convexity import (check_coupled_indefinite, check_decoupled_indefinite, is_coupled,
+                        report_all)
 from .errors import ConfigError, MFLQGError, NonFiniteError, SettingError
 from .model import ModelParams, load_config, save_config, validate
 from .ode import TimeGrid, Trajectory
@@ -101,6 +102,17 @@ def save_law(law: FeedbackLaw, xhat: Trajectory, out: Path) -> Path:
     return write_json(out / "law.json", doc)
 
 
+def _read_json(path):
+    """The JSON document in ``path``; a missing or malformed file raises
+    ConfigError naming it."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+
+
 def load_law(law_dir: Path, params: ModelParams | None = None
              ) -> tuple[FeedbackLaw, Trajectory, str]:
     """The law stored in ``law_dir``, its mean path xhat and the file's hash.
@@ -110,12 +122,7 @@ def load_law(law_dir: Path, params: ModelParams | None = None
     file raises ConfigError naming the file and the field.
     """
     path = Path(law_dir) / "law.json"
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    doc = _read_json(path)
 
     def field(name, read):
         try:
@@ -187,19 +194,27 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _read_shift(path) -> np.ndarray | None:
+    """The --dq/--dg weight shift in the JSON file ``path`` (None without
+    one); a file that is missing, malformed or not numeric raises
+    ConfigError naming it."""
+    if path is None:
+        return None
+    try:
+        return np.asarray(_read_json(path), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: not an array of numbers: {exc}") from None
+
+
 def cmd_convexity(args) -> int:
     params = load_config(args.config)
-    dq = np.asarray(json.loads(Path(args.dq).read_text())) if args.dq else None
-    dg = np.asarray(json.loads(Path(args.dg).read_text())) if args.dg else None
+    dq, dg = _read_shift(args.dq), _read_shift(args.dg)
     if dq is None and dg is None:
         verdicts = report_all(params)
+    elif is_coupled(params):
+        verdicts = {"coupled_indefinite": check_coupled_indefinite(params, dq)}
     else:
-        coupled = (np.max(np.abs(params.node_table("F"))) > 0
-                   or np.max(np.abs(params.node_table("Ftilde"))) > 0)
-        if coupled:
-            verdicts = {"coupled_indefinite": check_coupled_indefinite(params, dq)}
-        else:
-            verdicts = {"decoupled_indefinite": check_decoupled_indefinite(params, dq, dg)}
+        verdicts = {"decoupled_indefinite": check_decoupled_indefinite(params, dq, dg)}
     doc = {k: _verdict_doc(v) for k, v in verdicts.items()}
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0

@@ -19,14 +19,15 @@ must produce the same phi.
 
 Everything runs on the master grid of the model.  The blocks are assembled
 on all nodes at once from the batched R + D'PD kernel of the riccati module,
-and stored as two stacks (3n and 6n blocks).  K is nonlinear and steps
-stagewise through ode.integrate_rk4, interpolating the 6n stack once per
-stage and forming its right-hand side with two stacked matrix products on
-strided views of that stack.  Everything after K is linear: kappa, the
-condition-37 transition matrix, the mean path X1 and the closed-form K of
-the reduced case are ode.integrate_linear sweeps, which sample the blocks
-they need for a chunk of steps at once; the node-wise read-off of the mean
-fields is batched over all nodes.
+and stored as one stack of the eight 6n blocks; the 3n blocks of the mean
+system are its diagonal sub-blocks.  K is nonlinear and steps stagewise
+through ode.integrate_rk4, interpolating the stack once per stage and
+forming its right-hand side with two stacked matrix products on strided
+views of it.  Everything after K is linear: kappa, the condition-37
+transition matrix, the mean path X1 and the closed-form K of the reduced
+case are ode.integrate_linear sweeps, which sample the blocks they need for
+a chunk of steps at once; the node-wise read-off of the mean fields is
+batched over all nodes.
 """
 
 from __future__ import annotations
@@ -53,76 +54,42 @@ REDUCED_SV_TOL = 1e-8
 BLOCK_IDENTITY_TOL = 1e-10
 
 
+# order of the 6n blocks in CCMatrices.tilde; the b blocks sit at odd
+# indices, so a1/a1p and b1/b1p/b2 are strided views of the stack
+A1, B1, A1P, B1P, A2, B2, C2, C2BAR = range(8)
+
+
 @dataclass
 class CCMatrices:
     """Node-sampled blocks of the consistency-condition system.
 
-    pi1..pi4, pi1p..pi3p are the n x n pieces; a1..g_vec the 3n blocks of the
-    mean-field FBSDE; the *_t fields the 6n blocks of the stacked
-    (mean, fluctuation) system.  K_terminal / kappa_terminal are the terminal
-    data of the decoupling pair.
-
-    ``mean`` (nodes, 12, 3n, 3n) stacks the 3n blocks in the order a1, b1,
-    a2, b2, a1bar, a1p, a1pbar, b1p, a2bar, b2bar, c2, c2bar, and ``tilde``
-    (nodes, 8, 6n, 6n) the 6n blocks in the order a1_t, b1_t, a1p_t, b1p_t,
-    a2_t, b2_t, c2_t, c2bar_t, so a sweep reads every block it needs with one
-    interpolation per stage.  The named block fields are views into these
-    stacks, not copies.
+    ``tilde`` (nodes, 8, 6n, 6n) stacks the 6n blocks of the stacked
+    (mean, fluctuation) FBSDE in the order A1 .. C2BAR above, so a sweep
+    reads every block it needs with one interpolation per stage.  Each block
+    is 2 x 2 in 3n blocks of the mean-field FBSDE, and those of the mean
+    system are diagonal ones: the lower-right 3n blocks of A1, B1, A1P, B1P,
+    A2, B2 and C2 are a1, b1, a1p, b1p, a2, b2 and c2; the upper-left ones of
+    A1, B1, A2 and B2 are a1 + a1bar, b1, a2 + a2bar and b2 + b2bar.  f_t is
+    the forcing of kappa, K_terminal = diag(Gbar + Gbar', Gbar) and
+    kappa_terminal the terminal data of the decoupling pair, and xi_bar the
+    initial mean state (xi0, 0, 0).
     """
 
     grid: TimeGrid
     n: int
-    mean: np.ndarray
     tilde: np.ndarray
-    # n x n pieces
-    pi1: np.ndarray
-    pi2: np.ndarray
-    pi3: np.ndarray
-    pi4: np.ndarray
-    pi1p: np.ndarray
-    pi2p: np.ndarray
-    pi3p: np.ndarray
-    # 3n blocks
-    a1: np.ndarray
-    a1bar: np.ndarray
-    b1: np.ndarray
-    a1p: np.ndarray
-    a1pbar: np.ndarray
-    b1p: np.ndarray
-    a2: np.ndarray
-    a2bar: np.ndarray
-    b2: np.ndarray
-    b2bar: np.ndarray
-    c2: np.ndarray
-    c2bar: np.ndarray
-    f_vec: np.ndarray
-    Gbar: np.ndarray
-    Gbar_prime: np.ndarray
-    g_vec: np.ndarray
-    xi_bar: np.ndarray
-    # 6n stacked blocks
-    a1_t: np.ndarray
-    b1_t: np.ndarray
-    a1p_t: np.ndarray
-    b1p_t: np.ndarray
-    a2_t: np.ndarray
-    b2_t: np.ndarray
-    c2_t: np.ndarray
-    c2bar_t: np.ndarray
     f_t: np.ndarray
     K_terminal: np.ndarray
     kappa_terminal: np.ndarray
-    xi_t: np.ndarray
+    xi_bar: np.ndarray
 
 
-def _stack(layout: dict, nodes: int, size: int, side: int) -> tuple[np.ndarray, dict]:
-    """Zero (nodes, len(layout), side*size, side*size) stack with each entry's
-    {(i, j): table} sub-blocks written in; also returns name -> view."""
-    out = np.zeros((nodes, len(layout), side * size, side * size))
-    for b, blocks in enumerate(layout.values()):
-        for (i, j), tab in blocks.items():
-            out[:, b, i * size:(i + 1) * size, j * size:(j + 1) * size] = tab
-    return out, dict(zip(layout, np.moveaxis(out, 1, 0)))
+def _place(out: np.ndarray, blocks: dict, size: int) -> np.ndarray:
+    """Write each {(i, j): table} entry into the (i, j) size x size
+    sub-block of the trailing two axes of out; returns out."""
+    for (i, j), tab in blocks.items():
+        out[..., i * size:(i + 1) * size, j * size:(j + 1) * size] = tab
+    return out
 
 
 def _T(X: np.ndarray) -> np.ndarray:
@@ -135,9 +102,12 @@ def build_cc(params: ModelParams, P: Trajectory) -> CCMatrices:
 
     The closed-loop pieces satisfy pi1 = A + B Theta1 and pi1p = C + D Theta1
     identically; both identities are asserted to 1e-10 as a bookkeeping guard.
+    The 3n blocks of the mean-field FBSDE are temporaries, written from the
+    n x n pieces and then into the preallocated ``tilde`` stack.
     """
     grid = P.grid
     n = params.n
+    n3 = 3 * n
     nodes = grid.steps + 1
     eye = np.eye(n)
     A, B, C, D, Q, R, F, Ft, Gam, eta = (params.node_table(k) for k in (
@@ -171,58 +141,43 @@ def build_cc(params: ModelParams, P: Trajectory) -> CCMatrices:
     if bad.size:
         raise MFLQGError(f"closed-loop block identity violated at node {bad[0]}")
 
-    FT, FtT, AT = _T(F), _T(Ft), _T(A)
-    mean, m = _stack({
-        "a1": {(0, 0): pi1},
-        "b1": {(0, 0): pi3},
-        "a2": {(1, 0): -Q},
-        "b2": {(0, 0): -_T(pi1), (0, 2): -FT, (1, 1): -AT, (2, 2): -(AT + FT)},
-        "a1bar": {(0, 0): pi2},
-        "a1p": {(0, 0): pi1p},
-        "a1pbar": {(0, 0): pi2p},
-        "b1p": {(0, 0): pi3p},
-        "a2bar": {(0, 0): pi4, (1, 0): qg, (2, 0): gqig},
-        "b2bar": {(0, 1): -FT, (2, 1): -FT},
-        "c2": {(1, 1): -_T(C)},
-        "c2bar": {(0, 1): -FtT, (2, 1): -FtT},
-    }, nodes, n, 3)
-    tilde, mt = _stack({
-        "a1_t": {(0, 0): m["a1"] + m["a1bar"], (1, 1): m["a1"]},
-        "b1_t": {(0, 0): m["b1"], (1, 1): m["b1"]},
-        "a1p_t": {(1, 0): m["a1p"] + m["a1pbar"], (1, 1): m["a1p"]},
-        "b1p_t": {(1, 0): m["b1p"], (1, 1): m["b1p"]},
-        "a2_t": {(0, 0): m["a2"] + m["a2bar"], (1, 1): m["a2"]},
-        "b2_t": {(0, 0): m["b2"] + m["b2bar"], (1, 1): m["b2"]},
-        "c2_t": {(1, 1): m["c2"]},
-        "c2bar_t": {(0, 1): m["c2"] + m["c2bar"], (1, 1): -m["c2"]},
-    }, nodes, 3 * n, 2)
+    def block3(blocks: dict) -> np.ndarray:
+        return _place(np.zeros((nodes, n3, n3)), blocks, n)
 
+    FT, FtT, AT = _T(F), _T(Ft), _T(A)
+    a1, b1, a1p, b1p = (block3({(0, 0): pi}) for pi in (pi1, pi3, pi1p, pi3p))
+    a2 = block3({(1, 0): -Q})
+    b2 = block3({(0, 0): -_T(pi1), (0, 2): -FT, (1, 1): -AT, (2, 2): -(AT + FT)})
+    c2 = block3({(1, 1): -_T(C)})
+    a1bar, a1pbar = block3({(0, 0): pi2}), block3({(0, 0): pi2p})
+    a2bar = block3({(0, 0): pi4, (1, 0): qg, (2, 0): gqig})
+    b2bar = block3({(0, 1): -FT, (2, 1): -FT})
+    c2bar = block3({(0, 1): -FtT, (2, 1): -FtT})
+    layout = {A1: {(0, 0): a1 + a1bar, (1, 1): a1},
+              B1: {(0, 0): b1, (1, 1): b1},
+              A1P: {(1, 0): a1p + a1pbar, (1, 1): a1p},
+              B1P: {(1, 0): b1p, (1, 1): b1p},
+              A2: {(0, 0): a2 + a2bar, (1, 1): a2},
+              B2: {(0, 0): b2 + b2bar, (1, 1): b2},
+              C2: {(1, 1): c2},
+              C2BAR: {(0, 1): c2 + c2bar, (1, 1): -c2}}
+    tilde = np.zeros((nodes, len(layout), 2 * n3, 2 * n3))
+    for b, blocks in layout.items():
+        _place(tilde[:, b], blocks, n3)
+
+    # terminal data: Gbar has G in its (1, 0) n-block, Gbar' the GammaBar terms
     G, Gb, eb = params.G, params.GammaBar, params.etaBar
     GGb = G @ Gb
-    GbtGIGb = Gb.T @ G @ (np.eye(n) - Gb)
-    Gbar = np.zeros((3 * n, 3 * n))
-    Gbar[n:2 * n, 0:n] = G
-    Gbar_prime = np.zeros((3 * n, 3 * n))
-    Gbar_prime[0:n, 0:n] = -GGb - GbtGIGb
-    Gbar_prime[n:2 * n, 0:n] = -GGb
-    Gbar_prime[2 * n:, 0:n] = -GbtGIGb
+    GbtGIGb = Gb.T @ G @ (eye - Gb)
+    K_terminal = _place(np.zeros((2 * n3, 2 * n3)), {
+        (0, 0): -GGb - GbtGIGb, (1, 0): G - GGb, (2, 0): -GbtGIGb, (4, 3): G}, n)
     Geb = G @ eb
     GbtGeb = Gb.T @ Geb
-    g_vec = np.concatenate([GbtGeb - Geb, -Geb, GbtGeb])
-    xi_bar = np.concatenate([params.xi0, np.zeros(2 * n)])
-
-    K_terminal = np.zeros((6 * n, 6 * n))
-    K_terminal[:3 * n, :3 * n] = Gbar + Gbar_prime
-    K_terminal[3 * n:, 3 * n:] = Gbar
+    kappa_terminal = np.concatenate([GbtGeb - Geb, -Geb, GbtGeb, np.zeros(n3)])
     f_t = np.concatenate([f_vec, np.zeros_like(f_vec)], axis=1)
-    kappa_terminal = np.concatenate([g_vec, np.zeros(3 * n)])
-    xi_t = np.concatenate([xi_bar, np.zeros(3 * n)])
-
-    return CCMatrices(grid=grid, n=n, mean=mean, tilde=tilde, pi1=pi1, pi2=pi2,
-                      pi3=pi3, pi4=pi4, pi1p=pi1p, pi2p=pi2p, pi3p=pi3p, **m, **mt,
-                      f_vec=f_vec, Gbar=Gbar, Gbar_prime=Gbar_prime, g_vec=g_vec,
-                      xi_bar=xi_bar, f_t=f_t, K_terminal=K_terminal,
-                      kappa_terminal=kappa_terminal, xi_t=xi_t)
+    xi_bar = np.concatenate([params.xi0, np.zeros(2 * n)])
+    return CCMatrices(grid=grid, n=n, tilde=tilde, f_t=f_t, K_terminal=K_terminal,
+                      kappa_terminal=kappa_terminal, xi_bar=xi_bar)
 
 
 def solve_K(cc: CCMatrices) -> Trajectory:
@@ -241,18 +196,18 @@ def solve_K(cc: CCMatrices) -> Trajectory:
     dt = cc.grid.dt
 
     def rhs(t, K):
-        # a1t, b1t, a1pt, b1pt, a2t, b2t, c2t, c2bart
         tl = interp(cc.tilde, dt, t)
-        bK = tl[1:6:2] @ K                   # b1t K, b1pt K, b2t K
-        KX = K @ (tl[0:3:2] + bK[:2])        # K (a1t + b1t K), K (a1pt + b1pt K)
-        return tl[4] + bK[2] - KX[0] + (tl[6] + tl[7]) @ KX[1]
+        bK = tl[B1:B2 + 1:2] @ K             # b1t K, b1pt K, b2t K
+        KX = K @ (tl[A1:A1P + 1:2] + bK[:2])  # K (a1t + b1t K), K (a1pt + b1pt K)
+        return tl[A2] + bK[2] - KX[0] + (tl[C2] + tl[C2BAR]) @ KX[1]
 
     return integrate_rk4(rhs, cc.K_terminal, cc.grid, "backward")
 
 
 def _blocks(stack: np.ndarray, dt: float, ts: np.ndarray, *which: int) -> list:
-    """The chosen blocks of a CCMatrices stack interpolated at the times ts;
-    only these blocks are read, and only for these times."""
+    """The chosen blocks of ``tilde`` (or a view of its sub-blocks)
+    interpolated at the times ts; only these blocks are read, and only for
+    these times."""
     return [interp(stack[:, b], dt, ts) for b in which]
 
 
@@ -266,7 +221,7 @@ def solve_kappa(cc: CCMatrices, K: Trajectory) -> Trajectory:
 
     def coeffs(ts):
         Kt = K(ts)
-        b1t, b1pt, b2t, c2t, c2bart = _blocks(cc.tilde, dt, ts, 1, 3, 5, 6, 7)
+        b1t, b1pt, b2t, c2t, c2bart = _blocks(cc.tilde, dt, ts, B1, B1P, B2, C2, C2BAR)
         bracket = b2t + (c2t + c2bart) @ (Kt @ b1pt) - Kt @ b1t
         return bracket, interp(cc.f_t, dt, ts)
 
@@ -281,14 +236,18 @@ def check_condition_37(cc: CCMatrices) -> dict:
         [[A1, B1], [A2 - Gbar A1 + (B2 - Gbar B1) Gbar, B2 - Gbar B1]]
 
     forward over [0, T] and reports the determinant of its lower-right 3n x 3n
-    block; the certificate holds when |det| > 1e-8.
+    block; the certificate holds when |det| > 1e-8.  Here A1, B1, A2, B2 are
+    the 3n blocks a1, b1, a2, b2 of the mean-field FBSDE, read as the
+    lower-right 3n blocks of ``tilde``, and Gbar is the lower-right 3n block
+    of K_terminal.
     """
     dt = cc.grid.dt
     n3 = 3 * cc.n
-    Gb = cc.Gbar
+    Gb = cc.K_terminal[n3:, n3:]
+    fluct = cc.tilde[:, :, n3:, n3:]
 
     def coeffs(ts):
-        a1, b1, a2, b2 = _blocks(cc.mean, dt, ts, 0, 1, 2, 3)
+        a1, b1, a2, b2 = _blocks(fluct, dt, ts, A1, B1, A2, B2)
         b2g = b2 - Gb @ b1
         return np.block([[a1, b1], [a2 - Gb @ a1 + b2g @ Gb, b2g]]), None
 
@@ -308,13 +267,13 @@ def explicit_K_reduced(cc: CCMatrices) -> Trajectory:
     """
     grid = cc.grid
     n6 = 6 * cc.n
-    if np.max(np.abs(cc.c2_t + cc.c2bar_t)) > 0.0:
+    if np.max(np.abs(cc.tilde[:, C2] + cc.tilde[:, C2BAR])) > 0.0:
         raise NotReducedCaseError("closed-form K requires C = Ftilde = 0")
     if np.max(np.abs(cc.K_terminal)) > 0.0:
         raise NotReducedCaseError("closed-form K is anchored at zero terminal data (G = 0)")
 
     def coeffs(ts):
-        a1t, b1t, a2t, b2t = _blocks(cc.tilde, grid.dt, ts, 0, 1, 4, 5)
+        a1t, b1t, a2t, b2t = _blocks(cc.tilde, grid.dt, ts, A1, B1, A2, B2)
         # d/dt Psi(T, t) = -Psi(T, t) M(t), Psi(T, T) = I; sweep the transpose
         return -_T(np.block([[a1t, b1t], [a2t, b2t]])), None
 
@@ -354,18 +313,20 @@ def extract_mean_fields(cc: CCMatrices, K: Trajectory, kappa: Trajectory,
     X1(0) = (xi0, 0, 0).  The state block is (x, 0, 0) so xhat is the first n
     entries of X1; the adjoint block is (phi, y1, y2); the diffusion block is
     (0, beta1, 0), read from EZ = [K(A1pt + B1pt K)(X1, 0) + K B1pt kappa]
-    restricted to the rows that feed the mean adjoint equation.
+    restricted to the rows that feed the mean adjoint equation.  A1 + A1bar
+    and B1 are the upper-left blocks of ``tilde``.
     """
     grid = cc.grid
     n = cc.n
     n3 = 3 * n
+    mean = cc.tilde[:, :, :n3, :n3]
 
     def coeffs(ts):
         # dX1/dt = (A1 + A1bar + B1 K11) X1 + B1 kappa1
-        a1, b1, a1bar = _blocks(cc.mean, grid.dt, ts, 0, 1, 4)
+        a1a1bar, b1 = _blocks(mean, grid.dt, ts, A1, B1)
         K11 = interp(K.values[:, :n3, :n3], grid.dt, ts)
         kappa1 = interp(kappa.values[:, :n3], grid.dt, ts)
-        return a1 + a1bar + b1 @ K11, matvec(b1, kappa1)
+        return a1a1bar + b1 @ K11, matvec(b1, kappa1)
 
     X1 = integrate_linear(coeffs, cc.xi_bar, grid, "forward")
 
@@ -376,7 +337,7 @@ def extract_mean_fields(cc: CCMatrices, K: Trajectory, kappa: Trajectory,
     # consistency of the closure: the fluctuation-mean adjoint must vanish
     ey2_resid = float(np.max(np.abs(Yt[:, n3:])))
     # Z = K (A1pt X + B1pt Y) with Y = K X + kappa
-    EZ = matvec(Kv[:, n3:], matvec(cc.a1p_t, Xt) + matvec(cc.b1p_t, Yt))
+    EZ = matvec(Kv[:, n3:], matvec(cc.tilde[:, A1P], Xt) + matvec(cc.tilde[:, B1P], Yt))
 
     xhat = Trajectory(grid, X1.values[:, :n])
     phi = Trajectory(grid, Y1[:, :n])

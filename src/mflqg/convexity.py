@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CouplingPresentError, NonFiniteError, RegularityLostError
+from .errors import ConfigError, CouplingPresentError, NonFiniteError, RegularityLostError
 from .model import ModelParams
 from .ode import eigvals_sym, symmetrize
 
@@ -77,13 +77,27 @@ def _hat_tables(params: ModelParams):
     return qhat, ghat
 
 
-def _as_table(delta, steps: int, n: int, name: str) -> np.ndarray:
+def is_coupled(params: ModelParams) -> bool:
+    """Whether the population average enters the dynamics: F or Ftilde is
+    nonzero at some node."""
+    return any(np.max(np.abs(params.node_table(k))) > 0 for k in ("F", "Ftilde"))
+
+
+def _shift(delta, tight: np.ndarray, name: str) -> np.ndarray:
+    """The weight shift ``delta``, or the tightest one when it is None.
+
+    ``tight`` is Q - Qhat per node or the constant G - Ghat; a per-node shift
+    may also be one constant n x n matrix.  Any other shape raises
+    ConfigError.
+    """
+    if delta is None:
+        return tight
     arr = np.asarray(delta, dtype=float)
-    if arr.shape == (n, n):
-        return np.broadcast_to(arr, (steps + 1, n, n))
-    if arr.shape == (steps + 1, n, n):
-        return arr
-    raise ValueError(f"{name}: expected shape {(n, n)} or {(steps + 1, n, n)}, got {arr.shape}")
+    shapes = sorted({tight.shape, tight.shape[-2:]}, key=len)
+    if arr.shape not in shapes:
+        raise ConfigError(f"{name}: expected shape {' or '.join(map(str, shapes))}, "
+                          f"got {arr.shape}")
+    return np.broadcast_to(arr, tight.shape)
 
 
 def check_decoupled_indefinite(params: ModelParams, dQ=None, dG=None) -> ConvexityVerdict:
@@ -95,19 +109,18 @@ def check_decoupled_indefinite(params: ModelParams, dQ=None, dG=None) -> Convexi
     certified by integrating its Riccati equation with weights
     (Q - dQ, R, G - dG) and watching R + D'PD stay strictly positive.
     """
-    if np.max(np.abs(params.node_table("F"))) > 0 or np.max(np.abs(params.node_table("Ftilde"))) > 0:
+    if is_coupled(params):
         raise CouplingPresentError("this certificate requires F = Ftilde = 0")
     n, steps = params.n, params.steps
     Qt = params.node_table("Q")
     qhat, ghat = _hat_tables(params)
+    dQt, dGm = _shift(dQ, Qt - qhat, "dQ"), _shift(dG, params.G - ghat, "dG")
     q_gap = _eig_min(Qt - qhat)
     g_gap = _eig_min(params.G - ghat)
     witness = {"lambda_min_Q_minus_Qhat": q_gap, "lambda_min_G_minus_Ghat": g_gap}
     if q_gap < -UNIFORM_TOL or g_gap < -UNIFORM_TOL:
         return ConvexityVerdict(NOT_VERIFIED, "decoupled-indefinite", witness)
 
-    dQt = Qt - qhat if dQ is None else _as_table(dQ, steps, n, "dQ")
-    dGm = params.G - ghat if dG is None else np.asarray(dG, dtype=float)
     dq_ok = _eig_min(dQt - (Qt - qhat))
     dg_ok = _eig_min(dGm - (params.G - ghat))
     witness["lambda_min_dQ_gap"] = dq_ok
@@ -176,21 +189,20 @@ def check_coupled_indefinite(params: ModelParams, dQ=None) -> ConvexityVerdict:
         K e^{2KT} lam_min(Q - dQ) + lam_min(R)/2 >= 0   (convex;
         uniformly convex when strictly positive).
     """
-    n, steps = params.n, params.steps
+    Qt = params.node_table("Q")
+    qhat, _ = _hat_tables(params)
+    dQt = _shift(dQ, Qt - qhat, "dQ")
     witness: dict = {}
     lam_g = _eig_min(params.G)
     witness["lambda_min_G"] = lam_g
     if lam_g < -UNIFORM_TOL:
         witness["failed"] = "G >= 0"
         return ConvexityVerdict(NOT_VERIFIED, "coupled-indefinite", witness)
-    Qt = params.node_table("Q")
-    qhat, _ = _hat_tables(params)
     q_gap = _eig_min(Qt - qhat)
     witness["lambda_min_Q_minus_Qhat"] = q_gap
     if q_gap < -UNIFORM_TOL:
         witness["failed"] = "Q - Qhat >= 0"
         return ConvexityVerdict(NOT_VERIFIED, "coupled-indefinite", witness)
-    dQt = Qt - qhat if dQ is None else _as_table(dQ, steps, n, "dQ")
     dq_gap = _eig_min(dQt - (Qt - qhat))
     witness["lambda_min_dQ_gap"] = dq_gap
     if dq_gap < -UNIFORM_TOL:
@@ -217,10 +229,8 @@ def check_coupled_indefinite(params: ModelParams, dQ=None) -> ConvexityVerdict:
 def report_all(params: ModelParams) -> dict:
     """Run every applicable certificate and collect the verdicts."""
     out = {"psd": check_psd_case(params)}
-    coupled = (np.max(np.abs(params.node_table("F"))) > 0
-               or np.max(np.abs(params.node_table("Ftilde"))) > 0)
-    if not coupled:
-        out["decoupled_indefinite"] = check_decoupled_indefinite(params)
-    else:
+    if is_coupled(params):
         out["coupled_indefinite"] = check_coupled_indefinite(params)
+    else:
+        out["decoupled_indefinite"] = check_decoupled_indefinite(params)
     return out

@@ -47,6 +47,8 @@ COEFF_SPEC = {
 }
 
 CONFIG_KEYS = ["n", "m", "T", "steps"] + list(COEFF_SPEC)
+# the coefficients that may be sampled per node, in COEFF_SPEC's order
+TIME_VARYING = tuple(name for name, (_, tv_ok, _) in COEFF_SPEC.items() if tv_ok)
 
 SYM_REPAIR_TOL = 1e-8
 
@@ -163,8 +165,7 @@ class AugmentedSystem:
     C[i]: nonzero i-th block row only (Ftilde/N everywhere, +C at column i);
     D[i]: D in block (i, i); Q = diag(Q) + (E kron (Qhat - Q))/N with
     Qhat = (Gamma-I)'Q(Gamma-I); G analogous; R = diag(R);
-    S1 = stack(Gamma'Q eta - Q eta); S2 = stack(GammaBar'G etaBar - G etaBar);
-    Xi = stack(xi0).
+    S1 = stack(Gamma'Q eta - Q eta); S2 = stack(GammaBar'G etaBar - G etaBar).
     """
 
     N: int
@@ -179,13 +180,14 @@ class AugmentedSystem:
     G: np.ndarray
     S1: np.ndarray
     S2: np.ndarray
-    Xi: np.ndarray
-    Qhat: np.ndarray
-    Ghat: np.ndarray
 
 
-def _assemble_augmented(N, n, m, A, B, C, D, F, Ftilde, Q, R, G, Gamma, GammaBar,
-                        eta, etaBar, xi0) -> AugmentedSystem:
+def _assemble_augmented(params: ModelParams, N: int, sample) -> AugmentedSystem:
+    """The stacked system with each time-varying coefficient taken from
+    ``sample(name)`` and the constant ones from params."""
+    n, m = params.n, params.m
+    A, B, C, D, F, Ftilde, Q, R, Gamma, eta = (sample(name) for name in TIME_VARYING)
+    G, GammaBar, etaBar = params.G, params.GammaBar, params.etaBar
     eye = np.eye(N)
     ones = np.ones((N, N))
     Qhat = (Gamma - np.eye(n)).T @ Q @ (Gamma - np.eye(n))
@@ -205,10 +207,8 @@ def _assemble_augmented(N, n, m, A, B, C, D, F, Ftilde, Q, R, G, Gamma, GammaBar
     # linear cost terms, fixed by expanding sum_i ||x_i - Gamma xavg - eta||_Q^2
     S1 = np.tile(Gamma.T @ (Q @ eta) - Q @ eta, N)
     S2 = np.tile(GammaBar.T @ (G @ etaBar) - G @ etaBar, N)
-    Xi = np.tile(xi0, N)
     return AugmentedSystem(N=N, n=n, m=m, A=AA, B=BB, C=CC, D=DD, Q=symmetrize(QQ),
-                           R=symmetrize(RR), G=symmetrize(GG), S1=S1, S2=S2, Xi=Xi,
-                           Qhat=Qhat, Ghat=Ghat)
+                           R=symmetrize(RR), G=symmetrize(GG), S1=S1, S2=S2)
 
 
 def check_population_size(N):
@@ -229,12 +229,7 @@ def _check_population(params: ModelParams, N: int):
 def build_augmented(params: ModelParams, N: int, node: int = 0) -> AugmentedSystem:
     """Stacked system slice at the given grid node."""
     _check_population(params, N)
-    vals = {name: params.node_table(name)[node]
-            for name in ("A", "B", "C", "D", "F", "Ftilde", "Q", "R", "Gamma", "eta")}
-    return _assemble_augmented(N, params.n, params.m, vals["A"], vals["B"], vals["C"],
-                               vals["D"], vals["F"], vals["Ftilde"], vals["Q"],
-                               vals["R"], params.G, vals["Gamma"], params.GammaBar,
-                               vals["eta"], params.etaBar, params.xi0)
+    return _assemble_augmented(params, N, lambda name: params.node_table(name)[node])
 
 
 class AugmentedCoeffs:
@@ -249,22 +244,13 @@ class AugmentedCoeffs:
         self.params = params
         self.N = N
         self.dim = N * params.n
-        self._constant = not any(
-            params.is_time_varying(k)
-            for k in ("A", "B", "C", "D", "F", "Ftilde", "Q", "R", "Gamma", "eta")
-        )
+        self._constant = not any(params.is_time_varying(k) for k in TIME_VARYING)
         self._cache = build_augmented(params, N, 0) if self._constant else None
 
     def at(self, t: float) -> AugmentedSystem:
         if self._constant:
             return self._cache
-        p = self.params
-        return _assemble_augmented(
-            self.N, p.n, p.m, p.coeff_at("A", t), p.coeff_at("B", t),
-            p.coeff_at("C", t), p.coeff_at("D", t), p.coeff_at("F", t),
-            p.coeff_at("Ftilde", t), p.coeff_at("Q", t), p.coeff_at("R", t),
-            p.G, p.coeff_at("Gamma", t), p.GammaBar, p.coeff_at("eta", t),
-            p.etaBar, p.xi0)
+        return _assemble_augmented(self.params, self.N, lambda name: self.params.coeff_at(name, t))
 
 
 # ---------------------------------------------------------------------------

@@ -39,13 +39,13 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (GridMismatchError, MissingTrajectoriesError, NonFiniteError,
                      SettingError, StorageBudgetError)
-from .model import AugmentedCoeffs, ModelParams, build_augmented
+from .model import TIME_VARYING, AugmentedCoeffs, ModelParams, build_augmented
 from .ode import TimeGrid, matvec, trapezoid_nodes
 from .riccati import FeedbackLaw, OracleLaw
 
@@ -55,7 +55,6 @@ STORE_BUDGET = 2**28
 # multi-variant pass (small enough to stay in cache)
 NOISE_CHUNK_SCALARS = 2**24
 PLANE_CHUNK_SCALARS = 2**14
-COEFFS = ("A", "B", "C", "D", "F", "Ftilde", "Q", "R", "Gamma", "eta")
 
 
 def worker_count() -> int:
@@ -150,14 +149,10 @@ class SimResult:
     J_soc: np.ndarray                # (paths,)
     xs: np.ndarray | None = None     # (paths, N, steps+1, n)
     us: np.ndarray | None = None     # (paths, N, steps+1, m)
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass
 class CostSummary:
-    j_soc_mean: float
-    j_soc_se: float
-    j_i_mean: np.ndarray
     j_soc_paths: np.ndarray
     j_i_paths: np.ndarray
 
@@ -244,7 +239,7 @@ class _AgentFold:
 
     def __init__(self, params: ModelParams, grid: TimeGrid, N: int, Th1, Th2):
         K, (m, n) = len(Th1), Th1.shape[1:]
-        A, B, C, D, F, Ft, Q, R, Gam, eta = _node_tables(params, K, *COEFFS)
+        A, B, C, D, F, Ft, Q, R, Gam, eta = _node_tables(params, K, *TIME_VARYING)
         eye = np.broadcast_to(np.eye(n), (K, n, n))
         H, l, self.c = _half_costs(
             grid, (np.concatenate([eye, -Gam], -1), eta, Q,
@@ -295,7 +290,7 @@ class _StackedFold:
     def __init__(self, params: ModelParams, grid: TimeGrid, N: int, gain, affine):
         K, n = len(gain), params.n
         Nn, lead = N * n, affine.shape[1:-1]
-        A, B, C, D, F, Ft, Q, R, Gam, eta = _node_tables(params, K, *COEFFS)
+        A, B, C, D, F, Ft, Q, R, Gam, eta = _node_tables(params, K, *TIME_VARYING)
         ones = np.eye(N)
 
         def diag(X):     # I (x) X
@@ -413,7 +408,7 @@ def _simulate(params, noise, N, n_paths, store, kind, fold) -> tuple[SimResult, 
 
     J = _run(fold, noise, N, _chunks(n_paths, N * M), kind, recorder)
     return SimResult(grid=noise.grid, N=N, n_paths=n_paths, seed=noise.seed, xavg=xavg,
-                     J_i=None, J_soc=None, xs=xs, us=us, meta={"kind": kind}), J
+                     J_i=None, J_soc=None, xs=xs, us=us), J
 
 
 def simulate_decentralized(params: ModelParams, law: FeedbackLaw, N: int,
@@ -467,8 +462,8 @@ def social_cost(result: SimResult, params: ModelParams) -> CostSummary:
 
     J_i = 1/2 [ int ||x_i - Gamma xavg - eta||_Q^2 + ||u_i||_R^2 dt
                 + ||x_i(T) - GammaBar xavg(T) - etaBar||_G^2 ],
-    J_soc = sum_i J_i; expectations are path averages with standard error
-    sample-std / sqrt(paths).
+    J_soc = sum_i J_i, both per path: j_soc_paths (paths,) and j_i_paths
+    (paths, N).
     """
     if result.xs is None or result.us is None:
         raise MissingTrajectoriesError("full trajectories were not stored for this run")
@@ -485,10 +480,7 @@ def social_cost(result: SimResult, params: ModelParams) -> CostSummary:
             - params.etaBar)
     term = _quad(devT, params.G)
     j_i = 0.5 * (run + term)
-    j_soc = j_i.sum(axis=1)
-    se = float(j_soc.std(ddof=1) / np.sqrt(len(j_soc))) if len(j_soc) > 1 else 0.0
-    return CostSummary(j_soc_mean=float(j_soc.mean()), j_soc_se=se,
-                       j_i_mean=j_i.mean(axis=0), j_soc_paths=j_soc, j_i_paths=j_i)
+    return CostSummary(j_soc_paths=j_i.sum(axis=1), j_i_paths=j_i)
 
 
 def stacked_social_cost(params: ModelParams, N: int, xs: np.ndarray,

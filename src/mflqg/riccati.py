@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridMismatchError, RegularityLostError, StationarityError
-from .model import AugmentedCoeffs, ModelParams
+from .model import TIME_VARYING, AugmentedCoeffs, ModelParams
 from .ode import (
     TimeGrid,
     Trajectory,
@@ -60,8 +60,7 @@ ORACLE_CHUNK_SCALARS = 2**14
 def _grid_for(params: ModelParams, grid: TimeGrid | None) -> TimeGrid:
     if grid is None:
         return params.grid()
-    tv = any(params.is_time_varying(name) for name in
-             ("A", "B", "C", "D", "F", "Ftilde", "Q", "R", "Gamma", "eta"))
+    tv = any(params.is_time_varying(name) for name in TIME_VARYING)
     if tv and grid.steps != params.steps:
         raise GridMismatchError(
             "sampled coefficients are tied to the master grid; "

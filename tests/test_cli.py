@@ -159,6 +159,28 @@ def test_convexity_subcommand_reports_verdicts():
     assert doc["psd"]["status"] == "UniformlyConvex"
 
 
+@pytest.mark.parametrize("flag, text, coupled, expect", [
+    ("--dq", None, True, "{path}: No such file or directory"),
+    ("--dq", "[[1.0, 2.0", True, "{path}: line 1: "),
+    ("--dq", "[[1.0, 2.0, 3.0]]", True, "dQ: expected shape (2, 2) or (121, 2, 2), got (1, 3)"),
+    ("--dg", "[1.0, 2.0]", False, "dG: expected shape (2, 2), got (2,)"),
+    ("--dg", "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]", False, "dG: expected shape (2, 2), got (3, 3)"),
+], ids=["missing-file", "not-json", "dq-1x3", "dg-vector", "dg-3x3"])
+def test_bad_convexity_shift_is_validation_failure(tmp_path, capsys, flag, text, coupled, expect):
+    # a decoupled config (F = Ftilde = 0) sends --dg to the decoupled certificate
+    cfg = small_config(tmp_path)
+    if not coupled:
+        p = load_config(cfg)
+        p.F, p.Ftilde = np.zeros((2, 2)), np.zeros((2, 2))
+        save_config(p, cfg)
+    shift = tmp_path / "shift.json"
+    if text is not None:
+        shift.write_text(text)
+    assert main(["convexity", str(cfg), flag, str(shift)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "validation failure: " + expect.format(path=shift))
+
+
 def test_byte_identical_outputs_across_thread_counts(tmp_path):
     cfg = small_config(tmp_path)
     digests = []

@@ -4,6 +4,14 @@ import numpy as np
 import pytest
 
 from mflqg.consistency import (
+    A1,
+    A1P,
+    A2,
+    B1,
+    B1P,
+    B2,
+    C2,
+    C2BAR,
     build_cc,
     check_condition_37,
     explicit_K_reduced,
@@ -14,9 +22,10 @@ from mflqg.consistency import (
 )
 from mflqg import consistency
 from mflqg.errors import NearSingularError, NotReducedCaseError
+from mflqg.model import TIME_VARYING
 from mflqg.ode import Trajectory, integrate_rk4, interp
 from mflqg.presets import repro_instance
-from mflqg.riccati import solve_P, solve_phi, theta1
+from mflqg.riccati import gain_terms, solve_P, solve_phi, theta1
 
 from conftest import rand_params
 
@@ -35,45 +44,92 @@ def test_control_channel_off_blocks(rng):
     p.D = np.zeros((2, 2))
     P, _ = solve_P(p)
     cc = build_cc(p, P)
-    assert np.allclose(cc.pi1, p.A)
-    assert np.max(np.abs(cc.pi3)) == 0.0
-    assert np.max(np.abs(cc.pi3p)) == 0.0
+    # pi1, pi3, pi1' sit in the (0, 0) n-block of the 3n blocks a1, b1, b1p,
+    # the lower-right blocks of tilde
+    pieces = cc.tilde[:, :, 6:8, 6:8]
+    assert np.allclose(pieces[:, A1], p.A)
+    assert np.max(np.abs(pieces[:, B1])) == 0.0
+    assert np.max(np.abs(pieces[:, B1P])) == 0.0
 
 
 def test_decoupled_blocks(rng):
     p = rand_params(rng, n=2, m=1, coupled=False)
     P, _ = solve_P(p)
     cc = build_cc(p, P)
-    assert np.max(np.abs(cc.pi2)) == 0.0
-    assert np.max(np.abs(cc.pi2p)) == 0.0
+    n = 2
+    n3 = 3 * n
+    # pi2 = pi2' = 0: the mean blocks a1 + a1bar and a1p + a1pbar of tilde
+    # equal the fluctuation blocks a1 and a1p exactly
+    tl = cc.tilde
+    assert np.array_equal(tl[:, A1, :n3, :n3], tl[:, A1, n3:, n3:])
+    assert np.array_equal(tl[:, A1P, n3:, :n3], tl[:, A1P, n3:, n3:])
     # with Ftilde = 0 the mean-coupled diffusion feedthrough keeps only the
     # adjoint diffusion block, so the quadratic term of the K equation sees
     # just the (1,1)-embedded -C' pattern
-    csum = cc.c2_t + cc.c2bar_t
-    n = 2
+    csum = tl[:, C2] + tl[:, C2BAR]
     expect = np.zeros_like(csum[0])
     expect[n:2 * n, 3 * n + n:3 * n + 2 * n] = -p.C.T
     assert np.allclose(csum[0], expect)
 
 
 def test_tilde_assembly_matches_hand_composition(rng):
+    # the 6n blocks at one node, composed from n x n pieces computed here
+    # with n = 1: pi1 = A + B Th1, pi1' = C + D Th1, pi2 = F - B S^-1 D'P Ft,
+    # pi2' = Ft - D S^-1 D'P Ft, pi3 = -B S^-1 B', pi3' = -D S^-1 B' and pi4
     p = rand_params(rng, n=1, m=1, steps=50)
     P, _ = solve_P(p)
     cc = build_cc(p, P)
     k = 17
+    A, B, C, D, F, Ft, Q, R, Gam, eta = (p.node_table(name)[k] for name in TIME_VARYING)
+    Pk, th1, I = P.values[k], theta1(P, p).values[k], np.eye(1)
+    S, _ = gain_terms(Pk, B, C, D, R)
+    PFt = Pk @ Ft
+    Sinv_DtPFt, Sinv_Bt = np.linalg.solve(S, D.T) @ PFt, np.linalg.solve(S, B.T)
+    pi1, pi1p = A + B @ th1, C + D @ th1
+    pi2, pi2p = F - B @ Sinv_DtPFt, Ft - D @ Sinv_DtPFt
+    pi3, pi3p = -B @ Sinv_Bt, -D @ Sinv_Bt
+    qg, gqig = Q @ Gam, Gam.T @ Q @ (I - Gam)
+    pi4 = (Pk @ B + C.T @ Pk @ D) @ Sinv_DtPFt - C.T @ PFt - Pk @ F + qg + gqig
+
     z = np.zeros((3, 3))
-    a1t = np.block([[cc.a1[k] + cc.a1bar[k], z], [z, cc.a1[k]]])
-    assert np.array_equal(cc.a1_t[k], a1t)
-    b2t = np.block([[cc.b2[k] + cc.b2bar[k], z], [z, cc.b2[k]]])
-    assert np.array_equal(cc.b2_t[k], b2t)
-    a1pt = np.block([[z, z], [cc.a1p[k] + cc.a1pbar[k], cc.a1p[k]]])
-    assert np.array_equal(cc.a1p_t[k], a1pt)
-    c2bart = np.block([[z, cc.c2[k] + cc.c2bar[k]], [z, -cc.c2[k]]])
-    assert np.array_equal(cc.c2bar_t[k], c2bart)
-    Kt = np.block([[cc.Gbar + cc.Gbar_prime, z], [z, cc.Gbar]])
-    assert np.array_equal(cc.K_terminal, Kt)
-    assert np.array_equal(cc.f_t[k], np.concatenate([cc.f_vec[k], np.zeros(3)]))
-    assert np.array_equal(cc.kappa_terminal, np.concatenate([cc.g_vec, np.zeros(3)]))
+
+    def at(*entries):                     # 3n block from ((i, j), piece)
+        out = z.copy()
+        for (i, j), piece in entries:
+            out[i, j] = piece.item()
+        return out
+
+    a1, b1, a1p, b1p = (at(((0, 0), pi)) for pi in (pi1, pi3, pi1p, pi3p))
+    a1bar, a1pbar = at(((0, 0), pi2)), at(((0, 0), pi2p))
+    a2, a2bar = at(((1, 0), -Q)), at(((0, 0), pi4), ((1, 0), qg), ((2, 0), gqig))
+    b2 = at(((0, 0), -pi1), ((0, 2), -F), ((1, 1), -A), ((2, 2), -(A + F)))
+    b2bar = at(((0, 1), -F), ((2, 1), -F))
+    c2, c2bar = at(((1, 1), -C)), at(((0, 1), -Ft), ((2, 1), -Ft))
+    tl = cc.tilde[k]
+    assert np.array_equal(tl[A1], np.block([[a1 + a1bar, z], [z, a1]]))
+    assert np.array_equal(tl[B1], np.block([[b1, z], [z, b1]]))
+    assert np.array_equal(tl[A1P], np.block([[z, z], [a1p + a1pbar, a1p]]))
+    assert np.array_equal(tl[B1P], np.block([[z, z], [b1p, b1p]]))
+    assert np.array_equal(tl[A2], np.block([[a2 + a2bar, z], [z, a2]]))
+    assert np.array_equal(tl[B2], np.block([[b2 + b2bar, z], [z, b2]]))
+    assert np.array_equal(tl[C2], np.block([[z, z], [z, c2]]))
+    assert np.array_equal(tl[C2BAR], np.block([[z, c2 + c2bar], [z, -c2]]))
+    # the diagonal layout the readers rely on
+    assert np.array_equal(tl[B1, :3, :3], tl[B1, 3:, 3:])
+    assert np.array_equal(tl[B1P, 3:, :3], tl[B1P, 3:, 3:])
+    assert np.array_equal(tl[C2BAR, 3:, 3:], -tl[C2, 3:, 3:])
+
+    G, Gb, eb = p.G, p.GammaBar, p.etaBar
+    GGb, GbtGIGb, Geb = G @ Gb, Gb.T @ G @ (I - Gb), G @ eb
+    Gbar = at(((1, 0), G))
+    Gbar_prime = at(((0, 0), -GGb - GbtGIGb), ((1, 0), -GGb), ((2, 0), -GbtGIGb))
+    assert np.array_equal(cc.K_terminal, np.block([[Gbar + Gbar_prime, z], [z, Gbar]]))
+    Qeta = Q @ eta
+    GtQeta = Gam.T @ Qeta
+    f_vec = np.concatenate([Qeta - GtQeta, Qeta, -GtQeta])
+    assert np.array_equal(cc.f_t[k], np.concatenate([f_vec, np.zeros(3)]))
+    g_vec = np.concatenate([Gb.T @ Geb - Geb, -Geb, Gb.T @ Geb])
+    assert np.array_equal(cc.kappa_terminal, np.concatenate([g_vec, np.zeros(3)]))
 
 
 def test_solve_K_zero_case(rng):
@@ -85,7 +141,7 @@ def test_solve_K_zero_case(rng):
     P, _ = solve_P(p)
     cc = build_cc(p, P)
     # Q = 0 and Gamma = 0 empty every source block of the K equation
-    assert np.max(np.abs(cc.a2_t)) == 0.0
+    assert np.max(np.abs(cc.tilde[:, A2])) == 0.0
     K = solve_K(cc)
     assert np.max(np.abs(K.values)) == 0.0
 
@@ -180,10 +236,9 @@ def _K_residual(steps):
     dt = p.grid().dt
     res = 0.0
     for k in range(1, steps, max(1, steps // 100)):
-        Kk = K.values[k]
-        csum = cc.c2_t[k] + cc.c2bar_t[k]
-        rhs = (cc.a2_t[k] + cc.b2_t[k] @ Kk - Kk @ (cc.a1_t[k] + cc.b1_t[k] @ Kk)
-               + csum @ Kk @ (cc.a1p_t[k] + cc.b1p_t[k] @ Kk))
+        Kk, tl = K.values[k], cc.tilde[k]
+        rhs = (tl[A2] + tl[B2] @ Kk - Kk @ (tl[A1] + tl[B1] @ Kk)
+               + (tl[C2] + tl[C2BAR]) @ Kk @ (tl[A1P] + tl[B1P] @ Kk))
         dnum = (K.values[k + 1] - K.values[k - 1]) / (2 * dt)
         res = max(res, np.max(np.abs(dnum - rhs)))
     return res
@@ -276,10 +331,12 @@ def test_extraction_initial_and_terminal_conditions(rng):
     p = rand_params(rng, n=2, m=2, steps=200)
     sol, _ = solve_cc(p)
     assert np.array_equal(sol.xhat.initial, p.xi0)
-    # terminal adjoint: Y1(T) = (Gbar + Gbar')X1(T) + g
+    # terminal adjoint: Y1(T) = (Gbar + Gbar')X1(T) + g, the upper-left 3n
+    # blocks of the decoupling pair's terminal data
     P, _ = solve_P(p)
     cc = build_cc(p, P)
-    want = (cc.Gbar + cc.Gbar_prime) @ sol.X1.terminal + cc.g_vec
+    n3 = 3 * p.n
+    want = cc.K_terminal[:n3, :n3] @ sol.X1.terminal + cc.kappa_terminal[:n3]
     got = np.concatenate([sol.phi.terminal, sol.y1hat.terminal, sol.y2hat.terminal])
     assert np.max(np.abs(got - want)) < 1e-8
 

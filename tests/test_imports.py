@@ -1,6 +1,10 @@
-"""Static guard: no module of the package imports a name it never uses.
+"""Static guards: no module of the package imports a name it never uses, and
+no dataclass of the package has a field nobody reads.
 
-``__init__.py`` is skipped; its imports are the package's re-exports.
+``__init__.py`` is skipped by the import guard; its imports are the
+package's re-exports.  A field counts as read when its name appears as an
+attribute load or as a string constant anywhere in the package, its tests or
+the benchmark.
 """
 
 import ast
@@ -8,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "mflqg"
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src" / "mflqg"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+READERS = sorted(p for d in ("src", "tests", "perfbench") for p in (REPO / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,3 +41,41 @@ def test_guard_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(source: str, readers: list[str]) -> list[str]:
+    """Fields of the dataclasses in ``source`` that no reader source reads."""
+    read = set()
+    for text in readers:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return [f"{cls.name}.{stmt.target.id}"
+            for cls in ast.walk(ast.parse(source))
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+            for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            and stmt.target.id not in read]
+
+
+def test_guard_flags_an_unread_field():
+    source = ("from dataclasses import dataclass\n"
+              "@dataclass\nclass A:\n    x: int\n    y: int\n    z: int\n"
+              "class B:\n    w: int\n")
+    assert unread_fields(source, [source, "a.x = 1\nprint(a.y)\n"]) == ["A.x", "A.z"]
+    assert unread_fields(source, ["getattr(a, 'x') + a.y + a.z\n"]) == []
+
+
+def test_no_unread_dataclass_fields():
+    readers = [p.read_text() for p in READERS]
+    assert [f for p in MODULES for f in unread_fields(p.read_text(), readers)] == []
