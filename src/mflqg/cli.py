@@ -161,7 +161,8 @@ def load_law(law_dir: Path, params: ModelParams | None = None
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
-    """Comma-separated integers of a list option; empty entries are skipped."""
+    """Comma-separated integers of a list option, at least one; empty entries
+    are skipped."""
     out = []
     for entry in text.split(","):
         if not entry:
@@ -170,6 +171,8 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
             out.append(int(entry))
         except ValueError:
             raise SettingError(f"{flag}: entry {entry!r} is not an integer") from None
+    if not out:
+        raise SettingError(f"{flag}: no entries in {text!r}")
     return out
 
 
@@ -212,6 +215,8 @@ def cmd_convexity(args) -> int:
     if dq is None and dg is None:
         verdicts = report_all(params)
     elif is_coupled(params):
+        if dg is not None:
+            raise ConfigError(f"{args.dg}: the coupled certificate takes no dG shift")
         verdicts = {"coupled_indefinite": check_coupled_indefinite(params, dq)}
     else:
         verdicts = {"decoupled_indefinite": check_decoupled_indefinite(params, dq, dg)}

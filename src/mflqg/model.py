@@ -14,7 +14,8 @@ Coefficients A, B, C, D, F, Ftilde, Q, R, Gamma, eta may be time-varying,
 stored as per-node samples on the master grid (piecewise linear in between);
 G, GammaBar, etaBar, xi0 are constants.  The stacked nN-dimensional form of
 the same problem (used only by the small-N brute-force oracle) is assembled
-by :func:`build_augmented` / :class:`AugmentedCoeffs`.
+here alone, at nodes by :func:`build_augmented` and at any times by
+:class:`AugmentedCoeffs`, with its N noises as one diffusion matrix pair.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidNError, ParseError, SchemaError
-from .ode import TimeGrid, interp, symmetrize
+from .ode import TimeGrid, interp, matvec, symmetrize
 
 # name -> (shape in terms of (n, m), may be time-varying, must be symmetric)
 COEFF_SPEC = {
@@ -157,15 +158,27 @@ def validate(params: ModelParams) -> list[str]:
 # Stacked (augmented) system for the brute-force centralized oracle
 # ---------------------------------------------------------------------------
 
+def kron_eye(X: np.ndarray, N: int) -> np.ndarray:
+    """I (x) X, N diagonal blocks, over the leading axes of X."""
+    return np.einsum("ij,...ab->...iajb", np.eye(N), X).reshape(
+        X.shape[:-2] + (N * X.shape[-2], N * X.shape[-1]))
+
+
+def kron_mean(X: np.ndarray, N: int) -> np.ndarray:
+    """11' (x) X / N, N x N blocks, over the leading axes of X."""
+    return np.tile(X / N, (1,) * (X.ndim - 2) + (N, N))
+
+
 @dataclass
 class AugmentedSystem:
-    """One time-slice of the nN-dimensional stacked problem.
+    """The nN-dimensional stacked problem at one time (or at many, on the
+    leading axes of the fields that vary in time).
 
-    A: (Nn,Nn) with A + F/N on the diagonal blocks and F/N off-diagonal;
-    C[i]: nonzero i-th block row only (Ftilde/N everywhere, +C at column i);
-    D[i]: D in block (i, i); Q = diag(Q) + (E kron (Qhat - Q))/N with
-    Qhat = (Gamma-I)'Q(Gamma-I); G analogous; R = diag(R);
+    A = I(x)A + 11'(x)F/N; B = I(x)B; R = I(x)R; Q = I(x)Q + 11'(x)(Qhat - Q)/N
+    with Qhat = (Gamma-I)'Q(Gamma-I), G the same with GammaBar;
     S1 = stack(Gamma'Q eta - Q eta); S2 = stack(GammaBar'G etaBar - G etaBar).
+    C = I(x)C + 11'(x)Ftilde/N and D = I(x)D: noise i drives block row i of
+    C x + D u only.
     """
 
     N: int
@@ -173,8 +186,8 @@ class AugmentedSystem:
     m: int
     A: np.ndarray
     B: np.ndarray
-    C: np.ndarray  # (N, Nn, Nn)
-    D: np.ndarray  # (N, Nn, Nm)
+    C: np.ndarray  # (..., Nn, Nn)
+    D: np.ndarray  # (..., Nn, Nm)
     Q: np.ndarray
     R: np.ndarray
     G: np.ndarray
@@ -184,31 +197,23 @@ class AugmentedSystem:
 
 def _assemble_augmented(params: ModelParams, N: int, sample) -> AugmentedSystem:
     """The stacked system with each time-varying coefficient taken from
-    ``sample(name)`` and the constant ones from params."""
-    n, m = params.n, params.m
+    ``sample(name)`` (any leading time axes carried) and the constant ones
+    from params."""
+    n = params.n
     A, B, C, D, F, Ftilde, Q, R, Gamma, eta = (sample(name) for name in TIME_VARYING)
     G, GammaBar, etaBar = params.G, params.GammaBar, params.etaBar
-    eye = np.eye(N)
-    ones = np.ones((N, N))
-    Qhat = (Gamma - np.eye(n)).T @ Q @ (Gamma - np.eye(n))
-    Ghat = (GammaBar - np.eye(n)).T @ G @ (GammaBar - np.eye(n))
-    AA = np.kron(eye, A) + np.kron(ones, F) / N
-    BB = np.kron(eye, B)
-    QQ = np.kron(eye, Q) + np.kron(ones, Qhat - Q) / N
-    GG = np.kron(eye, G) + np.kron(ones, Ghat - G) / N
-    RR = np.kron(eye, R)
-    CC = np.zeros((N, N * n, N * n))
-    DD = np.zeros((N, N * n, N * m))
-    for i in range(N):
-        rows = slice(i * n, (i + 1) * n)
-        CC[i, rows, :] = np.tile(Ftilde / N, N)
-        CC[i, rows, i * n:(i + 1) * n] += C
-        DD[i, rows, i * m:(i + 1) * m] = D
+    Gm, Gbm = Gamma - np.eye(n), GammaBar - np.eye(n)
+    Qhat = Gm.swapaxes(-1, -2) @ Q @ Gm
+    Ghat = Gbm.T @ G @ Gbm
     # linear cost terms, fixed by expanding sum_i ||x_i - Gamma xavg - eta||_Q^2
-    S1 = np.tile(Gamma.T @ (Q @ eta) - Q @ eta, N)
+    Qeta = matvec(Q, eta)
+    S1 = np.tile(matvec(Gamma.swapaxes(-1, -2), Qeta) - Qeta, N)
     S2 = np.tile(GammaBar.T @ (G @ etaBar) - G @ etaBar, N)
-    return AugmentedSystem(N=N, n=n, m=m, A=AA, B=BB, C=CC, D=DD, Q=symmetrize(QQ),
-                           R=symmetrize(RR), G=symmetrize(GG), S1=S1, S2=S2)
+    return AugmentedSystem(
+        N=N, n=n, m=params.m, A=kron_eye(A, N) + kron_mean(F, N), B=kron_eye(B, N),
+        C=kron_eye(C, N) + kron_mean(Ftilde, N), D=kron_eye(D, N),
+        Q=symmetrize(kron_eye(Q, N) + kron_mean(Qhat - Q, N)), R=symmetrize(kron_eye(R, N)),
+        G=symmetrize(kron_eye(G, N) + kron_mean(Ghat - G, N)), S1=S1, S2=S2)
 
 
 def check_population_size(N):
@@ -226,17 +231,20 @@ def _check_population(params: ModelParams, N: int):
         )
 
 
-def build_augmented(params: ModelParams, N: int, node: int = 0) -> AugmentedSystem:
-    """Stacked system slice at the given grid node."""
+def build_augmented(params: ModelParams, N: int, node=0) -> AugmentedSystem:
+    """Stacked system at the given grid node; ``node=slice(None)`` gives every
+    node, on a leading axis of the fields that sampled coefficients enter."""
     _check_population(params, N)
-    return _assemble_augmented(params, N, lambda name: params.node_table(name)[node])
+    return _assemble_augmented(params, N, lambda name: getattr(params, name)[node]
+                               if params.is_time_varying(name) else getattr(params, name))
 
 
 class AugmentedCoeffs:
     """Continuous-time view of the stacked system, for the oracle solver.
 
-    Assembly is linear in the base coefficients, so interpolating them first
-    and assembling afterwards equals interpolating assembled blocks.
+    ``at(t)`` assembles the system from the coefficients interpolated at t,
+    a time or an array of times.  Qhat and S1 are products of coefficients,
+    so between nodes this is not the interpolant of assembled node systems.
     """
 
     def __init__(self, params: ModelParams, N: int):
@@ -247,7 +255,7 @@ class AugmentedCoeffs:
         self._constant = not any(params.is_time_varying(k) for k in TIME_VARYING)
         self._cache = build_augmented(params, N, 0) if self._constant else None
 
-    def at(self, t: float) -> AugmentedSystem:
+    def at(self, t) -> AugmentedSystem:
         if self._constant:
             return self._cache
         return _assemble_augmented(self.params, self.N, lambda name: self.params.coeff_at(name, t))

@@ -21,10 +21,11 @@ the cost.  Two folds share the loop:
   maps on the agents' planes; the rank-one xavg terms act on the agent
   means, one column per path, and the costs come out per agent;
 * the centralized u = gain x + affine of the stacked system (the same agents
-  in nN coordinates) folds F/N 11' and Ftilde/N 11' into Nn x Nn maps and
-  gives the social cost.  Leading plane axes carry affine variants, so the
-  oracle's stationarity check runs a law and its perturbations as one pass
-  over one bank.
+  in nN coordinates) folds the stacked A, B, C, D at the law's nodes, as
+  model assembles them, into Nn x Nn maps and gives the social cost; agent
+  i's increment scales block row i of the diffusion.  Leading plane axes
+  carry affine variants, so the oracle's stationarity check runs a law and
+  its perturbations as one pass over one bank.
 
 An offset that is the same on every path is added to the dt-scale drift
 increment, never to the state: a path-constant addend rounds alike on every
@@ -45,7 +46,8 @@ import numpy as np
 
 from .errors import (GridMismatchError, MissingTrajectoriesError, NonFiniteError,
                      SettingError, StorageBudgetError)
-from .model import TIME_VARYING, AugmentedCoeffs, ModelParams, build_augmented
+from .model import (TIME_VARYING, AugmentedCoeffs, ModelParams, build_augmented,
+                    kron_eye, kron_mean)
 from .ode import TimeGrid, matvec, trapezoid_nodes
 from .riccati import FeedbackLaw, OracleLaw
 
@@ -280,8 +282,8 @@ class _StackedFold:
     """A centralized law u = gain x + affine, folded on the stacked state.
 
     The state is one plane of shape (*lead, P) per stacked coordinate, agent
-    by agent; the lead axes carry affine variants.  With F/N 11' and
-    Ftilde/N 11' in them, maps[k] holds the Nn x Nn drift increment map
+    by agent; the lead axes carry affine variants.  From the stacked system
+    at the law's nodes, maps[k] holds the Nn x Nn drift increment map
     dt(A + B gain) and diffusion map C + D gain, the sums of each coordinate
     over the agents, and the form H of the social cost z'Hz + 2 l'z + c.
     The offsets dt B affine, D affine, 2 l and c carry the lead axes.
@@ -290,33 +292,27 @@ class _StackedFold:
     def __init__(self, params: ModelParams, grid: TimeGrid, N: int, gain, affine):
         K, n = len(gain), params.n
         Nn, lead = N * n, affine.shape[1:-1]
-        A, B, C, D, F, Ft, Q, R, Gam, eta = _node_tables(params, K, *TIME_VARYING)
-        ones = np.eye(N)
-
-        def diag(X):     # I (x) X
-            return np.einsum("ij,...ab->...iajb", ones, X).reshape(
-                X.shape[:-2] + (N * X.shape[-2], N * X.shape[-1]))
-
-        def mean(X):     # 11' (x) X / N
-            return np.tile(X / N, (1,) * (X.ndim - 2) + (N, N))
+        *_, Q, R, Gam, eta = _node_tables(params, K, *TIME_VARYING)  # checks all tables
+        s = build_augmented(params, N, slice(None))
+        A, B, C, D = (np.broadcast_to(X, (K,) + X.shape[-2:]) for X in (s.A, s.B, s.C, s.D))
 
         def wide(X):     # node tables against the lead axes
             return X.reshape((K,) + (1,) * len(lead) + X.shape[1:])
 
         H, l, c = _half_costs(
-            grid, (wide(np.eye(Nn) - mean(Gam)), wide(np.tile(eta, N)), wide(diag(Q)),
-                   wide(gain), affine, wide(diag(R))),
-            (np.eye(Nn) - mean(params.GammaBar), np.tile(params.etaBar, N), diag(params.G)))
-        self.maps = np.concatenate([grid.dt * (diag(A) + mean(F) + diag(B) @ gain),
-                                    diag(C) + mean(Ft) + diag(D) @ gain,
+            grid, (wide(np.eye(Nn) - kron_mean(Gam, N)), wide(np.tile(eta, N)),
+                   wide(kron_eye(Q, N)), wide(gain), affine, wide(kron_eye(R, N))),
+            (np.eye(Nn) - kron_mean(params.GammaBar, N), np.tile(params.etaBar, N),
+             kron_eye(params.G, N)))
+        self.maps = np.concatenate([grid.dt * (A + B @ gain), C + D @ gain,
                                     np.broadcast_to(np.tile(np.eye(n), N), (K, n, Nn)),
                                     H.reshape(K, Nn, Nn)], axis=1)
 
         def planes(x):   # (K, *lead, r) -> (K, r, *lead, 1)
             return np.moveaxis(x, -1, 1)[..., None]
 
-        self.drift = planes(grid.dt * matvec(wide(diag(B)), affine))
-        self.diff = planes(matvec(wide(diag(D)), affine))
+        self.drift = planes(grid.dt * matvec(wide(B), affine))
+        self.diff = planes(matvec(wide(D), affine))
         self.lin, self.c = planes(2.0 * l), c[..., None]
         self.gain, self.affine, self.N, self.n = gain, affine, N, n
         self.start = np.tile(params.xi0, N).reshape((Nn,) + (1,) * (len(lead) + 1))

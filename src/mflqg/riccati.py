@@ -8,7 +8,10 @@ Two layers live here:
   mean-field trajectories, and the node-wise gains Theta1, Theta2;
 
 * the nN-dimensional brute-force oracle for small populations: the
-  multi-noise Riccati for the stacked system plus its affine adjoint.  The
+  multi-noise Riccati for the stacked system plus its affine adjoint.  Agent
+  i's noise drives only block row i of the stacked diffusion matrices C and
+  D, so each sum over the N noises is one product through bd(P), the agent
+  blocks of P: sum_i Ci'P Ci = C' bd(P) C, at O((Nn)^3) a stage.  The
   oracle's affine term is validated at runtime by a finite-difference
   stationarity test under common random numbers (the law and its perturbed
   copies run as variants of one Monte Carlo pass over one noise bank), so a
@@ -27,8 +30,9 @@ y = (vec P, 1) it is one operator product per stage (:func:`p_operator`),
 built once for constant coefficients and per chunk of stage times for
 time-varying ones.  phi is linear and is an ode.integrate_linear sweep.
 The oracle's two sweeps stay stagewise: its affine feeds the stationarity
-verdicts, whose borderline cases a change in the last bits could move.  Its node-wise margin, gain and affine solves run
-batched over chunks of nodes, bit-identical to a loop over the nodes.  The
+verdicts, whose borderline cases a change in the last bits could move.  Its
+node-wise margin, gain and affine are one batched pass over the stacked
+system at every node, bit-identical to a loop over the nodes.  The
 auxiliary problem is always solved on the master grid of the model, where
 time-varying coefficients are sampled; only the oracle takes another grid.
 """
@@ -40,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridMismatchError, RegularityLostError, StationarityError
-from .model import TIME_VARYING, AugmentedCoeffs, ModelParams
+from .model import TIME_VARYING, AugmentedCoeffs, ModelParams, kron_eye
 from .ode import (
     TimeGrid,
     Trajectory,
@@ -53,8 +57,6 @@ from .ode import (
 )
 
 REGULARITY_TOL = 1e-10
-# scalars of one chunk of the oracle's batched node-wise products
-ORACLE_CHUNK_SCALARS = 2**14
 
 
 def _grid_for(params: ModelParams, grid: TimeGrid | None) -> TimeGrid:
@@ -308,12 +310,17 @@ def solve_oracle(aug: AugmentedCoeffs, grid: TimeGrid | None = None, *,
                  fd_tol: float = 1e-2) -> OracleLaw:
     """Solve the stacked problem's multi-noise Riccati and affine adjoint.
 
-    dP/dt = -[PA + A'P + sum_i Ci'P Ci + Q
-              - (PB + sum_i Ci'P Di)(R + sum_i Di'P Di)^{-1}(PB + sum_i Ci'P Di)'],
+    With bd(P) the block diagonal of P (its n x n agent blocks), the noise
+    sums are sum_i Ci'P Ci = C' bd(P) C, sum_i Di'P Di = D' bd(P) D and
+    sum_i Di'P Ci = D' bd(P) C for the stacked diffusion matrices C and D:
+
+    dP/dt = -[PA + A'P + C' bd(P) C + Q
+              - (PB + C' bd(P) D)(R + D' bd(P) D)^{-1}(PB + C' bd(P) D)'],
     P(T) = G;   dphi/dt = -(A + B gain)' phi - S1,  phi(T) = S2,
 
-    with gain = -(R + sum Di'P Di)^{-1}(B'P + sum Di'P Ci) and control
-    u = gain x - (R + sum Di'P Di)^{-1} B' phi.
+    with gain = -(R + D' bd(P) D)^{-1}(B'P + D' bd(P) C) and control
+    u = gain x - (R + D' bd(P) D)^{-1} B' phi.  Both sweeps are stagewise;
+    margin, gain and affine are formed at all nodes at once.
 
     With validate=True the resulting law must pass a stationarity self-check:
     for 5 random bounded perturbations delta of the affine term, the centered
@@ -322,46 +329,29 @@ def solve_oracle(aug: AugmentedCoeffs, grid: TimeGrid | None = None, *,
     cost never undercuts J by more than Monte Carlo slack.
     """
     grid = _grid_for(aug.params, grid)
-    dim = aug.dim
-
-    def parts(P, C, D):
-        # C'PC, C'PD, D'PC, D'PD summed over the noises, over leading node axes
-        PC = np.einsum("...ij,...njk->...nik", P, C)
-        PD = np.einsum("...ij,...njk->...nik", P, D)
-        return [np.einsum("...nji,...njk->...ik", X, PY) for X in (C, D) for PY in (PC, PD)]
+    # bd(P) = P * blocks; noise i enters block row i of C x + D u only
+    blocks = kron_eye(np.ones((aug.params.n, aug.params.n)), aug.N)
 
     def rhs(t, P):
         s = aug.at(t)
-        CtPC, CtPD, DtPC, DtPD = parts(P, s.C, s.D)
-        W = P @ s.B + CtPD
+        Pb = P * blocks
+        DtPb = s.D.T @ Pb
+        num = s.B.T @ P + DtPb @ s.C
         try:
-            sol = np.linalg.solve(s.R + DtPD, s.B.T @ P + DtPC)
+            sol = np.linalg.solve(s.R + DtPb @ s.D, num)
         except np.linalg.LinAlgError as exc:
-            raise RegularityLostError(f"oracle R + sum D'PD singular at t={t:.6g}") from exc
-        return -(P @ s.A + s.A.T @ P + CtPC + s.Q - W @ sol)
+            raise RegularityLostError(f"oracle R + D'bd(P)D singular at t={t:.6g}") from exc
+        return -(P @ s.A + s.A.T @ P + s.C.T @ (Pb @ s.C) + s.Q - num.T @ sol)
 
-    terminal = symmetrize(aug.at(grid.T).G)
-    P = integrate_rk4(rhs, terminal, grid, "backward", project=symmetrize)
-    # the node-wise solves run batched, in chunks of nodes that bound the
-    # (nodes, N, Nn, Nn) products of parts
-    chunk = max(1, ORACLE_CHUNK_SCALARS // (aug.N * dim * dim))
-    chunks = [slice(a, a + chunk) for a in range(0, grid.steps + 1, chunk)]
-
-    def node_terms(ks):
-        systems = [aug.at(t) for t in grid.nodes[ks]]
-        B, C, D, R = (np.stack([getattr(x, f) for x in systems]) for f in "BCDR")
-        _, _, DtPC, DtPD = parts(P.values[ks], C, D)
-        return R + DtPD, B.swapaxes(-1, -2), DtPC
-
-    margins, gains = [], []
-    for ks in chunks:
-        S, Bt, DtPC = node_terms(ks)
-        margins.append(np.linalg.eigvalsh(symmetrize(S))[:, 0])
-        gains.append(-np.linalg.solve(S, Bt @ P.values[ks] + DtPC))
-    margin = float(np.concatenate(margins).min())
+    P = integrate_rk4(rhs, symmetrize(aug.at(grid.T).G), grid, "backward", project=symmetrize)
+    # margin, gain and affine at every node in one batched pass
+    s = aug.at(grid.nodes)
+    Bt, DtPb = s.B.swapaxes(-1, -2), s.D.swapaxes(-1, -2) @ (P.values * blocks)
+    S = s.R + DtPb @ s.D
+    margin = float(np.linalg.eigvalsh(symmetrize(S))[:, 0].min())
     if margin <= REGULARITY_TOL:
         raise RegularityLostError(f"oracle regularity margin {margin:.3e}")
-    gain = Trajectory(grid, np.concatenate(gains))
+    gain = Trajectory(grid, -node_solve(S, Bt @ P.values + DtPb @ s.C))
 
     def phi_rhs(t, phi):
         s = aug.at(t)
@@ -369,12 +359,7 @@ def solve_oracle(aug: AugmentedCoeffs, grid: TimeGrid | None = None, *,
         return -(Acl.T @ phi + s.S1)
 
     phi = integrate_rk4(phi_rhs, aug.at(grid.T).S2, grid, "backward")
-
-    affines = []
-    for ks in chunks:
-        S, Bt, _ = node_terms(ks)
-        affines.append(-np.linalg.solve(S, Bt @ phi.values[ks][..., None])[..., 0])
-    affines = np.concatenate(affines)
+    affines = -node_solve(S, Bt @ phi.values[..., None])[..., 0]
     law = OracleLaw(grid=grid, N=aug.N, P=P, phi=phi, gain=gain,
                     affine=Trajectory(grid, affines), regularity_margin=margin)
     if validate:

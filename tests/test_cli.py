@@ -165,9 +165,11 @@ def test_convexity_subcommand_reports_verdicts():
     ("--dq", "[[1.0, 2.0, 3.0]]", True, "dQ: expected shape (2, 2) or (121, 2, 2), got (1, 3)"),
     ("--dg", "[1.0, 2.0]", False, "dG: expected shape (2, 2), got (2,)"),
     ("--dg", "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]", False, "dG: expected shape (2, 2), got (3, 3)"),
-], ids=["missing-file", "not-json", "dq-1x3", "dg-vector", "dg-3x3"])
+    ("--dg", "[[1e9, 0], [0, -1e9]]", True, "{path}: the coupled certificate takes no dG shift"),
+], ids=["missing-file", "not-json", "dq-1x3", "dg-vector", "dg-3x3", "dg-coupled"])
 def test_bad_convexity_shift_is_validation_failure(tmp_path, capsys, flag, text, coupled, expect):
-    # a decoupled config (F = Ftilde = 0) sends --dg to the decoupled certificate
+    # a decoupled config (F = Ftilde = 0) sends --dg to the decoupled
+    # certificate; the coupled one has no dG shift to take
     cfg = small_config(tmp_path)
     if not coupled:
         p = load_config(cfg)
@@ -313,11 +315,14 @@ def test_bad_population_is_validation_failure(tmp_path):
     ["repro-sec7", "--n-list", "10,x"],
 ], ids=["gap", "converge", "repro-sec7"])
 def test_unparsable_N_list_is_validation_failure(tmp_path, command):
-    r = run_cli(command + ["--seed", "1", "--out", str(tmp_path / "out")])
-    assert r.returncode == 1
-    assert "Traceback" not in r.stderr
-    assert "entry 'x' is not an integer" in r.stderr
-    assert not (tmp_path / "out").exists()
+    # a list with no entries is refused too, rather than giving empty tables
+    empty = ["," if arg.endswith(",x") else arg for arg in command]
+    for args, message in ((command, "entry 'x' is not an integer"), (empty, "no entries in ','")):
+        r = run_cli(args + ["--seed", "1", "--out", str(tmp_path / "out")])
+        assert r.returncode == 1
+        assert "Traceback" not in r.stderr
+        assert message in r.stderr
+        assert not (tmp_path / "out").exists()
 
 
 def test_oversized_validation_bank_is_numerical_failure(tmp_path, monkeypatch, capsys):

@@ -65,18 +65,19 @@ def test_augmented_decoupled_blocks():
     p = rand_params(rng, n=2, m=2, coupled=False)
     aug = build_augmented(p, 3)
     assert np.allclose(aug.A, np.kron(np.eye(3), p.A))
-    for i in range(3):
-        expect = np.zeros((6, 6))
-        expect[2 * i:2 * i + 2, 2 * i:2 * i + 2] = p.C
-        assert np.allclose(aug.C[i], expect)
+    # without Ftilde each agent's diffusion is its own C block
+    assert aug.C.shape == (6, 6)
+    assert np.array_equal(aug.C, np.kron(np.eye(3), p.C))
 
 
 def test_augmented_Di_block_placement():
     rng = np.random.default_rng(3)
     p = rand_params(rng, n=2, m=1)
     aug = build_augmented(p, 2)
-    assert np.allclose(aug.D[1][2:4, 1:2], p.D)
-    assert np.allclose(aug.D[1][0:2, :], 0.0)
+    assert aug.D.shape == (4, 2)
+    assert np.array_equal(aug.D[2:4, 1:2], p.D)
+    assert np.array_equal(aug.D[0:2, 0:1], p.D)
+    assert np.all(aug.D[2:4, 0:1] == 0.0) and np.all(aug.D[0:2, 1:2] == 0.0)
 
 
 def test_augmented_weight_symmetry_random():
@@ -182,11 +183,29 @@ def test_augmented_coeffs_interpolates_time_varying():
     assert np.allclose(mid.A[:2, :2], want + p.F / 2.0)
 
 
+def test_augmented_coeffs_at_many_times_stacks_single_times(rng):
+    # at() on an array of times gives each field the systems at those times on
+    # its leading axes; fields of constant coefficients keep none
+    from test_montecarlo import time_varying_params
+
+    p = time_varying_params(rng, steps=8)
+    aug = AugmentedCoeffs(p, 3)
+    ts = np.array([[0.0, 0.3], [0.5, 1.0]])
+    many = aug.at(ts)
+    for idx in np.ndindex(ts.shape):
+        one = aug.at(ts[idx])
+        for name in ("A", "B", "C", "D", "Q", "R", "S1"):
+            assert np.allclose(getattr(many, name)[idx], getattr(one, name), rtol=1e-15, atol=1e-15)
+    assert many.G.shape == (6, 6) and np.array_equal(many.G, aug.at(0.3).G)
+    assert many.A.shape == (2, 2, 6, 6) and many.S1.shape == (2, 2, 6)
+
+
 @pytest.mark.parametrize("time_varying", [False, True])
 def test_augmented_lift_equals_per_agent_dynamics(rng, time_varying):
-    # The stacked A, B, C_i, D_i must reproduce every agent's drift
-    # A x_i + B u_i + F xavg and diffusion (C x_i + D u_i + Ftilde xavg) dW_i;
-    # the simulators step the per-agent form, so this is the lift's own check.
+    # The stacked A, B, C, D must reproduce every agent's drift
+    # A x_i + B u_i + F xavg and diffusion (C x_i + D u_i + Ftilde xavg) dW_i,
+    # the latter as block row i of C Y + D U times dW_i; the simulators step
+    # the per-agent form, so this is the lift's own check.
     p = rand_params(rng, n=2, m=2, steps=20)
     node = 13
     if time_varying:
@@ -202,5 +221,5 @@ def test_augmented_lift_equals_per_agent_dynamics(rng, time_varying):
     drift = X @ A.T + Ua @ B.T + xb @ F.T
     diffusion = dW[:, None] * (X @ C.T + Ua @ D.T + xb @ Ft.T)
     assert np.max(np.abs(s.A @ Y + s.B @ U - drift.ravel())) < 1e-12
-    stacked = sum(dW[i] * (s.C[i] @ Y + s.D[i] @ U) for i in range(N))
+    stacked = np.repeat(dW, n) * (s.C @ Y + s.D @ U)
     assert np.max(np.abs(stacked - diffusion.ravel())) < 1e-12

@@ -272,8 +272,9 @@ def exact_em_moments(p, N, gain, aff):
     """Exact E[Y], E[YY'] of the stacked state under the discrete EM map and the
     law U = gain_k Y + aff_k, with the exact E J_soc under trapezoid weights.
 
-    Y' = Phi Y + b + sum_i dW_i (M_i Y + c_i), Phi = I + dt(A + B gain),
-    b = dt B aff, M_i = C_i + D_i gain, c_i = D_i aff, Var dW_i = dt.
+    Y' = Phi Y + b + sum_i dW_i E_i (M Y + c), Phi = I + dt(A + B gain),
+    b = dt B aff, M = C + D gain, c = D aff, Var dW_i = dt, with E_i the
+    projection on agent i's block row.
     """
     grid = p.grid()
     dt, M = grid.dt, grid.steps
@@ -296,10 +297,12 @@ def exact_em_moments(p, N, gain, aff):
         b = dt * s.B @ a
         Pm = Phi @ mu
         S_next = Phi @ S @ Phi.T + np.outer(Pm, b) + np.outer(b, Pm) + np.outer(b, b)
-        for i in range(N):
-            Mi, ci = s.C[i] + s.D[i] @ K, s.D[i] @ a
-            Mm = Mi @ mu
-            S_next += dt * (Mi @ S @ Mi.T + np.outer(Mm, ci) + np.outer(ci, Mm) + np.outer(ci, ci))
+        # noise i drives block row i of M Y + c only, so the noise adds the
+        # agent blocks of the full second moment
+        Mk, c = s.C + s.D @ K, s.D @ a
+        Mm = Mk @ mu
+        noise = Mk @ S @ Mk.T + np.outer(Mm, c) + np.outer(c, Mm) + np.outer(c, c)
+        S_next += dt * noise * np.kron(np.eye(N), np.ones((p.n, p.n)))
         mu, S = Pm + b, S_next
     terminal = (np.trace(s.G @ S) + 2.0 * s.S2 @ mu
                 + N * p.etaBar @ p.G @ p.etaBar)

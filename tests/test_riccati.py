@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from mflqg import riccati
 from mflqg.errors import RegularityLostError
 from mflqg.model import AugmentedCoeffs
-from mflqg.ode import TimeGrid, Trajectory, symmetrize
+from mflqg.ode import TimeGrid, Trajectory, integrate_rk4, symmetrize
 from mflqg.riccati import (
     OracleLaw,
     solve_P,
@@ -303,20 +302,98 @@ def test_oracle_dominates_random_laws(rng):
         assert diff.mean() >= -2.0 * se
 
 
-@pytest.mark.parametrize("chunk_scalars", [2**14, 300], ids=["one_chunk", "chunks_of_2_nodes"])
-def test_oracle_node_solves_bit_equal_to_node_loop(rng, monkeypatch, chunk_scalars):
-    # the batched node-wise margin, gain and affine, whole or in chunks of
-    # nodes, equal a node-by-node loop bit for bit on a time-varying instance
-    monkeypatch.setattr(riccati, "ORACLE_CHUNK_SCALARS", chunk_scalars)
+@pytest.mark.parametrize("chunk", [None, 2], ids=["one_chunk", "chunks_of_2_nodes"])
+def test_oracle_node_solves_bit_equal_to_node_loop(rng, chunk):
+    # the batched node-wise margin, gain and affine equal a node-by-node loop
+    # bit for bit on a time-varying instance, with the loop reading its
+    # coefficients from aug.at over all nodes at once or over chunks of nodes
     aug = AugmentedCoeffs(time_varying_params(rng, steps=30), 3)
     law = solve_oracle(aug, validate=False)
+    blocks = np.kron(np.eye(3), np.ones((2, 2)))
+    nodes = law.grid.nodes
+    size = chunk or len(nodes)
     margins = []
-    for k, t in enumerate(law.grid.nodes):
-        s, P = aug.at(t), law.P.values[k]
-        PC, PD = (np.einsum("ij,njk->nik", P, X) for X in (s.C, s.D))
-        S = s.R + np.einsum("nji,njk->ik", s.D, PD)
-        margins.append(np.linalg.eigvalsh(symmetrize(S))[0])
-        gain = -np.linalg.solve(S, s.B.T @ P + np.einsum("nji,njk->ik", s.D, PC))
-        assert np.array_equal(law.gain.values[k], gain)
-        assert np.array_equal(law.affine.values[k], -np.linalg.solve(S, s.B.T @ law.phi.values[k]))
+    for a in range(0, len(nodes), size):
+        s = aug.at(nodes[a:a + size])
+        for j in range(len(nodes[a:a + size])):
+            k, P = a + j, law.P.values[a + j]
+            B, C, D, R = (X[j] if X.ndim == 3 else X for X in (s.B, s.C, s.D, s.R))
+            DtPb = D.T @ (P * blocks)
+            S = R + DtPb @ D
+            margins.append(np.linalg.eigvalsh(symmetrize(S))[0])
+            gain = -np.linalg.solve(S, B.T @ P + DtPb @ C)
+            assert np.array_equal(law.gain.values[k], gain)
+            assert np.array_equal(law.affine.values[k], -np.linalg.solve(S, B.T @ law.phi.values[k]))
+    assert len(margins) == len(nodes)
     assert law.regularity_margin == min(margins)
+
+
+def per_agent_noise(p, N):
+    """The stacked diffusion as N per-agent slices: noise i drives block row i,
+    Ftilde/N in every block of it and C added on block (i, i), D on (i, i)."""
+    n, m = p.n, p.m
+    Cs, Ds = np.zeros((N, N * n, N * n)), np.zeros((N, N * n, N * m))
+    for i in range(N):
+        rows = slice(i * n, (i + 1) * n)
+        Cs[i, rows] = np.tile(p.Ftilde / N, N)
+        Cs[i, rows, rows] += p.C
+        Ds[i, rows, i * m:(i + 1) * m] = p.D
+    return Cs, Ds
+
+
+def test_noise_sums_equal_block_diagonal_forms(rng):
+    # sum_i Ci'P Ci, sum_i Di'P Di and sum_i Di'P Ci over the per-agent noise
+    # slices equal the products through bd(P), P with everything outside its
+    # agent blocks set to zero
+    N, n = 3, 2
+    p = rand_params(rng, n=n, m=2, steps=10)
+    s = AugmentedCoeffs(p, N).at(0.0)
+    Cs, Ds = per_agent_noise(p, N)
+    P = symmetrize(rng.standard_normal((N * n, N * n)))
+    Pb = P * np.kron(np.eye(N), np.ones((n, n)))
+    for X, Y, x, y in ((Cs, Cs, s.C, s.C), (Ds, Ds, s.D, s.D), (Ds, Cs, s.D, s.C)):
+        full = sum(Xi.T @ P @ Yi for Xi, Yi in zip(X, Y))
+        assert np.max(np.abs(full - x.T @ Pb @ y)) < 1e-12 * np.max(np.abs(full))
+
+
+def test_oracle_P_matches_per_agent_noise_sums(rng):
+    # the oracle Riccati written with the per-agent noise sums, swept by the
+    # same RK4 kernel, gives the oracle's P
+    N = 3
+    p = rand_params(rng, n=2, m=1, steps=60)
+    aug = AugmentedCoeffs(p, N)
+    s = aug.at(0.0)
+    Cs, Ds = per_agent_noise(p, N)
+
+    def rhs(t, P):
+        CtPC, CtPD, DtPC, DtPD = (sum(Xi.T @ P @ Yi for Xi, Yi in zip(X, Y))
+                                  for X, Y in ((Cs, Cs), (Cs, Ds), (Ds, Cs), (Ds, Ds)))
+        sol = np.linalg.solve(s.R + DtPD, s.B.T @ P + DtPC)
+        return -(P @ s.A + s.A.T @ P + CtPC + s.Q - (P @ s.B + CtPD) @ sol)
+
+    ref = integrate_rk4(rhs, symmetrize(s.G), p.grid(), "backward", project=symmetrize)
+    P = solve_oracle(aug, validate=False).P.values
+    assert np.max(np.abs(P - ref.values)) < 1e-12 * np.max(np.abs(ref.values))
+
+
+def block_spreads(M, N):
+    """Largest spread among the diagonal and among the off-diagonal blocks of
+    an N x N block matrix stack, relative to max |M|."""
+    blocks = M.reshape(M.shape[0], N, M.shape[1] // N, N, M.shape[2] // N)
+    diag = np.stack([blocks[:, i, :, i] for i in range(N)])
+    off = np.stack([blocks[:, i, :, j] for i in range(N) for j in range(N) if i != j])
+    scale = np.max(np.abs(M))
+    return (np.max(np.abs(diag - diag[0])) / scale, np.max(np.abs(off - off[0])) / scale)
+
+
+@pytest.mark.parametrize("instance", ["time_varying_N3", "repro_N32_cap"])
+def test_oracle_is_permutation_invariant(rng, instance):
+    # the agents are exchangeable, so P and gain are I (x) a + 11' (x) b: all
+    # diagonal blocks equal and all off-diagonal blocks equal
+    if instance == "time_varying_N3":
+        p, N = time_varying_params(rng, steps=30), 3
+    else:
+        p, N = repro_instance(steps=50), 32
+    law = solve_oracle(AugmentedCoeffs(p, N), validate=False)
+    for M in (law.P.values, law.gain.values):
+        assert max(block_spreads(M, N)) < 1e-12
