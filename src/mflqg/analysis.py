@@ -30,7 +30,7 @@ import numpy as np
 from .consistency import solve_cc
 from .convexity import check_psd_case
 from .model import AugmentedCoeffs, ModelParams, check_population_size
-from .ode import LINEAR_CHUNK_STEPS, Trajectory, integrate_linear, interp
+from .ode import LINEAR_CHUNK_STEPS, Trajectory, distinct_stage_times, integrate_linear, interp
 from .riccati import FeedbackLaw, solve_oracle
 from .montecarlo import NoiseBank, simulate_centralized, simulate_decentralized
 
@@ -227,8 +227,8 @@ def lambda_boundedness(params: ModelParams, law: FeedbackLaw, N_list) -> LambdaR
     def kernel_tables(ts, s, w):
         # s and w = 1 - s (1/N and (N-1)/N for the kernels) enter the
         # generator elementwise as (batch, 1, 1) arrays; each coefficient is
-        # (steps, 3, 1, n, n), a batch axis of size 1
-        A, F, C, Ft, Q, BTh, DTh = np.moveaxis(interp(coeffs, grid.dt, ts), 2, 0)[:, :, :, None]
+        # (times, 1, n, n), a batch axis of size 1
+        A, F, C, Ft, Q, BTh, DTh = np.moveaxis(interp(coeffs, grid.dt, ts), 1, 0)[:, :, None]
         base = _right(A + BTh) + _left(_T(A))
         cross = _kron(_T(C), _T(C + DTh))
         right_F = _right(F)
@@ -256,17 +256,23 @@ def lambda_boundedness(params: ModelParams, law: FeedbackLaw, N_list) -> LambdaR
                                     sup1=float(np.max(np.abs(lam1.values))),
                                     sup2=float(np.max(np.abs(lam2.values)))))
 
-    # the generator at s = 0 and s = 1, at the stage times of the backward
-    # steps k -> k-1 (k = 1..steps, formed as integrate_linear forms them), a
-    # chunk of steps at a time to bound the tables' memory
-    t, h = grid.nodes[1:], -grid.dt
+    # the generator at s = 0 and s = 1, at the distinct stage times of the
+    # backward steps k -> k-1 (k = 1..steps), sampled as integrate_linear
+    # samples them, a chunk of steps at a time to bound the tables' memory;
+    # mu[k-1] and q[k-1] are the maxima over the step's three stage times
+    order = np.arange(grid.steps, 0, -1)
     ends = np.array([0.0, 1.0]).reshape(-1, 1, 1)
     mu, q = np.empty(grid.steps), np.empty(grid.steps)
+
+    def step_max(v):
+        return np.maximum(np.maximum(v[:-1:2], v[1::2]), v[2::2])
+
     for start in range(0, grid.steps, LINEAR_CHUNK_STEPS):
-        tk = t[start:start + LINEAR_CHUNK_STEPS]
-        gen, src = kernel_tables(np.stack([tk, tk + 0.5 * h, tk + h], axis=1), ends, 1.0 - ends)
-        mu[start:start + tk.size] = np.max(_log_norm_inf(-gen), axis=(1, 2))
-        q[start:start + tk.size] = np.max(np.abs(src), axis=(1, 2, 3))
+        ks = order[start:start + LINEAR_CHUNK_STEPS]
+        gen, src = kernel_tables(distinct_stage_times(grid.nodes, ks, -grid.dt),
+                                 ends, 1.0 - ends)
+        mu[ks - 1] = step_max(np.max(_log_norm_inf(-gen), axis=1))
+        q[ks - 1] = step_max(np.max(np.abs(src), axis=(1, 2)))
     with np.errstate(over="ignore"):
         growth = np.exp(grid.dt * mu)
     # Python floats overflow to inf (and inf * 0 to NaN) without warnings

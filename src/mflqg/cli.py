@@ -45,11 +45,65 @@ def write_csv(path: Path, header: list[str], rows) -> Path:
     return path
 
 
+def _array_template(shape: tuple, pad: str) -> str:
+    """The indent-2 JSON text of a nested list of this shape, with a "%r"
+    field per entry; ``pad`` is the indent of the line that opens it."""
+    if not shape:
+        return "%r"
+    if shape[0] == 0:
+        return "[]"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    return "[\n" + inner + sep.join([_array_template(shape[1:], inner)] * shape[0]) \
+        + "\n" + pad + "]"
+
+
+def _key_text(key) -> str:
+    """A dict key as json writes it: a string, or an int, float, bool or None
+    written as its JSON text inside quotes."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {type(key).__name__}")
+        key = json.dumps(key, allow_nan=False)
+    return json.dumps(key)
+
+
+def _json_text(doc, pad: str) -> str:
+    """``doc`` as json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    writes it at indent ``pad``; a float ndarray is written as its tolist().
+
+    A float array is one %-format call: repr of a Python float is exactly
+    json's float text.
+    """
+    inner = pad + "  "
+    if isinstance(doc, dict):
+        if not doc:
+            return "{}"
+        return "{\n" + ",\n".join(inner + _key_text(k) + ": " + _json_text(v, inner)
+                                  for k, v in sorted(doc.items())) + "\n" + pad + "}"
+    if isinstance(doc, (list, tuple)):
+        if not doc:
+            return "[]"
+        return "[\n" + ",\n".join(inner + _json_text(v, inner) for v in doc) \
+            + "\n" + pad + "]"
+    if isinstance(doc, np.ndarray) and doc.dtype.kind == "f":
+        if not np.isfinite(doc).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+        return _array_template(doc.shape, pad) % tuple(doc.ravel().tolist())
+    return json.dumps(doc, allow_nan=False)
+
+
 def write_json(path: Path, doc: dict) -> Path:
-    """Strict JSON: a NaN or infinity raises instead of being written bare."""
+    """Strict JSON with sorted keys and an indent of 2, the bytes of
+    json.dump(doc, indent=2, sort_keys=True, allow_nan=False) plus a newline.
+
+    Float ndarray leaves are written as their tolist().  A NaN or infinity
+    raises ValueError before the file is opened.
+    """
+    text = _json_text(doc, "") + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)
     return path
 
 
@@ -83,7 +137,7 @@ def _stash_config(src: Path | None, params: ModelParams, out: Path) -> Path:
 
 
 def _samples(traj: Trajectory) -> dict:
-    return {"samples": traj.values.tolist()}
+    return {"samples": traj.values}
 
 
 def save_law(law: FeedbackLaw, xhat: Trajectory, out: Path) -> Path:
@@ -239,12 +293,10 @@ def _solve_into(params: ModelParams, out: Path, config_src: Path | None,
               + [f"Theta1_{i+1}{j+1}" for i in range(m) for j in range(n)]
               + [f"Theta2_{i+1}" for i in range(m)])
     grid = law.grid
-    rows = []
-    for k, t in enumerate(grid.nodes):
-        row = [t, *sol.xhat.values[k], *sol.y1hat.values[k], *sol.y2hat.values[k],
-               *sol.beta1hat.values[k], *sol.phi.values[k],
-               *law.Theta1.values[k].ravel(), *law.Theta2.values[k]]
-        rows.append(row)
+    rows = np.column_stack([grid.nodes, sol.xhat.values, sol.y1hat.values, sol.y2hat.values,
+                            sol.beta1hat.values, sol.phi.values,
+                            law.Theta1.values.reshape(grid.steps + 1, m * n),
+                            law.Theta2.values]).tolist()
     artifacts.append(write_csv(out / "solution.csv", header, rows))
     artifacts.append(write_json(out / "diagnostics.json", _json_safe(sol.diagnostics)))
     if write_manifest:

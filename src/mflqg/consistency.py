@@ -21,7 +21,7 @@ Everything runs on the master grid of the model.  The blocks are assembled
 on all nodes at once from the batched R + D'PD kernel of the riccati module,
 and stored as one stack of the eight 6n blocks; the 3n blocks of the mean
 system are its diagonal sub-blocks.  K is nonlinear and steps stagewise
-through ode.integrate_rk4, interpolating the stack once per stage and
+through ode.integrate_rk4, interpolating the stack once per stage time and
 forming its right-hand side with two stacked matrix products on strided
 views of it.  Everything after K is linear: kappa, the condition-37
 transition matrix, the mean path X1 and the closed-form K of the reduced
@@ -186,7 +186,8 @@ def solve_K(cc: CCMatrices) -> Trajectory:
     dK/dt = A2t + B2t K - K (A1t + B1t K) + (C2t + C2bart) K (A1pt + B1pt K),
     K(T) = K_terminal.
 
-    A stage interpolates the ``tilde`` stack once and forms the right-hand
+    A stage interpolates the ``tilde`` stack once per stage time (the two
+    middle stages share the sample of the first) and forms the right-hand
     side with two stacked products: [B1t, B1pt, B2t] K, read as a strided
     view of the stack, and K [A1t + B1t K, A1pt + B1pt K].  Each matrix of a
     stacked product is the product the matrix form makes, so K is bit-equal
@@ -194,9 +195,12 @@ def solve_K(cc: CCMatrices) -> Trajectory:
     need not be solvable on all of [0, T].
     """
     dt = cc.grid.dt
+    last = [None, None]     # the last stage time and the stack there
 
     def rhs(t, K):
-        tl = interp(cc.tilde, dt, t)
+        if t != last[0]:
+            last[:] = t, interp(cc.tilde, dt, t)
+        tl = last[1]
         bK = tl[B1:B2 + 1:2] @ K             # b1t K, b1pt K, b2t K
         KX = K @ (tl[A1:A1P + 1:2] + bK[:2])  # K (a1t + b1t K), K (a1pt + b1pt K)
         return tl[A2] + bK[2] - KX[0] + (tl[C2] + tl[C2BAR]) @ KX[1]

@@ -459,13 +459,13 @@ def social_cost(result: SimResult, params: ModelParams) -> CostSummary:
     J_i = 1/2 [ int ||x_i - Gamma xavg - eta||_Q^2 + ||u_i||_R^2 dt
                 + ||x_i(T) - GammaBar xavg(T) - etaBar||_G^2 ],
     J_soc = sum_i J_i, both per path: j_soc_paths (paths,) and j_i_paths
-    (paths, N).
+    (paths, N).  The weights are read at the run's nodes; time-varying ones
+    sampled on another grid raise GridMismatchError.
     """
     if result.xs is None or result.us is None:
         raise MissingTrajectoriesError("full trajectories were not stored for this run")
     grid = result.grid
-    Qt, Rt = params.node_table("Q"), params.node_table("R")
-    Gt, et = params.node_table("Gamma"), params.node_table("eta")
+    Qt, Rt, Gt, et = _node_tables(params, grid.steps + 1, "Q", "R", "Gamma", "eta")
     # tracking deviation x_i - Gamma xavg - eta, per (path, agent, node)
     gx = np.einsum("kij,pkj->pki", Gt, result.xavg)
     dev = result.xs - gx[:, None] - et[None, None]

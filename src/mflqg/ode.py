@@ -6,7 +6,8 @@ classical fourth-order Runge-Kutta in either direction.  The step is fixed on
 purpose: reproducibility and exact node alignment with the Euler-Maruyama
 simulator matter more here than adaptive efficiency.
 
-Two sweeps share the grid and the stage times t_k, t_k + h/2, t_k + h:
+Two sweeps share the grid and the RK4 stages t_k, t_k + h/2 (taken by both
+middle stages) and t_{k+1}, but sample the equation in two conventions:
 
 * :func:`integrate_rk4` calls a right-hand side at every stage.  The
   nonlinear Riccati equations (P, K, the oracle's P) need it.  So does the
@@ -14,23 +15,29 @@ Two sweeps share the grid and the stage times t_k, t_k + h/2, t_k + h:
   do not move.  The right-hand side reads the stage's sample of the
   equation: the stage time by default, or a row of a table that a sampler
   builds for a chunk of steps at once (P's stacked operator, from
-  time-varying coefficients).
+  time-varying coefficients).  Either way a step's stage times are t_k,
+  t_k + h/2 and t_k + h, three per step, formed from t_k alone
+  (:func:`_stage_times`), so t_k + h may differ from the node t_{k+1} in
+  its last bit.
 * :func:`integrate_linear` takes a linear equation dy/dt = M(t) y + s(t) as a
-  function that samples M and s on many stage times at once, optionally for
-  a batch of equations on leading axes of the state.  One RK4 step of a
-  linear equation is an affine map of the state, so the maps are built in
-  batched chunks and the step loop does one matrix product per step.  The
-  affine kappa, the condition-37 transition matrix, the mean path X1, the phi
-  cross-check, the closed-form K of the reduced case, and the Lyapunov
-  kernels of every N run on it.  The Lyapunov equations multiply their
-  matrix state from both sides; written on its row-major vec, with
-  vec(X Y Z) = (X (x) Z') vec Y, they multiply from the left only.
+  function that samples M and s on many times at once, optionally for a
+  batch of equations on leading axes of the state.  A chunk of c steps
+  samples the equation once at each of its 2c+1 distinct stage times,
+  node, midpoint, node, ... (:func:`distinct_stage_times`): a step's last
+  stage is the next step's first, and node times are the grid's nodes.
+  One RK4 step of a linear equation is an affine map of the state, so the
+  maps are built in batched chunks and the step loop does one matrix product
+  per step.  The affine kappa, the condition-37 transition matrix, the mean
+  path X1, the phi cross-check, the closed-form K of the reduced case, and
+  the Lyapunov kernels of every N run on it.  The Lyapunov equations
+  multiply their matrix state from both sides; written on its row-major vec,
+  with vec(X Y Z) = (X (x) Z') vec Y, they multiply from the left only.
 
 Every node-sampled quantity (trajectories, time-varying coefficients, the
 consistency-condition blocks) is read between nodes through the one
 piecewise-linear routine :func:`interp`, at one time or at an array of times.
 A right-hand side that needs several same-shaped blocks stacks them on an
-axis after time and interpolates the stack once per stage.
+axis after time and interpolates the stack once per stage time.
 
 Blow-up (NaN/Inf or max-norm past BLOWUP_NORM) raises NonFiniteError instead
 of being clipped; a diverging backward Riccati solve is how non-solvability
@@ -80,10 +87,15 @@ def interp(table: np.ndarray, dt: float, t) -> np.ndarray:
     """Piecewise-linear interpolant at time t of node samples ``table[k]``.
 
     ``table`` holds the samples at t_k = k dt along axis 0; every other axis is
-    carried along.  Exact (a view of the sample) at the nodes; t outside
-    [0, T] extrapolates from the first or last interval.  An array of times
-    gives the interpolants stacked on the leading axes of the result, in the
-    shape of t.
+    carried along.  The interval and its weight come from u = t / dt.  Where
+    u is an exact integer k the result is the sample ``table[k]`` itself (a
+    view of it, for a single time).  A node time need not give one: the node
+    t_k is k dt rounded, and t_k / dt can miss k by an ulp (it does at 17 of
+    the 201 nodes of T = 1 at 200 steps); the result then mixes the two
+    neighbouring samples with a weight of order 1e-16.  t outside [0, T]
+    extrapolates from the first or last interval.  An array of times gives
+    the interpolants stacked on the leading axes of the result, in the shape
+    of t.
     """
     u = t / dt
     last = table.shape[0] - 2
@@ -103,8 +115,10 @@ class Trajectory:
     """Values sampled at every grid node, linearly interpolated in between.
 
     ``values[k]`` is the sample at node k; shape is (steps+1, *shape).  Calling
-    with a time t returns the piecewise-linear interpolant, which is exact at
-    the nodes (boundary conditions survive untouched).
+    with a time t returns the piecewise-linear interpolant of :func:`interp`:
+    at a node time it is the node's sample up to rounding, and exactly it
+    where t / dt is an exact integer.  Read a node's sample with :meth:`at`
+    or ``values``.
     """
 
     def __init__(self, grid: TimeGrid, values, check: bool = True):
@@ -146,6 +160,15 @@ def _check_state(y: np.ndarray, node: int | None = None):
         raise NonFiniteError(f"blow-up detected {where}")
 
 
+def _check_nodes(out: np.ndarray, ks: np.ndarray):
+    """NonFiniteError naming the first of the nodes ks (in their order) whose
+    sample in ``out`` blew up, as :func:`_check_state` names it."""
+    norms = np.abs(out[ks]).reshape(ks.size, -1).max(axis=1)
+    bad = np.flatnonzero(~(norms <= BLOWUP_NORM))
+    if bad.size:
+        _check_state(out[ks[bad[0]]], int(ks[bad[0]]))
+
+
 def _stage_times(nodes: np.ndarray, ks: np.ndarray, h: float) -> np.ndarray:
     """(len(ks), 3) stage times t_k, t_k + h/2, t_k + h of the steps from ks."""
     t = nodes[ks]
@@ -159,9 +182,9 @@ def integrate_rk4(rhs, boundary_value, grid: TimeGrid, direction: str = "forward
     rhs(c, y) -> dy/dt, where c is the equation's sample at the stage: by
     default the stage time t_k, t_k + h/2 or t_k + h itself.  ``coeffs(ts)``
     replaces that sample: it takes the (steps, 3) stage times of a chunk of
-    LINEAR_CHUNK_STEPS steps, as :func:`integrate_linear` does, and returns an
-    array whose leading (steps, 3) axes hold one sample per stage.  Sampling
-    a chunk at once keeps time-varying coefficient tables out of the stage.
+    LINEAR_CHUNK_STEPS steps and returns an array whose leading (steps, 3)
+    axes hold one sample per stage.  Sampling a chunk at once keeps
+    time-varying coefficient tables out of the stage.
     ``direction='backward'`` anchors the boundary value at t_M and fills
     nodes down to t_0.  ``project`` is applied after each step (used to
     re-symmetrize Riccati iterates).
@@ -199,33 +222,44 @@ def integrate_rk4(rhs, boundary_value, grid: TimeGrid, direction: str = "forward
 def _step_maps(M: np.ndarray, s: np.ndarray | None, h: float):
     """Increment maps of RK4 steps of dy/dt = M y + s: y_next = y + D y + g.
 
-    M is (steps, 3, ..., d, d) and s (steps, 3, ..., d, c) or None, sampled at
-    the stage times t_k, t_k + h/2, t_k + h, with any batch axes in between;
-    the two middle stages share t_k + h/2.
+    M is (2c+1, ..., d, d) and s (2c+1, ..., d, c) or None, sampled at the
+    distinct stage times of c steps in step order (node, midpoint, node, ...),
+    with any batch axes in between; step j reads its stages t_k, t_k + h/2
+    (taken by both middle stages) and t_{k+1} from rows 2j, 2j+1 and 2j+2.
     """
-    M1, M2, M4 = M[:, 0], M[:, 1], M[:, 2]
+    M1, M2, M4 = M[:-1:2], M[1::2], M[2::2]
     K2 = M2 + (0.5 * h) * (M2 @ M1)
     K3 = M2 + (0.5 * h) * (M2 @ K2)
     K4 = M4 + h * (M4 @ K3)
     D = (h / 6.0) * (M1 + 2.0 * K2 + 2.0 * K3 + K4)
     if s is None:
         return D, None
-    s1, s2, s4 = s[:, 0], s[:, 1], s[:, 2]
+    s1, s2, s4 = s[:-1:2], s[1::2], s[2::2]
     g2 = M2 @ ((0.5 * h) * s1) + s2
     g3 = M2 @ ((0.5 * h) * g2) + s2
     g4 = M4 @ (h * g3) + s4
     return D, (h / 6.0) * (s1 + 2.0 * g2 + 2.0 * g3 + g4)
 
 
+def distinct_stage_times(nodes: np.ndarray, ks: np.ndarray, h: float) -> np.ndarray:
+    """(2c+1,) distinct stage times of the c consecutive steps of size h from
+    the nodes ks, in step order: t_k0, t_k0 + h/2, t_k1, ..., the end node.
+    Node times are the grid's nodes themselves."""
+    ts = np.empty(2 * ks.size + 1)
+    ts[0::2] = nodes[np.append(ks, ks[-1] + (1 if h > 0 else -1))]
+    ts[1::2] = nodes[ks] + 0.5 * h
+    return ts
+
+
 def integrate_linear(coeffs, boundary_value, grid: TimeGrid,
                      direction: str = "forward") -> Trajectory:
     """Classical RK4 sweep of the linear equation dy/dt = M(t) y + s(t).
 
-    ``coeffs(ts)`` samples the equation at an array ``ts`` of shape
-    (steps, 3) holding each step's stage times t_k, t_k + h/2, t_k + h (formed
-    as :func:`integrate_rk4` forms them) and returns ``(M, s)``: M of shape
-    ts.shape + batch + (d, d), and s of shape ts.shape + y.shape, or None
-    when the equation has no source.  The state y has shape batch + (d,) or
+    ``coeffs(ts)`` samples the equation at a 1-D array ``ts`` of times and
+    returns ``(M, s)``: M of shape ts.shape + batch + (d, d), and s of shape
+    ts.shape + y.shape, or None when the equation has no source.  It is
+    called once per chunk of steps, with the chunk's distinct stage times
+    (:func:`distinct_stage_times`).  The state y has shape batch + (d,) or
     batch + (d, c): a vector or a matrix that M multiplies from the left, for
     each entry of the leading batch axes.  ``batch`` is read off M and may be
     empty; a batch axis of s may be 1 where every entry shares the source.
@@ -237,9 +271,11 @@ def integrate_linear(coeffs, boundary_value, grid: TimeGrid,
     and holds coefficient tables for one chunk only.  Building a map costs
     O(d^3) against O(d^2 c) for one stage of :func:`integrate_rk4`.  The
     result equals :func:`integrate_rk4` on the same equation up to rounding,
-    does not depend on the chunk size, gives each batch entry exactly the
-    operations of a sweep of its own, and is checked for blow-up (over all
-    batch entries) at every node the same way.
+    does not depend on the chunk size, and gives each batch entry exactly the
+    operations of a sweep of its own.  Blow-up (over all batch entries) is
+    checked at every node once a chunk is stepped, and named by the first
+    failing node in step order; stepping past it inside the chunk warns of
+    nothing.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")
@@ -255,19 +291,20 @@ def integrate_linear(coeffs, boundary_value, grid: TimeGrid,
     out[order[0]] = y0
     for start in range(0, steps, LINEAR_CHUNK_STEPS):
         ks = order[start:start + LINEAR_CHUNK_STEPS]
-        M, s = coeffs(_stage_times(nodes, ks, h))
+        M, s = coeffs(distinct_stage_times(nodes, ks, h))
         if start == 0:
             # node axis, then M's batch axes, then the state as (d, c); a
             # vector state is a single column
-            cols = out.reshape(out.shape[:M.ndim - 3] + (M.shape[-1], -1))
+            cols = out.reshape(out.shape[:M.ndim - 2] + (M.shape[-1], -1))
             y = cols[order[0]]
         if s is not None:
             s = np.reshape(s, s.shape[:M.ndim - 2] + y.shape[-2:])
         D, g = _step_maps(M, s, h)
-        for j, k in enumerate(ks.tolist()):
-            y = y + (D[j] @ y if g is None else D[j] @ y + g[j])
-            _check_state(y, k + shift)
-            cols[k + shift] = y
+        with np.errstate(all="ignore"):
+            for j, k in enumerate(ks.tolist()):
+                y = y + (D[j] @ y if g is None else D[j] @ y + g[j])
+                cols[k + shift] = y
+        _check_nodes(out, ks + shift)
     return Trajectory(grid, out, check=False)
 
 

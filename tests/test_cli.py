@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mflqg import montecarlo, riccati
+from mflqg import cli, montecarlo, riccati
 from mflqg.cli import load_law, main, write_csv, write_json
 from mflqg.model import load_config, save_config
 from mflqg.presets import repro_instance
@@ -281,6 +281,93 @@ def test_write_json_refuses_non_finite_floats(tmp_path):
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             write_json(tmp_path / "doc.json", {"x": bad})
+
+
+def _stdlib_bytes(doc) -> bytes:
+    """What json.dump writes for doc, its float arrays given as lists."""
+    def plain(x):
+        if isinstance(x, dict):
+            return {k: plain(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [plain(v) for v in x]
+        return x.tolist() if isinstance(x, np.ndarray) else x
+    return (json.dumps(plain(doc), indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
+
+
+def test_write_json_bytes_equal_stdlib_on_every_artifact(tmp_path, monkeypatch):
+    written = []
+
+    def recording(path, doc):
+        written.append((path, doc))
+        return write_json(path, doc)
+
+    monkeypatch.setattr(cli, "write_json", recording)
+    cfg, scalar = small_config(tmp_path), scalar_config(tmp_path)
+    law_dir = tmp_path / "law"
+    runs = [["solve", str(cfg), "--out", str(law_dir)],
+            ["simulate", str(cfg), "--law", str(law_dir), "--N", "3", "--paths", "2",
+             "--seed", "1", "--out", str(tmp_path / "sim")],
+            ["converge", str(cfg), "--law", str(law_dir), "--N-list", "5,10", "--reps", "2",
+             "--seed", "1", "--out", str(tmp_path / "conv")],
+            ["gap", str(scalar), "--N-list", "2", "--paths", "20", "--seed", "5",
+             "--out", str(tmp_path / "gap")],
+            ["repro-sec7", "--out", str(tmp_path / "repro"), "--steps", "100", "--N", "5",
+             "--paths", "2", "--reps", "2", "--n-list", "10,20"]]
+    for args in runs:
+        assert main(args) == 0, args
+    names = {(p.parent.name, p.name) for p, _ in written}
+    assert {("law", "law.json"), ("law", "diagnostics.json"), ("sim", "manifest.json"),
+            ("conv", "summary.json"), ("gap", "summary.json"),
+            ("repro", "summary.json"), ("repro", "law.json")} <= names
+    for path, doc in written:
+        assert path.read_bytes() == _stdlib_bytes(doc), path
+
+
+@pytest.mark.parametrize("doc", [
+    {}, [], {"a": {}, "b": []}, [[], {}, [[]]],
+    {"i": 3, "t": True, "f": False, "z": None, "nest": [1, [2, [None, False]], {"k": -7}]},
+    {"é": 1.5, "ключ": "значение", "\u2603": ["snow", "☃"], "a\"b": "tab\t"},
+    {10: "ten", 2: "two", 1.5: "float", True: "bool"},
+    {"empty": np.empty(0), "rows": np.empty((0, 3)), "cols": np.empty((2, 0)),
+     "one": np.array([0.25]), "scalar": np.array(-1.5), "cube": np.ones((1, 1, 1))},
+    {"v": [-0.0, 5e-324, 1e308, -1e308, 0.1, 1 / 3, 123456789.0, 1e16, 1e-7]},
+    {"a": np.array([-0.0, 5e-324, 1e308, 2.5e-310, 1 / 3, 1e16, 1e-7]),
+     "m": np.arange(12.0).reshape(2, 3, 2) / 7, "f32": np.array([0.1, 2.5], dtype=np.float32)},
+    {"mixed": [np.array([[1.0, 2.0]]), 3, {"x": np.array([4.0])}]},
+])
+def test_write_json_bytes_equal_stdlib_on_edge_cases(tmp_path, doc):
+    path = write_json(tmp_path / "doc.json", doc)
+    assert path.read_bytes() == _stdlib_bytes(doc)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("leaf", ["list", "array"])
+def test_write_json_refuses_non_finite_leaves_before_opening(tmp_path, leaf, bad):
+    values = [1.0, bad, 2.0]
+    doc = {"ok": np.ones(3), "x": {"samples": values if leaf == "list" else np.array(values)}}
+    fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+    kept.write_text("old contents\n")
+    for path in (fresh, kept):
+        with pytest.raises(ValueError):
+            write_json(path, doc)
+    assert not fresh.exists()
+    assert kept.read_text() == "old contents\n"
+
+
+def test_solution_csv_equals_per_node_rows(tmp_path):
+    from mflqg.consistency import solve_cc
+
+    cfg = small_config(tmp_path)
+    out = tmp_path / "law"
+    assert main(["solve", str(cfg), "--out", str(out)]) == 0
+    got = (out / "solution.csv").read_text().splitlines(keepends=True)
+    sol, law = solve_cc(load_config(cfg))
+    rows = [[t, *sol.xhat.values[k], *sol.y1hat.values[k], *sol.y2hat.values[k],
+             *sol.beta1hat.values[k], *sol.phi.values[k],
+             *law.Theta1.values[k].ravel(), *law.Theta2.values[k]]
+            for k, t in enumerate(law.grid.nodes)]
+    want = write_csv(tmp_path / "ref.csv", got[0].rstrip("\n").split(","), rows)
+    assert (out / "solution.csv").read_bytes() == want.read_bytes()
 
 
 def test_bad_run_settings_are_validation_failures(tmp_path, monkeypatch, capsys):

@@ -217,6 +217,24 @@ def test_solve_K_bit_equal_to_matrix_form(instance):
     assert np.array_equal(solve_K(cc).values, _K_matrix_form(cc))
 
 
+def test_solve_K_interpolates_the_stack_once_per_stage_time(monkeypatch):
+    # the two middle RK4 stages share a time: one interpolation serves both,
+    # and K stays bit-equal to the sweep that interpolates at every stage
+    p = repro_instance(steps=200)
+    cc = build_cc(p, solve_P(p)[0])
+    times = []
+
+    def counted(table, dt, t):
+        times.append(t)
+        return interp(table, dt, t)
+
+    monkeypatch.setattr(consistency, "interp", counted)
+    K = solve_K(cc).values
+    assert len(times) <= 3 * p.steps
+    assert all(a != b for a, b in zip(times, times[1:]))
+    assert np.array_equal(K, _K_matrix_form(cc))
+
+
 @pytest.mark.parametrize("instance", ["repro", "time_varying"])
 def test_K_lower_left_block_stays_exactly_zero(instance):
     # the equation is homogeneous in K's lower-left 3n x 3n block, which

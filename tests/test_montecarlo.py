@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mflqg import montecarlo
 from mflqg.errors import (GridMismatchError, MissingTrajectoriesError, NonFiniteError,
                           SettingError, StorageBudgetError)
-from mflqg.model import AugmentedCoeffs, build_augmented
+from mflqg.model import AugmentedCoeffs, ModelParams, build_augmented
 from mflqg.ode import TimeGrid, Trajectory, integrate_rk4
 from mflqg.riccati import FeedbackLaw, OracleLaw, solve_oracle
 from mflqg.montecarlo import (
@@ -226,6 +226,41 @@ def test_online_costs_match_trajectory_recompute(rng):
     summary = social_cost(res, p)
     assert np.max(np.abs(summary.j_i_paths - res.J_i)) < 1e-10
     assert np.max(np.abs(summary.j_soc_paths - res.J_soc)) < 1e-10
+
+
+def gap_scalar_params(steps=200):
+    """The scalar coupled instance of the gap study (acceptance 06 weights)."""
+    def one(x):
+        return np.array([[x]])
+    return ModelParams(n=1, m=1, T=1.0, steps=steps, A=one(0.5), B=one(1.0), C=one(0.3),
+                       D=one(0.2), F=one(0.2), Ftilde=one(0.1), Q=one(1.0), R=one(1.0),
+                       G=one(0.5), Gamma=one(0.5), GammaBar=one(0.3), eta=np.array([0.5]),
+                       etaBar=np.array([0.2]), xi0=np.array([1.0]))
+
+
+def test_social_cost_of_an_oracle_run_on_its_own_grid():
+    # the oracle's law lives on a 400-step grid, the config's on 200: the
+    # stored run's costs are read at the run's own nodes
+    p = gap_scalar_params()
+    aug = AugmentedCoeffs(p, 3)
+    grid = TimeGrid(1.0, 400)
+    law = solve_oracle(aug, grid, validate=False)
+    noise = NoiseBank(seed=4, n_paths=5, n_agents=3, grid=grid)
+    stored = simulate_centralized(aug, law, noise, store=True)
+    bare = simulate_centralized(aug, law, noise, store=False)
+    assert stored.xs is not None and bare.xs is None
+    assert np.array_equal(stored.J_soc, bare.J_soc)
+    rel = np.abs(stored.J_i.sum(axis=1) - bare.J_soc) / np.abs(bare.J_soc)
+    assert np.max(rel) < 1e-12
+
+
+def test_social_cost_refuses_time_varying_weights_on_another_grid(rng):
+    # a stored run on 60 steps, priced with weights sampled on 40
+    q = rand_params(rng, n=2, m=1, steps=60)
+    noise = NoiseBank(seed=1, n_paths=2, n_agents=2, grid=q.grid())
+    res = simulate_decentralized(q, make_law(q.grid(), 2, 1), 2, noise, store=True)
+    with pytest.raises(GridMismatchError, match="sampled on 40 steps"):
+        social_cost(res, time_varying_params(rng, steps=40))
 
 
 def test_social_cost_requires_trajectories(rng):

@@ -152,6 +152,72 @@ def test_integrate_linear_blowup_names_the_same_node(direction):
     assert "blow-up detected at node" in str(new.value)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["nan_source", "overflow"])
+@pytest.mark.parametrize("direction, node", [
+    ("forward", 45), ("forward", 98), ("backward", 55), ("backward", 2)],
+    ids=["forward-mid_chunk", "forward-last_chunk", "backward-mid_chunk", "backward-last_chunk"])
+def test_integrate_linear_blowup_inside_a_chunk_names_its_node(direction, node, kind):
+    # 100 steps in chunks of 32: forward nodes 45 and 98 lie inside the second
+    # and the last (partial) chunk, backward nodes 55 and 2 likewise.  From
+    # a quarter step before the node (in the sweep's direction) on, the source
+    # turns NaN, or the generator grows the state to about 1e39 in one step
+    # and by about 1e158 in each step after, which overflows to inf and NaN
+    # two steps on, inside the chunk; the step into the node samples it first
+    assert ode.LINEAR_CHUNK_STEPS == 32
+    g = TimeGrid(1.0, 100)
+    forward = direction == "forward"
+    edge = g.nodes[node] - 0.25 * g.dt if forward else g.nodes[node] + 0.25 * g.dt
+    rate = (1e40 if forward else -1e40) / g.dt
+
+    def hot(t):
+        return np.asarray(t > edge if forward else t < edge, dtype=float)
+
+    def coeffs(ts):
+        h = hot(ts)[:, None]
+        if kind == "nan_source":
+            src = np.where(h > 0, np.nan, np.zeros(2))
+            return np.broadcast_to(-np.eye(2), ts.shape + (2, 2)), src
+        return rate * h[..., None] * np.eye(2), None
+
+    def rhs(t, y):
+        M, s = coeffs(np.array([t]))
+        return M[0] @ y + (0.0 if s is None else s[0])
+
+    y0 = np.array([1.0, 0.5])
+    with pytest.raises(NonFiniteError, match=rf"^blow-up detected at node {node}$") as new:
+        integrate_linear(coeffs, y0, g, direction)
+    with pytest.raises(NonFiniteError) as old:
+        integrate_rk4(rhs, y0, g, direction)
+    assert str(new.value) == str(old.value)
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_integrate_linear_samples_each_distinct_stage_time_once(direction):
+    # 100 steps in chunks of 32: each chunk of c steps is sampled once, at its
+    # 2c+1 stage times in step order, node times bit-equal to the grid's
+    assert ode.LINEAR_CHUNK_STEPS == 32
+    rng = np.random.default_rng(5)
+    g = TimeGrid(1.3, 100)
+    _, coeffs, y0 = _linear_system(rng, 2, None, source=True)
+    seen = []
+
+    def spy(ts):
+        seen.append(ts.copy())
+        return coeffs(ts)
+
+    integrate_linear(spy, y0, g, direction)
+    forward = direction == "forward"
+    h = g.dt if forward else -g.dt
+    order = np.arange(g.steps + 1) if forward else np.arange(g.steps, -1, -1)
+    assert [ts.shape for ts in seen] == [(65,), (65,), (65,), (9,)]
+    for i, ts in enumerate(seen):
+        nodes = order[32 * i:32 * (i + 1) + 1]
+        assert np.array_equal(ts[0::2], g.nodes[nodes])
+        assert np.array_equal(ts[1::2], g.nodes[nodes[:-1]] + 0.5 * h)
+        assert np.all(np.diff(ts) > 0) if forward else np.all(np.diff(ts) < 0)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("direction", ["forward", "backward"])
 def test_integrate_rk4_blowup_names_the_node(direction, bad):
