@@ -216,7 +216,7 @@ def lambda_boundedness(params: ModelParams, law: FeedbackLaw, N_list) -> LambdaR
         check_population_size(N)
     grid = law.grid
     n = params.n
-    tabs = {k: params.node_table(k) for k in ("A", "B", "C", "D", "F", "Ftilde", "Q")}
+    tabs = {k: params.node_table(k, grid) for k in ("A", "B", "C", "D", "F", "Ftilde", "Q")}
     Th1 = law.Theta1.values
 
     bth = np.einsum("kij,kjl->kil", tabs["B"], Th1)

@@ -26,7 +26,7 @@ from .consistency import solve_cc
 from .convexity import (check_coupled_indefinite, check_decoupled_indefinite, is_coupled,
                         report_all)
 from .errors import ConfigError, MFLQGError, NonFiniteError, SettingError
-from .model import ModelParams, load_config, save_config, validate
+from .model import ModelParams, load_config, parse_config, save_config, validate
 from .ode import TimeGrid, Trajectory
 from .presets import repro_instance
 from .riccati import FeedbackLaw
@@ -241,7 +241,7 @@ def _verdict_doc(v) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    params = load_config(args.config)
+    params = parse_config(args.config)
     report = validate(params)
     if report:
         for line in report:

@@ -51,7 +51,6 @@ from .riccati import (
 
 COND37_DET_TOL = 1e-8
 REDUCED_SV_TOL = 1e-8
-BLOCK_IDENTITY_TOL = 1e-10
 
 
 # order of the 6n blocks in CCMatrices.tilde; the b blocks sit at odd
@@ -100,8 +99,6 @@ def build_cc(params: ModelParams, P: Trajectory) -> CCMatrices:
     """Assemble every block of the consistency-condition system from P, on
     all nodes at once.
 
-    The closed-loop pieces satisfy pi1 = A + B Theta1 and pi1p = C + D Theta1
-    identically; both identities are asserted to 1e-10 as a bookkeeping guard.
     The 3n blocks of the mean-field FBSDE are temporaries, written from the
     n x n pieces and then into the preallocated ``tilde`` stack.
     """
@@ -120,7 +117,6 @@ def build_cc(params: ModelParams, P: Trajectory) -> CCMatrices:
     Sinv_Bt = node_solve(S, _T(B))
     Sinv_Dt = node_solve(S, _T(D))
     PFt = Pv @ Ft
-    th1 = -Sinv_BtP
     pi1 = A - B @ Sinv_BtP
     pi2 = F - B @ (Sinv_Dt @ PFt)
     pi3 = -B @ Sinv_Bt
@@ -133,13 +129,6 @@ def build_cc(params: ModelParams, P: Trajectory) -> CCMatrices:
     Qeta = matvec(Q, eta)
     GtQeta = matvec(_T(Gam), Qeta)
     f_vec = np.concatenate([Qeta - GtQeta, Qeta, -GtQeta], axis=1)
-
-    # closed-loop identities, asserted as a guard on the block bookkeeping
-    err = np.maximum(np.abs(pi1 - (A + B @ th1)).max(axis=(1, 2)),
-                     np.abs(pi1p - (C + D @ th1)).max(axis=(1, 2)))
-    bad = np.flatnonzero(err > BLOCK_IDENTITY_TOL * (1.0 + np.abs(pi1).max(axis=(1, 2))))
-    if bad.size:
-        raise MFLQGError(f"closed-loop block identity violated at node {bad[0]}")
 
     def block3(blocks: dict) -> np.ndarray:
         return _place(np.zeros((nodes, n3, n3)), blocks, n)

@@ -16,6 +16,12 @@ G, GammaBar, etaBar, xi0 are constants.  The stacked nN-dimensional form of
 the same problem (used only by the small-N brute-force oracle) is assembled
 here alone, at nodes by :func:`build_augmented` and at any times by
 :class:`AugmentedCoeffs`, with its N noises as one diffusion matrix pair.
+
+The coefficient contract lives here alone: :func:`validate` decides which
+instances are admissible, and :func:`load_config` ends with it; every reader
+of coefficients at the nodes of a grid goes through
+:meth:`ModelParams.node_table`, where a constant broadcasts to any grid and a
+sampled coefficient exists only on the master grid (equal T and steps).
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidNError, ParseError, SchemaError
+from .errors import GridMismatchError, InvalidNError, ParseError, SchemaError
 from .ode import TimeGrid, interp, matvec, symmetrize
 
 # name -> (shape in terms of (n, m), may be time-varying, must be symmetric)
@@ -95,18 +101,24 @@ class ModelParams:
     def is_time_varying(self, name: str) -> bool:
         return getattr(self, name).ndim == len(COEFF_SPEC[name][0]) + 1
 
-    def node_table(self, name: str) -> np.ndarray:
-        """Samples at all nodes, shape (steps+1, *base); constants broadcast."""
+    def node_table(self, name: str, grid: TimeGrid | None = None) -> np.ndarray:
+        """Samples at every node of ``grid`` (the master grid by default),
+        shape (grid.steps+1, *base).  A constant broadcasts to any grid; a
+        sampled coefficient exists only on the master grid, and any other
+        grid raises GridMismatchError."""
         arr = getattr(self, name)
-        if self.is_time_varying(name):
-            return arr
-        return np.broadcast_to(arr, (self.steps + 1,) + arr.shape)
+        grid = self.grid() if grid is None else grid
+        if not self.is_time_varying(name):
+            return np.broadcast_to(arr, (grid.steps + 1,) + arr.shape)
+        if grid != self.grid():
+            raise GridMismatchError(
+                f"{name} is sampled on {self.steps} steps, the law on {grid.steps} "
+                f"(horizons {self.T:g} and {grid.T:g})")
+        return arr
 
     def coeff_at(self, name: str, t: float) -> np.ndarray:
         arr = getattr(self, name)
-        if arr.ndim == len(COEFF_SPEC[name][0]):   # constant
-            return arr
-        return interp(arr, self.T / self.steps, t)
+        return interp(arr, self.T / self.steps, t) if self.is_time_varying(name) else arr
 
     def equals(self, other: "ModelParams") -> bool:
         if (self.n, self.m, self.T, self.steps) != (other.n, other.m, other.T, other.steps):
@@ -133,11 +145,7 @@ def validate(params: ModelParams) -> list[str]:
     for name, (spec, tv_ok, must_sym) in COEFF_SPEC.items():
         arr = getattr(params, name)
         base = _shape_of(spec, params.n, params.m)
-        if arr.shape == base:
-            table = arr[None]
-        elif tv_ok and arr.shape == (params.steps + 1,) + base:
-            table = arr
-        else:
+        if not (arr.shape == base or tv_ok and arr.shape == (params.steps + 1,) + base):
             report.append(
                 f"{name}: expected shape {base} or {(params.steps + 1,) + base}, "
                 f"got {arr.shape}"
@@ -147,8 +155,8 @@ def validate(params: ModelParams) -> list[str]:
             report.append(f"{name}: contains non-finite entries")
             continue
         if must_sym:
-            tol = SYM_REPAIR_TOL * (1.0 + np.max(np.abs(table)))
-            asym = np.max(np.abs(table - np.swapaxes(table, -1, -2)))
+            tol = SYM_REPAIR_TOL * (1.0 + np.max(np.abs(arr)))
+            asym = np.max(np.abs(arr - np.swapaxes(arr, -1, -2)))
             if asym > tol:
                 report.append(f"{name}: asymmetry {asym:.3e} exceeds {tol:.3e}")
     return report
@@ -231,11 +239,13 @@ def _check_population(params: ModelParams, N: int):
         )
 
 
-def build_augmented(params: ModelParams, N: int, node=0) -> AugmentedSystem:
-    """Stacked system at the given grid node; ``node=slice(None)`` gives every
-    node, on a leading axis of the fields that sampled coefficients enter."""
+def build_augmented(params: ModelParams, N: int, node: int | TimeGrid = 0) -> AugmentedSystem:
+    """Stacked system at a node of the master grid; a TimeGrid gives every node
+    of that grid, on a leading axis of the fields that sampled coefficients
+    enter, read by :meth:`ModelParams.node_table`'s rule."""
     _check_population(params, N)
-    return _assemble_augmented(params, N, lambda name: getattr(params, name)[node]
+    grid, at = (node, slice(None)) if isinstance(node, TimeGrid) else (None, node)
+    return _assemble_augmented(params, N, lambda name: params.node_table(name, grid)[at]
                                if params.is_time_varying(name) else getattr(params, name))
 
 
@@ -251,12 +261,11 @@ class AugmentedCoeffs:
         _check_population(params, N)
         self.params = params
         self.N = N
-        self.dim = N * params.n
-        self._constant = not any(params.is_time_varying(k) for k in TIME_VARYING)
-        self._cache = build_augmented(params, N, 0) if self._constant else None
+        self._cache = (None if any(params.is_time_varying(k) for k in TIME_VARYING)
+                       else build_augmented(params, N, 0))
 
     def at(self, t) -> AugmentedSystem:
-        if self._constant:
+        if self._cache is not None:
             return self._cache
         return _assemble_augmented(self.params, self.N, lambda name: self.params.coeff_at(name, t))
 
@@ -281,32 +290,35 @@ def save_config(params: ModelParams, path):
         fh.write("\n")
 
 
-def _parse_coeff(name: str, raw, n: int, m: int, steps: int) -> np.ndarray:
+def _parse_coeff(name: str, raw) -> np.ndarray:
+    """A JSON entry: a nested list is constant, {"samples": ...} one sample per
+    node on a leading axis.  Shapes are :func:`validate`'s; a symmetric one with
+    square trailing axes is symmetrized, warning past the repair tolerance."""
     spec, tv_ok, must_sym = COEFF_SPEC[name]
-    base = _shape_of(spec, n, m)
+    rank = len(spec)
     if isinstance(raw, dict):
         if "samples" not in raw:
             raise SchemaError(f"field {name!r}: time-varying entry must carry 'samples'")
         if not tv_ok:
             raise SchemaError(f"field {name!r} must be constant")
-        arr = np.asarray(raw["samples"], dtype=float)
-        want = (steps + 1,) + base
-        if arr.shape != want:
-            raise SchemaError(f"field {name!r}: expected samples of shape {want}, got {arr.shape}")
-    else:
+        raw, rank = raw["samples"], rank + 1
+    try:
         arr = np.asarray(raw, dtype=float)
-        if arr.shape != base:
-            raise SchemaError(f"field {name!r}: expected shape {base}, got {arr.shape}")
-    if must_sym:
-        table = arr if arr.ndim == len(base) + 1 else arr[None]
-        asym = np.max(np.abs(table - np.swapaxes(table, -1, -2)))
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"field {name!r}: not an array of numbers: {exc}") from None
+    if arr.ndim != rank:
+        raise SchemaError(f"field {name!r}: expected {rank} axes, got {arr.ndim}")
+    if must_sym and arr.shape[-1] == arr.shape[-2]:
+        asym = np.max(np.abs(arr - np.swapaxes(arr, -1, -2)))
         if asym > SYM_REPAIR_TOL * (1.0 + np.max(np.abs(arr))):
             warnings.warn(f"{name} symmetrized on load (asymmetry {asym:.3e})")
         arr = 0.5 * (arr + np.swapaxes(arr, -1, -2))
     return arr
 
 
-def load_config(path) -> ModelParams:
+def parse_config(path) -> ModelParams:
+    """The instance a JSON config describes, not yet validated; a file that is
+    not JSON raises ParseError, a missing or malformed field SchemaError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -324,11 +336,17 @@ def load_config(path) -> ModelParams:
     try:
         n, m = int(doc["n"]), int(doc["m"])
         T, steps = float(doc["T"]), int(doc["steps"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: bad scalar field: {exc}") from exc
-    if n < 1 or m < 1:
-        raise SchemaError(f"{path}: dimensions must be positive (n={n}, m={m})")
-    if steps < 2:
-        raise SchemaError(f"{path}: steps must be >= 2, got {steps}")
-    coeffs = {name: _parse_coeff(name, doc[name], n, m, steps) for name in COEFF_SPEC}
+    coeffs = {name: _parse_coeff(name, doc[name]) for name in COEFF_SPEC}
     return ModelParams(n=n, m=m, T=T, steps=steps, **coeffs)
+
+
+def load_config(path) -> ModelParams:
+    """The admissible instance a JSON config describes: :func:`parse_config`
+    followed by :func:`validate`, whose every violation SchemaError names."""
+    params = parse_config(path)
+    report = validate(params)
+    if report:
+        raise SchemaError(f"{path}: " + "; ".join(report))
+    return params

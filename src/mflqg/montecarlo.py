@@ -160,7 +160,7 @@ class CostSummary:
 
 
 def _quad(dev: np.ndarray, M: np.ndarray) -> np.ndarray:
-    # dev: (..., d), M: (d, d) -> (...)
+    # dev: (..., r, d), M: (d, d) or (..., d, d) -> (..., r)
     return ((dev @ M) * dev).sum(axis=-1)
 
 
@@ -180,28 +180,11 @@ def _run_chunks(fn, chunks):
         list(ex.map(fn, chunks))
 
 
-def _bank_paths(noise, grid: TimeGrid, N: int, paths: int | None) -> int:
-    if grid.steps != noise.grid.steps or grid.T != noise.grid.T:
+def _check_bank(noise, grid: TimeGrid, N: int) -> None:
+    if grid != noise.grid:
         raise GridMismatchError("law grid does not match the noise grid")
     if noise.n_agents < N:
         raise GridMismatchError(f"noise bank holds {noise.n_agents} agents, need {N}")
-    n_paths = noise.n_paths if paths is None else paths
-    if n_paths > noise.n_paths:
-        raise GridMismatchError(f"noise bank holds {noise.n_paths} paths, need {n_paths}")
-    return n_paths
-
-
-def _node_tables(params: ModelParams, nodes: int, *names) -> list:
-    """Coefficient samples at the law's nodes; sampled ones must sit on them."""
-    out = []
-    for name in names:
-        table = params.node_table(name)
-        if params.is_time_varying(name) and len(table) != nodes:
-            raise GridMismatchError(f"{name} is sampled on {len(table) - 1} steps, "
-                                    f"the law on {nodes - 1}")
-        out.append(np.broadcast_to(table[0], (nodes,) + table.shape[1:])
-                   if not params.is_time_varying(name) else table)
-    return out
 
 
 def _quadratic(E, eta, W, K=None, a=None, R=None):
@@ -241,7 +224,7 @@ class _AgentFold:
 
     def __init__(self, params: ModelParams, grid: TimeGrid, N: int, Th1, Th2):
         K, (m, n) = len(Th1), Th1.shape[1:]
-        A, B, C, D, F, Ft, Q, R, Gam, eta = _node_tables(params, K, *TIME_VARYING)
+        A, B, C, D, F, Ft, Q, R, Gam, eta = (params.node_table(k, grid) for k in TIME_VARYING)
         eye = np.broadcast_to(np.eye(n), (K, n, n))
         H, l, self.c = _half_costs(
             grid, (np.concatenate([eye, -Gam], -1), eta, Q,
@@ -292,8 +275,8 @@ class _StackedFold:
     def __init__(self, params: ModelParams, grid: TimeGrid, N: int, gain, affine):
         K, n = len(gain), params.n
         Nn, lead = N * n, affine.shape[1:-1]
-        *_, Q, R, Gam, eta = _node_tables(params, K, *TIME_VARYING)  # checks all tables
-        s = build_augmented(params, N, slice(None))
+        s = build_augmented(params, N, grid)
+        Q, R, Gam, eta = (params.node_table(k, grid) for k in ("Q", "R", "Gamma", "eta"))
         A, B, C, D = (np.broadcast_to(X, (K,) + X.shape[-2:]) for X in (s.A, s.B, s.C, s.D))
 
         def wide(X):     # node tables against the lead axes
@@ -386,9 +369,9 @@ def _run(fold, noise, N, chunks, kind, recorder=None) -> np.ndarray:
     return J
 
 
-def _simulate(params, noise, N, n_paths, store, kind, fold) -> tuple[SimResult, np.ndarray]:
+def _simulate(params, noise, N, store, kind, fold) -> tuple[SimResult, np.ndarray]:
     """The run's result, its costs left unset, and the kernel's costs."""
-    n, m, M = params.n, params.m, noise.grid.steps
+    n, m, M, n_paths = params.n, params.m, noise.grid.steps, noise.n_paths
     storing = n_paths * N * (M + 1) * (n + m) <= STORE_BUDGET if store is None else bool(store)
     xavg = np.empty((n_paths, M + 1, n))
     xs = np.empty((n_paths, N, M + 1, n)) if storing else None
@@ -408,32 +391,31 @@ def _simulate(params, noise, N, n_paths, store, kind, fold) -> tuple[SimResult, 
 
 
 def simulate_decentralized(params: ModelParams, law: FeedbackLaw, N: int,
-                           noise: NoiseBank, paths: int | None = None,
-                           store: bool | None = None) -> SimResult:
+                           noise: NoiseBank, store: bool | None = None) -> SimResult:
     """Simulate all N agents under u_i = Theta1 x_i + Theta2, common start xi0.
 
     The state-average is recomputed from the current states at every step and
     feeds both drift and diffusion.
     """
-    n_paths = _bank_paths(noise, law.grid, N, paths)
+    _check_bank(noise, law.grid, N)
     fold = _AgentFold(params, law.grid, N, law.Theta1.values, law.Theta2.values)
-    res, J = _simulate(params, noise, N, n_paths, store, "decentralized", fold)
+    res, J = _simulate(params, noise, N, store, "decentralized", fold)
     res.J_i = np.ascontiguousarray(J.T)
     res.J_soc = res.J_i.sum(axis=1)
     return res
 
 
 def simulate_centralized(aug: AugmentedCoeffs, law: OracleLaw, noise: NoiseBank,
-                         paths: int | None = None, store: bool | None = None) -> SimResult:
+                         store: bool | None = None) -> SimResult:
     """Simulate the stacked system under the centralized law u = gain x + affine.
 
     The stacked state is the per-agent state in nN coordinates, so its social
     cost is directly comparable with the decentralized run under the same
     noise bank.  Per-agent costs J_i are recomputed from stored trajectories.
     """
-    n_paths = _bank_paths(noise, law.grid, aug.N, paths)
+    _check_bank(noise, law.grid, aug.N)
     fold = _StackedFold(aug.params, law.grid, aug.N, law.gain.values, law.affine.values)
-    res, J_soc = _simulate(aug.params, noise, aug.N, n_paths, store, "centralized", fold)
+    res, J_soc = _simulate(aug.params, noise, aug.N, store, "centralized", fold)
     res.J_soc = J_soc
     if res.xs is not None:
         res.J_i = social_cost(res, aug.params).j_i_paths
@@ -447,10 +429,10 @@ def centralized_variant_costs(aug: AugmentedCoeffs, law: OracleLaw,
     affines is (V, steps+1, Nm).  The variants share every increment of the
     bank and run as one pass, which equals V simulate_centralized calls.
     """
-    n_paths = _bank_paths(noise, law.grid, aug.N, None)
+    _check_bank(noise, law.grid, aug.N)
     fold = _StackedFold(aug.params, law.grid, aug.N, law.gain.values, np.moveaxis(affines, 0, 1))
-    return _run(fold, noise, aug.N, _chunks(n_paths, len(affines) * aug.N, PLANE_CHUNK_SCALARS),
-                "centralized")
+    chunks = _chunks(noise.n_paths, len(affines) * aug.N, PLANE_CHUNK_SCALARS)
+    return _run(fold, noise, aug.N, chunks, "centralized")
 
 
 def social_cost(result: SimResult, params: ModelParams) -> CostSummary:
@@ -465,7 +447,7 @@ def social_cost(result: SimResult, params: ModelParams) -> CostSummary:
     if result.xs is None or result.us is None:
         raise MissingTrajectoriesError("full trajectories were not stored for this run")
     grid = result.grid
-    Qt, Rt, Gt, et = _node_tables(params, grid.steps + 1, "Q", "R", "Gamma", "eta")
+    Qt, Rt, Gt, et = (params.node_table(k, grid) for k in ("Q", "R", "Gamma", "eta"))
     # tracking deviation x_i - Gamma xavg - eta, per (path, agent, node)
     gx = np.einsum("kij,pkj->pki", Gt, result.xavg)
     dev = result.xs - gx[:, None] - et[None, None]
@@ -490,17 +472,14 @@ def stacked_social_cost(params: ModelParams, N: int, xs: np.ndarray,
     cost really is the sum of the per-agent costs.
     """
     P, _, nodes, n = xs.shape
-    x_st = np.swapaxes(xs, 1, 2).reshape(P, nodes, N * n)
-    u_st = np.swapaxes(us, 1, 2).reshape(P, nodes, N * us.shape[-1])
-    etat = params.node_table("eta")
-    Qt = params.node_table("Q")
-    integ = np.empty((nodes, P))
-    for k in range(nodes):
-        s = build_augmented(params, N, k)
-        xk, uk = x_st[:, k], u_st[:, k]
-        integ[k] = (_quad(xk, s.Q) + 2.0 * xk @ s.S1 + N * etat[k] @ Qt[k] @ etat[k]
-                    + _quad(uk, s.R))
-    xT = x_st[:, -1]
+    # node axis first, so a weight sampled per node meets its own node's rows
+    x_st = xs.transpose(2, 0, 1, 3).reshape(nodes, P, N * n)
+    u_st = us.transpose(2, 0, 1, 3).reshape(nodes, P, N * us.shape[-1])
+    s = build_augmented(params, N, grid)
+    eta, Q = params.node_table("eta", grid), params.node_table("Q", grid)
+    integ = (_quad(x_st, s.Q) + 2.0 * (x_st * s.S1[..., None, :]).sum(axis=-1)
+             + N * np.einsum("ki,kij,kj->k", eta, Q, eta)[:, None] + _quad(u_st, s.R))
+    xT = x_st[-1]
     terminal = (_quad(xT, s.G) + 2.0 * xT @ s.S2
                 + N * params.etaBar @ params.G @ params.etaBar)
     return 0.5 * (trapezoid_nodes(integ, grid) + terminal)

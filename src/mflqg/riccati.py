@@ -33,8 +33,9 @@ The oracle's two sweeps stay stagewise: its affine feeds the stationarity
 verdicts, whose borderline cases a change in the last bits could move.  Its
 node-wise margin, gain and affine are one batched pass over the stacked
 system at every node, bit-identical to a loop over the nodes.  The
-auxiliary problem is always solved on the master grid of the model, where
-time-varying coefficients are sampled; only the oracle takes another grid.
+auxiliary problem is always solved on the master grid of the model; the
+oracle may take another grid, on which model's grid rule decides whether its
+coefficients can be read.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridMismatchError, RegularityLostError, StationarityError
-from .model import TIME_VARYING, AugmentedCoeffs, ModelParams, kron_eye
+from .model import AugmentedCoeffs, ModelParams, build_augmented, kron_eye
 from .ode import (
     TimeGrid,
     Trajectory,
@@ -59,32 +60,21 @@ from .ode import (
 REGULARITY_TOL = 1e-10
 
 
-def _grid_for(params: ModelParams, grid: TimeGrid | None) -> TimeGrid:
-    if grid is None:
-        return params.grid()
-    tv = any(params.is_time_varying(name) for name in TIME_VARYING)
-    if tv and grid.steps != params.steps:
-        raise GridMismatchError(
-            "sampled coefficients are tied to the master grid; "
-            f"got steps={grid.steps} vs params.steps={params.steps}"
-        )
-    return grid
-
-
 def _check_grids(grid: TimeGrid, *trajs: Trajectory):
     for tr in trajs:
-        if tr.grid.steps != grid.steps or tr.grid.T != grid.T:
+        if tr.grid != grid:
             raise GridMismatchError("trajectory grids do not match")
 
 
-def gain_terms(P: np.ndarray, B, C, D, R) -> tuple[np.ndarray, np.ndarray]:
-    """The gain denominator S = R + D'PD and numerator B'P + D'PC.
+def gain_terms(P: np.ndarray, B, C, D, R, Pd=None) -> tuple[np.ndarray, np.ndarray]:
+    """The gain denominator S = R + D'Pd D and numerator B'P + D'Pd C, with
+    the noise-side matrix Pd = P by default (bd(P) for the oracle).
 
     Works on one matrix P or on a stack of them along leading (time) axes, the
     coefficients broadcasting against it; every regularity measure and gain
-    of the auxiliary problem is formed here.
+    of the auxiliary problem and of the oracle is formed here.
     """
-    DtP = D.swapaxes(-1, -2) @ P
+    DtP = D.swapaxes(-1, -2) @ (P if Pd is None else Pd)
     return R + DtP @ D, B.swapaxes(-1, -2) @ P + DtP @ C
 
 
@@ -320,7 +310,8 @@ def solve_oracle(aug: AugmentedCoeffs, grid: TimeGrid | None = None, *,
 
     with gain = -(R + D' bd(P) D)^{-1}(B'P + D' bd(P) C) and control
     u = gain x - (R + D' bd(P) D)^{-1} B' phi.  Both sweeps are stagewise;
-    margin, gain and affine are formed at all nodes at once.
+    margin, gain and affine are formed at all nodes at once, from the stacked
+    system built on ``grid`` before the sweeps (GridMismatchError there).
 
     With validate=True the resulting law must pass a stationarity self-check:
     for 5 random bounded perturbations delta of the affine term, the centered
@@ -328,38 +319,36 @@ def solve_oracle(aug: AugmentedCoeffs, grid: TimeGrid | None = None, *,
     numbers stays below fd_tol * ||delta||_{L2} * (1 + |J|), and the perturbed
     cost never undercuts J by more than Monte Carlo slack.
     """
-    grid = _grid_for(aug.params, grid)
+    grid = aug.params.grid() if grid is None else grid
+    nodes = build_augmented(aug.params, aug.N, grid)
     # bd(P) = P * blocks; noise i enters block row i of C x + D u only
     blocks = kron_eye(np.ones((aug.params.n, aug.params.n)), aug.N)
 
     def rhs(t, P):
         s = aug.at(t)
         Pb = P * blocks
-        DtPb = s.D.T @ Pb
-        num = s.B.T @ P + DtPb @ s.C
+        S, num = gain_terms(P, s.B, s.C, s.D, s.R, Pb)
         try:
-            sol = np.linalg.solve(s.R + DtPb @ s.D, num)
+            sol = np.linalg.solve(S, num)
         except np.linalg.LinAlgError as exc:
             raise RegularityLostError(f"oracle R + D'bd(P)D singular at t={t:.6g}") from exc
         return -(P @ s.A + s.A.T @ P + s.C.T @ (Pb @ s.C) + s.Q - num.T @ sol)
 
-    P = integrate_rk4(rhs, symmetrize(aug.at(grid.T).G), grid, "backward", project=symmetrize)
+    P = integrate_rk4(rhs, symmetrize(nodes.G), grid, "backward", project=symmetrize)
     # margin, gain and affine at every node in one batched pass
-    s = aug.at(grid.nodes)
-    Bt, DtPb = s.B.swapaxes(-1, -2), s.D.swapaxes(-1, -2) @ (P.values * blocks)
-    S = s.R + DtPb @ s.D
+    S, num = gain_terms(P.values, nodes.B, nodes.C, nodes.D, nodes.R, P.values * blocks)
     margin = float(np.linalg.eigvalsh(symmetrize(S))[:, 0].min())
     if margin <= REGULARITY_TOL:
         raise RegularityLostError(f"oracle regularity margin {margin:.3e}")
-    gain = Trajectory(grid, -node_solve(S, Bt @ P.values + DtPb @ s.C))
+    gain = Trajectory(grid, -node_solve(S, num))
 
     def phi_rhs(t, phi):
         s = aug.at(t)
         Acl = s.A + s.B @ gain(t)
         return -(Acl.T @ phi + s.S1)
 
-    phi = integrate_rk4(phi_rhs, aug.at(grid.T).S2, grid, "backward")
-    affines = -node_solve(S, Bt @ phi.values[..., None])[..., 0]
+    phi = integrate_rk4(phi_rhs, nodes.S2, grid, "backward")
+    affines = -node_solve(S, nodes.B.swapaxes(-1, -2) @ phi.values[..., None])[..., 0]
     law = OracleLaw(grid=grid, N=aug.N, P=P, phi=phi, gain=gain,
                     affine=Trajectory(grid, affines), regularity_margin=margin)
     if validate:

@@ -7,7 +7,7 @@ import pytest
 
 from mflqg.analysis import convergence_study, gap_study, lambda_boundedness
 from mflqg.consistency import solve_cc
-from mflqg.errors import InvalidNError
+from mflqg.errors import GridMismatchError, InvalidNError
 from mflqg.model import ModelParams
 from mflqg.ode import Trajectory, integrate_rk4, interp
 from mflqg.presets import repro_instance
@@ -203,6 +203,20 @@ def _time_varying_repro(steps):
     p.Ftilde = p.Ftilde * (1.0 - 0.3 * t)[:, None, None]
     p.eta = p.eta * np.cos(t)[:, None]
     return p
+
+
+def test_lambda_reads_coefficients_on_the_law_grid():
+    # constants broadcast to the law's 400 steps whatever the config's steps;
+    # coefficients sampled on 200 steps cannot be read there
+    p200, p400 = repro_instance(steps=200), repro_instance(steps=400)
+    _, law = solve_cc(p400)
+    a, b = lambda_boundedness(p200, law, [10, 100]), lambda_boundedness(p400, law, [10, 100])
+    assert np.array_equal(a.bound, b.bound)
+    for x, y in zip(a.pairs, b.pairs):
+        assert np.array_equal(x.lam1.values, y.lam1.values)
+        assert np.array_equal(x.lam2.values, y.lam2.values)
+    with pytest.raises(GridMismatchError, match="sampled on 200 steps, the law on 400"):
+        lambda_boundedness(_time_varying_repro(200), law, [10])
 
 
 @pytest.mark.parametrize("instance", ["repro", "time_varying", "random_n3"])

@@ -389,6 +389,28 @@ def test_bad_run_settings_are_validation_failures(tmp_path, monkeypatch, capsys)
     assert not repro.exists()
 
 
+@pytest.mark.parametrize("edit, named", [
+    (lambda doc: doc["Q"][0].__setitem__(0, float("nan")), "Q: contains non-finite entries"),
+    (lambda doc: doc["xi0"].__setitem__(1, float("inf")), "xi0: contains non-finite entries"),
+    (lambda doc: doc.update(T=0), "T must be positive and finite, got 0.0"),
+], ids=["nan-Q", "inf-xi0", "zero-T"])
+def test_inadmissible_config_is_validation_failure_everywhere(tmp_path, capsys, edit, named):
+    # every subcommand rejects what `mflqg validate` rejects, naming the field
+    doc = json.loads(small_config(tmp_path).read_text())
+    edit(doc)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    runs = {"solve": [], "gap": ["--N-list", "2", "--paths", "2", "--seed", "1"],
+            "simulate": ["--law", str(tmp_path), "--N", "2", "--paths", "2", "--seed", "1"],
+            "converge": ["--law", str(tmp_path), "--N-list", "2", "--reps", "2", "--seed", "1"]}
+    for command, extra in runs.items():
+        assert main([command, str(cfg), "--out", str(tmp_path / command)] + extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation failure: {cfg}: ") and named in err, err
+    assert main(["validate", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"invalid: {named}\n"
+
+
 def test_bad_population_is_validation_failure(tmp_path):
     r = run_cli(["gap", str(CONFIG), "--N-list", "0", "--paths", "10", "--seed", "1",
                  "--out", str(tmp_path / "gap")])

@@ -1,10 +1,11 @@
 """Static guards: no module of the package imports a name it never uses, and
-no dataclass of the package has a field nobody reads.
+no class of the package has a field nobody reads.
 
 ``__init__.py`` is skipped by the import guard; its imports are the
-package's re-exports.  A field counts as read when its name appears as an
-attribute load or as a string constant anywhere in the package, its tests or
-the benchmark.
+package's re-exports.  The fields of a class are those a dataclass declares
+and the attributes any class sets on ``self``.  A field counts as read when
+its name appears as an attribute load or as a string constant anywhere in
+the package, its tests or the benchmark.
 """
 
 import ast
@@ -51,8 +52,20 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
+def _fields(cls: ast.ClassDef) -> dict:
+    """A class's declared dataclass fields and the attributes it sets on self."""
+    fields = {}
+    if _is_dataclass(cls):
+        fields.update((stmt.target.id, None) for stmt in cls.body
+                      if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name))
+    fields.update((node.attr, None) for node in ast.walk(cls)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                  and isinstance(node.value, ast.Name) and node.value.id == "self")
+    return fields
+
+
 def unread_fields(source: str, readers: list[str]) -> list[str]:
-    """Fields of the dataclasses in ``source`` that no reader source reads."""
+    """Fields of the classes in ``source`` that no reader source reads."""
     read = set()
     for text in readers:
         for node in ast.walk(ast.parse(text)):
@@ -60,12 +73,9 @@ def unread_fields(source: str, readers: list[str]) -> list[str]:
                 read.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 read.add(node.value)
-    return [f"{cls.name}.{stmt.target.id}"
-            for cls in ast.walk(ast.parse(source))
-            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
-            for stmt in cls.body
-            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-            and stmt.target.id not in read]
+    return [f"{cls.name}.{name}"
+            for cls in ast.walk(ast.parse(source)) if isinstance(cls, ast.ClassDef)
+            for name in _fields(cls) if name not in read]
 
 
 def test_guard_flags_an_unread_field():
@@ -76,6 +86,18 @@ def test_guard_flags_an_unread_field():
     assert unread_fields(source, ["getattr(a, 'x') + a.y + a.z\n"]) == []
 
 
-def test_no_unread_dataclass_fields():
+def test_guard_flags_an_unread_self_attribute():
+    source = ("class C:\n"
+              "    def __init__(self, v):\n"
+              "        self.a, self.b = v, v\n"
+              "        self.c = self.a\n"
+              "        other.d = v\n"
+              "    def grow(self):\n"
+              "        self.e += 1\n")
+    assert sorted(unread_fields(source, [source])) == ["C.b", "C.c", "C.e"]
+    assert unread_fields(source, [source, "x.b + x.c + x.e\n"]) == []
+
+
+def test_no_unread_class_fields():
     readers = [p.read_text() for p in READERS]
     assert [f for p in MODULES for f in unread_fields(p.read_text(), readers)] == []

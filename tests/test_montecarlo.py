@@ -10,6 +10,7 @@ from mflqg.errors import (GridMismatchError, MissingTrajectoriesError, NonFinite
                           SettingError, StorageBudgetError)
 from mflqg.model import AugmentedCoeffs, ModelParams, build_augmented
 from mflqg.ode import TimeGrid, Trajectory, integrate_rk4
+from mflqg import riccati
 from mflqg.riccati import FeedbackLaw, OracleLaw, solve_oracle
 from mflqg.montecarlo import (
     NoiseBank,
@@ -218,6 +219,22 @@ def test_stacked_cost_equals_agent_cost_sum(rng):
         assert rel < 1e-8
 
 
+@pytest.mark.parametrize("n_paths", [1, 4, 41])
+def test_stacked_cost_equals_agent_cost_sum_with_time_varying_weights(rng, n_paths):
+    # Q, R, Gamma and eta move per node; 1 and 41 paths are the counts that
+    # broadcast against the 41 nodes if the path and node axes are confused
+    p = time_varying_params(rng, steps=40)
+    law = make_law(p.grid(), 2, 1, Th1=0.2 * rng.standard_normal((1, 2)),
+                   Th2=0.3 * rng.standard_normal(1))
+    for N in (1, 2, 3):
+        noise = NoiseBank(seed=11, n_paths=n_paths, n_agents=N, grid=p.grid())
+        res = simulate_decentralized(p, law, N, noise, store=True)
+        direct = social_cost(res, p).j_soc_paths
+        stacked = stacked_social_cost(p, N, res.xs, res.us, p.grid())
+        assert stacked.shape == (n_paths,)
+        assert np.max(np.abs(stacked - direct) / np.abs(direct)) < 1e-12
+
+
 def test_online_costs_match_trajectory_recompute(rng):
     p = rand_params(rng, n=2, m=1, steps=150)
     law = make_law(p.grid(), 2, 1, Th1=np.array([[0.1, -0.2]]), Th2=np.array([0.3]))
@@ -252,6 +269,18 @@ def test_social_cost_of_an_oracle_run_on_its_own_grid():
     assert np.array_equal(stored.J_soc, bare.J_soc)
     rel = np.abs(stored.J_i.sum(axis=1) - bare.J_soc) / np.abs(bare.J_soc)
     assert np.max(rel) < 1e-12
+
+
+def test_stacked_social_cost_of_an_oracle_run_on_its_own_grid():
+    # the stacked weights are read at the run's 401 nodes, not the config's 201
+    p = gap_scalar_params()
+    aug = AugmentedCoeffs(p, 3)
+    grid = TimeGrid(1.0, 400)
+    law = solve_oracle(aug, grid, validate=False)
+    res = simulate_centralized(aug, law, NoiseBank(seed=4, n_paths=5, n_agents=3, grid=grid),
+                               store=True)
+    J = stacked_social_cost(p, 3, res.xs, res.us, grid)
+    assert np.max(np.abs(J - res.J_soc) / np.abs(res.J_soc)) < 1e-12
 
 
 def test_social_cost_refuses_time_varying_weights_on_another_grid(rng):
@@ -556,3 +585,24 @@ def test_sampled_coefficients_must_sit_on_the_law_grid(rng):
     noise = NoiseBank(seed=1, n_paths=2, n_agents=2, grid=grid)
     with pytest.raises(GridMismatchError, match="A is sampled on 40 steps, the law on 20"):
         simulate_decentralized(p, make_law(grid, 2, 1), 2, noise)
+
+
+@pytest.mark.parametrize("run", ["decentralized", "centralized", "oracle"])
+def test_sampled_coefficients_refuse_another_horizon(rng, run, monkeypatch):
+    # equal steps, twice the horizon: node k would read the sample for t = k/40
+    p = time_varying_params(rng, steps=40)
+    grid = TimeGrid(2.0, 40)
+    noise = NoiseBank(seed=1, n_paths=2, n_agents=2, grid=grid)
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the oracle swept before checking its grid")
+
+    monkeypatch.setattr(riccati, "integrate_rk4", no_sweep)
+    with pytest.raises(GridMismatchError, match="sampled on 40 steps, the law on 40"):
+        if run == "decentralized":
+            simulate_decentralized(p, make_law(grid, 2, 1), 2, noise)
+        elif run == "centralized":
+            simulate_centralized(AugmentedCoeffs(p, 2),
+                                 block_law(grid, 2, np.zeros((1, 2)), np.zeros(1)), noise)
+        else:
+            solve_oracle(AugmentedCoeffs(p, 2), grid, validate=False)
