@@ -25,8 +25,9 @@ from .analysis import convergence_study, gap_study, lambda_boundedness
 from .consistency import solve_cc
 from .convexity import (check_coupled_indefinite, check_decoupled_indefinite, is_coupled,
                         report_all)
-from .errors import ConfigError, MFLQGError, NonFiniteError, SettingError
-from .model import ModelParams, load_config, parse_config, save_config, validate
+from .errors import ConfigError, GridMismatchError, MFLQGError, NonFiniteError, SettingError
+from .model import (TIME_VARYING, ModelParams, integral, load_config, parse_config,
+                    save_config, validate)
 from .ode import TimeGrid, Trajectory
 from .presets import repro_instance
 from .riccati import FeedbackLaw
@@ -172,7 +173,8 @@ def load_law(law_dir: Path, params: ModelParams | None = None
     """The law stored in ``law_dir``, its mean path xhat and the file's hash.
 
     Every trajectory must hold one sample per node, shaped by the law's own
-    n and m; given ``params``, those must be the config's n and m.  A bad
+    n and m; given ``params``, those must be the config's n and m, and every
+    coefficient of the config must be readable on the law's grid.  A bad
     file raises ConfigError naming the file and the field.
     """
     path = Path(law_dir) / "law.json"
@@ -183,21 +185,26 @@ def load_law(law_dir: Path, params: ModelParams | None = None
             return read(doc[name])
         except KeyError as exc:
             raise ConfigError(f"{path}: field {name!r}: missing key {exc}") from None
-        except (TypeError, ValueError, NonFiniteError) as exc:
+        except (TypeError, ValueError, OverflowError, NonFiniteError) as exc:
             raise ConfigError(f"{path}: field {name!r}: {exc}") from None
 
-    T, steps = field("T", float), field("steps", int)
+    T, steps = field("T", float), field("steps", integral)
     try:
         grid = TimeGrid(T, steps)
     except ValueError as exc:
         raise ConfigError(f"{path}: fields 'T' and 'steps': {exc}") from None
 
-    n, m = field("n", int), field("m", int)
+    n, m = field("n", integral), field("m", integral)
     if params is not None:
         for name, have, want in (("n", n, params.n), ("m", m, params.m)):
             if have != want:
                 raise ConfigError(f"{path}: field {name!r}: the law has {name} = {have}, "
                                   f"the config {want}")
+        try:
+            for name in TIME_VARYING:
+                params.node_table(name, grid)
+        except GridMismatchError as exc:
+            raise ConfigError(f"{path}: fields 'T' and 'steps': {exc}") from None
     shapes = {"P": (n, n), "phi": (n,), "Theta1": (m, n), "Theta2": (m,), "xhat": (n,)}
 
     def samples(name):

@@ -316,6 +316,16 @@ def _parse_coeff(name: str, raw) -> np.ndarray:
     return arr
 
 
+def integral(value) -> int:
+    """A JSON number with no fractional part, as an int; a fraction, a
+    boolean or any other value raises ValueError."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
 def parse_config(path) -> ModelParams:
     """The instance a JSON config describes, not yet validated; a file that is
     not JSON raises ParseError, a missing or malformed field SchemaError."""
@@ -333,13 +343,16 @@ def parse_config(path) -> ModelParams:
     for key in CONFIG_KEYS:
         if key not in doc:
             raise SchemaError(f"{path}: missing required field {key!r}")
-    try:
-        n, m = int(doc["n"]), int(doc["m"])
-        T, steps = float(doc["T"]), int(doc["steps"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"{path}: bad scalar field: {exc}") from exc
+
+    def scalar(key, read):
+        try:
+            return read(doc[key])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"{path}: field {key!r}: {exc}") from None
+
+    n, m, steps = (scalar(key, integral) for key in ("n", "m", "steps"))
     coeffs = {name: _parse_coeff(name, doc[name]) for name in COEFF_SPEC}
-    return ModelParams(n=n, m=m, T=T, steps=steps, **coeffs)
+    return ModelParams(n=n, m=m, T=scalar("T", float), steps=steps, **coeffs)
 
 
 def load_config(path) -> ModelParams:

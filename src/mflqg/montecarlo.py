@@ -4,7 +4,14 @@ counter-based noise and cost evaluation.
 Brownian increments come from one Philox stream per (seed, path, agent), so
 any increment regenerates bit-identically however work is chunked.  Chunk
 boundaries depend on sizes alone and each chunk writes its own slice of the
-output, so results are bit-identical under any MFLQG_THREADS.
+output, so results are bit-identical under any MFLQG_THREADS.  A plain
+simulation that spans several noise-capped chunks hands them to a pool of
+MFLQG_THREADS workers.  The oracle's variant pass cuts its paths into
+cache-sized chunks and runs them in order on the calling thread: each numpy
+call on such a chunk lasts microseconds, so pool workers would mostly hand
+the interpreter lock back and forth rather than compute at once (inferred,
+not traced).  On a 2-core host two workers made the pass 25-75% slower than
+one at N = 2, 4 and 8.
 
 Every control law here is affine in the state, so one kernel, :func:`_em`,
 steps a law folded into per-node tables before the loop: the drift
@@ -54,7 +61,8 @@ from .riccati import FeedbackLaw, OracleLaw
 # full trajectory storage cap, in scalars (states + controls combined)
 STORE_BUDGET = 2**28
 # chunk caps in scalars: the noise of one chunk, and one state plane of a
-# multi-variant pass (small enough to stay in cache)
+# multi-variant pass (small enough to stay in cache, so run on the calling
+# thread; see the module docstring)
 NOISE_CHUNK_SCALARS = 2**24
 PLANE_CHUNK_SCALARS = 2**14
 
@@ -167,7 +175,8 @@ def _quad(dev: np.ndarray, M: np.ndarray) -> np.ndarray:
 def _chunks(n_paths: int, per_path_scalars: int, cap: int | None = None) -> list[range]:
     # Chunk boundaries depend only on sizes, never on the worker count: BLAS
     # kernels are not bit-stable across batch shapes, so the shapes must be
-    # pinned for thread-count-independent output.
+    # pinned for thread-count-independent output.  Plain simulations run
+    # their chunks on the pool, the variant pass in order on the calling thread.
     size = max(1, min(n_paths, (cap or NOISE_CHUNK_SCALARS) // max(1, per_path_scalars)))
     return [range(a, min(a + size, n_paths)) for a in range(0, n_paths, size)]
 
@@ -356,19 +365,6 @@ def _em(fold, dW: np.ndarray, kind: str, record=None) -> np.ndarray:
     return run
 
 
-def _run(fold, noise, N, chunks, kind, recorder=None) -> np.ndarray:
-    """The kernel's costs, shape (*fold.cost_shape, paths), over the bank's chunks."""
-    J = np.empty(fold.cost_shape + (chunks[-1].stop,))
-
-    def run(chunk: range):
-        sl = slice(chunk.start, chunk.stop)
-        J[..., sl] = _em(fold, noise.increments_block(chunk)[:, :N, :], kind,
-                         recorder and recorder(sl))
-
-    _run_chunks(run, chunks)
-    return J
-
-
 def _simulate(params, noise, N, store, kind, fold) -> tuple[SimResult, np.ndarray]:
     """The run's result, its costs left unset, and the kernel's costs."""
     n, m, M, n_paths = params.n, params.m, noise.grid.steps, noise.n_paths
@@ -377,15 +373,20 @@ def _simulate(params, noise, N, store, kind, fold) -> tuple[SimResult, np.ndarra
     xs = np.empty((n_paths, N, M + 1, n)) if storing else None
     us = np.empty((n_paths, N, M + 1, m)) if storing else None
 
-    def recorder(sl):
+    J = np.empty(fold.cost_shape + (n_paths,))
+
+    def run(chunk: range):
+        sl = slice(chunk.start, chunk.stop)
+
         def record(k, X, xb):
             xavg[sl, k] = xb.T
             if storing:
                 xs[sl, :, k] = fold.states(X)
                 us[sl, :, k] = fold.controls(k, X)
-        return record
 
-    J = _run(fold, noise, N, _chunks(n_paths, N * M), kind, recorder)
+        J[..., sl] = _em(fold, noise.increments_block(chunk)[:, :N, :], kind, record)
+
+    _run_chunks(run, _chunks(n_paths, N * M))
     return SimResult(grid=noise.grid, N=N, n_paths=n_paths, seed=noise.seed, xavg=xavg,
                      J_i=None, J_soc=None, xs=xs, us=us), J
 
@@ -431,8 +432,11 @@ def centralized_variant_costs(aug: AugmentedCoeffs, law: OracleLaw,
     """
     _check_bank(noise, law.grid, aug.N)
     fold = _StackedFold(aug.params, law.grid, aug.N, law.gain.values, np.moveaxis(affines, 0, 1))
-    chunks = _chunks(noise.n_paths, len(affines) * aug.N, PLANE_CHUNK_SCALARS)
-    return _run(fold, noise, aug.N, chunks, "centralized")
+    # in order on the calling thread, never the pool: see the module docstring
+    return np.concatenate([
+        _em(fold, noise.increments_block(chunk)[:, :aug.N, :], "centralized")
+        for chunk in _chunks(noise.n_paths, len(affines) * aug.N, PLANE_CHUNK_SCALARS)
+    ], axis=-1)
 
 
 def social_cost(result: SimResult, params: ModelParams) -> CostSummary:

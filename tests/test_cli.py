@@ -79,7 +79,11 @@ def test_missing_field_is_validation_failure(tmp_path):
     ("P", lambda doc: doc["P"]["samples"].pop()),
     ("Theta1", lambda doc: doc["Theta1"].update(samples=[s[:1] for s in doc["Theta1"]["samples"]])),
     ("m", lambda doc: doc.update(m=1)),
-], ids=["missing_field", "one_step", "sample_count", "sample_shape", "config_dims"])
+    ("steps", lambda doc: doc.update(steps=20.7)),
+    ("n", lambda doc: doc.update(n=2.9)),
+    ("n", lambda doc: doc.update(n=True)),
+], ids=["missing_field", "one_step", "sample_count", "sample_shape", "config_dims",
+        "fractional_steps", "fractional_n", "boolean_n"])
 def test_malformed_law_is_validation_failure(tmp_path, field, edit):
     cfg = small_config(tmp_path)
     law_dir = tmp_path / "law"
@@ -94,6 +98,34 @@ def test_malformed_law_is_validation_failure(tmp_path, field, edit):
     assert "Traceback" not in r.stderr
     assert r.stderr.startswith(f"validation failure: {law}: ")
     assert repr(field) in r.stderr
+
+
+@pytest.mark.parametrize("field, value", [("steps", 20.7), ("n", 2.9), ("n", True)])
+def test_non_integral_config_count_is_validation_failure(tmp_path, field, value):
+    cfg = small_config(tmp_path)
+    doc = json.loads(cfg.read_text())
+    doc[field] = value
+    cfg.write_text(json.dumps(doc))
+    r = run_cli(["validate", str(cfg)])
+    assert r.returncode == 1
+    assert r.stderr.startswith(f"validation failure: {cfg}: field {field!r}: ")
+
+
+@pytest.mark.parametrize("cmd", [["simulate", "--N", "2", "--paths", "1"],
+                                 ["converge", "--N-list", "2", "--reps", "2"]],
+                         ids=["simulate", "converge"])
+def test_law_off_a_sampled_coefficient_grid_is_validation_failure(tmp_path, cmd):
+    law_dir = tmp_path / "law"
+    assert main(["solve", str(small_config(tmp_path, steps=20)), "--out", str(law_dir)]) == 0
+    p = repro_instance(steps=40)
+    p.eta = np.outer(p.grid().nodes, [1.0, -1.0])
+    cfg = tmp_path / "sampled.json"
+    save_config(p, cfg)
+    r = run_cli([cmd[0], str(cfg), "--law", str(law_dir), *cmd[1:], "--seed", "1",
+                 "--out", str(tmp_path / "out")])
+    assert r.returncode == 1
+    assert r.stderr.startswith(f"validation failure: {law_dir / 'law.json'}: fields 'T' and "
+                               "'steps': eta is sampled on 40 steps, the law on 20")
 
 
 def test_converge_rejects_a_law_of_other_dimensions(tmp_path):

@@ -1,5 +1,7 @@
 """Noise bank reproducibility, Euler-Maruyama behavior, cost evaluation."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -457,6 +459,48 @@ def test_centralized_and_validation_identical_across_thread_counts(rng, monkeypa
         runs.append([res.xs, res.us, res.xavg, res.J_i, oracle.validation])
     for a, b in zip(*runs[:2]):
         assert (a == b) if isinstance(a, dict) else a.tobytes() == b.tobytes()
+
+
+def count_pools(monkeypatch, refuse=False):
+    """Count the thread pools montecarlo builds; with refuse, building one raises."""
+    built = []
+
+    def pool(*args, **kwargs):
+        if refuse:
+            raise AssertionError("a thread pool was built")
+        built.append(kwargs)
+        return ThreadPoolExecutor(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", pool)
+    return built
+
+
+def test_variant_pass_runs_on_the_calling_thread(rng, monkeypatch):
+    # cache-sized chunks lose to the interpreter lock on a pool, so even
+    # many chunks and four workers build none
+    monkeypatch.setattr(montecarlo, "PLANE_CHUNK_SCALARS", 2**9)
+    monkeypatch.setenv("MFLQG_THREADS", "4")
+    count_pools(monkeypatch, refuse=True)
+    p = rand_params(rng, n=2, m=1, steps=30)
+    grid, N = p.grid(), 3
+    law = random_oracle_law(rng, grid, N, 2, 1)
+    affines = law.affine.values + 0.2 * rng.standard_normal((5,) + law.affine.values.shape)
+    noise = NoiseBank(seed=5, n_paths=60, n_agents=N, grid=grid)
+    assert len(montecarlo._chunks(60, 5 * N, 2**9)) > 1
+    J = centralized_variant_costs(AugmentedCoeffs(p, N), law, affines, noise)
+    assert J.shape == (5, 60) and np.isfinite(J).all()
+
+
+def test_multi_chunk_plain_simulation_uses_the_pool(rng, monkeypatch):
+    monkeypatch.setattr(montecarlo, "NOISE_CHUNK_SCALARS", 2**10)
+    monkeypatch.setenv("MFLQG_THREADS", "2")
+    built = count_pools(monkeypatch)
+    p = rand_params(rng, n=1, m=1, steps=50)
+    law = make_law(p.grid(), 1, 1, Th1=np.array([[-0.4]]))
+    noise = NoiseBank(seed=9, n_paths=40, n_agents=3, grid=p.grid())
+    assert len(montecarlo._chunks(40, 3 * 50)) > 1
+    simulate_decentralized(p, law, 3, noise)
+    assert built == [{"max_workers": 2}]
 
 
 def time_varying_params(rng, steps=40):
