@@ -26,7 +26,7 @@ from .consistency import solve_cc
 from .convexity import (check_coupled_indefinite, check_decoupled_indefinite, is_coupled,
                         report_all)
 from .errors import ConfigError, GridMismatchError, MFLQGError, NonFiniteError, SettingError
-from .model import (TIME_VARYING, ModelParams, integral, load_config, parse_config,
+from .model import (TIME_VARYING, ModelParams, integral, load_config, parse_config, real,
                     save_config, validate)
 from .ode import TimeGrid, Trajectory
 from .presets import repro_instance
@@ -188,7 +188,7 @@ def load_law(law_dir: Path, params: ModelParams | None = None
         except (TypeError, ValueError, OverflowError, NonFiniteError) as exc:
             raise ConfigError(f"{path}: field {name!r}: {exc}") from None
 
-    T, steps = field("T", float), field("steps", integral)
+    T, steps = field("T", real), field("steps", integral)
     try:
         grid = TimeGrid(T, steps)
     except ValueError as exc:
@@ -216,7 +216,7 @@ def load_law(law_dir: Path, params: ModelParams | None = None
 
     law = FeedbackLaw(grid=grid, P=samples("P"), phi=samples("phi"), Theta1=samples("Theta1"),
                       Theta2=samples("Theta2"),
-                      regularity_margin=field("regularity_margin", float))
+                      regularity_margin=field("regularity_margin", real))
     xhat = samples("xhat")
     return law, xhat, sha256_of(path)
 

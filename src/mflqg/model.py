@@ -13,9 +13,10 @@ social objective is the sum of the J_i.
 Coefficients A, B, C, D, F, Ftilde, Q, R, Gamma, eta may be time-varying,
 stored as per-node samples on the master grid (piecewise linear in between);
 G, GammaBar, etaBar, xi0 are constants.  The stacked nN-dimensional form of
-the same problem (used only by the small-N brute-force oracle) is assembled
-here alone, at nodes by :func:`build_augmented` and at any times by
-:class:`AugmentedCoeffs`, with its N noises as one diffusion matrix pair.
+the same problem (used only by the centralized simulator behind the small-N
+brute-force oracle) is assembled here alone, at nodes by
+:func:`build_augmented` and at any times by :class:`AugmentedCoeffs`, with
+its N noises as one diffusion matrix pair.
 
 The coefficient contract lives here alone: :func:`validate` decides which
 instances are admissible, and :func:`load_config` ends with it; every reader
@@ -250,11 +251,15 @@ def build_augmented(params: ModelParams, N: int, node: int | TimeGrid = 0) -> Au
 
 
 class AugmentedCoeffs:
-    """Continuous-time view of the stacked system, for the oracle solver.
+    """Continuous-time view of the stacked system of N agents, refused past
+    MAX_AUGMENTED_DIM; the oracle solver and the centralized simulator take it.
 
     ``at(t)`` assembles the system from the coefficients interpolated at t,
     a time or an array of times.  Qhat and S1 are products of coefficients,
     so between nodes this is not the interpolant of assembled node systems.
+    The oracle solver reads the coefficients directly; ``at`` is read only by
+    the tests' stacked reference sweep and perfbench's ``model.assemble``
+    replay.
     """
 
     def __init__(self, params: ModelParams, N: int):
@@ -326,6 +331,14 @@ def integral(value) -> int:
     raise ValueError(f"expected an integer, got {value!r}")
 
 
+def real(value) -> float:
+    """A JSON number, as a float; a boolean, a string or any other value
+    raises ValueError."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"expected a number, got {value!r}")
+
+
 def parse_config(path) -> ModelParams:
     """The instance a JSON config describes, not yet validated; a file that is
     not JSON raises ParseError, a missing or malformed field SchemaError."""
@@ -352,7 +365,7 @@ def parse_config(path) -> ModelParams:
 
     n, m, steps = (scalar(key, integral) for key in ("n", "m", "steps"))
     coeffs = {name: _parse_coeff(name, doc[name]) for name in COEFF_SPEC}
-    return ModelParams(n=n, m=m, T=scalar("T", float), steps=steps, **coeffs)
+    return ModelParams(n=n, m=m, T=scalar("T", real), steps=steps, **coeffs)
 
 
 def load_config(path) -> ModelParams:

@@ -10,11 +10,10 @@ Two sweeps share the grid and the RK4 stages t_k, t_k + h/2 (taken by both
 middle stages) and t_{k+1}, but sample the equation in two conventions:
 
 * :func:`integrate_rk4` calls a right-hand side at every stage.  The
-  nonlinear Riccati equations (P, K, the oracle's P) need it.  So does the
-  oracle's affine adjoint, kept as it is so that its stationarity verdicts
-  do not move.  The right-hand side reads the stage's sample of the
-  equation: the stage time by default, or a row of a table that a sampler
-  builds for a chunk of steps at once (P's stacked operator, from
+  nonlinear Riccati equations (P, K, the oracle's two modes) need it.  The
+  right-hand side reads the stage's sample of the equation: the stage time
+  by default, or a row of a table that a sampler builds for a chunk of
+  steps at once (the stacked operator of P or of the oracle's modes, from
   time-varying coefficients).  Either way a step's stage times are t_k,
   t_k + h/2 and t_k + h, three per step, formed from t_k alone
   (:func:`_stage_times`), so t_k + h may differ from the node t_{k+1} in
@@ -28,7 +27,8 @@ middle stages) and t_{k+1}, but sample the equation in two conventions:
   One RK4 step of a linear equation is an affine map of the state, so the
   maps are built in batched chunks and the step loop does one matrix product
   per step.  The affine kappa, the condition-37 transition matrix, the mean
-  path X1, the phi cross-check, the closed-form K of the reduced case, and
+  path X1, the phi cross-check, the closed-form K of the reduced case, the
+  adjoints phi of the auxiliary problem and of the oracle's mean mode, and
   the Lyapunov kernels of every N run on it.  The Lyapunov equations
   multiply their matrix state from both sides; written on its row-major vec,
   with vec(X Y Z) = (X (x) Z') vec Y, they multiply from the left only.

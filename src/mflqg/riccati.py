@@ -11,11 +11,13 @@ Two layers live here:
   multi-noise Riccati for the stacked system plus its affine adjoint.  Agent
   i's noise drives only block row i of the stacked diffusion matrices C and
   D, so each sum over the N noises is one product through bd(P), the agent
-  blocks of P: sum_i Ci'P Ci = C' bd(P) C, at O((Nn)^3) a stage.  The
-  oracle's affine term is validated at runtime by a finite-difference
-  stationarity test under common random numbers (the law and its perturbed
-  copies run as variants of one Monte Carlo pass over one noise bank), so a
-  bookkeeping mistake cannot silently corrupt the optimality-gap experiments.
+  blocks of P: sum_i Ci'P Ci = C' bd(P) C.  The agents are exchangeable, so
+  the stacked equation is solved on its two n x n modes, deviation and mean,
+  at a cost per stage that does not depend on N.  The oracle's affine term
+  is validated at runtime by a finite-difference stationarity test under
+  common random numbers (the law and its perturbed copies run as variants of
+  one Monte Carlo pass over one noise bank), so a bookkeeping mistake cannot
+  silently corrupt the optimality-gap experiments.
 
 Regularity (R + D'PD strictly positive definite along the whole horizon) is
 always measured and enforced; the decentralized law is meaningless without it.
@@ -29,13 +31,13 @@ everything in its right-hand side except the gain solve is linear in P: on
 y = (vec P, 1) it is one operator product per stage (:func:`p_operator`),
 built once for constant coefficients and per chunk of stage times for
 time-varying ones.  phi is linear and is an ode.integrate_linear sweep.
-The oracle's two sweeps stay stagewise: its affine feeds the stationarity
-verdicts, whose borderline cases a change in the last bits could move.  Its
-node-wise margin, gain and affine are one batched pass over the stacked
-system at every node, bit-identical to a loop over the nodes.  The
-auxiliary problem is always solved on the master grid of the model; the
-oracle may take another grid, on which model's grid rule decides whether its
-coefficients can be read.
+The oracle's two modes step as P does, on y = (vec P_dev, vec P_mean, 1)
+with one product and one m x m solve per stage (:func:`_riccati_sweep`), and
+its adjoint is the mean mode's linear one.  Its node-wise margin, mode gains
+and affine are one batched pass over the nodes, bit-identical to a loop over
+them.  The auxiliary problem is always solved on the master grid of the
+model; the oracle may take another grid, on which model's grid rule decides
+whether its coefficients can be read.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridMismatchError, RegularityLostError, StationarityError
-from .model import AugmentedCoeffs, ModelParams, build_augmented, kron_eye
+from .model import TIME_VARYING, AugmentedCoeffs, ModelParams, kron_eye, kron_mean
 from .ode import (
     TimeGrid,
     Trajectory,
@@ -133,6 +135,58 @@ def p_operator(A, B, C, D, Q, R) -> np.ndarray:
     return np.ascontiguousarray(columns.swapaxes(-1, -2))
 
 
+def _riccati_sweep(params: ModelParams, grid: TimeGrid, operator, names, terminals,
+                   what: str) -> np.ndarray:
+    """Backward RK4 sweep of k Riccati equations that share one gain
+    denominator S, on y = (vec P_1, ..., vec P_k, 1), P_i(T) = terminals[i].
+
+    ``operator(*coefficients)`` gives their right-hand side as one linear map
+    of y, in :func:`p_operator`'s row layout with k linear parts and k
+    numerators; it is built once, or per chunk of stage times when a
+    coefficient of ``names`` varies in time.  A stage is one product
+    z = ops y, one solve gain_i = S^{-1} num_i over the k numerators, and
+    dP_i/dt = z_i + num_i' gain_i; a singular S raises RegularityLostError
+    naming ``what`` and the stage time.  Each P_i is re-symmetrized after
+    every step.  Returns the (steps + 1, k, n, n) nodes.
+    """
+    k, n, m = len(terminals), params.n, params.m
+    kn2, m2 = k * n * n, m * m
+    if any(params.is_time_varying(name) for name in names):
+        def coeffs(ts):
+            return operator(*(np.broadcast_to(params.coeff_at(name, ts),
+                                              ts.shape + getattr(params, name).shape[-2:])
+                              for name in names))
+    else:
+        ops = operator(*(getattr(params, name) for name in names))
+
+        def coeffs(ts):
+            return np.broadcast_to(ops, ts.shape + ops.shape)
+
+    def stages(ts):
+        # each stage's map paired with its time, which names a singular stage
+        return [tuple(zip(times, maps)) for times, maps in zip(ts.tolist(), coeffs(ts))]
+
+    def rhs(stage, y):
+        t, ops = stage
+        z = ops @ y
+        num = z[kn2 + 1 + m2:].reshape(k, m, n)
+        try:
+            # one call, S shared by the k numerators
+            gain = np.linalg.solve(z[kn2 + 1:kn2 + 1 + m2].reshape(m, m), num)
+        except np.linalg.LinAlgError as exc:
+            raise RegularityLostError(f"{what} singular at t={t:.6g}") from exc
+        dy = z[:kn2 + 1]
+        dy[:kn2] += (num.transpose(0, 2, 1) @ gain).ravel()
+        return dy
+
+    # symmetrize on the vec: entry (i, j) of each P_i meets entry (j, i), the 1 itself
+    swap = np.append(np.arange(kn2).reshape(k, n, n).swapaxes(1, 2).ravel(), kn2)
+    y0 = np.append(symmetrize(np.stack(terminals)).ravel(), 1.0)
+    y = integrate_rk4(rhs, y0, grid, "backward", project=lambda y: 0.5 * (y + y[swap]),
+                      coeffs=stages)
+    return np.ascontiguousarray(y.values[:, :kn2]).reshape(-1, k, n, n)
+
+
 def solve_P(params: ModelParams) -> tuple[Trajectory, float]:
     """Backward solve of the regular Riccati equation for P, P(T) = G, on the
     master grid.
@@ -141,47 +195,22 @@ def solve_P(params: ModelParams) -> tuple[Trajectory, float]:
 
     A stage is one product z = ops y of the :func:`p_operator` map with
     y = (vec P, 1), one m x m solve gain = S^{-1} num with S and num read off
-    z, and dP/dt = z_lin + num' gain.  The map is built once for constant
-    coefficients; time-varying ones are sampled by ode.integrate_rk4 for a
-    chunk of stage times at once.  The product costs O(n^4) flops per stage
-    against O(n^3) for the matrix form; at the small n solved here a stage
-    costs its numpy calls, about ten against thirty for the matrix form.
+    z, and dP/dt = z_lin + num' gain (:func:`_riccati_sweep`, with k = 1).
+    The map is built once for constant coefficients; time-varying ones are
+    sampled by ode.integrate_rk4 for a chunk of stage times at once.  The
+    product costs O(n^4) flops per stage against O(n^3) for the matrix form;
+    at the small n solved here a stage costs its numpy calls, about ten
+    against thirty for the matrix form.
 
     P is re-symmetrized after every step.  Returns (P, margin) where margin is
     the minimal node-wise lambda_min(R + D'PD); RegularityLostError if the
-    margin falls to the tolerance, NonFiniteError on blow-up.
+    margin falls to the tolerance or R + D'PD is singular at a stage,
+    NonFiniteError on blow-up.
     """
-    n, m = params.n, params.m
-    n2, m2 = n * n, m * m
-    names = ("A", "B", "C", "D", "Q", "R")
-    if any(params.is_time_varying(k) for k in names):
-        def coeffs(ts):
-            return p_operator(*(np.broadcast_to(params.coeff_at(k, ts),
-                                                ts.shape + getattr(params, k).shape[-2:])
-                                for k in names))
-    else:
-        ops = p_operator(*(getattr(params, k) for k in names))
-
-        def coeffs(ts):
-            return np.broadcast_to(ops, ts.shape + ops.shape)
-
-    def rhs(ops, y):
-        z = ops @ y
-        S = z[n2 + 1:n2 + 1 + m2].reshape(m, m)
-        num = z[n2 + 1 + m2:].reshape(m, n)
-        try:
-            gain = np.linalg.solve(S, num)
-        except np.linalg.LinAlgError as exc:
-            raise RegularityLostError("R + D'PD singular at a stage of the P sweep") from exc
-        dy = z[:n2 + 1]
-        dy[:n2] += (num.T @ gain).ravel()
-        return dy
-
-    # symmetrize on the vec: entry (i, j) meets entry (j, i), the 1 itself
-    swap = np.append(np.arange(n2).reshape(n, n).T.ravel(), n2)
-    y = integrate_rk4(rhs, np.append(symmetrize(params.G).ravel(), 1.0), params.grid(),
-                      "backward", project=lambda y: 0.5 * (y + y[swap]), coeffs=coeffs)
-    P = Trajectory(y.grid, np.ascontiguousarray(y.values[:, :n2]).reshape(-1, n, n))
+    grid = params.grid()
+    values = _riccati_sweep(params, grid, p_operator, ("A", "B", "C", "D", "Q", "R"),
+                            [params.G], "R + D'PD")
+    P = Trajectory(grid, values[:, 0])
     margin = regularity_margin(P, params)
     if margin <= REGULARITY_TOL:
         raise RegularityLostError(f"regularity margin {margin:.3e} <= {REGULARITY_TOL}")
@@ -294,11 +323,44 @@ class OracleLaw:
     validation: dict = field(default_factory=dict)
 
 
+def oracle_operator(N: int, A, B, C, D, F, Ftilde, Q, R, Gamma) -> np.ndarray:
+    """The oracle's P right-hand side on its two exchangeable modes, as one
+    map of y = (vec P_dev, vec P_mean, 1) for :func:`_riccati_sweep`.
+
+    The deviation mode has drift A, noise C and weight Q; the mean mode has
+    A + F, C + Ftilde and Qhat = (Gamma - I)'Q(Gamma - I).  Each mode's rows
+    are :func:`p_operator`'s, the drift and weight pieces applied to the
+    mode's own P and the noise pieces to the agent block P_d = P_dev +
+    (P_mean - P_dev)/N, so both share the denominator R + D'P_d D.  At N = 1
+    no deviation mode exists: the map is p_operator's for the mean mode alone.
+    """
+    n, m = B.shape[-2:]
+    n2, m2 = n * n, m * m
+    Gm = Gamma - np.eye(n)
+    mean = (A + F, C + Ftilde, Gm.swapaxes(-1, -2) @ Q @ Gm)
+    if N == 1:
+        return p_operator(mean[0], B, mean[1], D, mean[2], R)
+    zero = np.zeros_like
+    rows = []
+    for i, (Ai, Ci, Qi) in enumerate(((A, C, Q), mean)):
+        drift = p_operator(Ai, B, zero(Ci), zero(D), Qi, R)
+        noise = p_operator(zero(Ai), zero(B), Ci, D, zero(Qi), zero(R))
+        cols = [w * noise[..., :n2] for w in (1.0 - 1.0 / N, 1.0 / N)]
+        cols[i] = cols[i] + drift[..., :n2]
+        rows.append(np.concatenate(cols + [drift[..., n2:]], axis=-1))
+    # both linear parts, the zero row and the shared S, both numerators
+    return np.concatenate([rows[0][..., :n2, :], rows[1][..., :n2, :],
+                           rows[0][..., n2:n2 + 1 + m2, :],
+                           rows[0][..., n2 + 1 + m2:, :], rows[1][..., n2 + 1 + m2:, :]],
+                          axis=-2)
+
+
 def solve_oracle(aug: AugmentedCoeffs, grid: TimeGrid | None = None, *,
                  validate: bool = True, validation_paths: int = 2048,
                  validation_seed: int = 424242, fd_step: float = 1e-4,
                  fd_tol: float = 1e-2) -> OracleLaw:
-    """Solve the stacked problem's multi-noise Riccati and affine adjoint.
+    """Solve the stacked problem's multi-noise Riccati and affine adjoint on
+    its two exchangeable modes.
 
     With bd(P) the block diagonal of P (its n x n agent blocks), the noise
     sums are sum_i Ci'P Ci = C' bd(P) C, sum_i Di'P Di = D' bd(P) D and
@@ -309,9 +371,19 @@ def solve_oracle(aug: AugmentedCoeffs, grid: TimeGrid | None = None, *,
     P(T) = G;   dphi/dt = -(A + B gain)' phi - S1,  phi(T) = S2,
 
     with gain = -(R + D' bd(P) D)^{-1}(B'P + D' bd(P) C) and control
-    u = gain x - (R + D' bd(P) D)^{-1} B' phi.  Both sweeps are stagewise;
-    margin, gain and affine are formed at all nodes at once, from the stacked
-    system built on ``grid`` before the sweeps (GridMismatchError there).
+    u = gain x - (R + D' bd(P) D)^{-1} B' phi.
+
+    The agents are exchangeable, so P = I (x) P_dev + 11'/N (x) (P_mean -
+    P_dev) and gain = I (x) K_dev + 11'/N (x) (K_mean - K_dev): the stacked
+    equation is two n x n modes coupled only through the agent block P_d
+    (:func:`oracle_operator`), swept as :func:`solve_P` sweeps P at a cost per
+    stage that does not depend on N.  S1 and S2 repeat one block s1, s2, so
+    phi repeats the mean mode's adjoint dphi_a/dt = -(A + F + B K_mean)'phi_a
+    - s1, an ode.integrate_linear sweep reading the node gain K_mean
+    interpolated.  The stacked sweeps are the tests' reference for this
+    solve.  Margin, mode gains and affine are formed at all nodes at once; a
+    coefficient sampled on another grid than ``grid`` raises
+    GridMismatchError before any sweep.
 
     With validate=True the resulting law must pass a stationarity self-check:
     for 5 random bounded perturbations delta of the affine term, the centered
@@ -319,38 +391,43 @@ def solve_oracle(aug: AugmentedCoeffs, grid: TimeGrid | None = None, *,
     numbers stays below fd_tol * ||delta||_{L2} * (1 + |J|), and the perturbed
     cost never undercuts J by more than Monte Carlo slack.
     """
-    grid = aug.params.grid() if grid is None else grid
-    nodes = build_augmented(aug.params, aug.N, grid)
-    # bd(P) = P * blocks; noise i enters block row i of C x + D u only
-    blocks = kron_eye(np.ones((aug.params.n, aug.params.n)), aug.N)
-
-    def rhs(t, P):
-        s = aug.at(t)
-        Pb = P * blocks
-        S, num = gain_terms(P, s.B, s.C, s.D, s.R, Pb)
-        try:
-            sol = np.linalg.solve(S, num)
-        except np.linalg.LinAlgError as exc:
-            raise RegularityLostError(f"oracle R + D'bd(P)D singular at t={t:.6g}") from exc
-        return -(P @ s.A + s.A.T @ P + s.C.T @ (Pb @ s.C) + s.Q - num.T @ sol)
-
-    P = integrate_rk4(rhs, symmetrize(nodes.G), grid, "backward", project=symmetrize)
-    # margin, gain and affine at every node in one batched pass
-    S, num = gain_terms(P.values, nodes.B, nodes.C, nodes.D, nodes.R, P.values * blocks)
+    params, N, n = aug.params, aug.N, aug.params.n
+    grid = params.grid() if grid is None else grid
+    # every coefficient is read on grid before any sweep: GridMismatchError
+    nodes = {name: params.node_table(name, grid) for name in TIME_VARYING}
+    Gbm = params.GammaBar - np.eye(n)
+    Ghat = Gbm.T @ params.G @ Gbm
+    Ps = _riccati_sweep(params, grid, lambda *c: oracle_operator(N, *c),
+                        ("A", "B", "C", "D", "F", "Ftilde", "Q", "R", "Gamma"),
+                        [Ghat] if N == 1 else [params.G, Ghat], "oracle R + D'bd(P)D")
+    P_dev, P_mean = Ps[:, 0], Ps[:, -1]
+    Pd = P_dev + (P_mean - P_dev) / N
+    # margin, mode gains and affine at every node in one batched pass
+    B, C, D, R = (nodes[name] for name in ("B", "C", "D", "R"))
+    S, num_dev = gain_terms(P_dev, B, C, D, R, Pd)
+    _, num_mean = gain_terms(P_mean, B, C + nodes["Ftilde"], D, R, Pd)
     margin = float(np.linalg.eigvalsh(symmetrize(S))[:, 0].min())
     if margin <= REGULARITY_TOL:
         raise RegularityLostError(f"oracle regularity margin {margin:.3e}")
-    gain = Trajectory(grid, -node_solve(S, num))
+    K = -node_solve(S, np.concatenate([num_dev, num_mean], axis=-1))
+    K_dev, K_mean = K[..., :n], K[..., n:]
 
-    def phi_rhs(t, phi):
-        s = aug.at(t)
-        Acl = s.A + s.B @ gain(t)
-        return -(Acl.T @ phi + s.S1)
+    def phi_coeffs(ts):
+        A, B, F, Q, Gamma, eta = (params.coeff_at(name, ts)
+                                  for name in ("A", "B", "F", "Q", "Gamma", "eta"))
+        Qeta = matvec(Q, eta)
+        s1 = matvec(Gamma.swapaxes(-1, -2), Qeta) - Qeta
+        Acl = A + F + B @ interp(K_mean, grid.dt, ts)
+        return -Acl.swapaxes(-1, -2), -np.broadcast_to(s1, ts.shape + (n,))
 
-    phi = integrate_rk4(phi_rhs, nodes.S2, grid, "backward")
-    affines = -node_solve(S, nodes.B.swapaxes(-1, -2) @ phi.values[..., None])[..., 0]
-    law = OracleLaw(grid=grid, N=aug.N, P=P, phi=phi, gain=gain,
-                    affine=Trajectory(grid, affines), regularity_margin=margin)
+    G, Gb, eb = params.G, params.GammaBar, params.etaBar
+    phi = integrate_linear(phi_coeffs, Gb.T @ (G @ eb) - G @ eb, grid, "backward").values
+    affine = -node_solve(S, B.swapaxes(-1, -2) @ phi[..., None])[..., 0]
+    law = OracleLaw(grid=grid, N=N,
+                    P=Trajectory(grid, kron_eye(P_dev, N) + kron_mean(P_mean - P_dev, N)),
+                    phi=Trajectory(grid, np.tile(phi, N)),
+                    gain=Trajectory(grid, kron_eye(K_dev, N) + kron_mean(K_mean - K_dev, N)),
+                    affine=Trajectory(grid, np.tile(affine, N)), regularity_margin=margin)
     if validate:
         law.validation = _validate_stationarity(
             aug, law, paths=validation_paths, seed=validation_seed,

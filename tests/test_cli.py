@@ -82,8 +82,12 @@ def test_missing_field_is_validation_failure(tmp_path):
     ("steps", lambda doc: doc.update(steps=20.7)),
     ("n", lambda doc: doc.update(n=2.9)),
     ("n", lambda doc: doc.update(n=True)),
+    ("T", lambda doc: doc.update(T=True)),
+    ("T", lambda doc: doc.update(T="1")),
+    ("regularity_margin", lambda doc: doc.update(regularity_margin=True)),
 ], ids=["missing_field", "one_step", "sample_count", "sample_shape", "config_dims",
-        "fractional_steps", "fractional_n", "boolean_n"])
+        "fractional_steps", "fractional_n", "boolean_n", "boolean_T", "string_T",
+        "boolean_margin"])
 def test_malformed_law_is_validation_failure(tmp_path, field, edit):
     cfg = small_config(tmp_path)
     law_dir = tmp_path / "law"
@@ -109,6 +113,18 @@ def test_non_integral_config_count_is_validation_failure(tmp_path, field, value)
     r = run_cli(["validate", str(cfg)])
     assert r.returncode == 1
     assert r.stderr.startswith(f"validation failure: {cfg}: field {field!r}: ")
+
+
+@pytest.mark.parametrize("value", [True, "1"], ids=["boolean", "string"])
+def test_non_numeric_config_horizon_is_validation_failure(tmp_path, value):
+    # float() would read both as T = 1
+    cfg = small_config(tmp_path)
+    doc = json.loads(cfg.read_text())
+    doc["T"] = value
+    cfg.write_text(json.dumps(doc))
+    r = run_cli(["validate", str(cfg)])
+    assert r.returncode == 1
+    assert r.stderr.startswith(f"validation failure: {cfg}: field 'T': expected a number")
 
 
 @pytest.mark.parametrize("cmd", [["simulate", "--N", "2", "--paths", "1"],

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
-from mflqg.errors import RegularityLostError
-from mflqg.model import AugmentedCoeffs
+from mflqg import riccati
+from mflqg.errors import RegularityLostError, StationarityError
+from mflqg.model import AugmentedCoeffs, build_augmented, kron_eye
 from mflqg.ode import TimeGrid, Trajectory, integrate_rk4, symmetrize
 from mflqg.riccati import (
     OracleLaw,
+    gain_terms,
+    node_solve,
     solve_P,
     solve_oracle,
     solve_phi,
@@ -18,7 +21,7 @@ from mflqg.montecarlo import NoiseBank, simulate_centralized
 from mflqg.presets import repro_instance
 
 from conftest import rand_params
-from test_montecarlo import time_varying_params
+from test_montecarlo import gap_scalar_params, time_varying_params
 
 
 def scalar_params(rng=None, steps=1000, **over):
@@ -109,6 +112,17 @@ def test_singular_gain_denominator_in_the_P_sweep_raises(time_varying):
         p.A = p.A * (1.0 + p.grid().nodes)[:, None, None]
     with pytest.raises(RegularityLostError, match="singular"):
         solve_P(p)
+
+
+@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("time_varying", [False, True], ids=["constant", "time_varying"])
+def test_singular_gain_denominator_in_the_oracle_sweep_names_its_stage_time(time_varying, N):
+    # R + D'P_d D = 0 at the first stage of the backward sweep, t = T = 1
+    p = scalar_params(steps=20, R=[[0.0]], D=[[0.0]])
+    if time_varying:
+        p.A = p.A * (1.0 + p.grid().nodes)[:, None, None]
+    with pytest.raises(RegularityLostError, match=r"^oracle R \+ D'bd\(P\)D singular at t=1$"):
+        solve_oracle(AugmentedCoeffs(p, N), validate=False)
 
 
 def test_theta1_hand_cases():
@@ -302,29 +316,112 @@ def test_oracle_dominates_random_laws(rng):
         assert diff.mean() >= -2.0 * se
 
 
+def stacked_oracle(aug):
+    """The oracle law from the stacked Nn x Nn sweeps, stagewise RK4 on the
+    system aug.at assembles at every stage time: the reference the mode solve
+    must equal.  Margin, gain and affine are formed at the nodes of the
+    stacked system."""
+    grid = aug.params.grid()
+    nodes = build_augmented(aug.params, aug.N, grid)
+    blocks = kron_eye(np.ones((aug.params.n, aug.params.n)), aug.N)
+
+    def rhs(t, P):
+        s = aug.at(t)
+        Pb = P * blocks
+        S, num = gain_terms(P, s.B, s.C, s.D, s.R, Pb)
+        return -(P @ s.A + s.A.T @ P + s.C.T @ (Pb @ s.C) + s.Q - num.T @ np.linalg.solve(S, num))
+
+    P = integrate_rk4(rhs, symmetrize(nodes.G), grid, "backward", project=symmetrize)
+    S, num = gain_terms(P.values, nodes.B, nodes.C, nodes.D, nodes.R, P.values * blocks)
+    gain = Trajectory(grid, -node_solve(S, num))
+
+    def phi_rhs(t, phi):
+        s = aug.at(t)
+        return -((s.A + s.B @ gain(t)).T @ phi + s.S1)
+
+    phi = integrate_rk4(phi_rhs, nodes.S2, grid, "backward")
+    affine = -node_solve(S, nodes.B.swapaxes(-1, -2) @ phi.values[..., None])[..., 0]
+    return OracleLaw(grid=grid, N=aug.N, P=P, phi=phi, gain=gain,
+                     affine=Trajectory(grid, affine),
+                     regularity_margin=float(np.linalg.eigvalsh(symmetrize(S))[:, 0].min()))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("instance", ["gap_scalar", "repro", "time_varying"])
+def test_oracle_modes_match_stacked_reference(instance, N):
+    p = {"gap_scalar": lambda: gap_scalar_params(),
+         "repro": lambda: repro_instance(steps=200),
+         "time_varying": lambda: time_varying_params(np.random.default_rng(3), steps=40),
+         }[instance]()
+    aug = AugmentedCoeffs(p, N)
+    law, ref = solve_oracle(aug, validate=False), stacked_oracle(aug)
+    for name in ("P", "gain", "affine", "phi"):
+        got, want = getattr(law, name).values, getattr(ref, name).values
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), name
+    assert abs(law.regularity_margin - ref.regularity_margin) <= 1e-12
+    assert np.array_equal(law.P.values, law.P.values.swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("N", [2, 4, 8])
+def test_oracle_stationarity_verdict_matches_stacked_reference(N):
+    # the validation of gap_study (1024 paths) gives the mode-solved law and
+    # the stacked reference the same verdict, and the same derivatives
+    aug = AugmentedCoeffs(gap_scalar_params(), N)
+    laws = (solve_oracle(aug, validate=False), stacked_oracle(aug))
+    for seed in (1, 2, 3):
+        verdicts = []
+        for law in laws:
+            try:
+                report = riccati._validate_stationarity(aug, law, paths=1024, seed=seed,
+                                                        h=1e-4, tol=1e-2)
+                verdicts.append(("passed", np.array(report["derivatives"])))
+            except StationarityError as exc:
+                # the failing check: "oracle failed stationarity" or "... ascent check"
+                verdicts.append((str(exc).split(":")[0], None))
+        (got, d_got), (want, d_want) = verdicts
+        assert got == want, seed
+        if d_want is not None:
+            assert np.all(np.abs(d_got - d_want) <= 1e-6 * np.abs(d_want)), seed
+
+
 @pytest.mark.parametrize("chunk", [None, 2], ids=["one_chunk", "chunks_of_2_nodes"])
-def test_oracle_node_solves_bit_equal_to_node_loop(rng, chunk):
-    # the batched node-wise margin, gain and affine equal a node-by-node loop
-    # bit for bit on a time-varying instance, with the loop reading its
-    # coefficients from aug.at over all nodes at once or over chunks of nodes
-    aug = AugmentedCoeffs(time_varying_params(rng, steps=30), 3)
-    law = solve_oracle(aug, validate=False)
-    blocks = np.kron(np.eye(3), np.ones((2, 2)))
-    nodes = law.grid.nodes
-    size = chunk or len(nodes)
+def test_oracle_node_solves_bit_equal_to_node_loop(rng, monkeypatch, chunk):
+    # the batched node-wise margin, mode gains and affine equal a node-by-node
+    # loop bit for bit on a time-varying instance; the loop reads the swept
+    # modes (P_dev, P_mean) and the mean-mode adjoint phi_a off the law, and
+    # the coefficient node tables over all nodes at once or over chunks of nodes
+    p, N = time_varying_params(rng, steps=30), 3
+    swept = []
+    sweep = riccati._riccati_sweep
+
+    def recorded(*args):
+        swept.append(sweep(*args))
+        return swept[-1]
+
+    monkeypatch.setattr(riccati, "_riccati_sweep", recorded)
+    law = solve_oracle(AugmentedCoeffs(p, N), validate=False)
+    (modes,) = swept
+    n, nodes = p.n, law.grid.steps + 1
+    size = chunk or nodes
     margins = []
-    for a in range(0, len(nodes), size):
-        s = aug.at(nodes[a:a + size])
-        for j in range(len(nodes[a:a + size])):
-            k, P = a + j, law.P.values[a + j]
-            B, C, D, R = (X[j] if X.ndim == 3 else X for X in (s.B, s.C, s.D, s.R))
-            DtPb = D.T @ (P * blocks)
-            S = R + DtPb @ D
+    for a in range(0, nodes, size):
+        tables = [p.node_table(name)[a:a + size] for name in ("B", "C", "D", "R", "Ftilde")]
+        for j in range(len(tables[0])):
+            k = a + j
+            B, C, D, R, Ft = (X[j] for X in tables)
+            P_dev, P_mean = modes[k]
+            DtPd = D.T @ (P_dev + (P_mean - P_dev) / N)
+            S = R + DtPd @ D
             margins.append(np.linalg.eigvalsh(symmetrize(S))[0])
-            gain = -np.linalg.solve(S, B.T @ P + DtPb @ C)
+            K = -np.linalg.solve(S, np.concatenate([B.T @ P_dev + DtPd @ C,
+                                                    B.T @ P_mean + DtPd @ (C + Ft)], axis=-1))
+            K_dev, K_mean = K[:, :n], K[:, n:]
+            gain = np.kron(np.eye(N), K_dev) + np.tile((K_mean - K_dev) / N, (N, N))
             assert np.array_equal(law.gain.values[k], gain)
-            assert np.array_equal(law.affine.values[k], -np.linalg.solve(S, B.T @ law.phi.values[k]))
-    assert len(margins) == len(nodes)
+            affine = -np.linalg.solve(S, B.T @ law.phi.values[k, :n])
+            assert np.array_equal(law.affine.values[k], np.tile(affine, N))
+    assert len(margins) == nodes
     assert law.regularity_margin == min(margins)
 
 
@@ -389,11 +486,13 @@ def block_spreads(M, N):
 @pytest.mark.parametrize("instance", ["time_varying_N3", "repro_N32_cap"])
 def test_oracle_is_permutation_invariant(rng, instance):
     # the agents are exchangeable, so P and gain are I (x) a + 11' (x) b: all
-    # diagonal blocks equal and all off-diagonal blocks equal
+    # diagonal blocks equal and all off-diagonal blocks equal.  The mode solve
+    # assumes it and holds it by construction; the stacked reference, which
+    # does not, must show it
     if instance == "time_varying_N3":
         p, N = time_varying_params(rng, steps=30), 3
     else:
         p, N = repro_instance(steps=50), 32
-    law = solve_oracle(AugmentedCoeffs(p, N), validate=False)
+    law = stacked_oracle(AugmentedCoeffs(p, N))
     for M in (law.P.values, law.gain.values):
         assert max(block_spreads(M, N)) < 1e-12
