@@ -214,9 +214,11 @@ def load_law(law_dir: Path, params: ModelParams | None = None
                               f"expected {shapes[name]} for n = {n}, m = {m}")
         return traj
 
+    margin = field("regularity_margin", real)
+    if not np.isfinite(margin):
+        raise ConfigError(f"{path}: field 'regularity_margin': {margin} is not finite")
     law = FeedbackLaw(grid=grid, P=samples("P"), phi=samples("phi"), Theta1=samples("Theta1"),
-                      Theta2=samples("Theta2"),
-                      regularity_margin=field("regularity_margin", real))
+                      Theta2=samples("Theta2"), regularity_margin=margin)
     xhat = samples("xhat")
     return law, xhat, sha256_of(path)
 
@@ -305,7 +307,7 @@ def _solve_into(params: ModelParams, out: Path, config_src: Path | None,
                             law.Theta1.values.reshape(grid.steps + 1, m * n),
                             law.Theta2.values]).tolist()
     artifacts.append(write_csv(out / "solution.csv", header, rows))
-    artifacts.append(write_json(out / "diagnostics.json", _json_safe(sol.diagnostics)))
+    artifacts.append(write_json(out / "diagnostics.json", sol.diagnostics))
     if write_manifest:
         _write_manifest(out, command, cfg, None, grid, artifacts, t0)
     return sol, law, cfg, artifacts
@@ -314,18 +316,6 @@ def _solve_into(params: ModelParams, out: Path, config_src: Path | None,
 def _fitted(x: float) -> float | None:
     """A fitted coefficient, or None (JSON null) when it could not be fitted."""
     return float(x) if np.isfinite(x) else None
-
-
-def _json_safe(doc):
-    if isinstance(doc, dict):
-        return {k: _json_safe(v) for k, v in doc.items()}
-    if isinstance(doc, (list, tuple)):
-        return [_json_safe(v) for v in doc]
-    if isinstance(doc, (np.floating, np.integer)):
-        return doc.item()
-    if isinstance(doc, np.bool_):
-        return bool(doc)
-    return doc
 
 
 def cmd_solve(args) -> int:
@@ -446,7 +436,7 @@ def cmd_repro(args) -> int:
         "convexity": {k: _verdict_doc(v) for k, v in report_all(params).items()},
         "lyapunov": {"dominated": lam.dominated, "uniform": lam.uniform,
                      "spread_lam1": lam.max_spread1, "spread_lam2": lam.max_spread2},
-        "diagnostics": _json_safe(sol.diagnostics),
+        "diagnostics": sol.diagnostics,
     }
     artifacts.append(write_json(out / "summary.json", summary))
     _write_manifest(out, "repro-sec7", cfg, args.seed, law.grid, artifacts, t0,

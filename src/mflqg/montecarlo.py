@@ -27,12 +27,13 @@ the cost.  Two folds share the loop:
 * the decentralized u_i = Theta1 x_i + Theta2 folds per agent into n x n
   maps on the agents' planes; the rank-one xavg terms act on the agent
   means, one column per path, and the costs come out per agent;
-* the centralized u = gain x + affine of the stacked system (the same agents
-  in nN coordinates) folds the stacked A, B, C, D at the law's nodes, as
-  model assembles them, into Nn x Nn maps and gives the social cost; agent
-  i's increment scales block row i of the diffusion.  Leading plane axes
-  carry affine variants, so the oracle's stationarity check runs a law and
-  its perturbations as one pass over one bank.
+* the oracle's u = gain x + affine of the stacked system (the same agents
+  in nN coordinates), expanded from its modes here alone, folds with the
+  stacked A, B, C, D at the law's nodes, as model assembles them, into
+  Nn x Nn maps and gives the social cost; agent i's increment scales block
+  row i of the diffusion.  Leading plane axes carry per-agent affine
+  variants, so the oracle's stationarity check runs a law and its
+  perturbations as one pass over one bank.
 
 An offset that is the same on every path is added to the dt-scale drift
 increment, never to the state: a path-constant addend rounds alike on every
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (GridMismatchError, MissingTrajectoriesError, NonFiniteError,
+from .errors import (GridMismatchError, InvalidNError, MissingTrajectoriesError, NonFiniteError,
                      SettingError, StorageBudgetError)
 from .model import (TIME_VARYING, AugmentedCoeffs, ModelParams, build_augmented,
                     kron_eye, kron_mean)
@@ -271,19 +272,25 @@ class _AgentFold:
 
 
 class _StackedFold:
-    """A centralized law u = gain x + affine, folded on the stacked state.
+    """The oracle's law u = gain x + affine, folded on the stacked state.
 
-    The state is one plane of shape (*lead, P) per stacked coordinate, agent
-    by agent; the lead axes carry affine variants.  From the stacked system
+    gain = I (x) K_dev + 11'/N (x) (K_mean - K_dev) is formed here alone;
+    the affine is the law's tiled over the agents, or the per-agent variants
+    ``affines`` (V, steps+1, Nm), which the lead axes of the state's planes
+    (*lead, P), one per stacked coordinate, carry.  From the stacked system
     at the law's nodes, maps[k] holds the Nn x Nn drift increment map
     dt(A + B gain) and diffusion map C + D gain, the sums of each coordinate
     over the agents, and the form H of the social cost z'Hz + 2 l'z + c.
     The offsets dt B affine, D affine, 2 l and c carry the lead axes.
     """
 
-    def __init__(self, params: ModelParams, grid: TimeGrid, N: int, gain, affine):
-        K, n = len(gain), params.n
-        Nn, lead = N * n, affine.shape[1:-1]
+    def __init__(self, aug: AugmentedCoeffs, law: OracleLaw, affines=None):
+        params, grid, N, n = aug.params, law.grid, aug.N, aug.params.n
+        if law.N != N:
+            raise InvalidNError(f"law solved for N = {law.N}, simulated with N = {N}")
+        gain = kron_eye(law.K_dev.values, N) + kron_mean(law.K_mean.values - law.K_dev.values, N)
+        affine = np.tile(law.affine.values, N) if affines is None else np.moveaxis(affines, 0, 1)
+        K, Nn, lead = len(gain), N * n, affine.shape[1:-1]
         s = build_augmented(params, N, grid)
         Q, R, Gam, eta = (params.node_table(k, grid) for k in ("Q", "R", "Gamma", "eta"))
         A, B, C, D = (np.broadcast_to(X, (K,) + X.shape[-2:]) for X in (s.A, s.B, s.C, s.D))
@@ -415,7 +422,7 @@ def simulate_centralized(aug: AugmentedCoeffs, law: OracleLaw, noise: NoiseBank,
     noise bank.  Per-agent costs J_i are recomputed from stored trajectories.
     """
     _check_bank(noise, law.grid, aug.N)
-    fold = _StackedFold(aug.params, law.grid, aug.N, law.gain.values, law.affine.values)
+    fold = _StackedFold(aug, law)
     res, J_soc = _simulate(aug.params, noise, aug.N, store, "centralized", fold)
     res.J_soc = J_soc
     if res.xs is not None:
@@ -427,11 +434,12 @@ def centralized_variant_costs(aug: AugmentedCoeffs, law: OracleLaw,
                               affines: np.ndarray, noise) -> np.ndarray:
     """J_soc, shape (V, paths), under u = gain x + affines[v] for each variant.
 
-    affines is (V, steps+1, Nm).  The variants share every increment of the
-    bank and run as one pass, which equals V simulate_centralized calls.
+    affines is (V, steps+1, Nm), one affine per agent.  The variants share
+    every increment of the bank and run as one pass; law.affine tiled over
+    the agents is simulate_centralized's run.
     """
     _check_bank(noise, law.grid, aug.N)
-    fold = _StackedFold(aug.params, law.grid, aug.N, law.gain.values, np.moveaxis(affines, 0, 1))
+    fold = _StackedFold(aug, law, affines)
     # in order on the calling thread, never the pool: see the module docstring
     return np.concatenate([
         _em(fold, noise.increments_block(chunk)[:, :aug.N, :], "centralized")

@@ -12,12 +12,12 @@ Two layers live here:
   i's noise drives only block row i of the stacked diffusion matrices C and
   D, so each sum over the N noises is one product through bd(P), the agent
   blocks of P: sum_i Ci'P Ci = C' bd(P) C.  The agents are exchangeable, so
-  the stacked equation is solved on its two n x n modes, deviation and mean,
-  at a cost per stage that does not depend on N.  The oracle's affine term
-  is validated at runtime by a finite-difference stationarity test under
-  common random numbers (the law and its perturbed copies run as variants of
-  one Monte Carlo pass over one noise bank), so a bookkeeping mistake cannot
-  silently corrupt the optimality-gap experiments.
+  the stacked equation is solved, and its law held, as two n x n modes,
+  deviation and mean, at a cost that does not depend on N.  The oracle's
+  affine term is validated at runtime by a finite-difference stationarity
+  test under common random numbers (the law and its perturbed copies run as
+  variants of one Monte Carlo pass over one noise bank), so a bookkeeping
+  mistake cannot silently corrupt the optimality-gap experiments.
 
 Regularity (R + D'PD strictly positive definite along the whole horizon) is
 always measured and enforced; the decentralized law is meaningless without it.
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridMismatchError, RegularityLostError, StationarityError
-from .model import TIME_VARYING, AugmentedCoeffs, ModelParams, kron_eye, kron_mean
+from .model import TIME_VARYING, AugmentedCoeffs, ModelParams
 from .ode import (
     TimeGrid,
     Trajectory,
@@ -212,7 +212,7 @@ def solve_P(params: ModelParams) -> tuple[Trajectory, float]:
                             [params.G], "R + D'PD")
     P = Trajectory(grid, values[:, 0])
     margin = regularity_margin(P, params)
-    if margin <= REGULARITY_TOL:
+    if not margin > REGULARITY_TOL:
         raise RegularityLostError(f"regularity margin {margin:.3e} <= {REGULARITY_TOL}")
     return P, margin
 
@@ -296,10 +296,9 @@ class FeedbackLaw:
     regularity_margin: float
 
     def __post_init__(self):
-        if self.regularity_margin <= REGULARITY_TOL:
-            raise RegularityLostError(
-                f"law built with nonpositive regularity margin {self.regularity_margin:.3e}"
-            )
+        if not self.regularity_margin > REGULARITY_TOL:
+            raise RegularityLostError(f"law built with nonpositive regularity margin "
+                                      f"{self.regularity_margin:.3e}")
         asym = np.max(np.abs(self.P.values - np.swapaxes(self.P.values, -1, -2)))
         if asym > 1e-9:
             raise RegularityLostError(f"P asymmetry {asym:.3e} exceeds 1e-9")
@@ -311,14 +310,18 @@ class FeedbackLaw:
 
 @dataclass
 class OracleLaw:
-    """Centralized law u = gain x + affine for the stacked system."""
+    """Centralized law u = gain x + affine of N exchangeable agents as its
+    modes: gain = I (x) K_dev + 11'/N (x) (K_mean - K_dev), P likewise, and
+    affine and phi the same in every agent block.  No table grows with N."""
 
     grid: TimeGrid
     N: int
-    P: Trajectory
-    phi: Trajectory
-    gain: Trajectory     # (Nm, Nn)
-    affine: Trajectory   # (Nm,)
+    P_dev: Trajectory    # (n, n)
+    P_mean: Trajectory   # (n, n)
+    phi: Trajectory      # (n,), the mean mode's adjoint
+    K_dev: Trajectory    # (m, n)
+    K_mean: Trajectory   # (m, n)
+    affine: Trajectory   # (m,), every agent's
     regularity_margin: float
     validation: dict = field(default_factory=dict)
 
@@ -355,9 +358,8 @@ def oracle_operator(N: int, A, B, C, D, F, Ftilde, Q, R, Gamma) -> np.ndarray:
                           axis=-2)
 
 
-def solve_oracle(aug: AugmentedCoeffs, grid: TimeGrid | None = None, *,
-                 validate: bool = True, validation_paths: int = 2048,
-                 validation_seed: int = 424242, fd_step: float = 1e-4,
+def solve_oracle(aug: AugmentedCoeffs, grid: TimeGrid | None = None, *, validate: bool = True,
+                 validation_paths: int = 2048, validation_seed: int = 424242,
                  fd_tol: float = 1e-2) -> OracleLaw:
     """Solve the stacked problem's multi-noise Riccati and affine adjoint on
     its two exchangeable modes.
@@ -380,16 +382,18 @@ def solve_oracle(aug: AugmentedCoeffs, grid: TimeGrid | None = None, *,
     stage that does not depend on N.  S1 and S2 repeat one block s1, s2, so
     phi repeats the mean mode's adjoint dphi_a/dt = -(A + F + B K_mean)'phi_a
     - s1, an ode.integrate_linear sweep reading the node gain K_mean
-    interpolated.  The stacked sweeps are the tests' reference for this
-    solve.  Margin, mode gains and affine are formed at all nodes at once; a
-    coefficient sampled on another grid than ``grid`` raises
+    interpolated.  The law keeps these modes; only the centralized simulator
+    forms the stacked gain.  The stacked sweeps are the tests' reference for
+    this solve.  Margin, mode gains and affine are formed at all nodes at
+    once; a coefficient sampled on another grid than ``grid`` raises
     GridMismatchError before any sweep.
 
     With validate=True the resulting law must pass a stationarity self-check:
-    for 5 random bounded perturbations delta of the affine term, the centered
-    finite difference [J(u+h delta) - J(u-h delta)]/(2h) under common random
-    numbers stays below fd_tol * ||delta||_{L2} * (1 + |J|), and the perturbed
-    cost never undercuts J by more than Monte Carlo slack.
+    for FD_DIRECTIONS random bounded perturbations delta of the agents'
+    affines, the centered difference [J(u+h delta) - J(u-h delta)]/(2h),
+    h = FD_STEP, under common random numbers stays below fd_tol *
+    ||delta||_{L2} * (1 + |J|), and the perturbed cost never undercuts J by
+    more than Monte Carlo slack.
     """
     params, N, n = aug.params, aug.N, aug.params.n
     grid = params.grid() if grid is None else grid
@@ -407,10 +411,10 @@ def solve_oracle(aug: AugmentedCoeffs, grid: TimeGrid | None = None, *,
     S, num_dev = gain_terms(P_dev, B, C, D, R, Pd)
     _, num_mean = gain_terms(P_mean, B, C + nodes["Ftilde"], D, R, Pd)
     margin = float(np.linalg.eigvalsh(symmetrize(S))[:, 0].min())
-    if margin <= REGULARITY_TOL:
+    if not margin > REGULARITY_TOL:
         raise RegularityLostError(f"oracle regularity margin {margin:.3e}")
     K = -node_solve(S, np.concatenate([num_dev, num_mean], axis=-1))
-    K_dev, K_mean = K[..., :n], K[..., n:]
+    K_mean = K[..., n:]
 
     def phi_coeffs(ts):
         A, B, F, Q, Gamma, eta = (params.coeff_at(name, ts)
@@ -421,44 +425,42 @@ def solve_oracle(aug: AugmentedCoeffs, grid: TimeGrid | None = None, *,
         return -Acl.swapaxes(-1, -2), -np.broadcast_to(s1, ts.shape + (n,))
 
     G, Gb, eb = params.G, params.GammaBar, params.etaBar
-    phi = integrate_linear(phi_coeffs, Gb.T @ (G @ eb) - G @ eb, grid, "backward").values
-    affine = -node_solve(S, B.swapaxes(-1, -2) @ phi[..., None])[..., 0]
-    law = OracleLaw(grid=grid, N=N,
-                    P=Trajectory(grid, kron_eye(P_dev, N) + kron_mean(P_mean - P_dev, N)),
-                    phi=Trajectory(grid, np.tile(phi, N)),
-                    gain=Trajectory(grid, kron_eye(K_dev, N) + kron_mean(K_mean - K_dev, N)),
-                    affine=Trajectory(grid, np.tile(affine, N)), regularity_margin=margin)
+    phi = integrate_linear(phi_coeffs, Gb.T @ (G @ eb) - G @ eb, grid, "backward")
+    affine = -node_solve(S, B.swapaxes(-1, -2) @ phi.values[..., None])[..., 0]
+    law = OracleLaw(grid=grid, N=N, P_dev=Trajectory(grid, P_dev), P_mean=Trajectory(grid, P_mean),
+                    phi=phi, K_dev=Trajectory(grid, K[..., :n]), K_mean=Trajectory(grid, K_mean),
+                    affine=Trajectory(grid, affine), regularity_margin=margin)
     if validate:
         law.validation = _validate_stationarity(
-            aug, law, paths=validation_paths, seed=validation_seed,
-            h=fd_step, tol=fd_tol)
+            aug, law, paths=validation_paths, seed=validation_seed, tol=fd_tol)
     return law
 
 
 MAX_VALIDATION_PATHS = 16384
+FD_STEP, FD_DIRECTIONS = 1e-4, 5   # the stationarity check's step and directions
 
 
 def _validate_stationarity(aug: AugmentedCoeffs, law: OracleLaw, *, paths: int,
-                           seed: int, h: float, tol: float, n_dirs: int = 5) -> dict:
+                           seed: int, tol: float) -> dict:
     """Finite-difference stationarity check under common random numbers.
 
-    The law and its 2 n_dirs perturbations run as one batched simulation on
-    one materialized bank.  The pathwise centered difference is exact (the
-    cost is quadratic in the control along a fixed noise path), so the
-    estimate's only error is Monte Carlo; an over-threshold reading that 3
-    standard errors could explain is re-measured once with more paths before
-    it counts as a failure.
+    The law and its 2 FD_DIRECTIONS perturbations of the agent-tiled affine
+    run as one batched simulation on one materialized bank.  The pathwise
+    centered difference is exact (the cost is quadratic in the control along
+    a fixed noise path), so the estimate's only error is Monte Carlo; an
+    over-threshold reading that 3 standard errors could explain is
+    re-measured once with more paths before it counts as a failure.
     """
     from .montecarlo import NoiseBank, centralized_variant_costs
 
-    grid = law.grid
+    grid, h = law.grid, FD_STEP
     rng = np.random.default_rng(seed ^ 0x5EED)
     dim_u = aug.N * aug.params.m
-    deltas = [rng.uniform(-1.0, 1.0, size=(grid.steps + 1, dim_u)) for _ in range(n_dirs)]
+    deltas = [rng.uniform(-1.0, 1.0, size=(grid.steps + 1, dim_u)) for _ in range(FD_DIRECTIONS)]
     norms = [float(np.sqrt(quadrature(Trajectory(grid, (d**2).sum(axis=1))))) for d in deltas]
     # variant 0 is the law itself, then +h delta and -h delta for each direction
-    affines = np.stack([law.affine.values] + [law.affine.values + s * (h * d)
-                                              for d in deltas for s in (1.0, -1.0)])
+    affine = np.tile(law.affine.values, aug.N)
+    affines = np.stack([affine] + [affine + s * (h * d) for d in deltas for s in (1.0, -1.0)])
 
     def measure(n_paths: int):
         noise = NoiseBank(seed=seed, n_paths=n_paths, n_agents=aug.N, grid=grid).materialized()

@@ -85,9 +85,11 @@ def test_missing_field_is_validation_failure(tmp_path):
     ("T", lambda doc: doc.update(T=True)),
     ("T", lambda doc: doc.update(T="1")),
     ("regularity_margin", lambda doc: doc.update(regularity_margin=True)),
+    ("regularity_margin", lambda doc: doc.update(regularity_margin=float("nan"))),
+    ("regularity_margin", lambda doc: doc.update(regularity_margin=float("inf"))),
 ], ids=["missing_field", "one_step", "sample_count", "sample_shape", "config_dims",
         "fractional_steps", "fractional_n", "boolean_n", "boolean_T", "string_T",
-        "boolean_margin"])
+        "boolean_margin", "nan_margin", "infinite_margin"])
 def test_malformed_law_is_validation_failure(tmp_path, field, edit):
     cfg = small_config(tmp_path)
     law_dir = tmp_path / "law"

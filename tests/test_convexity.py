@@ -18,7 +18,7 @@ from mflqg.ode import eigvals_sym, symmetrize
 from mflqg.presets import repro_instance
 
 from conftest import rand_params
-from test_montecarlo import time_varying_params
+from test_montecarlo import mode_law, time_varying_params
 
 
 def base_params(rng, **over):
@@ -259,9 +259,8 @@ def test_uniform_verdict_implies_quadratic_growth_of_cost(rng):
     # verdict with margin eps implies E J(u) >= (eps/2)||u||^2 for random
     # open-loop controls, up to Monte Carlo error
     from mflqg.model import AugmentedCoeffs
-    from mflqg.ode import Trajectory, trapezoid_nodes
-    from mflqg.riccati import OracleLaw
-    from mflqg.montecarlo import NoiseBank, simulate_centralized
+    from mflqg.ode import trapezoid_nodes
+    from mflqg.montecarlo import NoiseBank, centralized_variant_costs
 
     checked = 0
     while checked < 20:
@@ -276,15 +275,12 @@ def test_uniform_verdict_implies_quadratic_growth_of_cost(rng):
         nodes = grid.steps + 1
         N = 2
         u_traj = 0.6 * rng.standard_normal((nodes, N))
-        law = OracleLaw(grid=grid, N=N,
-                        P=Trajectory(grid, np.zeros((nodes, N, N))),
-                        phi=Trajectory(grid, np.zeros((nodes, N))),
-                        gain=Trajectory(grid, np.zeros((nodes, N, N))),
-                        affine=Trajectory(grid, u_traj), regularity_margin=1.0)
+        # a zero-gain law run with one open-loop variant: u_i = u_traj[:, i]
+        law = mode_law(grid, N, np.zeros((1, 1)), np.zeros((1, 1)), np.zeros(1))
         noise = NoiseBank(seed=1000 + checked, n_paths=400, n_agents=N, grid=grid)
-        res = simulate_centralized(AugmentedCoeffs(p, N), law, noise, store=False)
+        J = centralized_variant_costs(AugmentedCoeffs(p, N), law, u_traj[None], noise)[0]
         u_norm_sq = float(trapezoid_nodes((u_traj ** 2).sum(axis=1), grid))
-        se = float(res.J_soc.std(ddof=1) / np.sqrt(res.n_paths))
+        se = float(J.std(ddof=1) / np.sqrt(len(J)))
         eps = v.witness["margin"]
-        assert res.J_soc.mean() >= 0.5 * eps * u_norm_sq - 2.0 * se
+        assert J.mean() >= 0.5 * eps * u_norm_sq - 2.0 * se
         checked += 1

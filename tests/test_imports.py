@@ -1,14 +1,19 @@
-"""Static guards: no module of the package imports a name it never uses, and
-no class of the package has a field nobody reads.
+"""Static guards: no module of the package imports a name it never uses, no
+class of the package has a field nobody reads, and every name of the package
+that the benchmark reads or patches exists.
 
 ``__init__.py`` is skipped by the import guard; its imports are the
 package's re-exports.  The fields of a class are those a dataclass declares
 and the attributes any class sets on ``self``.  A field counts as read when
 its name appears as an attribute load or as a string constant anywhere in
-the package, its tests or the benchmark.
+the package, its tests or the benchmark.  The benchmark patches library
+functions by name, so a renamed one would fail only in a traced benchmark
+run; its sources are parsed here, never imported.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -17,6 +22,7 @@ REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "mflqg"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 READERS = sorted(p for d in ("src", "tests", "perfbench") for p in (REPO / d).rglob("*.py"))
+PERFBENCH = sorted((REPO / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -101,3 +107,110 @@ def test_guard_flags_an_unread_self_attribute():
 def test_no_unread_class_fields():
     readers = [p.read_text() for p in READERS]
     assert [f for p in MODULES for f in unread_fields(p.read_text(), readers)] == []
+
+
+def _import(module: str, name: str):
+    """``from module import name``: a submodule, or the attribute (None if missing)."""
+    try:
+        return importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return getattr(importlib.import_module(module), name, None)
+
+
+def library_references(source: str) -> dict:
+    """Every name of the package that ``source`` reads or patches, by label,
+    mapped to whether it exists.
+
+    ``from mflqg import m`` and ``from mflqg.m import X`` bind names to the
+    package's objects, and a name assigned from a call of such a class, or an
+    argument annotated with it, to an instance of the class.  A reference is
+    an attribute of a bound name (``riccati.solve_oracle.__kwdefaults__``),
+    or a string that directly follows one in a tuple or in a call's
+    arguments: an attribute name (``(analysis, "solve_oracle", ...)``,
+    ``patch.object(NoiseBank, "materialized", ...)``), or a key where the
+    object is a dict (``setitem(solve_oracle.__kwdefaults__, "fd_tol", 0)``).
+    """
+    tree = ast.parse(source)
+    refs, bound = {}, {}   # bound: name -> (label, object, is an instance)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mflqg":
+            for alias in node.names:
+                obj = _import(node.module, alias.name)
+                refs[f"{node.module}.{alias.name}"] = obj is not None
+                bound[alias.asname or alias.name] = (alias.name, obj, False)
+
+    def resolve(expr):
+        if isinstance(expr, ast.Name):
+            return bound.get(expr.id)
+        if isinstance(expr, ast.Attribute) and (base := resolve(expr.value)):
+            return member(base, expr.attr)
+        return None
+
+    def member(base, name):
+        label, obj, instance = base
+        fields = _fields(ast.parse(inspect.getsource(obj)).body[0]) if instance else {}
+        refs[f"{label}.{name}"] = hasattr(obj, name) or name in fields
+        return (f"{label}.{name}", getattr(obj, name), False) if hasattr(obj, name) else None
+
+    for node in ast.walk(tree):
+        cls = None
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            cls, names = resolve(node.value.func), [t.id for t in node.targets
+                                                    if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            cls, names = resolve(node.annotation), [node.arg]
+        if cls and isinstance(cls[1], type):
+            bound.update((name, (cls[0], cls[1], True)) for name in names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            resolve(node)
+        items = node.elts if isinstance(node, (ast.Tuple, ast.List)) else \
+            node.args if isinstance(node, ast.Call) else []
+        for obj, key in zip(items, items[1:]):
+            if isinstance(key, ast.Constant) and isinstance(key.value, str) \
+                    and (base := resolve(obj)):
+                if isinstance(base[1], dict):
+                    refs[f"{base[0]}[{key.value!r}]"] = key.value in base[1]
+                else:
+                    member(base, key.value)
+    return refs
+
+
+def test_guard_flags_a_missing_library_name():
+    source = ("from mflqg import riccati\n"
+              "from mflqg.montecarlo import NoiseBank, Gone\n"
+              "patch.object(NoiseBank, 'materialized', f)\n"
+              "patch.object(NoiseBank, 'renamed', f)\n"
+              "setitem(riccati.solve_oracle.__kwdefaults__, 'fd_tol', 0.0)\n"
+              "setitem(riccati.solve_oracle.__kwdefaults__, 'fd_step', 0.0)\n"
+              "STAGES = [(riccati, '_validate_stationarity', 'x'), (riccati, 'solve_phi2', 'y')]\n"
+              "bank = NoiseBank(1, 2, 3, grid)\n"
+              "def replay(bank2: NoiseBank):\n"
+              "    return bank.n_paths + bank2.increments(0) + bank2.size\n")
+    refs = library_references(source)
+    assert sorted(label for label, ok in refs.items() if not ok) == [
+        "NoiseBank.renamed", "NoiseBank.size", "mflqg.montecarlo.Gone",
+        "riccati.solve_oracle.__kwdefaults__['fd_step']", "riccati.solve_phi2"]
+    assert {"NoiseBank.materialized", "NoiseBank.n_paths", "NoiseBank.increments",
+            "riccati._validate_stationarity",
+            "riccati.solve_oracle.__kwdefaults__['fd_tol']"} <= set(refs)
+
+
+def _stage_labels(source: str) -> set:
+    """(module, "attribute", ...) entries of the benchmark's stage lists."""
+    return {f"{entry.elts[0].id}.{entry.elts[1].value}"
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assign)
+            and [getattr(t, "id", None) for t in node.targets] in (["SOLVE_STAGES"], ["GAP_STAGES"])
+            for entry in node.value.elts}
+
+
+def test_every_library_name_the_benchmark_uses_exists():
+    refs, stages = {}, set()
+    for path in PERFBENCH:
+        refs.update(library_references(path.read_text()))
+        stages |= _stage_labels(path.read_text())
+    assert [label for label, ok in refs.items() if not ok] == []
+    assert len(stages) >= 10 and stages <= set(refs)
+    assert {"NoiseBank.materialized", "riccati._validate_stationarity",
+            "riccati.MAX_VALIDATION_PATHS", "riccati.solve_oracle.__kwdefaults__['fd_tol']",
+            "AugmentedCoeffs.at", "montecarlo._chunks", "montecarlo.worker_count"} <= set(refs)

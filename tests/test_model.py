@@ -1,5 +1,7 @@
 """Model container, validation, stacked-system assembly, config round trips."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,12 @@ from conftest import rand_params, rand_psd
 
 def test_repro_instance_is_admissible():
     assert validate(repro_instance()) == []
+
+
+def test_bundled_repro_config_is_the_preset():
+    # the benchmark's reference law is solved from the file, repro-sec7 from the preset
+    config = Path(__file__).resolve().parents[1] / "configs" / "repro2d.json"
+    assert load_config(config).equals(repro_instance())
 
 
 def test_validate_flags_asymmetric_Q():

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mflqg import montecarlo
-from mflqg.errors import (GridMismatchError, MissingTrajectoriesError, NonFiniteError,
-                          SettingError, StorageBudgetError)
-from mflqg.model import AugmentedCoeffs, ModelParams, build_augmented
+from mflqg.errors import (GridMismatchError, InvalidNError, MissingTrajectoriesError,
+                          NonFiniteError, SettingError, StorageBudgetError)
+from mflqg.model import AugmentedCoeffs, ModelParams, build_augmented, kron_eye, kron_mean
 from mflqg.ode import TimeGrid, Trajectory, integrate_rk4
 from mflqg import riccati
 from mflqg.riccati import FeedbackLaw, OracleLaw, solve_oracle
@@ -37,16 +37,30 @@ def make_law(grid, n, m, Th1=None, Th2=None):
                        regularity_margin=1.0)
 
 
-def block_law(grid, N, Th1, Th2):
-    nodes = grid.steps + 1
-    m, n = Th1.shape
-    gain = np.tile(np.kron(np.eye(N), Th1), (nodes, 1, 1))
-    aff = np.tile(np.tile(Th2, N), (nodes, 1))
-    return OracleLaw(grid=grid, N=N,
-                     P=Trajectory(grid, np.zeros((nodes, N * n, N * n))),
-                     phi=Trajectory(grid, np.zeros((nodes, N * n))),
-                     gain=Trajectory(grid, gain), affine=Trajectory(grid, aff),
+def mode_law(grid, N, K_dev, K_mean, affine):
+    """An OracleLaw with these gain modes and affine, each constant or given
+    per node, and zero P and phi."""
+    nodes, (m, n) = grid.steps + 1, np.shape(K_dev)[-2:]
+
+    def traj(X, shape):
+        return Trajectory(grid, np.broadcast_to(X, (nodes,) + shape).copy())
+
+    zero = np.zeros((n, n))
+    return OracleLaw(grid=grid, N=N, P_dev=traj(zero, (n, n)), P_mean=traj(zero, (n, n)),
+                     phi=traj(np.zeros(n), (n,)), K_dev=traj(K_dev, (m, n)),
+                     K_mean=traj(K_mean, (m, n)), affine=traj(affine, (m,)),
                      regularity_margin=1.0)
+
+
+def block_law(grid, N, Th1, Th2):
+    """The decentralized law u_i = Th1 x_i + Th2 as a centralized one."""
+    return mode_law(grid, N, Th1, Th1, Th2)
+
+
+def stacked_tables(law):
+    """The law's stacked gain (Nm, Nn) and agent-tiled affine (Nm,) per node."""
+    K_dev, K_mean, N = law.K_dev.values, law.K_mean.values, law.N
+    return kron_eye(K_dev, N) + kron_mean(K_mean - K_dev, N), np.tile(law.affine.values, N)
 
 
 def test_noise_regeneration_bit_identical():
@@ -257,6 +271,15 @@ def gap_scalar_params(steps=200):
                        etaBar=np.array([0.2]), xi0=np.array([1.0]))
 
 
+def test_centralized_run_refuses_a_law_solved_for_another_N():
+    # the law's modes fit any N, so only its N tells which population it is for
+    p = gap_scalar_params(steps=20)
+    law = solve_oracle(AugmentedCoeffs(p, 2), validate=False)
+    noise = NoiseBank(seed=1, n_paths=2, n_agents=3, grid=p.grid())
+    with pytest.raises(InvalidNError, match="^law solved for N = 2, simulated with N = 3$"):
+        simulate_centralized(AugmentedCoeffs(p, 3), law, noise)
+
+
 def test_social_cost_of_an_oracle_run_on_its_own_grid():
     # the oracle's law lives on a 400-step grid, the config's on 200: the
     # stored run's costs are read at the run's own nodes
@@ -390,16 +413,12 @@ def test_simulators_match_exact_em_moments(rng):
     worst = 0.0
     for N in (2, 3):
         noise = NoiseBank(seed=700 + N, n_paths=paths, n_agents=N, grid=grid)
-        Kc = 0.3 * rng.standard_normal((N, 2 * N)) * ramp
-        ac = 0.3 * rng.standard_normal((nodes, N))
-        cen_law = OracleLaw(grid=grid, N=N, P=Trajectory(grid, np.zeros((nodes, 2 * N, 2 * N))),
-                            phi=Trajectory(grid, np.zeros((nodes, 2 * N))),
-                            gain=Trajectory(grid, Kc), affine=Trajectory(grid, ac),
-                            regularity_margin=1.0)
+        cen_law = random_oracle_law(rng, grid, N, 2, 1)
         runs = (
             (simulate_decentralized(p, law, N, noise, store=False),
              np.stack([np.kron(np.eye(N), Th1[k]) for k in range(nodes)]), np.tile(Th2, N)),
-            (simulate_centralized(AugmentedCoeffs(p, N), cen_law, noise, store=False), Kc, ac),
+            (simulate_centralized(AugmentedCoeffs(p, N), cen_law, noise, store=False),
+             *stacked_tables(cen_law)),
         )
         avg = np.kron(np.ones(N), np.eye(2)) / N
         for res, gain, aff in runs:
@@ -414,30 +433,30 @@ def test_simulators_match_exact_em_moments(rng):
 
 
 def random_oracle_law(rng, grid, N, n, m):
-    nodes = grid.steps + 1
+    """Time-varying random gain modes and affine."""
     ramp = (1.0 + grid.nodes)[:, None, None]
-    return OracleLaw(grid=grid, N=N, P=Trajectory(grid, np.zeros((nodes, N * n, N * n))),
-                     phi=Trajectory(grid, np.zeros((nodes, N * n))),
-                     gain=Trajectory(grid, 0.3 * rng.standard_normal((N * m, N * n)) * ramp),
-                     affine=Trajectory(grid, 0.3 * rng.standard_normal((nodes, N * m))),
-                     regularity_margin=1.0)
+    K_dev, K_mean = 0.3 * rng.standard_normal((2, 1, m, n)) * ramp
+    return mode_law(grid, N, K_dev, K_mean, 0.3 * rng.standard_normal((grid.steps + 1, m)))
 
 
 def test_variant_pass_equals_separate_centralized_runs(rng, monkeypatch):
-    # eleven affine variants in one pass over one bank, chunked, against
-    # eleven simulate_centralized calls on the same bank
+    # eleven per-agent affine variants in one pass over one bank, chunked,
+    # against eleven one-variant passes on the same bank; variant 0 is the
+    # law's own affine, so it is also simulate_centralized's run
     monkeypatch.setattr(montecarlo, "PLANE_CHUNK_SCALARS", 2**9)
     p = rand_params(rng, n=2, m=2, steps=60)
     grid, N = p.grid(), 3
     aug = AugmentedCoeffs(p, N)
     law = random_oracle_law(rng, grid, N, 2, 2)
-    affines = law.affine.values + 0.2 * rng.standard_normal((11,) + law.affine.values.shape)
+    _, affine = stacked_tables(law)
+    affines = affine + 0.2 * rng.standard_normal((11,) + affine.shape)
+    affines[0] = affine
     noise = NoiseBank(seed=31, n_paths=50, n_agents=N, grid=grid).materialized()
     J = centralized_variant_costs(aug, law, affines, noise)
-    for v, aff in enumerate(affines):
-        one = OracleLaw(grid=grid, N=N, P=law.P, phi=law.phi, gain=law.gain,
-                        affine=Trajectory(grid, aff), regularity_margin=1.0)
-        ref = simulate_centralized(aug, one, noise, store=False).J_soc
+    runs = [(0, simulate_centralized(aug, law, noise, store=False).J_soc)]
+    runs += [(v, centralized_variant_costs(aug, law, aff[None], noise)[0])
+             for v, aff in enumerate(affines)]
+    for v, ref in runs:
         assert np.max(np.abs(J[v] - ref) / np.abs(ref)) < 1e-12
 
 
@@ -484,7 +503,8 @@ def test_variant_pass_runs_on_the_calling_thread(rng, monkeypatch):
     p = rand_params(rng, n=2, m=1, steps=30)
     grid, N = p.grid(), 3
     law = random_oracle_law(rng, grid, N, 2, 1)
-    affines = law.affine.values + 0.2 * rng.standard_normal((5,) + law.affine.values.shape)
+    _, affine = stacked_tables(law)
+    affines = affine + 0.2 * rng.standard_normal((5,) + affine.shape)
     noise = NoiseBank(seed=5, n_paths=60, n_agents=N, grid=grid)
     assert len(montecarlo._chunks(60, 5 * N, 2**9)) > 1
     J = centralized_variant_costs(AugmentedCoeffs(p, N), law, affines, noise)
@@ -580,16 +600,17 @@ def test_simulators_match_reference_em_loop(rng):
     runs = ((simulate_decentralized(p, make_law(grid, 2, 1, Th1=Th1, Th2=Th2), N, noise, store=True),
              decentralized_control(Th1, Th2)),
             (simulate_centralized(AugmentedCoeffs(p, N), cen, noise, store=True),
-             centralized_control(cen.gain.values, cen.affine.values)))
+             centralized_control(*stacked_tables(cen))))
     for res, control in runs:
         xs, us, xavg, J_i = reference_em(p, N, dW, control)
         for new, ref in ((res.xs, xs), (res.us, us), (res.xavg, xavg), (res.J_i, J_i),
                          (res.J_soc, J_i.sum(axis=1))):
             assert_close(new, ref)
-    affines = cen.affine.values + 0.2 * rng.standard_normal((4,) + cen.affine.values.shape)
+    gain, affine = stacked_tables(cen)
+    affines = affine + 0.2 * rng.standard_normal((4,) + affine.shape)
     J = centralized_variant_costs(AugmentedCoeffs(p, N), cen, affines, noise.materialized())
     for v, aff in enumerate(affines):
-        ref = reference_em(p, N, dW, centralized_control(cen.gain.values, aff))[3].sum(axis=1)
+        ref = reference_em(p, N, dW, centralized_control(gain, aff))[3].sum(axis=1)
         assert_close(J[v], ref)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from mflqg import riccati
 from mflqg.errors import RegularityLostError, StationarityError
-from mflqg.model import AugmentedCoeffs, build_augmented, kron_eye
+from mflqg.model import AugmentedCoeffs, build_augmented, kron_eye, kron_mean
 from mflqg.ode import TimeGrid, Trajectory, integrate_rk4, symmetrize
 from mflqg.riccati import (
     OracleLaw,
@@ -17,11 +17,11 @@ from mflqg.riccati import (
     theta1,
     theta2,
 )
-from mflqg.montecarlo import NoiseBank, simulate_centralized
+from mflqg.montecarlo import NoiseBank, centralized_variant_costs, simulate_centralized
 from mflqg.presets import repro_instance
 
 from conftest import rand_params
-from test_montecarlo import gap_scalar_params, time_varying_params
+from test_montecarlo import gap_scalar_params, mode_law, stacked_tables, time_varying_params
 
 
 def scalar_params(rng=None, steps=1000, **over):
@@ -272,8 +272,9 @@ def test_oracle_single_agent_collapse(rng):
     p.GammaBar = np.zeros((1, 1))
     _, dlaw = solve_cc(p)
     olaw = solve_oracle(AugmentedCoeffs(p, 1), validate=False)
-    assert np.max(np.abs(olaw.gain.values[:, 0, 0] - dlaw.Theta1.values[:, 0, 0])) < 1e-8
-    assert np.max(np.abs(olaw.affine.values[:, 0] - dlaw.Theta2.values[:, 0])) < 1e-8
+    gain, affine = stacked_tables(olaw)
+    assert np.max(np.abs(gain[:, 0, 0] - dlaw.Theta1.values[:, 0, 0])) < 1e-8
+    assert np.max(np.abs(affine[:, 0] - dlaw.Theta2.values[:, 0])) < 1e-8
 
 
 def test_oracle_zero_data_gives_zero_law(rng):
@@ -283,9 +284,8 @@ def test_oracle_zero_data_gives_zero_law(rng):
     p.eta = np.zeros(1)
     p.etaBar = np.zeros(1)
     olaw = solve_oracle(AugmentedCoeffs(p, 2), validate=False)
-    assert np.max(np.abs(olaw.P.values)) == 0.0
-    assert np.max(np.abs(olaw.gain.values)) == 0.0
-    assert np.max(np.abs(olaw.affine.values)) == 0.0
+    for name in ("P_dev", "P_mean", "phi", "K_dev", "K_mean", "affine"):
+        assert np.max(np.abs(getattr(olaw, name).values)) == 0.0, name
 
 
 def test_oracle_stationarity_validation_passes(rng):
@@ -297,6 +297,7 @@ def test_oracle_stationarity_validation_passes(rng):
 
 
 def test_oracle_dominates_random_laws(rng):
+    # random exchangeable gains, each with its own constant affine per agent
     p = rand_params(rng, n=1, m=1, steps=300)
     aug = AugmentedCoeffs(p, 2)
     law = solve_oracle(aug, validate=False)
@@ -305,22 +306,20 @@ def test_oracle_dominates_random_laws(rng):
     noise = NoiseBank(seed=5, n_paths=1500, n_agents=2, grid=grid).materialized()
     base = simulate_centralized(aug, law, noise, store=False)
     for _ in range(20):
-        other = OracleLaw(
-            grid=grid, N=2, P=law.P, phi=law.phi,
-            gain=Trajectory(grid, 0.3 * rng.standard_normal((2, 2)) * np.ones((nodes, 2, 2))),
-            affine=Trajectory(grid, 0.5 * rng.standard_normal(2) * np.ones((nodes, 2))),
-            regularity_margin=law.regularity_margin)
-        res = simulate_centralized(aug, other, noise, store=False)
-        diff = res.J_soc - base.J_soc
+        K_dev, K_mean = 0.3 * rng.standard_normal((2, 1, 1))
+        other = mode_law(grid, 2, K_dev, K_mean, np.zeros(1))
+        affine = 0.5 * rng.standard_normal(2) * np.ones((1, nodes, 2))
+        diff = centralized_variant_costs(aug, other, affine, noise)[0] - base.J_soc
         se = diff.std(ddof=1) / np.sqrt(len(diff))
         assert diff.mean() >= -2.0 * se
 
 
-def stacked_oracle(aug):
-    """The oracle law from the stacked Nn x Nn sweeps, stagewise RK4 on the
-    system aug.at assembles at every stage time: the reference the mode solve
-    must equal.  Margin, gain and affine are formed at the nodes of the
-    stacked system."""
+def stacked_reference(aug):
+    """The oracle from the stacked Nn x Nn sweeps, stagewise RK4 on the system
+    aug.at assembles at every stage time: the reference the mode solve must
+    equal.  Returns the stacked node tables P, phi, gain and affine, and the
+    margin; margin, gain and affine are formed at the nodes of the stacked
+    system."""
     grid = aug.params.grid()
     nodes = build_augmented(aug.params, aug.N, grid)
     blocks = kron_eye(np.ones((aug.params.n, aug.params.n)), aug.N)
@@ -341,26 +340,61 @@ def stacked_oracle(aug):
 
     phi = integrate_rk4(phi_rhs, nodes.S2, grid, "backward")
     affine = -node_solve(S, nodes.B.swapaxes(-1, -2) @ phi.values[..., None])[..., 0]
-    return OracleLaw(grid=grid, N=aug.N, P=P, phi=phi, gain=gain,
-                     affine=Trajectory(grid, affine),
-                     regularity_margin=float(np.linalg.eigvalsh(symmetrize(S))[:, 0].min()))
+    tables = {"P": P.values, "phi": phi.values, "gain": gain.values, "affine": affine}
+    return tables, float(np.linalg.eigvalsh(symmetrize(S))[:, 0].min())
+
+
+def read_modes(M, N, rows, cols):
+    """(dev, mean) of a stack of I (x) dev + 11'/N (x) (mean - dev), read off
+    its first block row: a diagonal block less an off-diagonal one, and the
+    row's sum (at N = 1 both are the one block)."""
+    row = M[..., :rows, :].reshape(M.shape[:-2] + (rows, N, cols))
+    return row[..., 0, :] - (row[..., 1, :] if N > 1 else 0.0), row.sum(axis=-2)
+
+
+def stacked_oracle(aug):
+    """The stacked reference as an OracleLaw, its modes read off its blocks."""
+    ref, margin = stacked_reference(aug)
+    grid, N, n, m = aug.params.grid(), aug.N, aug.params.n, aug.params.m
+    modes = read_modes(ref["P"], N, n, n) + read_modes(ref["gain"], N, m, n)
+    P_dev, P_mean, K_dev, K_mean = (Trajectory(grid, X) for X in modes)
+    return OracleLaw(grid=grid, N=N, P_dev=P_dev, P_mean=P_mean,
+                     phi=Trajectory(grid, ref["phi"][:, :n]), K_dev=K_dev, K_mean=K_mean,
+                     affine=Trajectory(grid, ref["affine"][:, :m]), regularity_margin=margin)
+
+
+def stacked_P(law):
+    P_dev, P_mean = law.P_dev.values, law.P_mean.values
+    return kron_eye(P_dev, law.N) + kron_mean(P_mean - P_dev, law.N)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 5, 8])
 @pytest.mark.parametrize("instance", ["gap_scalar", "repro", "time_varying"])
 def test_oracle_modes_match_stacked_reference(instance, N):
+    # the law's modes, expanded to stacked tables, against the stacked sweeps
     p = {"gap_scalar": lambda: gap_scalar_params(),
          "repro": lambda: repro_instance(steps=200),
          "time_varying": lambda: time_varying_params(np.random.default_rng(3), steps=40),
          }[instance]()
     aug = AugmentedCoeffs(p, N)
-    law, ref = solve_oracle(aug, validate=False), stacked_oracle(aug)
-    for name in ("P", "gain", "affine", "phi"):
-        got, want = getattr(law, name).values, getattr(ref, name).values
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), name
-    assert abs(law.regularity_margin - ref.regularity_margin) <= 1e-12
-    assert np.array_equal(law.P.values, law.P.values.swapaxes(-1, -2))
+    law, (ref, margin) = solve_oracle(aug, validate=False), stacked_reference(aug)
+    gain, affine = stacked_tables(law)
+    got = {"P": stacked_P(law), "gain": gain, "affine": affine, "phi": np.tile(law.phi.values, N)}
+    for name, want in ref.items():
+        assert got[name].shape == want.shape
+        assert np.max(np.abs(got[name] - want)) <= 1e-10 * np.max(np.abs(want)), name
+    assert abs(law.regularity_margin - margin) <= 1e-12
+    for P in (law.P_dev.values, law.P_mean.values):
+        assert np.array_equal(P, P.swapaxes(-1, -2))
+
+
+def test_oracle_law_size_does_not_depend_on_N():
+    p = repro_instance(steps=200)
+    shapes = [{name: value.values.shape for name, value in
+               vars(solve_oracle(AugmentedCoeffs(p, N), validate=False)).items()
+               if isinstance(value, Trajectory)} for N in (2, 32)]
+    assert set(shapes[0]) == {"P_dev", "P_mean", "phi", "K_dev", "K_mean", "affine"}
+    assert shapes[0] == shapes[1]
 
 
 @pytest.mark.parametrize("N", [2, 4, 8])
@@ -373,8 +407,7 @@ def test_oracle_stationarity_verdict_matches_stacked_reference(N):
         verdicts = []
         for law in laws:
             try:
-                report = riccati._validate_stationarity(aug, law, paths=1024, seed=seed,
-                                                        h=1e-4, tol=1e-2)
+                report = riccati._validate_stationarity(aug, law, paths=1024, seed=seed, tol=1e-2)
                 verdicts.append(("passed", np.array(report["derivatives"])))
             except StationarityError as exc:
                 # the failing check: "oracle failed stationarity" or "... ascent check"
@@ -389,8 +422,9 @@ def test_oracle_stationarity_verdict_matches_stacked_reference(N):
 def test_oracle_node_solves_bit_equal_to_node_loop(rng, monkeypatch, chunk):
     # the batched node-wise margin, mode gains and affine equal a node-by-node
     # loop bit for bit on a time-varying instance; the loop reads the swept
-    # modes (P_dev, P_mean) and the mean-mode adjoint phi_a off the law, and
-    # the coefficient node tables over all nodes at once or over chunks of nodes
+    # modes (P_dev, P_mean), which the law must hold, the mean-mode adjoint
+    # phi_a off the law, and the coefficient node tables over all nodes at
+    # once or over chunks of nodes
     p, N = time_varying_params(rng, steps=30), 3
     swept = []
     sweep = riccati._riccati_sweep
@@ -416,12 +450,13 @@ def test_oracle_node_solves_bit_equal_to_node_loop(rng, monkeypatch, chunk):
             margins.append(np.linalg.eigvalsh(symmetrize(S))[0])
             K = -np.linalg.solve(S, np.concatenate([B.T @ P_dev + DtPd @ C,
                                                     B.T @ P_mean + DtPd @ (C + Ft)], axis=-1))
-            K_dev, K_mean = K[:, :n], K[:, n:]
-            gain = np.kron(np.eye(N), K_dev) + np.tile((K_mean - K_dev) / N, (N, N))
-            assert np.array_equal(law.gain.values[k], gain)
-            affine = -np.linalg.solve(S, B.T @ law.phi.values[k, :n])
-            assert np.array_equal(law.affine.values[k], np.tile(affine, N))
+            assert np.array_equal(law.K_dev.values[k], K[:, :n])
+            assert np.array_equal(law.K_mean.values[k], K[:, n:])
+            affine = -np.linalg.solve(S, B.T @ law.phi.values[k])
+            assert np.array_equal(law.affine.values[k], affine)
     assert len(margins) == nodes
+    assert np.array_equal(law.P_dev.values, modes[:, 0])
+    assert np.array_equal(law.P_mean.values, modes[:, 1])
     assert law.regularity_margin == min(margins)
 
 
@@ -469,7 +504,7 @@ def test_oracle_P_matches_per_agent_noise_sums(rng):
         return -(P @ s.A + s.A.T @ P + CtPC + s.Q - (P @ s.B + CtPD) @ sol)
 
     ref = integrate_rk4(rhs, symmetrize(s.G), p.grid(), "backward", project=symmetrize)
-    P = solve_oracle(aug, validate=False).P.values
+    P = stacked_P(solve_oracle(aug, validate=False))
     assert np.max(np.abs(P - ref.values)) < 1e-12 * np.max(np.abs(ref.values))
 
 
@@ -493,6 +528,6 @@ def test_oracle_is_permutation_invariant(rng, instance):
         p, N = time_varying_params(rng, steps=30), 3
     else:
         p, N = repro_instance(steps=50), 32
-    law = stacked_oracle(AugmentedCoeffs(p, N))
-    for M in (law.P.values, law.gain.values):
+    ref, _ = stacked_reference(AugmentedCoeffs(p, N))
+    for M in (ref["P"], ref["gain"]):
         assert max(block_spreads(M, N)) < 1e-12
