@@ -32,7 +32,7 @@ from .convexity import check_psd_case
 from .model import AugmentedCoeffs, ModelParams, check_population_size
 from .ode import LINEAR_CHUNK_STEPS, Trajectory, distinct_stage_times, integrate_linear, interp
 from .riccati import FeedbackLaw, solve_oracle
-from .montecarlo import NoiseBank, simulate_centralized, simulate_decentralized
+from .montecarlo import NoiseBank, check_seed, simulate_centralized, simulate_decentralized
 
 
 @dataclass
@@ -51,7 +51,9 @@ def convergence_study(params: ModelParams, law: FeedbackLaw, xhat: Trajectory,
 
     Each replication is one independent N-agent simulation; the per-N noise
     banks are seeded as seed + N so the table is reproducible entry by entry.
+    The slope is fitted only over two or more distinct N (NaN otherwise).
     """
+    check_seed(seed)
     rows = []
     for N in N_list:
         noise = NoiseBank(seed=seed + N, n_paths=replications, n_agents=N,
@@ -62,7 +64,7 @@ def convergence_study(params: ModelParams, law: FeedbackLaw, xhat: Trajectory,
         se = float(sup.std(ddof=1) / np.sqrt(replications)) if replications > 1 else 0.0
         rows.append((N, replications, est, se))
     ests = np.array([r[2] for r in rows])
-    if np.all(ests > 0.0) and len(rows) >= 2:
+    if np.all(ests > 0.0) and len(set(N_list)) >= 2:
         slope, intercept = np.polyfit(np.log(np.array(N_list, dtype=float)), np.log(ests), 1)
     else:
         slope, intercept = float("nan"), float("nan")
@@ -84,6 +86,7 @@ def gap_study(params: ModelParams, N_list, paths: int, seed: int, *,
     (J_dec - J_oracle)/N is reported with the standard error of the pathwise
     difference (common random numbers).
     """
+    check_seed(seed)
     notes = []
     verdict = check_psd_case(params)
     if not verdict.is_uniformly_convex:

@@ -224,16 +224,19 @@ def load_law(law_dir: Path, params: ModelParams | None = None
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
-    """Comma-separated integers of a list option, at least one; empty entries
-    are skipped."""
+    """Comma-separated distinct integers of a list option, at least one;
+    empty entries are skipped."""
     out = []
     for entry in text.split(","):
         if not entry:
             continue
         try:
-            out.append(int(entry))
+            value = int(entry)
         except ValueError:
             raise SettingError(f"{flag}: entry {entry!r} is not an integer") from None
+        if value in out:
+            raise SettingError(f"{flag}: entry {entry!r} is repeated")
+        out.append(value)
     if not out:
         raise SettingError(f"{flag}: no entries in {text!r}")
     return out

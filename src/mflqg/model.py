@@ -13,10 +13,12 @@ social objective is the sum of the J_i.
 Coefficients A, B, C, D, F, Ftilde, Q, R, Gamma, eta may be time-varying,
 stored as per-node samples on the master grid (piecewise linear in between);
 G, GammaBar, etaBar, xi0 are constants.  The stacked nN-dimensional form of
-the same problem (used only by the centralized simulator behind the small-N
-brute-force oracle) is assembled here alone, at nodes by
-:func:`build_augmented` and at any times by :class:`AugmentedCoeffs`, with
-its N noises as one diffusion matrix pair.
+the same problem is assembled here alone, at nodes by :func:`build_augmented`
+and at any times by :class:`AugmentedCoeffs`, with its N noises as one
+diffusion matrix pair.  No solve or simulation reads it: the oracle solves
+its two exchangeable modes and the centralized simulator lays out per-agent
+tables, so it stays as the tests' reference and as what
+``AugmentedCoeffs.at`` returns.
 
 The coefficient contract lives here alone: :func:`validate` decides which
 instances are admissible, and :func:`load_config` ends with it; every reader
@@ -252,7 +254,8 @@ def build_augmented(params: ModelParams, N: int, node: int | TimeGrid = 0) -> Au
 
 class AugmentedCoeffs:
     """Continuous-time view of the stacked system of N agents, refused past
-    MAX_AUGMENTED_DIM; the oracle solver and the centralized simulator take it.
+    MAX_AUGMENTED_DIM; the oracle solver and the centralized simulator take
+    it for its params and N.
 
     ``at(t)`` assembles the system from the coefficients interpolated at t,
     a time or an array of times.  Qhat and S1 are products of coefficients,

@@ -13,27 +13,25 @@ the interpreter lock back and forth rather than compute at once (inferred,
 not traced).  On a 2-core host two workers made the pass 25-75% slower than
 one at N = 2, 4 and 8.
 
-Every control law here is affine in the state, so one kernel, :func:`_em`,
-steps a law folded into per-node tables before the loop: the drift
-increment map dt(A + B gain), the diffusion map C + D gain, their offsets
-dt B affine and D affine, and the cost as one quadratic form z'Hz + 2 l'z + c
-(the Q part plus gain' R gain; trapezoid weights and the terminal cost
-folded in).  The state lives on coordinate-major planes, paths innermost;
-at each node one product of the maps table with the state gives all of
-that, and a few plane-wide multiply-adds finish the step
+Every control law here is u_i = Ga x_i + Gb xavg + a_i, so one kernel,
+:func:`_em`, steps a law folded into per-node tables before the loop: the
+drift increment map dt(A + B Ga), the diffusion map C + D Ga, their xavg
+parts dt(F + B Gb) and Ftilde + D Gb, the offsets dt B a and D a, and the
+cost as one quadratic form z'Hz + 2 l'z + c in z = (x_i, xavg) (trapezoid
+weights and the terminal cost folded in).  The state lives on
+coordinate-major planes, paths innermost; at each node one product of the
+maps table with the state gives all of that, and a few plane-wide
+multiply-adds finish the step
 x_i += (A x_i + B u_i + F xavg) dt + (C x_i + D u_i + Ftilde xavg) dW_i and
-the cost.  Two folds share the loop:
+the cost.  Two folds share the loop, and only the first derives tables:
 
-* the decentralized u_i = Theta1 x_i + Theta2 folds per agent into n x n
-  maps on the agents' planes; the rank-one xavg terms act on the agent
-  means, one column per path, and the costs come out per agent;
-* the oracle's u = gain x + affine of the stacked system (the same agents
-  in nN coordinates), expanded from its modes here alone, folds with the
-  stacked A, B, C, D at the law's nodes, as model assembles them, into
-  Nn x Nn maps and gives the social cost; agent i's increment scales block
-  row i of the diffusion.  Leading plane axes carry per-agent affine
-  variants, so the oracle's stationarity check runs a law and its
-  perturbations as one pass over one bank.
+* the agent fold, per agent (the decentralized law has Gb = 0): n x n maps
+  on the agents' planes, the xavg terms acting on the agent means, one
+  column per path, and the costs per agent;
+* the stacked fold lays the agent fold's tables of the oracle's law out on
+  the nN stacked coordinates and gives the social cost.  Leading plane
+  axes carry per-agent affine variants, so the oracle's stationarity check
+  runs a law and its perturbations as one pass over one bank.
 
 An offset that is the same on every path is added to the dt-scale drift
 increment, never to the state: a path-constant addend rounds alike on every
@@ -79,13 +77,19 @@ def worker_count() -> int:
     return count
 
 
+def check_seed(seed) -> None:
+    """Raise SettingError unless seed is an integer in [0, 2**64), one key word."""
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
+        raise SettingError(f"seed must be an integer in [0, 2**64), got {seed}")
+
+
 @dataclass(frozen=True)
 class NoiseBank:
     """Reproducible Brownian increments keyed by (seed, path, agent).
 
     Each (path, agent) pair owns an independent Philox stream keyed by the
-    64-bit words (seed, path << 32 | agent); increments are N(0, dt) along
-    the grid steps.
+    64-bit words (seed, path << 32 | agent), so a seed outside [0, 2**64)
+    is refused; increments are N(0, dt) along the grid steps.
     """
 
     seed: int
@@ -94,6 +98,7 @@ class NoiseBank:
     grid: TimeGrid
 
     def __post_init__(self):
+        check_seed(self.seed)
         if self.n_paths < 1 or self.n_agents < 1:
             raise SettingError(f"need at least one path and one agent, got "
                                f"{self.n_paths} paths and {self.n_agents} agents")
@@ -109,7 +114,7 @@ class NoiseBank:
         call: rewound to counter 0 under a stream's key, it is that stream."""
         bits = np.random.Philox(key=0)
         gen = np.random.Generator(bits)
-        key = np.array([self.seed & (2**64 - 1), 0], dtype=np.uint64)
+        key = np.array([self.seed, 0], dtype=np.uint64)
         state = {**bits.state, "state": {"counter": np.zeros(4, np.uint64), "key": key}}
         out = np.empty((len(paths), self.n_agents, self.grid.steps))
         for j, path in enumerate(paths):
@@ -208,45 +213,43 @@ def _quadratic(E, eta, W, K=None, a=None, R=None):
     return H, l, c
 
 
-def _half_costs(grid: TimeGrid, running: tuple, terminal: tuple) -> list:
-    """(H, l, c) node tables (node axis first) of half the trapezoid-weighted
-    running cost, plus half the terminal cost at the last node."""
-    w = np.full(grid.steps + 1, 0.5 * grid.dt)
-    w[[0, -1]] *= 0.5
-    tables = []
-    for run, end in zip(_quadratic(*running), _quadratic(*terminal)):
-        run = w.reshape((-1,) + (1,) * (run.ndim - 1)) * run
-        run[-1] += 0.5 * end
-        tables.append(run)
-    return tables
-
-
 class _AgentFold:
-    """The decentralized law u_i = Theta1 x_i + Theta2, folded per agent.
+    """A law u_i = Ga x_i + Gb xavg + a_i as per-agent tables; the
+    decentralized law is Ga = Theta1, Gb = 0 and a = Theta2.
 
-    The state is n planes of shape (N, P), one per coordinate.  In
-    z = (x_i, xavg) agent i's cost at node k is z'Hz + 2 l'z + c.  maps[k]
-    holds the drift increment map dt(A + B Theta1), the diffusion map
-    C + D Theta1 and the x block of H; the xavg terms act on the agent means,
-    one column per path: mean_maps[k] = [dt F; Ftilde; 2 H_x,avg; H_avg,avg]
-    with offsets[k] = [dt B Theta2; D Theta2; 2 l].
+    The state is n planes of shape (N, P), one per coordinate.  maps[k]
+    holds dt(A + B Ga), C + D Ga and the x block of the cost's H in
+    z = (x_i, xavg), whose control part has K = [Ga, Gb]; the xavg terms act
+    on the agent means, one column per path: mean_maps[k] =
+    [dt(F + B Gb); Ftilde + D Gb; 2 H_x,avg; H_avg,avg] and offsets[k] =
+    [dt B a; D a; 2 l].  Axes of a between its node and control axes (the
+    stacked fold's variants and agents) carry into offsets and c.
     """
 
-    def __init__(self, params: ModelParams, grid: TimeGrid, N: int, Th1, Th2):
-        K, (m, n) = len(Th1), Th1.shape[1:]
+    def __init__(self, params: ModelParams, grid: TimeGrid, N: int, Ga, Gb, a):
+        K, n, lead = len(Ga), Ga.shape[-1], a.shape[1:-1]
         A, B, C, D, F, Ft, Q, R, Gam, eta = (params.node_table(k, grid) for k in TIME_VARYING)
-        eye = np.broadcast_to(np.eye(n), (K, n, n))
-        H, l, self.c = _half_costs(
-            grid, (np.concatenate([eye, -Gam], -1), eta, Q,
-                   np.concatenate([Th1, np.zeros_like(Th1)], -1), Th2, R),
-            (np.hstack([np.eye(n), -params.GammaBar]), params.etaBar, params.G))
-        self.maps = np.concatenate([grid.dt * (A + B @ Th1), C + D @ Th1,
-                                    H[:, :n, :n]], axis=1)
-        self.mean_maps = np.concatenate([grid.dt * F, Ft, 2.0 * H[:, :n, n:],
-                                         H[:, n:, n:]], axis=1)
-        self.offsets = np.concatenate([grid.dt * matvec(B, Th2), matvec(D, Th2), 2.0 * l],
-                                      axis=1)[..., None]
-        self.Th1, self.Th2, self.xi0, self.N = Th1, Th2, params.xi0, N
+
+        def wide(X):     # node tables against the lead axes of a
+            return X.reshape((K,) + (1,) * len(lead) + X.shape[1:])
+
+        E = np.concatenate([np.broadcast_to(np.eye(n), Gam.shape), -Gam], -1)
+        running = _quadratic(wide(E), wide(eta), wide(Q), wide(np.concatenate([Ga, Gb], -1)),
+                             a, wide(R))
+        # half the trapezoid-weighted running cost, plus half the terminal cost at the last node
+        w = np.full(K, 0.5 * grid.dt)
+        w[[0, -1]] *= 0.5
+        H, l, self.c = (w.reshape((-1,) + (1,) * (run.ndim - 1)) * run for run in running)
+        for run, end in zip((H, l, self.c), _quadratic(
+                np.hstack([np.eye(n), -params.GammaBar]), params.etaBar, params.G)):
+            run[-1] += 0.5 * end
+        H = H.reshape(K, 2 * n, 2 * n)
+        self.maps = np.concatenate([grid.dt * (A + B @ Ga), C + D @ Ga, H[:, :n, :n]], axis=1)
+        self.mean_maps = np.concatenate([grid.dt * (F + B @ Gb), Ft + D @ Gb,
+                                         2.0 * H[:, :n, n:], H[:, n:, n:]], axis=1)
+        self.offsets = np.concatenate([grid.dt * matvec(wide(B), a), matvec(wide(D), a),
+                                       2.0 * l], axis=-1)[..., None]
+        self.Ga, self.Gb, self.a, self.xi0, self.N = Ga, Gb, a, params.xi0, N
         self.cost_shape = (N,)
 
     def increment(self, dWk):
@@ -267,55 +270,51 @@ class _AgentFold:
         return X.transpose(2, 1, 0)
 
     def controls(self, k: int, X):
-        U = (self.Th1[k] @ X.reshape(len(X), -1)).reshape((-1,) + X.shape[1:])
-        return (U + self.Th2[k][:, None, None]).transpose(2, 1, 0)
+        U = (self.Ga[k] @ X.reshape(len(X), -1)).reshape((-1,) + X.shape[1:])
+        U += (self.Gb[k] @ X.mean(axis=1))[:, None]
+        return (U + self.a[k][:, None, None]).transpose(2, 1, 0)
 
 
 class _StackedFold:
-    """The oracle's law u = gain x + affine, folded on the stacked state.
-
-    gain = I (x) K_dev + 11'/N (x) (K_mean - K_dev) is formed here alone;
-    the affine is the law's tiled over the agents, or the per-agent variants
-    ``affines`` (V, steps+1, Nm), which the lead axes of the state's planes
-    (*lead, P), one per stacked coordinate, carry.  From the stacked system
-    at the law's nodes, maps[k] holds the Nn x Nn drift increment map
-    dt(A + B gain) and diffusion map C + D gain, the sums of each coordinate
-    over the agents, and the form H of the social cost z'Hz + 2 l'z + c.
-    The offsets dt B affine, D affine, 2 l and c carry the lead axes.
+    """The oracle's law u = gain x + affine on the stacked state, laid out
+    from one agent fold of Ga = K_dev, Gb = K_mean - K_dev and each agent's
+    affine: the law's, or its part of the per-agent variants ``affines``
+    (V, steps+1, Nm), which the lead axes of the state's planes (*lead, P)
+    carry.  An agent block X with its xavg block Y becomes
+    I (x) X + 11'/N (x) Y: so do the gain, the drift and diffusion maps and
+    the social cost's H, whose xavg block is 2 H_x,avg + H_avg,avg; maps[k]
+    also sums each coordinate over the agents.  Agent i's offsets fill block
+    i, the xavg part of 2 l is averaged over the agents, and c is summed.
     """
 
     def __init__(self, aug: AugmentedCoeffs, law: OracleLaw, affines=None):
-        params, grid, N, n = aug.params, law.grid, aug.N, aug.params.n
+        N, n, m, K = aug.N, aug.params.n, aug.params.m, law.grid.steps + 1
         if law.N != N:
             raise InvalidNError(f"law solved for N = {law.N}, simulated with N = {N}")
-        gain = kron_eye(law.K_dev.values, N) + kron_mean(law.K_mean.values - law.K_dev.values, N)
-        affine = np.tile(law.affine.values, N) if affines is None else np.moveaxis(affines, 0, 1)
-        K, Nn, lead = len(gain), N * n, affine.shape[1:-1]
-        s = build_augmented(params, N, grid)
-        Q, R, Gam, eta = (params.node_table(k, grid) for k in ("Q", "R", "Gamma", "eta"))
-        A, B, C, D = (np.broadcast_to(X, (K,) + X.shape[-2:]) for X in (s.A, s.B, s.C, s.D))
+        a = (np.broadcast_to(law.affine.values[:, None], (K, N, m)) if affines is None
+             else np.moveaxis(affines, 0, 1).reshape(K, len(affines), N, m))
+        K_dev = law.K_dev.values
+        agent = _AgentFold(aug.params, law.grid, N, K_dev, law.K_mean.values - K_dev, a)
+        own, avg = agent.maps.reshape(K, 3, n, n), agent.mean_maps.reshape(K, 4, n, n)
+        self.cost_shape = lead = a.shape[1:-2]
 
-        def wide(X):     # node tables against the lead axes
-            return X.reshape((K,) + (1,) * len(lead) + X.shape[1:])
+        def lay(X, Y):   # an agent block and its xavg block on the stacked coordinates
+            return kron_eye(X, N) + kron_mean(Y, N)
 
-        H, l, c = _half_costs(
-            grid, (wide(np.eye(Nn) - kron_mean(Gam, N)), wide(np.tile(eta, N)),
-                   wide(kron_eye(Q, N)), wide(gain), affine, wide(kron_eye(R, N))),
-            (np.eye(Nn) - kron_mean(params.GammaBar, N), np.tile(params.etaBar, N),
-             kron_eye(params.G, N)))
-        self.maps = np.concatenate([grid.dt * (A + B @ gain), C + D @ gain,
-                                    np.broadcast_to(np.tile(np.eye(n), N), (K, n, Nn)),
-                                    H.reshape(K, Nn, Nn)], axis=1)
+        self.maps = np.concatenate([lay(own[:, 0], avg[:, 0]), lay(own[:, 1], avg[:, 1]),
+                                    np.broadcast_to(np.tile(np.eye(n), N), (K, n, N * n)),
+                                    lay(own[:, 2], avg[:, 2] + avg[:, 3])], axis=1)
 
-        def planes(x):   # (K, *lead, r) -> (K, r, *lead, 1)
-            return np.moveaxis(x, -1, 1)[..., None]
+        def planes(x):   # (K, *lead, N, r) -> (K, Nr, *lead, 1), a copy: the agent fold is freed
+            return np.moveaxis(x.reshape(x.shape[:-2] + (-1,)), -1, 1).copy()[..., None]
 
-        self.drift = planes(grid.dt * matvec(wide(B), affine))
-        self.diff = planes(matvec(wide(D), affine))
-        self.lin, self.c = planes(2.0 * l), c[..., None]
-        self.gain, self.affine, self.N, self.n = gain, affine, N, n
-        self.start = np.tile(params.xi0, N).reshape((Nn,) + (1,) * (len(lead) + 1))
-        self.cost_shape = lead
+        off = agent.offsets[..., 0]
+        self.drift, self.diff = planes(off[..., :n]), planes(off[..., n:2 * n])
+        self.lin = planes(off[..., 2 * n:3 * n] + off[..., 3 * n:].mean(axis=-2, keepdims=True))
+        self.c = agent.c.sum(axis=-1)[..., None]
+        self.gain, self.affine = lay(agent.Ga, agent.Gb), a.reshape(a.shape[:-2] + (N * m,))
+        self.N, self.n = N, n
+        self.start = np.tile(agent.xi0, N).reshape((N * n,) + (1,) * (len(lead) + 1))
 
     def increment(self, dWk):
         dWk = np.repeat(dWk.T, self.n, axis=0)
@@ -406,7 +405,8 @@ def simulate_decentralized(params: ModelParams, law: FeedbackLaw, N: int,
     feeds both drift and diffusion.
     """
     _check_bank(noise, law.grid, N)
-    fold = _AgentFold(params, law.grid, N, law.Theta1.values, law.Theta2.values)
+    Th1 = law.Theta1.values
+    fold = _AgentFold(params, law.grid, N, Th1, np.zeros_like(Th1), law.Theta2.values)
     res, J = _simulate(params, noise, N, store, "decentralized", fold)
     res.J_i = np.ascontiguousarray(J.T)
     res.J_soc = res.J_i.sum(axis=1)

@@ -451,8 +451,9 @@ def _validate_stationarity(aug: AugmentedCoeffs, law: OracleLaw, *, paths: int,
     over-threshold reading that 3 standard errors could explain is
     re-measured once with more paths before it counts as a failure.
     """
-    from .montecarlo import NoiseBank, centralized_variant_costs
+    from .montecarlo import NoiseBank, centralized_variant_costs, check_seed
 
+    check_seed(seed)
     grid, h = law.grid, FD_STEP
     rng = np.random.default_rng(seed ^ 0x5EED)
     dim_u = aug.N * aug.params.m

@@ -42,6 +42,18 @@ def test_convergence_slope_scale_free(rng):
     assert not np.allclose(tab1.estimates(), tab2.estimates())
 
 
+def test_convergence_slope_needs_two_distinct_N(rng):
+    # the same N twice gives two equal rows and no slope, rather than one
+    # fitted from a rank-deficient system
+    p = rand_params(rng, n=1, m=1, steps=100)
+    sol, law = solve_cc(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tab = convergence_study(p, law, sol.xhat, [5, 5], replications=3, seed=0)
+    assert tab.rows[0] == tab.rows[1]
+    assert np.isnan(tab.slope) and np.isnan(tab.intercept)
+
+
 def test_gap_study_reproducible(rng):
     p = rand_params(rng, n=1, m=1, steps=150)
     g1 = gap_study(p, [2, 3], paths=100, seed=4, validate_oracle=False)

@@ -474,14 +474,38 @@ def test_bad_population_is_validation_failure(tmp_path):
     ["repro-sec7", "--n-list", "10,x"],
 ], ids=["gap", "converge", "repro-sec7"])
 def test_unparsable_N_list_is_validation_failure(tmp_path, command):
-    # a list with no entries is refused too, rather than giving empty tables
-    empty = ["," if arg.endswith(",x") else arg for arg in command]
-    for args, message in ((command, "entry 'x' is not an integer"), (empty, "no entries in ','")):
+    # a list with no entries or a repeated one is refused too, rather than
+    # giving empty tables or duplicate rows
+    at = next(i for i, arg in enumerate(command) if arg.endswith(",x"))
+    flag, first = command[at - 1], command[at].split(",")[0]
+    for entries, message in ((command[at], "entry 'x' is not an integer"),
+                             (",", "no entries in ','"),
+                             (f"{first},{first}", f"entry '{first}' is repeated")):
+        args = command[:at] + [entries] + command[at + 1:]
         r = run_cli(args + ["--seed", "1", "--out", str(tmp_path / "out")])
         assert r.returncode == 1
         assert "Traceback" not in r.stderr
-        assert message in r.stderr
+        assert f"{flag}: {message}" in r.stderr
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_the_key_range_is_validation_failure(tmp_path, capsys, seed):
+    # every subcommand refuses a seed that a noise bank could only reduce
+    # modulo 2**64, the oracle's validation included
+    cfg = scalar_config(tmp_path)
+    law_dir = tmp_path / "law"
+    assert main(["solve", str(cfg), "--out", str(law_dir)]) == 0
+    runs = {"simulate": [str(cfg), "--law", str(law_dir), "--N", "2", "--paths", "2"],
+            "converge": [str(cfg), "--law", str(law_dir), "--N-list", "2,3", "--reps", "2"],
+            "gap": [str(cfg), "--N-list", "2", "--paths", "2"],
+            "repro-sec7": ["--steps", "100", "--N", "2", "--reps", "2", "--n-list", "2,3"]}
+    capsys.readouterr()
+    for command, extra in runs.items():
+        out = str(tmp_path / command)
+        assert main([command, *extra, "--seed", str(seed), "--out", out]) == 1, command
+        assert capsys.readouterr().err == (
+            f"validation failure: seed must be an integer in [0, 2**64), got {seed}\n"), command
 
 
 def test_oversized_validation_bank_is_numerical_failure(tmp_path, monkeypatch, capsys):

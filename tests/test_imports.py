@@ -1,6 +1,7 @@
 """Static guards: no module of the package imports a name it never uses, no
-class of the package has a field nobody reads, and every name of the package
-that the benchmark reads or patches exists.
+class of the package has a field nobody reads, every name of the package
+that the benchmark reads or patches exists, and the stacked fold reads no
+coefficient of the model.
 
 ``__init__.py`` is skipped by the import guard; its imports are the
 package's re-exports.  The fields of a class are those a dataclass declares
@@ -214,3 +215,19 @@ def test_every_library_name_the_benchmark_uses_exists():
     assert {"NoiseBank.materialized", "riccati._validate_stationarity",
             "riccati.MAX_VALIDATION_PATHS", "riccati.solve_oracle.__kwdefaults__['fd_tol']",
             "AugmentedCoeffs.at", "montecarlo._chunks", "montecarlo.worker_count"} <= set(refs)
+
+
+def class_names(source: str, name: str) -> set:
+    """Every name and attribute that class ``name`` of ``source`` mentions."""
+    cls = next(node for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.ClassDef) and node.name == name)
+    return ({node.id for node in ast.walk(cls) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(cls) if isinstance(node, ast.Attribute)})
+
+
+def test_stacked_fold_lays_out_the_agent_fold():
+    # how a law becomes Euler-Maruyama tables is decided in the agent fold
+    # alone; the stacked fold only lays its tables out on the stacked state
+    names = class_names((SRC / "montecarlo.py").read_text(), "_StackedFold")
+    assert {"_AgentFold", "kron_eye", "kron_mean"} <= names
+    assert not names & {"build_augmented", "node_table"}

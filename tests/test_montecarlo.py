@@ -119,6 +119,11 @@ def test_bad_run_settings_raise_package_errors(monkeypatch):
     for paths, agents in ((0, 2), (3, 0), (2**32, 1)):
         with pytest.raises(SettingError):
             NoiseBank(seed=1, n_paths=paths, n_agents=agents, grid=grid)
+    # a stream's key holds the seed as one 64-bit word: reducing it modulo
+    # 2**64 would make seed -1 reproduce seed 2**64 - 1
+    for seed in (-1, 2**64):
+        with pytest.raises(SettingError, match=rf"in \[0, 2\*\*64\), got {seed}$"):
+            NoiseBank(seed=seed, n_paths=2, n_agents=2, grid=grid)
     for bad in ("two", "0", "-2"):
         monkeypatch.setenv("MFLQG_THREADS", bad)
         with pytest.raises(SettingError, match="MFLQG_THREADS"):
@@ -612,6 +617,22 @@ def test_simulators_match_reference_em_loop(rng):
     for v, aff in enumerate(affines):
         ref = reference_em(p, N, dW, centralized_control(gain, aff))[3].sum(axis=1)
         assert_close(J[v], ref)
+
+
+def test_agent_fold_with_a_mean_gain_matches_reference_em_loop(rng):
+    # the oracle's law as u_i = K_dev x_i + (K_mean - K_dev) xavg + affine,
+    # folded per agent, against its stacked gain stepped one agent at a time
+    p = time_varying_params(rng)
+    grid, N = p.grid(), 3
+    law = random_oracle_law(rng, grid, N, 2, 1)
+    K_dev, K_mean = law.K_dev.values, law.K_mean.values
+    fold = montecarlo._AgentFold(p, grid, N, K_dev, K_mean - K_dev, law.affine.values)
+    noise = NoiseBank(seed=43, n_paths=5, n_agents=N, grid=grid)
+    res, J = montecarlo._simulate(p, noise, N, True, "agent", fold)
+    xs, us, xavg, J_i = reference_em(p, N, noise.increments_block(range(5)),
+                                     centralized_control(*stacked_tables(law)))
+    for new, ref in ((res.xs, xs), (res.us, us), (res.xavg, xavg), (J.T, J_i)):
+        assert_close(new, ref)
 
 
 def blowup_params():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mflqg import riccati
-from mflqg.errors import RegularityLostError, StationarityError
+from mflqg.errors import RegularityLostError, SettingError, StationarityError
 from mflqg.model import AugmentedCoeffs, build_augmented, kron_eye, kron_mean
 from mflqg.ode import TimeGrid, Trajectory, integrate_rk4, symmetrize
 from mflqg.riccati import (
@@ -294,6 +294,17 @@ def test_oracle_stationarity_validation_passes(rng):
     assert law.validation["ascent_ok"]
     assert all(abs(d) <= t for d, t in
                zip(law.validation["derivatives"], law.validation["thresholds"]))
+
+
+def test_oracle_validation_refuses_its_seed_before_drawing(rng, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a direction was drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    aug = AugmentedCoeffs(rand_params(rng, n=1, m=1, steps=40), 2)
+    for seed in (-1, 2**64):
+        with pytest.raises(SettingError, match=f"got {seed}$"):
+            solve_oracle(aug, validate=True, validation_seed=seed)
 
 
 def test_oracle_dominates_random_laws(rng):
