@@ -30,7 +30,8 @@ import numpy as np
 from .consistency import solve_cc
 from .convexity import check_psd_case
 from .model import AugmentedCoeffs, ModelParams, check_population_size
-from .ode import LINEAR_CHUNK_STEPS, Trajectory, distinct_stage_times, integrate_linear, interp
+from . import ode
+from .ode import Trajectory, distinct_stage_times, integrate_linear, interp
 from .riccati import FeedbackLaw, solve_oracle
 from .montecarlo import NoiseBank, check_seed, simulate_centralized, simulate_decentralized
 
@@ -270,8 +271,10 @@ def lambda_boundedness(params: ModelParams, law: FeedbackLaw, N_list) -> LambdaR
     def step_max(v):
         return np.maximum(np.maximum(v[:-1:2], v[1::2]), v[2::2])
 
-    for start in range(0, grid.steps, LINEAR_CHUNK_STEPS):
-        ks = order[start:start + LINEAR_CHUNK_STEPS]
+    # the chunk size is read at call time, as integrate_linear reads it
+    chunk = ode.LINEAR_CHUNK_STEPS
+    for start in range(0, grid.steps, chunk):
+        ks = order[start:start + chunk]
         gen, src = kernel_tables(distinct_stage_times(grid.nodes, ks, -grid.dt),
                                  ends, 1.0 - ends)
         mu[ks - 1] = step_max(np.max(_log_norm_inf(-gen), axis=1))

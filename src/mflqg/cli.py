@@ -31,7 +31,7 @@ from .model import (TIME_VARYING, ModelParams, integral, load_config, parse_conf
 from .ode import TimeGrid, Trajectory
 from .presets import repro_instance
 from .riccati import FeedbackLaw
-from .montecarlo import NoiseBank, simulate_decentralized
+from .montecarlo import NoiseBank, check_seed, simulate_decentralized
 
 
 def write_csv(path: Path, header: list[str], rows) -> Path:
@@ -330,6 +330,7 @@ def cmd_solve(args) -> int:
 
 def cmd_simulate(args) -> int:
     t0 = time.time()
+    check_seed(args.seed)
     params = load_config(args.config)
     law, _, law_hash = load_law(Path(args.law), params)
     out = Path(args.out)
@@ -367,6 +368,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_converge(args) -> int:
     t0 = time.time()
+    check_seed(args.seed)
     N_list = _parse_int_list(args.N_list, "--N-list")
     params = load_config(args.config)
     law, xhat, law_hash = load_law(Path(args.law), params)
@@ -388,6 +390,7 @@ def cmd_converge(args) -> int:
 
 def cmd_gap(args) -> int:
     t0 = time.time()
+    check_seed(args.seed)
     N_list = _parse_int_list(args.N_list, "--N-list")
     params = load_config(args.config)
     out = Path(args.out)
@@ -409,6 +412,7 @@ def cmd_gap(args) -> int:
 
 def cmd_repro(args) -> int:
     t0 = time.time()
+    check_seed(args.seed)
     N_list = _parse_int_list(args.n_list, "--n-list")
     if args.steps < 2:
         raise SettingError(f"--steps: need at least 2 steps, got {args.steps}")

@@ -56,8 +56,9 @@ from .errors import NonFiniteError, NotSymmetricError
 BLOWUP_NORM = 1e12
 SYM_TOL_SCALE = 1e-8
 # steps per batch of step maps in integrate_linear and of stage samples in
-# integrate_rk4; bounds their tables' memory
-LINEAR_CHUNK_STEPS = 32
+# integrate_rk4; bounds their tables' memory, while each chunk pays its
+# sampling and batched assembly once
+LINEAR_CHUNK_STEPS = 128
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ y = (vec P, 1) it is one operator product per stage (:func:`p_operator`),
 built once for constant coefficients and per chunk of stage times for
 time-varying ones.  phi is linear and is an ode.integrate_linear sweep.
 The oracle's two modes step as P does, on y = (vec P_dev, vec P_mean, 1)
-with one product and one m x m solve per stage (:func:`_riccati_sweep`), and
+with one product and one m x m gain per stage (:func:`_riccati_sweep`), and
 its adjoint is the mean mode's linear one.  Its node-wise margin, mode gains
 and affine are one batched pass over the nodes, bit-identical to a loop over
 them.  The auxiliary problem is always solved on the master grid of the
@@ -144,10 +144,14 @@ def _riccati_sweep(params: ModelParams, grid: TimeGrid, operator, names, termina
     of y, in :func:`p_operator`'s row layout with k linear parts and k
     numerators; it is built once, or per chunk of stage times when a
     coefficient of ``names`` varies in time.  A stage is one product
-    z = ops y, one solve gain_i = S^{-1} num_i over the k numerators, and
-    dP_i/dt = z_i + num_i' gain_i; a singular S raises RegularityLostError
-    naming ``what`` and the stage time.  Each P_i is re-symmetrized after
-    every step.  Returns the (steps + 1, k, n, n) nodes.
+    z = ops y, gain_i = S^{-1} num_i over the k numerators, and
+    dP_i/dt = z_i + num_i' gain_i.  For m <= 2 the gain is formed in closed
+    form from S's entries, num_i / s or adj(S) num_i / det S, because a
+    LAPACK solve of so small a system costs mostly its call overhead; m >= 3
+    solves.  An exactly singular S (s or det S = 0.0, or a zero pivot of the
+    solve) raises RegularityLostError naming ``what`` and the stage time.
+    Each P_i is re-symmetrized after every step.  Returns the
+    (steps + 1, k, n, n) nodes.
     """
     k, n, m = len(terminals), params.n, params.m
     kn2, m2 = k * n * n, m * m
@@ -166,15 +170,30 @@ def _riccati_sweep(params: ModelParams, grid: TimeGrid, operator, names, termina
         # each stage's map paired with its time, which names a singular stage
         return [tuple(zip(times, maps)) for times, maps in zip(ts.tolist(), coeffs(ts))]
 
+    def singular(t):
+        return RegularityLostError(f"{what} singular at t={t:.6g}")
+
     def rhs(stage, y):
         t, ops = stage
         z = ops @ y
         num = z[kn2 + 1 + m2:].reshape(k, m, n)
-        try:
-            # one call, S shared by the k numerators
-            gain = np.linalg.solve(z[kn2 + 1:kn2 + 1 + m2].reshape(m, m), num)
-        except np.linalg.LinAlgError as exc:
-            raise RegularityLostError(f"{what} singular at t={t:.6g}") from exc
+        # S is shared by the k numerators
+        if m == 1:
+            det = float(z[kn2 + 1])
+            if det == 0.0:
+                raise singular(t)
+            gain = num / det
+        elif m == 2:
+            a, b, c, d = z[kn2 + 1:kn2 + 5].tolist()
+            det = a * d - b * c
+            if det == 0.0:
+                raise singular(t)
+            gain = np.array(((d / det, -b / det), (-c / det, a / det))) @ num
+        else:
+            try:
+                gain = np.linalg.solve(z[kn2 + 1:kn2 + 1 + m2].reshape(m, m), num)
+            except np.linalg.LinAlgError as exc:
+                raise singular(t) from exc
         dy = z[:kn2 + 1]
         dy[:kn2] += (num.transpose(0, 2, 1) @ gain).ravel()
         return dy
@@ -194,8 +213,9 @@ def solve_P(params: ModelParams) -> tuple[Trajectory, float]:
     dP/dt = -[PA + A'P + C'PC + Q - (PB + C'PD)(R + D'PD)^{-1}(B'P + D'PC)]
 
     A stage is one product z = ops y of the :func:`p_operator` map with
-    y = (vec P, 1), one m x m solve gain = S^{-1} num with S and num read off
-    z, and dP/dt = z_lin + num' gain (:func:`_riccati_sweep`, with k = 1).
+    y = (vec P, 1), one m x m gain = S^{-1} num with S and num read off z
+    (in closed form for m <= 2), and dP/dt = z_lin + num' gain
+    (:func:`_riccati_sweep`, with k = 1).
     The map is built once for constant coefficients; time-varying ones are
     sampled by ode.integrate_rk4 for a chunk of stage times at once.  The
     product costs O(n^4) flops per stage against O(n^3) for the matrix form;

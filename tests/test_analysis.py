@@ -5,13 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
+from mflqg import ode
 from mflqg.analysis import convergence_study, gap_study, lambda_boundedness
 from mflqg.consistency import solve_cc
 from mflqg.errors import GridMismatchError, InvalidNError
-from mflqg.model import ModelParams
-from mflqg.ode import Trajectory, integrate_rk4, interp
+from mflqg.model import AugmentedCoeffs, ModelParams
+from mflqg.ode import Trajectory, distinct_stage_times, integrate_rk4, interp
 from mflqg.presets import repro_instance
-from mflqg.riccati import FeedbackLaw
+from mflqg.riccati import FeedbackLaw, solve_oracle
 
 from conftest import rand_params
 
@@ -393,6 +394,45 @@ def test_lambda_bound_follows_its_recurrence():
         want.append(growth * want[-1] + grid.dt * 0.5 * max(1.0, growth))
     assert np.max(np.abs(rep.bound / want[::-1] - 1.0)) < 1e-12
     assert rep.dominated
+
+
+def test_lambda_bound_chunks_follow_the_sweeps_chunk_size(monkeypatch):
+    # the bound's generator tables are cut at the chunk size the sweeps read
+    # at call time, so patching ode's constant moves both
+    from mflqg import analysis
+
+    p = repro_instance(steps=100)
+    _, law = solve_cc(p)
+    sizes = []
+
+    def spy(nodes, ks, h):
+        sizes.append(ks.size)
+        return distinct_stage_times(nodes, ks, h)
+
+    monkeypatch.setattr(ode, "LINEAR_CHUNK_STEPS", 7)
+    monkeypatch.setattr(analysis, "distinct_stage_times", spy)
+    lambda_boundedness(p, law, [10])
+    assert sizes == [7] * 14 + [2]
+
+
+def test_law_oracle_and_lambda_bit_equal_at_chunk_32(monkeypatch):
+    # the shipped chunk size against the earlier 32 steps: every sweep and
+    # the bound's tables are cut differently, the results must not move
+    p = repro_instance(steps=300)
+
+    def run():
+        sol, law = solve_cc(p)
+        o = solve_oracle(AugmentedCoeffs(p, 3), validate=False)
+        lam = lambda_boundedness(p, law, [2, 10])
+        return [law.P.values, law.phi.values, law.Theta1.values, law.Theta2.values,
+                sol.xhat.values, o.P_dev.values, o.P_mean.values, o.K_dev.values,
+                o.K_mean.values, o.affine.values, lam.bound,
+                np.array([[pr.sup1, pr.sup2] for pr in lam.pairs])]
+
+    shipped = run()
+    monkeypatch.setattr(ode, "LINEAR_CHUNK_STEPS", 32)
+    for a, b in zip(shipped, run(), strict=True):
+        assert np.array_equal(a, b)
 
 
 def test_lambda_bound_dominates_under_large_coefficients():

@@ -506,6 +506,8 @@ def test_seed_outside_the_key_range_is_validation_failure(tmp_path, capsys, seed
         assert main([command, *extra, "--seed", str(seed), "--out", out]) == 1, command
         assert capsys.readouterr().err == (
             f"validation failure: seed must be an integer in [0, 2**64), got {seed}\n"), command
+        # refused before anything is solved or written
+        assert not (tmp_path / command).exists(), command
 
 
 def test_oversized_validation_bank_is_numerical_failure(tmp_path, monkeypatch, capsys):

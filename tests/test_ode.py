@@ -152,21 +152,32 @@ def test_integrate_linear_blowup_names_the_same_node(direction):
     assert "blow-up detected at node" in str(new.value)
 
 
+def _chunked_grid(T=1.0):
+    """The shipped chunk size c and a grid of 3c + c/8 steps on [0, T]:
+    three whole chunks and a last partial one, in either direction."""
+    c = ode.LINEAR_CHUNK_STEPS
+    assert c >= 24   # so the last chunk holds node 2 and node steps - 2
+    return c, TimeGrid(T, 3 * c + c // 8)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kind", ["nan_source", "overflow"])
-@pytest.mark.parametrize("direction, node", [
-    ("forward", 45), ("forward", 98), ("backward", 55), ("backward", 2)],
+@pytest.mark.parametrize("direction, where", [
+    ("forward", "mid"), ("forward", "last"), ("backward", "mid"), ("backward", "last")],
     ids=["forward-mid_chunk", "forward-last_chunk", "backward-mid_chunk", "backward-last_chunk"])
-def test_integrate_linear_blowup_inside_a_chunk_names_its_node(direction, node, kind):
-    # 100 steps in chunks of 32: forward nodes 45 and 98 lie inside the second
-    # and the last (partial) chunk, backward nodes 55 and 2 likewise.  From
-    # a quarter step before the node (in the sweep's direction) on, the source
-    # turns NaN, or the generator grows the state to about 1e39 in one step
-    # and by about 1e158 in each step after, which overflows to inf and NaN
-    # two steps on, inside the chunk; the step into the node samples it first
-    assert ode.LINEAR_CHUNK_STEPS == 32
-    g = TimeGrid(1.0, 100)
+def test_integrate_linear_blowup_inside_a_chunk_names_its_node(direction, where, kind):
+    # forward, node c + c/2 - 3 lies inside the second chunk (steps c..2c-1,
+    # nodes c+1..2c) and node steps - 2 inside the last, partial one; the
+    # backward nodes mirror them (steps minus each).  From a quarter step
+    # before the node (in the sweep's direction) on, the source turns NaN,
+    # or the generator grows the state to about 1e39 in one step and by
+    # about 1e158 in each step after, which overflows to inf and NaN two
+    # steps on, inside the chunk; the step into the node samples it first
+    c, g = _chunked_grid()
     forward = direction == "forward"
+    node = c + c // 2 - 3 if where == "mid" else g.steps - 2
+    if not forward:
+        node = g.steps - node
     edge = g.nodes[node] - 0.25 * g.dt if forward else g.nodes[node] + 0.25 * g.dt
     rate = (1e40 if forward else -1e40) / g.dt
 
@@ -194,11 +205,11 @@ def test_integrate_linear_blowup_inside_a_chunk_names_its_node(direction, node, 
 
 @pytest.mark.parametrize("direction", ["forward", "backward"])
 def test_integrate_linear_samples_each_distinct_stage_time_once(direction):
-    # 100 steps in chunks of 32: each chunk of c steps is sampled once, at its
-    # 2c+1 stage times in step order, node times bit-equal to the grid's
-    assert ode.LINEAR_CHUNK_STEPS == 32
+    # three whole chunks and a partial one: each chunk of c steps is sampled
+    # once, at its 2c+1 stage times in step order, node times bit-equal to
+    # the grid's
+    c, g = _chunked_grid(1.3)
     rng = np.random.default_rng(5)
-    g = TimeGrid(1.3, 100)
     _, coeffs, y0 = _linear_system(rng, 2, None, source=True)
     seen = []
 
@@ -210,9 +221,9 @@ def test_integrate_linear_samples_each_distinct_stage_time_once(direction):
     forward = direction == "forward"
     h = g.dt if forward else -g.dt
     order = np.arange(g.steps + 1) if forward else np.arange(g.steps, -1, -1)
-    assert [ts.shape for ts in seen] == [(65,), (65,), (65,), (9,)]
+    assert [ts.shape for ts in seen] == [(2 * c + 1,)] * 3 + [(2 * (c // 8) + 1,)]
     for i, ts in enumerate(seen):
-        nodes = order[32 * i:32 * (i + 1) + 1]
+        nodes = order[c * i:c * (i + 1) + 1]
         assert np.array_equal(ts[0::2], g.nodes[nodes])
         assert np.array_equal(ts[1::2], g.nodes[nodes[:-1]] + 0.5 * h)
         assert np.all(np.diff(ts) > 0) if forward else np.all(np.diff(ts) < 0)
@@ -293,7 +304,7 @@ def test_integrate_linear_batch_axes_equal_per_entry_sweeps(direction, cols):
 @pytest.mark.parametrize("cols", [None, 2], ids=["vector", "matrix"])
 def test_integrate_linear_independent_of_chunk_size(monkeypatch, cols):
     rng = np.random.default_rng(3)
-    g = TimeGrid(1.0, 100)   # the default chunk splits this into 4 chunks
+    _, g = _chunked_grid()   # the default chunk splits this into 4 chunks
     _, coeffs, y0 = _linear_system(rng, 3, cols, source=True)
     for direction in ("forward", "backward"):
         ref = integrate_linear(coeffs, y0, g, direction).values

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mflqg import riccati
+from mflqg.consistency import solve_cc
 from mflqg.errors import RegularityLostError, SettingError, StationarityError
 from mflqg.model import AugmentedCoeffs, build_augmented, kron_eye, kron_mean
 from mflqg.ode import TimeGrid, Trajectory, integrate_rk4, symmetrize
@@ -123,6 +124,119 @@ def test_singular_gain_denominator_in_the_oracle_sweep_names_its_stage_time(time
         p.A = p.A * (1.0 + p.grid().nodes)[:, None, None]
     with pytest.raises(RegularityLostError, match=r"^oracle R \+ D'bd\(P\)D singular at t=1$"):
         solve_oracle(AugmentedCoeffs(p, N), validate=False)
+
+
+P_NAMES = ("A", "B", "C", "D", "Q", "R")
+ORACLE_NAMES = ("A", "B", "C", "D", "F", "Ftilde", "Q", "R", "Gamma")
+
+
+def lapack_sweep(params, grid, operator, names, terminals, what):
+    """riccati._riccati_sweep on constant coefficients with a LAPACK solve
+    for every stage's gain: the reference for its closed-form m <= 2 gains."""
+    assert not any(params.is_time_varying(name) for name in names)
+    k, n, m = len(terminals), params.n, params.m
+    kn2, m2 = k * n * n, m * m
+    ops = operator(*(getattr(params, name) for name in names))
+
+    def rhs(t, y):
+        z = ops @ y
+        num = z[kn2 + 1 + m2:].reshape(k, m, n)
+        try:
+            gain = np.linalg.solve(z[kn2 + 1:kn2 + 1 + m2].reshape(m, m), num)
+        except np.linalg.LinAlgError as exc:
+            raise RegularityLostError(f"{what} singular at t={t:.6g}") from exc
+        dy = z[:kn2 + 1]
+        dy[:kn2] += (num.transpose(0, 2, 1) @ gain).ravel()
+        return dy
+
+    swap = np.append(np.arange(kn2).reshape(k, n, n).swapaxes(1, 2).ravel(), kn2)
+    y0 = np.append(symmetrize(np.stack(terminals)).ravel(), 1.0)
+    y = integrate_rk4(rhs, y0, grid, "backward", project=lambda y: 0.5 * (y + y[swap]))
+    return np.ascontiguousarray(y.values[:, :kn2]).reshape(-1, k, n, n)
+
+
+def both_sweeps(p, N=3):
+    """(operator, names, terminals) of solve_P's sweep and of the oracle's
+    two-mode sweep at N."""
+    Gbm = p.GammaBar - np.eye(p.n)
+    return [(riccati.p_operator, P_NAMES, [p.G]),
+            (lambda *c: riccati.oracle_operator(N, *c), ORACLE_NAMES,
+             [p.G, Gbm.T @ p.G @ Gbm])]
+
+
+@pytest.mark.parametrize("weights", ["psd_R", "indefinite_R"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_closed_form_gain_matches_lapack_sweep(m, weights):
+    # random instances with n <= 3, for P and for the oracle's modes.  An
+    # indefinite R has eigenvalues of both signs (negative at m = 1), each at
+    # least 1 in size, on a control channel weakened fourfold: R + D'PD then
+    # stays far from singular (smallest singular value 0.58) and P finite,
+    # where the full channel drives it through zero or to finite escape
+    rng = np.random.default_rng(100 + m)
+    for n in (1, 2, 3):
+        for _ in range(8):
+            p = rand_params(rng, n=n, m=m, steps=40)
+            if weights == "indefinite_R":
+                U, _ = np.linalg.qr(rng.standard_normal((m, m)))
+                eig = (1.0 + rng.random(m)) * np.array([-1.0, 1.0][:m])
+                p.R = symmetrize(U @ np.diag(eig) @ U.T)
+                p.B, p.D = 0.25 * p.B, 0.25 * p.D
+            for operator, names, terminals in both_sweeps(p):
+                got = riccati._riccati_sweep(p, p.grid(), operator, names, terminals, "S")
+                ref = lapack_sweep(p, p.grid(), operator, names, terminals, "S")
+                assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_only_m_above_2_solves_in_the_riccati_sweep(monkeypatch, m):
+    p = rand_params(np.random.default_rng(3), n=2, m=m, steps=20)
+    solve, shapes = np.linalg.solve, []
+
+    def spy(a, b):
+        shapes.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    for operator, names, terminals in both_sweeps(p):
+        riccati._riccati_sweep(p, p.grid(), operator, names, terminals, "S")
+    # four stages a step, two sweeps
+    assert shapes == ([] if m <= 2 else [(3, 3)] * (2 * 4 * 20))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("sweep", ["P", "oracle"])
+def test_exactly_singular_gain_denominator_names_its_stage_time(sweep, m):
+    # D = 0 and R = diag(0, 1, ...): S = R, exactly singular at the first
+    # stage of the backward sweep, t = T = 1
+    p = rand_params(np.random.default_rng(4), n=2, m=m, steps=20)
+    p.D = np.zeros((2, m))
+    p.R = np.diag([0.0] + [1.0] * (m - 1))
+    if sweep == "P":
+        with pytest.raises(RegularityLostError, match=r"^R \+ D'PD singular at t=1$"):
+            solve_P(p)
+    else:
+        with pytest.raises(RegularityLostError,
+                           match=r"^oracle R \+ D'bd\(P\)D singular at t=1$"):
+            solve_oracle(AugmentedCoeffs(p, 2), validate=False)
+
+
+def test_gap_scalar_law_and_oracle_modes_bit_equal_to_lapack_sweep(monkeypatch):
+    # at m = n = 1 the closed-form gain num / s is what the solve computes
+    p = gap_scalar_params()
+
+    def run():
+        _, law = solve_cc(p)
+        tables = [law.Theta1.values, law.Theta2.values]
+        for N in (2, 4, 8):
+            o = solve_oracle(AugmentedCoeffs(p, N), validate=False)
+            tables += [o.P_dev.values, o.P_mean.values, o.K_dev.values, o.K_mean.values,
+                       o.affine.values]
+        return tables
+
+    got = run()
+    monkeypatch.setattr(riccati, "_riccati_sweep", lapack_sweep)
+    for a, b in zip(got, run(), strict=True):
+        assert np.array_equal(a, b)
 
 
 def test_theta1_hand_cases():
@@ -265,8 +379,6 @@ def test_terminal_weight_monotonicity(rng):
 def test_oracle_single_agent_collapse(rng):
     # N=1, F = Ftilde = 0, Gamma = GammaBar = 0: the stacked problem IS the
     # auxiliary problem, so both pipelines must produce the same law.
-    from mflqg.consistency import solve_cc
-
     p = rand_params(rng, n=1, m=1, steps=400, coupled=False)
     p.Gamma = np.zeros((1, 1))
     p.GammaBar = np.zeros((1, 1))
