@@ -26,12 +26,12 @@ from .consistency import solve_cc
 from .convexity import (check_coupled_indefinite, check_decoupled_indefinite, is_coupled,
                         report_all)
 from .errors import ConfigError, GridMismatchError, MFLQGError, NonFiniteError, SettingError
-from .model import (TIME_VARYING, ModelParams, integral, load_config, parse_config, real,
-                    save_config, validate)
+from .model import (TIME_VARYING, ModelParams, check_population_size, integral, load_config,
+                    parse_config, real, save_config, validate)
 from .ode import TimeGrid, Trajectory
 from .presets import repro_instance
 from .riccati import FeedbackLaw
-from .montecarlo import NoiseBank, check_seed, simulate_decentralized
+from .montecarlo import NoiseBank, check_counts, check_seed, simulate_decentralized
 
 
 def write_csv(path: Path, header: list[str], rows) -> Path:
@@ -242,6 +242,14 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     return out
 
 
+def _check_counts(paths: int, N_list) -> None:
+    """Refuse each population size and the path count as the noise banks
+    would, before --out is created."""
+    for N in N_list:
+        check_population_size(N)
+        check_counts(paths, N)
+
+
 def _verdict_doc(v) -> dict:
     return {"status": v.status, "criterion": v.criterion,
             "witness": {k: (val if isinstance(val, str) else float(val))
@@ -331,6 +339,7 @@ def cmd_solve(args) -> int:
 def cmd_simulate(args) -> int:
     t0 = time.time()
     check_seed(args.seed)
+    _check_counts(args.paths, [args.N])
     params = load_config(args.config)
     law, _, law_hash = load_law(Path(args.law), params)
     out = Path(args.out)
@@ -370,6 +379,7 @@ def cmd_converge(args) -> int:
     t0 = time.time()
     check_seed(args.seed)
     N_list = _parse_int_list(args.N_list, "--N-list")
+    _check_counts(args.reps, N_list)
     params = load_config(args.config)
     law, xhat, law_hash = load_law(Path(args.law), params)
     out = Path(args.out)
@@ -392,6 +402,7 @@ def cmd_gap(args) -> int:
     t0 = time.time()
     check_seed(args.seed)
     N_list = _parse_int_list(args.N_list, "--N-list")
+    _check_counts(args.paths, N_list)
     params = load_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -416,6 +427,8 @@ def cmd_repro(args) -> int:
     N_list = _parse_int_list(args.n_list, "--n-list")
     if args.steps < 2:
         raise SettingError(f"--steps: need at least 2 steps, got {args.steps}")
+    _check_counts(args.paths, [args.N])
+    _check_counts(args.reps, N_list)
     params = repro_instance(steps=args.steps)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

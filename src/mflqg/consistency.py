@@ -20,14 +20,14 @@ must produce the same phi.
 Everything runs on the master grid of the model.  The blocks are assembled
 on all nodes at once from the batched R + D'PD kernel of the riccati module,
 and stored as one stack of the eight 6n blocks; the 3n blocks of the mean
-system are its diagonal sub-blocks.  K is nonlinear and steps stagewise
-through ode.integrate_rk4, interpolating the stack once per stage time and
-forming its right-hand side with two stacked matrix products on strided
-views of it.  Everything after K is linear: kappa, the condition-37
-transition matrix, the mean path X1 and the closed-form K of the reduced
-case are ode.integrate_linear sweeps, which sample the blocks they need for
-a chunk of steps at once; the node-wise read-off of the mean fields is
-batched over all nodes.
+system are its diagonal sub-blocks.  K's Riccati equation is solved as the
+linear-fractional image V U^-1 of linear sweeps (Radon's lemma), on K's
+2n live columns: one pair for its fluctuation block K22 on the half-step
+grid, one for the live columns, re-anchored at U = I after every chunk of
+ode.linear_chunk steps.  kappa, the condition-37 transition matrix, the mean
+path X1 and the closed-form K of the reduced case are ode.integrate_linear
+sweeps.  Every sweep samples the blocks it needs for a chunk of steps at
+once; the node-wise read-off of the mean fields is batched over all nodes.
 """
 
 from __future__ import annotations
@@ -38,7 +38,17 @@ import numpy as np
 
 from .errors import MFLQGError, NearSingularError, NotReducedCaseError
 from .model import ModelParams
-from .ode import TimeGrid, Trajectory, integrate_linear, integrate_rk4, interp, matvec
+from .ode import (
+    LINEAR_CHUNK_STEPS,
+    TimeGrid,
+    Trajectory,
+    check_nodes,
+    distinct_stage_times,
+    integrate_linear,
+    interp,
+    linear_chunk,
+    matvec,
+)
 from .riccati import (
     FeedbackLaw,
     gain_terms,
@@ -169,32 +179,109 @@ def build_cc(params: ModelParams, P: Trajectory) -> CCMatrices:
                       kappa_terminal=kappa_terminal, xi_bar=xi_bar)
 
 
-def solve_K(cc: CCMatrices) -> Trajectory:
+class KTrajectory(Trajectory):
+    """K at every node, with the smallest det U of its Moebius pair at a node
+    (``det_u_min``) and that node (``det_u_node``)."""
+
+    def __init__(self, grid: TimeGrid, values: np.ndarray, det_u_min: float,
+                 det_u_node: int):
+        super().__init__(grid, values, check=False)
+        self.det_u_min = det_u_min
+        self.det_u_node = det_u_node
+
+
+def _image(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V U^-1 and det U at each node of a chunk.  From the first node whose
+    det U is not positive on (U passed through a singular matrix: K has a
+    pole before it) the image is left NaN."""
+    with np.errstate(all="ignore"):
+        det = np.linalg.det(U)
+    ok = det > 0.0
+    m = U.shape[0] if ok.all() else int(np.argmin(ok))
+    X = np.full(V.shape, np.nan)
+    X[:m] = V[:m] @ np.linalg.inv(U[:m])
+    return X, det
+
+
+def solve_K(cc: CCMatrices) -> KTrajectory:
     """Backward solve of the non-symmetric decoupling Riccati equation
 
     dK/dt = A2t + B2t K - K (A1t + B1t K) + (C2t + C2bart) K (A1pt + B1pt K),
-    K(T) = K_terminal.
+    K(T) = K_terminal,
 
-    A stage interpolates the ``tilde`` stack once per stage time (the two
-    middle stages share the sample of the first) and forms the right-hand
-    side with two stacked products: [B1t, B1pt, B2t] K, read as a strided
-    view of the stack, and K [A1t + B1t K, A1pt + B1pt K].  Each matrix of a
-    stacked product is the product the matrix form makes, so K is bit-equal
-    to it.  Blow-up raises NonFiniteError: the equation is not symmetric and
-    need not be solvable on all of [0, T].
+    as linear sweeps.  A Riccati equation dK/dt = M21 + M22 K - K (M11 +
+    M12 K) is the image K = V U^-1 of the linear pair d[U; V]/dt = M [U; V]
+    (Radon's lemma), and ``build_cc``'s layout reduces K's equation to two
+    such pairs:
+
+    * A1t, B1t, A1pt, B1pt and K_terminal vanish outside the x-columns 0:n
+      and 3n:4n, so K's other 4n columns stay 0 and only Kx = K[:, x] is
+      solved for (x = the live columns).
+    * C2t + C2bart vanishes in its first 3n columns and K in its lower-left
+      3n block, so the C-term reads only K22 = K[3n:, 3n:4n], whose own
+      equation (the lower 3n rows) has no C-term.  With W = (C2t + C2bart)
+      K, Kx solves the Riccati equation of the blocks M11 = A1t[x, x], M12 =
+      B1t[x], M21 = A2t[:, x] + W A1pt[:, x] and M22 = B2t + W B1pt.
+
+    K22's pair (U n x n) runs on the half-step grid, so W is known at each
+    step's midpoint to fourth order; Kx's pair (U 2n x 2n) follows it chunk
+    by chunk.  Both are ``ode.linear_chunk`` sweeps of LINEAR_CHUNK_STEPS
+    steps that restart at U = I, V = K after every chunk, with the blocks
+    sampled per chunk through views of ``tilde``.  Kx's U stays block upper
+    triangular, and Kx is read off by block back-substitution, so K's
+    lower-left block stays exactly 0.
+
+    Blow-up raises NonFiniteError naming the first node in backward time
+    where Kx is NaN, Inf or past BLOWUP_NORM.  det U changes sign at a pole
+    of K, which node norms can miss, so a pair's image is NaN from the first
+    node whose det U is not positive (K22's reaches Kx through W).  The
+    equation is not symmetric and need not be solvable on all of [0, T].
     """
-    dt = cc.grid.dt
-    last = [None, None]     # the last stage time and the stack there
-
-    def rhs(t, K):
-        if t != last[0]:
-            last[:] = t, interp(cc.tilde, dt, t)
-        tl = last[1]
-        bK = tl[B1:B2 + 1:2] @ K             # b1t K, b1pt K, b2t K
-        KX = K @ (tl[A1:A1P + 1:2] + bK[:2])  # K (a1t + b1t K), K (a1pt + b1pt K)
-        return tl[A2] + bK[2] - KX[0] + (tl[C2] + tl[C2BAR]) @ KX[1]
-
-    return integrate_rk4(rhs, cc.K_terminal, cc.grid, "backward")
+    grid, n = cc.grid, cc.n
+    n3 = 3 * n
+    dt, h, nodes, steps = grid.dt, -grid.dt, grid.nodes, grid.steps
+    x = np.r_[0:n, n3:n3 + n]
+    n4 = n3 + n         # the x-columns and x-rows lie in the first 4n
+    fx, fl = slice(n3, n4), slice(n3, None)    # the fluctuation x-column and rows
+    tl = cc.tilde
+    out = np.zeros((steps + 1, 2 * n3, 2 * n3))
+    out[steps] = cc.K_terminal
+    Kx = cc.K_terminal[:, x]
+    K22 = Kx[n3:, n:]
+    det_min, det_node = 1.0, steps
+    order = np.arange(steps, 0, -1)
+    for start in range(0, steps, LINEAR_CHUNK_STEPS):
+        ks = order[start:start + LINEAR_CHUNK_STEPS]
+        ts = distinct_stage_times(nodes, ks, h)
+        # the half-step grid's distinct stage times: ts, and the quarter points
+        tq = np.empty(2 * ts.size - 1)
+        tq[0::2], tq[1::2] = ts, ts[:-1] + 0.25 * h
+        a1, b1, a2, b2 = (interp(view, dt, tq) for view in (
+            tl[:, A1, fx, fx], tl[:, B1, fx, fl], tl[:, A2, fl, fx], tl[:, B2, fl, fl]))
+        Y = linear_chunk(np.block([[a1, b1], [a2, b2]]), np.vstack([np.eye(n), K22]), 0.5 * h)
+        K22h, _ = _image(Y[:, :n], Y[:, n:])
+        # K22 at every stage time of ts, and W = (C2t + C2bart) K there
+        K22s = np.concatenate([K22[None], K22h])
+        a1, b1, a2, b2 = (interp(view, dt, ts) for view in (
+            tl[:, A1, :n4, :n4], tl[:, B1, :n4], tl[:, A2, :, :n4], tl[:, B2]))
+        a1p, b1p = _blocks(tl[:, :, fx], dt, ts, A1P, B1P)
+        W = (interp(tl[:, C2, :, fl], dt, ts) + interp(tl[:, C2BAR, :, fl], dt, ts)) @ K22s
+        M = np.block([[a1[:, x][..., x], b1[:, x]],
+                      [a2[..., x] + W @ a1p[..., x], b2 + W @ b1p]])
+        Y = linear_chunk(M, np.vstack([np.eye(2 * n), Kx]), h)
+        U, V = Y[:, :2 * n], Y[:, 2 * n:]
+        # U[n:, :n] stays 0: Kx1 U11 = V1, Kx1 U12 + Kx2 U22 = V2
+        Kx1, det1 = _image(U[:, :n, :n], V[..., :n])
+        Kx2, det2 = _image(U[:, n:, n:], V[..., n:] - Kx1 @ U[:, :n, n:])
+        Kxs = np.concatenate([Kx1, Kx2], axis=2)
+        out[ks[-1] - 1:ks[0]][..., x] = Kxs[::-1]
+        check_nodes(out, ks - 1)
+        det = det1 * det2
+        i = int(np.argmin(det))
+        if det[i] < det_min:
+            det_min, det_node = float(det[i]), int(ks[i] - 1)
+        Kx, K22 = Kxs[-1], K22h[-1]
+    return KTrajectory(grid, out, det_min, det_node)
 
 
 def _blocks(stack: np.ndarray, dt: float, ts: np.ndarray, *which: int) -> list:
@@ -359,7 +446,8 @@ def solve_cc(params: ModelParams) -> tuple[CCSolution, FeedbackLaw]:
     Pipeline: P Riccati -> block assembly -> K Riccati -> kappa -> determinant
     certificate -> mean-field extraction -> gains.  The law's affine adjoint
     is cross-checked by integrating it directly from the extracted mean fields
-    (both routes must agree); the max deviation lands in the diagnostics.
+    (both routes must agree); the max deviation lands in the diagnostics,
+    with max|K| and the smallest det U of K's Moebius sweep and its node.
     """
     stage = "solve_P"
     try:
@@ -383,6 +471,9 @@ def solve_cc(params: ModelParams) -> tuple[CCSolution, FeedbackLaw]:
     except MFLQGError as exc:
         raise type(exc)(f"[stage {stage}] {exc}") from exc
     sol.diagnostics.update({
+        "k_max_abs": float(np.max(np.abs(K.values))),
+        "k_det_u_min": K.det_u_min,
+        "k_det_u_min_node": K.det_u_node,
         "regularity_margin": margin,
         "phi_cross_max_err": cross,
         "xhat_initial_err": float(np.max(np.abs(sol.xhat.initial - params.xi0))),

@@ -83,6 +83,16 @@ def check_seed(seed) -> None:
         raise SettingError(f"seed must be an integer in [0, 2**64), got {seed}")
 
 
+def check_counts(n_paths: int, n_agents: int) -> None:
+    """Raise SettingError unless both counts are at least 1 and index within
+    the 32 bits of a bank's key word."""
+    if n_paths < 1 or n_agents < 1:
+        raise SettingError(f"need at least one path and one agent, got "
+                           f"{n_paths} paths and {n_agents} agents")
+    if n_paths >= 2**32 or n_agents >= 2**32:
+        raise SettingError("path/agent indices must fit in 32 bits")
+
+
 @dataclass(frozen=True)
 class NoiseBank:
     """Reproducible Brownian increments keyed by (seed, path, agent).
@@ -99,11 +109,7 @@ class NoiseBank:
 
     def __post_init__(self):
         check_seed(self.seed)
-        if self.n_paths < 1 or self.n_agents < 1:
-            raise SettingError(f"need at least one path and one agent, got "
-                               f"{self.n_paths} paths and {self.n_agents} agents")
-        if self.n_paths >= 2**32 or self.n_agents >= 2**32:
-            raise SettingError("path/agent indices must fit in 32 bits")
+        check_counts(self.n_paths, self.n_agents)
 
     def increments(self, path: int) -> np.ndarray:
         """(n_agents, steps) array of Brownian increments for one path."""

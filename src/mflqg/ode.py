@@ -10,7 +10,7 @@ Two sweeps share the grid and the RK4 stages t_k, t_k + h/2 (taken by both
 middle stages) and t_{k+1}, but sample the equation in two conventions:
 
 * :func:`integrate_rk4` calls a right-hand side at every stage.  The
-  nonlinear Riccati equations (P, K, the oracle's two modes) need it.  The
+  nonlinear Riccati equations of P and of the oracle's two modes use it.  The
   right-hand side reads the stage's sample of the equation: the stage time
   by default, or a row of a table that a sampler builds for a chunk of
   steps at once (the stacked operator of P or of the oracle's modes, from
@@ -32,6 +32,10 @@ middle stages) and t_{k+1}, but sample the equation in two conventions:
   the Lyapunov kernels of every N run on it.  The Lyapunov equations
   multiply their matrix state from both sides; written on its row-major vec,
   with vec(X Y Z) = (X (x) Z') vec Y, they multiply from the left only.
+  :func:`linear_chunk` steps one chunk of such maps from a given state: the
+  non-symmetric Riccati equation of the consistency condition's K runs on it
+  as the image V U^-1 of a linear pair [U; V], which its caller re-anchors
+  at U = I after every chunk.
 
 Every node-sampled quantity (trajectories, time-varying coefficients, the
 consistency-condition blocks) is read between nodes through the one
@@ -161,7 +165,7 @@ def _check_state(y: np.ndarray, node: int | None = None):
         raise NonFiniteError(f"blow-up detected {where}")
 
 
-def _check_nodes(out: np.ndarray, ks: np.ndarray):
+def check_nodes(out: np.ndarray, ks: np.ndarray):
     """NonFiniteError naming the first of the nodes ks (in their order) whose
     sample in ``out`` blew up, as :func:`_check_state` names it."""
     norms = np.abs(out[ks]).reshape(ks.size, -1).max(axis=1)
@@ -252,6 +256,31 @@ def distinct_stage_times(nodes: np.ndarray, ks: np.ndarray, h: float) -> np.ndar
     return ts
 
 
+def _chunk_states(D: np.ndarray, g: np.ndarray | None, y: np.ndarray) -> np.ndarray:
+    """The states after each step y -> y + D_j y + g_j of a chunk (no g_j
+    where g is None), from y; nothing is checked."""
+    out = np.empty((len(D),) + y.shape)
+    with np.errstate(all="ignore"):
+        for j in range(len(D)):
+            y = y + (D[j] @ y if g is None else D[j] @ y + g[j])
+            out[j] = y
+    return out
+
+
+def linear_chunk(M: np.ndarray, y0: np.ndarray, h: float) -> np.ndarray:
+    """States after each RK4 step of one chunk of dy/dt = M(t) y from y0.
+
+    M (2c+1, d, d) samples the equation at the distinct stage times of c
+    steps of size h (:func:`distinct_stage_times`), and y0 is (d,) or (d, q).
+    Returns the c states at the steps' end nodes, (c,) + y0.shape, stepped
+    as :func:`integrate_linear` steps them.  Nothing is checked: the caller
+    reads the states and names where they fail.
+    """
+    with np.errstate(all="ignore"):
+        D, _ = _step_maps(M, None, h)
+    return _chunk_states(D, None, y0)
+
+
 def integrate_linear(coeffs, boundary_value, grid: TimeGrid,
                      direction: str = "forward") -> Trajectory:
     """Classical RK4 sweep of the linear equation dy/dt = M(t) y + s(t).
@@ -300,12 +329,9 @@ def integrate_linear(coeffs, boundary_value, grid: TimeGrid,
             y = cols[order[0]]
         if s is not None:
             s = np.reshape(s, s.shape[:M.ndim - 2] + y.shape[-2:])
-        D, g = _step_maps(M, s, h)
-        with np.errstate(all="ignore"):
-            for j, k in enumerate(ks.tolist()):
-                y = y + (D[j] @ y if g is None else D[j] @ y + g[j])
-                cols[k + shift] = y
-        _check_nodes(out, ks + shift)
+        cols[ks + shift] = _chunk_states(*_step_maps(M, s, h), y)
+        y = cols[ks[-1] + shift]
+        check_nodes(out, ks + shift)
     return Trajectory(grid, out, check=False)
 
 

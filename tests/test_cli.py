@@ -510,6 +510,32 @@ def test_seed_outside_the_key_range_is_validation_failure(tmp_path, capsys, seed
         assert not (tmp_path / command).exists(), command
 
 
+@pytest.mark.parametrize("command, extra, message", [
+    ("simulate", ["--N", "0", "--paths", "2"], "population size must be a positive"),
+    ("simulate", ["--N", "2", "--paths", "0"], "need at least one path and one agent"),
+    ("converge", ["--N-list", "2,3", "--reps", "0"], "need at least one path and one agent"),
+    ("converge", ["--N-list", "2,0", "--reps", "2"], "population size must be a positive"),
+    ("gap", ["--N-list", "2", "--paths", "0"], "need at least one path and one agent"),
+    ("gap", ["--N-list", "0", "--paths", "2"], "population size must be a positive"),
+    ("repro-sec7", ["--steps", "50", "--paths", "0"], "need at least one path and one agent"),
+    ("repro-sec7", ["--steps", "50", "--reps", "0"], "need at least one path and one agent"),
+], ids=["simulate-N", "simulate-paths", "converge-reps", "converge-N-list", "gap-paths",
+        "gap-N-list", "repro-sec7-paths", "repro-sec7-reps"])
+def test_bad_count_is_refused_before_anything_is_written(tmp_path, capsys, command, extra,
+                                                          message):
+    cfg = scalar_config(tmp_path)
+    law_dir = tmp_path / "law"
+    assert main(["solve", str(cfg), "--out", str(law_dir)]) == 0
+    inputs = {"simulate": [str(cfg), "--law", str(law_dir)],
+              "converge": [str(cfg), "--law", str(law_dir)],
+              "gap": [str(cfg)], "repro-sec7": []}[command]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, *inputs, *extra, "--seed", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"validation failure: {message}")
+    assert not out.exists()
+
+
 def test_oversized_validation_bank_is_numerical_failure(tmp_path, monkeypatch, capsys):
     # fd_tol = 0 leaves the first reading inconclusive, and the re-measurement's
     # bank (16384 paths x 2 agents x 100 steps) exceeds the lowered budget

@@ -1,5 +1,7 @@
 """Consistency-condition assembly, decoupling Riccati, extraction."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -21,9 +23,9 @@ from mflqg.consistency import (
     solve_kappa,
 )
 from mflqg import consistency
-from mflqg.errors import NearSingularError, NotReducedCaseError
+from mflqg.errors import NearSingularError, NonFiniteError, NotReducedCaseError
 from mflqg.model import TIME_VARYING
-from mflqg.ode import Trajectory, integrate_rk4, interp
+from mflqg.ode import BLOWUP_NORM, TimeGrid, Trajectory, integrate_rk4, interp
 from mflqg.presets import repro_instance
 from mflqg.riccati import gain_terms, solve_P, solve_phi, theta1
 
@@ -198,10 +200,14 @@ def _instance(name):
 
     if name == "repro":
         return repro_instance()
-    return time_varying_params(np.random.default_rng(7), steps=300)
+    if name == "time_varying":
+        return time_varying_params(np.random.default_rng(7), steps=300)
+    n = int(name[1:])          # "n1", "n2", "n3": a random instance of that size
+    return rand_params(np.random.default_rng(100 + n), n=n, m=n, steps=300)
 
 
 def _K_matrix_form(cc):
+    """The stagewise RK4 sweep of K's Riccati equation in matrix form."""
     def rhs(t, K):
         a1t, b1t, a1pt, b1pt, a2t, b2t, c2t, c2bart = interp(cc.tilde, cc.grid.dt, t)
         return (a2t + b2t @ K - K @ (a1t + b1t @ K)
@@ -210,29 +216,106 @@ def _K_matrix_form(cc):
     return integrate_rk4(rhs, cc.K_terminal, cc.grid, "backward").values
 
 
-@pytest.mark.parametrize("instance", ["repro", "time_varying"])
-def test_solve_K_bit_equal_to_matrix_form(instance):
+@pytest.mark.parametrize("instance", ["repro", "time_varying", "n1", "n2", "n3"])
+def test_build_cc_layout_leaves_K_two_live_columns(instance):
+    # the facts the linear sweeps of solve_K rest on, exactly: every block
+    # that multiplies K from the right, and K_terminal, vanishes outside the
+    # x-columns 0:n and 3n:4n; C2 + C2BAR vanishes in its first 3n columns;
+    # and the fluctuation rows are closed (A1, B1, A2, B2 vanish in their
+    # lower-left 3n blocks, C2 + C2BAR in its lower 3n rows)
+    p = _instance(instance)
+    n, n3 = p.n, 3 * p.n
+    cc = build_cc(p, solve_P(p)[0])
+    tl = cc.tilde
+    dead = np.ones(2 * n3, bool)
+    dead[:n] = dead[n3:n3 + n] = False
+    for b in (A1, B1, A1P, B1P):
+        assert np.max(np.abs(tl[:, b][..., dead])) == 0.0
+        assert np.max(np.abs(tl[:, b][..., ~dead])) > 0.0
+    assert np.max(np.abs(cc.K_terminal[:, dead])) == 0.0
+    csum = tl[:, C2] + tl[:, C2BAR]
+    assert np.max(np.abs(csum[..., :n3])) == 0.0
+    assert np.max(np.abs(csum[:, n3:])) == 0.0
+    for b in (A1, B1, A2, B2):
+        assert np.max(np.abs(tl[:, b, n3:, :n3])) == 0.0
+
+
+@pytest.mark.parametrize("instance", ["repro", "time_varying", "n1", "n2", "n3"])
+def test_solve_K_matches_matrix_form(instance):
     p = _instance(instance)
     cc = build_cc(p, solve_P(p)[0])
-    assert np.array_equal(solve_K(cc).values, _K_matrix_form(cc))
+    ref = _K_matrix_form(cc)
+    assert np.max(np.abs(solve_K(cc).values - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
-def test_solve_K_interpolates_the_stack_once_per_stage_time(monkeypatch):
-    # the two middle RK4 stages share a time: one interpolation serves both,
-    # and K stays bit-equal to the sweep that interpolates at every stage
+def test_solve_K_makes_no_rk4_call(monkeypatch):
+    # K is the image of linear sweeps, with no stagewise Riccati sweep
+    from mflqg import ode
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve_K called integrate_rk4")
+
+    monkeypatch.setattr(ode, "integrate_rk4", forbidden)
+    monkeypatch.setattr(consistency, "integrate_rk4", forbidden, raising=False)
     p = repro_instance(steps=200)
     cc = build_cc(p, solve_P(p)[0])
-    times = []
+    assert np.max(np.abs(solve_K(cc).values)) > 0.0
 
-    def counted(table, dt, t):
-        times.append(t)
-        return interp(table, dt, t)
 
-    monkeypatch.setattr(consistency, "interp", counted)
-    K = solve_K(cc).values
-    assert len(times) <= 3 * p.steps
-    assert all(a != b for a, b in zip(times, times[1:]))
-    assert np.array_equal(K, _K_matrix_form(cc))
+def _scaled_repro(factor):
+    p = repro_instance()
+    p.A = factor * p.A
+    return build_cc(p, solve_P(p)[0])
+
+
+def test_solve_K_at_ten_times_repro_A_matches_matrix_form():
+    # K grows to max|K| ~ 912 but stays finite on [0, T]
+    cc = _scaled_repro(10.0)
+    ref = _K_matrix_form(cc)
+    assert 900.0 < np.max(np.abs(ref)) < 925.0
+    assert np.max(np.abs(solve_K(cc).values - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("factor", [20.0, 40.0])
+def test_solve_K_blowup_names_the_stagewise_node(factor):
+    # at 40 x A, K22 alone blows up near t = 0.14, while the mean columns of K
+    # meet their pole near t = 0.6: the sweeps advance chunk by chunk together,
+    # so the first failing node in backward time is named
+    cc = _scaled_repro(factor)
+    with pytest.raises(NonFiniteError, match=r"at node (\d+)") as stagewise:
+        _K_matrix_form(cc)
+    with pytest.raises(NonFiniteError, match=r"at node (\d+)") as linear:
+        solve_K(cc)
+    want = int(re.search(r"at node (\d+)", str(stagewise.value)).group(1))
+    got = int(re.search(r"at node (\d+)", str(linear.value)).group(1))
+    assert want == {20.0: 303, 40.0: 599}[factor]
+    assert abs(got - want) <= 1
+
+
+@pytest.mark.parametrize("block", [0, 3], ids=["mean", "fluctuation"])
+def test_solve_K_pole_between_nodes_raises(block):
+    # K[block, block] = tan(T - t) from K(T) = 0 (A2 = -1, B1 = 1 there), with
+    # its pole at t = T - pi/2 = 0.429 between nodes 4 and 5 of a 0.1 grid:
+    # |K| stays below 35 at every node, but det U changes sign in the step
+    grid = TimeGrid(2.0, 20)
+    tilde = np.zeros((21, 8, 6, 6))
+    tilde[:, A2, block, block] = -1.0
+    tilde[:, B1, block, block] = 1.0
+    cc = consistency.CCMatrices(grid=grid, n=1, tilde=tilde, f_t=np.zeros((21, 6)),
+                                K_terminal=np.zeros((6, 6)), kappa_terminal=np.zeros(6),
+                                xi_bar=np.zeros(3))
+    assert np.max(np.abs(np.tan(grid.T - grid.nodes))) < 35.0 < BLOWUP_NORM
+    with pytest.raises(NonFiniteError, match=r"at node 4$"):
+        solve_K(cc)
+
+
+def test_solve_cc_reports_K_health():
+    p = repro_instance(steps=300)
+    sol, _ = solve_cc(p)
+    d = sol.diagnostics
+    assert d["k_max_abs"] == np.max(np.abs(sol.K.values)) > 0.0
+    assert 0.0 < d["k_det_u_min"] <= 1.0
+    assert 0 <= d["k_det_u_min_node"] <= p.steps
 
 
 @pytest.mark.parametrize("instance", ["repro", "time_varying"])
