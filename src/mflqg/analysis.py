@@ -30,8 +30,7 @@ import numpy as np
 from .consistency import solve_cc
 from .convexity import check_psd_case
 from .model import AugmentedCoeffs, ModelParams, check_population_size
-from . import ode
-from .ode import Trajectory, distinct_stage_times, integrate_linear, interp
+from .ode import Trajectory, integrate_linear, interp, sweep_chunks
 from .riccati import FeedbackLaw, solve_oracle
 from .montecarlo import NoiseBank, check_seed, simulate_centralized, simulate_decentralized
 
@@ -261,22 +260,18 @@ def lambda_boundedness(params: ModelParams, law: FeedbackLaw, N_list) -> LambdaR
                                     sup2=float(np.max(np.abs(lam2.values)))))
 
     # the generator at s = 0 and s = 1, at the distinct stage times of the
-    # backward steps k -> k-1 (k = 1..steps), sampled as integrate_linear
-    # samples them, a chunk of steps at a time to bound the tables' memory;
-    # mu[k-1] and q[k-1] are the maxima over the step's three stage times
-    order = np.arange(grid.steps, 0, -1)
+    # backward steps k -> k-1 (k = 1..steps), sampled chunk by chunk as
+    # integrate_linear samples them; mu[k-1] and q[k-1] are the maxima over
+    # the step's three stage times
     ends = np.array([0.0, 1.0]).reshape(-1, 1, 1)
     mu, q = np.empty(grid.steps), np.empty(grid.steps)
 
     def step_max(v):
         return np.maximum(np.maximum(v[:-1:2], v[1::2]), v[2::2])
 
-    # the chunk size is read at call time, as integrate_linear reads it
-    chunk = ode.LINEAR_CHUNK_STEPS
-    for start in range(0, grid.steps, chunk):
-        ks = order[start:start + chunk]
-        gen, src = kernel_tables(distinct_stage_times(grid.nodes, ks, -grid.dt),
-                                 ends, 1.0 - ends)
+    _, chunks = sweep_chunks(grid, "backward")
+    for ks, ts in chunks:
+        gen, src = kernel_tables(ts, ends, 1.0 - ends)
         mu[ks - 1] = step_max(np.max(_log_norm_inf(-gen), axis=1))
         q[ks - 1] = step_max(np.max(np.abs(src), axis=(1, 2)))
     with np.errstate(over="ignore"):

@@ -340,6 +340,8 @@ def cmd_simulate(args) -> int:
     t0 = time.time()
     check_seed(args.seed)
     _check_counts(args.paths, [args.N])
+    if args.thin < 1:
+        raise SettingError(f"--thin must be a positive integer, got {args.thin}")
     params = load_config(args.config)
     law, _, law_hash = load_law(Path(args.law), params)
     out = Path(args.out)
@@ -348,11 +350,10 @@ def cmd_simulate(args) -> int:
     noise = NoiseBank(seed=args.seed, n_paths=args.paths, n_agents=args.N, grid=law.grid)
     res = simulate_decentralized(params, law, args.N, noise)
     artifacts = []
-    thin = max(1, args.thin)
     nodes = law.grid.nodes
     n = params.n
     rows = []
-    keep = [k for k in range(law.grid.steps + 1) if k % thin == 0 or k == law.grid.steps]
+    keep = [k for k in range(law.grid.steps + 1) if k % args.thin == 0 or k == law.grid.steps]
     if res.xs is not None:
         for p in range(res.n_paths):
             for agent in range(args.N):
@@ -370,7 +371,7 @@ def cmd_simulate(args) -> int:
     artifacts.append(write_csv(out / "costs.csv", cost_header, cost_rows))
     _write_manifest(out, "simulate", cfg, args.seed, law.grid, artifacts, t0,
                     extra={"N": args.N, "paths": args.paths, "dt": law.grid.dt,
-                           "law_sha256": law_hash, "thin": thin})
+                           "law_sha256": law_hash, "thin": args.thin})
     print(f"simulation written to {out}")
     return 0
 

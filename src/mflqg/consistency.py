@@ -39,15 +39,14 @@ import numpy as np
 from .errors import MFLQGError, NearSingularError, NotReducedCaseError
 from .model import ModelParams
 from .ode import (
-    LINEAR_CHUNK_STEPS,
     TimeGrid,
     Trajectory,
     check_nodes,
-    distinct_stage_times,
     integrate_linear,
     interp,
     linear_chunk,
     matvec,
+    sweep_chunks,
 )
 from .riccati import (
     FeedbackLaw,
@@ -78,10 +77,11 @@ class CCMatrices:
     is 2 x 2 in 3n blocks of the mean-field FBSDE, and those of the mean
     system are diagonal ones: the lower-right 3n blocks of A1, B1, A1P, B1P,
     A2, B2 and C2 are a1, b1, a1p, b1p, a2, b2 and c2; the upper-left ones of
-    A1, B1, A2 and B2 are a1 + a1bar, b1, a2 + a2bar and b2 + b2bar.  f_t is
-    the forcing of kappa, K_terminal = diag(Gbar + Gbar', Gbar) and
-    kappa_terminal the terminal data of the decoupling pair, and xi_bar the
-    initial mean state (xi0, 0, 0).
+    A1, B1, A2 and B2 are a1 + a1bar, b1, a2 + a2bar and b2 + b2bar.
+    K_terminal = diag(Gbar + Gbar', Gbar) is K's terminal data.  f_t
+    (nodes, 3n) and kappa_terminal (3n) are the forcing and terminal data of
+    kappa's mean half, the only live one (:func:`solve_kappa`), and xi_bar is
+    the initial mean state (xi0, 0, 0).
     """
 
     grid: TimeGrid
@@ -172,10 +172,9 @@ def build_cc(params: ModelParams, P: Trajectory) -> CCMatrices:
         (0, 0): -GGb - GbtGIGb, (1, 0): G - GGb, (2, 0): -GbtGIGb, (4, 3): G}, n)
     Geb = G @ eb
     GbtGeb = Gb.T @ Geb
-    kappa_terminal = np.concatenate([GbtGeb - Geb, -Geb, GbtGeb, np.zeros(n3)])
-    f_t = np.concatenate([f_vec, np.zeros_like(f_vec)], axis=1)
+    kappa_terminal = np.concatenate([GbtGeb - Geb, -Geb, GbtGeb])
     xi_bar = np.concatenate([params.xi0, np.zeros(2 * n)])
-    return CCMatrices(grid=grid, n=n, tilde=tilde, f_t=f_t, K_terminal=K_terminal,
+    return CCMatrices(grid=grid, n=n, tilde=tilde, f_t=f_vec, K_terminal=K_terminal,
                       kappa_terminal=kappa_terminal, xi_bar=xi_bar)
 
 
@@ -225,9 +224,10 @@ def solve_K(cc: CCMatrices) -> KTrajectory:
 
     K22's pair (U n x n) runs on the half-step grid, so W is known at each
     step's midpoint to fourth order; Kx's pair (U 2n x 2n) follows it chunk
-    by chunk.  Both are ``ode.linear_chunk`` sweeps of LINEAR_CHUNK_STEPS
-    steps that restart at U = I, V = K after every chunk, with the blocks
-    sampled per chunk through views of ``tilde``.  Kx's U stays block upper
+    by chunk.  Both are ``ode.linear_chunk`` sweeps of the chunks of
+    ``ode.sweep_chunks`` that restart at U = I, V = K after every chunk, with
+    the blocks sampled per chunk through views of ``tilde``.  So K depends on
+    the chunk size, at rounding level only.  Kx's U stays block upper
     triangular, and Kx is read off by block back-substitution, so K's
     lower-left block stays exactly 0.
 
@@ -239,7 +239,7 @@ def solve_K(cc: CCMatrices) -> KTrajectory:
     """
     grid, n = cc.grid, cc.n
     n3 = 3 * n
-    dt, h, nodes, steps = grid.dt, -grid.dt, grid.nodes, grid.steps
+    dt, steps = grid.dt, grid.steps
     x = np.r_[0:n, n3:n3 + n]
     n4 = n3 + n         # the x-columns and x-rows lie in the first 4n
     fx, fl = slice(n3, n4), slice(n3, None)    # the fluctuation x-column and rows
@@ -249,10 +249,8 @@ def solve_K(cc: CCMatrices) -> KTrajectory:
     Kx = cc.K_terminal[:, x]
     K22 = Kx[n3:, n:]
     det_min, det_node = 1.0, steps
-    order = np.arange(steps, 0, -1)
-    for start in range(0, steps, LINEAR_CHUNK_STEPS):
-        ks = order[start:start + LINEAR_CHUNK_STEPS]
-        ts = distinct_stage_times(nodes, ks, h)
+    h, chunks = sweep_chunks(grid, "backward")
+    for ks, ts in chunks:
         # the half-step grid's distinct stage times: ts, and the quarter points
         tq = np.empty(2 * ts.size - 1)
         tq[0::2], tq[1::2] = ts, ts[:-1] + 0.25 * h
@@ -292,18 +290,25 @@ def _blocks(stack: np.ndarray, dt: float, ts: np.ndarray, *which: int) -> list:
 
 
 def solve_kappa(cc: CCMatrices, K: Trajectory) -> Trajectory:
-    """Backward affine companion of K:
+    """Backward affine companion of K, on its mean half:
 
-    dkappa/dt = [B2t + (C2t + C2bart) K B1pt - K B1t] kappa + f_t,
-    kappa(T) = kappa_terminal.
+    dkappa/dt = [B2t + (C2t + C2bart) K B1pt - K B1t] kappa + (f_t, 0),
+    kappa(T) = (kappa_terminal, 0).
+
+    With K's lower-left 3n block 0, ``build_cc``'s layout leaves the
+    bracket's lower-left block 0 too, so the fluctuation half of kappa stays
+    exactly 0 and is not stored.  The mean half runs on the upper-left
+    block, (b2 + b2bar) + (c2 + c2bar) K22 b1p - K11 b1, whose 3n blocks are
+    read as sub-blocks of ``tilde``.
     """
-    dt = cc.grid.dt
+    dt, n3 = cc.grid.dt, 3 * cc.n
+    tl, Kv = cc.tilde, K.values
+    views = (Kv[:, :n3, :n3], Kv[:, n3:, n3:], tl[:, B2, :n3, :n3],
+             tl[:, C2BAR, :n3, n3:], tl[:, B1P, n3:, :n3], tl[:, B1, :n3, :n3])
 
     def coeffs(ts):
-        Kt = K(ts)
-        b1t, b1pt, b2t, c2t, c2bart = _blocks(cc.tilde, dt, ts, B1, B1P, B2, C2, C2BAR)
-        bracket = b2t + (c2t + c2bart) @ (Kt @ b1pt) - Kt @ b1t
-        return bracket, interp(cc.f_t, dt, ts)
+        K11, K22, b2, c2, b1p, b1 = (interp(view, dt, ts) for view in views)
+        return b2 + c2 @ (K22 @ b1p) - K11 @ b1, interp(cc.f_t, dt, ts)
 
     return integrate_linear(coeffs, cc.kappa_terminal, cc.grid, "backward")
 
@@ -374,7 +379,7 @@ class CCSolution:
 
     grid: TimeGrid
     K: Trajectory
-    kappa: Trajectory
+    kappa: Trajectory       # (3n,) mean half; the fluctuation half is 0
     X1: Trajectory          # (3n,) deterministic forward path
     xhat: Trajectory
     y1hat: Trajectory
@@ -389,12 +394,12 @@ def extract_mean_fields(cc: CCMatrices, K: Trajectory, kappa: Trajectory,
     """Close the deterministic mean system through Y = K X + kappa and read
     the mean fields off the block stacking.
 
-    dX1/dt = (A1 + A1bar) X1 + B1 Y1 with Y1 = [K (X1, 0) + kappa]_{first 3n},
-    X1(0) = (xi0, 0, 0).  The state block is (x, 0, 0) so xhat is the first n
+    dX1/dt = (A1 + A1bar) X1 + B1 Y1 with Y1 = K11 X1 + kappa, X1(0) =
+    (xi0, 0, 0).  The state block is (x, 0, 0) so xhat is the first n
     entries of X1; the adjoint block is (phi, y1, y2); the diffusion block is
-    (0, beta1, 0), read from EZ = [K(A1pt + B1pt K)(X1, 0) + K B1pt kappa]
-    restricted to the rows that feed the mean adjoint equation.  A1 + A1bar
-    and B1 are the upper-left blocks of ``tilde``.
+    (0, beta1, 0), read from EZ = K22 (A1pt[3n:, :3n] X1 + B1pt[3n:, :3n] Y1),
+    the fluctuation rows of K (A1pt X + B1pt Y) with X = (X1, 0) and Y =
+    (Y1, 0).  A1 + A1bar and B1 are the upper-left blocks of ``tilde``.
     """
     grid = cc.grid
     n = cc.n
@@ -405,19 +410,17 @@ def extract_mean_fields(cc: CCMatrices, K: Trajectory, kappa: Trajectory,
         # dX1/dt = (A1 + A1bar + B1 K11) X1 + B1 kappa1
         a1a1bar, b1 = _blocks(mean, grid.dt, ts, A1, B1)
         K11 = interp(K.values[:, :n3, :n3], grid.dt, ts)
-        kappa1 = interp(kappa.values[:, :n3], grid.dt, ts)
-        return a1a1bar + b1 @ K11, matvec(b1, kappa1)
+        return a1a1bar + b1 @ K11, matvec(b1, interp(kappa.values, grid.dt, ts))
 
     X1 = integrate_linear(coeffs, cc.xi_bar, grid, "forward")
 
-    Kv, kap = K.values, kappa.values
-    Xt = np.concatenate([X1.values, np.zeros_like(X1.values)], axis=1)
-    Yt = matvec(Kv, Xt) + kap
-    Y1 = Yt[:, :n3]
-    # consistency of the closure: the fluctuation-mean adjoint must vanish
-    ey2_resid = float(np.max(np.abs(Yt[:, n3:])))
-    # Z = K (A1pt X + B1pt Y) with Y = K X + kappa
-    EZ = matvec(Kv[:, n3:], matvec(cc.tilde[:, A1P], Xt) + matvec(cc.tilde[:, B1P], Yt))
+    Kv, X = K.values, X1.values
+    Y1 = matvec(Kv[:, :n3, :n3], X) + kappa.values
+    # consistency of the closure: the fluctuation-mean adjoint K21 X1 must vanish
+    ey2_resid = float(np.max(np.abs(matvec(Kv[:, n3:, :n3], X))))
+    # Z = K (A1pt X + B1pt Y) with Y = K X + kappa, on the fluctuation rows
+    EZ = matvec(Kv[:, n3:, n3:], matvec(cc.tilde[:, A1P, n3:, :n3], X)
+                + matvec(cc.tilde[:, B1P, n3:, :n3], Y1))
 
     xhat = Trajectory(grid, X1.values[:, :n])
     phi = Trajectory(grid, Y1[:, :n])

@@ -6,32 +6,30 @@ classical fourth-order Runge-Kutta in either direction.  The step is fixed on
 purpose: reproducibility and exact node alignment with the Euler-Maruyama
 simulator matter more here than adaptive efficiency.
 
-Two sweeps share the grid and the RK4 stages t_k, t_k + h/2 (taken by both
-middle stages) and t_{k+1}, but sample the equation in two conventions:
+Every sweep walks the grid through :func:`sweep_chunks`, LINEAR_CHUNK_STEPS
+steps at a time, and samples the equation once at each of a chunk's 2c+1
+distinct stage times, node, midpoint, node, ... (:func:`distinct_stage_times`):
+step j of the chunk reads its stages t_k, t_k + h/2 (taken by both middle
+stages) and t_{k+1} from rows 2j, 2j+1 and 2j+2, a step's last stage is the
+next step's first, and node times are the grid's nodes.
 
 * :func:`integrate_rk4` calls a right-hand side at every stage.  The
   nonlinear Riccati equations of P and of the oracle's two modes use it.  The
   right-hand side reads the stage's sample of the equation: the stage time
   by default, or a row of a table that a sampler builds for a chunk of
   steps at once (the stacked operator of P or of the oracle's modes, from
-  time-varying coefficients).  Either way a step's stage times are t_k,
-  t_k + h/2 and t_k + h, three per step, formed from t_k alone
-  (:func:`_stage_times`), so t_k + h may differ from the node t_{k+1} in
-  its last bit.
+  time-varying coefficients).
 * :func:`integrate_linear` takes a linear equation dy/dt = M(t) y + s(t) as a
   function that samples M and s on many times at once, optionally for a
-  batch of equations on leading axes of the state.  A chunk of c steps
-  samples the equation once at each of its 2c+1 distinct stage times,
-  node, midpoint, node, ... (:func:`distinct_stage_times`): a step's last
-  stage is the next step's first, and node times are the grid's nodes.
-  One RK4 step of a linear equation is an affine map of the state, so the
-  maps are built in batched chunks and the step loop does one matrix product
-  per step.  The affine kappa, the condition-37 transition matrix, the mean
-  path X1, the phi cross-check, the closed-form K of the reduced case, the
-  adjoints phi of the auxiliary problem and of the oracle's mean mode, and
-  the Lyapunov kernels of every N run on it.  The Lyapunov equations
-  multiply their matrix state from both sides; written on its row-major vec,
-  with vec(X Y Z) = (X (x) Z') vec Y, they multiply from the left only.
+  batch of equations on leading axes of the state.  One RK4 step of a linear
+  equation is an affine map of the state, so the maps are built in batched
+  chunks and the step loop does one matrix product per step.  The affine
+  kappa, the condition-37 transition matrix, the mean path X1, the phi
+  cross-check, the closed-form K of the reduced case, the adjoints phi of
+  the auxiliary problem and of the oracle's mean mode, and the Lyapunov
+  kernels of every N run on it.  The Lyapunov equations multiply their
+  matrix state from both sides; written on its row-major vec, with
+  vec(X Y Z) = (X (x) Z') vec Y, they multiply from the left only.
   :func:`linear_chunk` steps one chunk of such maps from a given state: the
   non-symmetric Riccati equation of the consistency condition's K runs on it
   as the image V U^-1 of a linear pair [U; V], which its caller re-anchors
@@ -59,9 +57,9 @@ from .errors import NonFiniteError, NotSymmetricError
 
 BLOWUP_NORM = 1e12
 SYM_TOL_SCALE = 1e-8
-# steps per batch of step maps in integrate_linear and of stage samples in
-# integrate_rk4; bounds their tables' memory, while each chunk pays its
-# sampling and batched assembly once
+# steps per chunk of every sweep (sweep_chunks): bounds the tables of stage
+# samples and step maps, while each chunk pays its sampling and batched
+# assembly once
 LINEAR_CHUNK_STEPS = 128
 
 
@@ -174,10 +172,22 @@ def check_nodes(out: np.ndarray, ks: np.ndarray):
         _check_state(out[ks[bad[0]]], int(ks[bad[0]]))
 
 
-def _stage_times(nodes: np.ndarray, ks: np.ndarray, h: float) -> np.ndarray:
-    """(len(ks), 3) stage times t_k, t_k + h/2, t_k + h of the steps from ks."""
-    t = nodes[ks]
-    return np.stack([t, t + 0.5 * h, t + h], axis=1)
+def sweep_chunks(grid: TimeGrid, direction: str):
+    """The step h of a sweep (dt, or -dt backward) and an iterator over its
+    chunks of LINEAR_CHUNK_STEPS steps (read at call time), in sweep order.
+
+    Each chunk is a pair (ks, ts): the start nodes ks of its c steps, and
+    their 2c+1 distinct stage times ts (:func:`distinct_stage_times`).  The
+    sweep starts from node 0 forward and from node ``grid.steps`` backward,
+    and step k ends at node k + 1 forward and k - 1 backward.
+    """
+    if direction not in ("forward", "backward"):
+        raise ValueError(f"unknown direction {direction!r}")
+    steps, nodes, chunk = grid.steps, grid.nodes, LINEAR_CHUNK_STEPS
+    h = grid.dt if direction == "forward" else -grid.dt
+    order = np.arange(steps) if h > 0 else np.arange(steps, 0, -1)
+    ks_all = (order[start:start + chunk] for start in range(0, steps, chunk))
+    return h, ((ks, distinct_stage_times(nodes, ks, h)) for ks in ks_all)
 
 
 def integrate_rk4(rhs, boundary_value, grid: TimeGrid, direction: str = "forward",
@@ -185,33 +195,26 @@ def integrate_rk4(rhs, boundary_value, grid: TimeGrid, direction: str = "forward
     """Classical RK4 sweep over the grid, storing the value at every node.
 
     rhs(c, y) -> dy/dt, where c is the equation's sample at the stage: by
-    default the stage time t_k, t_k + h/2 or t_k + h itself.  ``coeffs(ts)``
-    replaces that sample: it takes the (steps, 3) stage times of a chunk of
-    LINEAR_CHUNK_STEPS steps and returns an array whose leading (steps, 3)
-    axes hold one sample per stage.  Sampling a chunk at once keeps
+    default the stage time t_k, t_k + h/2 or t_{k+1} itself.  ``coeffs(ts)``
+    replaces that sample: it takes the 2c+1 distinct stage times of a chunk
+    of c steps (:func:`sweep_chunks`) and returns a sequence whose entries
+    2j, 2j+1 and 2j+2 are step j's samples.  Sampling a chunk at once keeps
     time-varying coefficient tables out of the stage.
     ``direction='backward'`` anchors the boundary value at t_M and fills
     nodes down to t_0.  ``project`` is applied after each step (used to
     re-symmetrize Riccati iterates).
     """
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"unknown direction {direction!r}")
+    h, chunks = sweep_chunks(grid, direction)
     y0 = np.asarray(boundary_value, dtype=float)
     _check_state(y0)
-    steps = grid.steps
-    forward = direction == "forward"
-    h = grid.dt if forward else -grid.dt
     half, sixth = 0.5 * h, h / 6.0
-    nodes = grid.nodes
-    order = np.arange(steps) if forward else np.arange(steps, 0, -1)
-    shift = 1 if forward else -1
-    out = np.empty((steps + 1,) + y0.shape)
-    out[order[0]] = y0
+    shift = 1 if h > 0 else -1
+    out = np.empty((grid.steps + 1,) + y0.shape)
+    out[0 if h > 0 else grid.steps] = y0
     y = y0
-    for start in range(0, steps, LINEAR_CHUNK_STEPS):
-        ks = order[start:start + LINEAR_CHUNK_STEPS]
-        ts = _stage_times(nodes, ks, h)
-        for k, (c1, c2, c4) in zip(ks.tolist(), ts if coeffs is None else coeffs(ts)):
+    for ks, ts in chunks:
+        cs = ts.tolist() if coeffs is None else coeffs(ts)
+        for k, c1, c2, c4 in zip(ks.tolist(), cs[:-1:2], cs[1::2], cs[2::2]):
             k1 = rhs(c1, y)
             k2 = rhs(c2, y + half * k1)
             k3 = rhs(c2, y + half * k2)
@@ -307,26 +310,21 @@ def integrate_linear(coeffs, boundary_value, grid: TimeGrid,
     failing node in step order; stepping past it inside the chunk warns of
     nothing.
     """
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"unknown direction {direction!r}")
+    h, chunks = sweep_chunks(grid, direction)
     y0 = np.asarray(boundary_value, dtype=float)
     _check_state(y0)
-    steps = grid.steps
-    forward = direction == "forward"
-    h = grid.dt if forward else -grid.dt
-    nodes = grid.nodes
-    order = np.arange(steps) if forward else np.arange(steps, 0, -1)
-    shift = 1 if forward else -1
-    out = np.empty((steps + 1,) + y0.shape)
-    out[order[0]] = y0
-    for start in range(0, steps, LINEAR_CHUNK_STEPS):
-        ks = order[start:start + LINEAR_CHUNK_STEPS]
-        M, s = coeffs(distinct_stage_times(nodes, ks, h))
-        if start == 0:
+    shift = 1 if h > 0 else -1
+    out = np.empty((grid.steps + 1,) + y0.shape)
+    first = 0 if h > 0 else grid.steps
+    out[first] = y0
+    cols = None
+    for ks, ts in chunks:
+        M, s = coeffs(ts)
+        if cols is None:
             # node axis, then M's batch axes, then the state as (d, c); a
             # vector state is a single column
             cols = out.reshape(out.shape[:M.ndim - 2] + (M.shape[-1], -1))
-            y = cols[order[0]]
+            y = cols[first]
         if s is not None:
             s = np.reshape(s, s.shape[:M.ndim - 2] + y.shape[-2:])
         cols[ks + shift] = _chunk_states(*_step_maps(M, s, h), y)

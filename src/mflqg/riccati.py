@@ -168,7 +168,7 @@ def _riccati_sweep(params: ModelParams, grid: TimeGrid, operator, names, termina
 
     def stages(ts):
         # each stage's map paired with its time, which names a singular stage
-        return [tuple(zip(times, maps)) for times, maps in zip(ts.tolist(), coeffs(ts))]
+        return list(zip(ts.tolist(), coeffs(ts)))
 
     def singular(t):
         return RegularityLostError(f"{what} singular at t={t:.6g}")

@@ -10,7 +10,7 @@ from mflqg.analysis import convergence_study, gap_study, lambda_boundedness
 from mflqg.consistency import solve_cc
 from mflqg.errors import GridMismatchError, InvalidNError
 from mflqg.model import AugmentedCoeffs, ModelParams
-from mflqg.ode import Trajectory, distinct_stage_times, integrate_rk4, interp
+from mflqg.ode import Trajectory, integrate_rk4, interp
 from mflqg.presets import repro_instance
 from mflqg.riccati import FeedbackLaw, solve_oracle
 
@@ -397,42 +397,55 @@ def test_lambda_bound_follows_its_recurrence():
 
 
 def test_lambda_bound_chunks_follow_the_sweeps_chunk_size(monkeypatch):
-    # the bound's generator tables are cut at the chunk size the sweeps read
-    # at call time, so patching ode's constant moves both
+    # the bound's generator tables are cut by the sweeps' chunk iterator,
+    # which reads ode's constant at call time, so patching it moves both
     from mflqg import analysis
 
     p = repro_instance(steps=100)
     _, law = solve_cc(p)
     sizes = []
 
-    def spy(nodes, ks, h):
-        sizes.append(ks.size)
-        return distinct_stage_times(nodes, ks, h)
+    def spy(grid, direction):
+        h, chunks = ode.sweep_chunks(grid, direction)
+
+        def recorded():
+            for ks, ts in chunks:
+                sizes.append(ks.size)
+                yield ks, ts
+
+        return h, recorded()
 
     monkeypatch.setattr(ode, "LINEAR_CHUNK_STEPS", 7)
-    monkeypatch.setattr(analysis, "distinct_stage_times", spy)
+    monkeypatch.setattr(analysis, "sweep_chunks", spy)
     lambda_boundedness(p, law, [10])
     assert sizes == [7] * 14 + [2]
 
 
-def test_law_oracle_and_lambda_bit_equal_at_chunk_32(monkeypatch):
+def test_chunk_32_moves_only_K_and_its_readers_by_rounding(monkeypatch):
     # the shipped chunk size against the earlier 32 steps: every sweep and
-    # the bound's tables are cut differently, the results must not move
+    # the bound's tables are cut differently.  P, Theta1, the oracle's modes
+    # and the Lyapunov bound and kernels must not move.  K is re-anchored at
+    # U = I after every chunk, so K and what reads it (Theta2, xhat, phi)
+    # move, by rounding only
     p = repro_instance(steps=300)
 
     def run():
         sol, law = solve_cc(p)
         o = solve_oracle(AugmentedCoeffs(p, 3), validate=False)
         lam = lambda_boundedness(p, law, [2, 10])
-        return [law.P.values, law.phi.values, law.Theta1.values, law.Theta2.values,
-                sol.xhat.values, o.P_dev.values, o.P_mean.values, o.K_dev.values,
-                o.K_mean.values, o.affine.values, lam.bound,
-                np.array([[pr.sup1, pr.sup2] for pr in lam.pairs])]
+        exact = [law.P.values, law.Theta1.values, o.P_dev.values, o.P_mean.values,
+                 o.K_dev.values, o.K_mean.values, o.affine.values, lam.bound,
+                 np.array([[pr.sup1, pr.sup2] for pr in lam.pairs])]
+        return exact, [sol.K.values, law.Theta2.values, sol.xhat.values, law.phi.values]
 
-    shipped = run()
+    exact, rounded = run()
     monkeypatch.setattr(ode, "LINEAR_CHUNK_STEPS", 32)
-    for a, b in zip(shipped, run(), strict=True):
+    exact32, rounded32 = run()
+    for a, b in zip(exact, exact32, strict=True):
         assert np.array_equal(a, b)
+    assert not np.array_equal(rounded[0], rounded32[0])
+    for a, b in zip(rounded, rounded32, strict=True):
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
 
 
 def test_lambda_bound_dominates_under_large_coefficients():

@@ -129,9 +129,9 @@ def test_tilde_assembly_matches_hand_composition(rng):
     Qeta = Q @ eta
     GtQeta = Gam.T @ Qeta
     f_vec = np.concatenate([Qeta - GtQeta, Qeta, -GtQeta])
-    assert np.array_equal(cc.f_t[k], np.concatenate([f_vec, np.zeros(3)]))
+    assert np.array_equal(cc.f_t[k], f_vec)
     g_vec = np.concatenate([Gb.T @ Geb - Geb, -Geb, Gb.T @ Geb])
-    assert np.array_equal(cc.kappa_terminal, np.concatenate([g_vec, np.zeros(3)]))
+    assert np.array_equal(cc.kappa_terminal, g_vec)
 
 
 def test_solve_K_zero_case(rng):
@@ -222,7 +222,10 @@ def test_build_cc_layout_leaves_K_two_live_columns(instance):
     # that multiplies K from the right, and K_terminal, vanishes outside the
     # x-columns 0:n and 3n:4n; C2 + C2BAR vanishes in its first 3n columns;
     # and the fluctuation rows are closed (A1, B1, A2, B2 vanish in their
-    # lower-left 3n blocks, C2 + C2BAR in its lower 3n rows)
+    # lower-left 3n blocks, C2 + C2BAR in its lower 3n rows).  So for any K
+    # whose lower-left block is zero, kappa's bracket B2 + (C2 + C2BAR) K B1P
+    # - K B1 has no lower-left block either: kappa's fluctuation half, with
+    # zero forcing and terminal data, stays 0
     p = _instance(instance)
     n, n3 = p.n, 3 * p.n
     cc = build_cc(p, solve_P(p)[0])
@@ -238,6 +241,11 @@ def test_build_cc_layout_leaves_K_two_live_columns(instance):
     assert np.max(np.abs(csum[:, n3:])) == 0.0
     for b in (A1, B1, A2, B2):
         assert np.max(np.abs(tl[:, b, n3:, :n3])) == 0.0
+    K = np.random.default_rng(1).standard_normal(tl[:, 0].shape)
+    K[:, n3:, :n3] = 0.0
+    bracket = tl[:, B2] + csum @ K @ tl[:, B1P] - K @ tl[:, B1]
+    assert np.max(np.abs(bracket[:, n3:, :n3])) == 0.0
+    assert np.max(np.abs(bracket[:, :n3, :n3])) > 0.0
 
 
 @pytest.mark.parametrize("instance", ["repro", "time_varying", "n1", "n2", "n3"])

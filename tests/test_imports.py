@@ -1,7 +1,7 @@
 """Static guards: no module of the package imports a name it never uses, no
 class of the package has a field nobody reads, every name of the package
-that the benchmark reads or patches exists, and the stacked fold reads no
-coefficient of the model.
+that the benchmark reads or patches exists, the stacked fold reads no
+coefficient of the model, and only ``ode`` cuts a sweep into chunks.
 
 ``__init__.py`` is skipped by the import guard; its imports are the
 package's re-exports.  The fields of a class are those a dataclass declares
@@ -231,3 +231,26 @@ def test_stacked_fold_lays_out_the_agent_fold():
     names = class_names((SRC / "montecarlo.py").read_text(), "_StackedFold")
     assert {"_AgentFold", "kron_eye", "kron_mean"} <= names
     assert not names & {"build_augmented", "node_table"}
+
+
+def mentioned_names(source: str) -> set:
+    """Every name, attribute and imported name that ``source`` mentions."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_only_ode_cuts_sweeps_into_chunks():
+    # the chunk size and a chunk's stage times are ode's alone; every other
+    # module walks its sweeps through ode.sweep_chunks
+    chunking = {"LINEAR_CHUNK_STEPS", "distinct_stage_times"}
+    assert mentioned_names("from .ode import a as b\nc.d(e)\n") == {"a", "c", "d", "e"}
+    found = {path.name: sorted(chunking & mentioned_names(path.read_text()))
+             for path in SRC.glob("*.py") if path.name != "ode.py"}
+    assert {name: hits for name, hits in found.items() if hits} == {}

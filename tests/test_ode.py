@@ -218,6 +218,13 @@ def test_integrate_linear_samples_each_distinct_stage_time_once(direction):
         return coeffs(ts)
 
     integrate_linear(spy, y0, g, direction)
+    _assert_chunk_stage_times(seen, c, g, direction)
+
+
+def _assert_chunk_stage_times(seen, c, g, direction):
+    """seen holds the stage times of a sweep's chunks in order: c steps a
+    chunk over the grid of :func:`_chunked_grid`, node times bit-equal to
+    the grid's."""
     forward = direction == "forward"
     h = g.dt if forward else -g.dt
     order = np.arange(g.steps + 1) if forward else np.arange(g.steps, -1, -1)
@@ -227,6 +234,32 @@ def test_integrate_linear_samples_each_distinct_stage_time_once(direction):
         assert np.array_equal(ts[0::2], g.nodes[nodes])
         assert np.array_equal(ts[1::2], g.nodes[nodes[:-1]] + 0.5 * h)
         assert np.all(np.diff(ts) > 0) if forward else np.all(np.diff(ts) < 0)
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_integrate_rk4_samples_each_distinct_stage_time_once(direction):
+    # as integrate_linear: a chunk sampler sees each chunk's 2c+1 stage times
+    # once, node times bit-equal to the grid's, and by default the right-hand
+    # side is called at those same times, step j at rows 2j, 2j+1 (twice)
+    # and 2j+2
+    c, g = _chunked_grid(1.3)
+    rng = np.random.default_rng(5)
+    rhs, _, y0 = _linear_system(rng, 2, None, source=True)
+    seen, called = [], []
+
+    def spy(ts):
+        seen.append(ts.copy())
+        return ts
+
+    def recorded(t, y):
+        called.append(t)
+        return rhs(t, y)
+
+    sampled = integrate_rk4(rhs, y0, g, direction, coeffs=spy).values
+    assert np.array_equal(integrate_rk4(recorded, y0, g, direction).values, sampled)
+    _assert_chunk_stage_times(seen, c, g, direction)
+    assert called == [t for ts in seen for j in range(ts.size // 2)
+                      for t in ts[[2 * j, 2 * j + 1, 2 * j + 1, 2 * j + 2]]]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
