@@ -20,7 +20,6 @@ from .errors import (
     SchemaError,
     SettingError,
     StationarityError,
-    StorageBudgetError,
 )
 from .model import AugmentedCoeffs, AugmentedSystem, ModelParams, build_augmented, load_config, save_config, validate
 from .ode import TimeGrid, Trajectory, eigvals_sym, integrate_rk4, is_psd, quadrature

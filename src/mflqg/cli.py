@@ -34,15 +34,27 @@ from .riccati import FeedbackLaw
 from .montecarlo import NoiseBank, check_counts, check_seed, simulate_decentralized
 
 
-def write_csv(path: Path, header: list[str], rows) -> Path:
-    """Rows of string cells and numbers, the numbers printed as "%.17g".
+CSV_BLOCK_ROWS = 4096
 
-    Each row is one format call on a template of "%s" and "%.17g" fields.
+
+def write_csv(path: Path, header: list[str], columns) -> Path:
+    """A CSV file of ``columns``, each a string (the same cell in every row)
+    or an array of one column (rows,) or of several (rows, k).
+
+    Array entries are printed as "%.17g", which prints an integer up to
+    2**53 as str does.  Blocks of CSV_BLOCK_ROWS rows are one format call
+    each, on the row template repeated.
     """
+    columns = [c if isinstance(c, str) else np.asarray(c) for c in columns]
+    arrays = [c for c in columns if not isinstance(c, str)]
+    row = ",".join(c.replace("%", "%%") if isinstance(c, str)
+                   else ",".join(["%.17g"] * (1 if c.ndim == 1 else c.shape[1]))
+                   for c in columns) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(["%s" if isinstance(cell, str) else "%.17g" for cell in row])
-                      % tuple(row) + "\n" for row in rows)
+        for a in range(0, len(arrays[0]), CSV_BLOCK_ROWS):
+            block = np.column_stack([x[a:a + CSV_BLOCK_ROWS] for x in arrays])
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
     return path
 
 
@@ -313,11 +325,10 @@ def _solve_into(params: ModelParams, out: Path, config_src: Path | None,
               + [f"Theta1_{i+1}{j+1}" for i in range(m) for j in range(n)]
               + [f"Theta2_{i+1}" for i in range(m)])
     grid = law.grid
-    rows = np.column_stack([grid.nodes, sol.xhat.values, sol.y1hat.values, sol.y2hat.values,
-                            sol.beta1hat.values, sol.phi.values,
-                            law.Theta1.values.reshape(grid.steps + 1, m * n),
-                            law.Theta2.values]).tolist()
-    artifacts.append(write_csv(out / "solution.csv", header, rows))
+    columns = [grid.nodes, sol.xhat.values, sol.y1hat.values, sol.y2hat.values,
+               sol.beta1hat.values, sol.phi.values,
+               law.Theta1.values.reshape(grid.steps + 1, m * n), law.Theta2.values]
+    artifacts.append(write_csv(out / "solution.csv", header, columns))
     artifacts.append(write_json(out / "diagnostics.json", sol.diagnostics))
     if write_manifest:
         _write_manifest(out, command, cfg, None, grid, artifacts, t0)
@@ -349,26 +360,23 @@ def cmd_simulate(args) -> int:
     cfg = _stash_config(Path(args.config), params, out)
     noise = NoiseBank(seed=args.seed, n_paths=args.paths, n_agents=args.N, grid=law.grid)
     res = simulate_decentralized(params, law, args.N, noise)
-    artifacts = []
-    nodes = law.grid.nodes
-    n = params.n
-    rows = []
-    keep = [k for k in range(law.grid.steps + 1) if k % args.thin == 0 or k == law.grid.steps]
+    steps, n, P = law.grid.steps, params.n, res.n_paths
+    keep = np.union1d(np.arange(0, steps + 1, args.thin), [steps])
+    t = law.grid.nodes[keep]
     if res.xs is not None:
-        for p in range(res.n_paths):
-            for agent in range(args.N):
-                for k in keep:
-                    rows.append([str(p), str(agent), nodes[k], *res.xs[p, agent, k]])
+        # rows by path, then agent, then node
+        columns = [np.repeat(np.arange(P), args.N * len(keep)),
+                   np.tile(np.repeat(np.arange(args.N), len(keep)), P),
+                   np.tile(t, P * args.N), res.xs[:, :, keep].reshape(-1, n)]
     else:
-        for p in range(res.n_paths):
-            for k in keep:
-                rows.append([str(p), "avg", nodes[k], *res.xavg[p, k]])
+        columns = [np.repeat(np.arange(P), len(keep)), "avg", np.tile(t, P),
+                   res.xavg[:, keep].reshape(-1, n)]
     header = ["path", "agent", "t"] + [f"x_{i+1}" for i in range(n)]
-    artifacts.append(write_csv(out / "trajectories.csv", header, rows))
+    artifacts = [write_csv(out / "trajectories.csv", header, columns)]
     keep_agents = min(args.N, 8)
-    cost_rows = [[str(p), res.J_soc[p], *res.J_i[p, :keep_agents]] for p in range(res.n_paths)]
     cost_header = ["path", "J_soc"] + [f"J_{i+1}" for i in range(keep_agents)]
-    artifacts.append(write_csv(out / "costs.csv", cost_header, cost_rows))
+    artifacts.append(write_csv(out / "costs.csv", cost_header,
+                               [np.arange(P), res.J_soc, res.J_i[:, :keep_agents]]))
     _write_manifest(out, "simulate", cfg, args.seed, law.grid, artifacts, t0,
                     extra={"N": args.N, "paths": args.paths, "dt": law.grid.dt,
                            "law_sha256": law_hash, "thin": args.thin})
@@ -387,9 +395,8 @@ def cmd_converge(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     cfg = _stash_config(Path(args.config), params, out)
     table = convergence_study(params, law, xhat, N_list, args.reps, args.seed)
-    artifacts = [write_csv(out / "convergence.csv",
-                           ["N", "replications", "estimate", "se"],
-                           [[str(N), str(reps), est, se] for N, reps, est, se in table.rows])]
+    artifacts = [write_csv(out / "convergence.csv", ["N", "replications", "estimate", "se"],
+                           [np.array(table.rows)])]
     artifacts.append(write_json(out / "summary.json",
                                 {"slope": _fitted(table.slope),
                                  "intercept": _fitted(table.intercept)}))
@@ -411,7 +418,7 @@ def cmd_gap(args) -> int:
     table = gap_study(params, N_list, args.paths, args.seed)
     artifacts = [write_csv(out / "gap.csv",
                            ["N", "J_dec_per_capita", "J_oracle_per_capita", "gap_per_capita", "se"],
-                           [[str(N), a, b, g, se] for N, a, b, g, se in table.rows])]
+                           [np.array(table.rows)])]
     verdicts = {
         "oracle_dominates": all(g >= -2 * se for _, _, _, g, se in table.rows),
         "warnings": table.warnings,
@@ -438,15 +445,13 @@ def cmd_repro(args) -> int:
 
     noise = NoiseBank(seed=args.seed, n_paths=args.paths, n_agents=args.N, grid=law.grid)
     res = simulate_decentralized(params, law, args.N, noise, store=False)
-    xavg = res.xavg.mean(axis=0)
-    rows = [[t, *sol.xhat.values[k], *xavg[k]] for k, t in enumerate(law.grid.nodes)]
     artifacts.append(write_csv(out / "trajectories.csv",
-                               ["t", "xhat_1", "xhat_2", "xavg_1", "xavg_2"], rows))
+                               ["t", "xhat_1", "xhat_2", "xavg_1", "xavg_2"],
+                               [law.grid.nodes, sol.xhat.values, res.xavg.mean(axis=0)]))
 
     table = convergence_study(params, law, sol.xhat, N_list, args.reps, args.seed)
-    artifacts.append(write_csv(out / "convergence.csv",
-                               ["N", "replications", "estimate", "se"],
-                               [[str(N), str(reps), est, se] for N, reps, est, se in table.rows]))
+    artifacts.append(write_csv(out / "convergence.csv", ["N", "replications", "estimate", "se"],
+                               [np.array(table.rows)]))
 
     lam = lambda_boundedness(params, law, [10, 100, 1000])
     summary = {

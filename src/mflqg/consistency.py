@@ -416,8 +416,6 @@ def extract_mean_fields(cc: CCMatrices, K: Trajectory, kappa: Trajectory,
 
     Kv, X = K.values, X1.values
     Y1 = matvec(Kv[:, :n3, :n3], X) + kappa.values
-    # consistency of the closure: the fluctuation-mean adjoint K21 X1 must vanish
-    ey2_resid = float(np.max(np.abs(matvec(Kv[:, n3:, :n3], X))))
     # Z = K (A1pt X + B1pt Y) with Y = K X + kappa, on the fluctuation rows
     EZ = matvec(Kv[:, n3:, n3:], matvec(cc.tilde[:, A1P, n3:, :n3], X)
                 + matvec(cc.tilde[:, B1P, n3:, :n3], Y1))
@@ -429,7 +427,6 @@ def extract_mean_fields(cc: CCMatrices, K: Trajectory, kappa: Trajectory,
     beta1hat = Trajectory(grid, EZ[:, n:2 * n])
 
     diagnostics = {
-        "ey2_max": ey2_resid,
         "k_terminal_err": float(np.max(np.abs(K.terminal - cc.K_terminal))),
         "kappa_terminal_err": float(np.max(np.abs(kappa.terminal - cc.kappa_terminal))),
     }
@@ -479,7 +476,6 @@ def solve_cc(params: ModelParams) -> tuple[CCSolution, FeedbackLaw]:
         "k_det_u_min_node": K.det_u_node,
         "regularity_margin": margin,
         "phi_cross_max_err": cross,
-        "xhat_initial_err": float(np.max(np.abs(sol.xhat.initial - params.xi0))),
     })
     law = FeedbackLaw(grid=P.grid, P=P, phi=sol.phi, Theta1=Th1, Theta2=Th2,
                       regularity_margin=margin)

@@ -64,7 +64,3 @@ class StationarityError(MFLQGError):
 
 class MissingTrajectoriesError(MFLQGError):
     """Full trajectories were thinned away but are required for this call."""
-
-
-class StorageBudgetError(MFLQGError):
-    """A request would hold more scalars in memory than the storage budget."""

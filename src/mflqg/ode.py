@@ -102,7 +102,7 @@ def interp(table: np.ndarray, dt: float, t) -> np.ndarray:
     """
     u = t / dt
     last = table.shape[0] - 2
-    # a float time (the RK4 stages' case) skips the slower np.ndim test
+    # a single float time (AugmentedCoeffs.at's case) skips the slower np.ndim test
     if isinstance(u, float) or np.ndim(u) == 0:
         i = min(max(math.floor(u), 0), last)
         w = u - i
@@ -120,8 +120,7 @@ class Trajectory:
     ``values[k]`` is the sample at node k; shape is (steps+1, *shape).  Calling
     with a time t returns the piecewise-linear interpolant of :func:`interp`:
     at a node time it is the node's sample up to rounding, and exactly it
-    where t / dt is an exact integer.  Read a node's sample with :meth:`at`
-    or ``values``.
+    where t / dt is an exact integer.  Read a node's sample from ``values``.
     """
 
     def __init__(self, grid: TimeGrid, values, check: bool = True):
@@ -138,9 +137,6 @@ class Trajectory:
     @property
     def shape(self):
         return self.values.shape[1:]
-
-    def at(self, k: int) -> np.ndarray:
-        return self.values[k]
 
     @property
     def initial(self) -> np.ndarray:

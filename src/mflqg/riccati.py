@@ -465,7 +465,9 @@ def _validate_stationarity(aug: AugmentedCoeffs, law: OracleLaw, *, paths: int,
     """Finite-difference stationarity check under common random numbers.
 
     The law and its 2 FD_DIRECTIONS perturbations of the agent-tiled affine
-    run as one batched simulation on one materialized bank.  The pathwise
+    run as one batched simulation on one keyed bank, which regenerates its
+    increments one plane chunk at a time: the pass never holds the whole
+    bank, even at MAX_VALIDATION_PATHS.  The pathwise
     centered difference is exact (the cost is quadratic in the control along
     a fixed noise path), so the estimate's only error is Monte Carlo; an
     over-threshold reading that 3 standard errors could explain is

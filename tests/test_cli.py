@@ -155,16 +155,59 @@ def test_converge_rejects_a_law_of_other_dimensions(tmp_path):
     assert r.stderr.startswith(f"validation failure: {law_dir / 'law.json'}: field 'n': ")
 
 
-def test_write_csv_prints_each_number_as_17_significant_digits(tmp_path):
-    rows = [["a", 0.1, -0.0, np.inf, -np.inf, 2],
-            ["7", 1e-300, 5e-324, np.finfo(float).max, -123456789.123456789, np.nan],
-            ["", np.float64(2.0 / 3.0), 1e22, 1e16 + 2.0, -1e-5, 12345678901234567890],
-            ["5%s%%", "%.17g", 1.5, "", 0.0, True]]
-    path = write_csv(tmp_path / "t.csv", ["s", "b", "c", "d", "e", "f"], rows)
-    expect = "s,b,c,d,e,f\n" + "".join(
-        ",".join(c if isinstance(c, str) else f"{float(c):.17g}" for c in row) + "\n"
-        for row in rows)
+def rows_csv(header, rows) -> bytes:
+    """The per-row CSV builder that write_csv replaced: one template of "%s"
+    (string cells) and "%.17g" fields per row.  The tests' reference."""
+    return (",".join(header) + "\n" + "".join(
+        ",".join(["%s" if isinstance(cell, str) else "%.17g" for cell in row]) % tuple(row)
+        + "\n" for row in rows)).encode()
+
+
+def test_write_csv_prints_each_number_as_17_significant_digits(tmp_path, monkeypatch):
+    numbers = np.array([[0.1, -0.0, np.inf, -np.inf, 2],
+                        [1e-300, 5e-324, np.finfo(float).max, -123456789.123456789, np.nan],
+                        [2.0 / 3.0, 1e22, 1e16 + 2.0, -1e-5, 12345678901234567890],
+                        [1.5, 0.0, 7, 0.0, True]])
+    ints = np.array([0, 7, -3, 2**53])
+    # blocks of 3 rows: the last block is short
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 3)
+    path = write_csv(tmp_path / "t.csv", ["s", "b", "c", "d", "e", "f", "g", "i"],
+                     ["5%s%%", numbers[:, 0], numbers[:, 1:], "", ints])
+    expect = "s,b,c,d,e,f,g,i\n" + "".join(
+        ",".join(["5%s%%", *(f"{float(c):.17g}" for c in row), "", str(i)]) + "\n"
+        for row, i in zip(numbers, ints))
     assert path.read_bytes() == expect.encode()
+
+
+@pytest.mark.parametrize("store", [True, False], ids=["stored", "avg"])
+@pytest.mark.parametrize("thin", [1, 7])
+def test_simulate_csv_bytes_equal_per_row_builder(tmp_path, monkeypatch, store, thin):
+    cfg = small_config(tmp_path, steps=40)
+    law_dir, out = tmp_path / "law", tmp_path / "sim"
+    assert main(["solve", str(cfg), "--out", str(law_dir)]) == 0
+    if not store:
+        # over the storage budget, simulate writes the state average only
+        monkeypatch.setattr(montecarlo, "STORE_BUDGET", 0)
+    N, paths = 9, 2
+    assert main(["simulate", str(cfg), "--law", str(law_dir), "--N", str(N), "--paths",
+                 str(paths), "--seed", "5", "--thin", str(thin), "--out", str(out)]) == 0
+    params = load_config(cfg)
+    law = load_law(law_dir, params)[0]
+    res = montecarlo.simulate_decentralized(
+        params, law, N, montecarlo.NoiseBank(seed=5, n_paths=paths, n_agents=N, grid=law.grid))
+    nodes, steps = law.grid.nodes, law.grid.steps
+    keep = [k for k in range(steps + 1) if k % thin == 0 or k == steps]
+    if store:
+        rows = [[str(p), str(agent), nodes[k], *res.xs[p, agent, k]]
+                for p in range(paths) for agent in range(N) for k in keep]
+    else:
+        assert res.xs is None
+        rows = [[str(p), "avg", nodes[k], *res.xavg[p, k]] for p in range(paths) for k in keep]
+    assert (out / "trajectories.csv").read_bytes() == rows_csv(
+        ["path", "agent", "t", "x_1", "x_2"], rows)
+    costs = [[str(p), res.J_soc[p], *res.J_i[p, :8]] for p in range(paths)]
+    assert (out / "costs.csv").read_bytes() == rows_csv(
+        ["path", "J_soc"] + [f"J_{i + 1}" for i in range(8)], costs)
 
 
 def test_indefinite_R_without_noise_exits_two(tmp_path):
@@ -416,8 +459,7 @@ def test_solution_csv_equals_per_node_rows(tmp_path):
              *sol.beta1hat.values[k], *sol.phi.values[k],
              *law.Theta1.values[k].ravel(), *law.Theta2.values[k]]
             for k, t in enumerate(law.grid.nodes)]
-    want = write_csv(tmp_path / "ref.csv", got[0].rstrip("\n").split(","), rows)
-    assert (out / "solution.csv").read_bytes() == want.read_bytes()
+    assert (out / "solution.csv").read_bytes() == rows_csv(got[0].rstrip("\n").split(","), rows)
 
 
 def test_bad_run_settings_are_validation_failures(tmp_path, monkeypatch, capsys):
@@ -539,16 +581,17 @@ def test_bad_count_is_refused_before_anything_is_written(tmp_path, capsys, comma
     assert not out.exists()
 
 
-def test_oversized_validation_bank_is_numerical_failure(tmp_path, monkeypatch, capsys):
-    # fd_tol = 0 leaves the first reading inconclusive, and the re-measurement's
-    # bank (16384 paths x 2 agents x 100 steps) exceeds the lowered budget
+def test_inconclusive_validation_escalates_then_is_numerical_failure(tmp_path, monkeypatch,
+                                                                    capsys):
+    # fd_tol = 0 leaves the first reading inconclusive; the re-measurement
+    # at MAX_VALIDATION_PATHS then fails the zero threshold
     monkeypatch.setitem(riccati.solve_oracle.__kwdefaults__, "fd_tol", 0.0)
-    monkeypatch.setattr(montecarlo, "STORE_BUDGET", 10**6)
+    monkeypatch.setattr(riccati, "MAX_VALIDATION_PATHS", 2048)
     cfg = scalar_config(tmp_path)
     assert main(["gap", str(cfg), "--N-list", "2", "--paths", "20", "--seed", "5",
                  "--out", str(tmp_path / "gap")]) == 2
-    assert ("numerical failure: refusing to materialize 3276800 noise scalars"
-            in capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: oracle failed stationarity: ") and "2048 paths" in err
 
 
 def test_law_round_trip(tmp_path):

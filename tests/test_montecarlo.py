@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mflqg import montecarlo
 from mflqg.errors import (GridMismatchError, InvalidNError, MissingTrajectoriesError,
-                          NonFiniteError, SettingError, StorageBudgetError)
+                          NonFiniteError, SettingError, StationarityError)
 from mflqg.model import AugmentedCoeffs, ModelParams, build_augmented, kron_eye, kron_mean
 from mflqg.ode import TimeGrid, Trajectory, integrate_rk4
 from mflqg import riccati
@@ -108,10 +108,31 @@ def test_noise_increments_have_step_variance():
 
 
 def test_materialized_noise_matches_bank():
-    grid = TimeGrid(1.0, 20)
-    bank = NoiseBank(seed=4, n_paths=6, n_agents=2, grid=grid)
-    mat = bank.materialized()
-    assert np.array_equal(mat.increments_block(range(2, 5)), bank.increments_block(range(2, 5)))
+    bank = NoiseBank(seed=4, n_paths=6, n_agents=2, grid=TimeGrid(1.0, 20))
+    assert bank.materialized() is bank
+
+
+def test_validation_draws_its_bank_one_plane_chunk_at_a_time(monkeypatch):
+    # the stationarity pass, its re-measurement included, regenerates the
+    # keyed bank chunk by chunk and never holds more paths than one plane
+    # chunk of its 2 FD_DIRECTIONS + 1 variants
+    monkeypatch.setattr(montecarlo, "PLANE_CHUNK_SCALARS", 2**9)
+    monkeypatch.setattr(riccati, "MAX_VALIDATION_PATHS", 300)
+    asked = []
+    block = NoiseBank.increments_block
+
+    def recorded(bank, paths):
+        asked.append(len(paths))
+        return block(bank, paths)
+
+    monkeypatch.setattr(NoiseBank, "increments_block", recorded)
+    aug = AugmentedCoeffs(gap_scalar_params(steps=20), 2)
+    law = solve_oracle(aug, validate=False)
+    # tol = 0 leaves the first reading inconclusive, so it is re-measured
+    with pytest.raises(StationarityError, match="300 paths"):
+        riccati._validate_stationarity(aug, law, paths=200, seed=3, tol=0.0)
+    per_chunk = 2**9 // ((2 * riccati.FD_DIRECTIONS + 1) * 2)
+    assert sum(asked) == 200 + 300 and max(asked) == per_chunk
 
 
 def test_bad_run_settings_raise_package_errors(monkeypatch):
@@ -130,9 +151,6 @@ def test_bad_run_settings_raise_package_errors(monkeypatch):
             worker_count()
     monkeypatch.setenv("MFLQG_THREADS", "3")
     assert worker_count() == 3
-    monkeypatch.setattr(montecarlo, "STORE_BUDGET", 5 * 2 * 20 - 1)
-    with pytest.raises(StorageBudgetError, match="refusing to materialize 200"):
-        NoiseBank(seed=1, n_paths=5, n_agents=2, grid=grid).materialized()
 
 
 def test_zero_coefficients_keep_state_constant(rng):
