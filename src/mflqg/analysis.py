@@ -10,10 +10,11 @@ gap with its standard error; the gap must be nonnegative up to Monte Carlo
 noise (the oracle is the minimizer) and shrink as N grows.
 
 The Lyapunov kernels are linear matrix equations with products on both
-sides of the state.  On the row-major vec of the kernel pair,
-vec(X Lam Y) = (X (x) Y') vec Lam, so they become one 2n^2-dimensional
-equation with a generator that multiplies from the left, run as RK4 step
-maps through ode.integrate_linear.  The kernels of every N share one sweep on
+sides of the state.  On the row-major vec of the kernel pair each product
+Lam -> X Lam Y is the matrix X (x) Y' of the Kronecker rule ode.kron_vec,
+so they become one 2n^2-dimensional equation with a generator that
+multiplies from the left, run as RK4 step maps through
+ode.integrate_linear.  The kernels of every N share one sweep on
 a leading batch axis; it does per N exactly the operations of a sweep of its
 own, so each N's kernels are bit-identical to a single-N run.  Their N-free
 bound needs no sweep: a Gronwall recurrence on the max-norm logarithmic norm
@@ -30,9 +31,18 @@ import numpy as np
 from .consistency import solve_cc
 from .convexity import check_psd_case
 from .model import AugmentedCoeffs, ModelParams, check_population_size
-from .ode import Trajectory, integrate_linear, interp, sweep_chunks
+from .ode import Trajectory, integrate_linear, interp, kron_vec, sweep_chunks
 from .riccati import FeedbackLaw, solve_oracle
-from .montecarlo import NoiseBank, check_seed, simulate_centralized, simulate_decentralized
+from .montecarlo import (NoiseBank, check_counts, check_seed, simulate_centralized,
+                         simulate_decentralized)
+
+
+def check_study_counts(paths: int, N_list) -> None:
+    """Refuse each population size of N_list and the path count as the noise
+    banks would; a study calls it before any solve or simulation."""
+    for N in N_list:
+        check_population_size(N)
+        check_counts(paths, N)
 
 
 @dataclass
@@ -52,8 +62,10 @@ def convergence_study(params: ModelParams, law: FeedbackLaw, xhat: Trajectory,
     Each replication is one independent N-agent simulation; the per-N noise
     banks are seeded as seed + N so the table is reproducible entry by entry.
     The slope is fitted only over two or more distinct N (NaN otherwise).
+    Every N and the replication count are checked before any simulation.
     """
     check_seed(seed)
+    check_study_counts(replications, N_list)
     rows = []
     for N in N_list:
         noise = NoiseBank(seed=seed + N, n_paths=replications, n_agents=N,
@@ -84,9 +96,12 @@ def gap_study(params: ModelParams, N_list, paths: int, seed: int, *,
     For each N the stacked problem is solved exactly (with its stationarity
     self-check), both laws are simulated under one noise bank, and the gap
     (J_dec - J_oracle)/N is reported with the standard error of the pathwise
-    difference (common random numbers).
+    difference (common random numbers).  Every N, its stacked system and the
+    path count are checked before anything is solved.
     """
     check_seed(seed)
+    check_study_counts(paths, N_list)
+    augs = [AugmentedCoeffs(params, N) for N in N_list]
     notes = []
     verdict = check_psd_case(params)
     if not verdict.is_uniformly_convex:
@@ -96,8 +111,7 @@ def gap_study(params: ModelParams, N_list, paths: int, seed: int, *,
     if law is None:
         _, law = solve_cc(params)
     rows = []
-    for N in N_list:
-        aug = AugmentedCoeffs(params, N)
+    for N, aug in zip(N_list, augs):
         oracle = solve_oracle(aug, law.grid, validate=validate_oracle,
                               validation_seed=seed ^ 0xACE1, validation_paths=1024)
         noise = NoiseBank(seed=seed + N, n_paths=paths, n_agents=N, grid=law.grid)
@@ -143,26 +157,6 @@ def _spread(sups) -> float:
 
 def _T(X):
     return np.swapaxes(X, -1, -2)
-
-
-def _kron(X, Y):
-    """X (x) Y of stacked n x n matrices; leading axes broadcast.
-
-    On the row-major vec of an n x n state, vec(X Lam Y) = (X (x) Y') vec Lam.
-    """
-    n = X.shape[-1]
-    prod = X[..., :, None, :, None] * Y[..., None, :, None, :]
-    return prod.reshape(prod.shape[:-4] + (n * n, n * n))
-
-
-def _right(X):
-    """Generator of Lam -> Lam X on the row-major vec of Lam."""
-    return _kron(np.eye(X.shape[-1]), _T(X))
-
-
-def _left(X):
-    """Generator of Lam -> X Lam on the row-major vec of Lam."""
-    return _kron(X, np.eye(X.shape[-1]))
 
 
 def _log_norm_inf(M):
@@ -219,6 +213,7 @@ def lambda_boundedness(params: ModelParams, law: FeedbackLaw, N_list) -> LambdaR
         check_population_size(N)
     grid = law.grid
     n = params.n
+    eye = np.eye(n)
     tabs = {k: params.node_table(k, grid) for k in ("A", "B", "C", "D", "F", "Ftilde", "Q")}
     Th1 = law.Theta1.values
 
@@ -232,10 +227,10 @@ def lambda_boundedness(params: ModelParams, law: FeedbackLaw, N_list) -> LambdaR
         # generator elementwise as (batch, 1, 1) arrays; each coefficient is
         # (times, 1, n, n), a batch axis of size 1
         A, F, C, Ft, Q, BTh, DTh = np.moveaxis(interp(coeffs, grid.dt, ts), 1, 0)[:, :, None]
-        base = _right(A + BTh) + _left(_T(A))
-        cross = _kron(_T(C), _T(C + DTh))
-        right_F = _right(F)
-        coupling = right_F - _kron(_T(C), _T(Ft))
+        base = kron_vec(eye, A + BTh) + kron_vec(_T(A), eye)
+        cross = kron_vec(_T(C), C + DTh)
+        right_F = kron_vec(eye, F)
+        coupling = right_F - kron_vec(_T(C), Ft)
         gen = -np.block([[base - cross + s * coupling, s * right_F],
                          [w * coupling, base + w * right_F]])
         src = np.concatenate([-Q.reshape(ts.shape + (1, n * n)),

@@ -21,17 +21,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import convergence_study, gap_study, lambda_boundedness
+from .analysis import check_study_counts, convergence_study, gap_study, lambda_boundedness
 from .consistency import solve_cc
 from .convexity import (check_coupled_indefinite, check_decoupled_indefinite, is_coupled,
                         report_all)
 from .errors import ConfigError, GridMismatchError, MFLQGError, NonFiniteError, SettingError
-from .model import (TIME_VARYING, ModelParams, check_population_size, integral, load_config,
-                    parse_config, real, save_config, validate)
+from .model import (TIME_VARYING, ModelParams, integral, load_config, parse_config, real,
+                    save_config, validate)
 from .ode import TimeGrid, Trajectory
 from .presets import repro_instance
 from .riccati import FeedbackLaw
-from .montecarlo import NoiseBank, check_counts, check_seed, simulate_decentralized
+from .montecarlo import NoiseBank, check_seed, simulate_decentralized
 
 
 CSV_BLOCK_ROWS = 4096
@@ -254,14 +254,6 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     return out
 
 
-def _check_counts(paths: int, N_list) -> None:
-    """Refuse each population size and the path count as the noise banks
-    would, before --out is created."""
-    for N in N_list:
-        check_population_size(N)
-        check_counts(paths, N)
-
-
 def _verdict_doc(v) -> dict:
     return {"status": v.status, "criterion": v.criterion,
             "witness": {k: (val if isinstance(val, str) else float(val))
@@ -350,7 +342,7 @@ def cmd_solve(args) -> int:
 def cmd_simulate(args) -> int:
     t0 = time.time()
     check_seed(args.seed)
-    _check_counts(args.paths, [args.N])
+    check_study_counts(args.paths, [args.N])
     if args.thin < 1:
         raise SettingError(f"--thin must be a positive integer, got {args.thin}")
     params = load_config(args.config)
@@ -388,7 +380,7 @@ def cmd_converge(args) -> int:
     t0 = time.time()
     check_seed(args.seed)
     N_list = _parse_int_list(args.N_list, "--N-list")
-    _check_counts(args.reps, N_list)
+    check_study_counts(args.reps, N_list)
     params = load_config(args.config)
     law, xhat, law_hash = load_law(Path(args.law), params)
     out = Path(args.out)
@@ -410,12 +402,13 @@ def cmd_gap(args) -> int:
     t0 = time.time()
     check_seed(args.seed)
     N_list = _parse_int_list(args.N_list, "--N-list")
-    _check_counts(args.paths, N_list)
+    check_study_counts(args.paths, N_list)
     params = load_config(args.config)
+    # the study refuses a bad N before any solve, and --out waits for its table
+    table = gap_study(params, N_list, args.paths, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfg = _stash_config(Path(args.config), params, out)
-    table = gap_study(params, N_list, args.paths, args.seed)
     artifacts = [write_csv(out / "gap.csv",
                            ["N", "J_dec_per_capita", "J_oracle_per_capita", "gap_per_capita", "se"],
                            [np.array(table.rows)])]
@@ -435,8 +428,8 @@ def cmd_repro(args) -> int:
     N_list = _parse_int_list(args.n_list, "--n-list")
     if args.steps < 2:
         raise SettingError(f"--steps: need at least 2 steps, got {args.steps}")
-    _check_counts(args.paths, [args.N])
-    _check_counts(args.reps, N_list)
+    check_study_counts(args.paths, [args.N])
+    check_study_counts(args.reps, N_list)
     params = repro_instance(steps=args.steps)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, CouplingPresentError, NonFiniteError, RegularityLostError
 from .model import ModelParams
-from .ode import eigvals_sym, symmetrize
+from .ode import eig_min, eigvals_sym, symmetrize
 
 UNIFORM_TOL = 1e-10
 
@@ -48,17 +48,12 @@ class ConvexityVerdict:
         return self.status == UNIFORMLY_CONVEX
 
 
-def _eig_min(S: np.ndarray) -> float:
-    """Smallest eigenvalue of a symmetrized matrix, or over a stack of them."""
-    return float(np.linalg.eigvalsh(symmetrize(S))[..., 0].min())
-
-
 def check_psd_case(params: ModelParams) -> ConvexityVerdict:
     """Semidefinite-weight certificate: Q, R, G >= 0 gives convexity, and
     additionally R strictly positive definite gives uniform convexity."""
-    lam_q = _eig_min(params.node_table("Q"))
-    lam_r = _eig_min(params.node_table("R"))
-    lam_g = _eig_min(params.G)
+    lam_q = eig_min(params.node_table("Q"))
+    lam_r = eig_min(params.node_table("R"))
+    lam_g = eig_min(params.G)
     witness = {"lambda_min_Q": lam_q, "lambda_min_R": lam_r, "lambda_min_G": lam_g}
     if min(lam_q, lam_r, lam_g) < -UNIFORM_TOL:
         return ConvexityVerdict(NOT_VERIFIED, "psd-weights", witness)
@@ -115,14 +110,14 @@ def check_decoupled_indefinite(params: ModelParams, dQ=None, dG=None) -> Convexi
     Qt = params.node_table("Q")
     qhat, ghat = _hat_tables(params)
     dQt, dGm = _shift(dQ, Qt - qhat, "dQ"), _shift(dG, params.G - ghat, "dG")
-    q_gap = _eig_min(Qt - qhat)
-    g_gap = _eig_min(params.G - ghat)
+    q_gap = eig_min(Qt - qhat)
+    g_gap = eig_min(params.G - ghat)
     witness = {"lambda_min_Q_minus_Qhat": q_gap, "lambda_min_G_minus_Ghat": g_gap}
     if q_gap < -UNIFORM_TOL or g_gap < -UNIFORM_TOL:
         return ConvexityVerdict(NOT_VERIFIED, "decoupled-indefinite", witness)
 
-    dq_ok = _eig_min(dQt - (Qt - qhat))
-    dg_ok = _eig_min(dGm - (params.G - ghat))
+    dq_ok = eig_min(dQt - (Qt - qhat))
+    dg_ok = eig_min(dGm - (params.G - ghat))
     witness["lambda_min_dQ_gap"] = dq_ok
     witness["lambda_min_dG_gap"] = dg_ok
     if dq_ok < -UNIFORM_TOL:
@@ -193,28 +188,28 @@ def check_coupled_indefinite(params: ModelParams, dQ=None) -> ConvexityVerdict:
     qhat, _ = _hat_tables(params)
     dQt = _shift(dQ, Qt - qhat, "dQ")
     witness: dict = {}
-    lam_g = _eig_min(params.G)
+    lam_g = eig_min(params.G)
     witness["lambda_min_G"] = lam_g
     if lam_g < -UNIFORM_TOL:
         witness["failed"] = "G >= 0"
         return ConvexityVerdict(NOT_VERIFIED, "coupled-indefinite", witness)
-    q_gap = _eig_min(Qt - qhat)
+    q_gap = eig_min(Qt - qhat)
     witness["lambda_min_Q_minus_Qhat"] = q_gap
     if q_gap < -UNIFORM_TOL:
         witness["failed"] = "Q - Qhat >= 0"
         return ConvexityVerdict(NOT_VERIFIED, "coupled-indefinite", witness)
-    dq_gap = _eig_min(dQt - (Qt - qhat))
+    dq_gap = eig_min(dQt - (Qt - qhat))
     witness["lambda_min_dQ_gap"] = dq_gap
     if dq_gap < -UNIFORM_TOL:
         witness["failed"] = "dQ >= Q - Qhat"
         return ConvexityVerdict(NOT_VERIFIED, "coupled-indefinite", witness)
-    lam_qd = _eig_min(Qt - dQt)
+    lam_qd = eig_min(Qt - dQt)
     witness["lambda_min_Q_minus_dQ"] = lam_qd
     if lam_qd > UNIFORM_TOL:
         witness["failed"] = "lam_min(Q - dQ) <= 0"
         return ConvexityVerdict(NOT_VERIFIED, "coupled-indefinite", witness)
     K = growth_constant(params)
-    lam_r = _eig_min(params.node_table("R"))
+    lam_r = eig_min(params.node_table("R"))
     lhs = K * np.exp(2.0 * K * params.T) * lam_qd + 0.5 * lam_r
     witness.update({"K": K, "lambda_min_R": lam_r, "lhs": float(lhs)})
     if lhs > UNIFORM_TOL:

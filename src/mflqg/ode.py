@@ -28,8 +28,9 @@ next step's first, and node times are the grid's nodes.
   cross-check, the closed-form K of the reduced case, the adjoints phi of
   the auxiliary problem and of the oracle's mean mode, and the Lyapunov
   kernels of every N run on it.  The Lyapunov equations multiply their
-  matrix state from both sides; written on its row-major vec, with
-  vec(X Y Z) = (X (x) Z') vec Y, they multiply from the left only.
+  matrix state from both sides; written on its row-major vec by the one
+  Kronecker rule :func:`kron_vec`, vec(X U Y) = (X (x) Y') vec U, they
+  multiply from the left only, as does the P right-hand side.
   :func:`linear_chunk` steps one chunk of such maps from a given state: the
   non-symmetric Riccati equation of the consistency condition's K runs on it
   as the image V U^-1 of a linear pair [U; V], which its caller re-anchors
@@ -351,6 +352,16 @@ def matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (M @ x[..., None])[..., 0]
 
 
+def kron_vec(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X (x) Y', the matrix of U -> X U Y on the row-major vec of U (Magnus &
+    Neudecker, ch. 2): X is (..., p, q), Y (..., r, s), U q x r and the
+    result (..., p s, q r), the leading axes broadcasting.  Each entry is
+    one product of an entry of X and one of Y."""
+    prod = X[..., :, None, :, None] * np.swapaxes(Y, -1, -2)[..., None, :, None, :]
+    p, s, q, r = prod.shape[-4:]
+    return prod.reshape(prod.shape[:-4] + (p * s, q * r))
+
+
 def symmetrize(S: np.ndarray) -> np.ndarray:
     """(S + S')/2 of a matrix or of a stack of matrices (last two axes)."""
     return 0.5 * (S + np.swapaxes(S, -1, -2))
@@ -380,6 +391,13 @@ def eigvals_sym(S: np.ndarray) -> np.ndarray:
     Rayleigh bound lam_min ||x||^2 <= x'Sx <= lam_max ||x||^2.
     """
     return np.linalg.eigvalsh(_require_symmetric(S))
+
+
+def eig_min(S: np.ndarray) -> float:
+    """Smallest eigenvalue of a nearly symmetric matrix, or the smallest over
+    a stack of them (last two axes), after symmetrizing without a check:
+    every regularity margin and convexity witness is this number."""
+    return float(np.linalg.eigvalsh(symmetrize(S))[..., 0].min())
 
 
 def is_psd(S: np.ndarray, tol: float = 1e-10) -> bool:

@@ -22,14 +22,15 @@ Two layers live here:
 Regularity (R + D'PD strictly positive definite along the whole horizon) is
 always measured and enforced; the decentralized law is meaningless without it.
 
-R + D'PD and B'P + D'PC are formed by one kernel, :func:`gain_terms`, which
-broadcasts over time axes: the margin and the gains Theta1, Theta2 take it
-on all nodes at once, the phi sweep on the RK4 stage times of a chunk of
-steps, and the P right-hand side on the n^2 unit matrices.  P is a
+R + D'PD and B'P + D'PC are formed as values by one kernel,
+:func:`gain_terms`, which broadcasts over time axes: the margin
+(ode.eig_min) and the gains Theta1, Theta2 take it on all nodes at once,
+and the phi sweep on the RK4 stage times of a chunk of steps.  P is a
 nonlinear Riccati equation and steps stagewise (ode.integrate_rk4), but
 everything in its right-hand side except the gain solve is linear in P: on
-y = (vec P, 1) it is one operator product per stage (:func:`p_operator`),
-built once for constant coefficients and per chunk of stage times for
+y = (vec P, 1) it is one operator product per stage (:func:`p_operator`,
+the linear maps of those terms by the Kronecker rule ode.kron_vec), built
+once for constant coefficients and per chunk of stage times for
 time-varying ones.  phi is linear and is an ode.integrate_linear sweep.
 The oracle's two modes step as P does, on y = (vec P_dev, vec P_mean, 1)
 with one product and one m x m gain per stage (:func:`_riccati_sweep`), and
@@ -51,9 +52,11 @@ from .model import TIME_VARYING, AugmentedCoeffs, ModelParams
 from .ode import (
     TimeGrid,
     Trajectory,
+    eig_min,
     integrate_linear,
     integrate_rk4,
     interp,
+    kron_vec,
     matvec,
     quadrature,
     symmetrize,
@@ -102,37 +105,28 @@ def node_solve(S: np.ndarray, rhs: np.ndarray, nodes=None) -> np.ndarray:
         raise
 
 
-def regularity_margin(P: Trajectory, params: ModelParams) -> float:
-    """min over nodes of lambda_min(R + D'PD)."""
-    S, _ = node_gain_terms(P, params)
-    return float(np.linalg.eigvalsh(symmetrize(S))[:, 0].min())
-
-
 def p_operator(A, B, C, D, Q, R) -> np.ndarray:
     """The P right-hand side as one linear map of y = (vec P, 1), row-major vec.
 
     Its rows give, in order: the linear part -(PA + A'P + C'PC + Q) (n^2
     rows), a zero row that keeps the trailing 1, R + D'PD (m^2 rows) and
-    B'P + D'PC (mn rows).  Column j < n^2 is the image of the j-th unit
-    matrix, which by vec(XPY) = (X (x) Y') vec P makes the map
-    (-(I (x) A' + A' (x) I + C' (x) C'), D' (x) D', B' (x) I + D' (x) C');
-    R + D'PD is formed by :func:`gain_terms` as everywhere else.  The last
-    column holds the offsets -vec Q and vec R.  The coefficients share any
-    leading (time) axes, which the map carries in front of its
-    (n^2 + 1 + m^2 + mn, n^2 + 1) matrix.
+    B'P + D'PC (mn rows).  By vec(XPY) = (X (x) Y') vec P
+    (:func:`ode.kron_vec`), their first n^2 columns are
+    (-(I (x) A' + A' (x) I + C' (x) C'), D' (x) D', B' (x) I + D' (x) C'),
+    and the last column holds the offsets -vec Q and vec R.  The
+    coefficients share any leading (time) axes, which the map carries in
+    front of its (n^2 + 1 + m^2 + mn, n^2 + 1) matrix.
     """
     n, m = B.shape[-2:]
     lead = A.shape[:-2]
-    units = np.eye(n * n).reshape(n * n, n, n)
-    A, B, C, D = (X[..., None, :, :] for X in (A, B, C, D))
-    S, num = gain_terms(units, B, C, D, 0.0)
-    lin = -(units @ A + A.swapaxes(-1, -2) @ units + C.swapaxes(-1, -2) @ (units @ C))
-    images = [lin, np.zeros(lead + (n * n, 1)), S, num]
-    offsets = [-Q, np.zeros(lead + (1, 1)), R, np.zeros(lead + (1, m * n))]
-    columns = np.concatenate([
-        np.concatenate([X.reshape(lead + (n * n, -1)) for X in images], axis=-1),
-        np.concatenate([X.reshape(lead + (1, -1)) for X in offsets], axis=-1)], axis=-2)
-    return np.ascontiguousarray(columns.swapaxes(-1, -2))
+    eye = np.eye(n)
+    At, Bt, Ct, Dt = (X.swapaxes(-1, -2) for X in (A, B, C, D))
+    maps = [-(kron_vec(eye, A) + kron_vec(At, eye) + kron_vec(Ct, C)),
+            np.zeros(lead + (1, n * n)), kron_vec(Dt, D), kron_vec(Bt, eye) + kron_vec(Dt, C)]
+    offsets = [-Q, np.zeros(lead + (1, 1)), R, np.zeros(lead + (m * n, 1))]
+    return np.concatenate([np.concatenate(maps, axis=-2),
+                           np.concatenate([X.reshape(lead + (-1, 1)) for X in offsets],
+                                          axis=-2)], axis=-1)
 
 
 def _riccati_sweep(params: ModelParams, grid: TimeGrid, operator, names, terminals,
@@ -231,7 +225,7 @@ def solve_P(params: ModelParams) -> tuple[Trajectory, float]:
     values = _riccati_sweep(params, grid, p_operator, ("A", "B", "C", "D", "Q", "R"),
                             [params.G], "R + D'PD")
     P = Trajectory(grid, values[:, 0])
-    margin = regularity_margin(P, params)
+    margin = eig_min(node_gain_terms(P, params)[0])
     if not margin > REGULARITY_TOL:
         raise RegularityLostError(f"regularity margin {margin:.3e} <= {REGULARITY_TOL}")
     return P, margin
@@ -430,7 +424,7 @@ def solve_oracle(aug: AugmentedCoeffs, grid: TimeGrid | None = None, *, validate
     B, C, D, R = (nodes[name] for name in ("B", "C", "D", "R"))
     S, num_dev = gain_terms(P_dev, B, C, D, R, Pd)
     _, num_mean = gain_terms(P_mean, B, C + nodes["Ftilde"], D, R, Pd)
-    margin = float(np.linalg.eigvalsh(symmetrize(S))[:, 0].min())
+    margin = eig_min(S)
     if not margin > REGULARITY_TOL:
         raise RegularityLostError(f"oracle regularity margin {margin:.3e}")
     K = -node_solve(S, np.concatenate([num_dev, num_mean], axis=-1))

@@ -5,10 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from mflqg import ode
+from mflqg import analysis, ode
 from mflqg.analysis import convergence_study, gap_study, lambda_boundedness
 from mflqg.consistency import solve_cc
-from mflqg.errors import GridMismatchError, InvalidNError
+from mflqg.errors import GridMismatchError, InvalidNError, SettingError
 from mflqg.model import AugmentedCoeffs, ModelParams
 from mflqg.ode import Trajectory, integrate_rk4, interp
 from mflqg.presets import repro_instance
@@ -82,6 +82,31 @@ def test_gap_study_warns_without_certificate(rng):
     with pytest.warns(UserWarning):
         g = gap_study(p, [2], paths=50, seed=1, validate_oracle=False)
     assert g.warnings
+
+
+@pytest.mark.parametrize("study, N_list, paths, error", [
+    ("gap", [2, 40], 4, InvalidNError),
+    ("gap", [2], 0, SettingError),
+    ("convergence", [50, 0], 2, InvalidNError),
+    ("convergence", [5], 0, SettingError),
+], ids=["gap-stacked-N", "gap-paths", "convergence-N", "convergence-reps"])
+def test_a_study_refuses_bad_counts_before_any_solve_or_simulation(monkeypatch, study, N_list,
+                                                                    paths, error):
+    # n = 2: N = 40 is an 80-dimensional stacked system, past MAX_AUGMENTED_DIM
+    p = rand_params(np.random.default_rng(11), n=2, m=1, steps=40)
+    sol, law = solve_cc(p)
+    calls = []
+    for name in ("solve_cc", "solve_oracle", "simulate_decentralized", "simulate_centralized"):
+        def spy(*args, _name=name, _run=getattr(analysis, name), **kwargs):
+            calls.append(_name)
+            return _run(*args, **kwargs)
+        monkeypatch.setattr(analysis, name, spy)
+    with pytest.raises(error):
+        if study == "gap":
+            gap_study(p, N_list, paths=paths, seed=1, validate_oracle=False)
+        else:
+            convergence_study(p, law, sol.xhat, N_list, replications=paths, seed=1)
+    assert calls == []
 
 
 def test_lambda_zero_case(rng):

@@ -559,12 +559,13 @@ def test_seed_outside_the_key_range_is_validation_failure(tmp_path, capsys, seed
     ("converge", ["--N-list", "2,0", "--reps", "2"], "population size must be a positive"),
     ("gap", ["--N-list", "2", "--paths", "0"], "need at least one path and one agent"),
     ("gap", ["--N-list", "0", "--paths", "2"], "population size must be a positive"),
+    ("gap", ["--N-list", "2,65", "--paths", "2"], "refusing to materialize"),
     ("repro-sec7", ["--steps", "50", "--paths", "0"], "need at least one path and one agent"),
     ("repro-sec7", ["--steps", "50", "--reps", "0"], "need at least one path and one agent"),
     ("simulate", ["--N", "2", "--paths", "2", "--thin", "0"], "--thin must be a positive"),
     ("simulate", ["--N", "2", "--paths", "2", "--thin", "-3"], "--thin must be a positive"),
 ], ids=["simulate-N", "simulate-paths", "converge-reps", "converge-N-list", "gap-paths",
-        "gap-N-list", "repro-sec7-paths", "repro-sec7-reps", "simulate-thin-0",
+        "gap-N-list", "gap-stacked-N", "repro-sec7-paths", "repro-sec7-reps", "simulate-thin-0",
         "simulate-thin-negative"])
 def test_bad_count_is_refused_before_anything_is_written(tmp_path, capsys, command, extra,
                                                           message):

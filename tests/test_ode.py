@@ -10,11 +10,13 @@ from mflqg.errors import NonFiniteError, NotSymmetricError
 from mflqg.ode import (
     TimeGrid,
     Trajectory,
+    eig_min,
     eigvals_sym,
     integrate_linear,
     integrate_rk4,
     interp,
     is_psd,
+    kron_vec,
     quadrature,
     trapezoid_nodes,
 )
@@ -418,6 +420,35 @@ def test_rayleigh_bounds_hold_on_random_matrices():
         nrm = x @ x
         slack = 1e-10 * (1.0 + abs(quad))
         assert lam[0] * nrm - slack <= quad <= lam[-1] * nrm + slack
+
+
+def test_kron_vec_is_the_kronecker_product_with_the_transpose():
+    rng = np.random.default_rng(31)
+    for shape_x, shape_y in (((2, 3), (4, 5)), ((3, 3), (3, 3)), ((1, 2), (2, 1))):
+        X, Y = rng.standard_normal(shape_x), rng.standard_normal(shape_y)
+        assert np.array_equal(kron_vec(X, Y), np.kron(X, Y.T))
+
+
+def test_kron_vec_maps_vec_U_to_vec_XUY_over_leading_axes():
+    # rectangular factors on a time axis and a batch axis, U without them
+    rng = np.random.default_rng(32)
+    X = rng.standard_normal((7, 1, 2, 3))
+    Y = rng.standard_normal((1, 4, 5, 6))
+    U = rng.standard_normal((3, 5))
+    M = kron_vec(X, Y)
+    assert M.shape == (7, 4, 2 * 6, 3 * 5)
+    want = (X @ U @ Y).reshape(7, 4, -1)
+    assert np.allclose(M @ U.ravel(), want, rtol=1e-14, atol=1e-14)
+
+
+def test_eig_min_is_the_smallest_over_a_symmetrized_stack():
+    rng = np.random.default_rng(33)
+    S = rng.standard_normal((9, 3, 3))
+    # no tolerance check: an asymmetric stack is symmetrized as it is
+    want = min(np.linalg.eigvalsh(0.5 * (M + M.T))[0] for M in S)
+    assert eig_min(S) == want
+    assert eig_min(S[4]) == np.linalg.eigvalsh(0.5 * (S[4] + S[4].T))[0]
+    assert isinstance(eig_min(S), float)
 
 
 def test_is_psd_cases():

@@ -106,6 +106,33 @@ def test_solve_P_operator_form_matches_matrix_form(instance):
     assert np.array_equal(P.values, P.values.swapaxes(-1, -2))
 
 
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 2)])
+@pytest.mark.parametrize("time_varying", [False, True], ids=["constant", "time_varying"])
+def test_p_operator_rows_are_the_linear_part_S_and_numerator(time_varying, n, m):
+    # on y = (vec P, 1) the map gives -(PA + A'P + C'PC + Q), the kept 1's
+    # zero, R + D'PD and B'P + D'PC: for constant coefficients, and at every
+    # time of a time axis for coefficients that each move in time
+    rng = np.random.default_rng(40 + 3 * n + m)
+    p = rand_params(rng, n=n, m=m, steps=6)
+    times = p.grid().nodes if time_varying else np.array([0.0])
+    A, B, C, D, Q, R = (getattr(p, k) * (1.0 + 0.1 * i * times)[:, None, None]
+                        for i, k in enumerate(P_NAMES, start=1))
+    if not time_varying:
+        A, B, C, D, Q, R = A[0], B[0], C[0], D[0], Q[0], R[0]
+    X = rng.standard_normal((n, n))
+    P = X + X.T
+
+    def T(M):
+        return M.swapaxes(-1, -2)
+
+    z = riccati.p_operator(A, B, C, D, Q, R) @ np.append(P.ravel(), 1.0)
+    parts = [-(P @ A + T(A) @ P + T(C) @ P @ C + Q), np.zeros(Q.shape[:-2] + (1, 1)),
+             R + T(D) @ P @ D, T(B) @ P + T(D) @ P @ C]
+    want = np.concatenate([M.reshape(M.shape[:-2] + (-1,)) for M in parts], axis=-1)
+    assert z.shape == A.shape[:-2] + (n * n + 1 + m * m + m * n,)
+    assert np.all(np.abs(z - want) <= 1e-13 * np.abs(want).max())
+
+
 @pytest.mark.parametrize("time_varying", [False, True], ids=["constant", "time_varying"])
 def test_singular_gain_denominator_in_the_P_sweep_raises(time_varying):
     p = scalar_params(steps=20, R=[[0.0]], D=[[0.0]])
