@@ -2,11 +2,13 @@
 consistency-condition solve, Monte Carlo simulation, and the convergence and
 optimality-gap experiments.
 
-Every run writes its artifacts plus a manifest.json into the output
-directory; CSV payloads are byte-identical across reruns with the same
-inputs and any MFLQG_THREADS setting (floats are printed with 17 significant
-digits, newlines are always LF).  Exit codes: 0 success, 1 validation
-failure, 2 numerical failure (stage named on stderr).
+A run writes its output directory once, after its last computation: a copy
+of the config, its artifacts, and a manifest.json last, so a refused
+setting or a numerical failure leaves no directory.  CSV payloads are
+byte-identical across reruns with the same inputs and any MFLQG_THREADS
+setting (floats are printed with 17 significant digits, newlines are always
+LF).  Exit codes: 0 success, 1 validation failure, 2 numerical failure
+(stage named on stderr).
 """
 
 from __future__ import annotations
@@ -26,12 +28,12 @@ from .consistency import solve_cc
 from .convexity import (check_coupled_indefinite, check_decoupled_indefinite, is_coupled,
                         report_all)
 from .errors import ConfigError, GridMismatchError, MFLQGError, NonFiniteError, SettingError
-from .model import (TIME_VARYING, ModelParams, integral, load_config, parse_config, real,
-                    save_config, validate)
+from .model import (TIME_VARYING, ModelParams, check_population_size, integral, load_config,
+                    parse_config, real, save_config, validate)
 from .ode import TimeGrid, Trajectory
 from .presets import repro_instance
 from .riccati import FeedbackLaw
-from .montecarlo import NoiseBank, check_seed, simulate_decentralized
+from .montecarlo import NoiseBank, simulate_decentralized
 
 
 CSV_BLOCK_ROWS = 4096
@@ -124,49 +126,58 @@ def sha256_of(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(out: Path, command: str, config_path: Path, seed, grid: TimeGrid,
-                    artifacts: list[Path], t0: float, extra: dict | None = None):
-    doc = {
+def _write_run(out, command: str, config_src, params: ModelParams, seed, grid: TimeGrid,
+               t0: float, files: dict, extra: dict | None = None) -> None:
+    """Write a finished run into the directory ``out``: a copy of the config
+    (the file ``config_src``, or ``params`` saved when it is None), each of
+    ``files`` (a name to a dict, written by write_json, or to a (header,
+    columns) pair, written by write_csv), and manifest.json last.
+
+    Every command calls it once, after its last computation, so a refused
+    or failed run leaves no directory.
+    """
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    cfg = out / "config.json"
+    if config_src is None:
+        save_config(params, cfg)
+    else:
+        cfg.write_bytes(Path(config_src).read_bytes())
+    for name, doc in files.items():
+        if isinstance(doc, dict):
+            write_json(out / name, doc)
+        else:
+            write_csv(out / name, *doc)
+    manifest = {
         "command": command,
-        "config_sha256": sha256_of(config_path),
+        "config_sha256": sha256_of(cfg),
         "seed": seed,
         "grid": {"T": grid.T, "steps": grid.steps},
-        "artifacts": sorted(p.name for p in artifacts),
+        "artifacts": sorted(files),
         "wall_time_s": round(time.time() - t0, 3),
         "version": __version__,
     }
-    if extra:
-        doc.update(extra)
-    write_json(out / "manifest.json", doc)
+    write_json(out / "manifest.json", {**manifest, **(extra or {})})
 
 
-def _stash_config(src: Path | None, params: ModelParams, out: Path) -> Path:
-    dest = out / "config.json"
-    if src is not None:
-        dest.write_bytes(Path(src).read_bytes())
-    else:
-        save_config(params, dest)
-    return dest
-
-
-def _samples(traj: Trajectory) -> dict:
-    return {"samples": traj.values}
-
-
-def save_law(law: FeedbackLaw, xhat: Trajectory, out: Path) -> Path:
-    doc = {
-        "T": law.grid.T,
-        "steps": law.grid.steps,
-        "n": law.P.shape[0],
-        "m": law.Theta2.shape[0],
-        "regularity_margin": law.regularity_margin,
-        "P": _samples(law.P),
-        "phi": _samples(law.phi),
-        "Theta1": _samples(law.Theta1),
-        "Theta2": _samples(law.Theta2),
-        "xhat": _samples(xhat),
-    }
-    return write_json(out / "law.json", doc)
+def _solution_files(params: ModelParams, sol, law: FeedbackLaw) -> dict:
+    """law.json, solution.csv and diagnostics.json of a consistency-condition solve."""
+    n, m, grid = params.n, params.m, law.grid
+    law_doc = {"T": grid.T, "steps": grid.steps, "n": n, "m": m,
+               "regularity_margin": law.regularity_margin}
+    for name, traj in (("P", law.P), ("phi", law.phi), ("Theta1", law.Theta1),
+                       ("Theta2", law.Theta2), ("xhat", sol.xhat)):
+        law_doc[name] = {"samples": traj.values}
+    header = (["t"] + [f"xhat_{i+1}" for i in range(n)]
+              + [f"y1hat_{i+1}" for i in range(n)] + [f"y2hat_{i+1}" for i in range(n)]
+              + [f"beta1hat_{i+1}" for i in range(n)] + [f"phi_{i+1}" for i in range(n)]
+              + [f"Theta1_{i+1}{j+1}" for i in range(m) for j in range(n)]
+              + [f"Theta2_{i+1}" for i in range(m)])
+    columns = [grid.nodes, sol.xhat.values, sol.y1hat.values, sol.y2hat.values,
+               sol.beta1hat.values, sol.phi.values,
+               law.Theta1.values.reshape(grid.steps + 1, m * n), law.Theta2.values]
+    return {"law.json": law_doc, "solution.csv": (header, columns),
+            "diagnostics.json": sol.diagnostics}
 
 
 def _read_json(path):
@@ -303,53 +314,28 @@ def cmd_convexity(args) -> int:
     return 0
 
 
-def _solve_into(params: ModelParams, out: Path, config_src: Path | None,
-                command: str, write_manifest: bool = True) -> tuple:
-    t0 = time.time()
-    out.mkdir(parents=True, exist_ok=True)
-    cfg = _stash_config(config_src, params, out)
-    sol, law = solve_cc(params)
-    artifacts = [save_law(law, sol.xhat, out)]
-    n, m = params.n, params.m
-    header = (["t"] + [f"xhat_{i+1}" for i in range(n)]
-              + [f"y1hat_{i+1}" for i in range(n)] + [f"y2hat_{i+1}" for i in range(n)]
-              + [f"beta1hat_{i+1}" for i in range(n)] + [f"phi_{i+1}" for i in range(n)]
-              + [f"Theta1_{i+1}{j+1}" for i in range(m) for j in range(n)]
-              + [f"Theta2_{i+1}" for i in range(m)])
-    grid = law.grid
-    columns = [grid.nodes, sol.xhat.values, sol.y1hat.values, sol.y2hat.values,
-               sol.beta1hat.values, sol.phi.values,
-               law.Theta1.values.reshape(grid.steps + 1, m * n), law.Theta2.values]
-    artifacts.append(write_csv(out / "solution.csv", header, columns))
-    artifacts.append(write_json(out / "diagnostics.json", sol.diagnostics))
-    if write_manifest:
-        _write_manifest(out, command, cfg, None, grid, artifacts, t0)
-    return sol, law, cfg, artifacts
-
-
 def _fitted(x: float) -> float | None:
     """A fitted coefficient, or None (JSON null) when it could not be fitted."""
     return float(x) if np.isfinite(x) else None
 
 
 def cmd_solve(args) -> int:
+    t0 = time.time()
     params = load_config(args.config)
-    _solve_into(params, Path(args.out), Path(args.config), "solve")
+    sol, law = solve_cc(params)
+    _write_run(args.out, "solve", args.config, params, None, law.grid, t0,
+               _solution_files(params, sol, law))
     print(f"law written to {args.out}")
     return 0
 
 
 def cmd_simulate(args) -> int:
     t0 = time.time()
-    check_seed(args.seed)
-    check_study_counts(args.paths, [args.N])
     if args.thin < 1:
         raise SettingError(f"--thin must be a positive integer, got {args.thin}")
     params = load_config(args.config)
     law, _, law_hash = load_law(Path(args.law), params)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    cfg = _stash_config(Path(args.config), params, out)
+    check_population_size(args.N)
     noise = NoiseBank(seed=args.seed, n_paths=args.paths, n_agents=args.N, grid=law.grid)
     res = simulate_decentralized(params, law, args.N, noise)
     steps, n, P = law.grid.steps, params.n, res.n_paths
@@ -363,92 +349,66 @@ def cmd_simulate(args) -> int:
     else:
         columns = [np.repeat(np.arange(P), len(keep)), "avg", np.tile(t, P),
                    res.xavg[:, keep].reshape(-1, n)]
-    header = ["path", "agent", "t"] + [f"x_{i+1}" for i in range(n)]
-    artifacts = [write_csv(out / "trajectories.csv", header, columns)]
     keep_agents = min(args.N, 8)
-    cost_header = ["path", "J_soc"] + [f"J_{i+1}" for i in range(keep_agents)]
-    artifacts.append(write_csv(out / "costs.csv", cost_header,
-                               [np.arange(P), res.J_soc, res.J_i[:, :keep_agents]]))
-    _write_manifest(out, "simulate", cfg, args.seed, law.grid, artifacts, t0,
-                    extra={"N": args.N, "paths": args.paths, "dt": law.grid.dt,
-                           "law_sha256": law_hash, "thin": args.thin})
-    print(f"simulation written to {out}")
+    files = {
+        "trajectories.csv": (["path", "agent", "t"] + [f"x_{i+1}" for i in range(n)], columns),
+        "costs.csv": (["path", "J_soc"] + [f"J_{i+1}" for i in range(keep_agents)],
+                      [np.arange(P), res.J_soc, res.J_i[:, :keep_agents]]),
+    }
+    _write_run(args.out, "simulate", args.config, params, args.seed, law.grid, t0, files,
+               {"N": args.N, "paths": args.paths, "dt": law.grid.dt, "law_sha256": law_hash,
+                "thin": args.thin})
+    print(f"simulation written to {args.out}")
     return 0
 
 
 def cmd_converge(args) -> int:
     t0 = time.time()
-    check_seed(args.seed)
     N_list = _parse_int_list(args.N_list, "--N-list")
-    check_study_counts(args.reps, N_list)
     params = load_config(args.config)
     law, xhat, law_hash = load_law(Path(args.law), params)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    cfg = _stash_config(Path(args.config), params, out)
     table = convergence_study(params, law, xhat, N_list, args.reps, args.seed)
-    artifacts = [write_csv(out / "convergence.csv", ["N", "replications", "estimate", "se"],
-                           [np.array(table.rows)])]
-    artifacts.append(write_json(out / "summary.json",
-                                {"slope": _fitted(table.slope),
-                                 "intercept": _fitted(table.intercept)}))
-    _write_manifest(out, "converge", cfg, args.seed, law.grid, artifacts, t0,
-                    extra={"law_sha256": law_hash, "replications": args.reps})
-    print(f"slope {table.slope:.4f} written to {out}")
+    files = {"convergence.csv": (["N", "replications", "estimate", "se"], [np.array(table.rows)]),
+             "summary.json": {"slope": _fitted(table.slope),
+                              "intercept": _fitted(table.intercept)}}
+    _write_run(args.out, "converge", args.config, params, args.seed, law.grid, t0, files,
+               {"law_sha256": law_hash, "replications": args.reps})
+    print(f"slope {table.slope:.4f} written to {args.out}")
     return 0
 
 
 def cmd_gap(args) -> int:
     t0 = time.time()
-    check_seed(args.seed)
     N_list = _parse_int_list(args.N_list, "--N-list")
-    check_study_counts(args.paths, N_list)
     params = load_config(args.config)
-    # the study refuses a bad N before any solve, and --out waits for its table
     table = gap_study(params, N_list, args.paths, args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    cfg = _stash_config(Path(args.config), params, out)
-    artifacts = [write_csv(out / "gap.csv",
-                           ["N", "J_dec_per_capita", "J_oracle_per_capita", "gap_per_capita", "se"],
-                           [np.array(table.rows)])]
-    verdicts = {
-        "oracle_dominates": all(g >= -2 * se for _, _, _, g, se in table.rows),
-        "warnings": table.warnings,
+    files = {
+        "gap.csv": (["N", "J_dec_per_capita", "J_oracle_per_capita", "gap_per_capita", "se"],
+                    [np.array(table.rows)]),
+        "summary.json": {"oracle_dominates": all(g >= -2 * se for _, _, _, g, se in table.rows),
+                         "warnings": table.warnings},
     }
-    artifacts.append(write_json(out / "summary.json", verdicts))
-    _write_manifest(out, "gap", cfg, args.seed, params.grid(), artifacts, t0)
-    print(f"gap table written to {out}")
+    _write_run(args.out, "gap", args.config, params, args.seed, params.grid(), t0, files)
+    print(f"gap table written to {args.out}")
     return 0
 
 
 def cmd_repro(args) -> int:
     t0 = time.time()
-    check_seed(args.seed)
     N_list = _parse_int_list(args.n_list, "--n-list")
     if args.steps < 2:
         raise SettingError(f"--steps: need at least 2 steps, got {args.steps}")
-    check_study_counts(args.paths, [args.N])
-    check_study_counts(args.reps, N_list)
     params = repro_instance(steps=args.steps)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    sol, law, cfg, artifacts = _solve_into(params, out, None, "repro-sec7",
-                                           write_manifest=False)
-
-    noise = NoiseBank(seed=args.seed, n_paths=args.paths, n_agents=args.N, grid=law.grid)
+    # the seed and every count are refused before the solve
+    noise = NoiseBank(seed=args.seed, n_paths=args.paths, n_agents=args.N, grid=params.grid())
+    check_study_counts(args.reps, N_list)
+    sol, law = solve_cc(params)
     res = simulate_decentralized(params, law, args.N, noise, store=False)
-    artifacts.append(write_csv(out / "trajectories.csv",
-                               ["t", "xhat_1", "xhat_2", "xavg_1", "xavg_2"],
-                               [law.grid.nodes, sol.xhat.values, res.xavg.mean(axis=0)]))
-
     table = convergence_study(params, law, sol.xhat, N_list, args.reps, args.seed)
-    artifacts.append(write_csv(out / "convergence.csv", ["N", "replications", "estimate", "se"],
-                               [np.array(table.rows)]))
-
     lam = lambda_boundedness(params, law, [10, 100, 1000])
+    xavg_mean = res.xavg.mean(axis=0)
     summary = {
-        "sup_norm_distance": float(np.max(np.abs(res.xavg.mean(axis=0) - sol.xhat.values))),
+        "sup_norm_distance": float(np.max(np.abs(xavg_mean - sol.xhat.values))),
         "sup_sq_distance_mean": float(np.mean(np.max(
             np.sum((res.xavg - sol.xhat.values) ** 2, axis=2), axis=1))),
         "convergence_slope": _fitted(table.slope),
@@ -457,10 +417,16 @@ def cmd_repro(args) -> int:
                      "spread_lam1": lam.max_spread1, "spread_lam2": lam.max_spread2},
         "diagnostics": sol.diagnostics,
     }
-    artifacts.append(write_json(out / "summary.json", summary))
-    _write_manifest(out, "repro-sec7", cfg, args.seed, law.grid, artifacts, t0,
-                    extra={"N": args.N, "paths": args.paths})
-    print(f"reproduction written to {out}")
+    files = {
+        **_solution_files(params, sol, law),
+        "trajectories.csv": (["t", "xhat_1", "xhat_2", "xavg_1", "xavg_2"],
+                             [law.grid.nodes, sol.xhat.values, xavg_mean]),
+        "convergence.csv": (["N", "replications", "estimate", "se"], [np.array(table.rows)]),
+        "summary.json": summary,
+    }
+    _write_run(args.out, "repro-sec7", None, params, args.seed, law.grid, t0, files,
+               {"N": args.N, "paths": args.paths})
+    print(f"reproduction written to {args.out}")
     return 0
 
 

@@ -54,7 +54,7 @@ from .errors import (GridMismatchError, InvalidNError, MissingTrajectoriesError,
                      SettingError)
 from .model import (TIME_VARYING, AugmentedCoeffs, ModelParams, build_augmented,
                     kron_eye, kron_mean)
-from .ode import TimeGrid, matvec, trapezoid_nodes
+from .ode import BLOWUP_NORM, TimeGrid, matvec, trapezoid_nodes
 from .riccati import FeedbackLaw, OracleLaw
 
 # full trajectory storage cap, in scalars (states + controls combined)
@@ -335,8 +335,9 @@ def _em(fold, dW: np.ndarray, kind: str, record=None) -> np.ndarray:
     At node k the product Z = maps[k] X holds the drift increments, the
     diffusion coefficients and the cost forms without their offsets;
     fold.node(k, X, Z) gives the agent means, the two offsets and the node's
-    cost.  record(k, X, xavg) sees every node.  A non-finite state shows in
-    its agent mean, which is checked at every node.
+    cost.  record(k, X, xavg) sees every node.  The agent means are checked
+    at every node by the ODE layer's rule, max|xavg| <= BLOWUP_NORM, which
+    a NaN or Inf state fails too.
     """
     X = fold.initial(len(dW))
     d = len(X)
@@ -344,7 +345,7 @@ def _em(fold, dW: np.ndarray, kind: str, record=None) -> np.ndarray:
     for k in range(dW.shape[-1] + 1):
         Z = (fold.maps[k] @ X.reshape(d, -1)).reshape((-1,) + X.shape[1:])
         xb, drift, diff, cost = fold.node(k, X, Z)
-        if not np.isfinite(xb).all():
+        if not abs(xb).max() <= BLOWUP_NORM:
             raise NonFiniteError(f"{kind} simulation blew up at step {k}")
         if record is not None:
             record(k, X, xb)

@@ -2,6 +2,7 @@
 
 import json
 import hashlib
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -19,8 +20,6 @@ CONFIG = REPO / "configs" / "repro2d.json"
 
 
 def run_cli(args, env=None):
-    import os
-
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
@@ -219,6 +218,42 @@ def test_indefinite_R_without_noise_exits_two(tmp_path):
     r = run_cli(["solve", str(cfg), "--out", str(tmp_path / "out")])
     assert r.returncode == 2
     assert "solve_P" in r.stderr
+
+
+@pytest.mark.parametrize("command, edit, message", [
+    ("solve", dict(R=-np.eye(2), D=np.zeros((2, 2))), "[stage solve_P] blow-up detected at node 0"),
+    ("simulate", dict(A=1e9 * np.eye(2)), "decentralized simulation blew up at step 2"),
+    ("converge", dict(A=1e9 * np.eye(2)), "decentralized simulation blew up at step 2"),
+    ("simulate", dict(A=1e6 * np.eye(2)), "decentralized simulation blew up at step 3"),
+    ("converge", dict(A=1e6 * np.eye(2)), "decentralized simulation blew up at step 3"),
+], ids=["solve-indefinite-R", "simulate-A1e9", "converge-A1e9", "simulate-A1e6",
+        "converge-A1e6"])
+def test_failed_run_leaves_no_directory(tmp_path, capsys, command, edit, message):
+    # the law is solved from the unmodified config; at A = 1e6 I the states
+    # grow to about 1e214 and stay finite, past the ODE layer's blow-up bound
+    law_dir = tmp_path / "law"
+    assert main(["solve", str(small_config(tmp_path, steps=50)), "--out", str(law_dir)]) == 0
+    p = repro_instance(steps=50)
+    for name, value in edit.items():
+        setattr(p, name, value)
+    cfg = tmp_path / "bad.json"
+    save_config(p, cfg)
+    extra = {"solve": [],
+             "simulate": ["--law", str(law_dir), "--N", "3", "--paths", "2", "--seed", "1"],
+             "converge": ["--law", str(law_dir), "--N-list", "2,3", "--reps", "2", "--seed", "1"]}
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, str(cfg), *extra[command], "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    assert not out.exists()
+
+
+def test_python_m_mflqg_runs_the_command_line():
+    r = subprocess.run([sys.executable, "-m", "mflqg", "validate", str(CONFIG)],
+                       capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "config admissible\n"
 
 
 def test_solve_then_simulate_manifest_chain(tmp_path):

@@ -11,7 +11,7 @@ from mflqg import montecarlo
 from mflqg.errors import (GridMismatchError, InvalidNError, MissingTrajectoriesError,
                           NonFiniteError, SettingError, StationarityError)
 from mflqg.model import AugmentedCoeffs, ModelParams, build_augmented, kron_eye, kron_mean
-from mflqg.ode import TimeGrid, Trajectory, integrate_rk4
+from mflqg.ode import BLOWUP_NORM, TimeGrid, Trajectory, integrate_rk4
 from mflqg import riccati
 from mflqg.riccati import FeedbackLaw, OracleLaw, solve_oracle
 from mflqg.montecarlo import (
@@ -654,8 +654,8 @@ def test_agent_fold_with_a_mean_gain_matches_reference_em_loop(rng):
 
 
 def blowup_params():
-    # with dt = 1 every agent grows about sevenfold per step, so the states
-    # overflow near step 365; no term of the drift overflows before the state
+    # with dt = 1 every agent grows about sevenfold per step, so the agent
+    # means leave ode.BLOWUP_NORM near step 15, long before any overflow
     p = rand_params(np.random.default_rng(3), n=1, m=1, T=400.0, steps=400)
     p.A, p.C, p.F = np.array([[6.0]]), np.array([[0.5]]), np.array([[0.1]])
     p.xi0 = np.array([1.0])
@@ -671,7 +671,8 @@ def test_blowup_names_first_step_with_non_finite_agent_mean(kind):
     with np.errstate(over="ignore", invalid="ignore"):
         xavg = reference_em(p, N, noise.increments_block(range(4)),
                             decentralized_control(zero, zero[..., 0]))[2]
-        first = int(np.argmin(np.isfinite(xavg).all(axis=(0, 2))))
+        # the first step whose agent mean leaves the ODE layer's bound
+        first = int(np.argmin(np.abs(xavg).max(axis=(0, 2)) <= BLOWUP_NORM))
         assert 0 < first < grid.steps
         with pytest.raises(NonFiniteError, match=f"^{kind} simulation blew up at step {first}$"):
             if kind == "decentralized":
