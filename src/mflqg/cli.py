@@ -7,8 +7,10 @@ of the config, its artifacts, and a manifest.json last, so a refused
 setting or a numerical failure leaves no directory.  CSV payloads are
 byte-identical across reruns with the same inputs and any MFLQG_THREADS
 setting (floats are printed with 17 significant digits, newlines are always
-LF).  Exit codes: 0 success, 1 validation failure, 2 numerical failure
-(stage named on stderr).
+LF).  JSON artifacts are written by ``model.write_json``, and every input
+file (config, law, --dq/--dg shift) is read through ``model.read_json`` and
+``model.read_field``, so a refusal names the file and the field.  Exit codes:
+0 success, 1 validation failure, 2 numerical failure (stage named on stderr).
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ from .analysis import check_study_counts, convergence_study, gap_study, lambda_b
 from .consistency import solve_cc
 from .convexity import (check_coupled_indefinite, check_decoupled_indefinite, is_coupled,
                         report_all)
-from .errors import ConfigError, GridMismatchError, MFLQGError, NonFiniteError, SettingError
+from .errors import ConfigError, GridMismatchError, MFLQGError, SettingError
 from .model import (TIME_VARYING, ModelParams, check_population_size, integral, load_config,
-                    parse_config, real, save_config, validate)
+                    parse_config, read_field, read_json, real, samples, save_config,
+                    validate, write_json)
 from .ode import TimeGrid, Trajectory
 from .presets import repro_instance
 from .riccati import FeedbackLaw
@@ -57,68 +60,6 @@ def write_csv(path: Path, header: list[str], columns) -> Path:
         for a in range(0, len(arrays[0]), CSV_BLOCK_ROWS):
             block = np.column_stack([x[a:a + CSV_BLOCK_ROWS] for x in arrays])
             fh.write(row * len(block) % tuple(block.ravel().tolist()))
-    return path
-
-
-def _array_template(shape: tuple, pad: str) -> str:
-    """The indent-2 JSON text of a nested list of this shape, with a "%r"
-    field per entry; ``pad`` is the indent of the line that opens it."""
-    if not shape:
-        return "%r"
-    if shape[0] == 0:
-        return "[]"
-    inner = pad + "  "
-    sep = ",\n" + inner
-    return "[\n" + inner + sep.join([_array_template(shape[1:], inner)] * shape[0]) \
-        + "\n" + pad + "]"
-
-
-def _key_text(key) -> str:
-    """A dict key as json writes it: a string, or an int, float, bool or None
-    written as its JSON text inside quotes."""
-    if not isinstance(key, str):
-        if not (key is None or isinstance(key, (int, float))):
-            raise TypeError(f"keys must be str, int, float, bool or None, "
-                            f"not {type(key).__name__}")
-        key = json.dumps(key, allow_nan=False)
-    return json.dumps(key)
-
-
-def _json_text(doc, pad: str) -> str:
-    """``doc`` as json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    writes it at indent ``pad``; a float ndarray is written as its tolist().
-
-    A float array is one %-format call: repr of a Python float is exactly
-    json's float text.
-    """
-    inner = pad + "  "
-    if isinstance(doc, dict):
-        if not doc:
-            return "{}"
-        return "{\n" + ",\n".join(inner + _key_text(k) + ": " + _json_text(v, inner)
-                                  for k, v in sorted(doc.items())) + "\n" + pad + "}"
-    if isinstance(doc, (list, tuple)):
-        if not doc:
-            return "[]"
-        return "[\n" + ",\n".join(inner + _json_text(v, inner) for v in doc) \
-            + "\n" + pad + "]"
-    if isinstance(doc, np.ndarray) and doc.dtype.kind == "f":
-        if not np.isfinite(doc).all():
-            raise ValueError("Out of range float values are not JSON compliant")
-        return _array_template(doc.shape, pad) % tuple(doc.ravel().tolist())
-    return json.dumps(doc, allow_nan=False)
-
-
-def write_json(path: Path, doc: dict) -> Path:
-    """Strict JSON with sorted keys and an indent of 2, the bytes of
-    json.dump(doc, indent=2, sort_keys=True, allow_nan=False) plus a newline.
-
-    Float ndarray leaves are written as their tolist().  A NaN or infinity
-    raises ValueError before the file is opened.
-    """
-    text = _json_text(doc, "") + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
     return path
 
 
@@ -180,17 +121,6 @@ def _solution_files(params: ModelParams, sol, law: FeedbackLaw) -> dict:
             "diagnostics.json": sol.diagnostics}
 
 
-def _read_json(path):
-    """The JSON document in ``path``; a missing or malformed file raises
-    ConfigError naming it."""
-    try:
-        return json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-
-
 def load_law(law_dir: Path, params: ModelParams | None = None
              ) -> tuple[FeedbackLaw, Trajectory, str]:
     """The law stored in ``law_dir``, its mean path xhat and the file's hash.
@@ -201,23 +131,14 @@ def load_law(law_dir: Path, params: ModelParams | None = None
     file raises ConfigError naming the file and the field.
     """
     path = Path(law_dir) / "law.json"
-    doc = _read_json(path)
-
-    def field(name, read):
-        try:
-            return read(doc[name])
-        except KeyError as exc:
-            raise ConfigError(f"{path}: field {name!r}: missing key {exc}") from None
-        except (TypeError, ValueError, OverflowError, NonFiniteError) as exc:
-            raise ConfigError(f"{path}: field {name!r}: {exc}") from None
-
-    T, steps = field("T", real), field("steps", integral)
+    doc = read_json(path)
+    T, steps = read_field(path, doc, "T", real), read_field(path, doc, "steps", integral)
     try:
         grid = TimeGrid(T, steps)
     except ValueError as exc:
         raise ConfigError(f"{path}: fields 'T' and 'steps': {exc}") from None
 
-    n, m = field("n", integral), field("m", integral)
+    n, m = (read_field(path, doc, name, integral) for name in ("n", "m"))
     if params is not None:
         for name, have, want in (("n", n, params.n), ("m", m, params.m)):
             if have != want:
@@ -230,19 +151,20 @@ def load_law(law_dir: Path, params: ModelParams | None = None
             raise ConfigError(f"{path}: fields 'T' and 'steps': {exc}") from None
     shapes = {"P": (n, n), "phi": (n,), "Theta1": (m, n), "Theta2": (m,), "xhat": (n,)}
 
-    def samples(name):
-        traj = field(name, lambda entry: Trajectory(grid, np.asarray(entry["samples"])))
+    def trajectory(name):
+        traj = read_field(path, doc, name, lambda raw: Trajectory(grid, samples(raw)))
         if traj.shape != shapes[name]:
             raise ConfigError(f"{path}: field {name!r}: samples of shape {traj.shape}, "
                               f"expected {shapes[name]} for n = {n}, m = {m}")
         return traj
 
-    margin = field("regularity_margin", real)
+    margin = read_field(path, doc, "regularity_margin", real)
     if not np.isfinite(margin):
         raise ConfigError(f"{path}: field 'regularity_margin': {margin} is not finite")
-    law = FeedbackLaw(grid=grid, P=samples("P"), phi=samples("phi"), Theta1=samples("Theta1"),
-                      Theta2=samples("Theta2"), regularity_margin=margin)
-    xhat = samples("xhat")
+    law = FeedbackLaw(grid=grid, P=trajectory("P"), phi=trajectory("phi"),
+                      Theta1=trajectory("Theta1"), Theta2=trajectory("Theta2"),
+                      regularity_margin=margin)
+    xhat = trajectory("xhat")
     return law, xhat, sha256_of(path)
 
 
@@ -287,15 +209,10 @@ def cmd_validate(args) -> int:
 
 
 def _read_shift(path) -> np.ndarray | None:
-    """The --dq/--dg weight shift in the JSON file ``path`` (None without
-    one); a file that is missing, malformed or not numeric raises
-    ConfigError naming it."""
+    """The --dq/--dg weight shift in the JSON file ``path``, None without one."""
     if path is None:
         return None
-    try:
-        return np.asarray(_read_json(path), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: not an array of numbers: {exc}") from None
+    return read_field(path, read_json(path), None, lambda raw: np.asarray(raw, dtype=float))
 
 
 def cmd_convexity(args) -> int:

@@ -43,11 +43,11 @@ class InvalidNError(SettingError):
 
 
 class ParseError(ConfigError):
-    """Config file is not valid JSON (carries line/column context)."""
+    """An input file is unreadable or not UTF-8 JSON (names the file, line, column)."""
 
 
 class SchemaError(ConfigError):
-    """Config file is valid JSON but violates the schema (names the field)."""
+    """An input file is JSON but violates its schema (names the file and field)."""
 
 
 class NearSingularError(MFLQGError):

@@ -1,5 +1,5 @@
 """Problem definition: coefficients, validation, the stacked-system builder,
-and JSON config I/O.
+and the package's JSON input and output.
 
 An instance is the weakly coupled population model
 
@@ -25,6 +25,11 @@ instances are admissible, and :func:`load_config` ends with it; every reader
 of coefficients at the nodes of a grid goes through
 :meth:`ModelParams.node_table`, where a constant broadcasts to any grid and a
 sampled coefficient exists only on the master grid (equal T and steps).
+
+Every input file (config, stored law, convexity shift) is parsed by
+:func:`read_json` and read field by field by :func:`read_field`, so every
+refusal names the file and the field; :func:`write_json` writes every JSON
+artifact.  :func:`is_int` decides whether a count, size or seed is an integer.
 """
 
 from __future__ import annotations
@@ -35,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, InvalidNError, ParseError, SchemaError
+from .errors import (GridMismatchError, InvalidNError, NonFiniteError, ParseError,
+                     SchemaError)
 from .ode import TimeGrid, interp, matvec, symmetrize
 
 # name -> (shape in terms of (n, m), may be time-varying, must be symmetric)
@@ -56,7 +62,6 @@ COEFF_SPEC = {
     "xi0": (("n",), False, False),
 }
 
-CONFIG_KEYS = ["n", "m", "T", "steps"] + list(COEFF_SPEC)
 # the coefficients that may be sampled per node, in COEFF_SPEC's order
 TIME_VARYING = tuple(name for name, (_, tv_ok, _) in COEFF_SPEC.items() if tv_ok)
 
@@ -65,10 +70,6 @@ SYM_REPAIR_TOL = 1e-8
 # The decentralized pipeline never forms Nn x Nn matrices; the brute-force
 # oracle path refuses to materialize them past this size.
 MAX_AUGMENTED_DIM = 64
-
-
-def _shape_of(spec, n: int, m: int):
-    return tuple(n if s == "n" else m for s in spec)
 
 
 @dataclass(eq=False)
@@ -134,20 +135,18 @@ class ModelParams:
 def validate(params: ModelParams) -> list[str]:
     """Return every violated admissibility condition (empty list = admissible)."""
     report: list[str] = []
-    if not (isinstance(params.n, int) and params.n >= 1):
-        report.append(f"n must be a positive integer, got {params.n!r}")
-    if not (isinstance(params.m, int) and params.m >= 1):
-        report.append(f"m must be a positive integer, got {params.m!r}")
+    for name, least in (("n", 1), ("m", 1), ("steps", 2)):
+        value = getattr(params, name)
+        if not (is_int(value) and value >= least):
+            report.append(f"{name} must be an integer >= {least}, got {value!r}")
     if not (np.isfinite(params.T) and params.T > 0):
         report.append(f"T must be positive and finite, got {params.T}")
-    if not (isinstance(params.steps, int) and params.steps >= 2):
-        report.append(f"steps must be an integer >= 2, got {params.steps!r}")
     if report:
         return report
 
     for name, (spec, tv_ok, must_sym) in COEFF_SPEC.items():
         arr = getattr(params, name)
-        base = _shape_of(spec, params.n, params.m)
+        base = tuple(params.n if s == "n" else params.m for s in spec)
         if not (arr.shape == base or tv_ok and arr.shape == (params.steps + 1,) + base):
             report.append(
                 f"{name}: expected shape {base} or {(params.steps + 1,) + base}, "
@@ -227,9 +226,15 @@ def _assemble_augmented(params: ModelParams, N: int, sample) -> AugmentedSystem:
         G=symmetrize(kron_eye(G, N) + kron_mean(Ghat - G, N)), S1=S1, S2=S2)
 
 
+def is_int(value) -> bool:
+    """An int or a numpy integer, never a bool: the one rule by which a
+    count, a size or a seed is an integer."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_population_size(N):
     """Raise InvalidNError unless N is a positive integer."""
-    if not (isinstance(N, (int, np.integer)) and N >= 1):
+    if not (is_int(N) and N >= 1):
         raise InvalidNError(f"population size must be a positive integer, got {N!r}")
 
 
@@ -279,58 +284,49 @@ class AugmentedCoeffs:
 
 
 # ---------------------------------------------------------------------------
-# JSON config I/O
+# JSON input and output
 # ---------------------------------------------------------------------------
 
-def _coeff_to_json(params: ModelParams, name: str):
-    arr = getattr(params, name)
-    if params.is_time_varying(name):
-        return {"samples": arr.tolist()}
-    return arr.tolist()
-
-
-def save_config(params: ModelParams, path):
-    doc = {"n": params.n, "m": params.m, "T": params.T, "steps": params.steps}
-    for name in COEFF_SPEC:
-        doc[name] = _coeff_to_json(params, name)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _parse_coeff(name: str, raw) -> np.ndarray:
-    """A JSON entry: a nested list is constant, {"samples": ...} one sample per
-    node on a leading axis.  Shapes are :func:`validate`'s; a symmetric one with
-    square trailing axes is symmetrized, warning past the repair tolerance."""
-    spec, tv_ok, must_sym = COEFF_SPEC[name]
-    rank = len(spec)
-    if isinstance(raw, dict):
-        if "samples" not in raw:
-            raise SchemaError(f"field {name!r}: time-varying entry must carry 'samples'")
-        if not tv_ok:
-            raise SchemaError(f"field {name!r} must be constant")
-        raw, rank = raw["samples"], rank + 1
+def read_json(path):
+    """The JSON document in the file ``path``, read as UTF-8.  A file that
+    cannot be read, is not UTF-8, is not JSON or nests too deeply to parse
+    raises ParseError naming it, with the line and column of a syntax error."""
     try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"field {name!r}: not an array of numbers: {exc}") from None
-    if arr.ndim != rank:
-        raise SchemaError(f"field {name!r}: expected {rank} axes, got {arr.ndim}")
-    if must_sym and arr.shape[-1] == arr.shape[-2]:
-        asym = np.max(np.abs(arr - np.swapaxes(arr, -1, -2)))
-        if asym > SYM_REPAIR_TOL * (1.0 + np.max(np.abs(arr))):
-            warnings.warn(f"{name} symmetrized on load (asymmetry {asym:.3e})")
-        arr = 0.5 * (arr + np.swapaxes(arr, -1, -2))
-    return arr
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror or exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def read_field(path, doc, name: str | None, read):
+    """``read(doc[name])``, or ``read(doc)`` when ``name`` is None, for the
+    document ``doc`` of the file ``path``.  A top level that is not an object,
+    a missing field, or a TypeError, ValueError, OverflowError or
+    NonFiniteError of ``read`` raises SchemaError naming the file and field."""
+    where = f"{path}: "
+    if name is not None:
+        if not isinstance(doc, dict):
+            raise SchemaError(f"{path}: top level must be an object")
+        if name not in doc:
+            raise SchemaError(f"{path}: missing required field {name!r}")
+        doc, where = doc[name], f"{path}: field {name!r}: "
+    try:
+        return read(doc)
+    except (TypeError, ValueError, OverflowError, NonFiniteError) as exc:
+        raise SchemaError(where + str(exc)) from None
 
 
 def integral(value) -> int:
     """A JSON number with no fractional part, as an int; a fraction, a
     boolean or any other value raises ValueError."""
     if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if is_int(value):
         return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
     raise ValueError(f"expected an integer, got {value!r}")
 
 
@@ -342,33 +338,47 @@ def real(value) -> float:
     raise ValueError(f"expected a number, got {value!r}")
 
 
+def samples(value) -> np.ndarray:
+    """The samples of a sampled entry {"samples": [...]}, one per node on the
+    leading axis, as a float array; any other value raises ValueError."""
+    if not (isinstance(value, dict) and "samples" in value):
+        raise ValueError("a sampled entry must be an object carrying 'samples'")
+    return np.asarray(value["samples"], dtype=float)
+
+
+def _parse_coeff(name: str, raw) -> np.ndarray:
+    """A config entry: a nested list is constant, {"samples": ...} one sample
+    per node on a leading axis.  Shapes are :func:`validate`'s; a symmetric
+    one with square trailing axes is symmetrized, warning past the repair
+    tolerance."""
+    spec, tv_ok, must_sym = COEFF_SPEC[name]
+    rank = len(spec)
+    if isinstance(raw, dict):
+        if not tv_ok:
+            raise ValueError("must be constant")
+        arr, rank = samples(raw), rank + 1
+    else:
+        arr = np.asarray(raw, dtype=float)
+    if arr.ndim != rank:
+        raise ValueError(f"expected {rank} axes, got {arr.ndim}")
+    if must_sym and arr.shape[-1] == arr.shape[-2]:
+        asym = np.max(np.abs(arr - np.swapaxes(arr, -1, -2)))
+        if asym > SYM_REPAIR_TOL * (1.0 + np.max(np.abs(arr))):
+            warnings.warn(f"{name} symmetrized on load (asymmetry {asym:.3e})")
+        arr = 0.5 * (arr + np.swapaxes(arr, -1, -2))
+    return arr
+
+
 def parse_config(path) -> ModelParams:
     """The instance a JSON config describes, not yet validated; a file that is
-    not JSON raises ParseError, a missing or malformed field SchemaError."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc.strerror or exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: top level must be an object")
-    for key in CONFIG_KEYS:
-        if key not in doc:
-            raise SchemaError(f"{path}: missing required field {key!r}")
-
-    def scalar(key, read):
-        try:
-            return read(doc[key])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise SchemaError(f"{path}: field {key!r}: {exc}") from None
-
-    n, m, steps = (scalar(key, integral) for key in ("n", "m", "steps"))
-    coeffs = {name: _parse_coeff(name, doc[name]) for name in COEFF_SPEC}
-    return ModelParams(n=n, m=m, T=scalar("T", real), steps=steps, **coeffs)
+    not JSON raises ParseError, a missing or malformed field SchemaError, each
+    naming the file."""
+    doc = read_json(path)
+    n, m, steps = (read_field(path, doc, key, integral) for key in ("n", "m", "steps"))
+    T = read_field(path, doc, "T", real)
+    coeffs = {name: read_field(path, doc, name, lambda raw: _parse_coeff(name, raw))
+              for name in COEFF_SPEC}
+    return ModelParams(n=n, m=m, T=T, steps=steps, **coeffs)
 
 
 def load_config(path) -> ModelParams:
@@ -379,3 +389,71 @@ def load_config(path) -> ModelParams:
     if report:
         raise SchemaError(f"{path}: " + "; ".join(report))
     return params
+
+
+def _array_template(shape: tuple, pad: str) -> str:
+    """The indent-2 JSON text of a nested list of this shape, with a "%r"
+    field per entry; ``pad`` is the indent of the line that opens it."""
+    if not shape:
+        return "%r"
+    if shape[0] == 0:
+        return "[]"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    return "[\n" + inner + sep.join([_array_template(shape[1:], inner)] * shape[0]) \
+        + "\n" + pad + "]"
+
+
+def _key_text(key) -> str:
+    """A dict key as json writes it: a string, or an int, float, bool or None
+    written as its JSON text inside quotes."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {type(key).__name__}")
+        key = json.dumps(key, allow_nan=False)
+    return json.dumps(key)
+
+
+def _json_text(doc, pad: str) -> str:
+    """``doc`` as json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    writes it at indent ``pad``, numpy values as their tolist().  A float
+    array is one %-format call: a float's repr is exactly json's float text."""
+    inner = pad + "  "
+    if isinstance(doc, dict):
+        if not doc:
+            return "{}"
+        return "{\n" + ",\n".join(inner + _key_text(k) + ": " + _json_text(v, inner)
+                                  for k, v in sorted(doc.items())) + "\n" + pad + "}"
+    if isinstance(doc, (list, tuple)):
+        if not doc:
+            return "[]"
+        return "[\n" + ",\n".join(inner + _json_text(v, inner) for v in doc) \
+            + "\n" + pad + "]"
+    if isinstance(doc, np.ndarray) and doc.dtype.kind == "f":
+        if not np.isfinite(doc).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+        return _array_template(doc.shape, pad) % tuple(doc.ravel().tolist())
+    if isinstance(doc, (np.ndarray, np.generic)):
+        return _json_text(doc.tolist(), pad)
+    return json.dumps(doc, allow_nan=False)
+
+
+def write_json(path, doc: dict):
+    """Write ``doc`` to ``path`` (returned) as the bytes of json.dump(doc,
+    indent=2, sort_keys=True, allow_nan=False) plus a newline, numpy values as
+    their tolist(); a NaN or infinity raises ValueError before the file opens."""
+    text = _json_text(doc, "") + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    return path
+
+
+def save_config(params: ModelParams, path):
+    """``params`` as a JSON config, through :func:`write_json`; a sampled
+    coefficient is written as {"samples": ...}."""
+    doc = {"n": params.n, "m": params.m, "T": params.T, "steps": params.steps}
+    for name in COEFF_SPEC:
+        arr = getattr(params, name)
+        doc[name] = {"samples": arr} if params.is_time_varying(name) else arr
+    write_json(path, doc)

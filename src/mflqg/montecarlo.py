@@ -53,7 +53,7 @@ import numpy as np
 from .errors import (GridMismatchError, InvalidNError, MissingTrajectoriesError, NonFiniteError,
                      SettingError)
 from .model import (TIME_VARYING, AugmentedCoeffs, ModelParams, build_augmented,
-                    kron_eye, kron_mean)
+                    check_population_size, is_int, kron_eye, kron_mean)
 from .ode import BLOWUP_NORM, TimeGrid, matvec, trapezoid_nodes
 from .riccati import FeedbackLaw, OracleLaw
 
@@ -79,16 +79,16 @@ def worker_count() -> int:
 
 def check_seed(seed) -> None:
     """Raise SettingError unless seed is an integer in [0, 2**64), one key word."""
-    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
+    if not (is_int(seed) and 0 <= seed < 2**64):
         raise SettingError(f"seed must be an integer in [0, 2**64), got {seed}")
 
 
 def check_counts(n_paths: int, n_agents: int) -> None:
-    """Raise SettingError unless both counts are at least 1 and index within
-    the 32 bits of a bank's key word."""
-    if n_paths < 1 or n_agents < 1:
-        raise SettingError(f"need at least one path and one agent, got "
-                           f"{n_paths} paths and {n_agents} agents")
+    """Raise SettingError unless both counts are integers of at least 1 that
+    index within the 32 bits of a bank's key word."""
+    if not (is_int(n_paths) and is_int(n_agents) and n_paths >= 1 and n_agents >= 1):
+        raise SettingError(f"need at least one path and one agent, as integers, got "
+                           f"{n_paths!r} paths and {n_agents!r} agents")
     if n_paths >= 2**32 or n_agents >= 2**32:
         raise SettingError("path/agent indices must fit in 32 bits")
 
@@ -184,6 +184,7 @@ def _run_chunks(fn, chunks):
 
 
 def _check_bank(noise, grid: TimeGrid, N: int) -> None:
+    check_population_size(N)
     if grid != noise.grid:
         raise GridMismatchError("law grid does not match the noise grid")
     if noise.n_agents < N:

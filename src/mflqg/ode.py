@@ -72,8 +72,10 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if self.steps < 2:
-            raise ValueError(f"need at least 2 steps, got {self.steps}")
+        # model.is_int's rule, written here because ode cannot import model
+        if not (isinstance(self.steps, (int, np.integer)) and not isinstance(self.steps, bool)
+                and self.steps >= 2):
+            raise ValueError(f"need an integer of at least 2 steps, got {self.steps!r}")
         if not (np.isfinite(self.T) and self.T > 0):
             raise ValueError(f"horizon must be positive and finite, got {self.T}")
 
@@ -126,10 +128,8 @@ class Trajectory:
 
     def __init__(self, grid: TimeGrid, values, check: bool = True):
         values = np.asarray(values, dtype=float)
-        if values.shape[0] != grid.steps + 1:
-            raise ValueError(
-                f"expected {grid.steps + 1} samples, got {values.shape[0]}"
-            )
+        if values.shape[:1] != (grid.steps + 1,):
+            raise ValueError(f"expected {grid.steps + 1} samples, got shape {values.shape}")
         if check and not np.all(np.isfinite(values)):
             raise NonFiniteError("trajectory contains non-finite samples")
         self.grid = grid

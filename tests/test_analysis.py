@@ -89,7 +89,14 @@ def test_gap_study_warns_without_certificate(rng):
     ("gap", [2], 0, SettingError),
     ("convergence", [50, 0], 2, InvalidNError),
     ("convergence", [5], 0, SettingError),
-], ids=["gap-stacked-N", "gap-paths", "convergence-N", "convergence-reps"])
+    ("gap", [2], 10.0, SettingError),
+    ("gap", [2], True, SettingError),
+    ("gap", [True], 4, InvalidNError),
+    ("convergence", [5], 3.0, SettingError),
+    ("convergence", [5.0], 2, InvalidNError),
+], ids=["gap-stacked-N", "gap-paths", "convergence-N", "convergence-reps", "gap-fractional-paths",
+        "gap-boolean-paths", "gap-boolean-N", "convergence-fractional-reps",
+        "convergence-fractional-N"])
 def test_a_study_refuses_bad_counts_before_any_solve_or_simulation(monkeypatch, study, N_list,
                                                                     paths, error):
     # n = 2: N = 40 is an 80-dimensional stacked system, past MAX_AUGMENTED_DIM
@@ -280,7 +287,7 @@ def test_lambda_step_maps_match_stagewise_reference(instance):
         assert close(lam[:, j, 1], pair.lam2.values)
 
 
-@pytest.mark.parametrize("bad", [0, -3, 2.5])
+@pytest.mark.parametrize("bad", [0, -3, 2.5, 2.0, True])
 def test_lambda_rejects_bad_population_before_sweeping(bad, monkeypatch):
     from mflqg import analysis
 

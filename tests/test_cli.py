@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mflqg import cli, montecarlo, riccati
-from mflqg.cli import load_law, main, write_csv, write_json
-from mflqg.model import load_config, save_config
+from mflqg import cli, model, montecarlo, riccati
+from mflqg.cli import load_law, main, write_csv
+from mflqg.model import load_config, save_config, write_json
 from mflqg.presets import repro_instance
 
 REPO = Path(__file__).resolve().parents[1]
@@ -86,9 +86,13 @@ def test_missing_field_is_validation_failure(tmp_path):
     ("regularity_margin", lambda doc: doc.update(regularity_margin=True)),
     ("regularity_margin", lambda doc: doc.update(regularity_margin=float("nan"))),
     ("regularity_margin", lambda doc: doc.update(regularity_margin=float("inf"))),
+    ("Theta2", lambda doc: doc["Theta2"]["samples"][3].__setitem__(0, float("nan"))),
+    ("P", lambda doc: doc.update(P={"samples": 5.0})),
+    ("Theta1", lambda doc: doc.update(Theta1=doc["Theta1"]["samples"])),
 ], ids=["missing_field", "one_step", "sample_count", "sample_shape", "config_dims",
         "fractional_steps", "fractional_n", "boolean_n", "boolean_T", "string_T",
-        "boolean_margin", "nan_margin", "infinite_margin"])
+        "boolean_margin", "nan_margin", "infinite_margin", "nan_sample", "scalar_samples",
+        "bare_list"])
 def test_malformed_law_is_validation_failure(tmp_path, field, edit):
     cfg = small_config(tmp_path)
     law_dir = tmp_path / "law"
@@ -114,6 +118,35 @@ def test_non_integral_config_count_is_validation_failure(tmp_path, field, value)
     r = run_cli(["validate", str(cfg)])
     assert r.returncode == 1
     assert r.stderr.startswith(f"validation failure: {cfg}: field {field!r}: ")
+
+
+NOT_JSON = '{\n  "n": 2,\n  "m": }\n'
+
+
+@pytest.mark.parametrize("target, text, expect", [
+    ("config", lambda doc: json.dumps(dict(doc, G=[["x", 1.0], [0.0, 1.0]])), "field 'G': "),
+    ("config", lambda doc: "[1, 2]", "top level must be an object\n"),
+    ("config", lambda doc: NOT_JSON, "line 3, column 8: Expecting value\n"),
+    ("law", lambda doc: json.dumps([doc]), "top level must be an object\n"),
+    ("law", lambda doc: NOT_JSON, "line 3, column 8: Expecting value\n"),
+    ("config", lambda doc: b'{"n": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+    ("law", lambda doc: "[" * 100000, "maximum recursion depth exceeded"),
+], ids=["config-coefficient", "config-list", "config-not-json", "law-list", "law-not-json",
+        "config-not-utf8", "law-nested-too-deeply"])
+def test_bad_input_file_refusal_names_the_file(tmp_path, target, text, expect):
+    # every input file is refused naming the file, then the field, or the
+    # line and column of a syntax error
+    cfg = small_config(tmp_path)
+    law_dir = tmp_path / "law"
+    assert main(["solve", str(cfg), "--out", str(law_dir)]) == 0
+    path = cfg if target == "config" else law_dir / "law.json"
+    new = text(json.loads(path.read_text()))
+    path.write_bytes(new if isinstance(new, bytes) else new.encode())
+    r = run_cli(["simulate", str(cfg), "--law", str(law_dir), "--N", "2", "--paths", "1",
+                 "--seed", "1", "--out", str(tmp_path / "sim")])
+    assert r.returncode == 1
+    assert r.stderr.startswith(f"validation failure: {path}: {expect}"), r.stderr
+    assert not (tmp_path / "sim").exists()
 
 
 @pytest.mark.parametrize("value", [True, "1"], ids=["boolean", "string"])
@@ -289,12 +322,13 @@ def test_convexity_subcommand_reports_verdicts():
 
 @pytest.mark.parametrize("flag, text, coupled, expect", [
     ("--dq", None, True, "{path}: No such file or directory"),
-    ("--dq", "[[1.0, 2.0", True, "{path}: line 1: "),
+    ("--dq", "[[1.0, 2.0", True, "{path}: line 1, column 11: "),
+    ("--dq", '[["a", 1.0]]', True, "{path}: could not convert string to float: 'a'"),
     ("--dq", "[[1.0, 2.0, 3.0]]", True, "dQ: expected shape (2, 2) or (121, 2, 2), got (1, 3)"),
     ("--dg", "[1.0, 2.0]", False, "dG: expected shape (2, 2), got (2,)"),
     ("--dg", "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]", False, "dG: expected shape (2, 2), got (3, 3)"),
     ("--dg", "[[1e9, 0], [0, -1e9]]", True, "{path}: the coupled certificate takes no dG shift"),
-], ids=["missing-file", "not-json", "dq-1x3", "dg-vector", "dg-3x3", "dg-coupled"])
+], ids=["missing-file", "not-json", "not-numbers", "dq-1x3", "dg-vector", "dg-3x3", "dg-coupled"])
 def test_bad_convexity_shift_is_validation_failure(tmp_path, capsys, flag, text, coupled, expect):
     # a decoupled config (F = Ftilde = 0) sends --dg to the decoupled
     # certificate; the coupled one has no dG shift to take
@@ -418,7 +452,7 @@ def _stdlib_bytes(doc) -> bytes:
             return {k: plain(v) for k, v in x.items()}
         if isinstance(x, (list, tuple)):
             return [plain(v) for v in x]
-        return x.tolist() if isinstance(x, np.ndarray) else x
+        return x.tolist() if isinstance(x, (np.ndarray, np.generic)) else x
     return (json.dumps(plain(doc), indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
 
 
@@ -430,6 +464,7 @@ def test_write_json_bytes_equal_stdlib_on_every_artifact(tmp_path, monkeypatch):
         return write_json(path, doc)
 
     monkeypatch.setattr(cli, "write_json", recording)
+    monkeypatch.setattr(model, "write_json", recording)
     cfg, scalar = small_config(tmp_path), scalar_config(tmp_path)
     law_dir = tmp_path / "law"
     runs = [["solve", str(cfg), "--out", str(law_dir)],
@@ -443,10 +478,18 @@ def test_write_json_bytes_equal_stdlib_on_every_artifact(tmp_path, monkeypatch):
              "--paths", "2", "--reps", "2", "--n-list", "10,20"]]
     for args in runs:
         assert main(args) == 0, args
+    # save_config writes through write_json: a constant config and a sampled one
+    varying = repro_instance(steps=30)
+    varying.A = varying.A * np.linspace(1.0, 2.0, 31)[:, None, None]
+    varying.eta = np.outer(np.linspace(0.0, 1.0, 31), [1.0, -0.5])
+    save_config(repro_instance(steps=30), tmp_path / "constant.json")
+    save_config(varying, tmp_path / "varying.json")
+    assert load_config(tmp_path / "varying.json").equals(varying)
     names = {(p.parent.name, p.name) for p, _ in written}
     assert {("law", "law.json"), ("law", "diagnostics.json"), ("sim", "manifest.json"),
             ("conv", "summary.json"), ("gap", "summary.json"),
-            ("repro", "summary.json"), ("repro", "law.json")} <= names
+            ("repro", "summary.json"), ("repro", "law.json"), ("repro", "config.json"),
+            (tmp_path.name, "constant.json"), (tmp_path.name, "varying.json")} <= names
     for path, doc in written:
         assert path.read_bytes() == _stdlib_bytes(doc), path
 
@@ -462,6 +505,8 @@ def test_write_json_bytes_equal_stdlib_on_every_artifact(tmp_path, monkeypatch):
     {"a": np.array([-0.0, 5e-324, 1e308, 2.5e-310, 1 / 3, 1e16, 1e-7]),
      "m": np.arange(12.0).reshape(2, 3, 2) / 7, "f32": np.array([0.1, 2.5], dtype=np.float32)},
     {"mixed": [np.array([[1.0, 2.0]]), 3, {"x": np.array([4.0])}]},
+    {"ints": np.arange(3), "flags": np.array([True, False]), "n": np.int64(7),
+     "half": np.float64(0.5), "yes": np.bool_(True)},
 ])
 def test_write_json_bytes_equal_stdlib_on_edge_cases(tmp_path, doc):
     path = write_json(tmp_path / "doc.json", doc)

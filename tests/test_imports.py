@@ -1,7 +1,8 @@
 """Static guards: no module of the package imports a name it never uses, no
 class of the package has a field nobody reads, every name of the package
 that the benchmark reads or patches exists, the stacked fold reads no
-coefficient of the model, and only ``ode`` cuts a sweep into chunks.
+coefficient of the model, only ``ode`` cuts a sweep into chunks, and only
+``model`` reads or writes JSON files.
 
 ``__init__.py`` is skipped by the import guard; its imports are the
 package's re-exports.  The fields of a class are those a dataclass declares
@@ -254,3 +255,27 @@ def test_only_ode_cuts_sweeps_into_chunks():
     found = {path.name: sorted(chunking & mentioned_names(path.read_text()))
              for path in SRC.glob("*.py") if path.name != "ode.py"}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def json_file_calls(source: str) -> set:
+    """json.load, json.loads and json.dump as ``source`` calls or imports them."""
+    names = {"load", "loads", "dump"}
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in names \
+                and isinstance(node.value, ast.Name) and node.value.id == "json":
+            found.add(f"json.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            found |= {f"json.{alias.name}" for alias in node.names if alias.name in names}
+    return found
+
+
+def test_only_model_reads_and_writes_json_files():
+    # config, law and shift files are parsed by model.read_json, and every
+    # JSON artifact is written by model.write_json; json.dumps of a value stays free
+    assert json_file_calls("import json\nfrom json import loads as l\njson.dump(a, f)\n"
+                           "json.dumps(b)\nx.load(c)\n") == {"json.loads", "json.dump"}
+    found = {path.name: sorted(json_file_calls(path.read_text()))
+             for path in SRC.glob("*.py") if path.name != "model.py"}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+    assert json_file_calls((SRC / "model.py").read_text()) == {"json.load"}

@@ -44,6 +44,24 @@ def test_validate_flags_dimension_mismatch():
     assert any("B" in line and "shape" in line for line in report)
 
 
+@pytest.mark.parametrize("name, value", [("n", True), ("m", 1.0), ("steps", 20.0),
+                                         ("steps", 1)])
+def test_validate_flags_a_count_that_is_not_an_integer(name, value):
+    p = repro_instance(steps=20)
+    setattr(p, name, value)
+    assert validate(p) == [f"{name} must be an integer >= {1 if name != 'steps' else 2}, "
+                           f"got {value!r}"]
+
+
+def test_numpy_integer_counts_are_admissible_and_saved_as_integers(tmp_path):
+    p = repro_instance(steps=20)
+    p.n, p.steps = np.int64(2), np.int32(20)
+    assert validate(p) == []
+    save_config(p, tmp_path / "numpy.json")
+    save_config(repro_instance(steps=20), tmp_path / "plain.json")
+    assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
 def test_validate_flags_nonfinite():
     p = repro_instance()
     p.A = np.array([[np.nan, 0.0], [0.0, 0.0]])

@@ -99,6 +99,24 @@ def test_noise_matches_fresh_philox_streams(seed, path):
             assert np.array_equal(block[j, agent], ref * np.sqrt(grid.dt))
 
 
+@pytest.mark.parametrize("seed, n_paths, n_agents", [
+    (True, 2, 2), (1.0, 2, 2), (1, True, 2), (1, 2.0, 2), (1, 2, True), (1, 2, 3.0),
+], ids=["boolean-seed", "float-seed", "boolean-paths", "float-paths", "boolean-agents",
+        "float-agents"])
+def test_noise_bank_refuses_a_count_or_seed_that_is_not_an_integer(seed, n_paths, n_agents):
+    with pytest.raises(SettingError):
+        NoiseBank(seed=seed, n_paths=n_paths, n_agents=n_agents, grid=TimeGrid(1.0, 10))
+
+
+@pytest.mark.parametrize("N", [0, -1, 2.0, True])
+def test_decentralized_run_refuses_a_bad_population_size(N):
+    p = rand_params(np.random.default_rng(3), n=1, m=1, steps=20)
+    grid = p.grid()
+    bank = NoiseBank(seed=1, n_paths=2, n_agents=3, grid=grid)
+    with pytest.raises(InvalidNError, match="population size must be a positive integer"):
+        simulate_decentralized(p, make_law(grid, 1, 1), N, bank)
+
+
 def test_noise_increments_have_step_variance():
     grid = TimeGrid(2.0, 200)
     bank = NoiseBank(seed=1, n_paths=1, n_agents=200, grid=grid)

@@ -34,6 +34,16 @@ def test_grid_rejects_tiny_step_counts():
         TimeGrid(1.0, 1)
 
 
+@pytest.mark.parametrize("steps", [2.5, 3.0, True, np.float64(4.0)])
+def test_grid_rejects_a_step_count_that_is_not_an_integer(steps):
+    with pytest.raises(ValueError, match="need an integer of at least 2 steps"):
+        TimeGrid(1.0, steps)
+
+
+def test_grid_takes_a_numpy_integer_step_count():
+    assert np.array_equal(TimeGrid(1.0, np.int64(5)).nodes, TimeGrid(1.0, 5).nodes)
+
+
 def test_zero_rhs_gives_constant_trajectory():
     g = TimeGrid(2.0, 10)
     X0 = np.array([[1.0, 2.0], [3.0, 4.0]])
