@@ -17,8 +17,8 @@ multiplies from the left, run as RK4 step maps through
 ode.integrate_linear.  The kernels of every N share one sweep on
 a leading batch axis; it does per N exactly the operations of a sweep of its
 own, so each N's kernels are bit-identical to a single-N run.  Their N-free
-bound needs no sweep: a Gronwall recurrence on the max-norm logarithmic norm
-of the same generator at s = 1/N = 0 and 1.
+bound is a Gronwall recurrence on the max-norm logarithmic norm of the same
+generator at s = 1/N = 0 and 1, read off the kernel sweep's samples.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from .consistency import solve_cc
 from .convexity import check_psd_case
 from .model import AugmentedCoeffs, ModelParams, check_population_size
-from .ode import Trajectory, integrate_linear, interp, kron_vec, sweep_chunks
+from .ode import Trajectory, integrate_linear, kron_vec, stage_samples
 from .riccati import FeedbackLaw, solve_oracle
 from .montecarlo import (NoiseBank, check_counts, check_seed, simulate_centralized,
                          simulate_decentralized)
@@ -192,9 +192,10 @@ def lambda_boundedness(params: ModelParams, law: FeedbackLaw, N_list) -> LambdaR
         b(t_{k-1}) = e^{dt mu_k} b(t_k) + dt q_k max(1, e^{dt mu_k}).
 
     The stage samples bound the whole step when the generator is affine in t
-    on it, as it is when B, C and D are constant.  b needs no sweep and does
-    not depend on N_list; it is inf (or NaN) once it overflows, as it can on
-    strongly non-normal generators whose kernels stay small.
+    on it, as it is when B, C and D are constant.  The kernel sweep samples
+    them with the kernels' rows, and b does not depend on N_list; it is inf
+    (or NaN) once it overflows, as it can on strongly non-normal generators
+    whose kernels stay small.
 
     `dominated` asks max|Lam1^N| and max|Lam2^N| to stay within b, with a
     slack of 1e-12 (1 + b), at every node and every N, and b to be finite.
@@ -226,7 +227,7 @@ def lambda_boundedness(params: ModelParams, law: FeedbackLaw, N_list) -> LambdaR
         # s and w = 1 - s (1/N and (N-1)/N for the kernels) enter the
         # generator elementwise as (batch, 1, 1) arrays; each coefficient is
         # (times, 1, n, n), a batch axis of size 1
-        A, F, C, Ft, Q, BTh, DTh = np.moveaxis(interp(coeffs, grid.dt, ts), 1, 0)[:, :, None]
+        A, F, C, Ft, Q, BTh, DTh = np.moveaxis(stage_samples(coeffs, ts), 1, 0)[:, :, None]
         base = kron_vec(eye, A + BTh) + kron_vec(_T(A), eye)
         cross = kron_vec(_T(C), C + DTh)
         right_F = kron_vec(eye, F)
@@ -238,42 +239,40 @@ def lambda_boundedness(params: ModelParams, law: FeedbackLaw, N_list) -> LambdaR
         return gen, src
 
     # every N in one sweep, on a leading batch axis of the state, so each N's
-    # kernels are the same floating-point operations as in a sweep alone
-    pairs = []
-    if N_list:
-        Ns = np.array(N_list, dtype=float).reshape(-1, 1, 1)
-        s, w = 1.0 / Ns, (Ns - 1) / Ns
-        terminal = np.broadcast_to(np.concatenate([params.G.ravel(), np.zeros(n * n)]),
-                                   (len(N_list), 2 * n * n))
-        lam = integrate_linear(lambda ts: kernel_tables(ts, s, w), terminal, grid,
-                               "backward").values.reshape(grid.steps + 1, len(N_list), 2, n, n)
-        for j, N in enumerate(N_list):
-            lam1 = Trajectory(grid, lam[:, j, 0])
-            lam2 = Trajectory(grid, lam[:, j, 1])
-            pairs.append(LambdaPair(N=N, lam1=lam1, lam2=lam2,
-                                    sup1=float(np.max(np.abs(lam1.values))),
-                                    sup2=float(np.max(np.abs(lam2.values)))))
-
-    # the generator at s = 0 and s = 1, at the distinct stage times of the
-    # backward steps k -> k-1 (k = 1..steps), sampled chunk by chunk as
-    # integrate_linear samples them; mu[k-1] and q[k-1] are the maxima over
-    # the step's three stage times
-    ends = np.array([0.0, 1.0]).reshape(-1, 1, 1)
-    mu, q = np.empty(grid.steps), np.empty(grid.steps)
+    # kernels are the same floating-point operations as in a sweep alone; the
+    # generator's last two rows, s = 0 and 1, give mu and q, the bound's
+    # maxima over each backward step k -> k-1, in sweep order (k = steps first)
+    Ns = np.array(N_list, dtype=float)
+    s = np.append(1.0 / Ns, [0.0, 1.0]).reshape(-1, 1, 1)
+    w = np.append((Ns - 1) / Ns, [1.0, 0.0]).reshape(-1, 1, 1)
+    mu, q = [], []
 
     def step_max(v):
         return np.maximum(np.maximum(v[:-1:2], v[1::2]), v[2::2])
 
-    _, chunks = sweep_chunks(grid, "backward")
-    for ks, ts in chunks:
-        gen, src = kernel_tables(ts, ends, 1.0 - ends)
-        mu[ks - 1] = step_max(np.max(_log_norm_inf(-gen), axis=1))
-        q[ks - 1] = step_max(np.max(np.abs(src), axis=(1, 2)))
+    def tables(ts):
+        gen, src = kernel_tables(ts, s, w)
+        mu.append(step_max(np.max(_log_norm_inf(-gen[:, -2:]), axis=1)))
+        q.append(step_max(np.max(np.abs(src), axis=(1, 2))))
+        return gen[:, :-2], src
+
+    terminal = np.broadcast_to(np.concatenate([params.G.ravel(), np.zeros(n * n)]),
+                               (len(N_list), 2 * n * n))
+    lam = integrate_linear(tables, terminal, grid, "backward").values.reshape(
+        grid.steps + 1, len(N_list), 2, n, n)
+    pairs = []
+    for j, N in enumerate(N_list):
+        lam1 = Trajectory(grid, lam[:, j, 0])
+        lam2 = Trajectory(grid, lam[:, j, 1])
+        pairs.append(LambdaPair(N=N, lam1=lam1, lam2=lam2,
+                                sup1=float(np.max(np.abs(lam1.values))),
+                                sup2=float(np.max(np.abs(lam2.values)))))
+
     with np.errstate(over="ignore"):
-        growth = np.exp(grid.dt * mu)
+        growth = np.exp(grid.dt * np.concatenate(mu))
     # Python floats overflow to inf (and inf * 0 to NaN) without warnings
     bound = [float(np.max(np.abs(params.G)))]
-    for g, qk in zip(growth[::-1].tolist(), (grid.dt * q[::-1]).tolist()):
+    for g, qk in zip(growth.tolist(), (grid.dt * np.concatenate(q)).tolist()):
         bound.append(g * bound[-1] + qk * max(1.0, g))
     bound = np.array(bound[::-1])
 

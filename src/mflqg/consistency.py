@@ -46,6 +46,7 @@ from .ode import (
     interp,
     linear_chunk,
     matvec,
+    stage_samples,
     sweep_chunks,
 )
 from .riccati import (
@@ -73,7 +74,7 @@ class CCMatrices:
 
     ``tilde`` (nodes, 8, 6n, 6n) stacks the 6n blocks of the stacked
     (mean, fluctuation) FBSDE in the order A1 .. C2BAR above, so a sweep
-    reads every block it needs with one interpolation per stage.  Each block
+    reads each block it needs as a view, once per chunk.  Each block
     is 2 x 2 in 3n blocks of the mean-field FBSDE, and those of the mean
     system are diagonal ones: the lower-right 3n blocks of A1, B1, A1P, B1P,
     A2, B2 and C2 are a1, b1, a1p, b1p, a2, b2 and c2; the upper-left ones of
@@ -260,10 +261,10 @@ def solve_K(cc: CCMatrices) -> KTrajectory:
         K22h, _ = _image(Y[:, :n], Y[:, n:])
         # K22 at every stage time of ts, and W = (C2t + C2bart) K there
         K22s = np.concatenate([K22[None], K22h])
-        a1, b1, a2, b2 = (interp(view, dt, ts) for view in (
+        a1, b1, a2, b2 = (stage_samples(view, ts) for view in (
             tl[:, A1, :n4, :n4], tl[:, B1, :n4], tl[:, A2, :, :n4], tl[:, B2]))
-        a1p, b1p = _blocks(tl[:, :, fx], dt, ts, A1P, B1P)
-        W = (interp(tl[:, C2, :, fl], dt, ts) + interp(tl[:, C2BAR, :, fl], dt, ts)) @ K22s
+        a1p, b1p = (stage_samples(tl[:, b, fx], ts) for b in (A1P, B1P))
+        W = (stage_samples(tl[:, C2, :, fl], ts) + stage_samples(tl[:, C2BAR, :, fl], ts)) @ K22s
         M = np.block([[a1[:, x][..., x], b1[:, x]],
                       [a2[..., x] + W @ a1p[..., x], b2 + W @ b1p]])
         Y = linear_chunk(M, np.vstack([np.eye(2 * n), Kx]), h)
@@ -282,13 +283,6 @@ def solve_K(cc: CCMatrices) -> KTrajectory:
     return KTrajectory(grid, out, det_min, det_node)
 
 
-def _blocks(stack: np.ndarray, dt: float, ts: np.ndarray, *which: int) -> list:
-    """The chosen blocks of ``tilde`` (or a view of its sub-blocks)
-    interpolated at the times ts; only these blocks are read, and only for
-    these times."""
-    return [interp(stack[:, b], dt, ts) for b in which]
-
-
 def solve_kappa(cc: CCMatrices, K: Trajectory) -> Trajectory:
     """Backward affine companion of K, on its mean half:
 
@@ -301,14 +295,14 @@ def solve_kappa(cc: CCMatrices, K: Trajectory) -> Trajectory:
     block, (b2 + b2bar) + (c2 + c2bar) K22 b1p - K11 b1, whose 3n blocks are
     read as sub-blocks of ``tilde``.
     """
-    dt, n3 = cc.grid.dt, 3 * cc.n
+    n3 = 3 * cc.n
     tl, Kv = cc.tilde, K.values
     views = (Kv[:, :n3, :n3], Kv[:, n3:, n3:], tl[:, B2, :n3, :n3],
              tl[:, C2BAR, :n3, n3:], tl[:, B1P, n3:, :n3], tl[:, B1, :n3, :n3])
 
     def coeffs(ts):
-        K11, K22, b2, c2, b1p, b1 = (interp(view, dt, ts) for view in views)
-        return b2 + c2 @ (K22 @ b1p) - K11 @ b1, interp(cc.f_t, dt, ts)
+        K11, K22, b2, c2, b1p, b1 = (stage_samples(view, ts) for view in views)
+        return b2 + c2 @ (K22 @ b1p) - K11 @ b1, stage_samples(cc.f_t, ts)
 
     return integrate_linear(coeffs, cc.kappa_terminal, cc.grid, "backward")
 
@@ -326,13 +320,12 @@ def check_condition_37(cc: CCMatrices) -> dict:
     lower-right 3n blocks of ``tilde``, and Gbar is the lower-right 3n block
     of K_terminal.
     """
-    dt = cc.grid.dt
     n3 = 3 * cc.n
     Gb = cc.K_terminal[n3:, n3:]
     fluct = cc.tilde[:, :, n3:, n3:]
 
     def coeffs(ts):
-        a1, b1, a2, b2 = _blocks(fluct, dt, ts, A1, B1, A2, B2)
+        a1, b1, a2, b2 = (stage_samples(fluct[:, b], ts) for b in (A1, B1, A2, B2))
         b2g = b2 - Gb @ b1
         return np.block([[a1, b1], [a2 - Gb @ a1 + b2g @ Gb, b2g]]), None
 
@@ -358,7 +351,7 @@ def explicit_K_reduced(cc: CCMatrices) -> Trajectory:
         raise NotReducedCaseError("closed-form K is anchored at zero terminal data (G = 0)")
 
     def coeffs(ts):
-        a1t, b1t, a2t, b2t = _blocks(cc.tilde, grid.dt, ts, A1, B1, A2, B2)
+        a1t, b1t, a2t, b2t = (stage_samples(cc.tilde[:, b], ts) for b in (A1, B1, A2, B2))
         # d/dt Psi(T, t) = -Psi(T, t) M(t), Psi(T, T) = I; sweep the transpose
         return -_T(np.block([[a1t, b1t], [a2t, b2t]])), None
 
@@ -408,9 +401,9 @@ def extract_mean_fields(cc: CCMatrices, K: Trajectory, kappa: Trajectory,
 
     def coeffs(ts):
         # dX1/dt = (A1 + A1bar + B1 K11) X1 + B1 kappa1
-        a1a1bar, b1 = _blocks(mean, grid.dt, ts, A1, B1)
-        K11 = interp(K.values[:, :n3, :n3], grid.dt, ts)
-        return a1a1bar + b1 @ K11, matvec(b1, interp(kappa.values, grid.dt, ts))
+        a1a1bar, b1 = (stage_samples(mean[:, b], ts) for b in (A1, B1))
+        K11 = stage_samples(K.values[:, :n3, :n3], ts)
+        return a1a1bar + b1 @ K11, matvec(b1, stage_samples(kappa.values, ts))
 
     X1 = integrate_linear(coeffs, cc.xi_bar, grid, "forward")
 

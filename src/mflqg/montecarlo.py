@@ -11,7 +11,9 @@ cache-sized chunks and runs them in order on the calling thread: each numpy
 call on such a chunk lasts microseconds, so pool workers would mostly hand
 the interpreter lock back and forth rather than compute at once (inferred,
 not traced).  On a 2-core host two workers made the pass 25-75% slower than
-one at N = 2, 4 and 8.
+one at N = 2, 4 and 8 at 2^14-scalar chunks, and no faster at 2^15 or 2^16
+(gap-scalar, N = 8: 220 ms serial, 217-236 ms pooled; two concurrent numpy
+loops each ran 1.6x slower than one alone), with bit-identical costs.
 
 Every control law here is u_i = Ga x_i + Gb xavg + a_i, so one kernel,
 :func:`_em`, steps a law folded into per-node tables before the loop: the
@@ -120,8 +122,8 @@ class NoiseBank:
         call: rewound to counter 0 under a stream's key, it is that stream."""
         bits = np.random.Philox(key=0)
         gen = np.random.Generator(bits)
-        key = np.array([self.seed, 0], dtype=np.uint64)
-        state = {**bits.state, "state": {"counter": np.zeros(4, np.uint64), "key": key}}
+        key = [self.seed, 0]    # Python ints: the state setter reads them faster than arrays
+        state = {**bits.state, "state": {"counter": [0] * 4, "key": key}, "buffer": [0] * 4}
         out = np.empty((len(paths), self.n_agents, self.grid.steps))
         for j, path in enumerate(paths):
             for agent in range(self.n_agents):

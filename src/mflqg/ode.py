@@ -8,10 +8,16 @@ simulator matter more here than adaptive efficiency.
 
 Every sweep walks the grid through :func:`sweep_chunks`, LINEAR_CHUNK_STEPS
 steps at a time, and samples the equation once at each of a chunk's 2c+1
-distinct stage times, node, midpoint, node, ... (:func:`distinct_stage_times`):
-step j of the chunk reads its stages t_k, t_k + h/2 (taken by both middle
-stages) and t_{k+1} from rows 2j, 2j+1 and 2j+2, a step's last stage is the
-next step's first, and node times are the grid's nodes.
+distinct stage times (:class:`StageTimes`): step j of the chunk reads its
+stages t_k, t_k + h/2 (taken by both middle stages) and t_{k+1} from rows
+2j, 2j+1 and 2j+2.  RK4 stages are only nodes and midpoints (Hairer, Norsett
+& Wanner, Solving ODEs I, sec. II.1), so a sampler reads any node table
+(trajectories, time-varying coefficients, the consistency-condition blocks,
+several of one shape stacked on an axis after time) through the one stage
+reader :func:`stage_samples`: the chunk's node rows, and their means at the
+midpoints.  :func:`interp` reads that piecewise-linear interpolant at other
+times: a Trajectory called off the grid, AugmentedCoeffs.at and the quarter
+points of the consistency condition's half-step sweep.
 
 * :func:`integrate_rk4` calls a right-hand side at every stage.  The
   nonlinear Riccati equations of P and of the oracle's two modes use it.  The
@@ -22,9 +28,9 @@ next step's first, and node times are the grid's nodes.
 * :func:`integrate_linear` takes a linear equation dy/dt = M(t) y + s(t) as a
   function that samples M and s on many times at once, optionally for a
   batch of equations on leading axes of the state.  One RK4 step of a linear
-  equation is an affine map of the state, so the maps are built in batched
-  chunks and the step loop does one matrix product per step.  The affine
-  kappa, the condition-37 transition matrix, the mean path X1, the phi
+  equation is an affine map y -> (I + D) y + g, so the maps are built in
+  batched chunks and the step loop does one matrix product per step.  The
+  affine kappa, the condition-37 transition matrix, the mean path X1, the phi
   cross-check, the closed-form K of the reduced case, the adjoints phi of
   the auxiliary problem and of the oracle's mean mode, and the Lyapunov
   kernels of every N run on it.  The Lyapunov equations multiply their
@@ -36,15 +42,10 @@ next step's first, and node times are the grid's nodes.
   as the image V U^-1 of a linear pair [U; V], which its caller re-anchors
   at U = I after every chunk.
 
-Every node-sampled quantity (trajectories, time-varying coefficients, the
-consistency-condition blocks) is read between nodes through the one
-piecewise-linear routine :func:`interp`, at one time or at an array of times.
-A right-hand side that needs several same-shaped blocks stacks them on an
-axis after time and interpolates the stack once per stage time.
-
 Blow-up (NaN/Inf or max-norm past BLOWUP_NORM) raises NonFiniteError instead
 of being clipped; a diverging backward Riccati solve is how non-solvability
-on [0, T] manifests and callers need to see it.
+on [0, T] manifests and callers need to see it.  Both sweeps check it by
+:func:`check_nodes` once a chunk is stepped.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ def _check_state(y: np.ndarray, node: int | None = None):
     """NonFiniteError naming the node (None: the boundary value) on blow-up;
     the message is formatted only then."""
     # a NaN or Inf entry makes the max NaN or Inf, which fails the comparison
-    if not abs(y).max() <= BLOWUP_NORM:
+    if not np.abs(y).max(initial=0.0) <= BLOWUP_NORM:
         where = "in the boundary value" if node is None else f"at node {node}"
         raise NonFiniteError(f"blow-up detected {where}")
 
@@ -163,7 +164,7 @@ def _check_state(y: np.ndarray, node: int | None = None):
 def check_nodes(out: np.ndarray, ks: np.ndarray):
     """NonFiniteError naming the first of the nodes ks (in their order) whose
     sample in ``out`` blew up, as :func:`_check_state` names it."""
-    norms = np.abs(out[ks]).reshape(ks.size, -1).max(axis=1)
+    norms = np.abs(out[ks]).max(axis=tuple(range(1, out.ndim)), initial=0.0)
     bad = np.flatnonzero(~(norms <= BLOWUP_NORM))
     if bad.size:
         _check_state(out[ks[bad[0]]], int(ks[bad[0]]))
@@ -199,7 +200,8 @@ def integrate_rk4(rhs, boundary_value, grid: TimeGrid, direction: str = "forward
     time-varying coefficient tables out of the stage.
     ``direction='backward'`` anchors the boundary value at t_M and fills
     nodes down to t_0.  ``project`` is applied after each step (used to
-    re-symmetrize Riccati iterates).
+    re-symmetrize Riccati iterates).  Blow-up is checked once a chunk is
+    stepped; a stage that raises past a blown-up node raises its error.
     """
     h, chunks = sweep_chunks(grid, direction)
     y0 = np.asarray(boundary_value, dtype=float)
@@ -211,16 +213,21 @@ def integrate_rk4(rhs, boundary_value, grid: TimeGrid, direction: str = "forward
     y = y0
     for ks, ts in chunks:
         cs = ts.tolist() if coeffs is None else coeffs(ts)
-        for k, c1, c2, c4 in zip(ks.tolist(), cs[:-1:2], cs[1::2], cs[2::2]):
-            k1 = rhs(c1, y)
-            k2 = rhs(c2, y + half * k1)
-            k3 = rhs(c2, y + half * k2)
-            k4 = rhs(c4, y + h * k3)
-            y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if project is not None:
-                y = project(y)
-            _check_state(y, k + shift)
-            out[k + shift] = y
+        ends, done = ks + shift, 0
+        try:
+            with np.errstate(all="ignore"):
+                for k, c1, c2, c4 in zip(ends.tolist(), cs[:-1:2], cs[1::2], cs[2::2]):
+                    k1 = rhs(c1, y)
+                    k2 = rhs(c2, y + half * k1)
+                    k3 = rhs(c2, y + half * k2)
+                    k4 = rhs(c4, y + h * k3)
+                    y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                    if project is not None:
+                        y = project(y)
+                    out[k] = y
+                    done += 1
+        finally:    # the nodes stepped, also before a step that raised
+            check_nodes(out, ends[:done])
     return Trajectory(grid, out, check=False)
 
 
@@ -246,24 +253,45 @@ def _step_maps(M: np.ndarray, s: np.ndarray | None, h: float):
     return D, (h / 6.0) * (s1 + 2.0 * g2 + 2.0 * g3 + g4)
 
 
-def distinct_stage_times(nodes: np.ndarray, ks: np.ndarray, h: float) -> np.ndarray:
+class StageTimes(np.ndarray):
+    """A chunk's stage times, with ``rows``, the slice of its nodes in step order."""
+
+
+def distinct_stage_times(nodes: np.ndarray, ks: np.ndarray, h: float) -> StageTimes:
     """(2c+1,) distinct stage times of the c consecutive steps of size h from
     the nodes ks, in step order: t_k0, t_k0 + h/2, t_k1, ..., the end node.
     Node times are the grid's nodes themselves."""
-    ts = np.empty(2 * ks.size + 1)
-    ts[0::2] = nodes[np.append(ks, ks[-1] + (1 if h > 0 else -1))]
+    first, end = int(ks[0]), int(ks[-1]) + (1 if h > 0 else -1)
+    ts = np.empty(2 * ks.size + 1).view(StageTimes)
+    ts.rows = slice(first, end + 1) if h > 0 else slice(first, end - 1 if end else None, -1)
+    ts[0::2] = nodes[ts.rows]
     ts[1::2] = nodes[ks] + 0.5 * h
     return ts
 
 
+def stage_samples(table: np.ndarray, ts: StageTimes) -> np.ndarray:
+    """A node table's samples (``table[k]`` at node k, other axes carried
+    along) at a chunk's stage times ts: its node rows, one slice, and their
+    means at the midpoints, which :func:`interp` gives up to rounding."""
+    rows = table[ts.rows]
+    out = np.empty((ts.size,) + rows.shape[1:])
+    out[0::2] = rows
+    out[1::2] = 0.5 * (rows[:-1] + rows[1:])
+    return out
+
+
 def _chunk_states(D: np.ndarray, g: np.ndarray | None, y: np.ndarray) -> np.ndarray:
-    """The states after each step y -> y + D_j y + g_j of a chunk (no g_j
-    where g is None), from y; nothing is checked."""
+    """The states after each step y -> (I + D_j) y + g_j of a chunk (no g_j
+    where g is None), from y, one product per step; D is overwritten by
+    I + D.  Nothing is checked."""
+    d = np.arange(D.shape[-1])
+    D[..., d, d] += 1.0
     out = np.empty((len(D),) + y.shape)
     with np.errstate(all="ignore"):
         for j in range(len(D)):
-            y = y + (D[j] @ y if g is None else D[j] @ y + g[j])
-            out[j] = y
+            y = np.matmul(D[j], y, out=out[j])
+            if g is not None:
+                y += g[j]
     return out
 
 
@@ -295,10 +323,10 @@ def integrate_linear(coeffs, boundary_value, grid: TimeGrid,
     empty; a batch axis of s may be 1 where every entry shares the source.
 
     One RK4 step of a linear equation is exactly an affine map
-    y -> y + D_k y + g_k, D_k a degree-4 polynomial in h M at the step's stage
-    times.  The maps are built LINEAR_CHUNK_STEPS steps at a time with batched
-    products, so the step loop makes one (batched) matrix product per step
-    and holds coefficient tables for one chunk only.  Building a map costs
+    y -> (I + D_k) y + g_k, D_k a degree-4 polynomial in h M at the step's
+    stage times.  The maps are built LINEAR_CHUNK_STEPS steps at a time with
+    batched products, so the step loop makes one (batched) matrix product
+    per step and holds coefficient tables for one chunk only.  Building a map costs
     O(d^3) against O(d^2 c) for one stage of :func:`integrate_rk4`.  The
     result equals :func:`integrate_rk4` on the same equation up to rounding,
     does not depend on the chunk size, and gives each batch entry exactly the
@@ -320,7 +348,7 @@ def integrate_linear(coeffs, boundary_value, grid: TimeGrid,
         if cols is None:
             # node axis, then M's batch axes, then the state as (d, c); a
             # vector state is a single column
-            cols = out.reshape(out.shape[:M.ndim - 2] + (M.shape[-1], -1))
+            cols = out.reshape(out.shape[:M.ndim - 2] + (y0.shape[M.ndim - 3:] + (1,))[:2])
             y = cols[first]
         if s is not None:
             s = np.reshape(s, s.shape[:M.ndim - 2] + y.shape[-2:])

@@ -55,10 +55,10 @@ from .ode import (
     eig_min,
     integrate_linear,
     integrate_rk4,
-    interp,
     kron_vec,
     matvec,
     quadrature,
+    stage_samples,
     symmetrize,
 )
 
@@ -151,8 +151,7 @@ def _riccati_sweep(params: ModelParams, grid: TimeGrid, operator, names, termina
     kn2, m2 = k * n * n, m * m
     if any(params.is_time_varying(name) for name in names):
         def coeffs(ts):
-            return operator(*(np.broadcast_to(params.coeff_at(name, ts),
-                                              ts.shape + getattr(params, name).shape[-2:])
+            return operator(*(stage_samples(params.node_table(name, grid), ts)
                               for name in names))
     else:
         ops = operator(*(getattr(params, name) for name in names))
@@ -264,9 +263,10 @@ def solve_phi(P: Trajectory, params: ModelParams, xhat: Trajectory,
         return X.swapaxes(-1, -2)
 
     def coeffs(ts):
-        A, B, C, D, R, F, Ft, Q, Gamma, eta = (params.coeff_at(k, ts) for k in names)
-        Pt = P(ts)
-        xh, y1, y2, b1 = np.moveaxis(interp(fields, grid.dt, ts), -2, 0)
+        A, B, C, D, R, F, Ft, Q, Gamma, eta = (stage_samples(params.node_table(k), ts)
+                                               for k in names)
+        Pt = stage_samples(P.values, ts)
+        xh, y1, y2, b1 = np.moveaxis(stage_samples(fields, ts), -2, 0)
         S, num = gain_terms(Pt, B, C, D, R)
         W = T(num)                            # PB + C'PD, P symmetric
         PFx = matvec(Pt, matvec(Ft, xh))
@@ -395,8 +395,8 @@ def solve_oracle(aug: AugmentedCoeffs, grid: TimeGrid | None = None, *, validate
     (:func:`oracle_operator`), swept as :func:`solve_P` sweeps P at a cost per
     stage that does not depend on N.  S1 and S2 repeat one block s1, s2, so
     phi repeats the mean mode's adjoint dphi_a/dt = -(A + F + B K_mean)'phi_a
-    - s1, an ode.integrate_linear sweep reading the node gain K_mean
-    interpolated.  The law keeps these modes; only the centralized simulator
+    - s1, an ode.integrate_linear sweep reading the node gain K_mean at
+    the stage times.  The law keeps these modes; only the centralized simulator
     forms the stacked gain.  The stacked sweeps are the tests' reference for
     this solve.  Margin, mode gains and affine are formed at all nodes at
     once; a coefficient sampled on another grid than ``grid`` raises
@@ -431,11 +431,11 @@ def solve_oracle(aug: AugmentedCoeffs, grid: TimeGrid | None = None, *, validate
     K_mean = K[..., n:]
 
     def phi_coeffs(ts):
-        A, B, F, Q, Gamma, eta = (params.coeff_at(name, ts)
+        A, B, F, Q, Gamma, eta = (stage_samples(nodes[name], ts)
                                   for name in ("A", "B", "F", "Q", "Gamma", "eta"))
         Qeta = matvec(Q, eta)
         s1 = matvec(Gamma.swapaxes(-1, -2), Qeta) - Qeta
-        Acl = A + F + B @ interp(K_mean, grid.dt, ts)
+        Acl = A + F + B @ stage_samples(K_mean, ts)
         return -Acl.swapaxes(-1, -2), -np.broadcast_to(s1, ts.shape + (n,))
 
     G, Gb, eb = params.G, params.GammaBar, params.etaBar

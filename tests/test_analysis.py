@@ -400,6 +400,17 @@ def test_lambda_bound_terminal_is_abs_G():
     assert rep.dominated
 
 
+def test_lambda_bound_of_no_N_equals_the_bound_beside_kernels():
+    # the bound's generator rows ride on the kernel sweep's sampler; with no
+    # N the sweep carries no kernel and still gives the same bound
+    p = repro_instance(steps=200)
+    _, law = solve_cc(p)
+    rep = lambda_boundedness(p, law, (10, 100, 1000))
+    empty = lambda_boundedness(p, law, [])
+    assert empty.pairs == [] and empty.dominated
+    assert np.array_equal(empty.bound, rep.bound)
+
+
 def test_lambda_bound_follows_its_recurrence():
     # a scalar instance whose generator is worked out by hand: with b = 1,
     # c = 1, d = 0, f = 1 and ftilde = -1 its rows are
@@ -429,16 +440,17 @@ def test_lambda_bound_follows_its_recurrence():
 
 
 def test_lambda_bound_chunks_follow_the_sweeps_chunk_size(monkeypatch):
-    # the bound's generator tables are cut by the sweeps' chunk iterator,
-    # which reads ode's constant at call time, so patching it moves both
-    from mflqg import analysis
-
+    # the bound's generator tables come from the kernel sweep's sampler, so
+    # they are cut by the sweeps' chunk iterator, which reads ode's constant
+    # at call time: patching it moves both, and one sweep is all there is
     p = repro_instance(steps=100)
     _, law = solve_cc(p)
+    ref = lambda_boundedness(p, law, [10]).bound
     sizes = []
+    walk = ode.sweep_chunks
 
     def spy(grid, direction):
-        h, chunks = ode.sweep_chunks(grid, direction)
+        h, chunks = walk(grid, direction)
 
         def recorded():
             for ks, ts in chunks:
@@ -448,8 +460,8 @@ def test_lambda_bound_chunks_follow_the_sweeps_chunk_size(monkeypatch):
         return h, recorded()
 
     monkeypatch.setattr(ode, "LINEAR_CHUNK_STEPS", 7)
-    monkeypatch.setattr(analysis, "sweep_chunks", spy)
-    lambda_boundedness(p, law, [10])
+    monkeypatch.setattr(ode, "sweep_chunks", spy)
+    assert np.array_equal(lambda_boundedness(p, law, [10]).bound, ref)
     assert sizes == [7] * 14 + [2]
 
 

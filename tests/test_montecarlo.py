@@ -552,6 +552,24 @@ def test_variant_pass_runs_on_the_calling_thread(rng, monkeypatch):
     assert J.shape == (5, 60) and np.isfinite(J).all()
 
 
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1)])
+def test_variant_pass_costs_identical_across_plane_chunk_caps(rng, monkeypatch, n, m):
+    # the cap only cuts the paths (here into 40, 2 and 1 chunks): each
+    # path's costs are the same operations in every cut, so J is bit-equal
+    p = rand_params(rng, n=n, m=m, steps=30)
+    grid, N = p.grid(), 3
+    law = random_oracle_law(rng, grid, N, n, m)
+    _, affine = stacked_tables(law)
+    affines = affine + 0.2 * rng.standard_normal((11,) + affine.shape)
+    noise = NoiseBank(seed=7, n_paths=600, n_agents=N, grid=grid)
+    runs = []
+    for cap in (2**9, 2**14, 2**16):
+        monkeypatch.setattr(montecarlo, "PLANE_CHUNK_SCALARS", cap)
+        runs.append(centralized_variant_costs(AugmentedCoeffs(p, N), law, affines, noise))
+    assert [len(montecarlo._chunks(600, 11 * N, cap)) for cap in (2**9, 2**14, 2**16)] == [40, 2, 1]
+    assert runs[0].tobytes() == runs[1].tobytes() == runs[2].tobytes()
+
+
 def test_multi_chunk_plain_simulation_uses_the_pool(rng, monkeypatch):
     monkeypatch.setattr(montecarlo, "NOISE_CHUNK_SCALARS", 2**10)
     monkeypatch.setenv("MFLQG_THREADS", "2")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mflqg import ode
-from mflqg.errors import NonFiniteError, NotSymmetricError
+from mflqg.errors import NonFiniteError, NotSymmetricError, RegularityLostError
 from mflqg.ode import (
     TimeGrid,
     Trajectory,
@@ -18,6 +18,8 @@ from mflqg.ode import (
     is_psd,
     kron_vec,
     quadrature,
+    stage_samples,
+    sweep_chunks,
     trapezoid_nodes,
 )
 
@@ -290,6 +292,59 @@ def test_integrate_rk4_blowup_names_the_node(direction, bad):
     node = 56 if forward else 55
     with pytest.raises(NonFiniteError, match=rf"^blow-up detected at node {node}$"):
         integrate_rk4(rhs, np.array([1.0, 2.0]), g, direction)
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_stage_samples_are_node_rows_and_midpoint_means(direction):
+    # every chunk, the short last one included: rows 2j and 2j+2 are the
+    # nodes' rows of the table (batch axes carried along) and row 2j+1
+    # exactly their mean, which interp gives up to the rounding of its
+    # weight t/dt - k (about k ulp(1), so 1e-13 late in this grid); a
+    # constant broadcast over the nodes comes back as that constant
+    c, g = _chunked_grid(1.3)
+    rng = np.random.default_rng(2)
+    table = rng.standard_normal((g.steps + 1, 2, 3, 3))
+    const = np.broadcast_to(table[0], table.shape)
+    h, chunks = sweep_chunks(g, direction)
+    stepped = []
+    for ks, ts in chunks:
+        ends = ks + (1 if h > 0 else -1)
+        got = stage_samples(table, ts)
+        assert got.shape == (2 * ks.size + 1, 2, 3, 3)
+        assert np.array_equal(got[:-1:2], table[ks]) and np.array_equal(got[2::2], table[ends])
+        assert np.array_equal(got[1::2], 0.5 * (table[ks] + table[ends]))
+        assert np.max(np.abs(got - interp(table, g.dt, ts))) <= 1e-12
+        assert np.array_equal(stage_samples(const, ts), np.broadcast_to(table[0], got.shape))
+        stepped.append(ks.size)
+    assert stepped == [c] * 3 + [c // 8]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("later", [False, True], ids=["alone", "singular_after"])
+@pytest.mark.parametrize("direction, where", [
+    ("forward", "mid"), ("forward", "last"), ("backward", "mid"), ("backward", "last")],
+    ids=["forward-mid_chunk", "forward-last_chunk", "backward-mid_chunk", "backward-last_chunk"])
+def test_integrate_rk4_blowup_inside_a_chunk_names_its_node(direction, where, later):
+    # the nodes of the linear test above: the step into the node grows the
+    # state to about 1e39, and the steps after it overflow inside the chunk,
+    # which warns of nothing; with later, a stage of the next step raises as
+    # a singular gain denominator does, and the blow-up is still what is named
+    c, g = _chunked_grid()
+    forward = direction == "forward"
+    node = c + c // 2 - 3 if where == "mid" else g.steps - 2
+    if not forward:
+        node = g.steps - node
+    h = g.dt if forward else -g.dt
+    edge, after = g.nodes[node] - 0.25 * h, g.nodes[node] + 0.25 * h
+    rate = 1e40 / h
+
+    def rhs(t, y):
+        if later and (t > after if forward else t < after):
+            raise RegularityLostError(f"singular at t={t:.6g}")
+        return rate * y if (t > edge if forward else t < edge) else -y
+
+    with pytest.raises(NonFiniteError, match=rf"^blow-up detected at node {node}$"):
+        integrate_rk4(rhs, np.array([1.0, 0.5]), g, direction)
 
 
 @pytest.mark.parametrize("direction", ["forward", "backward"])
