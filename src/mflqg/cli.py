@@ -7,8 +7,9 @@ of the config, its artifacts, and a manifest.json last, so a refused
 setting or a numerical failure leaves no directory.  CSV payloads are
 byte-identical across reruns with the same inputs and any MFLQG_THREADS
 setting (floats are printed with 17 significant digits, newlines are always
-LF).  JSON artifacts are written by ``model.write_json``, and every input
-file (config, law, --dq/--dg shift) is read through ``model.read_json`` and
+LF).  All JSON text, artifacts and convexity verdicts alike, is written by
+``model.json_text`` (a non-finite witness as null), and every input file
+(config, law, --dq/--dg shift) is read through ``model.read_json`` and
 ``model.read_field``, so a refusal names the file and the field.  Exit codes:
 0 success, 1 validation failure, 2 numerical failure (stage named on stderr).
 """
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 import time
 from pathlib import Path
@@ -27,15 +27,14 @@ import numpy as np
 from . import __version__
 from .analysis import check_study_counts, convergence_study, gap_study, lambda_boundedness
 from .consistency import solve_cc
-from .convexity import (check_coupled_indefinite, check_decoupled_indefinite, is_coupled,
-                        report_all)
-from .errors import ConfigError, GridMismatchError, MFLQGError, SettingError
-from .model import (TIME_VARYING, ModelParams, check_population_size, integral, load_config,
-                    parse_config, read_field, read_json, real, samples, save_config,
-                    validate, write_json)
+from .convexity import is_coupled, report_all
+from .errors import ConfigError, GridMismatchError, MFLQGError, RegularityLostError, SettingError
+from .model import (TIME_VARYING, ModelParams, check_population_size, integral, json_text,
+                    load_config, parse_config, read_field, read_json, real, samples,
+                    save_config, validate, write_json)
 from .ode import TimeGrid, Trajectory
 from .presets import repro_instance
-from .riccati import FeedbackLaw
+from .riccati import REGULARITY_TOL, FeedbackLaw
 from .montecarlo import NoiseBank, simulate_decentralized
 
 
@@ -128,7 +127,8 @@ def load_law(law_dir: Path, params: ModelParams | None = None
     Every trajectory must hold one sample per node, shaped by the law's own
     n and m; given ``params``, those must be the config's n and m, and every
     coefficient of the config must be readable on the law's grid.  A bad
-    file raises ConfigError naming the file and the field.
+    file, a regularity margin at most REGULARITY_TOL or a P asymmetric past
+    1e-9 among them, raises ConfigError naming the file and the field.
     """
     path = Path(law_dir) / "law.json"
     doc = read_json(path)
@@ -159,11 +159,15 @@ def load_law(law_dir: Path, params: ModelParams | None = None
         return traj
 
     margin = read_field(path, doc, "regularity_margin", real)
-    if not np.isfinite(margin):
-        raise ConfigError(f"{path}: field 'regularity_margin': {margin} is not finite")
-    law = FeedbackLaw(grid=grid, P=trajectory("P"), phi=trajectory("phi"),
-                      Theta1=trajectory("Theta1"), Theta2=trajectory("Theta2"),
-                      regularity_margin=margin)
+    if not (np.isfinite(margin) and margin > REGULARITY_TOL):
+        raise ConfigError(f"{path}: field 'regularity_margin': {margin} is not a finite "
+                          f"number above {REGULARITY_TOL}")
+    try:
+        law = FeedbackLaw(grid=grid, P=trajectory("P"), phi=trajectory("phi"),
+                          Theta1=trajectory("Theta1"), Theta2=trajectory("Theta2"),
+                          regularity_margin=margin)
+    except RegularityLostError as exc:   # the margin passed above: P is not symmetric
+        raise ConfigError(f"{path}: field 'P': {exc}") from None
     xhat = trajectory("xhat")
     return law, xhat, sha256_of(path)
 
@@ -187,9 +191,14 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     return out
 
 
+def _fitted(x: float) -> float | None:
+    """A fitted coefficient or a witness, None (JSON null) when not finite."""
+    return float(x) if np.isfinite(x) else None
+
+
 def _verdict_doc(v) -> dict:
     return {"status": v.status, "criterion": v.criterion,
-            "witness": {k: (val if isinstance(val, str) else float(val))
+            "witness": {k: (val if isinstance(val, str) else _fitted(val))
                         for k, val in v.witness.items()}}
 
 
@@ -218,22 +227,10 @@ def _read_shift(path) -> np.ndarray | None:
 def cmd_convexity(args) -> int:
     params = load_config(args.config)
     dq, dg = _read_shift(args.dq), _read_shift(args.dg)
-    if dq is None and dg is None:
-        verdicts = report_all(params)
-    elif is_coupled(params):
-        if dg is not None:
-            raise ConfigError(f"{args.dg}: the coupled certificate takes no dG shift")
-        verdicts = {"coupled_indefinite": check_coupled_indefinite(params, dq)}
-    else:
-        verdicts = {"decoupled_indefinite": check_decoupled_indefinite(params, dq, dg)}
-    doc = {k: _verdict_doc(v) for k, v in verdicts.items()}
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    if dg is not None and is_coupled(params):
+        raise ConfigError(f"{args.dg}: the coupled certificate takes no dG shift")
+    print(json_text({k: _verdict_doc(v) for k, v in report_all(params, dq, dg).items()}))
     return 0
-
-
-def _fitted(x: float) -> float | None:
-    """A fitted coefficient, or None (JSON null) when it could not be fitted."""
-    return float(x) if np.isfinite(x) else None
 
 
 def cmd_solve(args) -> int:

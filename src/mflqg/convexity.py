@@ -13,18 +13,20 @@ low-dimensional certificates cover the practical cases:
   Gronwall growth constant: K e^{2KT} lam_min(Q - dQ) + lam_min(R)/2 >= 0.
 
 Every check returns a verdict; "not verified" never asserts non-convexity,
-the criteria are sufficient only.
+the criteria are sufficient only.  :func:`report_all` alone picks the coupled
+or the decoupled certificate, with or without the weight shifts dQ and dG.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError, CouplingPresentError, NonFiniteError, RegularityLostError
 from .model import ModelParams
 from .ode import eig_min, eigvals_sym, symmetrize
+from .riccati import solve_P
 
 UNIFORM_TOL = 1e-10
 
@@ -82,8 +84,8 @@ def _shift(delta, tight: np.ndarray, name: str) -> np.ndarray:
     """The weight shift ``delta``, or the tightest one when it is None.
 
     ``tight`` is Q - Qhat per node or the constant G - Ghat; a per-node shift
-    may also be one constant n x n matrix.  Any other shape raises
-    ConfigError.
+    may also be one constant n x n matrix.  Any other shape, or a NaN or
+    infinite entry, raises ConfigError.
     """
     if delta is None:
         return tight
@@ -92,6 +94,8 @@ def _shift(delta, tight: np.ndarray, name: str) -> np.ndarray:
     if arr.shape not in shapes:
         raise ConfigError(f"{name}: expected shape {' or '.join(map(str, shapes))}, "
                           f"got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{name}: entries must be finite")
     return np.broadcast_to(arr, tight.shape)
 
 
@@ -102,24 +106,22 @@ def check_decoupled_indefinite(params: ModelParams, dQ=None, dG=None) -> Convexi
     dG >= G - Ghat (defaults: the tightest choice, dQ = Q - Qhat and
     dG = G - Ghat).  Uniform convexity of the shifted single-agent problem is
     certified by integrating its Riccati equation with weights
-    (Q - dQ, R, G - dG) and watching R + D'PD stay strictly positive.
+    (Q - dQ, R, G - dG) and watching R + D'PD stay strictly positive;
+    solve_P reads no coefficient but A, B, C, D, Q, R and G.
     """
     if is_coupled(params):
         raise CouplingPresentError("this certificate requires F = Ftilde = 0")
-    n, steps = params.n, params.steps
     Qt = params.node_table("Q")
     qhat, ghat = _hat_tables(params)
-    dQt, dGm = _shift(dQ, Qt - qhat, "dQ"), _shift(dG, params.G - ghat, "dG")
-    q_gap = eig_min(Qt - qhat)
-    g_gap = eig_min(params.G - ghat)
+    q_tight, g_tight = Qt - qhat, params.G - ghat
+    dQt, dGm = _shift(dQ, q_tight, "dQ"), _shift(dG, g_tight, "dG")
+    q_gap, g_gap = eig_min(q_tight), eig_min(g_tight)
     witness = {"lambda_min_Q_minus_Qhat": q_gap, "lambda_min_G_minus_Ghat": g_gap}
     if q_gap < -UNIFORM_TOL or g_gap < -UNIFORM_TOL:
         return ConvexityVerdict(NOT_VERIFIED, "decoupled-indefinite", witness)
 
-    dq_ok = eig_min(dQt - (Qt - qhat))
-    dg_ok = eig_min(dGm - (params.G - ghat))
-    witness["lambda_min_dQ_gap"] = dq_ok
-    witness["lambda_min_dG_gap"] = dg_ok
+    dq_ok, dg_ok = eig_min(dQt - q_tight), eig_min(dGm - g_tight)
+    witness.update(lambda_min_dQ_gap=dq_ok, lambda_min_dG_gap=dg_ok)
     if dq_ok < -UNIFORM_TOL:
         witness["failed"] = "dQ >= Q - Qhat"
         return ConvexityVerdict(NOT_VERIFIED, "decoupled-indefinite", witness)
@@ -127,14 +129,7 @@ def check_decoupled_indefinite(params: ModelParams, dQ=None, dG=None) -> Convexi
         witness["failed"] = "dG >= G - Ghat"
         return ConvexityVerdict(NOT_VERIFIED, "decoupled-indefinite", witness)
 
-    shifted = ModelParams(
-        n=n, m=params.m, T=params.T, steps=steps,
-        A=params.A, B=params.B, C=params.C, D=params.D,
-        F=np.zeros((n, n)), Ftilde=np.zeros((n, n)),
-        Q=Qt - dQt, R=params.R, G=symmetrize(params.G - dGm),
-        Gamma=np.zeros((n, n)), GammaBar=np.zeros((n, n)),
-        eta=np.zeros(n), etaBar=np.zeros(n), xi0=np.zeros(n))
-    from .riccati import solve_P
+    shifted = replace(params, Q=Qt - dQt, G=symmetrize(params.G - dGm))
     try:
         _, margin = solve_P(shifted)
     except (NonFiniteError, RegularityLostError) as exc:
@@ -187,9 +182,8 @@ def check_coupled_indefinite(params: ModelParams, dQ=None) -> ConvexityVerdict:
     Qt = params.node_table("Q")
     qhat, _ = _hat_tables(params)
     dQt = _shift(dQ, Qt - qhat, "dQ")
-    witness: dict = {}
     lam_g = eig_min(params.G)
-    witness["lambda_min_G"] = lam_g
+    witness = {"lambda_min_G": lam_g}
     if lam_g < -UNIFORM_TOL:
         witness["failed"] = "G >= 0"
         return ConvexityVerdict(NOT_VERIFIED, "coupled-indefinite", witness)
@@ -210,7 +204,8 @@ def check_coupled_indefinite(params: ModelParams, dQ=None) -> ConvexityVerdict:
         return ConvexityVerdict(NOT_VERIFIED, "coupled-indefinite", witness)
     K = growth_constant(params)
     lam_r = eig_min(params.node_table("R"))
-    lhs = K * np.exp(2.0 * K * params.T) * lam_qd + 0.5 * lam_r
+    with np.errstate(over="ignore"):   # lam_qd >= 0 adds 0, also where e^{2KT} overflows
+        lhs = (K * np.exp(2.0 * K * params.T) * lam_qd if lam_qd < 0.0 else 0.0) + 0.5 * lam_r
     witness.update({"K": K, "lambda_min_R": lam_r, "lhs": float(lhs)})
     if lhs > UNIFORM_TOL:
         witness["margin"] = float(lhs)
@@ -221,11 +216,15 @@ def check_coupled_indefinite(params: ModelParams, dQ=None) -> ConvexityVerdict:
     return ConvexityVerdict(NOT_VERIFIED, "coupled-indefinite", witness)
 
 
-def report_all(params: ModelParams) -> dict:
-    """Run every applicable certificate and collect the verdicts."""
+def report_all(params: ModelParams, dQ=None, dG=None) -> dict:
+    """The psd verdict, which no shift changes, and the coupled or the
+    decoupled indefinite verdict under the shifts dQ and dG (the tightest
+    ones when None).  The coupled certificate takes no dG: ConfigError."""
     out = {"psd": check_psd_case(params)}
-    if is_coupled(params):
-        out["coupled_indefinite"] = check_coupled_indefinite(params)
+    if not is_coupled(params):
+        out["decoupled_indefinite"] = check_decoupled_indefinite(params, dQ, dG)
+    elif dG is not None:
+        raise ConfigError("dG: the coupled certificate takes no dG shift")
     else:
-        out["decoupled_indefinite"] = check_decoupled_indefinite(params)
+        out["coupled_indefinite"] = check_coupled_indefinite(params, dQ)
     return out

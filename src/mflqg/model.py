@@ -28,8 +28,9 @@ sampled coefficient exists only on the master grid (equal T and steps).
 
 Every input file (config, stored law, convexity shift) is parsed by
 :func:`read_json` and read field by field by :func:`read_field`, so every
-refusal names the file and the field; :func:`write_json` writes every JSON
-artifact.  :func:`is_int` decides whether a count, size or seed is an integer.
+refusal names the file and the field; :func:`json_text` writes all JSON
+text, every artifact through :func:`write_json`.  :func:`is_int` decides
+whether a count, size or seed is an integer.
 """
 
 from __future__ import annotations
@@ -415,27 +416,28 @@ def _key_text(key) -> str:
     return json.dumps(key)
 
 
-def _json_text(doc, pad: str) -> str:
+def json_text(doc, pad: str = "") -> str:
     """``doc`` as json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    writes it at indent ``pad``, numpy values as their tolist().  A float
+    writes it at indent ``pad``, numpy values as their tolist(): the package's
+    one JSON text writer, a NaN or infinity raising ValueError.  A float
     array is one %-format call: a float's repr is exactly json's float text."""
     inner = pad + "  "
     if isinstance(doc, dict):
         if not doc:
             return "{}"
-        return "{\n" + ",\n".join(inner + _key_text(k) + ": " + _json_text(v, inner)
+        return "{\n" + ",\n".join(inner + _key_text(k) + ": " + json_text(v, inner)
                                   for k, v in sorted(doc.items())) + "\n" + pad + "}"
     if isinstance(doc, (list, tuple)):
         if not doc:
             return "[]"
-        return "[\n" + ",\n".join(inner + _json_text(v, inner) for v in doc) \
+        return "[\n" + ",\n".join(inner + json_text(v, inner) for v in doc) \
             + "\n" + pad + "]"
     if isinstance(doc, np.ndarray) and doc.dtype.kind == "f":
         if not np.isfinite(doc).all():
             raise ValueError("Out of range float values are not JSON compliant")
         return _array_template(doc.shape, pad) % tuple(doc.ravel().tolist())
     if isinstance(doc, (np.ndarray, np.generic)):
-        return _json_text(doc.tolist(), pad)
+        return json_text(doc.tolist(), pad)
     return json.dumps(doc, allow_nan=False)
 
 
@@ -443,7 +445,7 @@ def write_json(path, doc: dict):
     """Write ``doc`` to ``path`` (returned) as the bytes of json.dump(doc,
     indent=2, sort_keys=True, allow_nan=False) plus a newline, numpy values as
     their tolist(); a NaN or infinity raises ValueError before the file opens."""
-    text = _json_text(doc, "") + "\n"
+    text = json_text(doc) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     return path

@@ -89,10 +89,13 @@ def test_missing_field_is_validation_failure(tmp_path):
     ("Theta2", lambda doc: doc["Theta2"]["samples"][3].__setitem__(0, float("nan"))),
     ("P", lambda doc: doc.update(P={"samples": 5.0})),
     ("Theta1", lambda doc: doc.update(Theta1=doc["Theta1"]["samples"])),
+    ("regularity_margin", lambda doc: doc.update(regularity_margin=-1)),
+    ("regularity_margin", lambda doc: doc.update(regularity_margin=1e-10)),
+    ("P", lambda doc: doc["P"]["samples"][5][0].__setitem__(1, 1e3)),
 ], ids=["missing_field", "one_step", "sample_count", "sample_shape", "config_dims",
         "fractional_steps", "fractional_n", "boolean_n", "boolean_T", "string_T",
         "boolean_margin", "nan_margin", "infinite_margin", "nan_sample", "scalar_samples",
-        "bare_list"])
+        "bare_list", "negative_margin", "margin_at_tolerance", "asymmetric_P"])
 def test_malformed_law_is_validation_failure(tmp_path, field, edit):
     cfg = small_config(tmp_path)
     law_dir = tmp_path / "law"
@@ -328,7 +331,11 @@ def test_convexity_subcommand_reports_verdicts():
     ("--dg", "[1.0, 2.0]", False, "dG: expected shape (2, 2), got (2,)"),
     ("--dg", "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]", False, "dG: expected shape (2, 2), got (3, 3)"),
     ("--dg", "[[1e9, 0], [0, -1e9]]", True, "{path}: the coupled certificate takes no dG shift"),
-], ids=["missing-file", "not-json", "not-numbers", "dq-1x3", "dg-vector", "dg-3x3", "dg-coupled"])
+    ("--dq", "[[NaN, 0], [0, 1]]", True, "dQ: entries must be finite"),
+    ("--dq", "[[Infinity, 0], [0, 1]]", False, "dQ: entries must be finite"),
+    ("--dg", "[[1, 0], [0, -Infinity]]", False, "dG: entries must be finite"),
+], ids=["missing-file", "not-json", "not-numbers", "dq-1x3", "dg-vector", "dg-3x3", "dg-coupled",
+        "dq-nan", "dq-infinity", "dg-minus-infinity"])
 def test_bad_convexity_shift_is_validation_failure(tmp_path, capsys, flag, text, coupled, expect):
     # a decoupled config (F = Ftilde = 0) sends --dg to the decoupled
     # certificate; the coupled one has no dG shift to take
@@ -343,6 +350,31 @@ def test_bad_convexity_shift_is_validation_failure(tmp_path, capsys, flag, text,
     assert main(["convexity", str(cfg), flag, str(shift)]) == 1
     assert capsys.readouterr().err.startswith(
         "validation failure: " + expect.format(path=shift))
+
+
+def _refuse_constant(token):
+    raise ValueError(f"non-JSON token {token}")
+
+
+@pytest.mark.parametrize("over, dq, status, lhs", [
+    ({"Gamma": [[1.0]]}, None, "UniformlyConvex", 0.5),
+    ({"Gamma": [[0.5]]}, "[[2.0]]", "NotVerified", None),
+], ids=["overflow-at-zero", "overflow-to-minus-infinity"])
+def test_convexity_stdout_is_strict_json(tmp_path, capsys, over, dq, status, lhs):
+    # K = 400.2 overflows e^{2KT}: a zero lam_min(Q - dQ) adds 0, a negative
+    # one gives lhs = -inf, printed as null
+    cfg = tmp_path / "scalar.json"
+    doc = json.loads((REPO / "perfbench" / "gap_scalar.json").read_text())
+    cfg.write_text(json.dumps({**doc, "A": [[200.0]], "F": [[0.1]], **over}))
+    args = ["convexity", str(cfg)]
+    if dq is not None:
+        (tmp_path / "dq.json").write_text(dq)
+        args += ["--dq", str(tmp_path / "dq.json")]
+    assert main(args) == 0
+    out = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert set(out) == {"psd", "coupled_indefinite"}
+    assert out["coupled_indefinite"]["status"] == status
+    assert out["coupled_indefinite"]["witness"]["lhs"] == lhs
 
 
 def test_byte_identical_outputs_across_thread_counts(tmp_path):

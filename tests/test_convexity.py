@@ -1,5 +1,7 @@
 """Convexity certificates: psd case, shifted decoupled case, Gronwall case."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,15 @@ from mflqg.convexity import (
     check_decoupled_indefinite,
     check_psd_case,
     growth_constant,
+    is_coupled,
+    report_all,
 )
 from mflqg.convexity import _hat_tables
-from mflqg.errors import CouplingPresentError
+from mflqg.errors import ConfigError, CouplingPresentError
+from mflqg.model import ModelParams
 from mflqg.ode import eigvals_sym, symmetrize
 from mflqg.presets import repro_instance
+from mflqg.riccati import solve_P
 
 from conftest import rand_params
 from test_montecarlo import mode_law, time_varying_params
@@ -245,9 +251,95 @@ def test_coupled_monotone_in_R(rng):
             assert v2.is_convex
 
 
-def test_report_on_repro_instance():
-    from mflqg.convexity import report_all
+def gap_scalar_params(**over):
+    """The scalar gap-study instance, with any coefficient replaced by ``over``."""
+    doc = dict(n=1, m=1, T=1.0, steps=200, A=[[0.5]], B=[[1.0]], C=[[0.3]], D=[[0.2]],
+               F=[[0.2]], Ftilde=[[0.1]], Q=[[1.0]], R=[[1.0]], G=[[0.5]], Gamma=[[0.5]],
+               GammaBar=[[0.3]], eta=[0.5], etaBar=[0.2], xi0=[1.0])
+    return ModelParams(**{**doc, **over})
 
+
+def test_coupled_overflowing_growth_factor():
+    # K = 400.2 overflows e^{2KT}; Gamma = 1 gives Qhat = 0, so the tightest
+    # shift leaves lam_min(Q - dQ) = 0 and the certificate is lam_min(R)/2
+    p = gap_scalar_params(A=[[200.0]], F=[[0.1]], Gamma=[[1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = check_coupled_indefinite(p)
+    assert v.witness["K"] == pytest.approx(400.2)
+    assert v.witness["lambda_min_Q_minus_dQ"] == 0.0
+    assert v.status == UNIFORMLY_CONVEX
+    assert v.witness["lhs"] == v.witness["margin"] == 0.5
+    # a negative lam_min(Q - dQ) times the overflowed factor is -inf, quietly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = check_coupled_indefinite(gap_scalar_params(A=[[200.0]], F=[[0.1]]),
+                                     dQ=np.array([[2.0]]))
+    assert v.status == NOT_VERIFIED
+    assert v.witness["lhs"] == -np.inf
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_shift_is_refused(rng, bad):
+    p = rand_params(rng, n=2, m=2, coupled=False)
+    shift = np.array([[1.0, 0.0], [0.0, bad]])
+    with pytest.raises(ConfigError, match="^dQ: entries must be finite"):
+        check_coupled_indefinite(gap_scalar_params(), dQ=np.array([[bad]]))
+    with pytest.raises(ConfigError, match="^dG: entries must be finite"):
+        report_all(p, dG=shift)
+    with pytest.raises(ConfigError, match="^dQ: entries must be finite"):
+        report_all(p, dQ=np.broadcast_to(shift, (p.steps + 1, 2, 2)))
+
+
+def _zeroed_shifted_problem(p, dQ, dG):
+    # the shifted single-agent problem with every coefficient solve_P does
+    # not read set to zero
+    n = p.n
+    return ModelParams(
+        n=n, m=p.m, T=p.T, steps=p.steps, A=p.A, B=p.B, C=p.C, D=p.D,
+        F=np.zeros((n, n)), Ftilde=np.zeros((n, n)),
+        Q=p.node_table("Q") - dQ, R=p.R, G=symmetrize(p.G - dG),
+        Gamma=np.zeros((n, n)), GammaBar=np.zeros((n, n)),
+        eta=np.zeros(n), etaBar=np.zeros(n), xi0=np.zeros(n))
+
+
+def test_report_all_dispatches_every_certificate(rng):
+    # coupled, decoupled and time-varying instances, with and without shifts:
+    # report_all's verdicts equal the direct certificate calls
+    tv = time_varying_params(np.random.default_rng(7), steps=300)
+    tv.Gamma = np.zeros_like(tv.Gamma)
+    tv_dQ = tv.node_table("Q") + 0.1 * np.eye(2)
+    tv_dec = time_varying_params(np.random.default_rng(7), steps=300)
+    tv_dec.F, tv_dec.Ftilde = np.zeros((2, 2)), np.zeros((2, 2))
+    dec = rand_params(rng, n=2, m=2, coupled=False)
+    dec.Gamma, dec.GammaBar = np.zeros((2, 2)), np.zeros((2, 2))
+    dec_dQ, dec_dG = 0.2 * np.eye(2), 0.1 * np.eye(2)
+    cases = [(repro_instance(steps=50), None, None), (tv, None, None), (tv, tv_dQ, None),
+             (dec, None, None), (dec, dec_dQ, dec_dG), (tv_dec, None, None)]
+    margins = 0
+    for p, dQ, dG in cases:
+        rep = report_all(p, dQ, dG)
+        assert rep["psd"] == check_psd_case(p)
+        if not is_coupled(p):
+            assert set(rep) == {"psd", "decoupled_indefinite"}
+            direct = check_decoupled_indefinite(p, dQ, dG)
+            assert rep["decoupled_indefinite"] == direct
+            if "margin" in direct.witness:
+                qhat, ghat = _hat_tables(p)
+                zq = p.node_table("Q") - qhat if dQ is None else dQ
+                zg = p.G - ghat if dG is None else dG
+                assert direct.witness["margin"] == solve_P(_zeroed_shifted_problem(p, zq, zg))[1]
+                margins += 1
+        else:
+            assert set(rep) == {"psd", "coupled_indefinite"}
+            assert rep["coupled_indefinite"] == check_coupled_indefinite(p, dQ)
+            with pytest.raises(ConfigError, match="^dG: the coupled certificate takes no dG"):
+                report_all(p, dQ, np.zeros((p.n, p.n)))
+    assert margins >= 2
+    assert "K" in report_all(tv, tv_dQ)["coupled_indefinite"].witness
+
+
+def test_report_on_repro_instance():
     rep = report_all(repro_instance(steps=50))
     assert rep["psd"].status == UNIFORMLY_CONVEX
     # the coupled indefinite certificate does not apply here (Q - Qhat < 0)
