@@ -6,8 +6,9 @@ any increment regenerates bit-identically however work is chunked.  Chunk
 boundaries depend on sizes alone and each chunk writes its own slice of the
 output, so results are bit-identical under any MFLQG_THREADS.  A plain
 simulation that spans several noise-capped chunks hands them to a pool of
-MFLQG_THREADS workers.  The oracle's variant pass cuts its paths into
-cache-sized chunks and runs them in order on the calling thread: each numpy
+MFLQG_THREADS workers.  A multi-plane pass (the oracle's tangents, or
+affine variants) cuts its paths into cache-sized chunks and runs them in
+order on the calling thread: each numpy
 call on such a chunk lasts microseconds, so pool workers would mostly hand
 the interpreter lock back and forth rather than compute at once (inferred,
 not traced).  On a 2-core host two workers made the pass 25-75% slower than
@@ -32,13 +33,16 @@ the cost.  Two folds share the loop, and only the first derives tables:
   column per path, and the costs per agent;
 * the stacked fold lays the agent fold's tables of the oracle's law out on
   the nN stacked coordinates and gives the social cost.  Leading plane
-  axes carry per-agent affine variants, so the oracle's stationarity check
-  runs a law and its perturbations as one pass over one bank.
+  axes carry per-agent affine variants, or the law's tangents along
+  per-agent directions of its affine: the oracle's stationarity check runs
+  the law and its FD_DIRECTIONS tangents as one pass over one bank and
+  reads each path's derivative and curvature off them, with no finite
+  difference.
 
 An offset that is the same on every path is added to the dt-scale drift
 increment, never to the state: a path-constant addend rounds alike on every
-path, and at the state's scale that bias would move the oracle's finite
-differences.  Controls are formed only for stored trajectories, and a
+path, and at the state's scale that bias would move differences between
+runs.  Controls are formed only for stored trajectories, and a
 centralized run's per-agent costs only from them; full trajectories are
 kept within the storage budget, and :func:`social_cost` recomputes costs
 from them.
@@ -62,7 +66,7 @@ from .riccati import FeedbackLaw, OracleLaw
 # full trajectory storage cap, in scalars (states + controls combined)
 STORE_BUDGET = 2**28
 # chunk caps in scalars: the noise of one chunk, and one state plane of a
-# multi-variant pass (small enough to stay in cache, so run on the calling
+# multi-plane pass (small enough to stay in cache, so run on the calling
 # thread; see the module docstring)
 NOISE_CHUNK_SCALARS = 2**24
 PLANE_CHUNK_SCALARS = 2**14
@@ -172,7 +176,7 @@ def _chunks(n_paths: int, per_path_scalars: int, cap: int | None = None) -> list
     # Chunk boundaries depend only on sizes, never on the worker count: BLAS
     # kernels are not bit-stable across batch shapes, so the shapes must be
     # pinned for thread-count-independent output.  Plain simulations run
-    # their chunks on the pool, the variant pass in order on the calling thread.
+    # their chunks on the pool, a multi-plane pass in order on the calling thread.
     size = max(1, min(n_paths, (cap or NOISE_CHUNK_SCALARS) // max(1, per_path_scalars)))
     return [range(a, min(a + size, n_paths)) for a in range(0, n_paths, size)]
 
@@ -215,25 +219,37 @@ class _AgentFold:
     [dt(F + B Gb); Ftilde + D Gb; 2 H_x,avg; H_avg,avg] and offsets[k] =
     [dt B a; D a; 2 l].  Axes of a between its node and control axes (the
     stacked fold's variants and agents) carry into offsets and c.
+
+    With ``base``, the law's affine broadcast against a, the fold is the
+    law's tangent along the directions a: its cost has zero targets, and
+    cross holds the node-weighted 2 base'R a, the constant of the cost's
+    bilinear form between the law and its tangent.
     """
 
-    def __init__(self, params: ModelParams, grid: TimeGrid, N: int, Ga, Gb, a):
+    def __init__(self, params: ModelParams, grid: TimeGrid, N: int, Ga, Gb, a, base=None):
         K, n, lead = len(Ga), Ga.shape[-1], a.shape[1:-1]
         A, B, C, D, F, Ft, Q, R, Gam, eta = (params.node_table(k, grid) for k in TIME_VARYING)
+        targets = 1.0 if base is None else 0.0
 
         def wide(X):     # node tables against the lead axes of a
             return X.reshape((K,) + (1,) * len(lead) + X.shape[1:])
 
-        E = np.concatenate([np.broadcast_to(np.eye(n), Gam.shape), -Gam], -1)
-        running = _quadratic(wide(E), wide(eta), wide(Q), wide(np.concatenate([Ga, Gb], -1)),
-                             a, wide(R))
         # half the trapezoid-weighted running cost, plus half the terminal cost at the last node
         w = np.full(K, 0.5 * grid.dt)
         w[[0, -1]] *= 0.5
-        H, l, self.c = (w.reshape((-1,) + (1,) * (run.ndim - 1)) * run for run in running)
+
+        def weighted(run):
+            return w.reshape((-1,) + (1,) * (run.ndim - 1)) * run
+
+        E = np.concatenate([np.broadcast_to(np.eye(n), Gam.shape), -Gam], -1)
+        running = _quadratic(wide(E), targets * wide(eta), wide(Q),
+                             wide(np.concatenate([Ga, Gb], -1)), a, wide(R))
+        H, l, self.c = (weighted(run) for run in running)
         for run, end in zip((H, l, self.c), _quadratic(
-                np.hstack([np.eye(n), -params.GammaBar]), params.etaBar, params.G)):
+                np.hstack([np.eye(n), -params.GammaBar]), targets * params.etaBar, params.G)):
             run[-1] += 0.5 * end
+        if base is not None:
+            self.cross = weighted(2.0 * (base * matvec(wide(R), a)).sum(axis=-1))
         H = H.reshape(K, 2 * n, 2 * n)
         self.maps = np.concatenate([grid.dt * (A + B @ Ga), C + D @ Ga, H[:, :n, :n]], axis=1)
         self.mean_maps = np.concatenate([grid.dt * (F + B @ Gb), Ft + D @ Gb,
@@ -276,9 +292,16 @@ class _StackedFold:
     the social cost's H, whose xavg block is 2 H_x,avg + H_avg,avg; maps[k]
     also sums each coordinate over the agents.  Agent i's offsets fill block
     i, the xavg part of 2 l is averaged over the agents, and c is summed.
+
+    With ``directions`` (V, steps+1, Nm) the planes are the law's and, after
+    it, its tangent along each direction: the state's derivative along
+    affine + h direction, which starts at zero and takes its offsets from
+    the agent fold's tangent.  With the noise fixed the state is affine in h
+    and the cost quadratic, so J(h) = J + h g + h^2 c / 2 on every path, and the
+    costs are (J, g_1..g_V, c_1/2..c_V/2), each c/2 the tangent's own cost.
     """
 
-    def __init__(self, aug: AugmentedCoeffs, law: OracleLaw, affines=None):
+    def __init__(self, aug: AugmentedCoeffs, law: OracleLaw, affines=None, directions=None):
         N, n, m, K = aug.N, aug.params.n, aug.params.m, law.grid.steps + 1
         if law.N != N:
             raise InvalidNError(f"law solved for N = {law.N}, simulated with N = {N}")
@@ -287,7 +310,6 @@ class _StackedFold:
         K_dev = law.K_dev.values
         agent = _AgentFold(aug.params, law.grid, N, K_dev, law.K_mean.values - K_dev, a)
         own, avg = agent.maps.reshape(K, 3, n, n), agent.mean_maps.reshape(K, 4, n, n)
-        self.cost_shape = lead = a.shape[1:-2]
 
         def lay(X, Y):   # an agent block and its xavg block on the stacked coordinates
             return kron_eye(X, N) + kron_mean(Y, N)
@@ -299,29 +321,55 @@ class _StackedFold:
         def planes(x):   # (K, *lead, N, r) -> (K, Nr, *lead, 1), a copy: the agent fold is freed
             return np.moveaxis(x.reshape(x.shape[:-2] + (-1,)), -1, 1).copy()[..., None]
 
-        off = agent.offsets[..., 0]
+        off, c = agent.offsets[..., 0], agent.c.sum(axis=-1)
+        self.start = np.tile(agent.xi0, N).reshape((N * n,) + (1,) * (a.ndim - 2))
+        self.tangents = directions is not None
+        if self.tangents:
+            tangent = _AgentFold(aug.params, law.grid, N, K_dev, agent.Gb,
+                                 np.moveaxis(directions, 0, 1).reshape(K, -1, N, m), a[:, None])
+            off = np.concatenate([off[:, None], tangent.offsets[..., 0]], axis=1)
+            c = np.concatenate([c[:, None], tangent.cross.sum(axis=-1), tangent.c.sum(axis=-1)],
+                               axis=1)
+            zero = np.zeros((N * n, len(directions), 1))   # the tangents' start
+            self.start = np.concatenate([self.start[:, None], zero], axis=1)
+        self.lead = off.shape[1:-2]
+        self.cost_shape = c.shape[1:]
         self.drift, self.diff = planes(off[..., :n]), planes(off[..., n:2 * n])
         self.lin = planes(off[..., 2 * n:3 * n] + off[..., 3 * n:].mean(axis=-2, keepdims=True))
-        self.c = agent.c.sum(axis=-1)[..., None]
+        self.c = c[..., None]
         self.gain, self.affine = lay(agent.Ga, agent.Gb), a.reshape(a.shape[:-2] + (N * m,))
         self.N, self.n = N, n
-        self.start = np.tile(agent.xi0, N).reshape((N * n,) + (1,) * (len(lead) + 1))
 
     def increment(self, dWk):
         dWk = np.repeat(dWk.T, self.n, axis=0)
-        return dWk.reshape(dWk.shape[:1] + (1,) * len(self.cost_shape) + dWk.shape[1:])
+        return dWk.reshape(dWk.shape[:1] + (1,) * len(self.lead) + dWk.shape[1:])
 
     def initial(self, P: int) -> np.ndarray:
-        return np.broadcast_to(self.start, self.start.shape[:1] + self.cost_shape + (P,)).copy()
+        return np.broadcast_to(self.start, self.start.shape[:1] + self.lead + (P,)).copy()
 
     def node(self, k: int, X, Z):
         d = len(X)
         xb = Z[2 * d:2 * d + self.n] / self.N
-        # x'Hx and 2 l'x as separate sums: adding the path-constant l to Hx
-        # would round alike on every path
-        cost = np.einsum("j...,j...->...", Z[2 * d + self.n:], X)
-        cost += np.einsum("j...,j...->...", self.lin[k], X)
-        return xb, self.drift[k], self.diff[k], cost + self.c[k]
+        HX, lin = Z[2 * d + self.n:], self.lin[k]
+        if not self.tangents:
+            # x'Hx and 2 l'x as separate sums: adding the path-constant l to Hx
+            # would round alike on every path
+            cost = np.einsum("j...,j...->...", HX, X)
+            cost += np.einsum("j...,j...->...", lin, X)
+            return xb, self.drift[k], self.diff[k], cost + self.c[k]
+        # H is not symmetric, so with W = HX + lin on every plane the law x
+        # and its tangents Y give J = W_x'x, g = W_x'Y + W_Y'x and c/2 = W_Y'Y,
+        # each before its node constant; _em reads no cost row of Z after this
+        HX += lin
+        x, Y, Wx, WY = X[:, 0], X[:, 1:], HX[:, 0], HX[:, 1:]
+        V = Y.shape[1]
+        cost = np.empty(self.cost_shape + x.shape[-1:])
+        np.einsum("jp,jp->p", Wx, x, out=cost[0])
+        np.einsum("jp,jvp->vp", Wx, Y, out=cost[1:V + 1])
+        cost[1:V + 1] += np.einsum("jvp,jp->vp", WY, x)
+        np.einsum("jvp,jvp->vp", WY, Y, out=cost[V + 1:])
+        cost += self.c[k]
+        return xb, self.drift[k], self.diff[k], cost
 
     def states(self, X):
         return X.reshape(self.N, self.n, -1).transpose(2, 0, 1)
@@ -334,7 +382,8 @@ class _StackedFold:
 def _em(fold, dW: np.ndarray, kind: str, record=None) -> np.ndarray:
     """The Euler-Maruyama kernel: the costs, shape (*fold.cost_shape, P), of one chunk.
 
-    dW is the chunk's (P, N, steps) increments; every agent starts at xi0.
+    dW is the chunk's (P, N, steps) increments; every agent starts at xi0
+    (a tangent plane at zero).
     At node k the product Z = maps[k] X holds the drift increments, the
     diffusion coefficients and the cost forms without their offsets;
     fold.node(k, X, Z) gives the agent means, the two offsets and the node's
@@ -422,6 +471,17 @@ def simulate_centralized(aug: AugmentedCoeffs, law: OracleLaw, noise: NoiseBank,
     return res
 
 
+def _plane_pass(fold: _StackedFold, noise: NoiseBank) -> np.ndarray:
+    """The fold's costs (*fold.cost_shape, paths), from its planes cut into
+    PLANE_CHUNK_SCALARS chunks that run in order on the calling thread, never
+    the pool: see the module docstring."""
+    return np.concatenate([
+        _em(fold, noise.increments_block(chunk)[:, :fold.N, :], "centralized")
+        for chunk in _chunks(noise.n_paths, int(np.prod(fold.lead)) * fold.N,
+                             PLANE_CHUNK_SCALARS)
+    ], axis=-1)
+
+
 def centralized_variant_costs(aug: AugmentedCoeffs, law: OracleLaw,
                               affines: np.ndarray, noise: NoiseBank) -> np.ndarray:
     """J_soc, shape (V, paths), under u = gain x + affines[v] for each variant.
@@ -431,12 +491,22 @@ def centralized_variant_costs(aug: AugmentedCoeffs, law: OracleLaw,
     the agents is simulate_centralized's run.
     """
     _check_bank(noise, law.grid, aug.N)
-    fold = _StackedFold(aug, law, affines)
-    # in order on the calling thread, never the pool: see the module docstring
-    return np.concatenate([
-        _em(fold, noise.increments_block(chunk)[:, :aug.N, :], "centralized")
-        for chunk in _chunks(noise.n_paths, len(affines) * aug.N, PLANE_CHUNK_SCALARS)
-    ], axis=-1)
+    return _plane_pass(_StackedFold(aug, law, affines), noise)
+
+
+def centralized_tangents(aug: AugmentedCoeffs, law: OracleLaw, directions: np.ndarray,
+                         noise: NoiseBank) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The law's J_soc (paths,) with its derivative g and curvature c (V, paths)
+    along each per-agent direction: J_soc(h) = J_soc + h g + h^2 c / 2 exactly
+    on every path under u = gain x + affine + h directions[v].
+
+    directions is (V, steps+1, Nm).  The law and its V tangents run as one
+    pass of 1 + V planes over the bank, the variants' pass at h = +-1
+    (:func:`centralized_variant_costs`) its reference.
+    """
+    _check_bank(noise, law.grid, aug.N)
+    costs = _plane_pass(_StackedFold(aug, law, directions=directions), noise)
+    return costs[0], costs[1:1 + len(directions)], 2.0 * costs[1 + len(directions):]
 
 
 def social_cost(result: SimResult, params: ModelParams) -> CostSummary:

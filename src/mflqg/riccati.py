@@ -14,10 +14,11 @@ Two layers live here:
   blocks of P: sum_i Ci'P Ci = C' bd(P) C.  The agents are exchangeable, so
   the stacked equation is solved, and its law held, as two n x n modes,
   deviation and mean, at a cost that does not depend on N.  The oracle's
-  affine term is validated at runtime by a finite-difference stationarity
-  test under common random numbers (the law and its perturbed copies run as
-  variants of one Monte Carlo pass over one noise bank), so a bookkeeping
-  mistake cannot silently corrupt the optimality-gap experiments.
+  affine term is validated at runtime by a pathwise-derivative
+  stationarity test under common random numbers (the law and its tangents
+  along perturbed affines run as planes of one Monte Carlo pass over one
+  noise bank), so a bookkeeping mistake cannot silently corrupt the
+  optimality-gap experiments.
 
 Regularity (R + D'PD strictly positive definite along the whole horizon) is
 always measured and enforced; the decentralized law is meaningless without it.
@@ -47,8 +48,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatchError, RegularityLostError, StationarityError
-from .model import TIME_VARYING, AugmentedCoeffs, ModelParams
+from .errors import GridMismatchError, RegularityLostError, SettingError, StationarityError
+from .model import TIME_VARYING, AugmentedCoeffs, ModelParams, is_int
 from .ode import (
     TimeGrid,
     Trajectory,
@@ -404,10 +405,11 @@ def solve_oracle(aug: AugmentedCoeffs, grid: TimeGrid | None = None, *, validate
 
     With validate=True the resulting law must pass a stationarity self-check:
     for FD_DIRECTIONS random bounded perturbations delta of the agents'
-    affines, the centered difference [J(u+h delta) - J(u-h delta)]/(2h),
-    h = FD_STEP, under common random numbers stays below fd_tol *
-    ||delta||_{L2} * (1 + |J|), and the perturbed cost never undercuts J by
-    more than Monte Carlo slack.
+    affines, the mean pathwise derivative of J along delta, under common
+    random numbers, stays below fd_tol * ||delta||_{L2} * (1 + |J|), and the
+    cost at u + h delta, h = FD_STEP, never undercuts J by more than Monte
+    Carlo slack.  validation_paths below 2 raise SettingError before any
+    draw.
     """
     params, N, n = aug.params, aug.N, aug.params.n
     grid = params.grid() if grid is None else grid
@@ -456,36 +458,39 @@ FD_STEP, FD_DIRECTIONS = 1e-4, 5   # the stationarity check's step and direction
 
 def _validate_stationarity(aug: AugmentedCoeffs, law: OracleLaw, *, paths: int,
                            seed: int, tol: float) -> dict:
-    """Finite-difference stationarity check under common random numbers.
+    """Pathwise-derivative stationarity check under common random numbers.
 
-    The law and its 2 FD_DIRECTIONS perturbations of the agent-tiled affine
-    run as one batched simulation on one keyed bank, which regenerates its
+    Along affine + h delta, with the noise fixed, the stacked state is
+    affine in h and the cost quadratic, so on every path
+    J(h) = J + h g + h^2 c / 2 exactly.  The law and its tangent along each
+    of FD_DIRECTIONS perturbations of the agent-tiled affine run as one pass
+    of 1 + FD_DIRECTIONS planes on one keyed bank, which regenerates its
     increments one plane chunk at a time: the pass never holds the whole
-    bank, even at MAX_VALIDATION_PATHS.  The pathwise
-    centered difference is exact (the cost is quadratic in the control along
-    a fixed noise path), so the estimate's only error is Monte Carlo; an
-    over-threshold reading that 3 standard errors could explain is
-    re-measured once with more paths before it counts as a failure.
+    bank, even at MAX_VALIDATION_PATHS.  The per-path g is the centered
+    difference [J(h) - J(-h)]/(2h) without its rounding, and h g + h^2 c / 2
+    is J(h) - J at h = FD_STEP, so the estimate's only error is Monte Carlo;
+    an over-threshold reading that 3 standard errors could explain is
+    re-measured once with more paths before it counts as a failure.  Fewer
+    than 2 paths give no standard error and raise SettingError before any
+    draw.
     """
-    from .montecarlo import NoiseBank, centralized_variant_costs, check_seed
+    from .montecarlo import NoiseBank, centralized_tangents, check_seed
 
     check_seed(seed)
+    if not (is_int(paths) and paths >= 2):
+        raise SettingError(f"the stationarity check needs at least 2 paths, got {paths!r}")
     grid, h = law.grid, FD_STEP
     rng = np.random.default_rng(seed ^ 0x5EED)
     dim_u = aug.N * aug.params.m
-    deltas = [rng.uniform(-1.0, 1.0, size=(grid.steps + 1, dim_u)) for _ in range(FD_DIRECTIONS)]
+    deltas = rng.uniform(-1.0, 1.0, size=(FD_DIRECTIONS, grid.steps + 1, dim_u))
     norms = [float(np.sqrt(quadrature(Trajectory(grid, (d**2).sum(axis=1))))) for d in deltas]
-    # variant 0 is the law itself, then +h delta and -h delta for each direction
-    affine = np.tile(law.affine.values, aug.N)
-    affines = np.stack([affine] + [affine + s * (h * d) for d in deltas for s in (1.0, -1.0)])
 
     def measure(n_paths: int):
         noise = NoiseBank(seed=seed, n_paths=n_paths, n_agents=aug.N, grid=grid).materialized()
-        J = centralized_variant_costs(aug, law, affines, noise)
-        dpaths = (J[1::2] - J[2::2]) / (2.0 * h)
-        rows = [(float(dp.mean()), float(dp.std(ddof=1) / np.sqrt(n_paths)), norm, Jp - J[0])
-                for dp, norm, Jp in zip(dpaths, norms, J[1::2])]
-        return J[0], rows
+        J, g, c = centralized_tangents(aug, law, deltas, noise)
+        rows = [(float(gp.mean()), float(gp.std(ddof=1) / np.sqrt(n_paths)), norm,
+                 h * gp + 0.5 * h * h * cp) for gp, cp, norm in zip(g, c, norms)]
+        return J, rows
 
     base, rows = measure(paths)
     J0 = float(base.mean())

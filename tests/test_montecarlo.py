@@ -16,6 +16,7 @@ from mflqg import riccati
 from mflqg.riccati import FeedbackLaw, OracleLaw, solve_oracle
 from mflqg.montecarlo import (
     NoiseBank,
+    centralized_tangents,
     centralized_variant_costs,
     simulate_centralized,
     simulate_decentralized,
@@ -133,7 +134,7 @@ def test_materialized_noise_matches_bank():
 def test_validation_draws_its_bank_one_plane_chunk_at_a_time(monkeypatch):
     # the stationarity pass, its re-measurement included, regenerates the
     # keyed bank chunk by chunk and never holds more paths than one plane
-    # chunk of its 2 FD_DIRECTIONS + 1 variants
+    # chunk of the law and its FD_DIRECTIONS tangents
     monkeypatch.setattr(montecarlo, "PLANE_CHUNK_SCALARS", 2**9)
     monkeypatch.setattr(riccati, "MAX_VALIDATION_PATHS", 300)
     asked = []
@@ -149,7 +150,7 @@ def test_validation_draws_its_bank_one_plane_chunk_at_a_time(monkeypatch):
     # tol = 0 leaves the first reading inconclusive, so it is re-measured
     with pytest.raises(StationarityError, match="300 paths"):
         riccati._validate_stationarity(aug, law, paths=200, seed=3, tol=0.0)
-    per_chunk = 2**9 // ((2 * riccati.FD_DIRECTIONS + 1) * 2)
+    per_chunk = 2**9 // ((riccati.FD_DIRECTIONS + 1) * 2)
     assert sum(asked) == 200 + 300 and max(asked) == per_chunk
 
 
@@ -501,6 +502,30 @@ def test_variant_pass_equals_separate_centralized_runs(rng, monkeypatch):
         assert np.max(np.abs(J[v] - ref) / np.abs(ref)) < 1e-12
 
 
+def test_tangent_pass_reproduces_the_variant_pass_at_unit_step(rng, monkeypatch):
+    # along affine + h delta, J(h) = J + h g + h^2 c / 2 on every path, so at
+    # h = 1, where a quadratic leaves no cancellation, g = (J(+d) - J(-d))/2
+    # and c = J(+d) + J(-d) - 2 J(0) from the variant pass; a time-varying
+    # instance with n = m = 2, its paths cut into several plane chunks
+    monkeypatch.setattr(montecarlo, "PLANE_CHUNK_SCALARS", 2**9)
+    p = time_varying_params(rng, m=2)
+    grid, N = p.grid(), 3
+    aug = AugmentedCoeffs(p, N)
+    law = random_oracle_law(rng, grid, N, 2, 2)
+    _, affine = stacked_tables(law)
+    deltas = rng.uniform(-1.0, 1.0, (5,) + affine.shape)
+    noise = NoiseBank(seed=37, n_paths=60, n_agents=N, grid=grid)
+    assert len(montecarlo._chunks(60, 6 * N, 2**9)) > 1
+    J, g, c = centralized_tangents(aug, law, deltas, noise)
+    J0, Jp, Jm = np.split(centralized_variant_costs(
+        aug, law, np.concatenate([affine[None], affine + deltas, affine - deltas]), noise),
+        [1, 6])
+    assert J.shape == (60,) and g.shape == c.shape == (5, 60)
+    assert np.max(np.abs(J - J0[0])) <= 1e-12 * np.max(np.abs(J0))
+    for got, want in ((g, 0.5 * (Jp - Jm)), (c, Jp + Jm - 2.0 * J0)):
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
 def test_centralized_and_validation_identical_across_thread_counts(rng, monkeypatch):
     # small chunk caps make every run span many chunks, so the threads matter
     monkeypatch.setattr(montecarlo, "NOISE_CHUNK_SCALARS", 2**10)
@@ -582,9 +607,9 @@ def test_multi_chunk_plain_simulation_uses_the_pool(rng, monkeypatch):
     assert built == [{"max_workers": 2}]
 
 
-def time_varying_params(rng, steps=40):
-    """n = 2, m = 1 instance whose every node-sampled coefficient moves in time."""
-    p = rand_params(rng, n=2, m=1, steps=steps)
+def time_varying_params(rng, steps=40, m=1):
+    """n = 2 instance whose every node-sampled coefficient moves in time."""
+    p = rand_params(rng, n=2, m=m, steps=steps)
     t = p.grid().nodes
     for name, f in (("A", 1 + t / 4), ("B", 1 - t / 5), ("C", 1 + 0.2 * t), ("D", 1 + 0.5 * t),
                     ("F", 1 - 0.1 * t), ("Ftilde", 1 - 0.3 * t), ("Q", 1 + t), ("R", 1 + 0.3 * t),
