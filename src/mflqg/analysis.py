@@ -30,6 +30,7 @@ import numpy as np
 
 from .consistency import solve_cc
 from .convexity import check_psd_case
+from .errors import GridMismatchError
 from .model import AugmentedCoeffs, ModelParams, check_population_size
 from .ode import Trajectory, integrate_linear, kron_vec, stage_samples
 from .riccati import FeedbackLaw, solve_oracle
@@ -62,10 +63,13 @@ def convergence_study(params: ModelParams, law: FeedbackLaw, xhat: Trajectory,
     Each replication is one independent N-agent simulation; the per-N noise
     banks are seeded as seed + N so the table is reproducible entry by entry.
     The slope is fitted only over two or more distinct N (NaN otherwise).
-    Every N and the replication count are checked before any simulation.
+    Every N, the replication count and xhat's grid, which must be the law's
+    (GridMismatchError), are checked before any simulation.
     """
     check_seed(seed)
     check_study_counts(replications, N_list)
+    if xhat.grid != law.grid:
+        raise GridMismatchError(f"xhat is sampled on {xhat.grid}, the law on {law.grid}")
     rows = []
     for N in N_list:
         noise = NoiseBank(seed=seed + N, n_paths=replications, n_agents=N,

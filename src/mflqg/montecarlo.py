@@ -6,9 +6,9 @@ any increment regenerates bit-identically however work is chunked.  Chunk
 boundaries depend on sizes alone and each chunk writes its own slice of the
 output, so results are bit-identical under any MFLQG_THREADS.  A plain
 simulation that spans several noise-capped chunks hands them to a pool of
-MFLQG_THREADS workers.  A multi-plane pass (the oracle's tangents, or
-affine variants) cuts its paths into cache-sized chunks and runs them in
-order on the calling thread: each numpy
+MFLQG_THREADS workers.  The multi-plane pass of the oracle's tangents cuts
+its paths into cache-sized chunks and runs them in order on the calling
+thread: each numpy
 call on such a chunk lasts microseconds, so pool workers would mostly hand
 the interpreter lock back and forth rather than compute at once (inferred,
 not traced).  On a 2-core host two workers made the pass 25-75% slower than
@@ -32,9 +32,9 @@ the cost.  Two folds share the loop, and only the first derives tables:
   on the agents' planes, the xavg terms acting on the agent means, one
   column per path, and the costs per agent;
 * the stacked fold lays the agent fold's tables of the oracle's law out on
-  the nN stacked coordinates and gives the social cost.  Leading plane
-  axes carry per-agent affine variants, or the law's tangents along
-  per-agent directions of its affine: the oracle's stationarity check runs
+  the nN stacked coordinates and gives the social cost.  A leading plane
+  axis carries the law's tangents along per-agent directions of its
+  affine: the oracle's stationarity check runs
   the law and its FD_DIRECTIONS tangents as one pass over one bank and
   reads each path's derivative and curvature off them, with no finite
   difference.
@@ -218,7 +218,8 @@ class _AgentFold:
     on the agent means, one column per path: mean_maps[k] =
     [dt(F + B Gb); Ftilde + D Gb; 2 H_x,avg; H_avg,avg] and offsets[k] =
     [dt B a; D a; 2 l].  Axes of a between its node and control axes (the
-    stacked fold's variants and agents) carry into offsets and c.
+    stacked fold's agents, and its tangents' directions and agents) carry
+    into offsets and c.
 
     With ``base``, the law's affine broadcast against a, the fold is the
     law's tangent along the directions a: its cost has zero targets, and
@@ -284,29 +285,27 @@ class _AgentFold:
 
 class _StackedFold:
     """The oracle's law u = gain x + affine on the stacked state, laid out
-    from one agent fold of Ga = K_dev, Gb = K_mean - K_dev and each agent's
-    affine: the law's, or its part of the per-agent variants ``affines``
-    (V, steps+1, Nm), which the lead axes of the state's planes (*lead, P)
-    carry.  An agent block X with its xavg block Y becomes
+    from one agent fold of Ga = K_dev, Gb = K_mean - K_dev and the law's
+    affine in every agent.  An agent block X with its xavg block Y becomes
     I (x) X + 11'/N (x) Y: so do the gain, the drift and diffusion maps and
     the social cost's H, whose xavg block is 2 H_x,avg + H_avg,avg; maps[k]
     also sums each coordinate over the agents.  Agent i's offsets fill block
     i, the xavg part of 2 l is averaged over the agents, and c is summed.
 
-    With ``directions`` (V, steps+1, Nm) the planes are the law's and, after
-    it, its tangent along each direction: the state's derivative along
-    affine + h direction, which starts at zero and takes its offsets from
-    the agent fold's tangent.  With the noise fixed the state is affine in h
-    and the cost quadratic, so J(h) = J + h g + h^2 c / 2 on every path, and the
-    costs are (J, g_1..g_V, c_1/2..c_V/2), each c/2 the tangent's own cost.
+    With ``directions`` (V, steps+1, Nm) the state's planes carry a lead
+    axis: the law's plane and, after it, its tangent along each direction,
+    the state's derivative along affine + h direction, which starts at zero
+    and takes its offsets from the agent fold's tangent.  With the noise
+    fixed the state is affine in h and the cost quadratic, so
+    J(h) = J + h g + h^2 c / 2 on every path, and the costs are
+    (J, g_1..g_V, c_1/2..c_V/2), each c/2 the tangent's own cost.
     """
 
-    def __init__(self, aug: AugmentedCoeffs, law: OracleLaw, affines=None, directions=None):
+    def __init__(self, aug: AugmentedCoeffs, law: OracleLaw, directions=None):
         N, n, m, K = aug.N, aug.params.n, aug.params.m, law.grid.steps + 1
         if law.N != N:
             raise InvalidNError(f"law solved for N = {law.N}, simulated with N = {N}")
-        a = (np.broadcast_to(law.affine.values[:, None], (K, N, m)) if affines is None
-             else np.moveaxis(affines, 0, 1).reshape(K, len(affines), N, m))
+        a = np.broadcast_to(law.affine.values[:, None], (K, N, m))
         K_dev = law.K_dev.values
         agent = _AgentFold(aug.params, law.grid, N, K_dev, law.K_mean.values - K_dev, a)
         own, avg = agent.maps.reshape(K, 3, n, n), agent.mean_maps.reshape(K, 4, n, n)
@@ -322,7 +321,7 @@ class _StackedFold:
             return np.moveaxis(x.reshape(x.shape[:-2] + (-1,)), -1, 1).copy()[..., None]
 
         off, c = agent.offsets[..., 0], agent.c.sum(axis=-1)
-        self.start = np.tile(agent.xi0, N).reshape((N * n,) + (1,) * (a.ndim - 2))
+        self.start = np.tile(agent.xi0, N)[:, None]
         self.tangents = directions is not None
         if self.tangents:
             tangent = _AgentFold(aug.params, law.grid, N, K_dev, agent.Gb,
@@ -337,7 +336,7 @@ class _StackedFold:
         self.drift, self.diff = planes(off[..., :n]), planes(off[..., n:2 * n])
         self.lin = planes(off[..., 2 * n:3 * n] + off[..., 3 * n:].mean(axis=-2, keepdims=True))
         self.c = c[..., None]
-        self.gain, self.affine = lay(agent.Ga, agent.Gb), a.reshape(a.shape[:-2] + (N * m,))
+        self.gain, self.affine = lay(agent.Ga, agent.Gb), a.reshape(K, N * m)
         self.N, self.n = N, n
 
     def increment(self, dWk):
@@ -471,42 +470,30 @@ def simulate_centralized(aug: AugmentedCoeffs, law: OracleLaw, noise: NoiseBank,
     return res
 
 
-def _plane_pass(fold: _StackedFold, noise: NoiseBank) -> np.ndarray:
-    """The fold's costs (*fold.cost_shape, paths), from its planes cut into
-    PLANE_CHUNK_SCALARS chunks that run in order on the calling thread, never
-    the pool: see the module docstring."""
-    return np.concatenate([
-        _em(fold, noise.increments_block(chunk)[:, :fold.N, :], "centralized")
-        for chunk in _chunks(noise.n_paths, int(np.prod(fold.lead)) * fold.N,
-                             PLANE_CHUNK_SCALARS)
-    ], axis=-1)
-
-
-def centralized_variant_costs(aug: AugmentedCoeffs, law: OracleLaw,
-                              affines: np.ndarray, noise: NoiseBank) -> np.ndarray:
-    """J_soc, shape (V, paths), under u = gain x + affines[v] for each variant.
-
-    affines is (V, steps+1, Nm), one affine per agent.  The variants share
-    every increment of the bank and run as one pass; law.affine tiled over
-    the agents is simulate_centralized's run.
-    """
-    _check_bank(noise, law.grid, aug.N)
-    return _plane_pass(_StackedFold(aug, law, affines), noise)
-
-
 def centralized_tangents(aug: AugmentedCoeffs, law: OracleLaw, directions: np.ndarray,
                          noise: NoiseBank) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The law's J_soc (paths,) with its derivative g and curvature c (V, paths)
     along each per-agent direction: J_soc(h) = J_soc + h g + h^2 c / 2 exactly
     on every path under u = gain x + affine + h directions[v].
 
-    directions is (V, steps+1, Nm).  The law and its V tangents run as one
-    pass of 1 + V planes over the bank, the variants' pass at h = +-1
-    (:func:`centralized_variant_costs`) its reference.
+    directions is (V, steps+1, Nm); any other shape raises SettingError.  The
+    law and its V tangents run as one pass of 1 + V planes over the bank, cut
+    into PLANE_CHUNK_SCALARS chunks that run in order on the calling thread,
+    never the pool: see the module docstring.  The tests' reference is the
+    Euler-Maruyama loop written from the model equations, run at h = +-1.
     """
     _check_bank(noise, law.grid, aug.N)
-    costs = _plane_pass(_StackedFold(aug, law, directions=directions), noise)
-    return costs[0], costs[1:1 + len(directions)], 2.0 * costs[1 + len(directions):]
+    want = (law.grid.steps + 1, aug.N * aug.params.m)
+    if np.ndim(directions) != 3 or np.shape(directions)[1:] != want:
+        raise SettingError(f"directions must be (V, steps+1, Nm) = (V, {want[0]}, {want[1]}), "
+                           f"got shape {np.shape(directions)}")
+    V = len(directions)
+    fold = _StackedFold(aug, law, directions)
+    costs = np.concatenate([
+        _em(fold, noise.increments_block(chunk)[:, :aug.N, :], "centralized")
+        for chunk in _chunks(noise.n_paths, (1 + V) * aug.N, PLANE_CHUNK_SCALARS)
+    ], axis=-1)
+    return costs[0], costs[1:1 + V], 2.0 * costs[1 + V:]
 
 
 def social_cost(result: SimResult, params: ModelParams) -> CostSummary:

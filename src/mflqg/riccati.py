@@ -301,7 +301,8 @@ def theta2(P: Trajectory, phi: Trajectory, xhat: Trajectory, params: ModelParams
 
 @dataclass
 class FeedbackLaw:
-    """Decentralized law u_i = Theta1 x_i + Theta2 with its backing P, phi."""
+    """Decentralized law u_i = Theta1 x_i + Theta2 with its backing P, phi,
+    every one sampled on ``grid`` (GridMismatchError names the field)."""
 
     grid: TimeGrid
     P: Trajectory
@@ -311,9 +312,12 @@ class FeedbackLaw:
     regularity_margin: float
 
     def __post_init__(self):
-        if not self.regularity_margin > REGULARITY_TOL:
-            raise RegularityLostError(f"law built with nonpositive regularity margin "
-                                      f"{self.regularity_margin:.3e}")
+        for name in ("P", "phi", "Theta1", "Theta2"):
+            if (grid := getattr(self, name).grid) != self.grid:
+                raise GridMismatchError(f"law field {name!r} is sampled on {grid}, not {self.grid}")
+        if not (np.isfinite(self.regularity_margin) and self.regularity_margin > REGULARITY_TOL):
+            raise RegularityLostError(f"law regularity margin {self.regularity_margin:.3e} "
+                                      f"is not a finite number above {REGULARITY_TOL}")
         asym = np.max(np.abs(self.P.values - np.swapaxes(self.P.values, -1, -2)))
         if asym > 1e-9:
             raise RegularityLostError(f"P asymmetry {asym:.3e} exceeds 1e-9")

@@ -116,6 +116,21 @@ def test_a_study_refuses_bad_counts_before_any_solve_or_simulation(monkeypatch, 
     assert calls == []
 
 
+def test_convergence_study_refuses_xhat_off_the_law_grid_before_any_simulation(monkeypatch):
+    # xhat is compared with the average at the law's nodes, so one on another
+    # grid is refused by name before any simulation, not by a broadcast
+    p = rand_params(np.random.default_rng(11), n=1, m=1, steps=40)
+    _, law = solve_cc(p)
+    xhat = Trajectory(ode.TimeGrid(p.T, 80), np.zeros((81, 1)))
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a simulation ran")
+
+    monkeypatch.setattr(analysis, "simulate_decentralized", no_run)
+    with pytest.raises(GridMismatchError, match="xhat is sampled on"):
+        convergence_study(p, law, xhat, [2, 4], replications=3, seed=1)
+
+
 def test_lambda_zero_case(rng):
     p = rand_params(rng, n=2, m=1, steps=100)
     for name in ("A", "B", "C", "D", "F", "Ftilde", "Gamma", "GammaBar", "G", "Q"):

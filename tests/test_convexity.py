@@ -352,7 +352,7 @@ def test_uniform_verdict_implies_quadratic_growth_of_cost(rng):
     # open-loop controls, up to Monte Carlo error
     from mflqg.model import AugmentedCoeffs
     from mflqg.ode import trapezoid_nodes
-    from mflqg.montecarlo import NoiseBank, centralized_variant_costs
+    from mflqg.montecarlo import NoiseBank, centralized_tangents
 
     checked = 0
     while checked < 20:
@@ -367,10 +367,12 @@ def test_uniform_verdict_implies_quadratic_growth_of_cost(rng):
         nodes = grid.steps + 1
         N = 2
         u_traj = 0.6 * rng.standard_normal((nodes, N))
-        # a zero-gain law run with one open-loop variant: u_i = u_traj[:, i]
+        # a zero-gain, zero-affine law and its cost at h = 1 along the
+        # direction u_traj: u_i = u_traj[:, i]
         law = mode_law(grid, N, np.zeros((1, 1)), np.zeros((1, 1)), np.zeros(1))
         noise = NoiseBank(seed=1000 + checked, n_paths=400, n_agents=N, grid=grid)
-        J = centralized_variant_costs(AugmentedCoeffs(p, N), law, u_traj[None], noise)[0]
+        J0, g, c = centralized_tangents(AugmentedCoeffs(p, N), law, u_traj[None], noise)
+        J = J0 + g[0] + 0.5 * c[0]
         u_norm_sq = float(trapezoid_nodes((u_traj ** 2).sum(axis=1), grid))
         se = float(J.std(ddof=1) / np.sqrt(len(J)))
         eps = v.witness["margin"]

@@ -1,5 +1,6 @@
 """Static guards: no module of the package imports a name it never uses, no
-class of the package has a field nobody reads, every name of the package
+class of the package has a field nobody reads, no public function or class
+of the package is there for its unit tests alone, every name of the package
 that the benchmark reads or patches exists, the stacked fold reads no
 coefficient of the model, only ``ode`` cuts a sweep into chunks, and only
 ``model`` reads JSON files or writes JSON text.
@@ -234,10 +235,11 @@ def test_stacked_fold_lays_out_the_agent_fold():
     assert not names & {"build_augmented", "node_table"}
 
 
-def mentioned_names(source: str) -> set:
-    """Every name, attribute and imported name that ``source`` mentions."""
+def mentioned_names(source) -> set:
+    """Every name, attribute and imported name that ``source``, a source text
+    or a parsed node, mentions."""
     names = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(ast.parse(source) if isinstance(source, str) else source):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -255,6 +257,44 @@ def test_only_ode_cuts_sweeps_into_chunks():
     found = {path.name: sorted(chunking & mentioned_names(path.read_text()))
              for path in SRC.glob("*.py") if path.name != "ode.py"}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def unused_public_names(sources: dict, named: set) -> list[str]:
+    """Public top-level functions and classes of ``sources`` (module name to
+    source text) that no source mentions outside their own definition and
+    ``named`` does not hold.  A mention is a name, an attribute or an
+    imported name, so a re-export by ``__init__.py`` is one."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            own = getattr(top, "name", None)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not own.startswith("_"):
+                defined.append((module, own))
+            else:
+                own = None
+            used |= {name for name in mentioned_names(top) if name != own}
+    return [f"{module}.{name}" for module, name in defined
+            if name not in used and name not in named]
+
+
+def test_guard_flags_a_name_only_tests_use():
+    sources = {"a": "def run(x):\n    return run(x) + helper(x)\ndef helper(x):\n    pass\n"
+                    "class Spare:\n    pass\ndef _private():\n    pass\nclass Kept:\n    pass\n",
+               "__init__": "from .a import Kept\n"}
+    assert unused_public_names(sources, set()) == ["a.run", "a.Spare"]
+    assert unused_public_names(sources, {"run", "Spare"}) == []
+
+
+def test_every_public_name_serves_the_package_its_acceptance_tests_or_the_benchmark():
+    # a function or class that only unit tests call is a second code path
+    # for them to keep alive; the benchmark patches names by string
+    named = set()
+    for path in [REPO / "tests" / "test_acceptance.py", *PERFBENCH]:
+        named |= mentioned_names(path.read_text())
+        named |= {node.value for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    assert unused_public_names(sources, named) == []
 
 
 def json_file_calls(source: str) -> set:

@@ -17,7 +17,6 @@ from mflqg.riccati import FeedbackLaw, OracleLaw, solve_oracle
 from mflqg.montecarlo import (
     NoiseBank,
     centralized_tangents,
-    centralized_variant_costs,
     simulate_centralized,
     simulate_decentralized,
     social_cost,
@@ -481,49 +480,16 @@ def random_oracle_law(rng, grid, N, n, m):
     return mode_law(grid, N, K_dev, K_mean, 0.3 * rng.standard_normal((grid.steps + 1, m)))
 
 
-def test_variant_pass_equals_separate_centralized_runs(rng, monkeypatch):
-    # eleven per-agent affine variants in one pass over one bank, chunked,
-    # against eleven one-variant passes on the same bank; variant 0 is the
-    # law's own affine, so it is also simulate_centralized's run
-    monkeypatch.setattr(montecarlo, "PLANE_CHUNK_SCALARS", 2**9)
-    p = rand_params(rng, n=2, m=2, steps=60)
-    grid, N = p.grid(), 3
-    aug = AugmentedCoeffs(p, N)
-    law = random_oracle_law(rng, grid, N, 2, 2)
-    _, affine = stacked_tables(law)
-    affines = affine + 0.2 * rng.standard_normal((11,) + affine.shape)
-    affines[0] = affine
-    noise = NoiseBank(seed=31, n_paths=50, n_agents=N, grid=grid).materialized()
-    J = centralized_variant_costs(aug, law, affines, noise)
-    runs = [(0, simulate_centralized(aug, law, noise, store=False).J_soc)]
-    runs += [(v, centralized_variant_costs(aug, law, aff[None], noise)[0])
-             for v, aff in enumerate(affines)]
-    for v, ref in runs:
-        assert np.max(np.abs(J[v] - ref) / np.abs(ref)) < 1e-12
-
-
-def test_tangent_pass_reproduces_the_variant_pass_at_unit_step(rng, monkeypatch):
-    # along affine + h delta, J(h) = J + h g + h^2 c / 2 on every path, so at
-    # h = 1, where a quadratic leaves no cancellation, g = (J(+d) - J(-d))/2
-    # and c = J(+d) + J(-d) - 2 J(0) from the variant pass; a time-varying
-    # instance with n = m = 2, its paths cut into several plane chunks
-    monkeypatch.setattr(montecarlo, "PLANE_CHUNK_SCALARS", 2**9)
-    p = time_varying_params(rng, m=2)
-    grid, N = p.grid(), 3
-    aug = AugmentedCoeffs(p, N)
-    law = random_oracle_law(rng, grid, N, 2, 2)
-    _, affine = stacked_tables(law)
-    deltas = rng.uniform(-1.0, 1.0, (5,) + affine.shape)
-    noise = NoiseBank(seed=37, n_paths=60, n_agents=N, grid=grid)
-    assert len(montecarlo._chunks(60, 6 * N, 2**9)) > 1
-    J, g, c = centralized_tangents(aug, law, deltas, noise)
-    J0, Jp, Jm = np.split(centralized_variant_costs(
-        aug, law, np.concatenate([affine[None], affine + deltas, affine - deltas]), noise),
-        [1, 6])
-    assert J.shape == (60,) and g.shape == c.shape == (5, 60)
-    assert np.max(np.abs(J - J0[0])) <= 1e-12 * np.max(np.abs(J0))
-    for got, want in ((g, 0.5 * (Jp - Jm)), (c, Jp + Jm - 2.0 * J0)):
-        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+@pytest.mark.parametrize("shape", [(5, 21, 1), (5, 21), (5, 20, 3), (21, 3)],
+                         ids=["per-agent-m", "two-axes", "off-grid", "one-direction"])
+def test_tangent_pass_refuses_directions_of_another_shape(shape):
+    # a per-agent (V, steps+1, m) direction is refused by name, before the
+    # fold's einsum could meet it
+    p = rand_params(np.random.default_rng(5), n=1, m=1, steps=20)
+    law = random_oracle_law(np.random.default_rng(6), p.grid(), 3, 1, 1)
+    noise = NoiseBank(seed=1, n_paths=4, n_agents=3, grid=p.grid())
+    with pytest.raises(SettingError, match=r"\(V, 21, 3\), got shape"):
+        centralized_tangents(AugmentedCoeffs(p, 3), law, np.zeros(shape), noise)
 
 
 def test_centralized_and_validation_identical_across_thread_counts(rng, monkeypatch):
@@ -561,8 +527,8 @@ def count_pools(monkeypatch, refuse=False):
 
 
 def test_variant_pass_runs_on_the_calling_thread(rng, monkeypatch):
-    # cache-sized chunks lose to the interpreter lock on a pool, so even
-    # many chunks and four workers build none
+    # the tangent pass: cache-sized chunks lose to the interpreter lock on a
+    # pool, so even many chunks and four workers build none
     monkeypatch.setattr(montecarlo, "PLANE_CHUNK_SCALARS", 2**9)
     monkeypatch.setenv("MFLQG_THREADS", "4")
     count_pools(monkeypatch, refuse=True)
@@ -570,29 +536,32 @@ def test_variant_pass_runs_on_the_calling_thread(rng, monkeypatch):
     grid, N = p.grid(), 3
     law = random_oracle_law(rng, grid, N, 2, 1)
     _, affine = stacked_tables(law)
-    affines = affine + 0.2 * rng.standard_normal((5,) + affine.shape)
+    deltas = rng.uniform(-1.0, 1.0, (10,) + affine.shape)
     noise = NoiseBank(seed=5, n_paths=60, n_agents=N, grid=grid)
-    assert len(montecarlo._chunks(60, 5 * N, 2**9)) > 1
-    J = centralized_variant_costs(AugmentedCoeffs(p, N), law, affines, noise)
-    assert J.shape == (5, 60) and np.isfinite(J).all()
+    assert len(montecarlo._chunks(60, 11 * N, 2**9)) > 1
+    J, g, c = centralized_tangents(AugmentedCoeffs(p, N), law, deltas, noise)
+    assert J.shape == (60,) and g.shape == c.shape == (10, 60)
+    assert np.isfinite(J).all() and np.isfinite(g).all() and np.isfinite(c).all()
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 1)])
 def test_variant_pass_costs_identical_across_plane_chunk_caps(rng, monkeypatch, n, m):
-    # the cap only cuts the paths (here into 40, 2 and 1 chunks): each
-    # path's costs are the same operations in every cut, so J is bit-equal
+    # the tangent pass's cap only cuts the paths (here its 11 planes into
+    # 40, 2 and 1 chunks): each path's costs are the same operations in
+    # every cut, so J, g and c are bit-equal
     p = rand_params(rng, n=n, m=m, steps=30)
     grid, N = p.grid(), 3
     law = random_oracle_law(rng, grid, N, n, m)
     _, affine = stacked_tables(law)
-    affines = affine + 0.2 * rng.standard_normal((11,) + affine.shape)
+    deltas = rng.uniform(-1.0, 1.0, (10,) + affine.shape)
     noise = NoiseBank(seed=7, n_paths=600, n_agents=N, grid=grid)
     runs = []
     for cap in (2**9, 2**14, 2**16):
         monkeypatch.setattr(montecarlo, "PLANE_CHUNK_SCALARS", cap)
-        runs.append(centralized_variant_costs(AugmentedCoeffs(p, N), law, affines, noise))
+        runs.append(b"".join(x.tobytes() for x in centralized_tangents(
+            AugmentedCoeffs(p, N), law, deltas, noise)))
     assert [len(montecarlo._chunks(600, 11 * N, cap)) for cap in (2**9, 2**14, 2**16)] == [40, 2, 1]
-    assert runs[0].tobytes() == runs[1].tobytes() == runs[2].tobytes()
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_multi_chunk_plain_simulation_uses_the_pool(rng, monkeypatch):
@@ -690,12 +659,36 @@ def test_simulators_match_reference_em_loop(rng):
         for new, ref in ((res.xs, xs), (res.us, us), (res.xavg, xavg), (res.J_i, J_i),
                          (res.J_soc, J_i.sum(axis=1))):
             assert_close(new, ref)
-    gain, affine = stacked_tables(cen)
-    affines = affine + 0.2 * rng.standard_normal((4,) + affine.shape)
-    J = centralized_variant_costs(AugmentedCoeffs(p, N), cen, affines, noise.materialized())
-    for v, aff in enumerate(affines):
-        ref = reference_em(p, N, dW, centralized_control(gain, aff))[3].sum(axis=1)
-        assert_close(J[v], ref)
+
+
+def test_tangent_pass_matches_reference_em_at_unit_step(rng, monkeypatch):
+    # along affine + h delta, J(h) = J + h g + h^2 c / 2 on every path, so at
+    # h = 1, where a quadratic leaves no cancellation, g = (J(+d) - J(-d))/2
+    # and c = J(+d) + J(-d) - 2 J(0) from the loop written from the model
+    # equations; a time-varying instance with n = m = 2, its paths cut into
+    # three plane chunks.  The law's plane is simulate_centralized's run.
+    monkeypatch.setattr(montecarlo, "PLANE_CHUNK_SCALARS", 2**9)
+    p = time_varying_params(rng, m=2)
+    grid, N = p.grid(), 3
+    aug = AugmentedCoeffs(p, N)
+    law = random_oracle_law(rng, grid, N, 2, 2)
+    gain, affine = stacked_tables(law)
+    deltas = rng.uniform(-1.0, 1.0, (5,) + affine.shape)
+    noise = NoiseBank(seed=37, n_paths=60, n_agents=N, grid=grid)
+    assert len(montecarlo._chunks(60, 6 * N, 2**9)) == 3
+    J, g, c = centralized_tangents(aug, law, deltas, noise)
+    dW = noise.increments_block(range(60))
+
+    def ref(aff):
+        return reference_em(p, N, dW, centralized_control(gain, aff))[3].sum(axis=1)
+
+    J0 = ref(affine)
+    Jp, Jm = (np.array([ref(affine + s * d) for d in deltas]) for s in (1.0, -1.0))
+    assert J.shape == (60,) and g.shape == c.shape == (5, 60)
+    assert_close(J, J0)
+    assert_close(J, simulate_centralized(aug, law, noise, store=False).J_soc)
+    for got, want in ((g, 0.5 * (Jp - Jm)), (c, Jp + Jm - 2.0 * J0)):
+        assert_close(got, want, rel=1e-10)
 
 
 def test_agent_fold_with_a_mean_gain_matches_reference_em_loop(rng):

@@ -5,10 +5,11 @@ import pytest
 
 from mflqg import riccati
 from mflqg.consistency import solve_cc
-from mflqg.errors import RegularityLostError, SettingError, StationarityError
+from mflqg.errors import GridMismatchError, RegularityLostError, SettingError, StationarityError
 from mflqg.model import AugmentedCoeffs, build_augmented, kron_eye, kron_mean
 from mflqg.ode import TimeGrid, Trajectory, integrate_rk4, symmetrize
 from mflqg.riccati import (
+    FeedbackLaw,
     OracleLaw,
     gain_terms,
     node_solve,
@@ -18,7 +19,7 @@ from mflqg.riccati import (
     theta1,
     theta2,
 )
-from mflqg.montecarlo import NoiseBank, centralized_variant_costs, simulate_centralized
+from mflqg.montecarlo import NoiseBank, centralized_tangents, simulate_centralized
 from mflqg.presets import repro_instance
 
 from conftest import rand_params
@@ -67,6 +68,32 @@ def test_regularity_lost_raises():
     p = scalar_params(R=[[-1.0]], D=[[0.0]])
     with pytest.raises(RegularityLostError):
         solve_P(p)
+
+
+def feedback_law_fields(grid, off=None):
+    """Zero P, phi, Theta1 and Theta2 (n = m = 1) on grid; field ``off`` on
+    twice its steps."""
+    fields = {}
+    for name, shape in (("P", (1, 1)), ("phi", (1,)), ("Theta1", (1, 1)), ("Theta2", (1,))):
+        g = TimeGrid(grid.T, 2 * grid.steps) if name == off else grid
+        fields[name] = Trajectory(g, np.zeros((g.steps + 1,) + shape))
+    return fields
+
+
+@pytest.mark.parametrize("off", ["P", "phi", "Theta1", "Theta2"])
+def test_feedback_law_refuses_a_trajectory_off_its_grid(off):
+    # the simulators read every field at the law's nodes, so a field on 400
+    # steps in a law on 200 is refused when the law is built
+    grid = TimeGrid(1.0, 200)
+    with pytest.raises(GridMismatchError, match=f"law field '{off}' is sampled on"):
+        FeedbackLaw(grid=grid, regularity_margin=1.0, **feedback_law_fields(grid, off))
+
+
+@pytest.mark.parametrize("margin", [np.inf, np.nan, 0.0, -1.0])
+def test_feedback_law_refuses_a_margin_that_is_not_finite_and_positive(margin):
+    grid = TimeGrid(1.0, 20)
+    with pytest.raises(RegularityLostError, match="not a finite number above"):
+        FeedbackLaw(grid=grid, regularity_margin=margin, **feedback_law_fields(grid))
 
 
 def _matrix_form_P(p):
@@ -473,7 +500,8 @@ def test_oracle_dominates_random_laws(rng):
         K_dev, K_mean = 0.3 * rng.standard_normal((2, 1, 1))
         other = mode_law(grid, 2, K_dev, K_mean, np.zeros(1))
         affine = 0.5 * rng.standard_normal(2) * np.ones((1, nodes, 2))
-        diff = centralized_variant_costs(aug, other, affine, noise)[0] - base.J_soc
+        J, g, c = centralized_tangents(aug, other, affine, noise)
+        diff = J + g[0] + 0.5 * c[0] - base.J_soc   # the cost at h = 1
         se = diff.std(ddof=1) / np.sqrt(len(diff))
         assert diff.mean() >= -2.0 * se
 
