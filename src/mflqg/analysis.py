@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .consistency import solve_cc
-from .convexity import check_psd_case
+from .convexity import report_all
 from .errors import GridMismatchError
 from .model import AugmentedCoeffs, ModelParams, check_population_size
 from .ode import Trajectory, integrate_linear, kron_vec, stage_samples
@@ -44,6 +44,12 @@ def check_study_counts(paths: int, N_list) -> None:
     for N in N_list:
         check_population_size(N)
         check_counts(paths, N)
+
+
+def _bank_seed(seed: int, N: int) -> int:
+    """A study's noise-bank seed at population size N: seed + N, wrapped into
+    the bank's 64-bit key word, so every seed in [0, 2**64) is usable."""
+    return (int(seed) + int(N)) % 2**64
 
 
 @dataclass
@@ -61,7 +67,8 @@ def convergence_study(params: ModelParams, law: FeedbackLaw, xhat: Trajectory,
     """Estimate E sup_t ||xavg - xhat||^2 for each N and fit the decay slope.
 
     Each replication is one independent N-agent simulation; the per-N noise
-    banks are seeded as seed + N so the table is reproducible entry by entry.
+    banks are seeded by :func:`_bank_seed` so the table is reproducible entry
+    by entry.
     The slope is fitted only over two or more distinct N (NaN otherwise).
     Every N, the replication count and xhat's grid, which must be the law's
     (GridMismatchError), are checked before any simulation.
@@ -72,7 +79,7 @@ def convergence_study(params: ModelParams, law: FeedbackLaw, xhat: Trajectory,
         raise GridMismatchError(f"xhat is sampled on {xhat.grid}, the law on {law.grid}")
     rows = []
     for N in N_list:
-        noise = NoiseBank(seed=seed + N, n_paths=replications, n_agents=N,
+        noise = NoiseBank(seed=_bank_seed(seed, N), n_paths=replications, n_agents=N,
                           grid=law.grid)
         res = simulate_decentralized(params, law, N, noise, store=False)
         sup = np.max(np.sum((res.xavg - xhat.values) ** 2, axis=2), axis=1)
@@ -100,16 +107,17 @@ def gap_study(params: ModelParams, N_list, paths: int, seed: int, *,
     For each N the stacked problem is solved exactly (with its stationarity
     self-check), both laws are simulated under one noise bank, and the gap
     (J_dec - J_oracle)/N is reported with the standard error of the pathwise
-    difference (common random numbers).  Every N, its stacked system and the
-    path count are checked before anything is solved.
+    difference (common random numbers), each N's bank seeded by
+    :func:`_bank_seed`.  Every N, its stacked system and the path count are
+    checked before anything is solved.  It warns, noted in ``warnings``,
+    unless a verdict of ``convexity.report_all`` is UniformlyConvex.
     """
     check_seed(seed)
     check_study_counts(paths, N_list)
     augs = [AugmentedCoeffs(params, N) for N in N_list]
     notes = []
-    verdict = check_psd_case(params)
-    if not verdict.is_uniformly_convex:
-        notes.append("uniform convexity not verified by the psd certificate; "
+    if not any(v.is_uniformly_convex for v in report_all(params).values()):
+        notes.append("uniform convexity not verified by any certificate; "
                      "gap interpretation requires convexity")
         warnings.warn(notes[-1])
     if law is None:
@@ -118,7 +126,7 @@ def gap_study(params: ModelParams, N_list, paths: int, seed: int, *,
     for N, aug in zip(N_list, augs):
         oracle = solve_oracle(aug, law.grid, validate=validate_oracle,
                               validation_seed=seed ^ 0xACE1, validation_paths=1024)
-        noise = NoiseBank(seed=seed + N, n_paths=paths, n_agents=N, grid=law.grid)
+        noise = NoiseBank(seed=_bank_seed(seed, N), n_paths=paths, n_agents=N, grid=law.grid)
         dec = simulate_decentralized(params, law, N, noise, store=False)
         cen = simulate_centralized(aug, oracle, noise, store=False)
         diff = (dec.J_soc - cen.J_soc) / N

@@ -11,7 +11,9 @@ LF).  All JSON text, artifacts and convexity verdicts alike, is written by
 ``model.json_text`` (a non-finite witness as null), and every input file
 (config, law, --dq/--dg shift) is read through ``model.read_json`` and
 ``model.read_field``, so a refusal names the file and the field.  Exit codes:
-0 success, 1 validation failure, 2 numerical failure (stage named on stderr).
+0 success, 1 validation failure (a usage error, and an --out that is an
+existing file or lies under one, among them; both are refused before any
+computation), 2 numerical failure (stage named on stderr).
 """
 
 from __future__ import annotations
@@ -27,14 +29,14 @@ import numpy as np
 from . import __version__
 from .analysis import check_study_counts, convergence_study, gap_study, lambda_boundedness
 from .consistency import solve_cc
-from .convexity import is_coupled, report_all
+from .convexity import report_all
 from .errors import ConfigError, GridMismatchError, MFLQGError, RegularityLostError, SettingError
 from .model import (TIME_VARYING, ModelParams, check_population_size, integral, json_text,
                     load_config, parse_config, read_field, read_json, real, samples,
                     save_config, validate, write_json)
 from .ode import TimeGrid, Trajectory
 from .presets import repro_instance
-from .riccati import REGULARITY_TOL, FeedbackLaw
+from .riccati import FeedbackLaw
 from .montecarlo import NoiseBank, simulate_decentralized
 
 
@@ -127,8 +129,8 @@ def load_law(law_dir: Path, params: ModelParams | None = None
     Every trajectory must hold one sample per node, shaped by the law's own
     n and m; given ``params``, those must be the config's n and m, and every
     coefficient of the config must be readable on the law's grid.  A bad
-    file, a regularity margin at most REGULARITY_TOL or a P asymmetric past
-    1e-9 among them, raises ConfigError naming the file and the field.
+    file, a law that FeedbackLaw refuses among them, raises ConfigError
+    naming the file and the field.
     """
     path = Path(law_dir) / "law.json"
     doc = read_json(path)
@@ -159,15 +161,12 @@ def load_law(law_dir: Path, params: ModelParams | None = None
         return traj
 
     margin = read_field(path, doc, "regularity_margin", real)
-    if not (np.isfinite(margin) and margin > REGULARITY_TOL):
-        raise ConfigError(f"{path}: field 'regularity_margin': {margin} is not a finite "
-                          f"number above {REGULARITY_TOL}")
     try:
         law = FeedbackLaw(grid=grid, P=trajectory("P"), phi=trajectory("phi"),
                           Theta1=trajectory("Theta1"), Theta2=trajectory("Theta2"),
                           regularity_margin=margin)
-    except RegularityLostError as exc:   # the margin passed above: P is not symmetric
-        raise ConfigError(f"{path}: field 'P': {exc}") from None
+    except RegularityLostError as exc:   # the message names the field
+        raise ConfigError(f"{path}: {exc}") from None
     xhat = trajectory("xhat")
     return law, xhat, sha256_of(path)
 
@@ -227,9 +226,11 @@ def _read_shift(path) -> np.ndarray | None:
 def cmd_convexity(args) -> int:
     params = load_config(args.config)
     dq, dg = _read_shift(args.dq), _read_shift(args.dg)
-    if dg is not None and is_coupled(params):
-        raise ConfigError(f"{args.dg}: the coupled certificate takes no dG shift")
-    print(json_text({k: _verdict_doc(v) for k, v in report_all(params, dq, dg).items()}))
+    try:
+        verdicts = report_all(params, dq, dg)
+    except ConfigError as exc:   # a refused shift, named "dQ: ..." or "dG: ..."
+        raise ConfigError(f"{args.dq if str(exc).startswith('dQ:') else args.dg}: {exc}") from None
+    print(json_text({k: _verdict_doc(v) for k, v in verdicts.items()}))
     return 0
 
 
@@ -344,8 +345,17 @@ def cmd_repro(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser (its subcommands' too) whose usage errors are validation
+    failures: the usage line and the message on stderr, exit code 1."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"validation failure: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="mflqg", description=__doc__)
+    ap = _Parser(prog="mflqg", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a config against the model assumptions")
@@ -402,9 +412,20 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_out(out) -> None:
+    """Refuse an --out that is an existing non-directory (a dangling link
+    among them) or lies under one (SettingError), before any computation
+    rather than in _write_run."""
+    for path in (Path(out), *Path(out).parents):
+        if (path.exists() or path.is_symlink()) and not path.is_dir():
+            raise SettingError(f"--out {out}: {path} exists and is not a directory")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "out", None) is not None:
+            _check_out(args.out)
         return args.fn(args)
     except ConfigError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)

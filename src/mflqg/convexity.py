@@ -14,7 +14,8 @@ low-dimensional certificates cover the practical cases:
 
 Every check returns a verdict; "not verified" never asserts non-convexity,
 the criteria are sufficient only.  :func:`report_all` alone picks the coupled
-or the decoupled certificate, with or without the weight shifts dQ and dG.
+or the decoupled certificate, with or without the weight shifts dQ and dG;
+the gap study and ``mflqg convexity`` take their verdicts from it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, CouplingPresentError, NonFiniteError, RegularityLostError
-from .model import ModelParams
+from .model import ModelParams, mean_weight
 from .ode import eig_min, eigvals_sym, symmetrize
 from .riccati import solve_P
 
@@ -65,15 +66,6 @@ def check_psd_case(params: ModelParams) -> ConvexityVerdict:
     return ConvexityVerdict(CONVEX, "psd-weights", witness)
 
 
-def _hat_tables(params: ModelParams):
-    n = params.n
-    eye = np.eye(n)
-    Qt, Gt = params.node_table("Q"), params.node_table("Gamma")
-    qhat = np.einsum("kji,kjl,klm->kim", Gt - eye, Qt, Gt - eye)
-    ghat = (params.GammaBar - eye).T @ params.G @ (params.GammaBar - eye)
-    return qhat, ghat
-
-
 def is_coupled(params: ModelParams) -> bool:
     """Whether the population average enters the dynamics: F or Ftilde is
     nonzero at some node."""
@@ -112,8 +104,8 @@ def check_decoupled_indefinite(params: ModelParams, dQ=None, dG=None) -> Convexi
     if is_coupled(params):
         raise CouplingPresentError("this certificate requires F = Ftilde = 0")
     Qt = params.node_table("Q")
-    qhat, ghat = _hat_tables(params)
-    q_tight, g_tight = Qt - qhat, params.G - ghat
+    q_tight = Qt - mean_weight(Qt, params.node_table("Gamma"))
+    g_tight = params.G - mean_weight(params.G, params.GammaBar)
     dQt, dGm = _shift(dQ, q_tight, "dQ"), _shift(dG, g_tight, "dG")
     q_gap, g_gap = eig_min(q_tight), eig_min(g_tight)
     witness = {"lambda_min_Q_minus_Qhat": q_gap, "lambda_min_G_minus_Ghat": g_gap}
@@ -180,19 +172,19 @@ def check_coupled_indefinite(params: ModelParams, dQ=None) -> ConvexityVerdict:
         uniformly convex when strictly positive).
     """
     Qt = params.node_table("Q")
-    qhat, _ = _hat_tables(params)
-    dQt = _shift(dQ, Qt - qhat, "dQ")
+    q_tight = Qt - mean_weight(Qt, params.node_table("Gamma"))
+    dQt = _shift(dQ, q_tight, "dQ")
     lam_g = eig_min(params.G)
     witness = {"lambda_min_G": lam_g}
     if lam_g < -UNIFORM_TOL:
         witness["failed"] = "G >= 0"
         return ConvexityVerdict(NOT_VERIFIED, "coupled-indefinite", witness)
-    q_gap = eig_min(Qt - qhat)
+    q_gap = eig_min(q_tight)
     witness["lambda_min_Q_minus_Qhat"] = q_gap
     if q_gap < -UNIFORM_TOL:
         witness["failed"] = "Q - Qhat >= 0"
         return ConvexityVerdict(NOT_VERIFIED, "coupled-indefinite", witness)
-    dq_gap = eig_min(dQt - (Qt - qhat))
+    dq_gap = eig_min(dQt - q_tight)
     witness["lambda_min_dQ_gap"] = dq_gap
     if dq_gap < -UNIFORM_TOL:
         witness["failed"] = "dQ >= Q - Qhat"

@@ -18,7 +18,8 @@ and at any times by :class:`AugmentedCoeffs`, with its N noises as one
 diffusion matrix pair.  No solve or simulation reads it: the oracle solves
 its two exchangeable modes and the centralized simulator lays out per-agent
 tables, so it stays as the tests' reference and as what
-``AugmentedCoeffs.at`` returns.
+``AugmentedCoeffs.at`` returns.  The cost's mean part (Qhat, Ghat, s1, s2) is
+:func:`mean_weight` and :func:`mean_offset` alone, for every reader.
 
 The coefficient contract lives here alone: :func:`validate` decides which
 instances are admissible, and :func:`load_config` ends with it; every reader
@@ -29,7 +30,7 @@ sampled coefficient exists only on the master grid (equal T and steps).
 Every input file (config, stored law, convexity shift) is parsed by
 :func:`read_json` and read field by field by :func:`read_field`, so every
 refusal names the file and the field; :func:`json_text` writes all JSON
-text, every artifact through :func:`write_json`.  :func:`is_int` decides
+text, every artifact through :func:`write_json`.  ``ode.is_int`` decides
 whether a count, size or seed is an integer.
 """
 
@@ -43,7 +44,7 @@ import numpy as np
 
 from .errors import (GridMismatchError, InvalidNError, NonFiniteError, ParseError,
                      SchemaError)
-from .ode import TimeGrid, interp, matvec, symmetrize
+from .ode import TimeGrid, interp, is_int, matvec, symmetrize
 
 # name -> (shape in terms of (n, m), may be time-varying, must be symmetric)
 COEFF_SPEC = {
@@ -169,6 +170,20 @@ def validate(params: ModelParams) -> list[str]:
 # Stacked (augmented) system for the brute-force centralized oracle
 # ---------------------------------------------------------------------------
 
+def mean_weight(W: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
+    """(Gamma - I)'W(Gamma - I) over leading axes: the mean's weight when the
+    cost's sum over agents splits into deviations and mean (Qhat, Ghat)."""
+    Gm = Gamma - np.eye(Gamma.shape[-1])
+    return Gm.swapaxes(-1, -2) @ W @ Gm
+
+
+def mean_offset(W: np.ndarray, Gamma: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """Gamma'W eta - W eta over leading axes: each agent's linear cost term
+    in that split (s1, s2)."""
+    Weta = matvec(W, eta)
+    return matvec(Gamma.swapaxes(-1, -2), Weta) - Weta
+
+
 def kron_eye(X: np.ndarray, N: int) -> np.ndarray:
     """I (x) X, N diagonal blocks, over the leading axes of X."""
     return np.einsum("ij,...ab->...iajb", np.eye(N), X).reshape(
@@ -210,27 +225,15 @@ def _assemble_augmented(params: ModelParams, N: int, sample) -> AugmentedSystem:
     """The stacked system with each time-varying coefficient taken from
     ``sample(name)`` (any leading time axes carried) and the constant ones
     from params."""
-    n = params.n
     A, B, C, D, F, Ftilde, Q, R, Gamma, eta = (sample(name) for name in TIME_VARYING)
     G, GammaBar, etaBar = params.G, params.GammaBar, params.etaBar
-    Gm, Gbm = Gamma - np.eye(n), GammaBar - np.eye(n)
-    Qhat = Gm.swapaxes(-1, -2) @ Q @ Gm
-    Ghat = Gbm.T @ G @ Gbm
-    # linear cost terms, fixed by expanding sum_i ||x_i - Gamma xavg - eta||_Q^2
-    Qeta = matvec(Q, eta)
-    S1 = np.tile(matvec(Gamma.swapaxes(-1, -2), Qeta) - Qeta, N)
-    S2 = np.tile(GammaBar.T @ (G @ etaBar) - G @ etaBar, N)
+    Qhat, Ghat = mean_weight(Q, Gamma), mean_weight(G, GammaBar)
     return AugmentedSystem(
-        N=N, n=n, m=params.m, A=kron_eye(A, N) + kron_mean(F, N), B=kron_eye(B, N),
+        N=N, n=params.n, m=params.m, A=kron_eye(A, N) + kron_mean(F, N), B=kron_eye(B, N),
         C=kron_eye(C, N) + kron_mean(Ftilde, N), D=kron_eye(D, N),
         Q=symmetrize(kron_eye(Q, N) + kron_mean(Qhat - Q, N)), R=symmetrize(kron_eye(R, N)),
-        G=symmetrize(kron_eye(G, N) + kron_mean(Ghat - G, N)), S1=S1, S2=S2)
-
-
-def is_int(value) -> bool:
-    """An int or a numpy integer, never a bool: the one rule by which a
-    count, a size or a seed is an integer."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        G=symmetrize(kron_eye(G, N) + kron_mean(Ghat - G, N)),
+        S1=np.tile(mean_offset(Q, Gamma, eta), N), S2=np.tile(mean_offset(G, GammaBar, etaBar), N))
 
 
 def check_population_size(N):

@@ -65,6 +65,12 @@ SYM_TOL_SCALE = 1e-8
 LINEAR_CHUNK_STEPS = 128
 
 
+def is_int(value) -> bool:
+    """An int or a numpy integer, never a bool: the one rule by which a
+    count, a size or a seed is an integer."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid t_0 = 0 < ... < t_M = T with step dt = T/M."""
@@ -73,9 +79,7 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        # model.is_int's rule, written here because ode cannot import model
-        if not (isinstance(self.steps, (int, np.integer)) and not isinstance(self.steps, bool)
-                and self.steps >= 2):
+        if not (is_int(self.steps) and self.steps >= 2):
             raise ValueError(f"need an integer of at least 2 steps, got {self.steps!r}")
         if not (np.isfinite(self.T) and self.T > 0):
             raise ValueError(f"horizon must be positive and finite, got {self.T}")

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridMismatchError, RegularityLostError, SettingError, StationarityError
-from .model import TIME_VARYING, AugmentedCoeffs, ModelParams, is_int
+from .model import TIME_VARYING, AugmentedCoeffs, ModelParams, is_int, mean_offset, mean_weight
 from .ode import (
     TimeGrid,
     Trajectory,
@@ -302,7 +302,8 @@ def theta2(P: Trajectory, phi: Trajectory, xhat: Trajectory, params: ModelParams
 @dataclass
 class FeedbackLaw:
     """Decentralized law u_i = Theta1 x_i + Theta2 with its backing P, phi,
-    every one sampled on ``grid`` (GridMismatchError names the field)."""
+    every one sampled on ``grid`` (GridMismatchError names the field), whose
+    margin and P symmetry it alone admits (RegularityLostError, likewise)."""
 
     grid: TimeGrid
     P: Trajectory
@@ -316,11 +317,11 @@ class FeedbackLaw:
             if (grid := getattr(self, name).grid) != self.grid:
                 raise GridMismatchError(f"law field {name!r} is sampled on {grid}, not {self.grid}")
         if not (np.isfinite(self.regularity_margin) and self.regularity_margin > REGULARITY_TOL):
-            raise RegularityLostError(f"law regularity margin {self.regularity_margin:.3e} "
-                                      f"is not a finite number above {REGULARITY_TOL}")
+            raise RegularityLostError(f"law field 'regularity_margin': {self.regularity_margin:.3e}"
+                                      f" is not a finite number above {REGULARITY_TOL}")
         asym = np.max(np.abs(self.P.values - np.swapaxes(self.P.values, -1, -2)))
         if asym > 1e-9:
-            raise RegularityLostError(f"P asymmetry {asym:.3e} exceeds 1e-9")
+            raise RegularityLostError(f"law field 'P': asymmetry {asym:.3e} exceeds 1e-9")
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +359,7 @@ def oracle_operator(N: int, A, B, C, D, F, Ftilde, Q, R, Gamma) -> np.ndarray:
     """
     n, m = B.shape[-2:]
     n2, m2 = n * n, m * m
-    Gm = Gamma - np.eye(n)
-    mean = (A + F, C + Ftilde, Gm.swapaxes(-1, -2) @ Q @ Gm)
+    mean = (A + F, C + Ftilde, mean_weight(Q, Gamma))
     if N == 1:
         return p_operator(mean[0], B, mean[1], D, mean[2], R)
     zero = np.zeros_like
@@ -419,8 +419,7 @@ def solve_oracle(aug: AugmentedCoeffs, grid: TimeGrid | None = None, *, validate
     grid = params.grid() if grid is None else grid
     # every coefficient is read on grid before any sweep: GridMismatchError
     nodes = {name: params.node_table(name, grid) for name in TIME_VARYING}
-    Gbm = params.GammaBar - np.eye(n)
-    Ghat = Gbm.T @ params.G @ Gbm
+    Ghat = mean_weight(params.G, params.GammaBar)
     Ps = _riccati_sweep(params, grid, lambda *c: oracle_operator(N, *c),
                         ("A", "B", "C", "D", "F", "Ftilde", "Q", "R", "Gamma"),
                         [Ghat] if N == 1 else [params.G, Ghat], "oracle R + D'bd(P)D")
@@ -439,13 +438,11 @@ def solve_oracle(aug: AugmentedCoeffs, grid: TimeGrid | None = None, *, validate
     def phi_coeffs(ts):
         A, B, F, Q, Gamma, eta = (stage_samples(nodes[name], ts)
                                   for name in ("A", "B", "F", "Q", "Gamma", "eta"))
-        Qeta = matvec(Q, eta)
-        s1 = matvec(Gamma.swapaxes(-1, -2), Qeta) - Qeta
         Acl = A + F + B @ stage_samples(K_mean, ts)
-        return -Acl.swapaxes(-1, -2), -np.broadcast_to(s1, ts.shape + (n,))
+        return -Acl.swapaxes(-1, -2), -np.broadcast_to(mean_offset(Q, Gamma, eta), ts.shape + (n,))
 
-    G, Gb, eb = params.G, params.GammaBar, params.etaBar
-    phi = integrate_linear(phi_coeffs, Gb.T @ (G @ eb) - G @ eb, grid, "backward")
+    phi = integrate_linear(phi_coeffs, mean_offset(params.G, params.GammaBar, params.etaBar),
+                           grid, "backward")
     affine = -node_solve(S, B.swapaxes(-1, -2) @ phi.values[..., None])[..., 0]
     law = OracleLaw(grid=grid, N=N, P_dev=Trajectory(grid, P_dev), P_mean=Trajectory(grid, P_mean),
                     phi=phi, K_dev=Trajectory(grid, K[..., :n]), K_mean=Trajectory(grid, K_mean),

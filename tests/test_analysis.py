@@ -1,6 +1,7 @@
 """Convergence table, gap study plumbing, Lyapunov-pair boundedness."""
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,12 +10,15 @@ from mflqg import analysis, ode
 from mflqg.analysis import convergence_study, gap_study, lambda_boundedness
 from mflqg.consistency import solve_cc
 from mflqg.errors import GridMismatchError, InvalidNError, SettingError
-from mflqg.model import AugmentedCoeffs, ModelParams
+from mflqg.model import AugmentedCoeffs, ModelParams, load_config
+from mflqg.montecarlo import NoiseBank, simulate_decentralized
 from mflqg.ode import Trajectory, integrate_rk4, interp
 from mflqg.presets import repro_instance
 from mflqg.riccati import FeedbackLaw, solve_oracle
 
 from conftest import rand_params
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_noiseless_convergence_estimates_vanish(rng):
@@ -82,6 +86,35 @@ def test_gap_study_warns_without_certificate(rng):
     with pytest.warns(UserWarning):
         g = gap_study(p, [2], paths=50, seed=1, validate_oracle=False)
     assert g.warnings
+
+
+def test_gap_study_takes_the_decoupled_certificate():
+    # F = Ftilde = 0, R = 0 and D = 1 on the gap-scalar instance: the psd
+    # certificate says only Convex, the decoupled one UniformlyConvex with
+    # margin 0.245, so the study has nothing to warn about
+    p = load_config(REPO / "perfbench" / "gap_scalar.json")
+    p.F, p.Ftilde, p.R, p.D = (np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)),
+                               np.ones((1, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = gap_study(p, [2], paths=20, seed=1, validate_oracle=False)
+    assert g.warnings == []
+
+
+def test_studies_wrap_their_bank_seeds_at_the_top_of_the_key_range(rng):
+    # the bank of population size N is seeded (seed + N) mod 2**64, so at
+    # seed 2**64 - 1 it is the bank seeded N - 1
+    p = rand_params(rng, n=1, m=1, steps=60)
+    sol, law = solve_cc(p)
+    top = 2**64 - 1
+    conv = convergence_study(p, law, sol.xhat, [2, 3], replications=3, seed=top)
+    gap = gap_study(p, [2, 3], paths=4, seed=top, law=law, validate_oracle=False)
+    for N, row_c, row_g in zip([2, 3], conv.rows, gap.rows):
+        noise = NoiseBank(seed=N - 1, n_paths=3, n_agents=N, grid=law.grid)
+        res = simulate_decentralized(p, law, N, noise, store=False)
+        sup = np.max(np.sum((res.xavg - sol.xhat.values) ** 2, axis=2), axis=1)
+        assert row_c[:3] == (N, 3, float(sup.mean()))
+        assert row_g[0] == N and np.all(np.isfinite(row_g[1:]))
 
 
 @pytest.mark.parametrize("study, N_list, paths, error", [

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mflqg import cli, model, montecarlo, riccati
+from mflqg import analysis, cli, model, montecarlo, riccati
 from mflqg.cli import load_law, main, write_csv
 from mflqg.model import load_config, save_config, write_json
 from mflqg.presets import repro_instance
@@ -327,13 +327,16 @@ def test_convexity_subcommand_reports_verdicts():
     ("--dq", None, True, "{path}: No such file or directory"),
     ("--dq", "[[1.0, 2.0", True, "{path}: line 1, column 11: "),
     ("--dq", '[["a", 1.0]]', True, "{path}: could not convert string to float: 'a'"),
-    ("--dq", "[[1.0, 2.0, 3.0]]", True, "dQ: expected shape (2, 2) or (121, 2, 2), got (1, 3)"),
-    ("--dg", "[1.0, 2.0]", False, "dG: expected shape (2, 2), got (2,)"),
-    ("--dg", "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]", False, "dG: expected shape (2, 2), got (3, 3)"),
-    ("--dg", "[[1e9, 0], [0, -1e9]]", True, "{path}: the coupled certificate takes no dG shift"),
-    ("--dq", "[[NaN, 0], [0, 1]]", True, "dQ: entries must be finite"),
-    ("--dq", "[[Infinity, 0], [0, 1]]", False, "dQ: entries must be finite"),
-    ("--dg", "[[1, 0], [0, -Infinity]]", False, "dG: entries must be finite"),
+    ("--dq", "[[1.0, 2.0, 3.0]]", True,
+     "{path}: dQ: expected shape (2, 2) or (121, 2, 2), got (1, 3)"),
+    ("--dg", "[1.0, 2.0]", False, "{path}: dG: expected shape (2, 2), got (2,)"),
+    ("--dg", "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]", False,
+     "{path}: dG: expected shape (2, 2), got (3, 3)"),
+    ("--dg", "[[1e9, 0], [0, -1e9]]", True,
+     "{path}: dG: the coupled certificate takes no dG shift"),
+    ("--dq", "[[NaN, 0], [0, 1]]", True, "{path}: dQ: entries must be finite"),
+    ("--dq", "[[Infinity, 0], [0, 1]]", False, "{path}: dQ: entries must be finite"),
+    ("--dg", "[[1, 0], [0, -Infinity]]", False, "{path}: dG: entries must be finite"),
 ], ids=["missing-file", "not-json", "not-numbers", "dq-1x3", "dg-vector", "dg-3x3", "dg-coupled",
         "dq-nan", "dq-infinity", "dg-minus-infinity"])
 def test_bad_convexity_shift_is_validation_failure(tmp_path, capsys, flag, text, coupled, expect):
@@ -718,3 +721,88 @@ def test_law_round_trip(tmp_path):
     assert np.array_equal(law.Theta1.values, law0.Theta1.values)
     assert np.array_equal(law.Theta2.values, law0.Theta2.values)
     assert np.array_equal(xhat.values, sol.xhat.values)
+
+
+@pytest.mark.parametrize("kind", ["file", "under-a-file", "dangling-link"])
+def test_out_that_is_a_file_is_refused_before_any_computation(tmp_path, capsys, monkeypatch,
+                                                               kind):
+    # every command that writes a run directory refuses it before it loads
+    # a law or solves, and leaves the file as it was; mkdir fails on a
+    # dangling link as on a file
+    cfg = scalar_config(tmp_path)
+    law_dir = tmp_path / "law"
+    assert main(["solve", str(cfg), "--out", str(law_dir)]) == 0
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_cc called")
+
+    monkeypatch.setattr(cli, "solve_cc", no_solve)
+    monkeypatch.setattr(analysis, "solve_cc", no_solve)
+    blocker = tmp_path / "taken"
+    if kind == "dangling-link":
+        blocker.symlink_to(tmp_path / "nowhere")
+    else:
+        blocker.write_bytes(b"not a directory\n")
+    out = blocker / "run" if kind == "under-a-file" else blocker
+    runs = {"solve": [str(cfg)],
+            "simulate": [str(cfg), "--law", str(law_dir), "--N", "2", "--paths", "2",
+                         "--seed", "1"],
+            "converge": [str(cfg), "--law", str(law_dir), "--N-list", "2,3", "--reps", "2",
+                         "--seed", "1"],
+            "gap": [str(cfg), "--N-list", "2", "--paths", "2", "--seed", "1"],
+            "repro-sec7": ["--steps", "50"]}
+    capsys.readouterr()
+    for command, extra in runs.items():
+        assert main([command, *extra, "--out", str(out)]) == 1, command
+        err = capsys.readouterr().err
+        assert err == (f"validation failure: --out {out}: {blocker} exists and is not a "
+                       "directory\n"), command
+        if kind == "dangling-link":
+            assert blocker.readlink() == tmp_path / "nowhere", command
+        else:
+            assert blocker.read_bytes() == b"not a directory\n", command
+
+
+@pytest.mark.parametrize("args, message", [
+    (["gap", str(CONFIG), "--N-list", "2", "--paths", "x", "--seed", "1", "--out", "o"],
+     "argument --paths: invalid int value: 'x'"),
+    (["gap", str(CONFIG), "--N-list", "2", "--paths", "2", "--seed", "1"],
+     "the following arguments are required: --out"),
+    (["simulate", str(CONFIG), "--law", "l", "--N", "2.5", "--paths", "2", "--seed", "1",
+      "--out", "o"], "argument --N: invalid int value: '2.5'"),
+    ([], "the following arguments are required: command"),
+    (["nonsense"], "argument command: invalid choice"),
+], ids=["bad-int", "missing-out", "fractional-N", "no-command", "unknown-command"])
+def test_usage_error_is_validation_failure(capsys, args, message):
+    # exit code 2 is a numerical failure; a usage error is a bad run setting
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mflqg")
+    assert "validation failure: mflqg" in err and message in err
+    assert "Traceback" not in err
+
+
+def test_help_still_exits_zero(capsys):
+    for args in (["--help"], ["gap", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: mflqg")
+
+
+def test_seed_at_the_top_of_the_key_range_runs_every_study(tmp_path, capsys):
+    # each study seeds its per-N banks (seed + N) mod 2**64, so the largest
+    # seed a bank takes is usable, not refused after the solve
+    cfg = scalar_config(tmp_path)
+    law_dir = tmp_path / "law"
+    assert main(["solve", str(cfg), "--out", str(law_dir)]) == 0
+    runs = {"converge": [str(cfg), "--law", str(law_dir), "--N-list", "2,3", "--reps", "2"],
+            "gap": [str(cfg), "--N-list", "2", "--paths", "10"],
+            "repro-sec7": ["--steps", "100", "--N", "2", "--reps", "2", "--n-list", "2,3"]}
+    for command, extra in runs.items():
+        out = tmp_path / command
+        assert main([command, *extra, "--seed", str(2**64 - 1), "--out", str(out)]) == 0, \
+            capsys.readouterr().err
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 2**64 - 1

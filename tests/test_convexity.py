@@ -16,9 +16,8 @@ from mflqg.convexity import (
     is_coupled,
     report_all,
 )
-from mflqg.convexity import _hat_tables
 from mflqg.errors import ConfigError, CouplingPresentError
-from mflqg.model import ModelParams
+from mflqg.model import ModelParams, mean_weight
 from mflqg.ode import eigvals_sym, symmetrize
 from mflqg.presets import repro_instance
 from mflqg.riccati import solve_P
@@ -162,7 +161,7 @@ def test_batched_certificates_equal_per_node_loops():
     # certificate through every hypothesis to the growth-constant test
     p.Gamma = np.zeros_like(p.Gamma)
     Qt = p.node_table("Q")
-    qhat, _ = _hat_tables(p)
+    qhat = mean_weight(Qt, p.node_table("Gamma"))
     dQ = Qt + 0.1 * np.eye(2)
     v = check_coupled_indefinite(p, dQ=dQ)
     assert v.witness["lambda_min_Q_minus_Qhat"] == _eig_min_per_node(Qt - qhat)
@@ -175,7 +174,7 @@ def test_batched_certificates_equal_per_node_loops():
     p.F = np.zeros((2, 2))
     p.Ftilde = np.zeros((2, 2))
     p.GammaBar = np.zeros((2, 2))
-    qhat, ghat = _hat_tables(p)
+    ghat = mean_weight(p.G, p.GammaBar)
     d = check_decoupled_indefinite(p, dQ=dQ)
     assert d.witness["lambda_min_Q_minus_Qhat"] == _eig_min_per_node(Qt - qhat)
     assert d.witness["lambda_min_G_minus_Ghat"] == _eig_min_per_node([p.G - ghat])
@@ -325,9 +324,9 @@ def test_report_all_dispatches_every_certificate(rng):
             direct = check_decoupled_indefinite(p, dQ, dG)
             assert rep["decoupled_indefinite"] == direct
             if "margin" in direct.witness:
-                qhat, ghat = _hat_tables(p)
-                zq = p.node_table("Q") - qhat if dQ is None else dQ
-                zg = p.G - ghat if dG is None else dG
+                zq = p.node_table("Q") - mean_weight(p.node_table("Q"), p.node_table("Gamma")) \
+                    if dQ is None else dQ
+                zg = p.G - mean_weight(p.G, p.GammaBar) if dG is None else dG
                 assert direct.witness["margin"] == solve_P(_zeroed_shifted_problem(p, zq, zg))[1]
                 margins += 1
         else:

@@ -321,3 +321,33 @@ def test_only_model_reads_and_writes_json_files():
              for path in SRC.glob("*.py") if path.name != "model.py"}
     assert {name: hits for name, hits in found.items() if hits} == {}
     assert json_file_calls((SRC / "model.py").read_text()) == {"json.load", "json.dumps"}
+
+
+def dotted_mentions(source: str) -> set:
+    """:func:`mentioned_names` of ``source`` plus each attribute of a bare
+    name as written, ``np.integer`` say."""
+    tree = ast.parse(source)
+    return mentioned_names(tree) | {f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                                    if isinstance(node, ast.Attribute)
+                                    and isinstance(node.value, ast.Name)}
+
+
+# each rule and the one module that may name it: the certificates and the
+# coupling test behind report_all's verdict, the regularity tolerance behind
+# FeedbackLaw's admission, and the integer rule behind ode.is_int
+RULE_OWNERS = {"check_psd_case": "convexity.py", "check_coupled_indefinite": "convexity.py",
+               "check_decoupled_indefinite": "convexity.py", "is_coupled": "convexity.py",
+               "REGULARITY_TOL": "riccati.py", "np.integer": "ode.py"}
+
+
+def test_guard_sees_a_rule_as_written():
+    assert {"np.integer", "is_coupled", "x.y"} <= dotted_mentions(
+        "from .convexity import is_coupled\nisinstance(v, np.integer)\nx.y.z\n")
+    assert "y.z" not in dotted_mentions("x.y.z\n")
+
+
+def test_each_rule_is_named_by_its_owner_alone():
+    found = {path.name: sorted(rule for rule in dotted_mentions(path.read_text()) & set(RULE_OWNERS)
+                               if RULE_OWNERS[rule] != path.name)
+             for path in SRC.glob("*.py")}
+    assert {name: hits for name, hits in found.items() if hits} == {}

@@ -96,6 +96,19 @@ def test_feedback_law_refuses_a_margin_that_is_not_finite_and_positive(margin):
         FeedbackLaw(grid=grid, regularity_margin=margin, **feedback_law_fields(grid))
 
 
+def test_feedback_law_refusals_name_the_field():
+    # FeedbackLaw alone admits a law, so a stored law's refusal needs only
+    # the file in front of its message
+    grid = TimeGrid(1.0, 20)
+    with pytest.raises(RegularityLostError, match="^law field 'regularity_margin': 0.000e"):
+        FeedbackLaw(grid=grid, regularity_margin=0.0, **feedback_law_fields(grid))
+    P = np.zeros((grid.steps + 1, 2, 2))
+    P[5, 0, 1] = 1e-6
+    fields = {**feedback_law_fields(grid), "P": Trajectory(grid, P)}
+    with pytest.raises(RegularityLostError, match=r"^law field 'P': asymmetry 1\.000e-06 exceeds"):
+        FeedbackLaw(grid=grid, regularity_margin=1.0, **fields)
+
+
 def _matrix_form_P(p):
     """Stagewise RK4 of the matrix-form P equation, re-symmetrized per step."""
     grid = p.grid()
