@@ -59,7 +59,7 @@ class NotReducedCaseError(MFLQGError):
 
 
 class StationarityError(MFLQGError):
-    """The centralized oracle failed its finite-difference stationarity check."""
+    """The centralized oracle failed its stationarity check, read off tangent runs."""
 
 
 class MissingTrajectoriesError(MFLQGError):

@@ -30,8 +30,8 @@ sampled coefficient exists only on the master grid (equal T and steps).
 Every input file (config, stored law, convexity shift) is parsed by
 :func:`read_json` and read field by field by :func:`read_field`, so every
 refusal names the file and the field; :func:`json_text` writes all JSON
-text, every artifact through :func:`write_json`.  ``ode.is_int`` decides
-whether a count, size or seed is an integer.
+text, every artifact through :func:`write_json`.  ``ode.is_int`` is the
+integer rule of counts, sizes and seeds, ``ode.asymmetry`` the symmetry rule.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import (GridMismatchError, InvalidNError, NonFiniteError, ParseError,
                      SchemaError)
-from .ode import TimeGrid, interp, is_int, matvec, symmetrize
+from .ode import TimeGrid, asymmetry, interp, is_int, matvec, symmetrize
 
 # name -> (shape in terms of (n, m), may be time-varying, must be symmetric)
 COEFF_SPEC = {
@@ -66,8 +66,6 @@ COEFF_SPEC = {
 
 # the coefficients that may be sampled per node, in COEFF_SPEC's order
 TIME_VARYING = tuple(name for name, (_, tv_ok, _) in COEFF_SPEC.items() if tv_ok)
-
-SYM_REPAIR_TOL = 1e-8
 
 # The decentralized pipeline never forms Nn x Nn matrices; the brute-force
 # oracle path refuses to materialize them past this size.
@@ -158,11 +156,8 @@ def validate(params: ModelParams) -> list[str]:
         if not np.all(np.isfinite(arr)):
             report.append(f"{name}: contains non-finite entries")
             continue
-        if must_sym:
-            tol = SYM_REPAIR_TOL * (1.0 + np.max(np.abs(arr)))
-            asym = np.max(np.abs(arr - np.swapaxes(arr, -1, -2)))
-            if asym > tol:
-                report.append(f"{name}: asymmetry {asym:.3e} exceeds {tol:.3e}")
+        if must_sym and (fault := asymmetry(arr)) is not None:
+            report.append(f"{name}: {fault}")
     return report
 
 
@@ -353,8 +348,8 @@ def samples(value) -> np.ndarray:
 def _parse_coeff(name: str, raw) -> np.ndarray:
     """A config entry: a nested list is constant, {"samples": ...} one sample
     per node on a leading axis.  Shapes are :func:`validate`'s; a symmetric
-    one with square trailing axes is symmetrized, warning past the repair
-    tolerance."""
+    one with square trailing axes is symmetrized, warning where a node breaks
+    ``ode.asymmetry``'s rule, if finite (validate refuses it otherwise)."""
     spec, tv_ok, must_sym = COEFF_SPEC[name]
     rank = len(spec)
     if isinstance(raw, dict):
@@ -365,11 +360,10 @@ def _parse_coeff(name: str, raw) -> np.ndarray:
         arr = np.asarray(raw, dtype=float)
     if arr.ndim != rank:
         raise ValueError(f"expected {rank} axes, got {arr.ndim}")
-    if must_sym and arr.shape[-1] == arr.shape[-2]:
-        asym = np.max(np.abs(arr - np.swapaxes(arr, -1, -2)))
-        if asym > SYM_REPAIR_TOL * (1.0 + np.max(np.abs(arr))):
-            warnings.warn(f"{name} symmetrized on load (asymmetry {asym:.3e})")
-        arr = 0.5 * (arr + np.swapaxes(arr, -1, -2))
+    if must_sym and arr.shape[-1] == arr.shape[-2] and np.isfinite(arr).all():
+        if (fault := asymmetry(arr)) is not None:
+            warnings.warn(f"{name} symmetrized on load ({fault})")
+        arr = symmetrize(arr)
     return arr
 
 

@@ -8,13 +8,12 @@ output, so results are bit-identical under any MFLQG_THREADS.  A plain
 simulation that spans several noise-capped chunks hands them to a pool of
 MFLQG_THREADS workers.  The multi-plane pass of the oracle's tangents cuts
 its paths into cache-sized chunks and runs them in order on the calling
-thread: each numpy
-call on such a chunk lasts microseconds, so pool workers would mostly hand
-the interpreter lock back and forth rather than compute at once (inferred,
-not traced).  On a 2-core host two workers made the pass 25-75% slower than
-one at N = 2, 4 and 8 at 2^14-scalar chunks, and no faster at 2^15 or 2^16
-(gap-scalar, N = 8: 220 ms serial, 217-236 ms pooled; two concurrent numpy
-loops each ran 1.6x slower than one alone), with bit-identical costs.
+thread: each numpy call on such a chunk lasts microseconds, so pool workers
+would mostly hand the interpreter lock back and forth rather than compute
+at once (inferred, not traced).  On a 2-core host with one BLAS thread, the
+tangent pass of gap-scalar's 1024 validation paths took, in the median of
+7 runs, 175.0 ms serial and 178.5 ms on two workers at N = 8 (4 chunks),
+83.9 and 85.3 ms at N = 4 (2 chunks), with bit-identical costs.
 
 Every control law here is u_i = Ga x_i + Gb xavg + a_i, so one kernel,
 :func:`_em`, steps a law folded into per-node tables before the loop: the
@@ -60,7 +59,7 @@ from .errors import (GridMismatchError, InvalidNError, MissingTrajectoriesError,
                      SettingError)
 from .model import (TIME_VARYING, AugmentedCoeffs, ModelParams, build_augmented,
                     check_population_size, is_int, kron_eye, kron_mean)
-from .ode import BLOWUP_NORM, TimeGrid, matvec, trapezoid_nodes
+from .ode import TimeGrid, blown_up, matvec, trapezoid_nodes
 from .riccati import FeedbackLaw, OracleLaw
 
 # full trajectory storage cap, in scalars (states + controls combined)
@@ -387,8 +386,7 @@ def _em(fold, dW: np.ndarray, kind: str, record=None) -> np.ndarray:
     diffusion coefficients and the cost forms without their offsets;
     fold.node(k, X, Z) gives the agent means, the two offsets and the node's
     cost.  record(k, X, xavg) sees every node.  The agent means are checked
-    at every node by the ODE layer's rule, max|xavg| <= BLOWUP_NORM, which
-    a NaN or Inf state fails too.
+    at every node by ``ode.blown_up``, which a NaN or Inf state fails too.
     """
     X = fold.initial(len(dW))
     d = len(X)
@@ -396,7 +394,7 @@ def _em(fold, dW: np.ndarray, kind: str, record=None) -> np.ndarray:
     for k in range(dW.shape[-1] + 1):
         Z = (fold.maps[k] @ X.reshape(d, -1)).reshape((-1,) + X.shape[1:])
         xb, drift, diff, cost = fold.node(k, X, Z)
-        if not abs(xb).max() <= BLOWUP_NORM:
+        if blown_up(xb):
             raise NonFiniteError(f"{kind} simulation blew up at step {k}")
         if record is not None:
             record(k, X, xb)

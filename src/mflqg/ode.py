@@ -45,7 +45,8 @@ points of the consistency condition's half-step sweep.
 Blow-up (NaN/Inf or max-norm past BLOWUP_NORM) raises NonFiniteError instead
 of being clipped; a diverging backward Riccati solve is how non-solvability
 on [0, T] manifests and callers need to see it.  Both sweeps check it by
-:func:`check_nodes` once a chunk is stepped.
+:func:`check_nodes` once a chunk is stepped.  :func:`blown_up` and
+:func:`asymmetry` are the package's only blow-up and symmetry rules.
 """
 
 from __future__ import annotations
@@ -156,22 +157,24 @@ class Trajectory:
         return interp(self.values, self.grid.dt, t)
 
 
-def _check_state(y: np.ndarray, node: int | None = None):
-    """NonFiniteError naming the node (None: the boundary value) on blow-up;
-    the message is formatted only then."""
+def blown_up(y: np.ndarray, axis=None):
+    """Whether y holds a NaN, an Inf or an entry past BLOWUP_NORM (one bool),
+    or each slice of y over ``axis`` does."""
     # a NaN or Inf entry makes the max NaN or Inf, which fails the comparison
-    if not np.abs(y).max(initial=0.0) <= BLOWUP_NORM:
-        where = "in the boundary value" if node is None else f"at node {node}"
-        raise NonFiniteError(f"blow-up detected {where}")
+    return ~(np.abs(y).max(axis=axis, initial=0.0) <= BLOWUP_NORM)
+
+
+def _check_boundary(y: np.ndarray):
+    if blown_up(y):
+        raise NonFiniteError("blow-up detected in the boundary value")
 
 
 def check_nodes(out: np.ndarray, ks: np.ndarray):
     """NonFiniteError naming the first of the nodes ks (in their order) whose
-    sample in ``out`` blew up, as :func:`_check_state` names it."""
-    norms = np.abs(out[ks]).max(axis=tuple(range(1, out.ndim)), initial=0.0)
-    bad = np.flatnonzero(~(norms <= BLOWUP_NORM))
+    sample in ``out`` blew up."""
+    bad = np.flatnonzero(blown_up(out[ks], axis=tuple(range(1, out.ndim))))
     if bad.size:
-        _check_state(out[ks[bad[0]]], int(ks[bad[0]]))
+        raise NonFiniteError(f"blow-up detected at node {ks[bad[0]]}")
 
 
 def sweep_chunks(grid: TimeGrid, direction: str):
@@ -209,7 +212,7 @@ def integrate_rk4(rhs, boundary_value, grid: TimeGrid, direction: str = "forward
     """
     h, chunks = sweep_chunks(grid, direction)
     y0 = np.asarray(boundary_value, dtype=float)
-    _check_state(y0)
+    _check_boundary(y0)
     half, sixth = 0.5 * h, h / 6.0
     shift = 1 if h > 0 else -1
     out = np.empty((grid.steps + 1,) + y0.shape)
@@ -341,7 +344,7 @@ def integrate_linear(coeffs, boundary_value, grid: TimeGrid,
     """
     h, chunks = sweep_chunks(grid, direction)
     y0 = np.asarray(boundary_value, dtype=float)
-    _check_state(y0)
+    _check_boundary(y0)
     shift = 1 if h > 0 else -1
     out = np.empty((grid.steps + 1,) + y0.shape)
     first = 0 if h > 0 else grid.steps
@@ -399,30 +402,33 @@ def symmetrize(S: np.ndarray) -> np.ndarray:
     return 0.5 * (S + np.swapaxes(S, -1, -2))
 
 
-def _require_symmetric(S: np.ndarray) -> np.ndarray:
-    S = np.asarray(S, dtype=float)
-    if S.ndim < 2 or S.shape[-1] != S.shape[-2]:
-        raise NotSymmetricError(f"expected a square matrix, got shape {S.shape}")
-    if S.size:
-        # each matrix of a stack is held to its own tolerance
-        tol = SYM_TOL_SCALE * (1.0 + np.abs(S).max(axis=(-2, -1)))
-        asym = np.abs(S - np.swapaxes(S, -1, -2)).max(axis=(-2, -1))
-        bad = np.flatnonzero(asym > tol)
-        if bad.size:
-            i = bad[0]
-            raise NotSymmetricError(
-                f"asymmetry {asym.flat[i]:.3e} exceeds tolerance {tol.flat[i]:.3e}")
-    return symmetrize(S)
+def asymmetry(S: np.ndarray) -> str | None:
+    """None when each square matrix S_k of S (a stack on the leading axes)
+    has max|S_k - S_k'| within SYM_TOL_SCALE (1 + max|S_k|), its own scale,
+    which no larger matrix beside it loosens; else the first failure, naming
+    node k (flat over the leading axes) in a stack."""
+    tol = SYM_TOL_SCALE * (1.0 + np.abs(S).max(axis=(-2, -1), initial=0.0))
+    asym = np.abs(S - np.swapaxes(S, -1, -2)).max(axis=(-2, -1), initial=0.0)
+    bad = np.flatnonzero(asym > tol)
+    if not bad.size:
+        return None
+    k, where = bad[0], f" at node {bad[0]}" if S.ndim > 2 else ""
+    return f"asymmetry {asym.flat[k]:.3e} exceeds tolerance {tol.flat[k]:.3e}{where}"
 
 
 def eigvals_sym(S: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a (nearly) symmetric matrix, or of each matrix
     of a stack (last two axes).
 
-    The input is symmetrized after a tolerance check; the contract is the
-    Rayleigh bound lam_min ||x||^2 <= x'Sx <= lam_max ||x||^2.
+    The input is symmetrized after :func:`asymmetry`'s check; the contract is
+    the Rayleigh bound lam_min ||x||^2 <= x'Sx <= lam_max ||x||^2.
     """
-    return np.linalg.eigvalsh(_require_symmetric(S))
+    S = np.asarray(S, dtype=float)
+    if S.ndim < 2 or S.shape[-1] != S.shape[-2]:
+        raise NotSymmetricError(f"expected a square matrix, got shape {S.shape}")
+    if (fault := asymmetry(S)) is not None:
+        raise NotSymmetricError(fault)
+    return np.linalg.eigvalsh(symmetrize(S))
 
 
 def eig_min(S: np.ndarray) -> float:

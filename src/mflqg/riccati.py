@@ -319,6 +319,7 @@ class FeedbackLaw:
         if not (np.isfinite(self.regularity_margin) and self.regularity_margin > REGULARITY_TOL):
             raise RegularityLostError(f"law field 'regularity_margin': {self.regularity_margin:.3e}"
                                       f" is not a finite number above {REGULARITY_TOL}")
+        # absolute on purpose: ode.asymmetry's rule, relative to |P|, would loosen it
         asym = np.max(np.abs(self.P.values - np.swapaxes(self.P.values, -1, -2)))
         if asym > 1e-9:
             raise RegularityLostError(f"law field 'P': asymmetry {asym:.3e} exceeds 1e-9")

@@ -20,7 +20,9 @@ CONFIG = REPO / "configs" / "repro2d.json"
 
 
 def run_cli(args, env=None):
-    full_env = dict(os.environ)
+    # pyproject's filterwarnings reaches in-process tests only: a numpy
+    # overflow or invalid operation fails a subprocess run too
+    full_env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
     if env:
         full_env.update(env)
     return subprocess.run([sys.executable, "-m", "mflqg.cli", *args],
@@ -599,8 +601,9 @@ def test_bad_run_settings_are_validation_failures(tmp_path, monkeypatch, capsys)
 @pytest.mark.parametrize("edit, named", [
     (lambda doc: doc["Q"][0].__setitem__(0, float("nan")), "Q: contains non-finite entries"),
     (lambda doc: doc["xi0"].__setitem__(1, float("inf")), "xi0: contains non-finite entries"),
+    (lambda doc: doc["Q"][0].__setitem__(0, float("inf")), "Q: contains non-finite entries"),
     (lambda doc: doc.update(T=0), "T must be positive and finite, got 0.0"),
-], ids=["nan-Q", "inf-xi0", "zero-T"])
+], ids=["nan-Q", "inf-xi0", "inf-Q", "zero-T"])
 def test_inadmissible_config_is_validation_failure_everywhere(tmp_path, capsys, edit, named):
     # every subcommand rejects what `mflqg validate` rejects, naming the field
     doc = json.loads(small_config(tmp_path).read_text())

@@ -2,8 +2,9 @@
 class of the package has a field nobody reads, no public function or class
 of the package is there for its unit tests alone, every name of the package
 that the benchmark reads or patches exists, the stacked fold reads no
-coefficient of the model, only ``ode`` cuts a sweep into chunks, and only
-``model`` reads JSON files or writes JSON text.
+coefficient of the model, only ``ode`` cuts a sweep into chunks or reads
+the blow-up bound or a symmetry tolerance, and only ``model`` reads JSON
+files or writes JSON text.
 
 ``__init__.py`` is skipped by the import guard; its imports are the
 package's re-exports.  The fields of a class are those a dataclass declares
@@ -344,6 +345,24 @@ def test_guard_sees_a_rule_as_written():
     assert {"np.integer", "is_coupled", "x.y"} <= dotted_mentions(
         "from .convexity import is_coupled\nisinstance(v, np.integer)\nx.y.z\n")
     assert "y.z" not in dotted_mentions("x.y.z\n")
+
+
+def ode_rule_constants(source: str) -> set:
+    """The blow-up bound and every symmetry tolerance (a name holding both
+    SYM and TOL) that ``source`` names in its code; docstrings do not count."""
+    return {name for name in mentioned_names(source)
+            if name == "BLOWUP_NORM" or "SYM" in name and "TOL" in name}
+
+
+def test_only_ode_reads_the_blowup_bound_or_a_symmetry_tolerance():
+    # blow-up is ode.blown_up and symmetry ode.asymmetry: a module that reads
+    # their constants holds a copy of the rule
+    assert ode_rule_constants('"""BLOWUP_NORM"""\nSYM_REPAIR_TOL = 1e-8\n'
+                              "from .ode import BLOWUP_NORM\nx.SYM_TOL_SCALE\n") == {
+        "BLOWUP_NORM", "SYM_REPAIR_TOL", "SYM_TOL_SCALE"}
+    found = {path.name: sorted(ode_rule_constants(path.read_text()))
+             for path in SRC.glob("*.py") if path.name != "ode.py"}
+    assert {name: hits for name, hits in found.items() if hits} == {}
 
 
 def test_each_rule_is_named_by_its_owner_alone():

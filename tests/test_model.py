@@ -1,5 +1,6 @@
 """Model container, validation, stacked-system assembly, config round trips."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +12,11 @@ from mflqg.model import (
     ModelParams,
     build_augmented,
     load_config,
+    parse_config,
     save_config,
     validate,
 )
-from mflqg.ode import eigvals_sym, is_psd
+from mflqg.ode import eigvals_sym, is_psd, symmetrize
 from mflqg.presets import repro_instance
 
 from conftest import rand_params, rand_psd
@@ -197,6 +199,23 @@ def test_config_symmetrizes_with_warning(tmp_path):
     with pytest.warns(UserWarning, match="Q symmetrized"):
         q = load_config(path)
     assert np.allclose(q.Q, [[0.2, 0.05], [0.05, 0.2]])
+
+
+def test_each_node_of_a_sampled_weight_is_held_to_its_own_scale(tmp_path):
+    # repro's Q sampled per node, node 5 off symmetry by 1e-7: past its own
+    # tolerance 1e-8 (1 + max|Q_5|), inside one taken over the whole stack,
+    # whose node 12 is 100 times larger
+    p = repro_instance(steps=20)
+    p.Q = np.repeat(p.Q[None], p.steps + 1, axis=0)
+    p.Q[12] *= 100.0
+    p.Q[5, 0, 1] += 1e-7
+    [line] = validate(p)
+    assert re.fullmatch(r"Q: asymmetry 1\.000e-07 exceeds tolerance 1\.18\de-08 at node 5", line)
+    path = tmp_path / "cfg.json"
+    save_config(p, path)
+    with pytest.warns(UserWarning, match=r"Q symmetrized on load \(asymmetry .* at node 5\)"):
+        q = parse_config(path)
+    assert validate(q) == [] and np.array_equal(q.Q, symmetrize(p.Q))
 
 
 def test_augmented_coeffs_interpolates_time_varying():

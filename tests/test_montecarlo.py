@@ -526,7 +526,7 @@ def count_pools(monkeypatch, refuse=False):
     return built
 
 
-def test_variant_pass_runs_on_the_calling_thread(rng, monkeypatch):
+def test_tangent_pass_runs_on_the_calling_thread(rng, monkeypatch):
     # the tangent pass: cache-sized chunks lose to the interpreter lock on a
     # pool, so even many chunks and four workers build none
     monkeypatch.setattr(montecarlo, "PLANE_CHUNK_SCALARS", 2**9)
@@ -545,7 +545,7 @@ def test_variant_pass_runs_on_the_calling_thread(rng, monkeypatch):
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 1)])
-def test_variant_pass_costs_identical_across_plane_chunk_caps(rng, monkeypatch, n, m):
+def test_tangent_pass_costs_identical_across_plane_chunk_caps(rng, monkeypatch, n, m):
     # the tangent pass's cap only cuts the paths (here its 11 planes into
     # 40, 2 and 1 chunks): each path's costs are the same operations in
     # every cut, so J, g and c are bit-equal
@@ -716,25 +716,29 @@ def blowup_params():
     return p
 
 
-@pytest.mark.parametrize("kind", ["decentralized", "centralized"])
+@pytest.mark.parametrize("kind", ["decentralized", "centralized", "tangents"])
 def test_blowup_names_first_step_with_non_finite_agent_mean(kind):
+    # the tangent pass, here along zero directions, steps the law's plane as
+    # the centralized run does and names the blow-up as it does
     p = blowup_params()
     grid, N = p.grid(), 3
     noise = NoiseBank(seed=8, n_paths=4, n_agents=N, grid=grid)
     zero = np.zeros((grid.steps + 1, 1, 1))
+    label = "decentralized" if kind == "decentralized" else "centralized"
+    aug, law = AugmentedCoeffs(p, N), block_law(grid, N, np.zeros((1, 1)), np.zeros(1))
     with np.errstate(over="ignore", invalid="ignore"):
         xavg = reference_em(p, N, noise.increments_block(range(4)),
                             decentralized_control(zero, zero[..., 0]))[2]
         # the first step whose agent mean leaves the ODE layer's bound
         first = int(np.argmin(np.abs(xavg).max(axis=(0, 2)) <= BLOWUP_NORM))
         assert 0 < first < grid.steps
-        with pytest.raises(NonFiniteError, match=f"^{kind} simulation blew up at step {first}$"):
+        with pytest.raises(NonFiniteError, match=f"^{label} simulation blew up at step {first}$"):
             if kind == "decentralized":
                 simulate_decentralized(p, make_law(grid, 1, 1), N, noise, store=False)
+            elif kind == "centralized":
+                simulate_centralized(aug, law, noise, store=False)
             else:
-                simulate_centralized(AugmentedCoeffs(p, N),
-                                     block_law(grid, N, np.zeros((1, 1)), np.zeros(1)), noise,
-                                     store=False)
+                centralized_tangents(aug, law, np.zeros((2, grid.steps + 1, N)), noise)
 
 
 def test_sampled_coefficients_must_sit_on_the_law_grid(rng):
