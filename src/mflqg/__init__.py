@@ -22,6 +22,6 @@ from .errors import (
     StationarityError,
 )
 from .model import AugmentedCoeffs, AugmentedSystem, ModelParams, build_augmented, load_config, save_config, validate
-from .ode import TimeGrid, Trajectory, eigvals_sym, integrate_rk4, is_psd, quadrature
+from .ode import TimeGrid, Trajectory, eigvals_sym, integrate_rk4, quadrature
 
 __version__ = "0.1.0"

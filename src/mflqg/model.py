@@ -120,10 +120,6 @@ class ModelParams:
                 f"(horizons {self.T:g} and {grid.T:g})")
         return arr
 
-    def coeff_at(self, name: str, t: float) -> np.ndarray:
-        arr = getattr(self, name)
-        return interp(arr, self.T / self.steps, t) if self.is_time_varying(name) else arr
-
     def equals(self, other: "ModelParams") -> bool:
         if (self.n, self.m, self.T, self.steps) != (other.n, other.m, other.T, other.steps):
             return False
@@ -261,12 +257,12 @@ class AugmentedCoeffs:
     MAX_AUGMENTED_DIM; the oracle solver and the centralized simulator take
     it for its params and N.
 
-    ``at(t)`` assembles the system from the coefficients interpolated at t,
-    a time or an array of times.  Qhat and S1 are products of coefficients,
-    so between nodes this is not the interpolant of assembled node systems.
-    The oracle solver reads the coefficients directly; ``at`` is read only by
-    the tests' stacked reference sweep and perfbench's ``model.assemble``
-    replay.
+    ``at(t)`` assembles the system from the coefficients that ode.interp
+    reads at t, a time or an array of times.  Qhat and S1 are products of
+    coefficients, so between nodes this is not the interpolant of assembled
+    node systems.  The oracle solver reads the coefficients directly; ``at``
+    is read only by the tests' stacked reference sweep and perfbench's
+    ``model.assemble`` replay.
     """
 
     def __init__(self, params: ModelParams, N: int):
@@ -279,7 +275,10 @@ class AugmentedCoeffs:
     def at(self, t) -> AugmentedSystem:
         if self._cache is not None:
             return self._cache
-        return _assemble_augmented(self.params, self.N, lambda name: self.params.coeff_at(name, t))
+        p = self.params
+        dt = p.grid().dt
+        return _assemble_augmented(p, self.N, lambda name: interp(getattr(p, name), dt, t)
+                                   if p.is_time_varying(name) else getattr(p, name))
 
 
 # ---------------------------------------------------------------------------

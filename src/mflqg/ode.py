@@ -16,8 +16,8 @@ stages t_k, t_k + h/2 (taken by both middle stages) and t_{k+1} from rows
 several of one shape stacked on an axis after time) through the one stage
 reader :func:`stage_samples`: the chunk's node rows, and their means at the
 midpoints.  :func:`interp` reads that piecewise-linear interpolant at other
-times: a Trajectory called off the grid, AugmentedCoeffs.at and the quarter
-points of the consistency condition's half-step sweep.
+times: AugmentedCoeffs.at and the quarter points of the consistency
+condition's half-step sweep.
 
 * :func:`integrate_rk4` calls a right-hand side at every stage.  The
   nonlinear Riccati equations of P and of the oracle's two modes use it.  The
@@ -111,8 +111,7 @@ def interp(table: np.ndarray, dt: float, t) -> np.ndarray:
     """
     u = t / dt
     last = table.shape[0] - 2
-    # a single float time (AugmentedCoeffs.at's case) skips the slower np.ndim test
-    if isinstance(u, float) or np.ndim(u) == 0:
+    if np.ndim(u) == 0:
         i = min(max(math.floor(u), 0), last)
         w = u - i
         if w == 0.0:
@@ -124,12 +123,11 @@ def interp(table: np.ndarray, dt: float, t) -> np.ndarray:
 
 
 class Trajectory:
-    """Values sampled at every grid node, linearly interpolated in between.
+    """Values sampled at every grid node.
 
-    ``values[k]`` is the sample at node k; shape is (steps+1, *shape).  Calling
-    with a time t returns the piecewise-linear interpolant of :func:`interp`:
-    at a node time it is the node's sample up to rounding, and exactly it
-    where t / dt is an exact integer.  Read a node's sample from ``values``.
+    ``values[k]`` is the sample at node k; shape is (steps+1, *shape).
+    :func:`stage_samples` reads them at a sweep's stage times and
+    :func:`interp` at any other time.
     """
 
     def __init__(self, grid: TimeGrid, values, check: bool = True):
@@ -152,9 +150,6 @@ class Trajectory:
     @property
     def terminal(self) -> np.ndarray:
         return self.values[-1]
-
-    def __call__(self, t: float) -> np.ndarray:
-        return interp(self.values, self.grid.dt, t)
 
 
 def blown_up(y: np.ndarray, axis=None):
@@ -436,8 +431,3 @@ def eig_min(S: np.ndarray) -> float:
     a stack of them (last two axes), after symmetrizing without a check:
     every regularity margin and convexity witness is this number."""
     return float(np.linalg.eigvalsh(symmetrize(S))[..., 0].min())
-
-
-def is_psd(S: np.ndarray, tol: float = 1e-10) -> bool:
-    """True iff the smallest eigenvalue is >= -tol."""
-    return bool(eigvals_sym(S)[0] >= -tol)

@@ -31,8 +31,8 @@ nonlinear Riccati equation and steps stagewise (ode.integrate_rk4), but
 everything in its right-hand side except the gain solve is linear in P: on
 y = (vec P, 1) it is one operator product per stage (:func:`p_operator`,
 the linear maps of those terms by the Kronecker rule ode.kron_vec), built
-once for constant coefficients and per chunk of stage times for
-time-varying ones.  phi is linear and is an ode.integrate_linear sweep.
+for each chunk of stage times from the coefficients' node tables, as every
+sweep reads them.  phi is linear and is an ode.integrate_linear sweep.
 The oracle's two modes step as P does, on y = (vec P_dev, vec P_mean, 1)
 with one product and one m x m gain per stage (:func:`_riccati_sweep`), and
 its adjoint is the mean mode's linear one.  Its node-wise margin, mode gains
@@ -137,8 +137,8 @@ def _riccati_sweep(params: ModelParams, grid: TimeGrid, operator, names, termina
 
     ``operator(*coefficients)`` gives their right-hand side as one linear map
     of y, in :func:`p_operator`'s row layout with k linear parts and k
-    numerators; it is built once, or per chunk of stage times when a
-    coefficient of ``names`` varies in time.  A stage is one product
+    numerators; it is built for each chunk of stage times from the
+    ode.stage_samples of the node tables of ``names``.  A stage is one product
     z = ops y, gain_i = S^{-1} num_i over the k numerators, and
     dP_i/dt = z_i + num_i' gain_i.  For m <= 2 the gain is formed in closed
     form from S's entries, num_i / s or adj(S) num_i / det S, because a
@@ -150,19 +150,11 @@ def _riccati_sweep(params: ModelParams, grid: TimeGrid, operator, names, termina
     """
     k, n, m = len(terminals), params.n, params.m
     kn2, m2 = k * n * n, m * m
-    if any(params.is_time_varying(name) for name in names):
-        def coeffs(ts):
-            return operator(*(stage_samples(params.node_table(name, grid), ts)
-                              for name in names))
-    else:
-        ops = operator(*(getattr(params, name) for name in names))
-
-        def coeffs(ts):
-            return np.broadcast_to(ops, ts.shape + ops.shape)
 
     def stages(ts):
         # each stage's map paired with its time, which names a singular stage
-        return list(zip(ts.tolist(), coeffs(ts)))
+        ops = operator(*(stage_samples(params.node_table(name, grid), ts) for name in names))
+        return list(zip(ts.tolist(), ops))
 
     def singular(t):
         return RegularityLostError(f"{what} singular at t={t:.6g}")
@@ -210,8 +202,8 @@ def solve_P(params: ModelParams) -> tuple[Trajectory, float]:
     y = (vec P, 1), one m x m gain = S^{-1} num with S and num read off z
     (in closed form for m <= 2), and dP/dt = z_lin + num' gain
     (:func:`_riccati_sweep`, with k = 1).
-    The map is built once for constant coefficients; time-varying ones are
-    sampled by ode.integrate_rk4 for a chunk of stage times at once.  The
+    The map is built for each chunk of stage times that ode.integrate_rk4
+    passes, from the coefficients' node tables, constant or not.  The
     product costs O(n^4) flops per stage against O(n^3) for the matrix form;
     at the small n solved here a stage costs its numpy calls, about ten
     against thirty for the matrix form.

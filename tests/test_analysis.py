@@ -198,7 +198,9 @@ def test_lambda_against_independent_integrator(rng):
     rep = lambda_boundedness(p, law, [N])
     pair = rep.pairs[0]
     grid = law.grid
-    Th1 = law.Theta1
+
+    def Th1(t):
+        return interp(law.Theta1.values, grid.dt, t)
 
     def rhs(t, y):
         lam1 = y[:4].reshape(2, 2)
@@ -223,7 +225,9 @@ def test_lambda_standalone_lyapunov_when_decoupled(rng):
     p = rand_params(rng, n=2, m=2, steps=200, coupled=False)
     sol, law = solve_cc(p)
     rep = lambda_boundedness(p, law, [5])
-    Th1 = law.Theta1
+
+    def Th1(t):
+        return interp(law.Theta1.values, law.grid.dt, t)
 
     def rhs(t, lam):
         A, B, C, D, Q = p.A, p.B, p.C, p.D, p.Q
@@ -379,9 +383,10 @@ def test_lambda_second_kernel_is_weighted_unit_source_solution():
 
     def rhs(t, lam):
         lam1, m = lam[0], lam[1]
-        closed = p.A + p.B @ law.Theta1(t)
+        Th1 = interp(law.Theta1.values, law.grid.dt, t)
+        closed = p.A + p.B @ Th1
         d1 = -(lam1 @ (closed + p.F / N) + p.A.T @ lam1
-               - p.C.T @ lam1 @ (p.C + p.D @ law.Theta1(t) + p.Ftilde / N)
+               - p.C.T @ lam1 @ (p.C + p.D @ Th1 + p.Ftilde / N)
                + (w * m / N) @ p.F + p.Q)
         dm = -(m @ (closed + w * p.F) + p.A.T @ m
                + lam1 @ p.F - p.C.T @ lam1 @ p.Ftilde)

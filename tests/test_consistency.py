@@ -488,10 +488,10 @@ def test_extraction_consistent_with_mean_ode(rng):
         grid = law.grid
 
         def rhs(t, x):
-            A = q.coeff_at("A", t)
-            F = q.coeff_at("F", t)
-            B = q.coeff_at("B", t)
-            return (A + F) @ x + B @ (law.Theta1(t) @ x + law.Theta2(t))
+            A, F, B, Th1, Th2 = (interp(table, grid.dt, t) for table in (
+                q.node_table("A"), q.node_table("F"), q.node_table("B"),
+                law.Theta1.values, law.Theta2.values))
+            return (A + F) @ x + B @ (Th1 @ x + Th2)
 
         xx = integrate_rk4(rhs, q.xi0, grid, "forward")
         assert np.max(np.abs(xx.values - sol.xhat.values)) < 1e-5

@@ -3,8 +3,9 @@ class of the package has a field nobody reads, no public function or class
 of the package is there for its unit tests alone, every name of the package
 that the benchmark reads or patches exists, the stacked fold reads no
 coefficient of the model, only ``ode`` cuts a sweep into chunks or reads
-the blow-up bound or a symmetry tolerance, and only ``model`` reads JSON
-files or writes JSON text.
+the blow-up bound or a symmetry tolerance, only ``model`` reads JSON
+files or writes JSON text, and each rule of ``RULE_OWNERS`` is named by its
+owner alone.
 
 ``__init__.py`` is skipped by the import guard; its imports are the
 package's re-exports.  The fields of a class are those a dataclass declares
@@ -74,8 +75,8 @@ def _fields(cls: ast.ClassDef) -> dict:
     return fields
 
 
-def unread_fields(source: str, readers: list[str]) -> list[str]:
-    """Fields of the classes in ``source`` that no reader source reads."""
+def read_names(readers: list[str]) -> set:
+    """Every attribute load and string constant of the reader sources."""
     read = set()
     for text in readers:
         for node in ast.walk(ast.parse(text)):
@@ -83,6 +84,11 @@ def unread_fields(source: str, readers: list[str]) -> list[str]:
                 read.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 read.add(node.value)
+    return read
+
+
+def unread_fields(source: str, read: set) -> list[str]:
+    """Fields of the classes in ``source`` whose names ``read`` lacks."""
     return [f"{cls.name}.{name}"
             for cls in ast.walk(ast.parse(source)) if isinstance(cls, ast.ClassDef)
             for name in _fields(cls) if name not in read]
@@ -92,8 +98,8 @@ def test_guard_flags_an_unread_field():
     source = ("from dataclasses import dataclass\n"
               "@dataclass\nclass A:\n    x: int\n    y: int\n    z: int\n"
               "class B:\n    w: int\n")
-    assert unread_fields(source, [source, "a.x = 1\nprint(a.y)\n"]) == ["A.x", "A.z"]
-    assert unread_fields(source, ["getattr(a, 'x') + a.y + a.z\n"]) == []
+    assert unread_fields(source, read_names([source, "a.x = 1\nprint(a.y)\n"])) == ["A.x", "A.z"]
+    assert unread_fields(source, read_names(["getattr(a, 'x') + a.y + a.z\n"])) == []
 
 
 def test_guard_flags_an_unread_self_attribute():
@@ -104,13 +110,13 @@ def test_guard_flags_an_unread_self_attribute():
               "        other.d = v\n"
               "    def grow(self):\n"
               "        self.e += 1\n")
-    assert sorted(unread_fields(source, [source])) == ["C.b", "C.c", "C.e"]
-    assert unread_fields(source, [source, "x.b + x.c + x.e\n"]) == []
+    assert sorted(unread_fields(source, read_names([source]))) == ["C.b", "C.c", "C.e"]
+    assert unread_fields(source, read_names([source, "x.b + x.c + x.e\n"])) == []
 
 
 def test_no_unread_class_fields():
-    readers = [p.read_text() for p in READERS]
-    assert [f for p in MODULES for f in unread_fields(p.read_text(), readers)] == []
+    read = read_names([p.read_text() for p in READERS])
+    assert [f for p in MODULES for f in unread_fields(p.read_text(), read)] == []
 
 
 def _import(module: str, name: str):
@@ -335,10 +341,12 @@ def dotted_mentions(source: str) -> set:
 
 # each rule and the one module that may name it: the certificates and the
 # coupling test behind report_all's verdict, the regularity tolerance behind
-# FeedbackLaw's admission, and the integer rule behind ode.is_int
+# FeedbackLaw's admission, the integer rule behind ode.is_int, and whether a
+# coefficient varies in time, behind ModelParams.node_table's grid rule
 RULE_OWNERS = {"check_psd_case": "convexity.py", "check_coupled_indefinite": "convexity.py",
                "check_decoupled_indefinite": "convexity.py", "is_coupled": "convexity.py",
-               "REGULARITY_TOL": "riccati.py", "np.integer": "ode.py"}
+               "REGULARITY_TOL": "riccati.py", "np.integer": "ode.py",
+               "is_time_varying": "model.py"}
 
 
 def test_guard_sees_a_rule_as_written():

@@ -15,7 +15,6 @@ from mflqg.ode import (
     integrate_linear,
     integrate_rk4,
     interp,
-    is_psd,
     kron_vec,
     quadrature,
     stage_samples,
@@ -93,10 +92,10 @@ def test_blowup_raises_nonfinite():
 
 def test_interpolation_exact_at_nodes_and_linear_between():
     g = TimeGrid(1.0, 4)
-    traj = Trajectory(g, np.array([0.0, 1.0, 4.0, 9.0, 16.0]))
-    assert traj(0.25) == 1.0
-    assert traj(0.375) == pytest.approx(2.5)
-    assert traj(1.0) == 16.0
+    table = np.array([0.0, 1.0, 4.0, 9.0, 16.0])
+    assert interp(table, g.dt, 0.25) == 1.0
+    assert interp(table, g.dt, 0.375) == pytest.approx(2.5)
+    assert interp(table, g.dt, 1.0) == 16.0
 
 
 def test_interp_array_of_times_equals_scalar_calls():
@@ -517,8 +516,10 @@ def test_eig_min_is_the_smallest_over_a_symmetrized_stack():
 
 
 def test_is_psd_cases():
-    assert is_psd(np.zeros((3, 3)), tol=1e-10)
-    assert not is_psd(np.diag([1.0, -1e-3]), tol=1e-10)
+    # a psd verdict is eig_min(S) >= -tol, for one matrix or over a stack
+    assert eig_min(np.zeros((3, 3))) >= -1e-10
+    assert not eig_min(np.diag([1.0, -1e-3])) >= -1e-10
+    assert not eig_min(np.stack([np.eye(2), -np.eye(2)])) >= -1e-10
 
 
 def test_psd_preserved_under_congruence():
@@ -529,4 +530,4 @@ def test_psd_preserved_under_congruence():
         Q = M @ M.T
         Gamma = rng.standard_normal((n, n))
         Qhat = (Gamma - np.eye(n)).T @ Q @ (Gamma - np.eye(n))
-        assert is_psd(Qhat, tol=1e-9)
+        assert eig_min(Qhat) >= -1e-9

@@ -7,7 +7,7 @@ from mflqg import riccati
 from mflqg.consistency import solve_cc
 from mflqg.errors import GridMismatchError, RegularityLostError, SettingError, StationarityError
 from mflqg.model import AugmentedCoeffs, build_augmented, kron_eye, kron_mean
-from mflqg.ode import TimeGrid, Trajectory, integrate_rk4, symmetrize
+from mflqg.ode import TimeGrid, Trajectory, integrate_rk4, interp, symmetrize
 from mflqg.riccati import (
     FeedbackLaw,
     OracleLaw,
@@ -22,6 +22,7 @@ from mflqg.riccati import (
 from mflqg.montecarlo import NoiseBank, centralized_tangents, simulate_centralized
 from mflqg.presets import repro_instance
 
+import reference_law
 from conftest import rand_params
 from test_montecarlo import gap_scalar_params, mode_law, stacked_tables, time_varying_params
 
@@ -115,7 +116,8 @@ def _matrix_form_P(p):
     h = -grid.dt
 
     def rhs(t, P):
-        A, B, C, D, Q, R = (p.coeff_at(k, t) for k in ("A", "B", "C", "D", "Q", "R"))
+        A, B, C, D, Q, R = (interp(p.node_table(k), grid.dt, t)
+                            for k in ("A", "B", "C", "D", "Q", "R"))
         S = R + D.T @ P @ D
         num = B.T @ P + D.T @ P @ C
         return -(P @ A + A.T @ P + C.T @ P @ C + Q - num.T @ np.linalg.solve(S, num))
@@ -144,6 +146,20 @@ def test_solve_P_operator_form_matches_matrix_form(instance):
     assert np.all(err <= 1e-13 * np.abs(ref).max(axis=(1, 2)))
     # re-symmetrized after every step, so exactly symmetric at every node
     assert np.array_equal(P.values, P.values.swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("instance", ["repro", "gap_scalar"])
+def test_P_and_theta1_match_an_independent_reference(instance):
+    # reference_law shares no code with the package: its adaptive DOP853
+    # solve of the P equation, read at the nodes, and the gain formed from
+    # it bound solve_P's and theta1's error at every node (repro at 1000
+    # steps was off by about 1.4e-12 relative)
+    p = repro_instance(steps=1000) if instance == "repro" else gap_scalar_params(steps=200)
+    P, _ = solve_P(p)
+    ref = reference_law.riccati_P(p.A, p.B, p.C, p.D, p.Q, p.R, p.G, p.T, p.grid().nodes)
+    assert np.max(np.abs(P.values - ref)) <= 1e-9 * np.max(np.abs(ref))
+    gain = reference_law.theta1(ref, p.B, p.C, p.D, p.R)
+    assert np.max(np.abs(theta1(P, p).values - gain)) <= 1e-9 * np.max(np.abs(gain))
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 2)])
@@ -537,15 +553,15 @@ def stacked_reference(aug):
 
     P = integrate_rk4(rhs, symmetrize(nodes.G), grid, "backward", project=symmetrize)
     S, num = gain_terms(P.values, nodes.B, nodes.C, nodes.D, nodes.R, P.values * blocks)
-    gain = Trajectory(grid, -node_solve(S, num))
+    gain = -node_solve(S, num)
 
     def phi_rhs(t, phi):
         s = aug.at(t)
-        return -((s.A + s.B @ gain(t)).T @ phi + s.S1)
+        return -((s.A + s.B @ interp(gain, grid.dt, t)).T @ phi + s.S1)
 
     phi = integrate_rk4(phi_rhs, nodes.S2, grid, "backward")
     affine = -node_solve(S, nodes.B.swapaxes(-1, -2) @ phi.values[..., None])[..., 0]
-    tables = {"P": P.values, "phi": phi.values, "gain": gain.values, "affine": affine}
+    tables = {"P": P.values, "phi": phi.values, "gain": gain, "affine": affine}
     return tables, float(np.linalg.eigvalsh(symmetrize(S))[:, 0].min())
 
 
