@@ -19,12 +19,11 @@ midpoints.  :func:`interp` reads that piecewise-linear interpolant at other
 times: AugmentedCoeffs.at and the quarter points of the consistency
 condition's half-step sweep.
 
-* :func:`integrate_rk4` calls a right-hand side at every stage.  The
-  nonlinear Riccati equations of P and of the oracle's two modes use it.  The
-  right-hand side reads the stage's sample of the equation: the stage time
-  by default, or a row of a table that a sampler builds for a chunk of
-  steps at once (the stacked operator of P or of the oracle's modes, from
-  time-varying coefficients).
+* :func:`integrate_rk4` calls a right-hand side at every stage time.  It
+  serves acceptance 01 and the tests' reference sweeps; the nonlinear
+  Riccati equations of P and of the oracle's two modes step their own loop
+  on Python floats (riccati._riccati_sweep), on the same chunks, stage
+  times and blow-up checks.
 * :func:`integrate_linear` takes a linear equation dy/dt = M(t) y + s(t) as a
   function that samples M and s on many times at once, optionally for a
   batch of equations on leading axes of the state.  One RK4 step of a linear
@@ -159,7 +158,8 @@ def blown_up(y: np.ndarray, axis=None):
     return ~(np.abs(y).max(axis=axis, initial=0.0) <= BLOWUP_NORM)
 
 
-def _check_boundary(y: np.ndarray):
+def check_boundary(y: np.ndarray):
+    """NonFiniteError if a sweep's boundary value y has blown up."""
     if blown_up(y):
         raise NonFiniteError("blow-up detected in the boundary value")
 
@@ -191,38 +191,34 @@ def sweep_chunks(grid: TimeGrid, direction: str):
 
 
 def integrate_rk4(rhs, boundary_value, grid: TimeGrid, direction: str = "forward",
-                  project=None, coeffs=None) -> Trajectory:
+                  project=None) -> Trajectory:
     """Classical RK4 sweep over the grid, storing the value at every node.
 
-    rhs(c, y) -> dy/dt, where c is the equation's sample at the stage: by
-    default the stage time t_k, t_k + h/2 or t_{k+1} itself.  ``coeffs(ts)``
-    replaces that sample: it takes the 2c+1 distinct stage times of a chunk
-    of c steps (:func:`sweep_chunks`) and returns a sequence whose entries
-    2j, 2j+1 and 2j+2 are step j's samples.  Sampling a chunk at once keeps
-    time-varying coefficient tables out of the stage.
+    rhs(t, y) -> dy/dt at the stage time t: t_k, t_k + h/2 or t_{k+1}, the
+    distinct stage times of :func:`sweep_chunks`.
     ``direction='backward'`` anchors the boundary value at t_M and fills
-    nodes down to t_0.  ``project`` is applied after each step (used to
-    re-symmetrize Riccati iterates).  Blow-up is checked once a chunk is
-    stepped; a stage that raises past a blown-up node raises its error.
+    nodes down to t_0.  ``project`` is applied after each step (the tests'
+    matrix-form Riccati references re-symmetrize their iterates with it).
+    Blow-up is checked once a chunk is stepped; a stage that raises past a
+    blown-up node raises its error.
     """
     h, chunks = sweep_chunks(grid, direction)
     y0 = np.asarray(boundary_value, dtype=float)
-    _check_boundary(y0)
+    check_boundary(y0)
     half, sixth = 0.5 * h, h / 6.0
     shift = 1 if h > 0 else -1
     out = np.empty((grid.steps + 1,) + y0.shape)
     out[0 if h > 0 else grid.steps] = y0
     y = y0
     for ks, ts in chunks:
-        cs = ts.tolist() if coeffs is None else coeffs(ts)
-        ends, done = ks + shift, 0
+        ts, ends, done = ts.tolist(), ks + shift, 0
         try:
             with np.errstate(all="ignore"):
-                for k, c1, c2, c4 in zip(ends.tolist(), cs[:-1:2], cs[1::2], cs[2::2]):
-                    k1 = rhs(c1, y)
-                    k2 = rhs(c2, y + half * k1)
-                    k3 = rhs(c2, y + half * k2)
-                    k4 = rhs(c4, y + h * k3)
+                for k, t1, t2, t4 in zip(ends.tolist(), ts[:-1:2], ts[1::2], ts[2::2]):
+                    k1 = rhs(t1, y)
+                    k2 = rhs(t2, y + half * k1)
+                    k3 = rhs(t2, y + half * k2)
+                    k4 = rhs(t4, y + h * k3)
                     y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                     if project is not None:
                         y = project(y)
@@ -339,7 +335,7 @@ def integrate_linear(coeffs, boundary_value, grid: TimeGrid,
     """
     h, chunks = sweep_chunks(grid, direction)
     y0 = np.asarray(boundary_value, dtype=float)
-    _check_boundary(y0)
+    check_boundary(y0)
     shift = 1 if h > 0 else -1
     out = np.empty((grid.steps + 1,) + y0.shape)
     first = 0 if h > 0 else grid.steps

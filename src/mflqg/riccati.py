@@ -27,12 +27,15 @@ R + D'PD and B'P + D'PC are formed as values by one kernel,
 :func:`gain_terms`, which broadcasts over time axes: the margin
 (ode.eig_min) and the gains Theta1, Theta2 take it on all nodes at once,
 and the phi sweep on the RK4 stage times of a chunk of steps.  P is a
-nonlinear Riccati equation and steps stagewise (ode.integrate_rk4), but
+nonlinear Riccati equation and steps stage by stage in its own RK4 loop
+(:func:`_riccati_sweep`, on the chunks of ode.sweep_chunks), but
 everything in its right-hand side except the gain solve is linear in P: on
 y = (vec P, 1) it is one operator product per stage (:func:`p_operator`,
 the linear maps of those terms by the Kronecker rule ode.kron_vec), built
 for each chunk of stage times from the coefficients' node tables, as every
-sweep reads them.  phi is linear and is an ode.integrate_linear sweep.
+sweep reads them.  That product is a stage's one numpy call; y, the gain
+and the RK4 update are Python floats.  phi is linear and is an
+ode.integrate_linear sweep.
 The oracle's two modes step as P does, on y = (vec P_dev, vec P_mean, 1)
 with one product and one m x m gain per stage (:func:`_riccati_sweep`), and
 its adjoint is the mean mode's linear one.  Its node-wise margin, mode gains
@@ -53,13 +56,15 @@ from .model import TIME_VARYING, AugmentedCoeffs, ModelParams, is_int, mean_offs
 from .ode import (
     TimeGrid,
     Trajectory,
+    check_boundary,
+    check_nodes,
     eig_min,
     integrate_linear,
-    integrate_rk4,
     kron_vec,
     matvec,
     quadrature,
     stage_samples,
+    sweep_chunks,
     symmetrize,
 )
 
@@ -137,59 +142,92 @@ def _riccati_sweep(params: ModelParams, grid: TimeGrid, operator, names, termina
 
     ``operator(*coefficients)`` gives their right-hand side as one linear map
     of y, in :func:`p_operator`'s row layout with k linear parts and k
-    numerators; it is built for each chunk of stage times from the
-    ode.stage_samples of the node tables of ``names``.  A stage is one product
-    z = ops y, gain_i = S^{-1} num_i over the k numerators, and
-    dP_i/dt = z_i + num_i' gain_i.  For m <= 2 the gain is formed in closed
-    form from S's entries, num_i / s or adj(S) num_i / det S, because a
-    LAPACK solve of so small a system costs mostly its call overhead; m >= 3
-    solves.  An exactly singular S (s or det S = 0.0, or a zero pivot of the
-    solve) raises RegularityLostError naming ``what`` and the stage time.
-    Each P_i is re-symmetrized after every step.  Returns the
+    numerators; it is built for each chunk of stage times (ode.sweep_chunks)
+    from the ode.stage_samples of the node tables of ``names``.  A stage is
+    one product z = ops y, gain_i = S^{-1} num_i over the k numerators, and
+    dP_i/dt = z_i + num_i' gain_i.  y and z are lists of Python floats: the
+    product is the stage's one numpy call, and for m <= 2 the gain, formed in
+    closed form from S's entries (num_i / s or adj(S) num_i / det S), the
+    RK4 update and the re-symmetrization of each P_i after every step are
+    float arithmetic, because numpy calls on so small a state cost mostly
+    their overhead.  m >= 3 solves by LAPACK.  An exactly singular S (s or
+    det S = 0.0, or a zero pivot of the solve) raises RegularityLostError
+    naming ``what`` and the stage time.  Blow-up is checked as
+    ode.integrate_rk4 checks it: the boundary value, then each chunk's
+    stepped nodes, also those before a stage that raised.  Returns the
     (steps + 1, k, n, n) nodes.
     """
     k, n, m = len(terminals), params.n, params.m
-    kn2, m2 = k * n * n, m * m
-
-    def stages(ts):
-        # each stage's map paired with its time, which names a singular stage
-        ops = operator(*(stage_samples(params.node_table(name, grid), ts) for name in names))
-        return list(zip(ts.tolist(), ops))
+    kn2, m2, mn = k * n * n, m * m, m * n
+    at = kn2 + 1 + m2    # z = (the k linear parts, the zero row, S, the k numerators)
+    # entry (a, b) of num_i' gain_i pairs column a of num_i with column b of
+    # gain_i, the columns of the k numerators counted in a row
+    pairs = [(i * n + a, i * n + b) for i in range(k) for a in range(n) for b in range(n)]
+    # at m = 2, where each column's two entries sit in z
+    cols = [(at + i * mn + c, at + i * mn + n + c) for i in range(k) for c in range(n)]
 
     def singular(t):
         return RegularityLostError(f"{what} singular at t={t:.6g}")
 
-    def rhs(stage, y):
-        t, ops = stage
-        z = ops @ y
-        num = z[kn2 + 1 + m2:].reshape(k, m, n)
-        # S is shared by the k numerators
+    def rhs(t, ops, y):
+        z = ops.dot(y).tolist()
+        # S is shared by the k numerators; corr is the vec of each num_i' gain_i
         if m == 1:
-            det = float(z[kn2 + 1])
-            if det == 0.0:
+            s = z[kn2 + 1]
+            if s == 0.0:
                 raise singular(t)
-            gain = num / det
+            num = z[at:]
+            gain = [x / s for x in num]
+            corr = [num[p] * gain[q] for p, q in pairs]
         elif m == 2:
-            a, b, c, d = z[kn2 + 1:kn2 + 5].tolist()
+            a, b, c, d = z[kn2 + 1:at]
             det = a * d - b * c
             if det == 0.0:
                 raise singular(t)
-            gain = np.array(((d / det, -b / det), (-c / det, a / det))) @ num
+            i0, i1, i2, i3 = d / det, -b / det, -c / det, a / det
+            num = [(z[p], z[q]) for p, q in cols]
+            gain = [(i0 * x + i1 * w, i2 * x + i3 * w) for x, w in num]   # adj(S) num / det S
+            corr = [num[p][0] * gain[q][0] + num[p][1] * gain[q][1] for p, q in pairs]
         else:
+            num = np.reshape(z[at:], (k, m, n))
             try:
-                gain = np.linalg.solve(z[kn2 + 1:kn2 + 1 + m2].reshape(m, m), num)
+                gain = np.linalg.solve(np.reshape(z[kn2 + 1:at], (m, m)), num)
             except np.linalg.LinAlgError as exc:
                 raise singular(t) from exc
-        dy = z[:kn2 + 1]
-        dy[:kn2] += (num.transpose(0, 2, 1) @ gain).ravel()
-        return dy
+            corr = (num.transpose(0, 2, 1) @ gain).ravel().tolist()
+        # dP_i/dt = z_i + num_i' gain_i; the zero row keeps the trailing 1
+        return [x + w for x, w in zip(z, corr)] + [z[kn2]]
 
     # symmetrize on the vec: entry (i, j) of each P_i meets entry (j, i), the 1 itself
-    swap = np.append(np.arange(kn2).reshape(k, n, n).swapaxes(1, 2).ravel(), kn2)
+    swap = np.arange(kn2).reshape(k, n, n).swapaxes(1, 2).ravel().tolist() + [kn2]
     y0 = np.append(symmetrize(np.stack(terminals)).ravel(), 1.0)
-    y = integrate_rk4(rhs, y0, grid, "backward", project=lambda y: 0.5 * (y + y[swap]),
-                      coeffs=stages)
-    return np.ascontiguousarray(y.values[:, :kn2]).reshape(-1, k, n, n)
+    check_boundary(y0)
+    h, chunks = sweep_chunks(grid, "backward")
+    half, sixth = 0.5 * h, h / 6.0
+    out = np.empty((grid.steps + 1, kn2 + 1))
+    out[grid.steps] = y0
+    y = y0.tolist()
+    for ks, ts in chunks:
+        ops = operator(*(stage_samples(params.node_table(name, grid), ts) for name in names))
+        stages = list(zip(ts.tolist(), ops))
+        stepped = []
+        try:
+            with np.errstate(all="ignore"):
+                for s1, s2, s4 in zip(stages[:-1:2], stages[1::2], stages[2::2]):
+                    k1 = rhs(*s1, y)
+                    k2 = rhs(*s2, [x + half * w for x, w in zip(y, k1)])
+                    k3 = rhs(*s2, [x + half * w for x, w in zip(y, k2)])
+                    k4 = rhs(*s4, [x + h * w for x, w in zip(y, k3)])
+                    y = [x + sixth * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
+                         for x, w1, w2, w3, w4 in zip(y, k1, k2, k3, k4)]
+                    y = [0.5 * (x + y[j]) for x, j in zip(y, swap)]
+                    stepped.append(y)
+        finally:    # the nodes stepped, also before a stage that raised
+            ends = ks[:len(stepped)] - 1
+            if stepped:
+                out[ends] = stepped
+            check_nodes(out, ends)
+    return np.ascontiguousarray(out[:, :kn2]).reshape(-1, k, n, n)
 
 
 def solve_P(params: ModelParams) -> tuple[Trajectory, float]:
@@ -202,11 +240,12 @@ def solve_P(params: ModelParams) -> tuple[Trajectory, float]:
     y = (vec P, 1), one m x m gain = S^{-1} num with S and num read off z
     (in closed form for m <= 2), and dP/dt = z_lin + num' gain
     (:func:`_riccati_sweep`, with k = 1).
-    The map is built for each chunk of stage times that ode.integrate_rk4
-    passes, from the coefficients' node tables, constant or not.  The
-    product costs O(n^4) flops per stage against O(n^3) for the matrix form;
-    at the small n solved here a stage costs its numpy calls, about ten
-    against thirty for the matrix form.
+    The map is built for each chunk of stage times (ode.sweep_chunks), from
+    the coefficients' node tables, constant or not.  The product costs
+    O(n^4) flops per stage against O(n^3) for the matrix form; at the small
+    n solved here a stage costs its one numpy call, the product, and float
+    arithmetic on the n^2 + 1 entries of y, against about thirty numpy calls
+    for the matrix form.
 
     P is re-symmetrized after every step.  Returns (P, margin) where margin is
     the minimal node-wise lambda_min(R + D'PD); RegularityLostError if the

@@ -1,5 +1,5 @@
 """An independent reference for the auxiliary problem's Riccati equation and
-its state-feedback gain.
+its state-feedback gain, and for the oracle's two exchangeable modes.
 
 It is written from the equations alone and imports numpy and scipy, never
 ``mflqg``, so an agreement with the package is not the package agreeing with
@@ -11,10 +11,31 @@ itself.  With constant coefficients,
 is integrated backward by scipy's adaptive DOP853 at rtol 1e-13 and atol
 1e-15 and read at any times through its dense output, and the gain is
 Theta1 = -S^{-1} (B'P + D'PC).
+
+The oracle's modes of N agents share the agent block P_d = P_dev +
+(P_mean - P_dev)/N (P_mean at N = 1) and S = R + D'P_d D:
+
+    -P_dev' = P_dev A + A'P_dev + C'P_d C + Q - N_dev' S^{-1} N_dev,
+    N_dev = B'P_dev + D'P_d C,  P_dev(T) = G;
+    -P_mean' = P_mean (A + F) + (A + F)'P_mean + (C + Ft)'P_d (C + Ft) + Qhat
+               - N_mean' S^{-1} N_mean,
+    N_mean = B'P_mean + D'P_d (C + Ft),  P_mean(T) = Ghat,
+
+with Qhat = (Gamma - I)'Q(Gamma - I) and Ghat = (GammaBar - I)'G(GammaBar - I),
+integrated together by the same DOP853 solve.
 """
 
 import numpy as np
 from scipy.integrate import solve_ivp
+
+
+def _backward(rhs, terminal, T, times) -> np.ndarray:
+    """The DOP853 solve of y' = rhs(t, y), y(T) = terminal, at each of ``times``."""
+    terminal = np.asarray(terminal, dtype=float)
+    sol = solve_ivp(rhs, (T, 0.0), terminal.ravel(), method="DOP853",
+                    rtol=1e-13, atol=1e-15, dense_output=True)
+    assert sol.success, sol.message
+    return sol.sol(np.asarray(times, dtype=float)).T.reshape((-1,) + terminal.shape)
 
 
 def riccati_P(A, B, C, D, Q, R, G, T, times) -> np.ndarray:
@@ -27,10 +48,31 @@ def riccati_P(A, B, C, D, Q, R, G, T, times) -> np.ndarray:
         num = B.T @ P + D.T @ P @ C
         return -(P @ A + A.T @ P + C.T @ P @ C + Q - num.T @ np.linalg.solve(S, num)).ravel()
 
-    sol = solve_ivp(rhs, (T, 0.0), np.asarray(G, dtype=float).ravel(), method="DOP853",
-                    rtol=1e-13, atol=1e-15, dense_output=True)
-    assert sol.success, sol.message
-    return sol.sol(np.asarray(times, dtype=float)).T.reshape(-1, n, n)
+    return _backward(rhs, G, T, times)
+
+
+def oracle_modes(A, B, C, D, F, Ft, Q, R, G, Gamma, GammaBar, N, T, times):
+    """(P_dev, P_mean) of N agents at each of ``times`` in [0, T], each of
+    shape (len(times), n, n).  At N = 1 the oracle has no deviation mode, and
+    P_dev here is only a by-product of the joint solve."""
+    n = A.shape[0]
+    eye = np.eye(n)
+    Qhat = (Gamma - eye).T @ Q @ (Gamma - eye)
+    Ghat = (GammaBar - eye).T @ G @ (GammaBar - eye)
+    Am, Cm = A + F, C + Ft
+
+    def rhs(t, y):
+        Pv, Pm = y.reshape(2, n, n)
+        Pd = Pm if N == 1 else Pv + (Pm - Pv) / N
+        S = R + D.T @ Pd @ D
+        Nv = B.T @ Pv + D.T @ Pd @ C
+        Nm = B.T @ Pm + D.T @ Pd @ Cm
+        dev = Pv @ A + A.T @ Pv + C.T @ Pd @ C + Q - Nv.T @ np.linalg.solve(S, Nv)
+        mean = Pm @ Am + Am.T @ Pm + Cm.T @ Pd @ Cm + Qhat - Nm.T @ np.linalg.solve(S, Nm)
+        return -np.concatenate([dev.ravel(), mean.ravel()])
+
+    modes = _backward(rhs, np.stack([G, Ghat]), T, times)
+    return modes[:, 0], modes[:, 1]
 
 
 def theta1(P, B, C, D, R) -> np.ndarray:

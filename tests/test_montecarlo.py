@@ -760,7 +760,7 @@ def test_sampled_coefficients_refuse_another_horizon(rng, run, monkeypatch):
     def no_sweep(*args, **kwargs):
         raise AssertionError("the oracle swept before checking its grid")
 
-    monkeypatch.setattr(riccati, "integrate_rk4", no_sweep)
+    monkeypatch.setattr(riccati, "_riccati_sweep", no_sweep)
     with pytest.raises(GridMismatchError, match="sampled on 40 steps, the law on 40"):
         if run == "decentralized":
             simulate_decentralized(p, make_law(grid, 2, 1), 2, noise)

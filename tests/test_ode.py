@@ -251,25 +251,20 @@ def _assert_chunk_stage_times(seen, c, g, direction):
 
 @pytest.mark.parametrize("direction", ["forward", "backward"])
 def test_integrate_rk4_samples_each_distinct_stage_time_once(direction):
-    # as integrate_linear: a chunk sampler sees each chunk's 2c+1 stage times
-    # once, node times bit-equal to the grid's, and by default the right-hand
-    # side is called at those same times, step j at rows 2j, 2j+1 (twice)
-    # and 2j+2
+    # the right-hand side is called at each chunk's 2c+1 stage times
+    # (sweep_chunks), node times bit-equal to the grid's, step j at rows 2j,
+    # 2j+1 (twice) and 2j+2
     c, g = _chunked_grid(1.3)
     rng = np.random.default_rng(5)
     rhs, _, y0 = _linear_system(rng, 2, None, source=True)
-    seen, called = [], []
-
-    def spy(ts):
-        seen.append(ts.copy())
-        return ts
+    called = []
 
     def recorded(t, y):
         called.append(t)
         return rhs(t, y)
 
-    sampled = integrate_rk4(rhs, y0, g, direction, coeffs=spy).values
-    assert np.array_equal(integrate_rk4(recorded, y0, g, direction).values, sampled)
+    integrate_rk4(recorded, y0, g, direction)
+    seen = [ts for _, ts in sweep_chunks(g, direction)[1]]
     _assert_chunk_stage_times(seen, c, g, direction)
     assert called == [t for ts in seen for j in range(ts.size // 2)
                       for t in ts[[2 * j, 2 * j + 1, 2 * j + 1, 2 * j + 2]]]
@@ -344,31 +339,6 @@ def test_integrate_rk4_blowup_inside_a_chunk_names_its_node(direction, where, la
 
     with pytest.raises(NonFiniteError, match=rf"^blow-up detected at node {node}$"):
         integrate_rk4(rhs, np.array([1.0, 0.5]), g, direction)
-
-
-@pytest.mark.parametrize("direction", ["forward", "backward"])
-def test_integrate_rk4_chunk_sampler_equals_stage_times(monkeypatch, direction):
-    # dy/dt = M(t) y + s(t) with polynomial M, s: sampled per chunk as [M | s]
-    # or evaluated at each stage time, the sweep is bit-equal, whatever the
-    # chunk size
-    rng = np.random.default_rng(9)
-    g = TimeGrid(1.3, 100)
-    M0, M1, M2 = (rng.standard_normal((3, 3)) for _ in range(3))
-    s0, s1 = (rng.standard_normal((3, 1)) for _ in range(2))
-    y0 = rng.standard_normal(3)
-
-    def table(t):
-        t = np.asarray(t)[..., None, None]
-        return np.concatenate([M0 + t * M1 + (t * t) * M2, s0 + t * s1], axis=-1)
-
-    def sampled_rhs(c, y):
-        return c[:, :3] @ y + c[:, 3]
-
-    ref = integrate_rk4(lambda t, y: sampled_rhs(table(t), y), y0, g, direction).values
-    for chunk in (1, 7, 32, 200):
-        monkeypatch.setattr(ode, "LINEAR_CHUNK_STEPS", chunk)
-        got = integrate_rk4(sampled_rhs, y0, g, direction, coeffs=table).values
-        assert np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("cols", [None, 2], ids=["vector", "matrix"])

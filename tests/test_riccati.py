@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
-from mflqg import riccati
+from mflqg import ode, riccati
 from mflqg.consistency import solve_cc
-from mflqg.errors import GridMismatchError, RegularityLostError, SettingError, StationarityError
+from mflqg.errors import (
+    GridMismatchError,
+    NonFiniteError,
+    RegularityLostError,
+    SettingError,
+    StationarityError,
+)
 from mflqg.model import AugmentedCoeffs, build_augmented, kron_eye, kron_mean
 from mflqg.ode import TimeGrid, Trajectory, integrate_rk4, interp, symmetrize
 from mflqg.riccati import (
@@ -162,6 +168,21 @@ def test_P_and_theta1_match_an_independent_reference(instance):
     assert np.max(np.abs(theta1(P, p).values - gain)) <= 1e-9 * np.max(np.abs(gain))
 
 
+@pytest.mark.parametrize("instance", ["gap_scalar", "repro"])
+def test_oracle_modes_match_an_independent_reference(instance):
+    # reference_law's DOP853 solve of the two modes, read at the nodes,
+    # bounds the oracle's at every N; at N = 1 it has no deviation mode
+    p = repro_instance(steps=1000) if instance == "repro" else gap_scalar_params(steps=200)
+    for N in (1, 2, 8):
+        law = solve_oracle(AugmentedCoeffs(p, N), validate=False)
+        dev, mean = reference_law.oracle_modes(p.A, p.B, p.C, p.D, p.F, p.Ftilde, p.Q, p.R,
+                                               p.G, p.Gamma, p.GammaBar, N, p.T,
+                                               p.grid().nodes)
+        assert np.max(np.abs(law.P_mean.values - mean)) <= 1e-9 * np.max(np.abs(mean))
+        if N > 1:
+            assert np.max(np.abs(law.P_dev.values - dev)) <= 1e-9 * np.max(np.abs(dev))
+
+
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 2)])
 @pytest.mark.parametrize("time_varying", [False, True], ids=["constant", "time_varying"])
 def test_p_operator_rows_are_the_linear_part_S_and_numerator(time_varying, n, m):
@@ -215,7 +236,8 @@ ORACLE_NAMES = ("A", "B", "C", "D", "F", "Ftilde", "Q", "R", "Gamma")
 
 def lapack_sweep(params, grid, operator, names, terminals, what):
     """riccati._riccati_sweep on constant coefficients with a LAPACK solve
-    for every stage's gain: the reference for its closed-form m <= 2 gains."""
+    for every stage's gain, stepped on arrays by ode.integrate_rk4: the
+    reference for its closed-form m <= 2 gains and its float loop."""
     assert not any(params.is_time_varying(name) for name in names)
     k, n, m = len(terminals), params.n, params.m
     kn2, m2 = k * n * n, m * m
@@ -236,6 +258,31 @@ def lapack_sweep(params, grid, operator, names, terminals, what):
     y0 = np.append(symmetrize(np.stack(terminals)).ravel(), 1.0)
     y = integrate_rk4(rhs, y0, grid, "backward", project=lambda y: 0.5 * (y + y[swap]))
     return np.ascontiguousarray(y.values[:, :kn2]).reshape(-1, k, n, n)
+
+
+@pytest.mark.parametrize("later", [False, True], ids=["alone", "singular_after"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_blowup_inside_a_chunk_of_the_P_sweep_names_its_node(m, later):
+    # A = C = D = 0, B = e_1', R = I, Q = -q and G = 0 give dP/dt = q + P^2,
+    # whose P(t) = -sqrt(q) tan(sqrt(q) (T - t)) escapes at T - t = 0.521,
+    # inside a chunk of the 400-step sweep.  lapack_sweep, on integrate_rk4,
+    # names the node.  With later, R's node values make S exactly singular
+    # at the midpoint of the step after that node, a stage in the same
+    # chunk, and the blow-up is still what is named
+    q = (np.pi / (2 * 0.521)) ** 2
+    p = rand_params(np.random.default_rng(0), n=1, m=m, steps=400)
+    p.A, p.C, p.D, p.G = np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, m)), np.zeros((1, 1))
+    p.B, p.Q, p.R = np.eye(1, m), np.array([[-q]]), np.eye(m)
+    with pytest.raises(NonFiniteError) as ref:
+        lapack_sweep(p, p.grid(), riccati.p_operator, P_NAMES, [p.G], "R + D'PD")
+    node = int(str(ref.value).rsplit(" ", 1)[1])
+    ends = next(ks - 1 for ks, _ in ode.sweep_chunks(p.grid(), "backward")[1] if node in ks - 1)
+    assert ends[-1] < node < ends[0]
+    if later:
+        p.R = np.broadcast_to(np.eye(m), (p.steps + 1, m, m)).copy()
+        p.R[node - 1] = -np.eye(m)
+    with pytest.raises(NonFiniteError, match=rf"^blow-up detected at node {node}$"):
+        solve_P(p)
 
 
 def both_sweeps(p, N=3):
