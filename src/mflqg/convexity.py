@@ -58,8 +58,10 @@ def check_psd_case(params: ModelParams) -> ConvexityVerdict:
     lam_r = eig_min(params.node_table("R"))
     lam_g = eig_min(params.G)
     witness = {"lambda_min_Q": lam_q, "lambda_min_R": lam_r, "lambda_min_G": lam_g}
-    if min(lam_q, lam_r, lam_g) < -UNIFORM_TOL:
-        return ConvexityVerdict(NOT_VERIFIED, "psd-weights", witness)
+    for name, lam in (("Q", lam_q), ("R", lam_r), ("G", lam_g)):
+        if lam < -UNIFORM_TOL:
+            witness["failed"] = f"{name} >= 0"
+            return ConvexityVerdict(NOT_VERIFIED, "psd-weights", witness)
     if lam_r > UNIFORM_TOL:
         witness["margin"] = lam_r
         return ConvexityVerdict(UNIFORMLY_CONVEX, "psd-weights", witness)
@@ -107,25 +109,23 @@ def check_decoupled_indefinite(params: ModelParams, dQ=None, dG=None) -> Convexi
     q_tight = Qt - mean_weight(Qt, params.node_table("Gamma"))
     g_tight = params.G - mean_weight(params.G, params.GammaBar)
     dQt, dGm = _shift(dQ, q_tight, "dQ"), _shift(dG, g_tight, "dG")
-    q_gap, g_gap = eig_min(q_tight), eig_min(g_tight)
-    witness = {"lambda_min_Q_minus_Qhat": q_gap, "lambda_min_G_minus_Ghat": g_gap}
-    if q_gap < -UNIFORM_TOL or g_gap < -UNIFORM_TOL:
-        return ConvexityVerdict(NOT_VERIFIED, "decoupled-indefinite", witness)
-
-    dq_ok, dg_ok = eig_min(dQt - q_tight), eig_min(dGm - g_tight)
-    witness.update(lambda_min_dQ_gap=dq_ok, lambda_min_dG_gap=dg_ok)
-    if dq_ok < -UNIFORM_TOL:
-        witness["failed"] = "dQ >= Q - Qhat"
-        return ConvexityVerdict(NOT_VERIFIED, "decoupled-indefinite", witness)
-    if dg_ok < -UNIFORM_TOL:
-        witness["failed"] = "dG >= G - Ghat"
-        return ConvexityVerdict(NOT_VERIFIED, "decoupled-indefinite", witness)
+    witness = {}
+    # the hypotheses in order, each with the witness entry that judges it
+    for failed, key, M in (("Q - Qhat >= 0", "lambda_min_Q_minus_Qhat", q_tight),
+                           ("G - Ghat >= 0", "lambda_min_G_minus_Ghat", g_tight),
+                           ("dQ >= Q - Qhat", "lambda_min_dQ_gap", dQt - q_tight),
+                           ("dG >= G - Ghat", "lambda_min_dG_gap", dGm - g_tight)):
+        witness[key] = eig_min(M)
+        if witness[key] < -UNIFORM_TOL:
+            witness["failed"] = failed
+            return ConvexityVerdict(NOT_VERIFIED, "decoupled-indefinite", witness)
 
     shifted = replace(params, Q=Qt - dQt, G=symmetrize(params.G - dGm))
     try:
         _, margin = solve_P(shifted)
     except (NonFiniteError, RegularityLostError) as exc:
         witness["riccati"] = f"failed: {exc}"
+        witness["failed"] = "shifted Riccati regular on [0, T]"
         return ConvexityVerdict(NOT_VERIFIED, "decoupled-indefinite", witness)
     witness["margin"] = margin
     return ConvexityVerdict(UNIFORMLY_CONVEX, "decoupled-indefinite", witness)

@@ -191,7 +191,7 @@ def _run_chunks(fn, chunks):
 def _check_bank(noise, grid: TimeGrid, N: int) -> None:
     check_population_size(N)
     if grid != noise.grid:
-        raise GridMismatchError("law grid does not match the noise grid")
+        raise GridMismatchError(f"the noise bank is sampled on {noise.grid}, the law on {grid}")
     if noise.n_agents < N:
         raise GridMismatchError(f"noise bank holds {noise.n_agents} agents, need {N}")
 

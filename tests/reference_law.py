@@ -23,19 +23,39 @@ The oracle's modes of N agents share the agent block P_d = P_dev +
 
 with Qhat = (Gamma - I)'Q(Gamma - I) and Ghat = (GammaBar - I)'G(GammaBar - I),
 integrated together by the same DOP853 solve.
+
+As N grows, P_d tends to P_dev = P, and the oracle tends to its limit law:
+P as above, Pi the mean mode with every noise term read through P,
+K_dev = Theta1, K_mean = -S^{-1} (B'Pi + D'P (C + Ft)), and the mean mode's
+adjoint
+
+    phi' = -(A + F + B K_mean)'phi - s1,  phi(T) = s2,
+    s1 = Gamma'Q eta - Q eta,  s2 = GammaBar'G etaBar - G etaBar,
+
+with affine = -S^{-1} B'phi.  P, Pi and phi are one backward DOP853 solve;
+the population mean m' = (A + F + B K_mean) m + B affine, m(0) = xi0, is a
+forward one reading it, and the limit law's affine gain is
+theta_inf = (K_mean - K_dev) m + affine.
 """
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 
+def _dense(rhs, y0, t0, t1):
+    """The DOP853 solve of y' = rhs(t, y) from y(t0) = y0 to t1, as its dense
+    output: a function of the times, one column per time."""
+    sol = solve_ivp(rhs, (t0, t1), np.ravel(y0), method="DOP853",
+                    rtol=1e-13, atol=1e-15, dense_output=True)
+    assert sol.success, sol.message
+    return sol.sol
+
+
 def _backward(rhs, terminal, T, times) -> np.ndarray:
     """The DOP853 solve of y' = rhs(t, y), y(T) = terminal, at each of ``times``."""
     terminal = np.asarray(terminal, dtype=float)
-    sol = solve_ivp(rhs, (T, 0.0), terminal.ravel(), method="DOP853",
-                    rtol=1e-13, atol=1e-15, dense_output=True)
-    assert sol.success, sol.message
-    return sol.sol(np.asarray(times, dtype=float)).T.reshape((-1,) + terminal.shape)
+    sol = _dense(rhs, terminal, T, 0.0)
+    return sol(np.asarray(times, dtype=float)).T.reshape((-1,) + terminal.shape)
 
 
 def riccati_P(A, B, C, D, Q, R, G, T, times) -> np.ndarray:
@@ -79,3 +99,44 @@ def theta1(P, B, C, D, R) -> np.ndarray:
     """Theta1 = -(R + D'PD)^{-1} (B'P + D'PC) at each matrix of the stack P."""
     DtP = D.T @ P
     return -np.linalg.solve(R + DtP @ D, B.T @ P + DtP @ C)
+
+
+def limit_law(A, B, C, D, F, Ft, Q, R, G, Gamma, GammaBar, eta, etaBar, xi0, T, times):
+    """(Pi, theta_inf) of the N = infinity oracle at each of ``times`` in
+    [0, T], of shapes (len(times), n, n) and (len(times), m)."""
+    n = A.shape[0]
+    eye = np.eye(n)
+    Qhat = (Gamma - eye).T @ Q @ (Gamma - eye)
+    Ghat = (GammaBar - eye).T @ G @ (GammaBar - eye)
+    s1 = Gamma.T @ Q @ eta - Q @ eta
+    s2 = GammaBar.T @ G @ etaBar - G @ etaBar
+    Am, Cm = A + F, C + Ft
+
+    def unpack(y):
+        """P, Pi, phi off y, with the gains and the affine they give."""
+        P, Pi = y[:2 * n * n].reshape(2, n, n)
+        phi = y[2 * n * n:]
+        S = R + D.T @ P @ D
+        N_dev, N_mean = B.T @ P + D.T @ P @ C, B.T @ Pi + D.T @ P @ Cm
+        K_dev, K_mean = -np.linalg.solve(S, N_dev), -np.linalg.solve(S, N_mean)
+        return P, Pi, phi, N_dev, N_mean, K_dev, K_mean, -np.linalg.solve(S, B.T @ phi)
+
+    def backward(t, y):
+        P, Pi, phi, N_dev, N_mean, K_dev, K_mean, _ = unpack(y)
+        # N'S^{-1}N = -N'K
+        dev = P @ A + A.T @ P + C.T @ P @ C + Q + N_dev.T @ K_dev
+        mean = Pi @ Am + Am.T @ Pi + Cm.T @ P @ Cm + Qhat + N_mean.T @ K_mean
+        return -np.concatenate([dev.ravel(), mean.ravel(), (Am + B @ K_mean).T @ phi + s1])
+
+    sol = _dense(backward, np.concatenate([G.ravel(), Ghat.ravel(), s2]), T, 0.0)
+
+    def forward(t, m):
+        *_, K_mean, affine = unpack(sol(t))
+        return (Am + B @ K_mean) @ m + B @ affine
+
+    mean = _dense(forward, xi0, 0.0, T)
+    times = np.asarray(times, dtype=float)
+    laws = [unpack(y) for y in sol(times).T]
+    theta = [(K_mean - K_dev) @ m + affine
+             for (*_, K_dev, K_mean, affine), m in zip(laws, mean(times).T)]
+    return np.array([law[1] for law in laws]), np.array(theta)

@@ -101,6 +101,16 @@ def test_gap_study_takes_the_decoupled_certificate():
     assert g.warnings == []
 
 
+def test_gap_study_on_gap_scalar_validates_every_oracle():
+    # the stationarity verdict judges each direction once on the mean g and
+    # c, so at seed 0 every N's oracle passes, and no decentralized cost
+    # undercuts the oracle's by more than 2 standard errors
+    p = load_config(REPO / "perfbench" / "gap_scalar.json")
+    table = gap_study(p, [2, 4, 8], paths=50, seed=0)
+    assert [row[0] for row in table.rows] == [2, 4, 8]
+    assert all(gap >= -2.0 * se for _, _, _, gap, se in table.rows)
+
+
 def test_studies_wrap_their_bank_seeds_at_the_top_of_the_key_range(rng):
     # the bank of population size N is seeded (seed + N) mod 2**64, so at
     # seed 2**64 - 1 it is the bank seeded N - 1

@@ -278,6 +278,37 @@ def test_coupled_overflowing_growth_factor():
     assert v.witness["lhs"] == -np.inf
 
 
+DECOUPLED = dict(F=[[0.0]], Ftilde=[[0.0]])
+
+
+@pytest.mark.parametrize("check, over, shifts, failed", [
+    (check_psd_case, dict(Q=[[-1.0]]), {}, "Q >= 0"),
+    (check_psd_case, dict(R=[[-1.0]]), {}, "R >= 0"),
+    (check_psd_case, dict(G=[[-1.0]]), {}, "G >= 0"),
+    (check_decoupled_indefinite, dict(DECOUPLED, Gamma=[[3.0]]), {}, "Q - Qhat >= 0"),
+    (check_decoupled_indefinite, dict(DECOUPLED, GammaBar=[[3.0]]), {}, "G - Ghat >= 0"),
+    (check_decoupled_indefinite, DECOUPLED, dict(dQ=[[0.0]]), "dQ >= Q - Qhat"),
+    (check_decoupled_indefinite, DECOUPLED, dict(dG=[[0.0]]), "dG >= G - Ghat"),
+    (check_decoupled_indefinite, DECOUPLED, dict(dQ=[[20.0]]), "shifted Riccati regular on [0, T]"),
+    (check_coupled_indefinite, dict(G=[[-1.0]]), {}, "G >= 0"),
+    (check_coupled_indefinite, dict(Gamma=[[3.0]]), {}, "Q - Qhat >= 0"),
+    (check_coupled_indefinite, {}, dict(dQ=[[0.0]]), "dQ >= Q - Qhat"),
+    (check_coupled_indefinite, {}, {}, "lam_min(Q - dQ) <= 0"),
+    (check_coupled_indefinite, dict(R=[[0.0]]), dict(dQ=[[2.0]]),
+     "K e^{2KT} lam_min(Q - dQ) + lam_min(R)/2 >= 0"),
+], ids=["psd-Q", "psd-R", "psd-G", "decoupled-Q-Qhat", "decoupled-G-Ghat", "decoupled-dQ",
+        "decoupled-dG", "decoupled-riccati", "coupled-G", "coupled-Q-Qhat", "coupled-dQ",
+        "coupled-Q-dQ", "coupled-gronwall"])
+def test_every_not_verified_verdict_names_its_failed_hypothesis(check, over, shifts, failed):
+    # one gap-scalar variant per NotVerified branch of the three certificates:
+    # Gamma = 3 gives Qhat = 4Q, the shift 0 falls short of Q - Qhat = 0.75 or
+    # G - Ghat = 0.255, the default shift leaves Q - dQ = Qhat = 0.25 > 0, and
+    # dQ = 20 drives the shifted Riccati equation out of regularity
+    v = check(gap_scalar_params(**over), **shifts)
+    assert v.status == NOT_VERIFIED
+    assert v.witness["failed"] == failed
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_shift_is_refused(rng, bad):
     p = rand_params(rng, n=2, m=2, coupled=False)

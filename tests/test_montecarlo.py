@@ -321,6 +321,20 @@ def test_centralized_run_refuses_a_law_solved_for_another_N():
         simulate_centralized(AugmentedCoeffs(p, 3), law, noise)
 
 
+def test_simulators_refuse_a_bank_off_the_law_grid_or_short_of_agents():
+    # every simulator reads its bank at the law's nodes, one stream per agent
+    p = gap_scalar_params(steps=20)
+    aug = AugmentedCoeffs(p, 3)
+    law = solve_oracle(aug, validate=False)
+    off = NoiseBank(seed=1, n_paths=2, n_agents=3, grid=TimeGrid(p.T, 40))
+    with pytest.raises(GridMismatchError, match=r"^the noise bank is sampled on "
+                       r"TimeGrid\(T=1.0, steps=40\), the law on TimeGrid\(T=1.0, steps=20\)$"):
+        simulate_centralized(aug, law, off)
+    short = NoiseBank(seed=1, n_paths=2, n_agents=2, grid=law.grid)
+    with pytest.raises(GridMismatchError, match="^noise bank holds 2 agents, need 3$"):
+        simulate_centralized(aug, law, short)
+
+
 def test_social_cost_of_an_oracle_run_on_its_own_grid():
     # the oracle's law lives on a 400-step grid, the config's on 200: the
     # stored run's costs are read at the run's own nodes
