@@ -108,8 +108,9 @@ def gap_study(params: ModelParams, N_list, paths: int, seed: int, *,
     self-check), both laws are simulated under one noise bank, and the gap
     (J_dec - J_oracle)/N is reported with the standard error of the pathwise
     difference (common random numbers), each N's bank seeded by
-    :func:`_bank_seed`.  Every N, its stacked system and the path count are
-    checked before anything is solved.  It warns, noted in ``warnings``,
+    :func:`_bank_seed`.  The bank is drawn once, one noise chunk at a time,
+    and both simulations read each chunk.  Every N, its stacked system and
+    the path count are checked before anything is solved.  It warns, noted in ``warnings``,
     unless a verdict of ``convexity.report_all`` is UniformlyConvex.
     """
     check_seed(seed)
@@ -127,12 +128,15 @@ def gap_study(params: ModelParams, N_list, paths: int, seed: int, *,
         oracle = solve_oracle(aug, law.grid, validate=validate_oracle,
                               validation_seed=seed ^ 0xACE1, validation_paths=1024)
         noise = NoiseBank(seed=_bank_seed(seed, N), n_paths=paths, n_agents=N, grid=law.grid)
-        dec = simulate_decentralized(params, law, N, noise, store=False)
-        cen = simulate_centralized(aug, oracle, noise, store=False)
-        diff = (dec.J_soc - cen.J_soc) / N
+        dec, cen = [], []
+        for chunk in noise.drawn_chunks():
+            dec.append(simulate_decentralized(params, law, N, chunk, store=False).J_soc)
+            cen.append(simulate_centralized(aug, oracle, chunk, store=False).J_soc)
+            del chunk   # freed before the next chunk is drawn
+        dec, cen = np.concatenate(dec), np.concatenate(cen)
+        diff = (dec - cen) / N
         se = float(diff.std(ddof=1) / np.sqrt(paths)) if paths > 1 else 0.0
-        rows.append((N, float(dec.J_soc.mean() / N), float(cen.J_soc.mean() / N),
-                     float(diff.mean()), se))
+        rows.append((N, float(dec.mean() / N), float(cen.mean() / N), float(diff.mean()), se))
     return GapTable(rows=rows, warnings=notes)
 
 

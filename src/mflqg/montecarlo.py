@@ -11,9 +11,12 @@ its paths into cache-sized chunks and runs them in order on the calling
 thread: each numpy call on such a chunk lasts microseconds, so pool workers
 would mostly hand the interpreter lock back and forth rather than compute
 at once (inferred, not traced).  On a 2-core host with one BLAS thread, the
-tangent pass of gap-scalar's 1024 validation paths took, in the median of
-7 runs, 175.0 ms serial and 178.5 ms on two workers at N = 8 (4 chunks),
-83.9 and 85.3 ms at N = 4 (2 chunks), with bit-identical costs.
+tangent pass of gap-scalar's 1024 validation paths at N = 8 (2 chunks)
+took, in the median of 7 interleaved runs, 167.3 ms serial and 177.4 ms on
+two workers (191.4 and 192.1 ms in a second set), with bit-identical costs;
+at N = 4 it is one chunk.  The gap study draws each bank once, chunk by
+chunk, and runs both of its simulations on each chunk before drawing the
+next (:meth:`NoiseBank.drawn_chunks`).
 
 Every control law here is u_i = Ga x_i + Gb xavg + a_i, so one kernel,
 :func:`_em`, steps a law folded into per-node tables before the loop: the
@@ -68,7 +71,7 @@ STORE_BUDGET = 2**28
 # multi-plane pass (small enough to stay in cache, so run on the calling
 # thread; see the module docstring)
 NOISE_CHUNK_SCALARS = 2**24
-PLANE_CHUNK_SCALARS = 2**14
+PLANE_CHUNK_SCALARS = 2**15
 
 
 def worker_count() -> int:
@@ -124,17 +127,29 @@ class NoiseBank:
         """(paths, n_agents, steps) increments.  One bit generator serves the
         call: rewound to counter 0 under a stream's key, it is that stream."""
         bits = np.random.Philox(key=0)
-        gen = np.random.Generator(bits)
+        draw = np.random.Generator(bits).standard_normal
         key = [self.seed, 0]    # Python ints: the state setter reads them faster than arrays
         state = {**bits.state, "state": {"counter": [0] * 4, "key": key}, "buffer": [0] * 4}
         out = np.empty((len(paths), self.n_agents, self.grid.steps))
-        for j, path in enumerate(paths):
-            for agent in range(self.n_agents):
-                key[1] = ((path << 32) | agent) & (2**64 - 1)
-                bits.state = state
-                gen.standard_normal(out=out[j, agent])
+        words = [((path << 32) | agent) & (2**64 - 1)
+                 for path in paths for agent in range(self.n_agents)]
+        for word, row in zip(words, out.reshape(-1, self.grid.steps)):
+            key[1] = word
+            bits.state = state
+            draw(out=row)
         out *= np.sqrt(self.grid.dt)
         return out
+
+    def drawn_chunks(self):
+        """The bank cut into noise chunks, in path order, each a bank of its
+        own paths drawn once when the iteration reaches it: every simulation
+        handed a chunk reads its increments in place.  Chunk boundaries are
+        those of a simulation of all n_agents agents over the bank, so each
+        simulation of a chunk runs the same operations as over the bank.
+        """
+        for paths in _chunks(self.n_paths, self.n_agents * self.grid.steps):
+            yield _DrawnChunk(self.seed, len(paths), self.n_agents, self.grid,
+                              self.increments_block(paths))
 
     def materialized(self) -> "NoiseBank":
         """The bank itself: its keyed streams regenerate any block bit for
@@ -143,6 +158,17 @@ class NoiseBank:
         which perfbench patches to count the paths drawn.
         """
         return self
+
+
+@dataclass(frozen=True, eq=False)
+class _DrawnChunk(NoiseBank):
+    """Paths of a bank, drawn: path j of the chunk is its first path + j,
+    and its increments are read from dW without a copy."""
+
+    dW: np.ndarray
+
+    def increments_block(self, paths) -> np.ndarray:
+        return self.dW[paths.start:paths.stop]
 
 
 @dataclass
@@ -259,8 +285,9 @@ class _AgentFold:
         self.Ga, self.Gb, self.a, self.xi0, self.N = Ga, Gb, a, params.xi0, N
         self.cost_shape = (N,)
 
-    def increment(self, dWk):
-        return np.ascontiguousarray(dWk.T)
+    def diffuse(self, kick, dW):
+        """kick *= dW_i, with dW the step's (N, P) increments."""
+        kick *= dW
 
     def initial(self, P: int) -> np.ndarray:
         return np.repeat(self.xi0, self.N * P).reshape(-1, self.N, P)
@@ -338,9 +365,11 @@ class _StackedFold:
         self.gain, self.affine = lay(agent.Ga, agent.Gb), a.reshape(K, N * m)
         self.N, self.n = N, n
 
-    def increment(self, dWk):
-        dWk = np.repeat(dWk.T, self.n, axis=0)
-        return dWk.reshape(dWk.shape[:1] + (1,) * len(self.lead) + dWk.shape[1:])
+    def diffuse(self, kick, dW):
+        """kick *= dW_i on agent i's n coordinates of every plane, with dW the
+        step's (N, P) increments."""
+        kick = kick.reshape((self.N, self.n) + kick.shape[1:])
+        kick *= dW.reshape((self.N, 1) + (1,) * len(self.lead) + dW.shape[1:])
 
     def initial(self, P: int) -> np.ndarray:
         return np.broadcast_to(self.start, self.start.shape[:1] + self.lead + (P,)).copy()
@@ -380,32 +409,44 @@ class _StackedFold:
 def _em(fold, dW: np.ndarray, kind: str, record=None) -> np.ndarray:
     """The Euler-Maruyama kernel: the costs, shape (*fold.cost_shape, P), of one chunk.
 
-    dW is the chunk's (P, N, steps) increments; every agent starts at xi0
-    (a tangent plane at zero).
-    At node k the product Z = maps[k] X holds the drift increments, the
-    diffusion coefficients and the cost forms without their offsets;
-    fold.node(k, X, Z) gives the agent means, the two offsets and the node's
-    cost.  record(k, X, xavg) sees every node.  The agent means are checked
-    at every node by ``ode.blown_up``, which a NaN or Inf state fails too.
+    dW is the chunk's (P, N, steps) increments; every agent starts at xi0 (a
+    tangent plane at zero).  Each step gathers its (N, P) increments once:
+    broadcast over the kick straight from dW, whose paths lie N * steps
+    apart, they took twice as long as the gather over the 6 planes of the
+    oracle's stationarity check, and no less on one plane.
+    At node k the product Z = maps[k] X, written into one buffer for the
+    chunk, holds the drift increments, the diffusion coefficients and the
+    cost forms without their offsets; fold.node(k, X, Z) gives the agent
+    means, the two offsets and the node's cost.  record(k, X, xavg) sees
+    every node.  Each node's peak |agent mean| is kept, and once the chunk
+    is stepped ``ode.blown_up`` judges them all: the first node past its
+    bound, or NaN or Inf, is named, and the overflow that may follow it in
+    the chunk's later steps warns of nothing.
     """
     X = fold.initial(len(dW))
-    d = len(X)
+    d, steps = len(X), dW.shape[-1]
     run = np.zeros(fold.cost_shape + X.shape[-1:])
-    for k in range(dW.shape[-1] + 1):
-        Z = (fold.maps[k] @ X.reshape(d, -1)).reshape((-1,) + X.shape[1:])
-        xb, drift, diff, cost = fold.node(k, X, Z)
-        if blown_up(xb):
-            raise NonFiniteError(f"{kind} simulation blew up at step {k}")
-        if record is not None:
-            record(k, X, xb)
-        run += cost
-        if k < dW.shape[-1]:
-            inc, kick = Z[:d], Z[d:2 * d]
-            inc += drift
-            kick += diff
-            kick *= fold.increment(dW[..., k])
-            inc += kick
-            X += inc
+    Z = np.empty((len(fold.maps[0]),) + X.shape[1:])
+    product, state = Z.reshape(len(Z), -1), X.reshape(d, -1)
+    peak = np.empty(steps + 1)
+    with np.errstate(all="ignore"):
+        for k in range(steps + 1):
+            np.matmul(fold.maps[k], state, out=product)
+            xb, drift, diff, cost = fold.node(k, X, Z)
+            peak[k] = np.abs(xb).max()
+            if record is not None:
+                record(k, X, xb)
+            run += cost
+            if k < steps:
+                inc, kick = Z[:d], Z[d:2 * d]
+                inc += drift
+                kick += diff
+                fold.diffuse(kick, np.ascontiguousarray(dW[..., k].T))
+                inc += kick
+                X += inc
+        bad = np.flatnonzero(blown_up(peak[:, None], axis=1))
+    if bad.size:
+        raise NonFiniteError(f"{kind} simulation blew up at step {bad[0]}")
     return run
 
 

@@ -102,8 +102,9 @@ def theta1(P, B, C, D, R) -> np.ndarray:
 
 
 def limit_law(A, B, C, D, F, Ft, Q, R, G, Gamma, GammaBar, eta, etaBar, xi0, T, times):
-    """(Pi, theta_inf) of the N = infinity oracle at each of ``times`` in
-    [0, T], of shapes (len(times), n, n) and (len(times), m)."""
+    """(Pi, theta_inf, phi, affine) of the N = infinity oracle at each of
+    ``times`` in [0, T], of shapes (len(times), n, n), (len(times), m),
+    (len(times), n) and (len(times), m)."""
     n = A.shape[0]
     eye = np.eye(n)
     Qhat = (Gamma - eye).T @ Q @ (Gamma - eye)
@@ -139,4 +140,5 @@ def limit_law(A, B, C, D, F, Ft, Q, R, G, Gamma, GammaBar, eta, etaBar, xi0, T, 
     laws = [unpack(y) for y in sol(times).T]
     theta = [(K_mean - K_dev) @ m + affine
              for (*_, K_dev, K_mean, affine), m in zip(laws, mean(times).T)]
-    return np.array([law[1] for law in laws]), np.array(theta)
+    return (np.array([law[1] for law in laws]), np.array(theta),
+            np.array([law[2] for law in laws]), np.array([law[-1] for law in laws]))

@@ -1,17 +1,18 @@
 """Convergence table, gap study plumbing, Lyapunov-pair boundedness."""
 
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mflqg import analysis, ode
+from mflqg import analysis, montecarlo, ode
 from mflqg.analysis import convergence_study, gap_study, lambda_boundedness
 from mflqg.consistency import solve_cc
 from mflqg.errors import GridMismatchError, InvalidNError, SettingError
 from mflqg.model import AugmentedCoeffs, ModelParams, load_config
-from mflqg.montecarlo import NoiseBank, simulate_decentralized
+from mflqg.montecarlo import NoiseBank, simulate_centralized, simulate_decentralized
 from mflqg.ode import Trajectory, integrate_rk4, interp
 from mflqg.presets import repro_instance
 from mflqg.riccati import FeedbackLaw, solve_oracle
@@ -109,6 +110,41 @@ def test_gap_study_on_gap_scalar_validates_every_oracle():
     table = gap_study(p, [2, 4, 8], paths=50, seed=0)
     assert [row[0] for row in table.rows] == [2, 4, 8]
     assert all(gap >= -2.0 * se for _, _, _, gap, se in table.rows)
+
+
+@pytest.mark.parametrize("cap", [2**24, 2**10], ids=["one-chunk", "four-chunks"])
+def test_gap_study_draws_each_bank_once_one_chunk_at_a_time(monkeypatch, cap):
+    # both simulations of a population size read one draw of its bank, chunk
+    # by chunk, each chunk freed before the next is drawn; the rows are those
+    # of the two simulations run over the whole bank
+    monkeypatch.setattr(montecarlo, "NOISE_CHUNK_SCALARS", cap)
+    p = load_config(REPO / "perfbench" / "gap_scalar.json")
+    _, law = solve_cc(p)
+    paths, seed = 7, 5
+    drawn, held = {}, []
+    block = NoiseBank.increments_block
+
+    def recorded(bank, chunk):
+        assert all(ref() is None for ref in held), "a drawn chunk outlived its simulations"
+        out = block(bank, chunk)
+        drawn.setdefault(bank.seed, []).append(len(chunk))
+        held.append(weakref.ref(out))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(NoiseBank, "increments_block", recorded)
+        table = gap_study(p, [2, 3], paths=paths, seed=seed, law=law, validate_oracle=False)
+    assert {s: sum(sizes) for s, sizes in drawn.items()} == {seed + 2: paths, seed + 3: paths}
+    assert len(drawn[seed + 2]) == (4 if cap == 2**10 else 1)
+    for N, row in zip([2, 3], table.rows):
+        aug = AugmentedCoeffs(p, N)
+        noise = NoiseBank(seed=seed + N, n_paths=paths, n_agents=N, grid=law.grid)
+        dec = simulate_decentralized(p, law, N, noise, store=False).J_soc
+        cen = simulate_centralized(aug, solve_oracle(aug, law.grid, validate=False), noise,
+                                   store=False).J_soc
+        diff = (dec - cen) / N
+        assert row == (N, float(dec.mean() / N), float(cen.mean() / N), float(diff.mean()),
+                       float(diff.std(ddof=1) / np.sqrt(paths)))
 
 
 def test_studies_wrap_their_bank_seeds_at_the_top_of_the_key_range(rng):

@@ -730,13 +730,34 @@ def blowup_params():
     return p
 
 
-@pytest.mark.parametrize("kind", ["decentralized", "centralized", "tangents"])
-def test_blowup_names_first_step_with_non_finite_agent_mean(kind):
+class FirstPathStops(NoiseBank):
+    """A bank whose path 0 draws dW = -16 for every agent at step 0: with
+    dt = 1, A = 7, C = 0.5 and no coupling or control, x = 1 steps to
+    1 + 7 - 8 = 0 exactly and stays there."""
+
+    def increments_block(self, paths):
+        dW = super().increments_block(paths)
+        if paths.start == 0:
+            dW[0, :, 0] = -16.0
+        return dW
+
+
+@pytest.mark.parametrize("kind", ["decentralized", "centralized", "tangents", "tangents-chunked"])
+def test_blowup_names_first_step_with_non_finite_agent_mean(kind, monkeypatch):
     # the tangent pass, here along zero directions, steps the law's plane as
-    # the centralized run does and names the blow-up as it does
+    # the centralized run does and names the blow-up as it does.  A chunk is
+    # judged once stepped, and the overflow of its later steps warns of
+    # nothing: the runs sit outside this test's errstate, so a RuntimeWarning
+    # fails the test.  Chunked, each path is a plane chunk of its own and
+    # path 0 never blows up, so the blow-up falls in a later chunk.
     p = blowup_params()
     grid, N = p.grid(), 3
     noise = NoiseBank(seed=8, n_paths=4, n_agents=N, grid=grid)
+    if kind == "tangents-chunked":
+        p.A, p.F, p.Ftilde = np.array([[7.0]]), np.zeros((1, 1)), np.zeros((1, 1))
+        noise = FirstPathStops(seed=8, n_paths=4, n_agents=N, grid=grid)
+        monkeypatch.setattr(montecarlo, "PLANE_CHUNK_SCALARS", 3 * N)
+        assert len(montecarlo._chunks(4, 3 * N, 3 * N)) == 4
     zero = np.zeros((grid.steps + 1, 1, 1))
     label = "decentralized" if kind == "decentralized" else "centralized"
     aug, law = AugmentedCoeffs(p, N), block_law(grid, N, np.zeros((1, 1)), np.zeros(1))
@@ -745,14 +766,16 @@ def test_blowup_names_first_step_with_non_finite_agent_mean(kind):
                             decentralized_control(zero, zero[..., 0]))[2]
         # the first step whose agent mean leaves the ODE layer's bound
         first = int(np.argmin(np.abs(xavg).max(axis=(0, 2)) <= BLOWUP_NORM))
-        assert 0 < first < grid.steps
-        with pytest.raises(NonFiniteError, match=f"^{label} simulation blew up at step {first}$"):
-            if kind == "decentralized":
-                simulate_decentralized(p, make_law(grid, 1, 1), N, noise, store=False)
-            elif kind == "centralized":
-                simulate_centralized(aug, law, noise, store=False)
-            else:
-                centralized_tangents(aug, law, np.zeros((2, grid.steps + 1, N)), noise)
+        if kind == "tangents-chunked":
+            assert np.array_equal(xavg[0, 1:], np.zeros((grid.steps, 1)))
+    assert 0 < first < grid.steps
+    with pytest.raises(NonFiniteError, match=f"^{label} simulation blew up at step {first}$"):
+        if kind == "decentralized":
+            simulate_decentralized(p, make_law(grid, 1, 1), N, noise, store=False)
+        elif kind == "centralized":
+            simulate_centralized(aug, law, noise, store=False)
+        else:
+            centralized_tangents(aug, law, np.zeros((2, grid.steps + 1, N)), noise)
 
 
 def test_sampled_coefficients_must_sit_on_the_law_grid(rng):
