@@ -440,7 +440,9 @@ def solve_cc(params: ModelParams) -> tuple[CCSolution, FeedbackLaw]:
     certificate -> mean-field extraction -> gains.  The law's affine adjoint
     is cross-checked by integrating it directly from the extracted mean fields
     (both routes must agree); the max deviation lands in the diagnostics,
-    with max|K| and the smallest det U of K's Moebius sweep and its node.
+    with max|K|, the smallest det U of K's Moebius sweep and its node, and
+    beside the regularity margin the smallest lambda_min(R + D'PD) of P's
+    RK4 stages and its time.
     """
     stage = "solve_P"
     try:
@@ -468,6 +470,8 @@ def solve_cc(params: ModelParams) -> tuple[CCSolution, FeedbackLaw]:
         "k_det_u_min": K.det_u_min,
         "k_det_u_min_node": K.det_u_node,
         "regularity_margin": margin,
+        "stage_margin": P.stage_margin,
+        "stage_margin_t": P.stage_t,
         "phi_cross_max_err": cross,
     })
     law = FeedbackLaw(grid=P.grid, P=P, phi=sol.phi, Theta1=Th1, Theta2=Th2,

@@ -21,7 +21,9 @@ Two layers live here:
   the optimality-gap experiments.
 
 Regularity (R + D'PD strictly positive definite along the whole horizon) is
-always measured and enforced; the decentralized law is meaningless without it.
+always measured and enforced, at every node and at every RK4 stage of the
+sweep, by one rule (:func:`_regularity_margin`); the decentralized law is
+meaningless without it.
 
 R + D'PD and B'P + D'PC are formed as values by one kernel,
 :func:`gain_terms`, which broadcasts over time axes: the margin
@@ -47,6 +49,7 @@ whether its coefficients can be read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,16 +81,33 @@ def _check_grids(P: Trajectory, **trajs: Trajectory):
             raise GridMismatchError(f"{name} is sampled on {tr.grid}, P on {P.grid}")
 
 
-def _regularity_margin(S: np.ndarray, grid: TimeGrid, what: str) -> float:
+def _regularity_margin(S: np.ndarray, grid: TimeGrid, what: str,
+                       stage: tuple[float, float]) -> float:
     """eig_min of the node-wise gain denominators S; unless it is above
     REGULARITY_TOL, RegularityLostError names ``what`` and the node where
-    it is smallest."""
+    it is smallest.  Then the sweep's smallest stage value and its time,
+    ``stage`` = (value, t), are judged by the same rule, so a sweep that
+    stepped over a pole between two nodes is refused too."""
     margin = eig_min(S)
     if not margin > REGULARITY_TOL:
         k = int(np.argmin([eig_min(Sk) for Sk in S]))
         raise RegularityLostError(f"{what} {margin:.3e} <= {REGULARITY_TOL} at node {k} "
                                   f"(t = {grid.nodes[k]:.6g})")
+    low, t = stage
+    if not low > REGULARITY_TOL:
+        raise RegularityLostError(f"{what} {low:.3e} <= {REGULARITY_TOL} at an RK4 stage "
+                                  f"(t = {t:.6g})")
     return margin
+
+
+class PTrajectory(Trajectory):
+    """P at every node, with the smallest lambda_min(R + D'PD) its sweep met
+    at an RK4 stage (``stage_margin``) and that stage's time (``stage_t``)."""
+
+    def __init__(self, grid: TimeGrid, values: np.ndarray, stage_margin: float, stage_t: float):
+        super().__init__(grid, values)
+        self.stage_margin = stage_margin
+        self.stage_t = stage_t
 
 
 def gain_terms(P: np.ndarray, B, C, D, R, Pd=None) -> tuple[np.ndarray, np.ndarray]:
@@ -149,7 +169,7 @@ def p_operator(A, B, C, D, Q, R) -> np.ndarray:
 
 
 def _riccati_sweep(params: ModelParams, grid: TimeGrid, operator, names, terminals,
-                   what: str) -> np.ndarray:
+                   what: str) -> tuple[np.ndarray, tuple[float, float]]:
     """Backward RK4 sweep of k Riccati equations that share one gain
     denominator S, on y = (vec P_1, ..., vec P_k, 1), P_i(T) = terminals[i].
 
@@ -167,8 +187,13 @@ def _riccati_sweep(params: ModelParams, grid: TimeGrid, operator, names, termina
     det S = 0.0, or a zero pivot of the solve) raises RegularityLostError
     naming ``what`` and the stage time.  Blow-up is checked as
     ode.integrate_rk4 checks it: the boundary value, then each chunk's
-    stepped nodes, also those before a stage that raised.  Returns the
-    (steps + 1, k, n, n) nodes.
+    stepped nodes, also those before a stage that raised.  Every stage also
+    measures lambda_min(S): s at m = 1 and the closed-form smallest
+    eigenvalue of S's symmetric part, (a + d)/2 - sqrt(((a - d)/2)^2 +
+    ((b + c)/2)^2), at m = 2, float arithmetic too; above that, one eigvalsh
+    call on every stage's S once the sweep is done.  The sweep judges none of
+    them, its caller does (:func:`_regularity_margin`).  Returns the
+    (steps + 1, k, n, n) nodes and (the smallest stage value, its time).
     """
     k, n, m = len(terminals), params.n, params.m
     kn2, m2, mn = k * n * n, m * m, m * n
@@ -179,16 +204,22 @@ def _riccati_sweep(params: ModelParams, grid: TimeGrid, operator, names, termina
     # at m = 2, where each column's two entries sit in z
     cols = [(at + i * mn + c, at + i * mn + n + c) for i in range(k) for c in range(n)]
 
+    low, low_t = math.inf, math.nan    # the smallest stage lambda_min(S) and its time
+    wide = []                          # m >= 3: each stage's (t, S), for one eigvalsh
+
     def singular(t):
         return RegularityLostError(f"{what} singular at t={t:.6g}")
 
     def rhs(t, ops, y):
+        nonlocal low, low_t
         z = ops.dot(y).tolist()
         # S is shared by the k numerators; corr is the vec of each num_i' gain_i
         if m == 1:
             s = z[kn2 + 1]
             if s == 0.0:
                 raise singular(t)
+            if s < low:
+                low, low_t = s, t
             num = z[at:]
             gain = [x / s for x in num]
             corr = [num[p] * gain[q] for p, q in pairs]
@@ -197,16 +228,21 @@ def _riccati_sweep(params: ModelParams, grid: TimeGrid, operator, names, termina
             det = a * d - b * c
             if det == 0.0:
                 raise singular(t)
+            half_gap, off = 0.5 * (a - d), 0.5 * (b + c)
+            lam = 0.5 * (a + d) - math.sqrt(half_gap * half_gap + off * off)
+            if lam < low:
+                low, low_t = lam, t
             i0, i1, i2, i3 = d / det, -b / det, -c / det, a / det
             num = [(z[p], z[q]) for p, q in cols]
             gain = [(i0 * x + i1 * w, i2 * x + i3 * w) for x, w in num]   # adj(S) num / det S
             corr = [num[p][0] * gain[q][0] + num[p][1] * gain[q][1] for p, q in pairs]
         else:
-            num = np.reshape(z[at:], (k, m, n))
+            S, num = np.reshape(z[kn2 + 1:at], (m, m)), np.reshape(z[at:], (k, m, n))
             try:
-                gain = np.linalg.solve(np.reshape(z[kn2 + 1:at], (m, m)), num)
+                gain = np.linalg.solve(S, num)
             except np.linalg.LinAlgError as exc:
                 raise singular(t) from exc
+            wide.append((t, S))
             corr = (num.transpose(0, 2, 1) @ gain).ravel().tolist()
         # dP_i/dt = z_i + num_i' gain_i; the zero row keeps the trailing 1
         return [x + w for x, w in zip(z, corr)] + [z[kn2]]
@@ -240,10 +276,14 @@ def _riccati_sweep(params: ModelParams, grid: TimeGrid, operator, names, termina
             if stepped:
                 out[ends] = stepped
             check_nodes(out, ends)
-    return np.ascontiguousarray(out[:, :kn2]).reshape(-1, k, n, n)
+    if wide:
+        lams = np.linalg.eigvalsh(symmetrize(np.stack([S for _, S in wide])))[:, 0]
+        j = int(np.argmin(lams))
+        low, low_t = float(lams[j]), wide[j][0]
+    return np.ascontiguousarray(out[:, :kn2]).reshape(-1, k, n, n), (low, low_t)
 
 
-def solve_P(params: ModelParams) -> tuple[Trajectory, float]:
+def solve_P(params: ModelParams) -> tuple[PTrajectory, float]:
     """Backward solve of the regular Riccati equation for P, P(T) = G, on the
     master grid.
 
@@ -261,15 +301,16 @@ def solve_P(params: ModelParams) -> tuple[Trajectory, float]:
     for the matrix form.
 
     P is re-symmetrized after every step.  Returns (P, margin) where margin is
-    the minimal node-wise lambda_min(R + D'PD); RegularityLostError if the
-    margin falls to the tolerance or R + D'PD is singular at a stage,
-    NonFiniteError on blow-up.
+    the minimal node-wise lambda_min(R + D'PD), and P carries the smallest
+    one at an RK4 stage and its time; RegularityLostError if either falls
+    to the tolerance or R + D'PD is singular at a stage, NonFiniteError on
+    blow-up.
     """
     grid = params.grid()
-    values = _riccati_sweep(params, grid, p_operator, ("A", "B", "C", "D", "Q", "R"),
-                            [params.G], "R + D'PD")
-    P = Trajectory(grid, values[:, 0])
-    return P, _regularity_margin(node_gain_terms(P, params)[0], grid, "regularity margin")
+    values, stage = _riccati_sweep(params, grid, p_operator, ("A", "B", "C", "D", "Q", "R"),
+                                   [params.G], "R + D'PD")
+    P = PTrajectory(grid, values[:, 0], *stage)
+    return P, _regularity_margin(node_gain_terms(P, params)[0], grid, "regularity margin", stage)
 
 
 def theta1(P: Trajectory, params: ModelParams) -> Trajectory:
@@ -462,16 +503,16 @@ def solve_oracle(aug: AugmentedCoeffs, grid: TimeGrid | None = None, *, validate
     # every coefficient is read on grid before any sweep: GridMismatchError
     nodes = {name: params.node_table(name, grid) for name in TIME_VARYING}
     Ghat = mean_weight(params.G, params.GammaBar)
-    Ps = _riccati_sweep(params, grid, lambda *c: oracle_operator(N, *c),
-                        ("A", "B", "C", "D", "F", "Ftilde", "Q", "R", "Gamma"),
-                        [Ghat] if N == 1 else [params.G, Ghat], "oracle R + D'bd(P)D")
+    Ps, stage = _riccati_sweep(params, grid, lambda *c: oracle_operator(N, *c),
+                               ("A", "B", "C", "D", "F", "Ftilde", "Q", "R", "Gamma"),
+                               [Ghat] if N == 1 else [params.G, Ghat], "oracle R + D'bd(P)D")
     P_dev, P_mean = Ps[:, 0], Ps[:, -1]
     Pd = P_dev + (P_mean - P_dev) / N
     # margin, mode gains and affine at every node in one batched pass
     B, C, D, R = (nodes[name] for name in ("B", "C", "D", "R"))
     S, num_dev = gain_terms(P_dev, B, C, D, R, Pd)
     _, num_mean = gain_terms(P_mean, B, C + nodes["Ftilde"], D, R, Pd)
-    margin = _regularity_margin(S, grid, f"oracle regularity margin at N = {N}:")
+    margin = _regularity_margin(S, grid, f"oracle regularity margin at N = {N}:", stage)
     K = -node_solve(S, np.concatenate([num_dev, num_mean], axis=-1))
     K_mean = K[..., n:]
 

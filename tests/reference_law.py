@@ -10,7 +10,11 @@ itself.  With constant coefficients,
 
 is integrated backward by scipy's adaptive DOP853 at rtol 1e-13 and atol
 1e-15 and read at any times through its dense output, and the gain is
-Theta1 = -S^{-1} (B'P + D'PC).
+Theta1 = -S^{-1} (B'P + D'PC).  The solver steps the full n x n state, and
+every right-hand side here reads each matrix state through its symmetric
+part: an antisymmetric part would otherwise grow unchecked on some
+instances (on one random instance it reached 17.5 and moved P by 0.41
+relative), although the true solutions are symmetric.
 
 The oracle's modes of N agents share the agent block P_d = P_dev +
 (P_mean - P_dev)/N (P_mean at N = 1) and S = R + D'P_d D:
@@ -51,6 +55,11 @@ def _dense(rhs, y0, t0, t1):
     return sol.sol
 
 
+def _sym(P: np.ndarray) -> np.ndarray:
+    """The symmetric part of P (of each matrix of a stack)."""
+    return 0.5 * (P + P.swapaxes(-1, -2))
+
+
 def _backward(rhs, terminal, T, times) -> np.ndarray:
     """The DOP853 solve of y' = rhs(t, y), y(T) = terminal, at each of ``times``."""
     terminal = np.asarray(terminal, dtype=float)
@@ -63,7 +72,7 @@ def riccati_P(A, B, C, D, Q, R, G, T, times) -> np.ndarray:
     n = A.shape[0]
 
     def rhs(t, y):
-        P = y.reshape(n, n)
+        P = _sym(y.reshape(n, n))
         S = R + D.T @ P @ D
         num = B.T @ P + D.T @ P @ C
         return -(P @ A + A.T @ P + C.T @ P @ C + Q - num.T @ np.linalg.solve(S, num)).ravel()
@@ -82,7 +91,7 @@ def oracle_modes(A, B, C, D, F, Ft, Q, R, G, Gamma, GammaBar, N, T, times):
     Am, Cm = A + F, C + Ft
 
     def rhs(t, y):
-        Pv, Pm = y.reshape(2, n, n)
+        Pv, Pm = _sym(y.reshape(2, n, n))
         Pd = Pm if N == 1 else Pv + (Pm - Pv) / N
         S = R + D.T @ Pd @ D
         Nv = B.T @ Pv + D.T @ Pd @ C
@@ -115,7 +124,7 @@ def limit_law(A, B, C, D, F, Ft, Q, R, G, Gamma, GammaBar, eta, etaBar, xi0, T, 
 
     def unpack(y):
         """P, Pi, phi off y, with the gains and the affine they give."""
-        P, Pi = y[:2 * n * n].reshape(2, n, n)
+        P, Pi = _sym(y[:2 * n * n].reshape(2, n, n))
         phi = y[2 * n * n:]
         S = R + D.T @ P @ D
         N_dev, N_mean = B.T @ P + D.T @ P @ C, B.T @ Pi + D.T @ P @ Cm

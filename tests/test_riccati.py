@@ -1,6 +1,8 @@
 """Riccati solves against closed forms, gain formulas, and the oracle."""
 
+import re
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +17,7 @@ from mflqg.errors import (
     SettingError,
     StationarityError,
 )
-from mflqg.model import AugmentedCoeffs, build_augmented, kron_eye, kron_mean
+from mflqg.model import AugmentedCoeffs, build_augmented, kron_eye, kron_mean, load_config
 from mflqg.ode import TimeGrid, Trajectory, integrate_rk4, interp, symmetrize
 from mflqg.riccati import (
     FeedbackLaw,
@@ -34,6 +36,23 @@ from mflqg.presets import repro_instance
 import reference_law
 from conftest import rand_params
 from test_montecarlo import gap_scalar_params, mode_law, stacked_tables, time_varying_params
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def scanned_instance(index, m=None):
+    """Instance ``index`` of a scan of random instances at 200 steps.  The
+    scan draws from one np.random.default_rng(5), per instance in this order:
+    n and m, each by rng.integers(1, 3) (with m given, n alone, by
+    rng.integers(1, 4)), then rand_params' scale in [0.5, 2), semidefinite
+    weights with probability 1/2 and T in [0.5, 3)."""
+    rng = np.random.default_rng(5)
+    for _ in range(index + 1):
+        n = int(rng.integers(1, 3 if m is None else 4))
+        mi = int(rng.integers(1, 3)) if m is None else m
+        p = rand_params(rng, n=n, m=mi, steps=200, scale=rng.uniform(0.5, 2.0),
+                        psd_weights=rng.random() < 0.5, T=rng.uniform(0.5, 3.0))
+    return p
 
 
 def scalar_params(rng=None, steps=1000, **over):
@@ -297,6 +316,47 @@ def test_theta2_matches_the_limit_law_of_an_independent_reference(instance):
     assert np.max(np.abs(law.Theta2.values - theta)) <= 1e-6 * np.max(np.abs(theta))
 
 
+def test_P_matches_the_symmetrized_reference_on_a_random_instance():
+    # scan instance 20 (n = m = 2, T = 2.49): a reference stepping the full
+    # matrix state without symmetrizing it let its antisymmetric part grow to
+    # 17.5 and missed the library's P by 0.41 relative.  Symmetrized, it
+    # agrees to 1.08e-8 relative, about the library's own step-doubling
+    # difference (1.01e-8 from 200 to 400 steps)
+    p = scanned_instance(20)
+    P, _ = solve_P(p)
+    fine, _ = solve_P(replace(p, steps=2 * p.steps))
+    ref = reference_law.riccati_P(p.A, p.B, p.C, p.D, p.Q, p.R, p.G, p.T, p.grid().nodes)
+    assert relative_error(P.values, ref) <= 2.0 * relative_error(P.values, fine.values[::2])
+
+
+def test_coupled_mean_variance_closed_forms():
+    # configs/meanvariance.json at R = 0: wealth at rate r with excess return
+    # mu - r and volatility sigma on the control, terminal target gamma
+    # relative to the population mean (GammaBar = g).  With rho = (mu - r)/sigma,
+    # tau = T - t and u0 = 1/(g - 1)^2, the N = infinity oracle has
+    # P = e^{(2r - rho^2) tau}, Pi = e^{2r tau}/(u0 - 1 + e^{rho^2 tau}) and
+    # phi = (g - 1) gamma e^{r tau} u0/(u0 - 1 + e^{rho^2 tau}) (measured
+    # 1.4e-15, 1.7e-15 and 1.9e-12 relative at 1000 steps); the independent
+    # reference's limit law matches Pi and phi too (4e-16 and 3e-16)
+    p = replace(load_config(REPO / "configs" / "meanvariance.json"), R=np.zeros((1, 1)))
+    r, excess, sigma = p.A[0, 0], p.B[0, 0], p.D[0, 0]
+    gamma, g = p.etaBar[0], p.GammaBar[0, 0]
+    rho2, tau, u0 = (excess / sigma) ** 2, p.T - p.grid().nodes, 1.0 / (g - 1.0) ** 2
+    denominator = u0 - 1.0 + np.exp(rho2 * tau)
+    P = np.exp((2.0 * r - rho2) * tau)
+    Pi = np.exp(2.0 * r * tau) / denominator
+    phi = (g - 1.0) * gamma * np.exp(r * tau) * u0 / denominator
+    law = solve_oracle(SimpleNamespace(params=p, N=np.inf), validate=False)
+    assert relative_error(law.P_dev.values[:, 0, 0], P) <= 1e-12
+    assert relative_error(law.P_mean.values[:, 0, 0], Pi) <= 1e-12
+    assert relative_error(law.phi.values[:, 0], phi) <= 1e-11
+    ref_Pi, _, ref_phi, _ = reference_law.limit_law(p.A, p.B, p.C, p.D, p.F, p.Ftilde, p.Q, p.R,
+                                                    p.G, p.Gamma, p.GammaBar, p.eta, p.etaBar,
+                                                    p.xi0, p.T, p.grid().nodes)
+    assert relative_error(ref_Pi[:, 0, 0], Pi) <= 1e-12
+    assert relative_error(ref_phi[:, 0], phi) <= 1e-12
+
+
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 2)])
 @pytest.mark.parametrize("time_varying", [False, True], ids=["constant", "time_varying"])
 def test_p_operator_rows_are_the_linear_part_S_and_numerator(time_varying, n, m):
@@ -351,19 +411,22 @@ ORACLE_NAMES = ("A", "B", "C", "D", "F", "Ftilde", "Q", "R", "Gamma")
 def lapack_sweep(params, grid, operator, names, terminals, what):
     """riccati._riccati_sweep on constant coefficients with a LAPACK solve
     for every stage's gain, stepped on arrays by ode.integrate_rk4: the
-    reference for its closed-form m <= 2 gains and its float loop."""
+    reference for its closed-form m <= 2 gains, its float loop and its
+    smallest stage eigenvalue, here by eigvalsh, with that stage's time."""
     assert not any(params.is_time_varying(name) for name in names)
     k, n, m = len(terminals), params.n, params.m
     kn2, m2 = k * n * n, m * m
     ops = operator(*(getattr(params, name) for name in names))
+    stages = []
 
     def rhs(t, y):
         z = ops @ y
-        num = z[kn2 + 1 + m2:].reshape(k, m, n)
+        S, num = z[kn2 + 1:kn2 + 1 + m2].reshape(m, m), z[kn2 + 1 + m2:].reshape(k, m, n)
         try:
-            gain = np.linalg.solve(z[kn2 + 1:kn2 + 1 + m2].reshape(m, m), num)
+            gain = np.linalg.solve(S, num)
         except np.linalg.LinAlgError as exc:
             raise RegularityLostError(f"{what} singular at t={t:.6g}") from exc
+        stages.append((np.linalg.eigvalsh(symmetrize(S))[0], t))
         dy = z[:kn2 + 1]
         dy[:kn2] += (num.transpose(0, 2, 1) @ gain).ravel()
         return dy
@@ -371,7 +434,8 @@ def lapack_sweep(params, grid, operator, names, terminals, what):
     swap = np.append(np.arange(kn2).reshape(k, n, n).swapaxes(1, 2).ravel(), kn2)
     y0 = np.append(symmetrize(np.stack(terminals)).ravel(), 1.0)
     y = integrate_rk4(rhs, y0, grid, "backward", project=lambda y: 0.5 * (y + y[swap]))
-    return np.ascontiguousarray(y.values[:, :kn2]).reshape(-1, k, n, n)
+    low, t = min(stages, key=lambda stage: stage[0])
+    return np.ascontiguousarray(y.values[:, :kn2]).reshape(-1, k, n, n), (float(low), t)
 
 
 @pytest.mark.parametrize("later", [False, True], ids=["alone", "singular_after"])
@@ -426,8 +490,8 @@ def test_closed_form_gain_matches_lapack_sweep(m, weights):
                 p.R = symmetrize(U @ np.diag(eig) @ U.T)
                 p.B, p.D = 0.25 * p.B, 0.25 * p.D
             for operator, names, terminals in both_sweeps(p):
-                got = riccati._riccati_sweep(p, p.grid(), operator, names, terminals, "S")
-                ref = lapack_sweep(p, p.grid(), operator, names, terminals, "S")
+                got, _ = riccati._riccati_sweep(p, p.grid(), operator, names, terminals, "S")
+                ref, _ = lapack_sweep(p, p.grid(), operator, names, terminals, "S")
                 assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
@@ -481,6 +545,81 @@ def test_gap_scalar_law_and_oracle_modes_bit_equal_to_lapack_sweep(monkeypatch):
     monkeypatch.setattr(riccati, "_riccati_sweep", lapack_sweep)
     for a, b in zip(got, run(), strict=True):
         assert np.array_equal(a, b)
+
+
+STAGE_REFUSAL = r"^regularity margin (\S+) <= 1e-10 at an RK4 stage \(t = (\S+)\)$"
+
+
+def node_margin(p):
+    """The smallest node-wise lambda_min(R + D'PD) of P's sweep, not judged."""
+    values, _ = riccati._riccati_sweep(p, p.grid(), riccati.p_operator, P_NAMES, [p.G], "S")
+    return ode.eig_min(riccati.node_gain_terms(Trajectory(p.grid(), values[:, 0]), p)[0])
+
+
+@pytest.mark.parametrize("index, m, t, value", [
+    (3, None, 1.0665, -2.16e-2), (269, None, 1.2981, -5.17e-2), (418, 3, 2.2012, -5.86e-3),
+], ids=["instance_3", "instance_269", "m3_instance_418"])
+def test_a_pole_between_nodes_is_refused_at_its_rk4_stage(index, m, t, value):
+    # every node of the 200-step sweep has lambda_min(R + D'PD) above 0.19,
+    # yet an RK4 stage between two nodes stepped over a pole, where
+    # lambda_min was measured at ``value`` near ``t``; 800 and 3200 steps
+    # refuse the instance at a node.  418 is one of two instances with a
+    # stage below the tolerance and every node above it in a scan of 600
+    # random instances with m = 3
+    p = scanned_instance(index, m)
+    assert p.m == (m or 1) and node_margin(p) > 0.19
+    with pytest.raises(RegularityLostError, match=STAGE_REFUSAL) as refused:
+        solve_P(p)
+    got_value, got_t = map(float, re.match(STAGE_REFUSAL, str(refused.value)).groups())
+    assert abs(got_t - t) <= p.grid().dt
+    assert got_value == pytest.approx(value, rel=1e-2)
+
+
+@pytest.mark.parametrize("steps", [200, 800, 3200])
+@pytest.mark.parametrize("index", [3, 38, 149, 179, 269])
+def test_pole_instances_are_refused_at_every_step_count(index, steps):
+    # on each of these scan instances P has a pole in (0, T), and the node
+    # margin alone accepted one step count: 200 for 3 and 269, 800 for 38
+    # and 179 (the one with m = 2), 3200 for 149
+    p = replace(scanned_instance(index), steps=steps)
+    assert p.m == (2 if index == 179 else 1)
+    with pytest.raises((RegularityLostError, NonFiniteError)):
+        solve_P(p)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_smallest_stage_value_matches_lapack_sweep(m):
+    # the sweep's smallest stage lambda_min(S), in closed form for m <= 2,
+    # and its time match the reference's eigvalsh at every stage, for P and
+    # the oracle's modes, on random instances with an indefinite R built as
+    # in test_closed_form_gain_matches_lapack_sweep, so the values are negative
+    rng = np.random.default_rng(200 + m)
+    for n in (1, 2, 3):
+        for _ in range(4):
+            p = rand_params(rng, n=n, m=m, steps=40)
+            U, _ = np.linalg.qr(rng.standard_normal((m, m)))
+            eig = (1.0 + rng.random(m)) * np.array([-1.0, 1.0, 1.0][:m])
+            p.R = symmetrize(U @ np.diag(eig) @ U.T)
+            p.B, p.D = 0.25 * p.B, 0.25 * p.D
+            for operator, names, terminals in both_sweeps(p):
+                _, (low, t) = riccati._riccati_sweep(p, p.grid(), operator, names, terminals, "S")
+                _, (ref_low, ref_t) = lapack_sweep(p, p.grid(), operator, names, terminals, "S")
+                assert low == pytest.approx(ref_low, rel=1e-10, abs=1e-12)
+                assert t == ref_t
+
+
+@pytest.mark.parametrize("instance", ["repro", "gap_scalar"])
+def test_stage_margin_is_the_node_margin_on_repro_and_gap_scalar(instance):
+    # the smallest stage value is R + D'GD at t = T, the node margin, so the
+    # stage rule refuses neither: 0.6587 on repro, 1.0200 on gap-scalar
+    p = repro_instance() if instance == "repro" else gap_scalar_params()
+    sol, law = solve_cc(p)
+    d = sol.diagnostics
+    assert d["stage_margin_t"] == p.T and law.P.stage_t == p.T
+    assert d["stage_margin"] == law.P.stage_margin == pytest.approx(d["regularity_margin"],
+                                                                    rel=1e-15)
+    assert d["regularity_margin"] == pytest.approx(0.6587 if instance == "repro" else 1.02,
+                                                   rel=1e-12)
 
 
 def test_theta1_hand_cases():
@@ -835,7 +974,7 @@ def test_oracle_node_solves_bit_equal_to_node_loop(rng, monkeypatch, chunk):
 
     monkeypatch.setattr(riccati, "_riccati_sweep", recorded)
     law = solve_oracle(AugmentedCoeffs(p, N), validate=False)
-    (modes,) = swept
+    ((modes, _),) = swept
     n, nodes = p.n, law.grid.steps + 1
     size = chunk or nodes
     margins = []
