@@ -248,14 +248,8 @@ def lambda_boundedness(params: ModelParams, law: FeedbackLaw, N_list) -> LambdaR
         cross = kron_vec(_T(C), C + DTh)
         right_F = kron_vec(eye, F)
         coupling = right_F - kron_vec(_T(C), Ft)
-        # minus the 2 x 2 block generator, each block negated into its place
-        gen = np.empty(ts.shape + s.shape[:1] + (2 * n * n, 2 * n * n))
-        top, bottom = slice(None, n * n), slice(n * n, None)
-        for rows, cols, block in ((top, top, base - cross + s * coupling),
-                                  (top, bottom, s * right_F),
-                                  (bottom, top, w * coupling),
-                                  (bottom, bottom, base + w * right_F)):
-            np.negative(block, out=gen[..., rows, cols])
+        gen = -np.block([[base - cross + s * coupling, s * right_F],
+                         [w * coupling, base + w * right_F]])
         src = np.concatenate([-Q.reshape(ts.shape + (1, n * n)),
                               np.zeros(ts.shape + (1, n * n))], axis=-1)
         return gen, src

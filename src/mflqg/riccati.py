@@ -49,7 +49,6 @@ whether its coefficients can be read.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,13 +186,11 @@ def _riccati_sweep(params: ModelParams, grid: TimeGrid, operator, names, termina
     det S = 0.0, or a zero pivot of the solve) raises RegularityLostError
     naming ``what`` and the stage time.  Blow-up is checked as
     ode.integrate_rk4 checks it: the boundary value, then each chunk's
-    stepped nodes, also those before a stage that raised.  Every stage also
-    measures lambda_min(S): s at m = 1 and the closed-form smallest
-    eigenvalue of S's symmetric part, (a + d)/2 - sqrt(((a - d)/2)^2 +
-    ((b + c)/2)^2), at m = 2, float arithmetic too; above that, one eigvalsh
-    call on every stage's S once the sweep is done.  The sweep judges none of
-    them, its caller does (:func:`_regularity_margin`).  Returns the
-    (steps + 1, k, n, n) nodes and (the smallest stage value, its time).
+    stepped nodes, also those before a stage that raised.  Every stage's S
+    is kept, and once the sweep is done one eigvalsh call gives each stage's
+    lambda_min(S); the sweep judges none of them, its caller does
+    (:func:`_regularity_margin`).  Returns the (steps + 1, k, n, n) nodes and
+    (the smallest stage value, its time).
     """
     k, n, m = len(terminals), params.n, params.m
     kn2, m2, mn = k * n * n, m * m, m * n
@@ -204,22 +201,20 @@ def _riccati_sweep(params: ModelParams, grid: TimeGrid, operator, names, termina
     # at m = 2, where each column's two entries sit in z
     cols = [(at + i * mn + c, at + i * mn + n + c) for i in range(k) for c in range(n)]
 
-    low, low_t = math.inf, math.nan    # the smallest stage lambda_min(S) and its time
-    wide = []                          # m >= 3: each stage's (t, S), for one eigvalsh
+    stage_t, stage_S = [], []    # every stage's time, and its S's entries in a row
 
     def singular(t):
         return RegularityLostError(f"{what} singular at t={t:.6g}")
 
     def rhs(t, ops, y):
-        nonlocal low, low_t
         z = ops.dot(y).tolist()
+        stage_t.append(t)
+        stage_S.extend(z[kn2 + 1:at])
         # S is shared by the k numerators; corr is the vec of each num_i' gain_i
         if m == 1:
             s = z[kn2 + 1]
             if s == 0.0:
                 raise singular(t)
-            if s < low:
-                low, low_t = s, t
             num = z[at:]
             gain = [x / s for x in num]
             corr = [num[p] * gain[q] for p, q in pairs]
@@ -228,21 +223,16 @@ def _riccati_sweep(params: ModelParams, grid: TimeGrid, operator, names, termina
             det = a * d - b * c
             if det == 0.0:
                 raise singular(t)
-            half_gap, off = 0.5 * (a - d), 0.5 * (b + c)
-            lam = 0.5 * (a + d) - math.sqrt(half_gap * half_gap + off * off)
-            if lam < low:
-                low, low_t = lam, t
             i0, i1, i2, i3 = d / det, -b / det, -c / det, a / det
             num = [(z[p], z[q]) for p, q in cols]
             gain = [(i0 * x + i1 * w, i2 * x + i3 * w) for x, w in num]   # adj(S) num / det S
             corr = [num[p][0] * gain[q][0] + num[p][1] * gain[q][1] for p, q in pairs]
         else:
-            S, num = np.reshape(z[kn2 + 1:at], (m, m)), np.reshape(z[at:], (k, m, n))
+            num = np.reshape(z[at:], (k, m, n))
             try:
-                gain = np.linalg.solve(S, num)
+                gain = np.linalg.solve(np.reshape(z[kn2 + 1:at], (m, m)), num)
             except np.linalg.LinAlgError as exc:
                 raise singular(t) from exc
-            wide.append((t, S))
             corr = (num.transpose(0, 2, 1) @ gain).ravel().tolist()
         # dP_i/dt = z_i + num_i' gain_i; the zero row keeps the trailing 1
         return [x + w for x, w in zip(z, corr)] + [z[kn2]]
@@ -276,11 +266,9 @@ def _riccati_sweep(params: ModelParams, grid: TimeGrid, operator, names, termina
             if stepped:
                 out[ends] = stepped
             check_nodes(out, ends)
-    if wide:
-        lams = np.linalg.eigvalsh(symmetrize(np.stack([S for _, S in wide])))[:, 0]
-        j = int(np.argmin(lams))
-        low, low_t = float(lams[j]), wide[j][0]
-    return np.ascontiguousarray(out[:, :kn2]).reshape(-1, k, n, n), (low, low_t)
+    lams = np.linalg.eigvalsh(symmetrize(np.reshape(stage_S, (-1, m, m))))[:, 0]
+    j = int(np.argmin(lams))
+    return np.ascontiguousarray(out[:, :kn2]).reshape(-1, k, n, n), (float(lams[j]), stage_t[j])
 
 
 def solve_P(params: ModelParams) -> tuple[PTrajectory, float]:

@@ -575,12 +575,12 @@ def test_a_pole_between_nodes_is_refused_at_its_rk4_stage(index, m, t, value):
     assert got_value == pytest.approx(value, rel=1e-2)
 
 
-@pytest.mark.parametrize("steps", [200, 800, 3200])
-@pytest.mark.parametrize("index", [3, 38, 149, 179, 269])
+@pytest.mark.parametrize("index, steps", [(38, 800), (179, 800), (149, 3200)])
 def test_pole_instances_are_refused_at_every_step_count(index, steps):
     # on each of these scan instances P has a pole in (0, T), and the node
-    # margin alone accepted one step count: 200 for 3 and 269, 800 for 38
-    # and 179 (the one with m = 2), 3200 for 149
+    # margin alone accepted this one step count (179 is the one with m = 2);
+    # the other step counts refuse it at a node.  Instances 3 and 269, which
+    # the node margin accepted at 200 steps, are the stage-time test's cases
     p = replace(scanned_instance(index), steps=steps)
     assert p.m == (2 if index == 179 else 1)
     with pytest.raises((RegularityLostError, NonFiniteError)):
@@ -589,7 +589,7 @@ def test_pole_instances_are_refused_at_every_step_count(index, steps):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_smallest_stage_value_matches_lapack_sweep(m):
-    # the sweep's smallest stage lambda_min(S), in closed form for m <= 2,
+    # the sweep's smallest stage lambda_min(S), from one batched eigvalsh,
     # and its time match the reference's eigvalsh at every stage, for P and
     # the oracle's modes, on random instances with an indefinite R built as
     # in test_closed_form_gain_matches_lapack_sweep, so the values are negative
