@@ -164,9 +164,10 @@ class LambdaReport:
 
 
 def _spread(sups) -> float:
-    """(max - min) / max of a list of sup norms; 0 for an empty list."""
-    if not sups:
-        return 0.0
+    """(max - min) / max of a list of sup norms; NaN for fewer than two,
+    which back no verdict on uniformity."""
+    if len(sups) < 2:
+        return float("nan")
     sups = np.array(sups)
     return float((sups.max() - sups.min()) / max(sups.max(), 1e-30))
 
@@ -217,11 +218,13 @@ def lambda_boundedness(params: ModelParams, law: FeedbackLaw, N_list) -> LambdaR
     slack of 1e-12 (1 + b), at every node and every N, and b to be finite.
     `uniform` asks that the sup norms vary by less than 10% across N, with
     spread = (max - min) / max: of sup_t |Lam1^N| for the first kernel, and
-    of sup_t |Lam2^N| * N/(N-1) over N > 1 for the second.  Lam2 is linear
-    with zero terminal value and its only source carries the weight (N-1)/N,
-    so Lam2^N = (N-1)/N M^N exactly, with M^N the solution under weight 1.
-    That weight lies in [1/2, 1) and cannot break uniform boundedness, yet
-    over N in {10, 100, 1000} it alone moves sup_t |Lam2^N| by 9.9%.
+    of sup_t |Lam2^N| * N/(N-1) over N > 1 for the second.  A spread of
+    fewer than two sup norms is NaN, and `uniform` is then False.  Lam2 is
+    linear with zero terminal value and its only source carries the weight
+    (N-1)/N, so Lam2^N = (N-1)/N M^N exactly, with M^N the solution under
+    weight 1.  That weight lies in [1/2, 1) and cannot break uniform
+    boundedness, yet over N in {10, 100, 1000} it alone moves sup_t |Lam2^N|
+    by 9.9%.
     `LambdaPair.sup1` and `sup2` hold the raw sup norms.  Every N entry must
     be a positive integer (InvalidNError, raised before any sweep).
     """

@@ -93,6 +93,19 @@ def _shift(delta, tight: np.ndarray, name: str) -> np.ndarray:
     return np.broadcast_to(arr, tight.shape)
 
 
+def _first_failed(witness: dict, hypotheses) -> bool:
+    """Judge the hypotheses "M >= 0" in order, each a triple (statement,
+    witness key, M): record lambda_min(M) under its key, and at the first
+    below -UNIFORM_TOL name its statement as witness["failed"] and stop.
+    Whether one failed."""
+    for failed, key, M in hypotheses:
+        witness[key] = eig_min(M)
+        if witness[key] < -UNIFORM_TOL:
+            witness["failed"] = failed
+            return True
+    return False
+
+
 def check_decoupled_indefinite(params: ModelParams, dQ=None, dG=None) -> ConvexityVerdict:
     """Indefinite-weight certificate for decoupled dynamics (F = Ftilde = 0).
 
@@ -110,15 +123,11 @@ def check_decoupled_indefinite(params: ModelParams, dQ=None, dG=None) -> Convexi
     g_tight = params.G - mean_weight(params.G, params.GammaBar)
     dQt, dGm = _shift(dQ, q_tight, "dQ"), _shift(dG, g_tight, "dG")
     witness = {}
-    # the hypotheses in order, each with the witness entry that judges it
-    for failed, key, M in (("Q - Qhat >= 0", "lambda_min_Q_minus_Qhat", q_tight),
-                           ("G - Ghat >= 0", "lambda_min_G_minus_Ghat", g_tight),
-                           ("dQ >= Q - Qhat", "lambda_min_dQ_gap", dQt - q_tight),
-                           ("dG >= G - Ghat", "lambda_min_dG_gap", dGm - g_tight)):
-        witness[key] = eig_min(M)
-        if witness[key] < -UNIFORM_TOL:
-            witness["failed"] = failed
-            return ConvexityVerdict(NOT_VERIFIED, "decoupled-indefinite", witness)
+    if _first_failed(witness, (("Q - Qhat >= 0", "lambda_min_Q_minus_Qhat", q_tight),
+                               ("G - Ghat >= 0", "lambda_min_G_minus_Ghat", g_tight),
+                               ("dQ >= Q - Qhat", "lambda_min_dQ_gap", dQt - q_tight),
+                               ("dG >= G - Ghat", "lambda_min_dG_gap", dGm - g_tight))):
+        return ConvexityVerdict(NOT_VERIFIED, "decoupled-indefinite", witness)
 
     shifted = replace(params, Q=Qt - dQt, G=symmetrize(params.G - dGm))
     try:
@@ -174,20 +183,10 @@ def check_coupled_indefinite(params: ModelParams, dQ=None) -> ConvexityVerdict:
     Qt = params.node_table("Q")
     q_tight = Qt - mean_weight(Qt, params.node_table("Gamma"))
     dQt = _shift(dQ, q_tight, "dQ")
-    lam_g = eig_min(params.G)
-    witness = {"lambda_min_G": lam_g}
-    if lam_g < -UNIFORM_TOL:
-        witness["failed"] = "G >= 0"
-        return ConvexityVerdict(NOT_VERIFIED, "coupled-indefinite", witness)
-    q_gap = eig_min(q_tight)
-    witness["lambda_min_Q_minus_Qhat"] = q_gap
-    if q_gap < -UNIFORM_TOL:
-        witness["failed"] = "Q - Qhat >= 0"
-        return ConvexityVerdict(NOT_VERIFIED, "coupled-indefinite", witness)
-    dq_gap = eig_min(dQt - q_tight)
-    witness["lambda_min_dQ_gap"] = dq_gap
-    if dq_gap < -UNIFORM_TOL:
-        witness["failed"] = "dQ >= Q - Qhat"
+    witness = {}
+    if _first_failed(witness, (("G >= 0", "lambda_min_G", params.G),
+                               ("Q - Qhat >= 0", "lambda_min_Q_minus_Qhat", q_tight),
+                               ("dQ >= Q - Qhat", "lambda_min_dQ_gap", dQt - q_tight))):
         return ConvexityVerdict(NOT_VERIFIED, "coupled-indefinite", witness)
     lam_qd = eig_min(Qt - dQt)
     witness["lambda_min_Q_minus_dQ"] = lam_qd

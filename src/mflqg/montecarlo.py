@@ -107,7 +107,8 @@ class NoiseBank:
 
     Each (path, agent) pair owns an independent Philox stream keyed by the
     64-bit words (seed, path << 32 | agent), so a seed outside [0, 2**64)
-    is refused; increments are N(0, dt) along the grid steps.
+    is refused, and so is a path outside [0, n_paths) when drawn;
+    increments are N(0, dt) along the grid steps.
     """
 
     seed: int
@@ -123,16 +124,24 @@ class NoiseBank:
         """(n_agents, steps) array of Brownian increments for one path."""
         return self.increments_block(range(path, path + 1))[0]
 
-    def increments_block(self, paths) -> np.ndarray:
-        """(paths, n_agents, steps) increments.  One bit generator serves the
-        call: rewound to counter 0 under a stream's key, it is that stream."""
+    def _check_paths(self, paths: range) -> None:
+        """Raise SettingError unless every path of the range is one of the
+        bank's, in [0, n_paths)."""
+        if paths and not (0 <= min(paths) and max(paths) < self.n_paths):
+            raise SettingError(f"paths {paths.start} to {paths.stop - 1} lie outside the "
+                               f"bank's [0, {self.n_paths})")
+
+    def increments_block(self, paths: range) -> np.ndarray:
+        """(paths, n_agents, steps) increments of a range of the bank's paths.
+        One bit generator serves the call: rewound to counter 0 under a
+        stream's key, it is that stream."""
+        self._check_paths(paths)
         bits = np.random.Philox(key=0)
         draw = np.random.Generator(bits).standard_normal
         key = [self.seed, 0]    # Python ints: the state setter reads them faster than arrays
         state = {**bits.state, "state": {"counter": [0] * 4, "key": key}, "buffer": [0] * 4}
         out = np.empty((len(paths), self.n_agents, self.grid.steps))
-        words = [((path << 32) | agent) & (2**64 - 1)
-                 for path in paths for agent in range(self.n_agents)]
+        words = [(path << 32) | agent for path in paths for agent in range(self.n_agents)]
         for word, row in zip(words, out.reshape(-1, self.grid.steps)):
             key[1] = word
             bits.state = state
@@ -167,7 +176,8 @@ class _DrawnChunk(NoiseBank):
 
     dW: np.ndarray
 
-    def increments_block(self, paths) -> np.ndarray:
+    def increments_block(self, paths: range) -> np.ndarray:
+        self._check_paths(paths)
         return self.dW[paths.start:paths.stop]
 
 

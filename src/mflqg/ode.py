@@ -45,7 +45,10 @@ Blow-up (NaN/Inf or max-norm past BLOWUP_NORM) raises NonFiniteError instead
 of being clipped; a diverging backward Riccati solve is how non-solvability
 on [0, T] manifests and callers need to see it.  Both sweeps check it by
 :func:`check_nodes` once a chunk is stepped.  :func:`blown_up` and
-:func:`asymmetry` are the package's only blow-up and symmetry rules.
+:func:`asymmetry` are the package's only blow-up and symmetry rules, and
+only this module calls the symmetric eigensolver: :func:`eig_min_at` gives
+every positivity verdict its number, at the nodes and RK4 stages of the
+Riccati sweeps and in the convexity certificates.
 """
 
 from __future__ import annotations
@@ -422,8 +425,17 @@ def eigvals_sym(S: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(symmetrize(S))
 
 
-def eig_min(S: np.ndarray) -> float:
+def eig_min_at(S: np.ndarray) -> tuple[float, int]:
     """Smallest eigenvalue of a nearly symmetric matrix, or the smallest over
-    a stack of them (last two axes), after symmetrizing without a check:
-    every regularity margin and convexity witness is this number."""
-    return float(np.linalg.eigvalsh(symmetrize(S))[..., 0].min())
+    a stack of them (last two axes), after symmetrizing without a check, and
+    the flat index over the leading axes of the matrix that holds it (0 for
+    one matrix, the first on a tie): every regularity margin, at a node or at
+    an RK4 stage, and every convexity witness is this number."""
+    lams = np.linalg.eigvalsh(symmetrize(S))[..., 0]
+    k = int(np.argmin(lams))
+    return float(lams.flat[k]), k
+
+
+def eig_min(S: np.ndarray) -> float:
+    """The value of :func:`eig_min_at`."""
+    return eig_min_at(S)[0]

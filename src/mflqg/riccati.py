@@ -27,7 +27,7 @@ meaningless without it.
 
 R + D'PD and B'P + D'PC are formed as values by one kernel,
 :func:`gain_terms`, which broadcasts over time axes: the margin
-(ode.eig_min) and the gains Theta1, Theta2 take it on all nodes at once,
+(ode.eig_min_at) and the gains Theta1, Theta2 take it on all nodes at once,
 and the phi sweep on the RK4 stage times of a chunk of steps.  P is a
 nonlinear Riccati equation and steps stage by stage in its own RK4 loop
 (:func:`_riccati_sweep`, on the chunks of ode.sweep_chunks), but
@@ -60,7 +60,7 @@ from .ode import (
     Trajectory,
     check_boundary,
     check_nodes,
-    eig_min,
+    eig_min_at,
     integrate_linear,
     kron_vec,
     matvec,
@@ -82,14 +82,13 @@ def _check_grids(P: Trajectory, **trajs: Trajectory):
 
 def _regularity_margin(S: np.ndarray, grid: TimeGrid, what: str,
                        stage: tuple[float, float]) -> float:
-    """eig_min of the node-wise gain denominators S; unless it is above
-    REGULARITY_TOL, RegularityLostError names ``what`` and the node where
-    it is smallest.  Then the sweep's smallest stage value and its time,
-    ``stage`` = (value, t), are judged by the same rule, so a sweep that
-    stepped over a pole between two nodes is refused too."""
-    margin = eig_min(S)
+    """ode.eig_min_at of the node-wise gain denominators S; unless it is
+    above REGULARITY_TOL, RegularityLostError names ``what`` and the node
+    where it is smallest.  Then the sweep's smallest stage value and its
+    time, ``stage`` = (value, t), are judged by the same rule, so a sweep
+    that stepped over a pole between two nodes is refused too."""
+    margin, k = eig_min_at(S)
     if not margin > REGULARITY_TOL:
-        k = int(np.argmin([eig_min(Sk) for Sk in S]))
         raise RegularityLostError(f"{what} {margin:.3e} <= {REGULARITY_TOL} at node {k} "
                                   f"(t = {grid.nodes[k]:.6g})")
     low, t = stage
@@ -187,10 +186,11 @@ def _riccati_sweep(params: ModelParams, grid: TimeGrid, operator, names, termina
     naming ``what`` and the stage time.  Blow-up is checked as
     ode.integrate_rk4 checks it: the boundary value, then each chunk's
     stepped nodes, also those before a stage that raised.  Every stage's S
-    is kept, and once the sweep is done one eigvalsh call gives each stage's
-    lambda_min(S); the sweep judges none of them, its caller does
-    (:func:`_regularity_margin`).  Returns the (steps + 1, k, n, n) nodes and
-    (the smallest stage value, its time).
+    is kept, and once the sweep is done one ode.eig_min_at call gives the
+    smallest lambda_min(S) over the stages and the stage that holds it; the
+    sweep does not judge it, its caller does (:func:`_regularity_margin`).
+    Returns the (steps + 1, k, n, n) nodes and (the smallest stage value,
+    its time).
     """
     k, n, m = len(terminals), params.n, params.m
     kn2, m2, mn = k * n * n, m * m, m * n
@@ -266,9 +266,8 @@ def _riccati_sweep(params: ModelParams, grid: TimeGrid, operator, names, termina
             if stepped:
                 out[ends] = stepped
             check_nodes(out, ends)
-    lams = np.linalg.eigvalsh(symmetrize(np.reshape(stage_S, (-1, m, m))))[:, 0]
-    j = int(np.argmin(lams))
-    return np.ascontiguousarray(out[:, :kn2]).reshape(-1, k, n, n), (float(lams[j]), stage_t[j])
+    low, j = eig_min_at(np.reshape(stage_S, (-1, m, m)))
+    return np.ascontiguousarray(out[:, :kn2]).reshape(-1, k, n, n), (low, stage_t[j])
 
 
 def solve_P(params: ModelParams) -> tuple[PTrajectory, float]:

@@ -31,6 +31,21 @@ def rand_params(rng, n=1, m=1, T=1.0, steps=200, scale=0.4, coupled=True,
     )
 
 
+def scanned_instance(index, m=None):
+    """Instance ``index`` of a scan of random instances at 200 steps.  The
+    scan draws from one np.random.default_rng(5), per instance in this order:
+    n and m, each by rng.integers(1, 3) (with m given, n alone, by
+    rng.integers(1, 4)), then rand_params' scale in [0.5, 2), semidefinite
+    weights with probability 1/2 and T in [0.5, 3)."""
+    rng = np.random.default_rng(5)
+    for _ in range(index + 1):
+        n = int(rng.integers(1, 3 if m is None else 4))
+        mi = int(rng.integers(1, 3)) if m is None else m
+        p = rand_params(rng, n=n, m=mi, steps=200, scale=rng.uniform(0.5, 2.0),
+                        psd_weights=rng.random() < 0.5, T=rng.uniform(0.5, 3.0))
+    return p
+
+
 def _sym(rng, n):
     M = rng.standard_normal((n, n))
     return 0.5 * (M + M.T)

@@ -510,6 +510,18 @@ def test_lambda_bound_of_no_N_equals_the_bound_beside_kernels():
     assert np.array_equal(empty.bound, rep.bound)
 
 
+@pytest.mark.parametrize("N_list", [[], [5], [1, 5]], ids=["no_N", "one_N", "one_N_above_1"])
+def test_lambda_uniformity_needs_two_sup_norms(N_list):
+    # a spread of fewer than two sup norms is NaN and backs no uniform
+    # verdict; [1, 5] has two first-kernel norms but one second-kernel one
+    p = load_config(REPO / "perfbench" / "gap_scalar.json")
+    _, law = solve_cc(p)
+    rep = lambda_boundedness(p, law, N_list)
+    assert rep.uniform is False
+    assert np.isnan(rep.max_spread2)
+    assert np.isnan(rep.max_spread1) == (len(N_list) < 2)
+
+
 def test_lambda_bound_follows_its_recurrence():
     # a scalar instance whose generator is worked out by hand: with b = 1,
     # c = 1, d = 0, f = 1 and ftilde = -1 its rows are

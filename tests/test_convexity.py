@@ -8,6 +8,7 @@ import pytest
 from mflqg.convexity import (
     CONVEX,
     NOT_VERIFIED,
+    UNIFORM_TOL,
     UNIFORMLY_CONVEX,
     check_coupled_indefinite,
     check_decoupled_indefinite,
@@ -307,6 +308,23 @@ def test_every_not_verified_verdict_names_its_failed_hypothesis(check, over, shi
     v = check(gap_scalar_params(**over), **shifts)
     assert v.status == NOT_VERIFIED
     assert v.witness["failed"] == failed
+
+
+@pytest.mark.parametrize("check, over, keys, failing", [
+    (check_psd_case, dict(Q=[[-1.0]]), ["lambda_min_Q", "lambda_min_R", "lambda_min_G"],
+     "lambda_min_Q"),
+    (check_decoupled_indefinite, dict(DECOUPLED, GammaBar=[[3.0]]),
+     ["lambda_min_Q_minus_Qhat", "lambda_min_G_minus_Ghat"], "lambda_min_G_minus_Ghat"),
+    (check_coupled_indefinite, dict(Gamma=[[3.0]]), ["lambda_min_G", "lambda_min_Q_minus_Qhat"],
+     "lambda_min_Q_minus_Qhat"),
+], ids=["psd", "decoupled", "coupled"])
+def test_a_failed_hypothesis_ends_the_witness_of_an_indefinite_certificate(check, over, keys,
+                                                                           failing):
+    # the indefinite certificates record each hypothesis's lambda_min in
+    # order up to the first that fails; the psd certificate records all three
+    v = check(gap_scalar_params(**over))
+    assert list(v.witness) == keys + ["failed"]
+    assert v.witness[failing] < -UNIFORM_TOL
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -341,12 +341,14 @@ def dotted_mentions(source: str) -> set:
 
 # each rule and the one module that may name it: the certificates and the
 # coupling test behind report_all's verdict, the regularity tolerance behind
-# FeedbackLaw's admission, the integer rule behind ode.is_int, and whether a
-# coefficient varies in time, behind ModelParams.node_table's grid rule
+# FeedbackLaw's admission, the integer rule behind ode.is_int, whether a
+# coefficient varies in time, behind ModelParams.node_table's grid rule, and
+# the symmetric eigensolver behind ode.eig_min_at, every positivity verdict's
+# number
 RULE_OWNERS = {"check_psd_case": "convexity.py", "check_coupled_indefinite": "convexity.py",
                "check_decoupled_indefinite": "convexity.py", "is_coupled": "convexity.py",
                "REGULARITY_TOL": "riccati.py", "np.integer": "ode.py",
-               "is_time_varying": "model.py"}
+               "is_time_varying": "model.py", "eigvalsh": "ode.py"}
 
 
 def test_guard_sees_a_rule_as_written():

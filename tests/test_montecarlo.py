@@ -99,6 +99,22 @@ def test_noise_matches_fresh_philox_streams(seed, path):
             assert np.array_equal(block[j, agent], ref * np.sqrt(grid.dt))
 
 
+@pytest.mark.parametrize("paths", [range(7, 8), range(-1, 0), range(2, 4), range(-1, 2)])
+@pytest.mark.parametrize("drawn", [False, True], ids=["bank", "drawn_chunk"])
+def test_noise_bank_refuses_a_path_outside_its_range(paths, drawn):
+    # path -1 would otherwise read path 2**32 - 1's stream through a wrapped
+    # key word, and path 7 a stream of a bank of more paths
+    bank = NoiseBank(seed=1, n_paths=3, n_agents=2, grid=TimeGrid(1.0, 200))
+    if drawn:
+        bank = next(bank.drawn_chunks())
+    with pytest.raises(SettingError, match=r"outside the bank's \[0, 3\)"):
+        bank.increments_block(paths)
+    if len(paths) == 1:
+        with pytest.raises(SettingError):
+            bank.increments(paths.start)
+    assert bank.increments_block(range(0, 3)).shape == (3, 2, 200)
+
+
 @pytest.mark.parametrize("seed, n_paths, n_agents", [
     (True, 2, 2), (1.0, 2, 2), (1, True, 2), (1, 2.0, 2), (1, 2, True), (1, 2, 3.0),
 ], ids=["boolean-seed", "float-seed", "boolean-paths", "float-paths", "boolean-agents",

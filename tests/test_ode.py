@@ -11,6 +11,7 @@ from mflqg.ode import (
     TimeGrid,
     Trajectory,
     eig_min,
+    eig_min_at,
     eigvals_sym,
     integrate_linear,
     integrate_rk4,
@@ -483,6 +484,18 @@ def test_eig_min_is_the_smallest_over_a_symmetrized_stack():
     assert eig_min(S) == want
     assert eig_min(S[4]) == np.linalg.eigvalsh(0.5 * (S[4] + S[4].T))[0]
     assert isinstance(eig_min(S), float)
+
+
+def test_eig_min_at_names_the_matrix_that_holds_the_smallest_eigenvalue():
+    # the flat index over the leading axes, the first on a tie, and 0 for a
+    # single matrix: the node a lost regularity margin names
+    rng = np.random.default_rng(34)
+    S = rng.standard_normal((4, 5, 2, 2))
+    lams = [np.linalg.eigvalsh(0.5 * (M + M.T))[0] for M in S.reshape(-1, 2, 2)]
+    assert eig_min_at(S) == (min(lams), int(np.argmin(lams)))
+    assert eig_min_at(S[1, 3]) == (eig_min(S[1, 3]), 0)
+    tie = np.stack([np.eye(2), -np.eye(2), -np.eye(2)])
+    assert eig_min_at(tie) == (-1.0, 1)
 
 
 def test_is_psd_cases():

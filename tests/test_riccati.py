@@ -34,25 +34,10 @@ from mflqg.montecarlo import NoiseBank, centralized_tangents, simulate_centraliz
 from mflqg.presets import repro_instance
 
 import reference_law
-from conftest import rand_params
+from conftest import rand_params, scanned_instance
 from test_montecarlo import gap_scalar_params, mode_law, stacked_tables, time_varying_params
 
 REPO = Path(__file__).resolve().parents[1]
-
-
-def scanned_instance(index, m=None):
-    """Instance ``index`` of a scan of random instances at 200 steps.  The
-    scan draws from one np.random.default_rng(5), per instance in this order:
-    n and m, each by rng.integers(1, 3) (with m given, n alone, by
-    rng.integers(1, 4)), then rand_params' scale in [0.5, 2), semidefinite
-    weights with probability 1/2 and T in [0.5, 3)."""
-    rng = np.random.default_rng(5)
-    for _ in range(index + 1):
-        n = int(rng.integers(1, 3 if m is None else 4))
-        mi = int(rng.integers(1, 3)) if m is None else m
-        p = rand_params(rng, n=n, m=mi, steps=200, scale=rng.uniform(0.5, 2.0),
-                        psd_weights=rng.random() < 0.5, T=rng.uniform(0.5, 3.0))
-    return p
 
 
 def scalar_params(rng=None, steps=1000, **over):
