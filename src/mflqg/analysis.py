@@ -34,16 +34,18 @@ from .errors import GridMismatchError
 from .model import AugmentedCoeffs, ModelParams, check_population_size
 from .ode import Trajectory, integrate_linear, kron_vec, stage_samples
 from .riccati import FeedbackLaw, solve_oracle
-from .montecarlo import (NoiseBank, check_counts, check_seed, simulate_centralized,
-                         simulate_decentralized)
+from .montecarlo import (NoiseBank, check_counts, check_estimate_paths, check_seed,
+                         simulate_centralized, simulate_decentralized, standard_error)
 
 
 def check_study_counts(paths: int, N_list) -> None:
     """Refuse each population size of N_list and the path count as the noise
-    banks would; a study calls it before any solve or simulation."""
+    banks would, then a path count below the two a standard error needs; a
+    study calls it before any solve or simulation."""
     for N in N_list:
         check_population_size(N)
         check_counts(paths, N)
+    check_estimate_paths(paths, "a Monte Carlo study")
 
 
 def _bank_seed(seed: int, N: int) -> int:
@@ -70,8 +72,9 @@ def convergence_study(params: ModelParams, law: FeedbackLaw, xhat: Trajectory,
     banks are seeded by :func:`_bank_seed` so the table is reproducible entry
     by entry.
     The slope is fitted only over two or more distinct N (NaN otherwise).
-    Every N, the replication count and xhat's grid, which must be the law's
-    (GridMismatchError), are checked before any simulation.
+    Every N, the replication count (at least 2, for a standard error) and
+    xhat's grid, which must be the law's (GridMismatchError), are checked
+    before any simulation.
     """
     check_seed(seed)
     check_study_counts(replications, N_list)
@@ -83,9 +86,7 @@ def convergence_study(params: ModelParams, law: FeedbackLaw, xhat: Trajectory,
                           grid=law.grid)
         res = simulate_decentralized(params, law, N, noise, store=False)
         sup = np.max(np.sum((res.xavg - xhat.values) ** 2, axis=2), axis=1)
-        est = float(sup.mean())
-        se = float(sup.std(ddof=1) / np.sqrt(replications)) if replications > 1 else 0.0
-        rows.append((N, replications, est, se))
+        rows.append((N, replications, float(sup.mean()), float(standard_error(sup))))
     ests = np.array([r[2] for r in rows])
     if np.all(ests > 0.0) and len(set(N_list)) >= 2:
         slope, intercept = np.polyfit(np.log(np.array(N_list, dtype=float)), np.log(ests), 1)
@@ -110,8 +111,9 @@ def gap_study(params: ModelParams, N_list, paths: int, seed: int, *,
     difference (common random numbers), each N's bank seeded by
     :func:`_bank_seed`.  The bank is drawn once, one noise chunk at a time,
     and both simulations read each chunk.  Every N, its stacked system and
-    the path count are checked before anything is solved.  It warns, noted in ``warnings``,
-    unless a verdict of ``convexity.report_all`` is UniformlyConvex.
+    the path count (at least 2) are checked before anything is solved.  It
+    warns, noted in ``warnings``, unless a verdict of ``convexity.report_all``
+    is UniformlyConvex.
     """
     check_seed(seed)
     check_study_counts(paths, N_list)
@@ -135,8 +137,8 @@ def gap_study(params: ModelParams, N_list, paths: int, seed: int, *,
             del chunk   # freed before the next chunk is drawn
         dec, cen = np.concatenate(dec), np.concatenate(cen)
         diff = (dec - cen) / N
-        se = float(diff.std(ddof=1) / np.sqrt(paths)) if paths > 1 else 0.0
-        rows.append((N, float(dec.mean() / N), float(cen.mean() / N), float(diff.mean()), se))
+        rows.append((N, float(dec.mean() / N), float(cen.mean() / N), float(diff.mean()),
+                     float(standard_error(diff))))
     return GapTable(rows=rows, warnings=notes)
 
 

@@ -101,6 +101,20 @@ def check_counts(n_paths: int, n_agents: int) -> None:
         raise SettingError("path/agent indices must fit in 32 bits")
 
 
+def check_estimate_paths(n_paths: int, what: str) -> None:
+    """Raise SettingError, naming ``what``, unless n_paths is an integer of at
+    least 2: fewer paths give a Monte Carlo estimate no standard error."""
+    if not (is_int(n_paths) and n_paths >= 2):
+        raise SettingError(f"{what} needs at least 2 paths, got {n_paths!r}")
+
+
+def standard_error(x: np.ndarray) -> np.ndarray:
+    """The standard error of the mean of x over its last axis, one path per
+    entry: the sample standard deviation (ddof 1) over the square root of the
+    count.  Every Monte Carlo estimate of the package states this error."""
+    return x.std(ddof=1, axis=-1) / np.sqrt(x.shape[-1])
+
+
 @dataclass(frozen=True)
 class NoiseBank:
     """Reproducible Brownian increments keyed by (seed, path, agent).

@@ -53,8 +53,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatchError, RegularityLostError, SettingError, StationarityError
-from .model import TIME_VARYING, AugmentedCoeffs, ModelParams, is_int, mean_offset, mean_weight
+from .errors import GridMismatchError, RegularityLostError, StationarityError
+from .model import TIME_VARYING, AugmentedCoeffs, ModelParams, mean_offset, mean_weight
 from .ode import (
     TimeGrid,
     Trajectory,
@@ -132,14 +132,13 @@ def node_solve(S: np.ndarray, rhs: np.ndarray, nodes=None) -> np.ndarray:
     try:
         return np.linalg.solve(S, rhs)
     except np.linalg.LinAlgError as exc:
-        flat = S.reshape((-1,) + S.shape[-2:])
-        labels = np.arange(len(flat)) if nodes is None else np.ravel(nodes)
-        for Sk, label in zip(flat, labels):
-            try:
-                np.linalg.inv(Sk)
-            except np.linalg.LinAlgError:
-                raise RegularityLostError(f"R + D'PD singular at node {label:g}") from exc
-        raise
+        # slogdet factors the same matrices by the same LU; sign 0 is a zero pivot
+        singular = np.flatnonzero(np.linalg.slogdet(S)[0] == 0)
+        if not singular.size:
+            raise
+        k = singular[0]
+        label = k if nodes is None else np.ravel(nodes)[k]
+        raise RegularityLostError(f"R + D'PD singular at node {label:g}") from exc
 
 
 def p_operator(A, B, C, D, Q, R) -> np.ndarray:
@@ -545,11 +544,11 @@ def _validate_stationarity(aug: AugmentedCoeffs, law: OracleLaw, *, paths: int,
     Fewer than 2 paths give no standard error and raise SettingError before
     any draw.
     """
-    from .montecarlo import NoiseBank, centralized_tangents, check_seed
+    from .montecarlo import (NoiseBank, centralized_tangents, check_estimate_paths, check_seed,
+                             standard_error)
 
     check_seed(seed)
-    if not (is_int(paths) and paths >= 2):
-        raise SettingError(f"the stationarity check needs at least 2 paths, got {paths!r}")
+    check_estimate_paths(paths, "the stationarity check")
     grid = law.grid
     rng = np.random.default_rng(seed ^ 0x5EED)
     dim_u = aug.N * aug.params.m
@@ -559,7 +558,7 @@ def _validate_stationarity(aug: AugmentedCoeffs, law: OracleLaw, *, paths: int,
     def measure(n_paths: int) -> dict:
         noise = NoiseBank(seed=seed, n_paths=n_paths, n_agents=aug.N, grid=grid).materialized()
         J, g, c = centralized_tangents(aug, law, deltas, noise)
-        J0, ses = float(J.mean()), [x.std(ddof=1, axis=-1) / np.sqrt(n_paths) for x in (J, g, c)]
+        J0, ses = float(J.mean()), [standard_error(x) for x in (J, g, c)]
         return {"J": J0, "J_se": float(ses[0]), "paths": n_paths,
                 "derivatives": g.mean(axis=1), "derivative_ses": ses[1],
                 "thresholds": tol * norms * (1.0 + abs(J0)),

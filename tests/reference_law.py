@@ -40,19 +40,34 @@ with affine = -S^{-1} B'phi.  P, Pi and phi are one backward DOP853 solve;
 the population mean m' = (A + F + B K_mean) m + B affine, m(0) = xi0, is a
 forward one reading it, and the limit law's affine gain is
 theta_inf = (K_mean - K_dev) m + affine.
+
+Every solve fails by an AssertionError naming its right-hand-side calls
+when DOP853 fails or has spent MAX_RHS_CALLS of them, so a solve that
+stalls near a pole cannot hang its caller.
 """
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, OdeSolution
+
+# successful solves on the first 20 scan instances take at most 2188 calls
+# and DOP853's own failures stop by 8624; one stalled solve ran past 10^6
+MAX_RHS_CALLS = 100_000
 
 
 def _dense(rhs, y0, t0, t1):
     """The DOP853 solve of y' = rhs(t, y) from y(t0) = y0 to t1, as its dense
-    output: a function of the times, one column per time."""
-    sol = solve_ivp(rhs, (t0, t1), np.ravel(y0), method="DOP853",
-                    rtol=1e-13, atol=1e-15, dense_output=True)
-    assert sol.success, sol.message
-    return sol.sol
+    output: a function of the times, one column per time.  It steps as
+    scipy's solve_ivp does, and stops after MAX_RHS_CALLS calls of rhs."""
+    solver = DOP853(rhs, float(t0), np.ravel(y0), float(t1), rtol=1e-13, atol=1e-15)
+    ts, pieces = [solver.t], []
+    while solver.status == "running" and solver.nfev < MAX_RHS_CALLS:
+        message = solver.step()   # None unless the step failed
+        if message is None:
+            ts.append(solver.t)
+            pieces.append(solver.dense_output())
+    assert solver.status == "finished", (f"DOP853 at t = {solver.t:.6g} after {solver.nfev} "
+                                         f"right-hand-side calls: {message or 'stopped'}")
+    return OdeSolution(ts, pieces)
 
 
 def _sym(P: np.ndarray) -> np.ndarray:

@@ -173,9 +173,11 @@ def test_studies_wrap_their_bank_seeds_at_the_top_of_the_key_range(rng):
     ("gap", [True], 4, InvalidNError),
     ("convergence", [5], 3.0, SettingError),
     ("convergence", [5.0], 2, InvalidNError),
+    ("gap", [2], 1, SettingError),
+    ("convergence", [5], 1, SettingError),
 ], ids=["gap-stacked-N", "gap-paths", "convergence-N", "convergence-reps", "gap-fractional-paths",
         "gap-boolean-paths", "gap-boolean-N", "convergence-fractional-reps",
-        "convergence-fractional-N"])
+        "convergence-fractional-N", "gap-one-path", "convergence-one-rep"])
 def test_a_study_refuses_bad_counts_before_any_solve_or_simulation(monkeypatch, study, N_list,
                                                                     paths, error):
     # n = 2: N = 40 is an 80-dimensional stacked system, past MAX_AUGMENTED_DIM

@@ -680,11 +680,14 @@ def test_seed_outside_the_key_range_is_validation_failure(tmp_path, capsys, seed
     ("gap", ["--N-list", "2,65", "--paths", "2"], "refusing to materialize"),
     ("repro-sec7", ["--steps", "50", "--paths", "0"], "need at least one path and one agent"),
     ("repro-sec7", ["--steps", "50", "--reps", "0"], "need at least one path and one agent"),
+    ("converge", ["--N-list", "2,3", "--reps", "1"], "a Monte Carlo study needs at least 2 paths"),
+    ("gap", ["--N-list", "2,4,8", "--paths", "1"], "a Monte Carlo study needs at least 2 paths"),
+    ("repro-sec7", ["--steps", "50", "--reps", "1"], "a Monte Carlo study needs at least 2 paths"),
     ("simulate", ["--N", "2", "--paths", "2", "--thin", "0"], "--thin must be a positive"),
     ("simulate", ["--N", "2", "--paths", "2", "--thin", "-3"], "--thin must be a positive"),
 ], ids=["simulate-N", "simulate-paths", "converge-reps", "converge-N-list", "gap-paths",
-        "gap-N-list", "gap-stacked-N", "repro-sec7-paths", "repro-sec7-reps", "simulate-thin-0",
-        "simulate-thin-negative"])
+        "gap-N-list", "gap-stacked-N", "repro-sec7-paths", "repro-sec7-reps", "converge-one-rep",
+        "gap-one-path", "repro-sec7-one-rep", "simulate-thin-0", "simulate-thin-negative"])
 def test_bad_count_is_refused_before_anything_is_written(tmp_path, capsys, command, extra,
                                                           message):
     cfg = scalar_config(tmp_path)

@@ -110,3 +110,27 @@ def test_theta2_matches_the_limit_law_on_every_accepted_instance():
                                reference(index, np.inf)["theta"]):
             missed.append(index)
     assert missed == []
+
+
+def test_a_stalled_reference_solve_fails_at_its_call_cap(monkeypatch):
+    # on instance 19 the library blows up at node 197 of the oracle's sweep
+    # at N = 1, and the reference's DOP853 stalls near t = 2.5356 (past 10^6
+    # right-hand-side calls, 49 s, uncapped).  It must stop at
+    # MAX_RHS_CALLS and fail its assertion; the counter on its right-hand
+    # side, which reads the state through _sym once per call, turns a hang
+    # into a failure of this test at twice the cap
+    calls = 0
+    sym = reference_law._sym
+
+    def counted(P):
+        nonlocal calls
+        calls += 1
+        if calls > 2 * reference_law.MAX_RHS_CALLS:
+            raise RuntimeError(f"the reference was still stepping after {calls} calls")
+        return sym(P)
+
+    monkeypatch.setattr(reference_law, "_sym", counted)
+    p = scanned_instance(19)
+    with pytest.raises(AssertionError, match=r"after 1000\d\d right-hand-side calls: stopped$"):
+        reference_law.oracle_modes(p.A, p.B, p.C, p.D, p.F, p.Ftilde, p.Q, p.R, p.G, p.Gamma,
+                                   p.GammaBar, 1, p.T, p.grid().nodes)

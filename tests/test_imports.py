@@ -344,11 +344,12 @@ def dotted_mentions(source: str) -> set:
 # FeedbackLaw's admission, the integer rule behind ode.is_int, whether a
 # coefficient varies in time, behind ModelParams.node_table's grid rule, and
 # the symmetric eigensolver behind ode.eig_min_at, every positivity verdict's
-# number
+# number, and the sample standard deviation behind montecarlo.standard_error,
+# every Monte Carlo estimate's stated error
 RULE_OWNERS = {"check_psd_case": "convexity.py", "check_coupled_indefinite": "convexity.py",
                "check_decoupled_indefinite": "convexity.py", "is_coupled": "convexity.py",
                "REGULARITY_TOL": "riccati.py", "np.integer": "ode.py",
-               "is_time_varying": "model.py", "eigvalsh": "ode.py"}
+               "is_time_varying": "model.py", "eigvalsh": "ode.py", "std": "montecarlo.py"}
 
 
 def test_guard_sees_a_rule_as_written():

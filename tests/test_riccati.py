@@ -342,6 +342,30 @@ def test_coupled_mean_variance_closed_forms():
     assert relative_error(ref_phi[:, 0], phi) <= 1e-12
 
 
+@pytest.mark.parametrize("R", [0.0, -0.01], ids=["R0", "shipped"])
+def test_coupled_mean_variance_law_matches_its_closed_forms_and_the_reference(R):
+    # solve_cc on configs/meanvariance.json: at R = 0, P = e^{(2r - rho^2) tau}
+    # and Theta1 = -(mu - r)/sigma^2 (measured 1.4e-15 and 1.8e-16 relative);
+    # at R = 0 and at the shipped R = -0.01, Theta2 matches the reference's
+    # theta_inf (1.8e-12 and 5.3e-12).  C = F = Ftilde = 0 here, so the
+    # consistency condition's E Z fault (ROADMAP item 1) does not show: this
+    # is the passing half of item 1's zero-C, F, Ftilde guard
+    p = replace(load_config(REPO / "configs" / "meanvariance.json"), R=np.full((1, 1), R))
+    _, law = solve_cc(p)
+    nodes = p.grid().nodes
+    if R == 0.0:
+        r, excess, sigma = p.A[0, 0], p.B[0, 0], p.D[0, 0]
+        rho2 = (excess / sigma) ** 2
+        assert relative_error(law.P.values[:, 0, 0], np.exp((2.0 * r - rho2) * (p.T - nodes))) \
+            <= 1e-12
+        assert relative_error(law.Theta1.values[:, 0, 0],
+                              np.full(len(nodes), -excess / sigma**2)) <= 1e-12
+    _, theta, _, _ = reference_law.limit_law(p.A, p.B, p.C, p.D, p.F, p.Ftilde, p.Q, p.R, p.G,
+                                             p.Gamma, p.GammaBar, p.eta, p.etaBar, p.xi0, p.T,
+                                             nodes)
+    assert relative_error(law.Theta2.values, theta) <= 1e-10
+
+
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 2)])
 @pytest.mark.parametrize("time_varying", [False, True], ids=["constant", "time_varying"])
 def test_p_operator_rows_are_the_linear_part_S_and_numerator(time_varying, n, m):
@@ -638,6 +662,25 @@ def test_singular_gain_denominator_names_its_node(gain):
             theta2(P, z, z, p)
         else:
             solve_phi(P, p, z, z, z, z)
+
+
+def test_a_singular_stage_is_named_from_one_batched_factorization(monkeypatch):
+    # the failed batched solve names its singular stage from one batched LU
+    # of every stage's R + D'PD, with no per-node inverse; the stages of
+    # solve_phi meet node 7's singular S at its stage labels
+    def no_inverse(*args):
+        raise AssertionError("a per-node inverse ran")
+
+    monkeypatch.setattr(np.linalg, "inv", no_inverse)
+    p = rand_params(np.random.default_rng(0), n=2, m=2, steps=10)
+    p.R = np.eye(2)
+    p.D = np.eye(2)
+    grid = p.grid()
+    Pv = np.zeros((grid.steps + 1, 2, 2))
+    Pv[7] = -np.diag([1.0, 0.5])
+    z = zero_traj(grid, (2,))
+    with pytest.raises(RegularityLostError, match=r"singular at node 7$"):
+        solve_phi(Trajectory(grid, Pv), p, z, z, z, z)
 
 
 def zero_traj(grid, shape):
