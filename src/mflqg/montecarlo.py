@@ -22,8 +22,8 @@ Every control law here is u_i = Ga x_i + Gb xavg + a_i, so one kernel,
 :func:`_em`, steps a law folded into per-node tables before the loop: the
 drift increment map dt(A + B Ga), the diffusion map C + D Ga, their xavg
 parts dt(F + B Gb) and Ftilde + D Gb, the offsets dt B a and D a, and the
-cost as one quadratic form z'Hz + 2 l'z + c in z = (x_i, xavg) (trapezoid
-weights and the terminal cost folded in).  The state lives on
+cost as one quadratic form z'Hz + 2 l'z + c in z = (x_i, xavg) (half of
+ode.trapezoid_weights and the terminal cost folded in).  The state lives on
 coordinate-major planes, paths innermost; at each node one product of the
 maps table with the state gives all of that, and a few plane-wide
 multiply-adds finish the step
@@ -44,7 +44,8 @@ the cost.  Two folds share the loop, and only the first derives tables:
 An offset that is the same on every path is added to the dt-scale drift
 increment, never to the state: a path-constant addend rounds alike on every
 path, and at the state's scale that bias would move differences between
-runs.  Controls are formed only for stored trajectories, and a
+runs.  Controls are formed only for stored trajectories, by _simulate
+from the stored states and the per-agent law both folds keep, and a
 centralized run's per-agent costs only from them; full trajectories are
 kept within the storage budget, and :func:`social_cost` recomputes costs
 from them.
@@ -62,7 +63,7 @@ from .errors import (GridMismatchError, InvalidNError, MissingTrajectoriesError,
                      SettingError)
 from .model import (TIME_VARYING, AugmentedCoeffs, ModelParams, build_augmented,
                     check_population_size, is_int, kron_eye, kron_mean)
-from .ode import TimeGrid, blown_up, matvec, trapezoid_nodes
+from .ode import TimeGrid, blown_up, matvec, trapezoid_nodes, trapezoid_weights
 from .riccati import FeedbackLaw, OracleLaw
 
 # full trajectory storage cap, in scalars (states + controls combined)
@@ -268,7 +269,7 @@ class _AgentFold:
     [dt(F + B Gb); Ftilde + D Gb; 2 H_x,avg; H_avg,avg] and offsets[k] =
     [dt B a; D a; 2 l].  Axes of a between its node and control axes (the
     stacked fold's agents, and its tangents' directions and agents) carry
-    into offsets and c.
+    into offsets and c.  Ga, Gb and a are kept for stored controls.
 
     With ``base``, the law's affine broadcast against a, the fold is the
     law's tangent along the directions a: its cost has zero targets, and
@@ -285,11 +286,8 @@ class _AgentFold:
             return X.reshape((K,) + (1,) * len(lead) + X.shape[1:])
 
         # half the trapezoid-weighted running cost, plus half the terminal cost at the last node
-        w = np.full(K, 0.5 * grid.dt)
-        w[[0, -1]] *= 0.5
-
         def weighted(run):
-            return w.reshape((-1,) + (1,) * (run.ndim - 1)) * run
+            return 0.5 * trapezoid_weights(grid).reshape((-1,) + (1,) * (run.ndim - 1)) * run
 
         E = np.concatenate([np.broadcast_to(np.eye(n), Gam.shape), -Gam], -1)
         running = _quadratic(wide(E), targets * wide(eta), wide(Q),
@@ -327,17 +325,12 @@ class _AgentFold:
     def states(self, X):
         return X.transpose(2, 1, 0)
 
-    def controls(self, k: int, X):
-        U = (self.Ga[k] @ X.reshape(len(X), -1)).reshape((-1,) + X.shape[1:])
-        U += (self.Gb[k] @ X.mean(axis=1))[:, None]
-        return (U + self.a[k][:, None, None]).transpose(2, 1, 0)
-
 
 class _StackedFold:
-    """The oracle's law u = gain x + affine on the stacked state, laid out
-    from one agent fold of Ga = K_dev, Gb = K_mean - K_dev and the law's
-    affine in every agent.  An agent block X with its xavg block Y becomes
-    I (x) X + 11'/N (x) Y: so do the gain, the drift and diffusion maps and
+    """The oracle's law on the stacked state, laid out from one agent fold
+    of Ga = K_dev, Gb = K_mean - K_dev and the law's affine in every agent,
+    whose Ga, Gb and a it keeps.  An agent block X with its xavg block Y
+    becomes I (x) X + 11'/N (x) Y: so do the drift and diffusion maps and
     the social cost's H, whose xavg block is 2 H_x,avg + H_avg,avg; maps[k]
     also sums each coordinate over the agents.  Agent i's offsets fill block
     i, the xavg part of 2 l is averaged over the agents, and c is summed.
@@ -386,8 +379,7 @@ class _StackedFold:
         self.drift, self.diff = planes(off[..., :n]), planes(off[..., n:2 * n])
         self.lin = planes(off[..., 2 * n:3 * n] + off[..., 3 * n:].mean(axis=-2, keepdims=True))
         self.c = c[..., None]
-        self.gain, self.affine = lay(agent.Ga, agent.Gb), a.reshape(K, N * m)
-        self.N, self.n = N, n
+        self.Ga, self.Gb, self.a, self.N, self.n = agent.Ga, agent.Gb, a, N, n
 
     def diffuse(self, kick, dW):
         """kick *= dW_i on agent i's n coordinates of every plane, with dW the
@@ -424,10 +416,6 @@ class _StackedFold:
 
     def states(self, X):
         return X.reshape(self.N, self.n, -1).transpose(2, 0, 1)
-
-    def controls(self, k: int, X):
-        U = self.gain[k] @ X + self.affine[k][:, None]
-        return U.reshape(self.N, -1, U.shape[-1]).transpose(2, 0, 1)
 
 
 def _em(fold, dW: np.ndarray, kind: str, record=None) -> np.ndarray:
@@ -489,9 +477,10 @@ def _simulate(params, noise, N, store, kind, fold) -> tuple[SimResult, np.ndarra
 
         def record(k, X, xb):
             xavg[sl, k] = xb.T
-            if storing:
-                xs[sl, :, k] = fold.states(X)
-                us[sl, :, k] = fold.controls(k, X)
+            if storing:   # u_i = Ga x_i + Gb xavg + a_i: the one control rule
+                x = xs[sl, :, k] = fold.states(X)
+                u = np.tensordot(fold.Ga[k], x.T, 1) + (fold.Gb[k] @ xb)[:, None]
+                us[sl, :, k] = u.T + fold.a[k]
 
         J[..., sl] = _em(fold, noise.increments_block(chunk)[:, :N, :], kind, record)
 

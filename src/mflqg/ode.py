@@ -370,10 +370,16 @@ def quadrature(traj: Trajectory) -> float:
     return trapezoid_nodes(v, traj.grid)
 
 
+def trapezoid_weights(grid: TimeGrid) -> np.ndarray:
+    """The package's one trapezoid rule: node weights dt inside, dt/2 at both ends."""
+    w = np.full(grid.steps + 1, grid.dt)
+    w[[0, -1]] *= 0.5
+    return w
+
+
 def trapezoid_nodes(values: np.ndarray, grid: TimeGrid):
     """Trapezoid rule on node samples (time along axis 0)."""
-    v = np.asarray(values, dtype=float)
-    return grid.dt * (v.sum(axis=0) - 0.5 * (v[0] + v[-1]))
+    return np.einsum("k,k...->...", trapezoid_weights(grid), values)
 
 
 def matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:

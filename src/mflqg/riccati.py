@@ -411,7 +411,9 @@ class OracleLaw:
     K_dev: Trajectory    # (m, n)
     K_mean: Trajectory   # (m, n)
     affine: Trajectory   # (m,), every agent's
-    regularity_margin: float
+    regularity_margin: float  # the smallest lambda_min(R + D'bd(P)D) at a node,
+    stage_margin: float       # at an RK4 stage of the sweep,
+    stage_t: float            # and that stage's time
     validation: dict = field(default_factory=dict)
 
 
@@ -470,10 +472,10 @@ def solve_oracle(aug: AugmentedCoeffs, grid: TimeGrid | None = None, *, validate
     stage that does not depend on N.  S1 and S2 repeat one block s1, s2, so
     phi repeats the mean mode's adjoint dphi_a/dt = -(A + F + B K_mean)'phi_a
     - s1, an ode.integrate_linear sweep reading the node gain K_mean at
-    the stage times.  The law keeps these modes; only the centralized simulator
-    forms the stacked gain.  The stacked sweeps are the tests' reference for
-    this solve.  Margin, mode gains and affine are formed at all nodes at
-    once; a coefficient sampled on another grid than ``grid`` raises
+    the stage times.  The law keeps these modes and the sweep's stage
+    margin; no module forms the stacked gain.  The stacked sweeps are the
+    tests' reference.  Margin, mode gains and affine are formed at all nodes
+    at once; a coefficient sampled on another grid than ``grid`` raises
     GridMismatchError before any sweep.
 
     With validate=True the resulting law must pass a stationarity self-check:
@@ -513,7 +515,8 @@ def solve_oracle(aug: AugmentedCoeffs, grid: TimeGrid | None = None, *, validate
     affine = -node_solve(S, B.swapaxes(-1, -2) @ phi.values[..., None])[..., 0]
     law = OracleLaw(grid=grid, N=N, P_dev=Trajectory(grid, P_dev), P_mean=Trajectory(grid, P_mean),
                     phi=phi, K_dev=Trajectory(grid, K[..., :n]), K_mean=Trajectory(grid, K_mean),
-                    affine=Trajectory(grid, affine), regularity_margin=margin)
+                    affine=Trajectory(grid, affine), regularity_margin=margin,
+                    stage_margin=stage[0], stage_t=stage[1])
     if validate:
         law.validation = _validate_stationarity(
             aug, law, paths=validation_paths, seed=validation_seed, tol=fd_tol)

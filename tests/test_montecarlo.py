@@ -12,6 +12,7 @@ from mflqg.errors import (GridMismatchError, InvalidNError, MissingTrajectoriesE
                           NonFiniteError, SettingError, StationarityError)
 from mflqg.model import AugmentedCoeffs, ModelParams, build_augmented, kron_eye, kron_mean
 from mflqg.ode import BLOWUP_NORM, TimeGrid, Trajectory, integrate_rk4
+from mflqg.presets import repro_instance
 from mflqg import riccati
 from mflqg.riccati import FeedbackLaw, OracleLaw, solve_oracle
 from mflqg.montecarlo import (
@@ -49,7 +50,7 @@ def mode_law(grid, N, K_dev, K_mean, affine):
     return OracleLaw(grid=grid, N=N, P_dev=traj(zero, (n, n)), P_mean=traj(zero, (n, n)),
                      phi=traj(np.zeros(n), (n,)), K_dev=traj(K_dev, (m, n)),
                      K_mean=traj(K_mean, (m, n)), affine=traj(affine, (m,)),
-                     regularity_margin=1.0)
+                     regularity_margin=1.0, stage_margin=1.0, stage_t=0.0)
 
 
 def block_law(grid, N, Th1, Th2):
@@ -735,6 +736,37 @@ def test_agent_fold_with_a_mean_gain_matches_reference_em_loop(rng):
                                      centralized_control(*stacked_tables(law)))
     for new, ref in ((res.xs, xs), (res.us, us), (res.xavg, xavg), (J.T, J_i)):
         assert_close(new, ref)
+
+
+def test_stored_controls_are_the_per_agent_law_on_the_stored_states(rng):
+    # both simulators store u_i = Ga x_i + Gb xavg + a_i, read off the law's
+    # per-agent tables and applied to the stored xs and xavg, on an instance
+    # whose coefficients and laws move in time; the oracle's Gb is not zero
+    p = time_varying_params(rng, m=2)
+    grid, N = p.grid(), 3
+    ramp = (1.0 + grid.nodes)[:, None, None]
+    Th1 = 0.4 * rng.standard_normal((1, 2, 2)) * ramp
+    Th2 = rng.standard_normal((grid.steps + 1, 2))
+    dec = make_law(grid, 2, 2, Th1=Th1, Th2=Th2)
+    cen = random_oracle_law(rng, grid, N, 2, 2)
+    noise = NoiseBank(seed=47, n_paths=4, n_agents=N, grid=grid)
+    runs = ((simulate_decentralized(p, dec, N, noise, store=True), Th1, np.zeros_like(Th1), Th2),
+            (simulate_centralized(AugmentedCoeffs(p, N), cen, noise, store=True),
+             cen.K_dev.values, cen.K_mean.values - cen.K_dev.values, cen.affine.values))
+    for res, Ga, Gb, a in runs:
+        want = (np.einsum("kij,pnkj->pnki", Ga, res.xs)
+                + np.einsum("kij,pkj->pki", Gb, res.xavg)[:, None] + a)
+        assert_close(res.us, want)
+
+
+def test_stacked_fold_holds_no_table_beside_its_maps_that_grows_with_N_squared():
+    # the fold keeps the per-agent law, not the stacked (Nm, Nn) gain: on
+    # repro at N = 32 every array but maps is under 5% of maps
+    aug = AugmentedCoeffs(repro_instance(steps=200), 32)
+    fold = montecarlo._StackedFold(aug, solve_oracle(aug, validate=False))
+    others = sum(v.nbytes for k, v in vars(fold).items()
+                 if isinstance(v, np.ndarray) and k != "maps")
+    assert others < 0.05 * fold.maps.nbytes
 
 
 def blowup_params():

@@ -920,14 +920,17 @@ def read_modes(M, N, rows, cols):
 
 
 def stacked_oracle(aug):
-    """The stacked reference as an OracleLaw, its modes read off its blocks."""
+    """The stacked reference as an OracleLaw, its modes read off its blocks.
+    The reference measures no RK4 stage, so its node margin stands in for
+    the stage margin, at no time."""
     ref, margin = stacked_reference(aug)
     grid, N, n, m = aug.params.grid(), aug.N, aug.params.n, aug.params.m
     modes = read_modes(ref["P"], N, n, n) + read_modes(ref["gain"], N, m, n)
     P_dev, P_mean, K_dev, K_mean = (Trajectory(grid, X) for X in modes)
     return OracleLaw(grid=grid, N=N, P_dev=P_dev, P_mean=P_mean,
                      phi=Trajectory(grid, ref["phi"][:, :n]), K_dev=K_dev, K_mean=K_mean,
-                     affine=Trajectory(grid, ref["affine"][:, :m]), regularity_margin=margin)
+                     affine=Trajectory(grid, ref["affine"][:, :m]), regularity_margin=margin,
+                     stage_margin=margin, stage_t=float("nan"))
 
 
 def stacked_P(law):
@@ -953,6 +956,20 @@ def test_oracle_modes_match_stacked_reference(instance, N):
     assert abs(law.regularity_margin - margin) <= 1e-12
     for P in (law.P_dev.values, law.P_mean.values):
         assert np.array_equal(P, P.swapaxes(-1, -2))
+
+
+def test_oracle_keeps_its_stage_margin_and_time():
+    # at N = 1 with F = Ftilde = Gamma = GammaBar = 0 the oracle's mean mode
+    # is P's own equation, swept on the same stages: the smallest stage
+    # lambda_min and its time are P's, bit for bit.  On this instance the
+    # stage minimum sits at t = 0 and differs from the node margin.
+    p = rand_params(np.random.default_rng(0), n=2, m=2, psd_weights=False)
+    zero = np.zeros((2, 2))
+    p = replace(p, F=zero, Ftilde=zero, Gamma=zero, GammaBar=zero)
+    P, margin = solve_P(p)
+    law = solve_oracle(AugmentedCoeffs(p, 1), validate=False)
+    assert (law.stage_margin, law.stage_t) == (P.stage_margin, P.stage_t)
+    assert law.regularity_margin == margin != law.stage_margin
 
 
 def test_oracle_law_size_does_not_depend_on_N():
