@@ -30,9 +30,8 @@ import numpy as np
 
 from .consistency import solve_cc
 from .convexity import report_all
-from .errors import GridMismatchError
 from .model import AugmentedCoeffs, ModelParams, check_population_size
-from .ode import Trajectory, integrate_linear, kron_vec, stage_samples
+from .ode import Trajectory, check_grid, integrate_linear, kron_vec, stage_samples
 from .riccati import FeedbackLaw, solve_oracle
 from .montecarlo import (NoiseBank, check_counts, check_estimate_paths, check_seed,
                          simulate_centralized, simulate_decentralized, standard_error)
@@ -60,8 +59,10 @@ class ConvergenceTable:
     slope: float
     intercept: float
 
-    def estimates(self) -> np.ndarray:
-        return np.array([r[2] for r in self.rows])
+
+def sup_sq_errors(xavg: np.ndarray, xhat: Trajectory) -> np.ndarray:
+    """The mean-field error sup_t ||xavg - xhat||^2 of each path of (paths, steps+1, n) means."""
+    return np.max(np.sum((xavg - xhat.values) ** 2, axis=2), axis=1)
 
 
 def convergence_study(params: ModelParams, law: FeedbackLaw, xhat: Trajectory,
@@ -78,14 +79,13 @@ def convergence_study(params: ModelParams, law: FeedbackLaw, xhat: Trajectory,
     """
     check_seed(seed)
     check_study_counts(replications, N_list)
-    if xhat.grid != law.grid:
-        raise GridMismatchError(f"xhat is sampled on {xhat.grid}, the law on {law.grid}")
+    check_grid(law.grid, "the law", {"xhat": xhat})
     rows = []
     for N in N_list:
         noise = NoiseBank(seed=_bank_seed(seed, N), n_paths=replications, n_agents=N,
                           grid=law.grid)
         res = simulate_decentralized(params, law, N, noise, store=False)
-        sup = np.max(np.sum((res.xavg - xhat.values) ** 2, axis=2), axis=1)
+        sup = sup_sq_errors(res.xavg, xhat)
         rows.append((N, replications, float(sup.mean()), float(standard_error(sup))))
     ests = np.array([r[2] for r in rows])
     if np.all(ests > 0.0) and len(set(N_list)) >= 2:

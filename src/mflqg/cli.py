@@ -27,7 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import check_study_counts, convergence_study, gap_study, lambda_boundedness
+from .analysis import (check_study_counts, convergence_study, gap_study, lambda_boundedness,
+                       sup_sq_errors)
 from .consistency import solve_cc
 from .convexity import report_all
 from .errors import ConfigError, GridMismatchError, MFLQGError, RegularityLostError, SettingError
@@ -324,8 +325,7 @@ def cmd_repro(args) -> int:
     xavg_mean = res.xavg.mean(axis=0)
     summary = {
         "sup_norm_distance": float(np.max(np.abs(xavg_mean - sol.xhat.values))),
-        "sup_sq_distance_mean": float(np.mean(np.max(
-            np.sum((res.xavg - sol.xhat.values) ** 2, axis=2), axis=1))),
+        "sup_sq_distance_mean": float(np.mean(sup_sq_errors(res.xavg, sol.xhat))),
         "convergence_slope": _fitted(table.slope),
         "convexity": {k: _verdict_doc(v) for k, v in report_all(params).items()},
         "lyapunov": {"dominated": lam.dominated, "uniform": lam.uniform,

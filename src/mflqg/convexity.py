@@ -43,10 +43,6 @@ class ConvexityVerdict:
     witness: dict = field(default_factory=dict)
 
     @property
-    def is_convex(self) -> bool:
-        return self.status in (CONVEX, UNIFORMLY_CONVEX)
-
-    @property
     def is_uniformly_convex(self) -> bool:
         return self.status == UNIFORMLY_CONVEX
 

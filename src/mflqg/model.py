@@ -120,13 +120,6 @@ class ModelParams:
                 f"(horizons {self.T:g} and {grid.T:g})")
         return arr
 
-    def equals(self, other: "ModelParams") -> bool:
-        if (self.n, self.m, self.T, self.steps) != (other.n, other.m, other.T, other.steps):
-            return False
-        return all(
-            np.array_equal(getattr(self, f), getattr(other, f)) for f in COEFF_SPEC
-        )
-
 
 def validate(params: ModelParams) -> list[str]:
     """Return every violated admissibility condition (empty list = admissible)."""

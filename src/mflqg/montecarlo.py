@@ -63,7 +63,7 @@ from .errors import (GridMismatchError, InvalidNError, MissingTrajectoriesError,
                      SettingError)
 from .model import (TIME_VARYING, AugmentedCoeffs, ModelParams, build_augmented,
                     check_population_size, is_int, kron_eye, kron_mean)
-from .ode import TimeGrid, blown_up, matvec, trapezoid_nodes, trapezoid_weights
+from .ode import TimeGrid, blown_up, check_grid, matvec, trapezoid_nodes, trapezoid_weights
 from .riccati import FeedbackLaw, OracleLaw
 
 # full trajectory storage cap, in scalars (states + controls combined)
@@ -241,8 +241,7 @@ def _run_chunks(fn, chunks):
 
 def _check_bank(noise, grid: TimeGrid, N: int) -> None:
     check_population_size(N)
-    if grid != noise.grid:
-        raise GridMismatchError(f"the noise bank is sampled on {noise.grid}, the law on {grid}")
+    check_grid(grid, "the law", {"the noise bank": noise})
     if noise.n_agents < N:
         raise GridMismatchError(f"noise bank holds {noise.n_agents} agents, need {N}")
 

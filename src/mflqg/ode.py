@@ -44,11 +44,14 @@ condition's half-step sweep.
 Blow-up (NaN/Inf or max-norm past BLOWUP_NORM) raises NonFiniteError instead
 of being clipped; a diverging backward Riccati solve is how non-solvability
 on [0, T] manifests and callers need to see it.  Both sweeps check it by
-:func:`check_nodes` once a chunk is stepped.  :func:`blown_up` and
-:func:`asymmetry` are the package's only blow-up and symmetry rules, and
-only this module calls the symmetric eigensolver: :func:`eig_min_at` gives
-every positivity verdict its number, at the nodes and RK4 stages of the
-Riccati sweeps and in the convexity certificates.
+:func:`check_nodes` once a chunk is stepped.  :func:`blown_up`,
+:func:`asymmetry` and :func:`check_grid` are the package's only blow-up,
+symmetry and grid-agreement rules (whether a trajectory, a law field or a
+noise bank lies on the grid it is read on; ModelParams.node_table decides
+on which grid a coefficient exists), and only this module calls the
+symmetric eigensolver: :func:`eig_min_at` gives every positivity verdict
+its number, at the nodes and RK4 stages of the Riccati sweeps and in the
+convexity certificates.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, NotSymmetricError
+from .errors import GridMismatchError, NonFiniteError, NotSymmetricError
 
 BLOWUP_NORM = 1e12
 SYM_TOL_SCALE = 1e-8
@@ -95,6 +98,14 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         # linspace pins the endpoint to T exactly
         return np.linspace(0.0, self.T, self.steps + 1)
+
+
+def check_grid(grid: TimeGrid, ref: str, sampled: dict) -> None:
+    """The one grid-agreement rule: GridMismatchError naming the first entry of
+    ``sampled`` (name to trajectory or noise bank) off ``grid``, that of ``ref``."""
+    for name, obj in sampled.items():
+        if obj.grid != grid:
+            raise GridMismatchError(f"{name} is sampled on {obj.grid}, {ref} on {grid}")
 
 
 def interp(table: np.ndarray, dt: float, t) -> np.ndarray:

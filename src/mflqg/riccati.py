@@ -44,7 +44,8 @@ its adjoint is the mean mode's linear one.  Its node-wise margin, mode gains
 and affine are one batched pass over the nodes, bit-identical to a loop over
 them.  The auxiliary problem is always solved on the master grid of the
 model; the oracle may take another grid, on which model's grid rule decides
-whether its coefficients can be read.
+whether its coefficients can be read.  Whether a driving trajectory lies on
+P's grid, and a law's fields on the law's, is ode.check_grid's one rule.
 """
 
 from __future__ import annotations
@@ -53,12 +54,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatchError, RegularityLostError, StationarityError
+from .errors import RegularityLostError, StationarityError
 from .model import TIME_VARYING, AugmentedCoeffs, ModelParams, mean_offset, mean_weight
 from .ode import (
     TimeGrid,
     Trajectory,
     check_boundary,
+    check_grid,
     check_nodes,
     eig_min_at,
     integrate_linear,
@@ -71,13 +73,6 @@ from .ode import (
 )
 
 REGULARITY_TOL = 1e-10
-
-
-def _check_grids(P: Trajectory, **trajs: Trajectory):
-    """GridMismatchError naming the first of ``trajs`` sampled off P's grid."""
-    for name, tr in trajs.items():
-        if tr.grid != P.grid:
-            raise GridMismatchError(f"{name} is sampled on {tr.grid}, P on {P.grid}")
 
 
 def _regularity_margin(S: np.ndarray, grid: TimeGrid, what: str,
@@ -322,7 +317,7 @@ def solve_phi(P: Trajectory, params: ModelParams, xhat: Trajectory,
     stage is named by its node (a half-integer at a step's midpoint).
     """
     grid = P.grid
-    _check_grids(P, xhat=xhat, yhat1=yhat1, yhat2=yhat2, betahat1=betahat1)
+    check_grid(grid, "P", {"xhat": xhat, "yhat1": yhat1, "yhat2": yhat2, "betahat1": betahat1})
     n = params.n
     eye = np.eye(n)
     names = ("A", "B", "C", "D", "R", "F", "Ftilde", "Q", "Gamma", "eta")
@@ -358,7 +353,7 @@ def solve_phi(P: Trajectory, params: ModelParams, xhat: Trajectory,
 
 def theta2(P: Trajectory, phi: Trajectory, xhat: Trajectory, params: ModelParams) -> Trajectory:
     """Affine gain Theta2 = -(R + D'PD)^{-1}(B'phi + D'P Ftilde xhat), node-wise."""
-    _check_grids(P, phi=phi, xhat=xhat)
+    check_grid(P.grid, "P", {"phi": phi, "xhat": xhat})
     S, _ = node_gain_terms(P, params)
     Dt = params.node_table("D").swapaxes(-1, -2)
     Bt = params.node_table("B").swapaxes(-1, -2)
@@ -381,9 +376,8 @@ class FeedbackLaw:
     regularity_margin: float
 
     def __post_init__(self):
-        for name in ("P", "phi", "Theta1", "Theta2"):
-            if (grid := getattr(self, name).grid) != self.grid:
-                raise GridMismatchError(f"law field {name!r} is sampled on {grid}, not {self.grid}")
+        check_grid(self.grid, "the law", {f"law field {name!r}": getattr(self, name)
+                                          for name in ("P", "phi", "Theta1", "Theta2")})
         if not (np.isfinite(self.regularity_margin) and self.regularity_margin > REGULARITY_TOL):
             raise RegularityLostError(f"law field 'regularity_margin': {self.regularity_margin:.3e}"
                                       f" is not a finite number above {REGULARITY_TOL}")
@@ -401,7 +395,8 @@ class FeedbackLaw:
 class OracleLaw:
     """Centralized law u = gain x + affine of N exchangeable agents as its
     modes: gain = I (x) K_dev + 11'/N (x) (K_mean - K_dev), P likewise, and
-    affine and phi the same in every agent block.  No table grows with N."""
+    affine and phi the same in every agent block.  No table grows with N.
+    Its trajectories are admitted as :class:`FeedbackLaw`'s are."""
 
     grid: TimeGrid
     N: int
@@ -415,6 +410,10 @@ class OracleLaw:
     stage_margin: float       # at an RK4 stage of the sweep,
     stage_t: float            # and that stage's time
     validation: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        check_grid(self.grid, "the law", {f"law field {name!r}": getattr(self, name) for name in
+                                          ("P_dev", "P_mean", "phi", "K_dev", "K_mean", "affine")})
 
 
 def oracle_operator(N: int, A, B, C, D, F, Ftilde, Q, R, Gamma) -> np.ndarray:

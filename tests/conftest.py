@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,12 @@ def rand_params(rng, n=1, m=1, T=1.0, steps=200, scale=0.4, coupled=True,
         etaBar=scale * rng.standard_normal(n) if terminal else np.zeros(n),
         xi0=rng.standard_normal(n),
     )
+
+
+def same_params(p, q):
+    """Whether p and q hold the same sizes, horizon and step count and
+    bit-identical coefficients, compared field by field."""
+    return all(np.array_equal(getattr(p, f.name), getattr(q, f.name)) for f in fields(ModelParams))
 
 
 def scanned_instance(index, m=None):

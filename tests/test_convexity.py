@@ -41,7 +41,7 @@ def test_psd_identity_weights_uniformly_convex(rng):
     p.G = np.eye(2)
     v = check_psd_case(p)
     assert v.status == UNIFORMLY_CONVEX
-    assert v.is_convex
+    assert v.status in (CONVEX, UNIFORMLY_CONVEX)
     assert v.witness["margin"] == pytest.approx(1.0)
 
 
@@ -214,7 +214,7 @@ def test_coupled_threshold_flip():
     assert growth_constant(_coupled_family(q, 1.0)) == pytest.approx(1.0)
     assert below.status == NOT_VERIFIED
     assert at.status in (CONVEX, UNIFORMLY_CONVEX)
-    assert above.is_convex
+    assert above.status in (CONVEX, UNIFORMLY_CONVEX)
 
 
 def test_coupled_trivial_cases(rng):
@@ -246,9 +246,9 @@ def test_coupled_monotone_in_R(rng):
     dq = np.array([[q]])
     for r in (0.5, 1.0, 2.0, 5.0):
         v = check_coupled_indefinite(_coupled_family(q, r), dQ=dq)
-        if v.is_convex:
+        if v.status in (CONVEX, UNIFORMLY_CONVEX):
             v2 = check_coupled_indefinite(_coupled_family(q, r + 1.0), dQ=dq)
-            assert v2.is_convex
+            assert v2.status in (CONVEX, UNIFORMLY_CONVEX)
 
 
 def gap_scalar_params(**over):

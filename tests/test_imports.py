@@ -1,19 +1,26 @@
 """Static guards: no module of the package imports a name it never uses, no
-class of the package has a field nobody reads, no public function or class
-of the package is there for its unit tests alone, every name of the package
-that the benchmark reads or patches exists, the stacked fold reads no
-coefficient of the model, only ``ode`` cuts a sweep into chunks or reads
-the blow-up bound or a symmetry tolerance, only ``model`` reads JSON
-files or writes JSON text, and each rule of ``RULE_OWNERS`` is named by its
-owner alone.
+class of the package has a field nobody reads, no public function, class,
+method or property of the package is there for its unit tests alone, every
+name of the package that the benchmark reads or patches exists, the stacked
+fold reads no coefficient of the model, only ``ode`` cuts a sweep into
+chunks or reads the blow-up bound or a symmetry tolerance, only ``ode`` and
+``model`` compare time grids, only ``model`` reads JSON files or writes
+JSON text, and each rule of ``RULE_OWNERS`` is named by its owner alone.
 
 ``__init__.py`` is skipped by the import guard; its imports are the
 package's re-exports.  The fields of a class are those a dataclass declares
 and the attributes any class sets on ``self``.  A field counts as read when
 its name appears as an attribute load or as a string constant anywhere in
-the package, its tests or the benchmark.  The benchmark patches library
-functions by name, so a renamed one would fail only in a traced benchmark
-run; its sources are parsed here, never imported.
+the package, its tests or the benchmark.  A public method or property
+counts as used, as a function does, when its name is mentioned outside its
+own definition in the package, its acceptance tests or the benchmark, on
+whatever object.  A grid comparison is an == or != with a ``.grid``
+attribute or a ``.grid()`` call in an operand: ``ode.check_grid`` decides
+whether a trajectory, a law field or a noise bank lies on the grid it is
+read on, and ``ModelParams.node_table`` on which grid a coefficient exists.
+The benchmark patches library functions by name, so a renamed one would
+fail only in a traced benchmark run; its sources are parsed here, never
+imported.
 """
 
 import ast
@@ -268,28 +275,54 @@ def test_only_ode_cuts_sweeps_into_chunks():
 
 def unused_public_names(sources: dict, named: set) -> list[str]:
     """Public top-level functions and classes of ``sources`` (module name to
-    source text) that no source mentions outside their own definition and
-    ``named`` does not hold.  A mention is a name, an attribute or an
-    imported name, so a re-export by ``__init__.py`` is one."""
-    defined, used = [], set()
+    source text), and public methods and properties of those classes, that
+    no source mentions outside their own definition and ``named`` does not
+    hold.  They are counted by name: a mention is a name, an attribute or an
+    imported name, so a re-export by ``__init__.py`` is one, and so is any
+    attribute of that name, whatever object it is read from."""
+    defined, used = [], set(named)
     for module, source in sources.items():
         for top in ast.parse(source).body:
-            own = getattr(top, "name", None)
-            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not own.startswith("_"):
-                defined.append((module, own))
-            else:
-                own = None
-            used |= {name for name in mentioned_names(top) if name != own}
-    return [f"{module}.{name}" for module, name in defined
-            if name not in used and name not in named]
+            defined += [(module, label, label.rpartition(".")[2]) for label in _definitions(top)]
+            used |= _mentions_outside(top)
+    return [f"{module}.{label}" for module, label, name in defined
+            if not name.startswith("_") and name not in used]
+
+
+def _definitions(top, prefix=""):
+    """The label of a top-level function or class and, for a class, those of
+    the methods and properties in its body (``Class.name``)."""
+    if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+        yield prefix + top.name
+        for stmt in top.body if isinstance(top, ast.ClassDef) else ():
+            yield from _definitions(stmt, f"{prefix}{top.name}.")
+
+
+def _mentions_outside(node, enclosing=frozenset()) -> set:
+    """:func:`mentioned_names` of ``node``, less each mention of a function
+    or class name inside a definition of that name."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        enclosing = enclosing | {node.name}
+    found = ({node.id} if isinstance(node, ast.Name) else {node.attr}
+             if isinstance(node, ast.Attribute) else {node.name}
+             if isinstance(node, ast.alias) else set()) - enclosing
+    for child in ast.iter_child_nodes(node):
+        found |= _mentions_outside(child, enclosing)
+    return found
 
 
 def test_guard_flags_a_name_only_tests_use():
     sources = {"a": "def run(x):\n    return run(x) + helper(x)\ndef helper(x):\n    pass\n"
-                    "class Spare:\n    pass\ndef _private():\n    pass\nclass Kept:\n    pass\n",
-               "__init__": "from .a import Kept\n"}
-    assert unused_public_names(sources, set()) == ["a.run", "a.Spare"]
-    assert unused_public_names(sources, {"run", "Spare"}) == []
+                    "class Spare:\n    pass\ndef _private():\n    pass\nclass Kept:\n"
+                    "    def used(self):\n        return self._own() + Kept()\n"
+                    "    def spare(self):\n        return self.spare()\n"
+                    "    @property\n    def size(self):\n        return self.used()\n"
+                    "    def _own(self):\n        pass\n",
+               "__init__": "from .a import Kept\n",
+               "b": "Kept().used()\n"}
+    assert unused_public_names(sources, set()) == ["a.run", "a.Spare", "a.Kept.spare",
+                                                   "a.Kept.size"]
+    assert unused_public_names(sources, {"run", "Spare", "spare", "size"}) == []
 
 
 def test_every_public_name_serves_the_package_its_acceptance_tests_or_the_benchmark():
@@ -302,6 +335,27 @@ def test_every_public_name_serves_the_package_its_acceptance_tests_or_the_benchm
                   if isinstance(node, ast.Constant) and isinstance(node.value, str)}
     sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
     assert unused_public_names(sources, named) == []
+
+
+def grid_comparisons(source: str) -> list[int]:
+    """Lines of ``source`` holding an == or != comparison with a ``.grid``
+    attribute or a ``.grid()`` call in an operand."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Compare)
+            and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+            and any(isinstance(sub, ast.Attribute) and sub.attr == "grid"
+                    for operand in (node.left, *node.comparators) for sub in ast.walk(operand))]
+
+
+def test_only_ode_and_model_compare_grids():
+    # whether a trajectory, a law field or a noise bank lies on the grid it is
+    # read on is ode.check_grid's rule, and on which grid a coefficient
+    # exists is ModelParams.node_table's
+    assert grid_comparisons("if a.grid != b:\n    pass\nx = g == p.grid()\ny = a.grid is b\n"
+                            "z = a.grid.steps < 3\nw = grid == other\n") == [1, 3]
+    found = {path.name: grid_comparisons(path.read_text())
+             for path in SRC.glob("*.py") if path.name not in ("ode.py", "model.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def json_file_calls(source: str) -> set:

@@ -123,11 +123,16 @@ def test_a_lost_margin_names_the_node_where_it_is_smallest(solver, R, message):
         solver(p)
 
 
-def feedback_law_fields(grid, off=None):
-    """Zero P, phi, Theta1 and Theta2 (n = m = 1) on grid; field ``off`` on
-    twice its steps."""
+FEEDBACK_SHAPES = (("P", (1, 1)), ("phi", (1,)), ("Theta1", (1, 1)), ("Theta2", (1,)))
+ORACLE_SHAPES = (("P_dev", (1, 1)), ("P_mean", (1, 1)), ("phi", (1,)), ("K_dev", (1, 1)),
+                 ("K_mean", (1, 1)), ("affine", (1,)))
+
+
+def feedback_law_fields(grid, off=None, shapes=FEEDBACK_SHAPES):
+    """Zero trajectories of a law (n = m = 1) on grid, FeedbackLaw's P, phi,
+    Theta1 and Theta2 by default; field ``off`` on twice its steps."""
     fields = {}
-    for name, shape in (("P", (1, 1)), ("phi", (1,)), ("Theta1", (1, 1)), ("Theta2", (1,))):
+    for name, shape in shapes:
         g = TimeGrid(grid.T, 2 * grid.steps) if name == off else grid
         fields[name] = Trajectory(g, np.zeros((g.steps + 1,) + shape))
     return fields
@@ -158,6 +163,18 @@ def test_feedback_law_refuses_a_trajectory_off_its_grid(off):
     grid = TimeGrid(1.0, 200)
     with pytest.raises(GridMismatchError, match=f"law field '{off}' is sampled on"):
         FeedbackLaw(grid=grid, regularity_margin=1.0, **feedback_law_fields(grid, off))
+
+
+@pytest.mark.parametrize("off", [name for name, _ in ORACLE_SHAPES])
+def test_oracle_law_refuses_a_trajectory_off_its_grid(off):
+    # the Euler-Maruyama kernel reads every mode at the law's nodes: a field
+    # on 40 steps in a law on 20 is refused when the law is built, by the rule
+    # FeedbackLaw's fields meet, not by numpy's broadcasting in the kernel
+    grid = TimeGrid(1.0, 20)
+    fields = feedback_law_fields(grid, off, ORACLE_SHAPES)
+    with pytest.raises(GridMismatchError, match=rf"^law field '{off}' is sampled on TimeGrid\(T=1.0, "
+                                                rf"steps=40\), the law on TimeGrid\(T=1.0, steps=20\)$"):
+        OracleLaw(grid=grid, N=2, regularity_margin=1.0, stage_margin=1.0, stage_t=0.0, **fields)
 
 
 @pytest.mark.parametrize("margin", [np.inf, np.nan, 0.0, -1.0])
